@@ -67,7 +67,12 @@ func (b Box) Contains(l geom.LatLon) bool {
 	if l.LatDeg < b.LatMinDeg || l.LatDeg > b.LatMaxDeg {
 		return false
 	}
-	lon := geom.NormalizeLonDeg(l.LonDeg)
+	return b.containsLon(geom.NormalizeLonDeg(l.LonDeg))
+}
+
+// containsLon reports whether a normalized longitude lies within the box's
+// longitude range.
+func (b Box) containsLon(lon float64) bool {
 	if b.CrossesAntimeridian() {
 		return lon >= b.LonMinDeg || lon <= b.LonMaxDeg
 	}
@@ -78,6 +83,105 @@ func (b Box) Contains(l geom.LatLon) bool {
 // within the box.
 func (b Box) ContainsECEF(p geom.Vec3) bool {
 	return b.Contains(geom.ToGeodetic(p))
+}
+
+// testerMarginDeg is the latitude margin inside which a Tester does not
+// trust its bound and asks Box.ContainsECEF: five orders of magnitude above
+// the 1e-12 rad at which geom.ToGeodetic's iteration stops, so a latitude
+// the bound places further than this from a box edge is on the same side of
+// it in the exact computation.
+const testerMarginDeg = 1e-6
+
+// Tester answers Box.ContainsECEF for one box, bit for bit, without the
+// iterative geodetic conversion for almost every point. For a point on or
+// above the ellipsoid at geodetic latitude φ and height h,
+//
+//	tan φ = (z/ρ) · (N+h) / (N(1−e²)+h),   ρ = √(x²+y²),
+//
+// and the second factor lies in [1, 1/(1−f)²] (≤ 1.00674), so tan φ lies
+// between z/ρ and (z/ρ)/(1−f)². When that whole interval is on one side of
+// a latitude edge by more than testerMarginDeg the edge is decided; when
+// every edge is, the longitude — the same closed-form expression ToGeodetic
+// evaluates — settles the answer. Otherwise (for a ±60° box, a band about
+// 0.17° of latitude wide at each edge), and for points below the equatorial
+// sphere, on the polar axis or absurdly far away, the tester falls back to
+// Box.ContainsECEF.
+type Tester struct {
+	box Box
+	// The latitude interval [lo, hi] of tan φ is wholly inside the box
+	// when inLo <= lo && hi <= inHi, wholly outside when hi < outLo or
+	// lo > outHi.
+	inLo, inHi, outLo, outHi float64
+	allLon                   bool
+}
+
+// NewTester prepares the fast containment test for b.
+func NewTester(b Box) Tester {
+	return Tester{
+		box:    b,
+		inLo:   tanDeg(b.LatMinDeg + testerMarginDeg),
+		inHi:   tanDeg(b.LatMaxDeg - testerMarginDeg),
+		outLo:  tanDeg(b.LatMinDeg - testerMarginDeg),
+		outHi:  tanDeg(b.LatMaxDeg + testerMarginDeg),
+		allLon: b.LonMinDeg <= -180 && b.LonMaxDeg >= 180,
+	}
+}
+
+// tanDeg is the tangent of a latitude in degrees, ±Inf at and beyond the
+// poles: no latitude lies past them, so such an edge excludes nothing.
+func tanDeg(deg float64) float64 {
+	switch {
+	case deg <= -90:
+		return math.Inf(-1)
+	case deg >= 90:
+		return math.Inf(1)
+	}
+	return math.Tan(geom.Rad(deg))
+}
+
+// Bounds of the fast path: outside the equatorial sphere a point is on or
+// above the ellipsoid (h >= 0, which the tan φ interval needs); ρ and |p|
+// are bounded so that neither the squares nor z/ρ overflow or lose the
+// axis case ToGeodetic handles separately.
+const (
+	testerMinR2   = geom.EarthRadiusKm * geom.EarthRadiusKm
+	testerMaxR2   = 1e20
+	testerMinRho2 = 1e-12
+	// testerTanRatio is 1/(1−f)², the upper bound of tan φ / (z/ρ).
+	testerTanRatio = 1 / ((1 - geom.EarthFlattening) * (1 - geom.EarthFlattening))
+)
+
+// ContainsECEF reports exactly what Box.ContainsECEF reports for the
+// tester's box.
+func (t *Tester) ContainsECEF(p geom.Vec3) bool {
+	if in, decided := t.decide(p); decided {
+		return in
+	}
+	return t.box.ContainsECEF(p)
+}
+
+// decide is the fast path: it answers for every point whose latitude
+// interval clears all edges by the margin, and declines the rest.
+func (t *Tester) decide(p geom.Vec3) (in, decided bool) {
+	rho2 := p.X*p.X + p.Y*p.Y
+	r2 := rho2 + p.Z*p.Z
+	// Written so that a NaN coordinate fails the guard.
+	if !(r2 >= testerMinR2 && r2 <= testerMaxR2 && rho2 >= testerMinRho2) {
+		return false, false
+	}
+	lo := p.Z / math.Sqrt(rho2)
+	hi := lo * testerTanRatio
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi < t.outLo || lo > t.outHi {
+		return false, true
+	}
+	if lo >= t.inLo && hi <= t.inHi {
+		return t.allLon || t.box.containsLon(
+			geom.NormalizeLonDeg(geom.Deg(math.Atan2(p.Y, p.X)))), true
+	}
+	return false, false
 }
 
 // LonSpanDeg returns the longitudinal extent of the box in degrees.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"celestial/internal/geom"
+	"celestial/internal/rng"
 )
 
 func TestValidate(t *testing.T) {
@@ -233,4 +234,127 @@ func TestIsWholeEarth(t *testing.T) {
 			t.Errorf("%v claims to cover the whole earth", b)
 		}
 	}
+}
+
+// testerBoxes are the box shapes the tester must agree with Box.ContainsECEF
+// on: every combination of latitude edges at, near and away from the poles
+// and of longitude ranges that span everything, wrap, or are degenerate.
+var testerBoxes = []struct {
+	name string
+	box  Box
+}{
+	{"pm60 all-lon", Box{-60, -180, 60, 180}},
+	{"whole earth", WholeEarth},
+	{"antimeridian", Box{-40, 150, 40, -120}},
+	{"small", Box{-5, -20, 25, 25}},
+	{"thin", Box{30, -180, 30.1, 180}},
+	{"hemisphere", Box{0, -180, 90, 180}},
+	{"degenerate zero", Box{}},
+}
+
+// ecefAt converts without going through Validate-d types: latitudes a hair
+// past a pole are clamped, as no such point exists.
+func ecefAt(latDeg, lonDeg, altKm float64) geom.Vec3 {
+	latDeg = math.Max(-90, math.Min(90, latDeg))
+	return geom.LatLon{LatDeg: latDeg, LonDeg: lonDeg, AltKm: altKm}.ECEF()
+}
+
+// TestTesterMatchesContainsECEF is the differential test of the prepared
+// tester: on uniform LEO points and on points placed adversarially close to
+// every edge it must return exactly what Box.ContainsECEF returns, while
+// deciding almost all uniform points on its fast path and none of the points
+// below the equatorial sphere.
+func TestTesterMatchesContainsECEF(t *testing.T) {
+	perBox := 1_000_000
+	if testing.Short() {
+		perBox = 100_000
+	}
+	for bi, tb := range testerBoxes {
+		t.Run(tb.name, func(t *testing.T) {
+			t.Parallel()
+			b, tester := tb.box, NewTester(tb.box)
+			r := rng.New(int64(1000 + bi))
+			uni := func(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
+			check := func(kind string, p geom.Vec3) bool {
+				want := b.ContainsECEF(p)
+				if got := tester.ContainsECEF(p); got != want {
+					t.Fatalf("%s point %+v (%+v): tester %v, box %v", kind, p, geom.ToGeodetic(p), got, want)
+				}
+				_, decided := tester.decide(p)
+				return decided
+			}
+
+			// Uniform over the sphere of directions, 0–2,000 km up.
+			fast := 0
+			for i := 0; i < perBox*6/10; i++ {
+				lat := geom.Deg(math.Asin(uni(-1, 1)))
+				if check("uniform", ecefAt(lat, uni(-180, 180), uni(0, 2000))) {
+					fast++
+				}
+			}
+			if tb.name == "pm60 all-lon" && fast < perBox*6/10*99/100 {
+				t.Errorf("fast path decided only %d of %d uniform points", fast, perBox*6/10)
+			}
+
+			// Within 1e-5° of each latitude edge, on both sides.
+			latEdges := []float64{b.LatMinDeg, b.LatMaxDeg}
+			lonEdges := []float64{b.LonMinDeg, b.LonMaxDeg}
+			for i := 0; i < perBox*2/10; i++ {
+				lat := latEdges[i%2] + uni(-1e-5, 1e-5)
+				lon := uni(-180, 180)
+				if i%4 >= 2 { // and at a longitude edge at once
+					lon = lonEdges[i/4%2] + uni(-1e-6, 1e-6)
+				}
+				check("lat-edge", ecefAt(lat, lon, uni(0, 2000)))
+			}
+			// Within 1e-6° of each longitude edge, at latitudes inside,
+			// outside and across the box.
+			for i := 0; i < perBox/10; i++ {
+				lon := lonEdges[i%2] + uni(-1e-6, 1e-6)
+				check("lon-edge", ecefAt(geom.Deg(math.Asin(uni(-1, 1))), lon, uni(0, 2000)))
+			}
+			// Within 1e-7° of both poles, down to the axis itself.
+			for i := 0; i < perBox/20; i++ {
+				lat := 90 - uni(0, 1e-7)*float64(i%3) // every third exactly on the axis
+				if i%2 == 1 {
+					lat = -lat
+				}
+				check("pole", ecefAt(lat, uni(-180, 180), uni(0, 2000)))
+			}
+			// Below the equatorial sphere, where the bound on tan φ does
+			// not hold: the fast path must decline every one.
+			for i := 0; i < perBox/20; i++ {
+				p := ecefAt(geom.Deg(math.Asin(uni(-1, 1))), uni(-180, 180), 0).Scale(uni(0, 1))
+				if p.Norm() >= geom.EarthRadiusKm {
+					continue
+				}
+				if check("sub-surface", p) {
+					t.Fatalf("fast path decided sub-surface point %+v", p)
+				}
+			}
+		})
+	}
+}
+
+// FuzzTesterMatchesContainsECEF lets the fuzzer pick box and point freely —
+// invalid boxes, NaNs, infinities and denormals included: the tester has no
+// precondition under which it may disagree with Box.ContainsECEF.
+func FuzzTesterMatchesContainsECEF(f *testing.F) {
+	for _, tb := range testerBoxes {
+		b := tb.box
+		f.Add(b.LatMinDeg, b.LonMinDeg, b.LatMaxDeg, b.LonMaxDeg, 3500.0, -3500.0, 4800.0)
+		f.Add(b.LatMinDeg, b.LonMinDeg, b.LatMaxDeg, b.LonMaxDeg, 0.0, 1e-7, -6900.0)
+		edge := ecefAt(b.LatMaxDeg, b.LonMinDeg, 550)
+		f.Add(b.LatMinDeg, b.LonMinDeg, b.LatMaxDeg, b.LonMaxDeg, edge.X, edge.Y, edge.Z)
+	}
+	f.Add(-60.0, -180.0, 60.0, 180.0, 1e200, 1.0, 1e200)
+	f.Add(math.NaN(), -180.0, 60.0, math.Inf(1), math.Inf(-1), 0.0, math.NaN())
+	f.Fuzz(func(t *testing.T, latMin, lonMin, latMax, lonMax, x, y, z float64) {
+		b := Box{LatMinDeg: latMin, LonMinDeg: lonMin, LatMaxDeg: latMax, LonMaxDeg: lonMax}
+		tester := NewTester(b)
+		p := geom.Vec3{X: x, Y: y, Z: z}
+		if got, want := tester.ContainsECEF(p), b.ContainsECEF(p); got != want {
+			t.Fatalf("box %+v point %+v: tester %v, box %v", b, p, got, want)
+		}
+	})
 }

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"celestial/internal/bbox"
 	"celestial/internal/config"
 	"celestial/internal/geom"
 	"celestial/internal/graph"
@@ -87,6 +88,8 @@ type Constellation struct {
 	// visCell is the per-shell grid cell size of the spatial visibility
 	// index, sized once from the shell altitude and elevation mask.
 	visCell []float64
+	// inBox is cfg.BoundingBox prepared for the per-satellite activity test.
+	inBox bbox.Tester
 	// bruteVis disables the visibility index (see SetBruteVisibility).
 	bruteVis bool
 	// visRebuild forces full index rebuilds (see SetVisIndexRebuild).
@@ -98,7 +101,7 @@ func New(cfg *config.Config) (*Constellation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Constellation{cfg: cfg}
+	c := &Constellation{cfg: cfg, inBox: bbox.NewTester(cfg.BoundingBox)}
 	epoch := cfg.EpochJulian()
 	id := 0
 	for si := range cfg.Shells {
@@ -259,9 +262,6 @@ type State struct {
 
 	c *Constellation
 	g *graph.Graph
-	// bw maps a directed node pair (stored with a <= b) to the link
-	// bandwidth in kbps, for bottleneck computation along paths.
-	bw map[[2]int]float64
 
 	// paths is the sharded single-source shortest-path cache.
 	paths [pathShards]pathShard
@@ -315,7 +315,8 @@ type State struct {
 	// grow-only chunks, rewound as a unit when the state's buffers are
 	// recomputed. Carving happens sequentially in reset, sized by the
 	// buffer's previous-generation length (tracked in linkCap/upCap); the
-	// parallel phases then only append within carved capacity, falling
+	// visibility phase then appends within carved capacity and link
+	// assembly reslices the link carve to its exact length, both falling
 	// back to the heap on the rare overflow.
 	linkArena arena[topo.Link]
 	boolArena arena[bool]
@@ -341,47 +342,49 @@ const maxSpareResults = 128
 // byte-identical to SnapshotSequential — parallelism never changes the
 // computed state, preserving the paper's repeatability property.
 func (c *Constellation) Snapshot(t float64) (*State, error) {
-	st, err := c.snapshotInto(new(State), t, runtime.GOMAXPROCS(0), true)
-	if err != nil {
-		return nil, err
-	}
-	st.computeDiffFrom(nil)
-	return st, nil
+	return c.snapshotFresh(t, runtime.GOMAXPROCS(0))
 }
 
 // SnapshotSequential is the single-threaded reference implementation of
 // Snapshot. It exists for differential testing of the parallel pipeline
 // and as a baseline for benchmarks.
 func (c *Constellation) SnapshotSequential(t float64) (*State, error) {
-	st, err := c.snapshotInto(new(State), t, 1, true)
+	return c.snapshotFresh(t, 1)
+}
+
+// snapshotFresh computes a snapshot into a new State with the given worker
+// count and materializes its graph; it has no base to diff against.
+func (c *Constellation) snapshotFresh(t float64, workers int) (*State, error) {
+	st, err := c.snapshotInto(new(State), t, workers)
 	if err != nil {
 		return nil, err
 	}
+	st.rebuildGraph()
 	st.computeDiffFrom(nil)
 	return st, nil
 }
 
 // snapshotInto (re)computes the state for offset t into st, reusing any
 // buffers st already holds, with the given worker count. The pipeline has
-// three parallel phases — per-satellite propagation, per-ISL feasibility,
-// per-station visibility — each writing to disjoint pre-sized buffers, and
-// a sequential assembly of links and graph edges in plan order, which keeps
-// the result independent of the worker count.
+// four parallel phases — per-satellite propagation, per-ISL feasibility,
+// per-station visibility, link assembly — each writing to disjoint
+// pre-sized buffers, which keeps the result independent of the worker
+// count.
 //
-// With buildGraph false the latency graph is left empty and unfrozen: the
-// pooled snapshot path materializes it afterwards — cloning and patching
-// the previous tick's frozen CSR image when the diff allows, or rebuilding
-// from the assembled link list (State.rebuildGraph) otherwise — so the
-// steady-state tick skips the per-edge adjacency build and O(N+M)
-// re-freeze entirely.
-func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGraph bool) (*State, error) {
+// The latency graph is left empty and unfrozen: the caller materializes it
+// afterwards — the pooled path by cloning and patching the previous tick's
+// frozen CSR image when the diff allows, everyone else by rebuilding from
+// the assembled link list (State.rebuildGraph) — so the steady-state tick
+// skips the per-edge adjacency build and O(N+M) re-freeze entirely.
+func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State, error) {
 	n := c.NodeCount()
 	st.reset(c, t, n)
 
 	// Phase 1: satellite positions and bounding-box activity, chunked
-	// over each shell's flat index range. For the default whole-earth
-	// box the per-satellite geodetic conversion (the most expensive part
-	// of a tick) is skipped entirely.
+	// over each shell's flat index range. The default whole-earth box
+	// needs no test at all; any other box is decided by its prepared
+	// tester, which resorts to the iterative geodetic conversion only for
+	// ground tracks within a fraction of a degree of a latitude edge.
 	wholeEarth := c.cfg.BoundingBox.IsWholeEarth()
 	var firstErr par.FirstError
 	for si, sh := range c.shells {
@@ -393,7 +396,7 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 				return
 			}
 			for f := lo; f < hi; f++ {
-				st.Active[base+f] = wholeEarth || c.cfg.BoundingBox.ContainsECEF(shellPos[f])
+				st.Active[base+f] = wholeEarth || c.inBox.ContainsECEF(shellPos[f])
 			}
 		})
 	}
@@ -471,80 +474,100 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 		}
 	})
 
-	// Sequential assembly: links, bandwidths and graph edges in the
-	// fixed plan order, so the snapshot is bit-identical regardless of
-	// worker count. Plan edges were validated when the constellation was
-	// built, so the graph's unchecked insertion path applies. Realized
-	// link latencies are quantized to the netem emulation granularity:
-	// the emulated network cannot distinguish sub-quantum differences,
-	// and quantizing here makes adjacent ticks' graphs bit-identical
-	// whenever no link moved by a full quantum — the foundation of the
-	// diff engine and the path-cache carry-over. The delay quantum and
-	// the realized uplink sequences are recorded as this tick's link
-	// fingerprint for computeDiffFrom.
+	// Link assembly. The feasibility flags fix every ISL's slot in Links
+	// (plan order, shell by shell) and the uplink counts fix every GSL's
+	// (station-major, then shell, closest first) before a single link is
+	// built, so the links are written in parallel, each into its own slot:
+	// the list is the one a sequential append in that order produces,
+	// whatever the worker count. Realized link latencies are quantized to
+	// the netem emulation granularity: the emulated network cannot
+	// distinguish sub-quantum differences, and quantizing here makes
+	// adjacent ticks' graphs bit-identical whenever no link moved by a full
+	// quantum — the foundation of the diff engine and the path-cache
+	// carry-over. The delay quantum and the realized uplink sequences are
+	// recorded as this tick's link fingerprint for computeDiffFrom.
+	//
+	// islQ first holds each feasible ISL's slot, then its delay quantum.
 	st.islQ = resize(st.islQ, planTotal)
-	off = 0
-	for si, edges := range c.edges {
-		net := c.cfg.Shells[si].Network
-		for i, e := range edges {
-			if !st.feasible[off+i] {
-				st.islQ[off+i] = -1
-				continue
-			}
-			l := topo.NewLink(topo.KindISL, e.a, e.b, st.distKm[off+i], net.BandwidthKbps)
-			q := netem.LatencyQuanta(l.LatencyS)
-			l.LatencyS = float64(q) * netem.DelayQuantumSeconds
-			st.islQ[off+i] = int32(q)
-			st.Links = append(st.Links, l)
-			st.setBandwidth(e.a, e.b, l.BandwidthKbps)
-			if buildGraph {
-				st.g.AddEdgeUnchecked(e.a, e.b, l.LatencyS)
-			}
+	islTotal := 0
+	for i, ok := range st.feasible {
+		if ok {
+			st.islQ[i] = int32(islTotal)
+			islTotal++
+		} else {
+			st.islQ[i] = -1
 		}
-		off += len(edges)
 	}
-	st.gslSat = st.gslSat[:0]
-	st.gslQ = st.gslQ[:0]
 	st.gslOff = resize(st.gslOff, len(c.gst)*len(c.shells)+1)
 	st.gslOff[0] = 0
 	run := 0
 	for gi := range c.gst {
-		gid := gstBase + gi
 		for si := range c.shells {
-			net := c.cfg.Shells[si].Network
-			ups := st.uplinks[gi][si]
-			realized := ups
-			if net.GSTConnectionType == "one" && len(ups) > 1 {
-				// Single-dish terminal: only the closest
-				// satellite gets a link.
-				realized = ups[:1]
-			}
-			for _, up := range realized {
-				sid := c.base[si] + up.Sat
-				l := topo.NewLink(topo.KindGSL, gid, sid, up.DistanceKm, net.GSTBandwidthKbps)
-				q := netem.LatencyQuanta(l.LatencyS)
-				l.LatencyS = float64(q) * netem.DelayQuantumSeconds
-				st.gslSat = append(st.gslSat, int32(sid))
-				st.gslQ = append(st.gslQ, int32(q))
-				st.Links = append(st.Links, l)
-				st.setBandwidth(gid, sid, l.BandwidthKbps)
-				if buildGraph {
-					st.g.AddEdgeUnchecked(gid, sid, l.LatencyS)
-				}
-			}
+			st.gslOff[run+1] = st.gslOff[run] + int32(len(st.realizedUplinks(gi, si)))
 			run++
-			st.gslOff[run] = int32(len(st.gslSat))
 		}
 	}
-	// Freeze the CSR image while still single-threaded: every shortest
-	// path on this state — cache fill or repair — scans the flat arrays,
-	// and concurrent queries must never trigger the lazy build. (With
-	// buildGraph false the pool freezes during graph materialization
-	// instead, still before the state is published.)
-	if buildGraph {
-		st.g.Freeze()
+	gslTotal := int(st.gslOff[run])
+	st.gslSat = resize(st.gslSat, gslTotal)
+	st.gslQ = resize(st.gslQ, gslTotal)
+	if total := islTotal + gslTotal; total <= cap(st.Links) {
+		st.Links = st.Links[:total]
+	} else {
+		// Outgrew the arena carve: this generation lives on the heap and
+		// the next one's carve adapts.
+		st.Links = make([]topo.Link, total)
 	}
+	off = 0
+	for si, edges := range c.edges {
+		kbps := c.cfg.Shells[si].Network.BandwidthKbps
+		islQ := st.islQ[off : off+len(edges)]
+		dist := st.distKm[off : off+len(edges)]
+		par.ForWorkers(len(edges), workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if slot := islQ[i]; slot >= 0 {
+					st.Links[slot], islQ[i] = quantizedLink(
+						topo.KindISL, edges[i].a, edges[i].b, dist[i], kbps)
+				}
+			}
+		})
+		off += len(edges)
+	}
+	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
+		for gi := glo; gi < ghi; gi++ {
+			for si := range c.shells {
+				kbps := c.cfg.Shells[si].Network.GSTBandwidthKbps
+				at := int(st.gslOff[gi*len(c.shells)+si])
+				for _, up := range st.realizedUplinks(gi, si) {
+					sid := c.base[si] + up.Sat
+					st.gslSat[at] = int32(sid)
+					st.Links[islTotal+at], st.gslQ[at] = quantizedLink(
+						topo.KindGSL, gstBase+gi, sid, up.DistanceKm, kbps)
+					at++
+				}
+			}
+		}
+	})
 	return st, nil
+}
+
+// realizedUplinks returns the candidate uplinks of station gi to shell si
+// that become links: all of them, or only the closest for a single-dish
+// terminal (GSTConnectionType "one").
+func (st *State) realizedUplinks(gi, si int) []topo.Uplink {
+	ups := st.uplinks[gi][si]
+	if st.c.cfg.Shells[si].Network.GSTConnectionType == "one" && len(ups) > 1 {
+		return ups[:1]
+	}
+	return ups
+}
+
+// quantizedLink builds a link whose latency is rounded to the netem delay
+// quantum, and returns that quantum count with it.
+func quantizedLink(kind topo.LinkKind, a, b int, distKm, kbps float64) (topo.Link, int32) {
+	l := topo.NewLink(kind, a, b, distKm, kbps)
+	q := netem.LatencyQuanta(l.LatencyS)
+	l.LatencyS = float64(q) * netem.DelayQuantumSeconds
+	return l, int32(q)
 }
 
 // graphPatchSlack is the per-row slack pooled graph images are frozen
@@ -554,11 +577,13 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 const graphPatchSlack = 2
 
 // rebuildGraph materializes the snapshot's latency graph from its
-// assembled link list — the same links, weights and insertion order the
-// inline build (snapshotInto with buildGraph=true) produces, so the frozen
-// image is identical. It is the cold-start and fallback path of the pooled
-// snapshot flow; steady-state ticks clone-and-patch the previous image
-// instead.
+// assembled link list and freezes the CSR image before the state is
+// published: every shortest path on it — cache fill or repair — scans the
+// flat arrays, and concurrent queries must never trigger the lazy build.
+// Plan edges were validated when the constellation was built, so the
+// graph's unchecked insertion path applies. It serves unpooled snapshots
+// and the cold-start and fallback path of the pooled flow; steady-state
+// ticks clone-and-patch the previous image instead.
 func (st *State) rebuildGraph() {
 	st.g.Reset(len(st.Positions))
 	for i := range st.Links {
@@ -627,11 +652,6 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 		st.g = graph.New(n)
 	} else {
 		st.g.Reset(n)
-	}
-	if st.bw == nil {
-		st.bw = map[[2]int]float64{}
-	} else {
-		clear(st.bw)
 	}
 	// Ground stations are endpoints of the satellite network, not
 	// routers: only satellites forward traffic. The node numbering puts
@@ -709,8 +729,8 @@ func resize[T any](s []T, n int) []T {
 
 // SnapshotPool recycles State buffers across update ticks so that the
 // steady-state constellation calculation allocates (almost) nothing:
-// positions, activity flags, link slices, graph adjacency, bandwidth maps,
-// path caches and uplink buffers are all reused. The coordinator
+// positions, activity flags, link slices, graph adjacency, path caches and
+// uplink buffers are all reused. The coordinator
 // double-buffers through the pool — a State handed out by Snapshot must be
 // Recycled by the caller once no reader can still hold it.
 //
@@ -782,7 +802,7 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	if p.stageTimer != nil {
 		stageStart = time.Now()
 	}
-	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0), false)
+	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0))
 	if err != nil {
 		// The buffers remain reusable even when the computation
 		// failed halfway through.
@@ -1053,26 +1073,24 @@ func (st *State) BestMeetingPoint(clients []int) (int, float64, error) {
 	return best, bestWorst, nil
 }
 
-// setBandwidth records a link's bandwidth; parallel links keep the larger
-// capacity (shortest-path routing would prefer the shorter link anyway).
-func (st *State) setBandwidth(a, b int, kbps float64) {
-	if a > b {
-		a, b = b, a
-	}
-	key := [2]int{a, b}
-	if old, ok := st.bw[key]; !ok || kbps > old {
-		st.bw[key] = kbps
-	}
-}
-
 // LinkBandwidth returns the bandwidth in kbps of the direct link between
-// two nodes, or ok=false when no such link exists in this snapshot.
+// two nodes, or ok=false when no such link exists in this snapshot. Only a
+// link's existence is per-snapshot state, and the frozen graph image holds
+// it; its capacity is a configuration constant of the satellite's shell.
 func (st *State) LinkBandwidth(a, b int) (float64, bool) {
 	if a > b {
 		a, b = b, a
 	}
-	kbps, ok := st.bw[[2]int{a, b}]
-	return kbps, ok
+	if !st.g.FrozenHasEdge(a, b) {
+		return 0, false
+	}
+	// Satellites are numbered before ground stations and no link joins two
+	// stations, so a is the satellite whose shell sets the capacity.
+	net := &st.c.cfg.Shells[st.c.nodes[a].Shell].Network
+	if st.c.nodes[b].Kind == KindGroundStation {
+		return net.GSTBandwidthKbps, true
+	}
+	return net.BandwidthKbps, true
 }
 
 // PathBandwidth returns the bottleneck bandwidth in kbps along the

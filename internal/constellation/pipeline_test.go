@@ -75,14 +75,8 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 			t.Fatalf("link %d: %+v vs %+v", i, want.Links[i], got.Links[i])
 		}
 	}
-	if len(want.bw) != len(got.bw) {
-		t.Fatalf("bandwidth entries: %d vs %d", len(want.bw), len(got.bw))
-	}
-	for k, v := range want.bw {
-		if gv, ok := got.bw[k]; !ok || gv != v {
-			t.Fatalf("bandwidth %v: %v vs %v (ok=%v)", k, v, gv, ok)
-		}
-	}
+	assertLinkBandwidths(t, want)
+	assertLinkBandwidths(t, got)
 	if want.g.N() != got.g.N() || want.g.M() != got.g.M() {
 		t.Fatalf("graph shape: %d/%d vs %d/%d", want.g.N(), want.g.M(), got.g.N(), got.g.M())
 	}
@@ -114,6 +108,20 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 				if wu[i] != gu[i] {
 					t.Fatalf("uplink %d/%d/%d: %+v vs %+v", gi, si, i, wu[i], gu[i])
 				}
+			}
+		}
+	}
+}
+
+// assertLinkBandwidths checks the derived bandwidth lookup against the link
+// list: every link answers with its own capacity from either end.
+func assertLinkBandwidths(t *testing.T, st *State) {
+	t.Helper()
+	for i, l := range st.Links {
+		for _, pair := range [2][2]int{{l.A, l.B}, {l.B, l.A}} {
+			if kbps, ok := st.LinkBandwidth(pair[0], pair[1]); !ok || kbps != l.BandwidthKbps {
+				t.Fatalf("link %d: LinkBandwidth(%d, %d) = %v, %v, want %v, true",
+					i, pair[0], pair[1], kbps, ok, l.BandwidthKbps)
 			}
 		}
 	}

@@ -403,6 +403,21 @@ func (g *Graph) FrozenRow(v int, buf []Edge) []Edge {
 	return buf
 }
 
+// FrozenHasEdge reports whether node a's live frozen row holds an entry to
+// b. Like FrozenRow it reads the CSR image, so it is correct on patched
+// graphs; it is false when the graph is not frozen or a node is out of range.
+func (g *Graph) FrozenHasEdge(a, b int) bool {
+	if !g.frozen || a < 0 || a >= g.n || b < 0 || b >= g.n {
+		return false
+	}
+	for idx := g.rowStart[a]; idx < g.rowEnd[a]; idx++ {
+		if g.edgeTo[idx] == int32(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // Neighbors returns the adjacency list of a node. The returned slice is
 // owned by the graph and must not be modified; for a graph in patched mode
 // (CopyFrozenFrom/PatchFrozen) the adjacency lists are stale — use

@@ -102,9 +102,13 @@ type Host struct {
 	cap   Capacity
 	sched Scheduler
 
-	mu         sync.Mutex
-	started    time.Time
-	machines   map[int]*machine.Machine
+	mu       sync.Mutex
+	started  time.Time
+	machines map[int]*machine.Machine
+	// byID is machines sorted by node ID, built on demand and dropped by
+	// AddMachine. It is never modified in place, so a sweep may keep
+	// iterating one it obtained under mu after releasing the lock.
+	byID       []*machine.Machine
 	loads      map[int]float64 // workload CPU demand, fraction of allocation
 	lastUpdate time.Time
 	trace      []UsagePoint
@@ -150,6 +154,7 @@ func (h *Host) AddMachine(m *machine.Machine) error {
 		return fmt.Errorf("host %d: machine %d already assigned", h.id, m.ID())
 	}
 	h.machines[m.ID()] = m
+	h.byID = nil
 	h.loads[m.ID()] = idleMachineLoad
 	return nil
 }
@@ -162,16 +167,25 @@ func (h *Host) Machine(id int) (*machine.Machine, bool) {
 	return m, ok
 }
 
-// Machines returns the assigned machines sorted by node ID.
+// Machines returns the assigned machines sorted by node ID, in a slice the
+// caller may keep and modify.
 func (h *Host) Machines() []*machine.Machine {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]*machine.Machine, 0, len(h.machines))
-	for _, m := range h.machines {
-		out = append(out, m)
+	return append([]*machine.Machine(nil), h.sortedLocked()...)
+}
+
+// sortedLocked returns the shared ID-sorted machine list, which callers
+// must not modify. h.mu must be held.
+func (h *Host) sortedLocked() []*machine.Machine {
+	if h.byID == nil && len(h.machines) > 0 {
+		h.byID = make([]*machine.Machine, 0, len(h.machines))
+		for _, m := range h.machines {
+			h.byID = append(h.byID, m)
+		}
+		sort.Slice(h.byID, func(i, j int) bool { return h.byID[i].ID() < h.byID[j].ID() })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
+	return h.byID
 }
 
 // SetRetryPolicy configures the retry middleware around machine lifecycle
@@ -299,10 +313,11 @@ func (h *Host) ApplyActivityScoped(member func(id int) bool, active func(id int)
 	now := h.sched.Now()
 	h.mu.Lock()
 	h.lastUpdate = now
+	machines := h.sortedLocked()
 	h.mu.Unlock()
 
 	var errs []error
-	for _, m := range h.Machines() {
+	for _, m := range machines {
 		if member != nil && !member(m.ID()) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +93,38 @@ func TestStartAllAndOrdering(t *testing.T) {
 		if m.State() != machine.Active {
 			t.Errorf("machine %d state = %v", m.ID(), m.State())
 		}
+	}
+}
+
+// TestMachineOrderSurvivesLateAddsAndCallerEdits covers the cached ID
+// order the sweep iterates: a machine assigned after a sweep is visited, in
+// order, by the next one, and a caller reordering the slice Machines
+// returned changes neither later results nor the sweep order.
+func TestMachineOrderSurvivesLateAddsAndCallerEdits(t *testing.T) {
+	sim := vnet.NewSim(hostStart)
+	h := newHost(t, sim)
+	for _, id := range []int{9, 2} {
+		addMachine(t, h, id, 1, 128, 0)
+	}
+	sweep := func() []int {
+		var visited []int
+		if err := h.ApplyActivity(func(id int) bool { visited = append(visited, id); return false }); err != nil {
+			t.Fatal(err)
+		}
+		return visited
+	}
+	if got := sweep(); !slices.Equal(got, []int{2, 9}) {
+		t.Fatalf("sweep order = %v", got)
+	}
+	ms := h.Machines()
+	ms[0], ms[1] = ms[1], ms[0]
+	addMachine(t, h, 4, 1, 128, 0)
+	if got := sweep(); !slices.Equal(got, []int{2, 4, 9}) {
+		t.Fatalf("sweep order after a late add = %v", got)
+	}
+	ms = h.Machines()
+	if len(ms) != 3 || ms[0].ID() != 2 || ms[1].ID() != 4 || ms[2].ID() != 9 {
+		t.Fatalf("machines = %v", ms)
 	}
 }
 

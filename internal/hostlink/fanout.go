@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
+	"celestial/internal/par"
 	"celestial/internal/retry"
 	"celestial/internal/rng"
 	"celestial/internal/supervise"
@@ -52,8 +53,8 @@ type Applier interface {
 // unless noted.
 type Config struct {
 	// Shards is the fan-out width; ShardOf maps a constellation node ID
-	// to its owning shard. Machines[i] is shard i's machine count
-	// (status/report only).
+	// to its owning shard and is called from several goroutines at once.
+	// Machines[i] is shard i's machine count (status/report only).
 	Shards   int
 	ShardOf  func(node int) int
 	Machines []int
@@ -371,12 +372,16 @@ func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 // Advance folds one new generation into every shard's digest chain and
 // builds the per-shard scratch frames. The producer must call it for
 // every generation, in order, before waking replay readers — the digest
-// ring is what remote writers verify acks against.
+// ring is what remote writers verify acks against. Each shard scans the
+// whole record for its share and owns its frame and chain, so the shards
+// are built side by side.
 func (fo *Fanout) Advance(rec Record) {
-	for _, s := range fo.shards {
-		fo.buildFrameInto(&s.scratch, s.id, &rec)
-		s.chain = FoldDiff(s.chain, &s.scratch)
-	}
+	par.For(len(fo.shards), func(lo, hi int) {
+		for _, s := range fo.shards[lo:hi] {
+			fo.buildFrameInto(&s.scratch, s.id, &rec)
+			s.chain = FoldDiff(s.chain, &s.scratch)
+		}
+	})
 	fo.mu.Lock()
 	fo.head = rec.Generation
 	for _, s := range fo.shards {

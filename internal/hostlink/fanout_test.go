@@ -68,10 +68,14 @@ func newMemSource(retention int) *memSource {
 	return &memSource{retention: retention, notify: make(chan struct{})}
 }
 
-func (m *memSource) push(rec Record) {
+// push retains rec and, before releasing the source's lock, hands it to
+// advance — the way Coordinator.update calls Fanout.Advance under its own
+// lock, so the harness holds the two locks in the order a real run does.
+func (m *memSource) push(rec Record, advance func(Record)) {
 	m.mu.Lock()
 	m.recs = append(m.recs, rec)
 	m.head = rec.Generation
+	advance(rec)
 	close(m.notify)
 	m.notify = make(chan struct{})
 	m.mu.Unlock()
@@ -202,8 +206,7 @@ func (h *harness) tick(level supervise.Level) {
 	h.gen++
 	h.fs.advance(time.Unix(0, 0).Add(time.Duration(h.gen) * h.res))
 	rec := h.record(h.gen)
-	h.src.push(rec)
-	h.fo.Advance(rec)
+	h.src.push(rec, h.fo.Advance)
 	if err := h.fo.Distribute(level); err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@ package hostlink
 import (
 	"context"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,27 +18,31 @@ type tcpHarness struct {
 	*harness
 	t      *testing.T
 	ln     net.Listener
-	agents map[int]*agentProc
+	agents []*agentProc // every agent ever started, for the cleanup's join
 	mu     sync.Mutex
 }
 
+// agentProc is one running Agent; done is closed when its Run returns.
 type agentProc struct {
 	agent  *Agent
 	cancel context.CancelFunc
-	done   chan error
+	done   chan struct{}
 }
 
-func newTCPHarness(t *testing.T, shards, retention int) *tcpHarness {
+func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpHarness {
 	t.Helper()
 	h := newHarness(t, shards, retention, func(c *Config) {
 		c.Heartbeat = 50 * time.Millisecond
 		c.WriteTimeout = time.Second
+		if mod != nil {
+			mod(c)
+		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := &tcpHarness{harness: h, t: t, ln: ln, agents: make(map[int]*agentProc)}
+	th := &tcpHarness{harness: h, t: t, ln: ln}
 	go th.fo.Serve(ln)
 	t.Cleanup(func() {
 		th.fo.Close()
@@ -46,6 +51,11 @@ func newTCPHarness(t *testing.T, shards, retention int) *tcpHarness {
 		defer th.mu.Unlock()
 		for _, p := range th.agents {
 			p.cancel()
+		}
+		// The agents log through t.Logf, which panics once the test has
+		// completed: wait for every one of them to return.
+		for _, p := range th.agents {
+			<-p.done
 		}
 	})
 	return th
@@ -63,10 +73,13 @@ func (th *tcpHarness) startAgent(id int, r *Replica) *agentProc {
 		ReconnectWait: 20 * time.Millisecond,
 		Logf:          th.t.Logf,
 	}
-	p := &agentProc{agent: a, cancel: cancel, done: make(chan error, 1)}
-	go func() { p.done <- a.Run(ctx) }()
+	p := &agentProc{agent: a, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		_ = a.Run(ctx) // returns ctx's error once cancelled
+	}()
 	th.mu.Lock()
-	th.agents[id] = p
+	th.agents = append(th.agents, p)
 	th.mu.Unlock()
 	return p
 }
@@ -90,7 +103,7 @@ func (th *tcpHarness) barrier() {
 }
 
 func TestTCPAgentsFollowAndVerify(t *testing.T) {
-	th := newTCPHarness(t, 2, 64)
+	th := newTCPHarness(t, 2, 64, nil)
 	r0, r1 := NewReplica(), NewReplica()
 	th.startAgent(0, r0)
 	th.startAgent(1, r1)
@@ -130,7 +143,7 @@ func TestTCPAgentsFollowAndVerify(t *testing.T) {
 }
 
 func TestTCPAgentHardKillAndRejoinResyncsFromRing(t *testing.T) {
-	th := newTCPHarness(t, 2, 64)
+	th := newTCPHarness(t, 2, 64, nil)
 	r0, r1 := NewReplica(), NewReplica()
 	th.startAgent(0, r0)
 	p1 := th.startAgent(1, r1)
@@ -182,7 +195,7 @@ func TestTCPAgentHardKillAndRejoinResyncsFromRing(t *testing.T) {
 }
 
 func TestTCPAgentRejoinAfterEvictionSnapshots(t *testing.T) {
-	th := newTCPHarness(t, 1, 4) // tiny ring
+	th := newTCPHarness(t, 1, 4, nil) // tiny ring
 	r0 := NewReplica()
 	p0 := th.startAgent(0, r0)
 	th.waitAttached(1)
@@ -218,5 +231,51 @@ func TestTCPAgentRejoinAfterEvictionSnapshots(t *testing.T) {
 	}
 	if _, _, _, _, snaps := r0.Counts(); snaps < 2 {
 		t.Errorf("replica snapshots = %d, want ≥ 2 (initial + eviction resync)", snaps)
+	}
+}
+
+// TestWriterIdleCheckAgainstProducerLock is the regression test of a
+// lock-order inversion: the producer calls Advance (fo.mu) while holding its
+// own lock, so a writer must not call back into the producer (Head) while
+// holding fo.mu. Four writers run their idle check — Head yields first, to
+// widen the window the inversion needs — against a producer ticking as
+// fast as it can; with the inversion the run stops within a few hundred
+// ticks.
+func TestWriterIdleCheckAgainstProducerLock(t *testing.T) {
+	const shards, ticks = 4, 3000
+	th := newTCPHarness(t, shards, 64, func(c *Config) {
+		head := c.Head
+		c.Head = func() uint64 {
+			runtime.Gosched()
+			return head()
+		}
+	})
+	replicas := make([]*Replica, shards)
+	for i := range replicas {
+		replicas[i] = NewReplica()
+		th.startAgent(i, replicas[i])
+	}
+	th.waitAttached(shards)
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < ticks; i++ {
+			th.tick(supervise.LevelFull)
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("producer and writers deadlocked")
+	}
+	th.barrier()
+	if err := th.fo.VerifyRemotes(); err != nil {
+		t.Fatalf("digest verification failed: %v", err)
+	}
+	for i, r := range replicas {
+		if gen, _ := r.Cursor(); gen != ticks {
+			t.Errorf("replica %d cursor = %d, want %d", i, gen, ticks)
+		}
 	}
 }

@@ -408,9 +408,12 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 		ch := fo.cfg.Updated()
 		fo.mu.Lock()
 		ackCh := fo.ackNotify
-		moved := fo.cfg.Head() > head
 		fo.mu.Unlock()
-		if moved {
+		// Head takes the producer's lock, under which the producer calls
+		// Advance (fo.mu): it must be read with fo.mu released. ch was
+		// captured first, so a generation landing after this check still
+		// wakes the select below.
+		if fo.cfg.Head() > head {
 			continue
 		}
 		select {
