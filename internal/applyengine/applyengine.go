@@ -16,7 +16,7 @@
 // without shipping state back.
 //
 // Determinism: the engine's only random process is retry jitter, and its
-// stream is derived per generation (hostlink.DeriveSeed(seed, gen)) rather
+// stream is derived per generation (rng.Derive(seed, gen)) rather
 // than consumed sequentially — a shard that resynced from a snapshot or
 // skipped a proposal stays aligned with one that replayed every frame.
 package applyengine
@@ -88,7 +88,7 @@ func New(cfg Config) *Engine {
 		shard:   cfg.Shard,
 		backend: cfg.Backend,
 		policy:  cfg.Retry,
-		seed:    hostlink.DeriveSeed(cfg.Seed, uint64(cfg.Shard)+0x20000),
+		seed:    rng.Derive(cfg.Seed, uint64(cfg.Shard)+0x20000),
 	}
 }
 
@@ -133,7 +133,7 @@ func (e *Engine) ApplySnapshot(s *hostlink.Snapshot) error {
 
 // do runs op under the retry policy with the generation's jitter stream.
 func (e *Engine) do(gen uint64, op func() error) retry.Result {
-	rnd := rng.New(hostlink.DeriveSeed(e.seed, gen))
+	rnd := rng.New(rng.Derive(e.seed, gen))
 	res := retry.Do(e.policy, rnd.Float64, op)
 	e.stats.Record(res)
 	return res

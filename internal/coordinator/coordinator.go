@@ -16,6 +16,7 @@ import (
 
 	"celestial/internal/config"
 	"celestial/internal/constellation"
+	"celestial/internal/difflog"
 	"celestial/internal/faults"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
@@ -52,20 +53,14 @@ type Coordinator struct {
 	// non-empty — the version of the emulated topology as clients can
 	// observe it. Empty-diff ticks advance the generation but not this.
 	topoVer uint64
-	// ring retains the most recent updates' diff records for the
+	// log retains the most recent updates' diff records for the
 	// information service's GET /diff?since= replay and the fan-out
-	// tier's agent resyncs; its capacity is ringCap (SetDiffRetention).
-	ring    []DiffEntry
-	ringCap int
-	ringLen int
-	// ringEvictions counts retained entries overwritten by newer
-	// generations (guarded by mu); forcedResyncs counts DiffsSince calls
+	// tier's agent resyncs (capacity: SetDiffRetention). Its head is the
+	// generation, and its wake channel is what UpdateChan hands to
+	// long-poll and SSE readers. forcedResyncs counts DiffsSince calls
 	// that could not replay and sent the caller back to full state.
-	ringEvictions uint64
+	log           *difflog.Log[DiffEntry]
 	forcedResyncs atomic.Uint64
-	// notify is closed (and replaced) on every completed update, waking
-	// long-poll and SSE readers blocked in WaitGeneration.
-	notify chan struct{}
 	// leases counts concurrent readers per state (see LeaseState);
 	// retired marks states waiting for their last lease before being
 	// recycled.
@@ -117,11 +112,9 @@ func New(cfg *config.Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, cons: cons, sim: sim,
 		pool:    cons.NewSnapshotPool(),
-		notify:  make(chan struct{}),
+		log:     difflog.New[DiffEntry](diffRingCap),
 		leases:  map[*constellation.State]int{},
 		retired: map[*constellation.State]bool{},
-		ring:    make([]DiffEntry, diffRingCap),
-		ringCap: diffRingCap,
 	}
 	c.net = vnet.NewNetwork(sim, stateTopology{c}, 1)
 	// Fold machine health into snapshot activity: a crashed (or stopped)
@@ -188,11 +181,11 @@ func New(cfg *config.Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetDiffRetention resizes the diff retention ring (default diffRingCap).
-// A larger ring lets slow /diff clients and disconnected agents catch up
+// SetDiffRetention resizes the diff retention log (default diffRingCap).
+// A larger log lets slow /diff clients and disconnected agents catch up
 // by replay instead of full-state resync, at the cost of retained diff
-// memory. Must be called before Start; it rebuilds the fan-out tier so
-// the digest rings match the new retention.
+// memory. Must be called before Start; it rebuilds the fan-out tier,
+// whose digest log is sized from this one.
 func (c *Coordinator) SetDiffRetention(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("coordinator: diff retention %d", n)
@@ -202,9 +195,7 @@ func (c *Coordinator) SetDiffRetention(n int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("coordinator: cannot change diff retention after Start")
 	}
-	c.ring = make([]DiffEntry, n)
-	c.ringCap = n
-	c.ringLen = 0
+	c.log = difflog.New[DiffEntry](n)
 	c.mu.Unlock()
 	return c.buildFanout(c.foOpts)
 }
@@ -227,9 +218,9 @@ func (c *Coordinator) RingStats() RingStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return RingStats{
-		Capacity:      c.ringCap,
-		Length:        c.ringLen,
-		Evictions:     c.ringEvictions,
+		Capacity:      c.log.Cap(),
+		Length:        c.log.Len(),
+		Evictions:     c.log.Evictions(),
 		ForcedResyncs: c.forcedResyncs.Load(),
 	}
 }
@@ -360,7 +351,7 @@ func (c *Coordinator) TopologyVersion() uint64 {
 func (c *Coordinator) UpdateChan() <-chan struct{} {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.notify
+	return c.log.Wait()
 }
 
 // DiffsSince returns retained diff records for every generation in
@@ -373,31 +364,34 @@ func (c *Coordinator) UpdateChan() <-chan struct{} {
 func (c *Coordinator) DiffsSince(since uint64) (entries []DiffEntry, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	gen := uint64(c.updates)
-	if since > gen {
+	entries, ok = c.log.Since(since)
+	if !ok {
 		c.forcedResyncs.Add(1)
-		return nil, false
 	}
-	if since == gen {
-		return nil, true
+	cloneDiffs(entries)
+	return entries, ok
+}
+
+// DiffsFrom is DiffsSince for a mirror of the diff log (the information
+// service's frame cache): a cursor the log cannot replay, or one taken in
+// an earlier epoch of the log, yields the whole retained window instead
+// of a refusal — see difflog.Log.Tail. It counts no forced resync; a
+// mirror that rebases is not a client that fell behind.
+func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (entries []DiffEntry, from, now uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	entries, from, now = c.log.Tail(cursor, epoch)
+	cloneDiffs(entries)
+	return entries, from, now
+}
+
+// cloneDiffs unshares entries copied out of the log. Clone, don't alias:
+// log slots reuse their slice backing arrays across ticks (AppendRecord),
+// and the copies escape the lock.
+func cloneDiffs(entries []DiffEntry) {
+	for i := range entries {
+		entries[i].Diff = entries[i].Diff.Clone()
 	}
-	// gen > since >= 0 here, so at least one update ran and ringLen >= 1.
-	oldest := gen - uint64(c.ringLen) + 1
-	if since+1 < oldest {
-		c.forcedResyncs.Add(1)
-		return nil, false
-	}
-	for g := since + 1; g <= gen; g++ {
-		slot := &c.ring[g%uint64(c.ringCap)]
-		// Clone, don't alias: ring slots reuse their slice backing
-		// arrays across ticks (AppendRecord), and the copies escape the
-		// lock.
-		entries = append(entries, DiffEntry{
-			Generation: slot.Generation,
-			Diff:       slot.Diff.Clone(),
-		})
-	}
-	return entries, true
 }
 
 // LastDiff returns the statistics of the most recent update's
@@ -544,23 +538,17 @@ func (c *Coordinator) update() error {
 	}
 	// Retain this update's diff for /diff?since= replay. The slot's
 	// record reuses its backing arrays, so steady-state ticks do not
-	// allocate for history retention.
-	slot := &c.ring[gen%uint64(c.ringCap)]
-	if slot.Generation > 0 {
-		c.ringEvictions++
-	}
+	// allocate for history retention. Append also wakes the long-poll/SSE
+	// readers waiting for a new generation; they cannot look before this
+	// lock is released.
+	slot := c.log.Append(gen)
 	slot.Generation = gen
 	slot.Diff = d.AppendRecord(slot.Diff)
-	if c.ringLen < c.ringCap {
-		c.ringLen++
-	}
 	// Fold the new generation into the fan-out tier's per-shard digest
 	// chains before any reader can observe it: a remote writer woken by
-	// notify must find the digest for this generation already recorded.
-	c.fo.Advance(recordOf(gen, &slot.Diff))
-	// Wake long-poll/SSE readers waiting for a new generation.
-	close(c.notify)
-	c.notify = make(chan struct{})
+	// the append must find the digest for this generation already
+	// recorded.
+	c.fo.Advance(recordOf(slot))
 	if old != nil && c.leases[old] > 0 {
 		// A concurrent reader still holds the state; its last
 		// release will recycle it.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"celestial/internal/applyengine"
-	"celestial/internal/constellation"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
 	"celestial/internal/netem"
@@ -148,7 +147,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		WriteTimeout: o.WriteTimeout,
 		Token:        o.Token,
 		ApplyWindow:  o.ApplyWindow,
-	}, c.ringCap)
+	}, c.log.Cap())
 	if err != nil {
 		return err
 	}
@@ -156,20 +155,10 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	return nil
 }
 
-// recordOf flattens a retained diff record into the fan-out tier's view.
-// The slices are borrowed from the retention ring slot.
-func recordOf(gen uint64, d *constellation.DiffRecord) hostlink.Record {
-	return hostlink.Record{
-		Generation:   gen,
-		T:            d.T,
-		Full:         d.Full,
-		Degraded:     d.Degraded,
-		Added:        d.Added,
-		Removed:      d.Removed,
-		DelayChanged: d.DelayChanged,
-		Activated:    d.Activated,
-		Deactivated:  d.Deactivated,
-	}
+// recordOf is a retained entry as the fan-out tier consumes it. The
+// slices stay borrowed from the entry.
+func recordOf(e *DiffEntry) hostlink.Record {
+	return hostlink.Record{DiffRecord: e.Diff, Generation: e.Generation}
 }
 
 // replayRecords adapts DiffsSince to the fan-out tier's Replay callback.
@@ -180,7 +169,7 @@ func (c *Coordinator) replayRecords(since uint64) ([]hostlink.Record, bool) {
 	}
 	recs := make([]hostlink.Record, len(entries))
 	for i := range entries {
-		recs[i] = recordOf(entries[i].Generation, &entries[i].Diff)
+		recs[i] = recordOf(&entries[i])
 	}
 	return recs, true
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"celestial/internal/difflog"
 )
 
 // ErrGap reports a diff frame that does not extend the replica's cursor:
@@ -24,32 +26,30 @@ type Replica struct {
 	mu     sync.Mutex
 	active map[int32]bool
 	links  map[[2]int32]int32
-	gen    uint64
 	digest uint64
 	t      float64
-	notify chan struct{}
 
 	frames    int
 	snapshots int
 
-	// history retains recently applied diff frames (oldest first,
-	// contiguous generations ending at gen) for the agent's local /v1
-	// read path; a snapshot is a resync point and clears it.
-	history []*DiffFrame
+	// history retains recently applied diff frames for the agent's local
+	// /v1 read path; its head is the replica's generation. A snapshot is
+	// a resync point and resets it.
+	history *difflog.Log[*DiffFrame]
 }
 
-// replicaHistoryCap bounds the replica's retained diff frames — a small
+// ReplicaRetention bounds the replica's retained diff frames — a small
 // replay window for local /diff followers, independent of the
-// coordinator's retention ring.
-const replicaHistoryCap = 64
+// coordinator's retention.
+const ReplicaRetention = 64
 
 // NewReplica returns an empty replica at generation 0.
 func NewReplica() *Replica {
 	return &Replica{
-		active: make(map[int32]bool),
-		links:  make(map[[2]int32]int32),
-		digest: ChainSeed,
-		notify: make(chan struct{}),
+		active:  make(map[int32]bool),
+		links:   make(map[[2]int32]int32),
+		digest:  ChainSeed,
+		history: difflog.New[*DiffFrame](ReplicaRetention),
 	}
 }
 
@@ -76,12 +76,10 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 	for _, l := range s.Links {
 		r.links[linkKey(l.A, l.B)] = l.DelayQ
 	}
-	r.gen = s.Generation
 	r.digest = s.Digest
 	r.t = s.T
 	r.snapshots++
-	r.history = r.history[:0]
-	r.wake()
+	r.history.Reset(s.Generation)
 	return nil
 }
 
@@ -91,8 +89,8 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f.Flags&FlagFull != 0 || f.Generation != r.gen+1 {
-		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, r.gen)
+	if gen := r.history.Head(); f.Flags&FlagFull != 0 || f.Generation != gen+1 {
+		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, gen)
 	}
 	for _, l := range f.Added {
 		r.links[linkKey(l.A, l.B)] = l.DelayQ
@@ -109,17 +107,12 @@ func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	for _, id := range f.Deactivated {
 		r.active[id] = false
 	}
-	r.gen = f.Generation
 	r.digest = FoldDiff(r.digest, f)
 	r.t = f.T
 	r.frames++
 	// The frame is retained for local /diff replay; ReadFrame hands the
 	// replica a freshly decoded value, never a reused buffer.
-	r.history = append(r.history, f)
-	if len(r.history) > replicaHistoryCap {
-		r.history = r.history[1:]
-	}
-	r.wake()
+	*r.history.Append(f.Generation) = f
 	return nil
 }
 
@@ -131,29 +124,17 @@ func (r *Replica) ApplyDiff(f *DiffFrame) error {
 func (r *Replica) Diffs(since uint64) ([]*DiffFrame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if since == r.gen {
-		return nil, true
-	}
-	if since > r.gen || len(r.history) == 0 {
-		return nil, false
-	}
-	oldest := r.history[0].Generation
-	if since+1 < oldest {
-		return nil, false
-	}
-	out := make([]*DiffFrame, 0, r.gen-since)
-	for _, f := range r.history[since+1-oldest:] {
-		out = append(out, f)
-	}
-	return out, true
+	return r.history.Since(since)
 }
 
-// wake closes and renews the update channel; callers hold r.mu.
-func (r *Replica) wake() {
-	if r.notify != nil {
-		close(r.notify)
-		r.notify = make(chan struct{})
-	}
+// DiffsFrom is Diffs for a mirror of the history (the agent's /v1 frame
+// cache): a cursor the history cannot replay, or one taken before the
+// last snapshot, yields the whole retained window instead of a refusal —
+// see difflog.Log.Tail.
+func (r *Replica) DiffsFrom(cursor, epoch uint64) (frames []*DiffFrame, from, now uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.history.Tail(cursor, epoch)
 }
 
 // UpdateChan returns a channel closed on the next replica update — the
@@ -161,10 +142,7 @@ func (r *Replica) wake() {
 func (r *Replica) UpdateChan() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.notify == nil {
-		r.notify = make(chan struct{})
-	}
-	return r.notify
+	return r.history.Wait()
 }
 
 // State returns the replica's generation, chain digest and simulation
@@ -172,14 +150,14 @@ func (r *Replica) UpdateChan() <-chan struct{} {
 func (r *Replica) State() (gen, digest uint64, t float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen, r.digest, r.t
+	return r.history.Head(), r.digest, r.t
 }
 
 // Cursor returns the replica's applied generation and chain digest.
 func (r *Replica) Cursor() (gen, digest uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen, r.digest
+	return r.history.Head(), r.digest
 }
 
 // Counts returns the replica's tracked state sizes and how it got there.

@@ -29,8 +29,3 @@ type ResultApplier interface {
 func ResultDigest(gen uint64, policyFlags uint8) uint64 {
 	return fold64(fold64(fold64(ChainSeed, gen), uint64(policyFlags)), 0xE0)
 }
-
-// DeriveSeed scatters a base seed into decorrelated sub-streams — the
-// per-generation jitter streams of an apply engine, aligned between the
-// coordinator and its agents by construction rather than by call count.
-func DeriveSeed(seed int64, idx uint64) int64 { return splitmix(seed, idx) }

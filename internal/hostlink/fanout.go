@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
+	"celestial/internal/difflog"
 	"celestial/internal/par"
 	"celestial/internal/retry"
 	"celestial/internal/rng"
@@ -21,24 +22,12 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
-// Record is one retained generation as the fan-out tier consumes it: a
-// flat view of the coordinator's DiffRecord plus its generation number.
-// Slices are borrowed from the retention ring and must not be mutated.
+// Record is one retained generation as the fan-out tier consumes it: the
+// coordinator's DiffRecord plus its generation number. Slices are borrowed
+// from the producer's retention log and must not be mutated.
 type Record struct {
-	Generation             uint64
-	T                      float64
-	Full                   bool
-	Degraded               uint8
-	Added, Removed         []constellation.LinkDelta
-	DelayChanged           []constellation.LinkDelta
-	Activated, Deactivated []int32
-}
-
-// empty reports whether the record carries no change at emulation
-// granularity (a Full record counts as changed).
-func (r *Record) empty() bool {
-	return !r.Full && len(r.Added) == 0 && len(r.Removed) == 0 &&
-		len(r.DelayChanged) == 0 && len(r.Activated) == 0 && len(r.Deactivated) == 0
+	constellation.DiffRecord
+	Generation uint64
 }
 
 // Applier consumes a shard's frame stream. The loopback applier translates
@@ -72,7 +61,7 @@ type Config struct {
 	// Head returns the newest generation; Updated returns a channel
 	// closed when it advances; Replay returns the retained records
 	// after a cursor (nil, false when the ring has evicted it);
-	// SnapshotAt builds a shard's full state at head. These mirror the
+	// Snapshot builds a shard's full state at head. These mirror the
 	// /diff information service's contract so agents resync exactly
 	// like diff clients.
 	Head     func() uint64
@@ -233,19 +222,16 @@ type Fanout struct {
 	// and the shard ladder's rung.
 	level supervise.Level
 
-	// mu guards the digest rings, head, and remote bookkeeping — state
-	// shared with remote writer goroutines. Loopback delivery state is
-	// owned by the simulation goroutine and needs no lock.
+	// mu guards the marks log and the remote bookkeeping — state shared
+	// with remote writer goroutines. Loopback delivery state is owned by
+	// the simulation goroutine and needs no lock.
 	mu sync.Mutex
-	// digests[shard] is a ring of (generation, chain digest) entries
-	// parallel to the coordinator's diff retention ring. results[shard]
-	// is the commit protocol's parallel ring: the loopback engine's
-	// result digest and effective policy flags per generation, the value
-	// a remote agent's Applied frame is verified against.
-	digests   [][]digestEntry
-	results   [][]resultEntry
-	retention int
-	head      uint64
+	// marks retains, per generation, one mark per shard: the shard's
+	// chain digest (what an agent's Ack is verified against) and the
+	// loopback engine's apply result (what its Applied is verified
+	// against). Advance appends a generation, so the log's head is the
+	// fan-out tier's; recordResult completes its marks.
+	marks *difflog.Log[[]shardMark]
 
 	remotes   map[int]*remote
 	ackNotify chan struct{}
@@ -267,33 +253,22 @@ type Fanout struct {
 	statsSnap []ShardStats
 }
 
-type digestEntry struct {
-	gen    uint64
-	digest uint64
-}
-
-// resultEntry is one generation's loopback apply result: the engine's
-// commit digest and the effective policy flags it executed. flags==0
-// distinguishes "applied with no work" from an empty slot (gen match).
-type resultEntry struct {
-	gen    uint64
-	digest uint64
+// shardMark is one shard's commit-protocol record of one generation: the
+// digest chain after folding the generation's frame and, once the
+// loopback engine applied it, the engine's commit digest and the
+// effective policy flags it executed. flags is never zero for a recorded
+// result, so flags == 0 reads "nothing was applied for this generation".
+type shardMark struct {
+	chain  uint64
+	result uint64
 	flags  uint8
-}
-
-// splitmix scatters a seed into decorrelated per-shard streams (the same
-// construction the scenario runner uses for flow seeds).
-func splitmix(seed int64, idx uint64) int64 {
-	z := uint64(seed) + (idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 var errFrameDropped = errors.New("hostlink: injected frame drop")
 
-// New builds a Fanout. Retention must match the producer's diff retention
-// ring capacity.
+// New builds a Fanout whose marks log retains retention generations. The
+// producer passes its own diff retention, so every generation Replay can
+// still serve also still has its digests.
 func New(cfg Config, retention int) (*Fanout, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("hostlink: %d shards", cfg.Shards)
@@ -320,9 +295,7 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	fo := &Fanout{
 		cfg:           cfg,
 		shards:        make([]*shard, cfg.Shards),
-		retention:     retention,
-		digests:       make([][]digestEntry, cfg.Shards),
-		results:       make([][]resultEntry, cfg.Shards),
+		marks:         difflog.New[[]shardMark](retention),
 		remotes:       make(map[int]*remote),
 		ackNotify:     make(chan struct{}),
 		remoteOwner:   make([]int, cfg.Shards),
@@ -337,8 +310,8 @@ func New(cfg Config, retention int) (*Fanout, error) {
 			owner:    i,
 			applier:  cfg.Appliers[i],
 			ladder:   supervise.NewFollower(cfg.Ladder),
-			retryRnd: rng.New(splitmix(cfg.Seed, uint64(i))),
-			faultRnd: rng.New(splitmix(cfg.Seed, uint64(i)+0x10000)),
+			retryRnd: rng.New(rng.Derive(cfg.Seed, uint64(i))),
+			faultRnd: rng.New(rng.Derive(cfg.Seed, uint64(i)+0x10000)),
 			chain:    ChainSeed,
 		}
 		fo.remoteOwner[i] = i
@@ -357,8 +330,6 @@ func New(cfg Config, retention int) (*Fanout, error) {
 		if i < len(cfg.Machines) {
 			s.stats.Machines = cfg.Machines[i]
 		}
-		fo.digests[i] = make([]digestEntry, retention)
-		fo.results[i] = make([]resultEntry, retention)
 		fo.shards[i] = s
 	}
 	return fo, nil
@@ -371,8 +342,8 @@ func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 
 // Advance folds one new generation into every shard's digest chain and
 // builds the per-shard scratch frames. The producer must call it for
-// every generation, in order, before waking replay readers — the digest
-// ring is what remote writers verify acks against. Each shard scans the
+// every generation, in order, before waking replay readers — the marks
+// are what remote writers verify acks against. Each shard scans the
 // whole record for its share and owns its frame and chain, so the shards
 // are built side by side.
 func (fo *Fanout) Advance(rec Record) {
@@ -383,20 +354,32 @@ func (fo *Fanout) Advance(rec Record) {
 		}
 	})
 	fo.mu.Lock()
-	fo.head = rec.Generation
+	marks := fo.marks.Append(rec.Generation)
+	if *marks == nil {
+		*marks = make([]shardMark, len(fo.shards))
+	}
 	for _, s := range fo.shards {
-		fo.digests[s.id][rec.Generation%uint64(fo.retention)] = digestEntry{rec.Generation, s.chain}
+		(*marks)[s.id] = shardMark{chain: s.chain}
 	}
 	fo.mu.Unlock()
 }
 
-// digestAt returns shard's chain digest at gen, if the digest ring still
-// holds it.
+// markAt returns shard's mark of one generation, if the log still holds
+// it. Callers hold fo.mu.
+func (fo *Fanout) markAt(shard int, gen uint64) (shardMark, bool) {
+	marks, ok := fo.marks.At(gen)
+	if !ok {
+		return shardMark{}, false
+	}
+	return (*marks)[shard], true
+}
+
+// digestAt returns shard's chain digest at gen, if still retained.
 func (fo *Fanout) digestAt(shard int, gen uint64) (uint64, bool) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	e := fo.digests[shard][gen%uint64(fo.retention)]
-	return e.digest, e.gen == gen && gen > 0
+	m, ok := fo.markAt(shard, gen)
+	return m.chain, ok
 }
 
 // buildFrameInto fills dst with rec's content scoped to one shard,
@@ -412,7 +395,7 @@ func (fo *Fanout) buildFrameInto(dst *DiffFrame, shard int, rec *Record) {
 	if rec.Full {
 		dst.Flags |= FlagFull
 	}
-	if !rec.empty() {
+	if !rec.Empty() {
 		dst.Flags |= FlagChanged
 	}
 	dst.Added = appendShardLinks(dst.Added[:0], rec.Added, fo.cfg.ShardOf, shard)
@@ -637,9 +620,9 @@ func (fo *Fanout) resync(s *shard) {
 	s.pendingActivity = false
 }
 
-// recordResult stores one generation's loopback apply result in the
-// commit-protocol ring — the digest a remote agent's Applied frame for
-// that generation must match.
+// recordResult completes one generation's mark with the loopback apply
+// result — the digest a remote agent's Applied frame for that generation
+// must match.
 func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 	ra, ok := s.applier.(ResultApplier)
 	if !ok {
@@ -647,17 +630,11 @@ func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 	}
 	res := ra.LastResult()
 	fo.mu.Lock()
-	fo.results[s.id][gen%uint64(fo.retention)] = resultEntry{gen: gen, digest: res.Digest, flags: flags}
+	if marks, ok := fo.marks.At(gen); ok {
+		m := &(*marks)[s.id]
+		m.result, m.flags = res.Digest, flags
+	}
 	fo.mu.Unlock()
-}
-
-// resultAt returns shard's commit-protocol result at gen, if the ring
-// still holds it.
-func (fo *Fanout) resultAt(shard int, gen uint64) (resultEntry, bool) {
-	fo.mu.Lock()
-	defer fo.mu.Unlock()
-	e := fo.results[shard][gen%uint64(fo.retention)]
-	return e, e.gen == gen && gen > 0
 }
 
 // applyFrame runs the per-shard degradation policy — the sharded version

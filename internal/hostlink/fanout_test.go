@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
+	"celestial/internal/difflog"
 	"celestial/internal/retry"
 	"celestial/internal/supervise"
 )
@@ -52,20 +53,17 @@ func (fs *fakeSim) advance(to time.Time) {
 	fs.now = to
 }
 
-// memSource is an in-memory diff producer mirroring the coordinator's
-// retention-ring contract: Replay(since) serves the retained suffix or
-// reports eviction, Snapshot serves head. Safe for concurrent readers
-// (remote writer goroutines).
+// memSource is an in-memory diff producer with the coordinator's
+// retention contract — the same difflog, guarded the same way:
+// Replay(since) serves the retained suffix or reports eviction, Snapshot
+// serves head. Safe for concurrent readers (remote writer goroutines).
 type memSource struct {
-	mu        sync.Mutex
-	recs      []Record // recs[g-1] holds generation g
-	head      uint64
-	retention int
-	notify    chan struct{}
+	mu  sync.Mutex
+	log *difflog.Log[Record]
 }
 
 func newMemSource(retention int) *memSource {
-	return &memSource{retention: retention, notify: make(chan struct{})}
+	return &memSource{log: difflog.New[Record](retention)}
 }
 
 // push retains rec and, before releasing the source's lock, hands it to
@@ -73,49 +71,34 @@ func newMemSource(retention int) *memSource {
 // lock, so the harness holds the two locks in the order a real run does.
 func (m *memSource) push(rec Record, advance func(Record)) {
 	m.mu.Lock()
-	m.recs = append(m.recs, rec)
-	m.head = rec.Generation
+	*m.log.Append(rec.Generation) = rec
 	advance(rec)
-	close(m.notify)
-	m.notify = make(chan struct{})
 	m.mu.Unlock()
 }
 
 func (m *memSource) Head() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.head
+	return m.log.Head()
 }
 
 func (m *memSource) Updated() <-chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.notify
+	return m.log.Wait()
 }
 
 func (m *memSource) Replay(since uint64) ([]Record, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if since > m.head {
-		return nil, false
-	}
-	if since == m.head {
-		return nil, true
-	}
-	oldest := uint64(1)
-	if m.head > uint64(m.retention) {
-		oldest = m.head - uint64(m.retention) + 1
-	}
-	if since+1 < oldest {
-		return nil, false
-	}
-	return append([]Record(nil), m.recs[since:m.head]...), true
+	return m.log.Since(since)
 }
 
 func (m *memSource) Snapshot(shard int) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &Snapshot{Generation: m.head, T: float64(m.head)}, nil
+	head := m.log.Head()
+	return &Snapshot{Generation: head, T: float64(head)}, nil
 }
 
 // recApplier records the frames a shard's loopback applier received.
@@ -189,7 +172,8 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 // link delta moves, so every shard sees traffic over time. Generation 1
 // is Full, like a real run's first diff.
 func (h *harness) record(g uint64) Record {
-	rec := Record{Generation: g, T: float64(g) * h.res.Seconds()}
+	rec := Record{Generation: g}
+	rec.T = float64(g) * h.res.Seconds()
 	if g == 1 {
 		rec.Full = true
 		return rec

@@ -95,6 +95,24 @@ func (th *tcpHarness) waitAttached(n int) {
 	}
 }
 
+// kill hard-kills an agent (connection torn down, no Bye) and returns
+// once the kill has landed on both ends: the agent's Run has returned and
+// the coordinator has detached the connection, leaving remaining agents
+// attached. Cancelling alone is asynchronous — a test that ticks on right
+// after it can still be served by the "dead" agent.
+func (th *tcpHarness) kill(p *agentProc, remaining int) {
+	th.t.Helper()
+	p.cancel()
+	<-p.done
+	deadline := time.Now().Add(5 * time.Second)
+	for th.fo.ConnectedAgents() > remaining {
+		if time.Now().After(deadline) {
+			th.t.Fatal("killed agent never detached")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func (th *tcpHarness) barrier() {
 	th.t.Helper()
 	if !th.fo.WaitRemotes(5 * time.Second) {
@@ -159,15 +177,7 @@ func TestTCPAgentHardKillAndRejoinResyncsFromRing(t *testing.T) {
 
 	// Hard-kill agent 1 (connection torn down, no Bye) and keep ticking:
 	// the run must not stall on the dead remote.
-	p1.cancel()
-	<-p1.done
-	deadline := time.Now().Add(5 * time.Second)
-	for th.fo.ConnectedAgents() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("killed agent never detached")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	th.kill(p1, 1)
 	for i := 0; i < 3; i++ {
 		th.tick(supervise.LevelFull)
 		th.barrier() // only agent 0 attached; must not block
@@ -202,15 +212,7 @@ func TestTCPAgentRejoinAfterEvictionSnapshots(t *testing.T) {
 	th.tick(supervise.LevelFull)
 	th.barrier()
 
-	p0.cancel()
-	<-p0.done
-	deadline := time.Now().Add(5 * time.Second)
-	for th.fo.ConnectedAgents() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("killed agent never detached")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	th.kill(p0, 0)
 	// Outrun the 4-deep ring while the agent is away.
 	for i := 0; i < 10; i++ {
 		th.tick(supervise.LevelFull)

@@ -38,7 +38,11 @@ type remote struct {
 	lastSeen  time.Time
 	helloUsed bool
 	gone      bool
-	ladder    *remoteLadder
+	// coalesceLag is the backlog rung of this remote follower — the
+	// wall-clock twin of the loopback shard's supervise.Follower. A stream
+	// that falls four times past it has its backlog collapsed into a
+	// single snapshot instead of replaying every retained generation.
+	coalesceLag int
 }
 
 // stream is one shard's delivery state on one connection.
@@ -69,14 +73,6 @@ type stream struct {
 	attempts       int
 	retried        int
 	forceSnap      bool
-}
-
-// remoteLadder tracks a remote follower's backlog rung — the wall-clock
-// twin of the loopback shard's supervise.Follower. When a remote falls
-// past the coalesce rung the writer collapses its backlog into a single
-// snapshot instead of replaying every retained generation.
-type remoteLadder struct {
-	coalesceLag int
 }
 
 // RemoteStatus describes one attached agent connection for the /agents
@@ -153,10 +149,11 @@ func (fo *Fanout) serveConn(conn net.Conn) {
 		done:     make(chan struct{}),
 		streams:  make(map[int]*stream),
 		lastSeen: time.Now(),
-		ladder:   &remoteLadder{coalesceLag: fo.cfg.Ladder.CoalesceLag},
+
+		coalesceLag: fo.cfg.Ladder.CoalesceLag,
 	}
-	if r.ladder.coalesceLag <= 0 {
-		r.ladder.coalesceLag = 4
+	if r.coalesceLag <= 0 {
+		r.coalesceLag = 4
 	}
 
 	fo.mu.Lock()
@@ -177,7 +174,7 @@ func (fo *Fanout) serveConn(conn net.Conn) {
 		fo.remoteOwner[agent] = agent
 		fo.remoteEpoch[agent]++
 	}
-	head := fo.head
+	head := fo.marks.Head()
 	fo.mu.Unlock()
 	fo.wakeAcks()
 
@@ -292,8 +289,7 @@ func (fo *Fanout) noteAck(r *remote, a *Ack) {
 	if st := r.streams[shard]; st != nil {
 		st.acked = a.Generation
 		st.ackDigest = a.Digest
-		e := fo.digests[shard][a.Generation%uint64(fo.retention)]
-		if e.gen == a.Generation && e.digest != a.Digest {
+		if m, ok := fo.markAt(shard, a.Generation); ok && m.chain != a.Digest {
 			st.digestMismatch++
 			st.forceSnap = true
 		}
@@ -320,8 +316,8 @@ func (fo *Fanout) noteApplied(r *remote, a *Applied) {
 		fo.mu.Unlock()
 		return
 	}
-	e := fo.results[shard][a.Generation%uint64(fo.retention)]
-	if e.gen != a.Generation || e.digest != a.Digest {
+	m, _ := fo.markAt(shard, a.Generation)
+	if m.flags == 0 || m.result != a.Digest {
 		fo.applyMismatch[shard]++
 		fo.fallback[shard]++
 	}
@@ -331,9 +327,7 @@ func (fo *Fanout) noteApplied(r *remote, a *Applied) {
 	st.applies++
 	st.attempts += int(a.Attempts)
 	st.retried += int(a.Retried)
-	if d := fo.digests[shard][a.Generation%uint64(fo.retention)]; d.gen == a.Generation {
-		commit = d.digest
-	}
+	commit = m.chain
 	fo.mu.Unlock()
 	fo.wakeAcks()
 
@@ -372,7 +366,7 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].shard < out[j].shard })
-	return out, fo.head
+	return out, fo.marks.Head()
 }
 
 // writeLoop streams frames to one agent: per owned shard,
@@ -467,7 +461,7 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	fo.mu.Unlock()
 
 	lag := head - st.cursor
-	collapse := st.cursor > 0 && lag > uint64(4*r.ladder.coalesceLag)
+	collapse := st.cursor > 0 && lag > uint64(4*r.coalesceLag)
 	if collapse {
 		fo.mu.Lock()
 		st.collapsed++
@@ -532,14 +526,16 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 	if !r.apply {
 		return buf, nil
 	}
-	e, ok := fo.resultAt(st.shard, gen)
-	if !ok || e.flags == 0 {
+	fo.mu.Lock()
+	m, _ := fo.markAt(st.shard, gen)
+	fo.mu.Unlock()
+	if m.flags == 0 {
 		return buf, nil
 	}
 	fo.awaitWindow(r, st)
 	r.wmu.Lock()
 	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-	buf, err := WriteFrame(r.conn, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: e.flags})
+	buf, err := WriteFrame(r.conn, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: m.flags})
 	r.wmu.Unlock()
 	if err != nil {
 		return buf, err
@@ -644,7 +640,7 @@ func (fo *Fanout) remoteLagLocked() bool {
 			continue
 		}
 		st := r.streams[s]
-		if st == nil || st.acked < fo.head || st.resolved < st.proposed {
+		if st == nil || st.acked < fo.marks.Head() || st.resolved < st.proposed {
 			return true
 		}
 	}
@@ -685,6 +681,7 @@ func (fo *Fanout) WaitRemotes(timeout time.Duration) bool {
 func (fo *Fanout) VerifyRemotes() error {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
+	head := fo.marks.Head()
 	var errs []error
 	for s := 0; s < fo.cfg.Shards; s++ {
 		owner := fo.remoteOwner[s]
@@ -697,14 +694,13 @@ func (fo *Fanout) VerifyRemotes() error {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d has no stream on agent %d", s, owner))
 			continue
 		}
-		if st.acked != fo.head {
-			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d acked generation %d, head is %d", s, owner, st.acked, fo.head))
+		if st.acked != head {
+			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d acked generation %d, head is %d", s, owner, st.acked, head))
 			continue
 		}
-		e := fo.digests[s][fo.head%uint64(fo.retention)]
-		if e.gen == fo.head && e.digest != st.ackDigest {
+		if m, ok := fo.markAt(s, head); ok && m.chain != st.ackDigest {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d digest %016x diverged from coordinator %016x at generation %d",
-				s, st.ackDigest, e.digest, fo.head))
+				s, st.ackDigest, m.chain, head))
 		}
 		if st.resolved < st.proposed {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d resolved generation %d behind proposal %d", s, owner, st.resolved, st.proposed))

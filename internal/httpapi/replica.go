@@ -1,9 +1,9 @@
 package httpapi
 
 import (
-	"sync"
-
 	"celestial/internal/constellation"
+	"celestial/internal/coordinator"
+	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
 )
 
@@ -17,16 +17,25 @@ import (
 // the geometry-derived documents (/shell, /gst, /path, per-satellite)
 // answer 404 — those questions belong to the coordinator.
 type ReplicaSource struct {
-	rep   *hostlink.Replica
-	shard int
-
-	mu     sync.Mutex
-	frames map[uint64]*Frame
+	rep    *hostlink.Replica
+	shard  int
+	frames *frameMirror
 }
 
 // NewReplicaSource wraps one shard replica as a route-table Source.
 func NewReplicaSource(shard int, rep *hostlink.Replica) *ReplicaSource {
-	return &ReplicaSource{rep: rep, shard: shard, frames: make(map[uint64]*Frame)}
+	pull := func(cursor, epoch uint64) ([]coordinator.DiffEntry, uint64, uint64) {
+		diffs, from, now := rep.DiffsFrom(cursor, epoch)
+		entries := make([]coordinator.DiffEntry, len(diffs))
+		for i, d := range diffs {
+			entries[i] = coordinator.DiffEntry{Generation: d.Generation, Diff: recordOfWire(d)}
+		}
+		return entries, from, now
+	}
+	return &ReplicaSource{rep: rep, shard: shard, frames: &frameMirror{
+		updated: rep.UpdateChan, pull: pull,
+		log: difflog.New[*Frame](hostlink.ReplicaRetention),
+	}}
 }
 
 // Generation implements Source: the replica's applied cursor.
@@ -78,36 +87,10 @@ func (rs *ReplicaSource) notTracked() ([]byte, int) {
 
 // Frames implements Source over the replica's retained diff history.
 // Each frame is converted and serialized once and shared by every
-// subscriber, like the coordinator's frame cache.
+// subscriber, like the coordinator's; a snapshot resync of the replica
+// resets the mirrored window with it.
 func (rs *ReplicaSource) Frames(since uint64) ([]*Frame, bool) {
-	diffs, ok := rs.rep.Diffs(since)
-	if !ok {
-		return nil, false
-	}
-	if len(diffs) == 0 {
-		return nil, true
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]*Frame, 0, len(diffs))
-	for _, d := range diffs {
-		f := rs.frames[d.Generation]
-		if f == nil {
-			rec := recordOfWire(d)
-			f = BuildFrame(d.Generation, &rec)
-			rs.frames[d.Generation] = f
-		}
-		out = append(out, f)
-	}
-	// Prune below the replica's replay window: a cursor older than that
-	// forces a resync, so those frames can never be requested again.
-	oldest := diffs[0].Generation
-	for g := range rs.frames {
-		if g < oldest {
-			delete(rs.frames, g)
-		}
-	}
-	return out, true
+	return rs.frames.since(since)
 }
 
 // recordOfWire lifts a shard-scoped wire frame back into the diff-record

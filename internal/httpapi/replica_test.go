@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -110,5 +111,132 @@ func TestReplicaSourceServesV1(t *testing.T) {
 	}
 	if !resync.Resync {
 		t.Errorf("pre-snapshot cursor did not force a resync: %s", rec.Body.Bytes())
+	}
+}
+
+// restartedReplica plays the sequence a coordinator restart with a
+// regressed generation counter produces on an agent: the first run's
+// snapshot@10 and diff 11 (link 1–2), then — once first has looked at
+// that state — the second run's snapshot@9 and diffs 10–11 (link 3–4).
+// It returns the second run's frame for generation 11.
+func restartedReplica(t *testing.T, rep *hostlink.Replica, first func()) *hostlink.DiffFrame {
+	t.Helper()
+	apply := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	link := func(gen uint64, a, b int32) *hostlink.DiffFrame {
+		return &hostlink.DiffFrame{Agent: 2, Generation: gen, T: float64(gen),
+			Added: []hostlink.LinkState{{A: a, B: b, DelayQ: 3}}}
+	}
+	apply(rep.ApplySnapshot(&hostlink.Snapshot{Agent: 2, Generation: 10, Digest: 0xa, Active: []int32{1, 2, 3, 4}}))
+	apply(rep.ApplyDiff(link(11, 1, 2)))
+	first()
+	apply(rep.ApplySnapshot(&hostlink.Snapshot{Agent: 2, Generation: 9, Digest: 0xb, Active: []int32{1, 2, 3, 4}}))
+	apply(rep.ApplyDiff(link(10, 3, 4)))
+	second := link(11, 3, 4)
+	apply(rep.ApplyDiff(second))
+	return second
+}
+
+// TestReplicaSourceFramesFollowSnapshotResync is the regression test of a
+// stale frame cache: the replica source used to key its serialized frames
+// by generation alone and never heard about a snapshot resync, so after a
+// coordinator restart it kept serving the previous run's frame for a
+// generation number the new run reached again.
+func TestReplicaSourceFramesFollowSnapshotResync(t *testing.T) {
+	rep := hostlink.NewReplica()
+	rs := NewReplicaSource(2, rep)
+	var old *Frame
+	second := restartedReplica(t, rep, func() {
+		frames, ok := rs.Frames(10)
+		if !ok || len(frames) != 1 || frames[0].Generation != 11 {
+			t.Fatalf("first run: Frames(10) = %v, %v; want generation 11", frames, ok)
+		}
+		old = frames[0]
+	})
+	frames, ok := rs.Frames(10)
+	if !ok || len(frames) != 1 || frames[0].Generation != 11 {
+		t.Fatalf("second run: Frames(10) = %v, %v; want generation 11", frames, ok)
+	}
+	rec := recordOfWire(second)
+	if want := BuildFrame(11, &rec); !bytes.Equal(frames[0].SSE, want.SSE) {
+		t.Errorf("Frames(10) after the resync served\n%swant the second run's\n%s", frames[0].SSE, want.SSE)
+	}
+	if bytes.Equal(frames[0].SSE, old.SSE) {
+		t.Error("Frames(10) after the resync still serves the first run's frame")
+	}
+	// The resync point itself is the window's base: 9 replays 10–11, 8
+	// predates the snapshot.
+	if frames, ok := rs.Frames(9); !ok || len(frames) != 2 {
+		t.Errorf("Frames(9) = %d frames, ok=%v; want 2, true", len(frames), ok)
+	}
+	if _, ok := rs.Frames(8); ok {
+		t.Error("Frames(8) replayed across the snapshot resync")
+	}
+}
+
+// TestReplicaSourceSerializesOncePerGeneration pins the documented
+// contract — each frame is built once and shared by every subscriber —
+// against subscribers at different cursors. The source used to prune its
+// frames below the cursor of whoever asked last, so a fast subscriber
+// made a slow one rebuild its frames on every call.
+func TestReplicaSourceSerializesOncePerGeneration(t *testing.T) {
+	rep := hostlink.NewReplica()
+	rs := NewReplicaSource(2, rep)
+	feedReplica(t, rep, 20)
+	slow, ok := rs.Frames(5)
+	if !ok || len(slow) != 15 {
+		t.Fatalf("Frames(5) = %d frames, ok=%v; want 15", len(slow), ok)
+	}
+	fast, ok := rs.Frames(18)
+	if !ok || len(fast) != 2 {
+		t.Fatalf("Frames(18) = %d frames, ok=%v; want 2", len(fast), ok)
+	}
+	for i, f := range fast {
+		if f != slow[13+i] {
+			t.Errorf("generation %d: the fast subscriber got a frame of its own", f.Generation)
+		}
+	}
+	again, _ := rs.Frames(5)
+	for i, f := range again {
+		if f != slow[i] {
+			t.Fatalf("generation %d was serialized again after a subscriber at a newer cursor asked", f.Generation)
+		}
+	}
+}
+
+// TestAgentRouteTableAfterCoordinatorRestart drives the first case end to
+// end through the route table celestial-agent -http serves: the JSON a
+// /v1/diff client receives for a cursor must describe the run the replica
+// is in now.
+func TestAgentRouteTableAfterCoordinatorRestart(t *testing.T) {
+	s, rep := replicaServer()
+	get := func() DiffResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/diff?since=10", nil))
+		var resp DiffResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%v: %s", err, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK || resp.Resync || len(resp.Diffs) != 1 || len(resp.Diffs[0].Added) != 1 {
+			t.Fatalf("/v1/diff?since=10 = %d %s", rec.Code, rec.Body.Bytes())
+		}
+		return resp
+	}
+	restartedReplica(t, rep, func() {
+		if l := get().Diffs[0].Added[0]; l.A != 1 || l.B != 2 {
+			t.Fatalf("first run: generation 11 adds link %d–%d, want 1–2", l.A, l.B)
+		}
+	})
+	resp := get()
+	if l := resp.Diffs[0].Added[0]; l.A != 3 || l.B != 4 {
+		t.Errorf("after the restart: generation 11 adds link %d–%d, want the second run's 3–4", l.A, l.B)
+	}
+	if resp.Generation != 11 {
+		t.Errorf("next cursor = %d, want 11", resp.Generation)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
+	"celestial/internal/difflog"
 	"celestial/internal/geom"
 	"celestial/internal/netem"
 	"celestial/internal/vnet"
@@ -55,18 +55,19 @@ func errDoc(status int, format string, args ...any) ([]byte, int) {
 
 // CoordinatorSource adapts a coordinator to the Source interface: the
 // document builders that used to live in the HTTP handlers, plus the
-// frame cache that serializes each retained diff once for all of its
+// frame mirror that serializes each retained diff once for all of its
 // subscribers.
 type CoordinatorSource struct {
-	c  *coordinator.Coordinator
-	fc frameCache
+	c      *coordinator.Coordinator
+	frames *frameMirror
 }
 
 // NewCoordinatorSource wraps a coordinator as a route-table Source.
 func NewCoordinatorSource(c *coordinator.Coordinator) *CoordinatorSource {
-	cs := &CoordinatorSource{c: c}
-	cs.fc.init(c.RingStats().Capacity)
-	return cs
+	return &CoordinatorSource{c: c, frames: &frameMirror{
+		updated: c.UpdateChan, pull: c.DiffsFrom,
+		log: difflog.New[*Frame](c.RingStats().Capacity),
+	}}
 }
 
 // Coordinator returns the wrapped coordinator.
@@ -274,107 +275,69 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	return marshalDoc(resp), 200
 }
 
-// Frames returns the shared frames after since, advancing the frame cache
-// to the coordinator's head first. This is where the per-subscriber
-// serialization used to happen: now each retained generation is converted
-// and serialized exactly once, and every long-poll, SSE and binary-stream
-// subscriber shares the same buffers.
+// Frames returns the shared frames after since. This is where the
+// per-subscriber serialization used to happen: now each retained
+// generation is converted and serialized exactly once, and every
+// long-poll, SSE and binary-stream subscriber shares the same buffers.
 func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
-	fc := &cs.fc
-	if cs.c.Generation() > fc.built.Load() {
-		cs.advanceFrames()
-	}
-	fc.mu.RLock()
-	defer fc.mu.RUnlock()
-	head := fc.built.Load()
-	switch {
-	case since > head:
+	frames, ok := cs.frames.since(since)
+	if !ok {
 		// Count the forced resync on the coordinator's ring stats, as a
 		// direct DiffsSince miss would.
 		cs.c.DiffsSince(since)
-		return nil, false
-	case since == head:
-		return nil, true
-	case since+1 < fc.oldest:
-		cs.c.DiffsSince(since)
-		return nil, false
 	}
-	out := make([]*Frame, 0, head-since)
-	for g := since + 1; g <= head; g++ {
-		f, ok := fc.frames[g]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, f)
-	}
-	return out, true
+	return frames, ok
 }
 
-// advanceFrames builds the frames of every generation the coordinator has
-// retained past the cache's cursor. When the cursor itself fell off the
-// retention ring (no /diff consumer for longer than the ring retains) the
-// cache rebases onto the ring's current window instead of failing — a
-// quiet spell with no subscribers must not force later clients to resync.
-func (cs *CoordinatorSource) advanceFrames() {
-	fc := &cs.fc
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	for tries := 0; tries < 8 && cs.c.Generation() > fc.built.Load(); tries++ {
-		built := fc.built.Load()
-		entries, ok := cs.c.DiffsSince(built)
-		if !ok {
-			// Rebase onto the oldest generation the ring still replays.
-			head := cs.c.Generation()
-			st := cs.c.RingStats()
-			if uint64(st.Length) > head {
-				return
-			}
-			rebase := head - uint64(st.Length)
-			if rebase <= built {
-				// A tick raced between the reads; retry.
-				continue
-			}
-			clear(fc.frames)
-			fc.built.Store(rebase)
-			fc.oldest = rebase + 1
-			continue
+// frameMirror lazily mirrors a producer's retained diffs — the
+// coordinator's diff log, an agent replica's frame history — into the
+// shared serialized frames of the same generations: same window, same
+// cursor answers, brought up to date by the first call after the producer
+// changed. One mirror serves every subscriber of a source, so a
+// generation is serialized once however many cursors ask for it.
+type frameMirror struct {
+	// updated returns the producer's wake channel, replaced whenever its
+	// log changes. pull copies out of the producer, under the producer's
+	// lock, what the mirror is missing (see difflog.Log.Tail).
+	updated func() <-chan struct{}
+	pull    func(cursor, epoch uint64) (entries []coordinator.DiffEntry, from, now uint64)
+
+	mu  sync.Mutex
+	log *difflog.Log[*Frame]
+	// epoch is the producer log's epoch the mirrored window belongs to,
+	// and seen its wake channel as of the last pull: while the producer
+	// still hands out that channel nothing was appended or reset and the
+	// mirror is current — a check that cannot miss a producer that
+	// restarted and climbed back to the generation it was mirrored at.
+	epoch uint64
+	seen  <-chan struct{}
+}
+
+// since answers one subscriber's cursor from the mirrored window, first
+// bringing the mirror up to the producer. When the mirror's own cursor
+// fell off the producer's window (no /diff consumer for longer than it
+// retains) or the producer restarted, the mirror rebases onto the
+// producer's current window instead of failing — a quiet spell with no
+// subscribers must not force later clients to resync. Frames are built
+// after pull has returned, outside the producer's lock: serializing a
+// Gen2 diff takes milliseconds and must not hold up the next update.
+func (m *frameMirror) since(cursor uint64) ([]*Frame, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// The channel is read before the pull: a change that lands after the
+	// read is either in the pull or leaves seen behind the producer, to
+	// be pulled next time — never ahead of it.
+	if ch := m.updated(); ch != m.seen {
+		entries, from, epoch := m.pull(m.log.Head(), m.epoch)
+		if from != m.log.Head() || epoch != m.epoch {
+			m.log.Reset(from)
+			m.epoch = epoch
 		}
 		for i := range entries {
 			e := &entries[i]
-			if e.Generation <= fc.built.Load() {
-				continue
-			}
-			if len(fc.frames) == 0 {
-				fc.oldest = e.Generation
-			}
-			fc.frames[e.Generation] = BuildFrame(e.Generation, &e.Diff)
-			fc.built.Store(e.Generation)
-			for fc.built.Load()-fc.oldest+1 > uint64(fc.cap) {
-				delete(fc.frames, fc.oldest)
-				fc.oldest++
-			}
+			*m.log.Append(e.Generation) = BuildFrame(e.Generation, &e.Diff)
 		}
+		m.seen = ch
 	}
-}
-
-// frameCache retains the shared serialized frames of recent generations,
-// mirroring the coordinator's diff retention ring: same capacity, same
-// replay window, advanced lazily on the first Frames call after a tick.
-// built is atomic so the read path can skip the advance without taking
-// the write lock.
-type frameCache struct {
-	mu     sync.RWMutex
-	built  atomic.Uint64
-	oldest uint64
-	cap    int
-	frames map[uint64]*Frame
-}
-
-func (fc *frameCache) init(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	fc.cap = capacity
-	fc.oldest = 1
-	fc.frames = make(map[uint64]*Frame, capacity)
+	return m.log.Since(cursor)
 }

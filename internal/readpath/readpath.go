@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
+	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
 	"celestial/internal/httpapi"
 )
@@ -91,7 +92,6 @@ type Replica struct {
 	upstream      string
 	client        *http.Client
 	upstreamAuth  string
-	retention     int
 	reconnectWait time.Duration
 	logf          func(string, ...any)
 	srv           *httpapi.Server
@@ -100,19 +100,15 @@ type Replica struct {
 	// anchored reports that the replica has a valid cursor: either a
 	// replayed-from-zero stream or a resync frame established it.
 	anchored bool
-	// gen and topoVer mirror the upstream's generation and topology
-	// version as of the last applied frame.
-	gen     uint64
+	// frames is the replica's own retention log for /diff re-fan-out: the
+	// shared per-generation frames, rebuilt from the wire records by the
+	// same builder the coordinator uses. Its head mirrors the upstream's
+	// generation as of the last applied frame, topoVer the upstream's
+	// topology version; its wake channel wakes the replica's own
+	// long-polls and streams on every cursor change.
+	frames  *difflog.Log[*httpapi.Frame]
 	topoVer uint64
-	// frames is the replica's own retention ring for /diff re-fan-out:
-	// the shared per-generation frames, rebuilt from the wire records by
-	// the same builder the coordinator uses.
-	frames map[uint64]*httpapi.Frame
-	oldest uint64
-	// notify is closed (and replaced) on every cursor change, waking the
-	// replica's own long-polls and streams.
-	notify chan struct{}
-	stats  Stats
+	stats   Stats
 }
 
 // New creates a replica for an upstream. The replica serves immediately
@@ -123,22 +119,19 @@ func New(opts Options) (*Replica, error) {
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("readpath: bad upstream URL %q", opts.Upstream)
 	}
+	if opts.Retention <= 0 {
+		opts.Retention = 64
+	}
 	r := &Replica{
 		upstream:      strings.TrimSuffix(opts.Upstream, "/"),
 		client:        opts.Client,
 		upstreamAuth:  opts.UpstreamAuth,
-		retention:     opts.Retention,
 		reconnectWait: opts.ReconnectWait,
 		logf:          opts.Logf,
-		frames:        make(map[uint64]*httpapi.Frame),
-		oldest:        1,
-		notify:        make(chan struct{}),
+		frames:        difflog.New[*httpapi.Frame](opts.Retention),
 	}
 	if r.client == nil {
 		r.client = http.DefaultClient
-	}
-	if r.retention <= 0 {
-		r.retention = 64
 	}
 	if r.reconnectWait <= 0 {
 		r.reconnectWait = time.Second
@@ -172,7 +165,7 @@ func (r *Replica) Stats() Stats {
 func (r *Replica) Generation() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen
+	return r.frames.Head()
 }
 
 // TopologyVersion implements httpapi.Source.
@@ -187,13 +180,7 @@ func (r *Replica) TopologyVersion() uint64 {
 func (r *Replica) UpdateChan() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.notify
-}
-
-// bump wakes everything blocked on UpdateChan. Callers hold mu.
-func (r *Replica) bump() {
-	close(r.notify)
-	r.notify = make(chan struct{})
+	return r.frames.Wait()
 }
 
 // errBody builds the JSON error envelope for replica-side failures
@@ -254,30 +241,13 @@ func (r *Replica) PathDoc(source, target string) ([]byte, int) {
 	return r.fetch("/v1/path/" + url.PathEscape(source) + "/" + url.PathEscape(target))
 }
 
-// Frames implements httpapi.Source over the replica's own retained ring,
+// Frames implements httpapi.Source over the replica's own retained log,
 // with the coordinator's exact semantics: ok=false for a cursor in the
 // future or fallen off the window, empty success at the head.
 func (r *Replica) Frames(since uint64) ([]*httpapi.Frame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	head := r.gen
-	switch {
-	case since > head:
-		return nil, false
-	case since == head:
-		return nil, true
-	case since+1 < r.oldest:
-		return nil, false
-	}
-	out := make([]*httpapi.Frame, 0, head-since)
-	for g := since + 1; g <= head; g++ {
-		f, ok := r.frames[g]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, f)
-	}
-	return out, true
+	return r.frames.Since(since)
 }
 
 // Run follows the upstream's binary /diff stream until ctx is canceled,
@@ -349,62 +319,39 @@ func (r *Replica) followOnce(ctx context.Context) error {
 
 // applyFrame ingests one generation: it rebuilds the shared frame (same
 // builder as the coordinator's frame cache, so the replica's SSE/JSON
-// re-fan-out is byte-identical), advances the cursor, and evicts beyond
-// the retention window.
+// re-fan-out is byte-identical) and appends it to the log. First contact
+// on a replayed-from-zero stream, and a gap without a resync frame (which
+// should not happen), start the window at gen — the log's rule for a
+// generation that does not continue it — so the replica's own subscribers
+// resync rather than seeing a hole.
 func (r *Replica) applyFrame(gen uint64, rec *constellation.DiffRecord) {
 	frame := httpapi.BuildFrame(gen, rec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case !r.anchored:
-		// First contact on a replayed-from-zero stream: the ring starts
-		// at this generation.
-		r.anchored = true
-		r.frames[gen] = frame
-		r.oldest = gen
-	case gen <= r.gen:
+	if gen <= r.frames.Head() {
 		// Reconnect overlap: the upstream replayed a generation we
 		// already hold.
 		return
-	case gen != r.gen+1:
-		// A gap without a resync frame (should not happen): restart the
-		// ring at gen so our own subscribers resync rather than seeing a
-		// hole.
-		clear(r.frames)
-		r.frames[gen] = frame
-		r.oldest = gen
-	default:
-		if len(r.frames) == 0 {
-			r.oldest = gen
-		}
-		r.frames[gen] = frame
 	}
-	r.gen = gen
+	r.anchored = true
+	*r.frames.Append(gen) = frame
 	if !frame.Doc.Empty {
 		r.topoVer = gen
 	}
-	for r.gen-r.oldest+1 > uint64(r.retention) {
-		delete(r.frames, r.oldest)
-		r.oldest++
-	}
 	r.stats.FramesApplied++
-	r.bump()
 }
 
 // resync re-anchors the replica at the upstream's head: the cursor fell
 // off the upstream's retention ring (or this is first contact past it).
-// The frame ring restarts empty and the document caches are flushed —
+// The frame log restarts empty and the document caches are flushed —
 // after an upstream restart the generation counter may have regressed,
 // and monotonic cache keys would otherwise pin stale documents forever.
 func (r *Replica) resync(gen, topoVer uint64) {
 	r.mu.Lock()
 	r.anchored = true
-	r.gen = gen
 	r.topoVer = topoVer
-	clear(r.frames)
-	r.oldest = gen + 1
+	r.frames.Reset(gen)
 	r.stats.Resyncs++
-	r.bump()
 	r.mu.Unlock()
 	r.srv.ResetCaches()
 	r.logf("readpath: resynced to generation %d (topology %d)", gen, topoVer)
@@ -415,7 +362,7 @@ func (r *Replica) resync(gen, topoVer uint64) {
 func (r *Replica) WaitSynced(ctx context.Context, gen uint64) error {
 	for {
 		r.mu.Lock()
-		cur, anchored, ch := r.gen, r.anchored, r.notify
+		cur, anchored, ch := r.frames.Head(), r.anchored, r.frames.Wait()
 		r.mu.Unlock()
 		if anchored && cur >= gen {
 			return nil

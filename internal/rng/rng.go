@@ -37,13 +37,31 @@ func (s *Stream) State() uint64 { return s.state }
 // SetState overwrites the generator state, e.g. from a checkpoint.
 func (s *Stream) SetState(v uint64) { s.state = v }
 
-// Uint64 returns the next 64 random bits.
-func (s *Stream) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+// gamma is SplitMix64's counter increment (the odd integer closest to
+// 2^64/φ); mix is its avalanche permutation.
+const gamma = 0x9E3779B97F4A7C15
+
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 random bits.
+func (s *Stream) Uint64() uint64 {
+	s.state += gamma
+	return mix(s.state)
+}
+
+// Derive scatters a base seed into decorrelated sub-seeds, one per index:
+// the value a stream seeded with seed would draw as its (idx+1)-th, found
+// without drawing the ones before it. Neighboring indices share no low
+// bits. The scenario runner derives its flow and fault-process seeds this
+// way, the fan-out tier its per-shard streams, and the apply engines
+// their per-generation jitter streams — aligned between the coordinator
+// and its agents by construction rather than by call count.
+func Derive(seed int64, idx uint64) int64 {
+	return int64(mix(uint64(seed) + (idx+1)*gamma))
 }
 
 // Float64 returns a uniform draw in [0, 1) with 53 random bits.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -202,13 +201,15 @@ func TestMultiHostTCPAgentsMatchSingleProcess(t *testing.T) {
 	// One replica and one agent process (goroutine) per shard, each in
 	// apply mode with the same engine construction cmd/celestial-agent
 	// uses. Short heartbeats and redial waits keep kill cycles fast.
-	var wg sync.WaitGroup
 	replicas := make([]*hostlink.Replica, 4)
 	agents := make([]*hostlink.Agent, 4)
 	cancels := make([]context.CancelFunc, 4)
+	exited := make([]chan struct{}, 4)
 	start := func(id int) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancels[id] = cancel
+		done := make(chan struct{})
+		exited[id] = done
 		a := &hostlink.Agent{
 			ID: id, Addr: ln.Addr().String(), Replica: replicas[id],
 			Heartbeat: 100 * time.Millisecond, ReconnectWait: 20 * time.Millisecond,
@@ -222,9 +223,8 @@ func TestMultiHostTCPAgentsMatchSingleProcess(t *testing.T) {
 			},
 		}
 		agents[id] = a
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer close(done)
 			_ = a.Run(ctx)
 		}()
 	}
@@ -233,10 +233,10 @@ func TestMultiHostTCPAgentsMatchSingleProcess(t *testing.T) {
 		start(id)
 	}
 	defer func() {
-		for _, cancel := range cancels {
+		for id, cancel := range cancels {
 			cancel()
+			<-exited[id]
 		}
-		wg.Wait()
 	}()
 	waitAttached := func(n int) {
 		deadline := time.Now().Add(10 * time.Second)
@@ -248,6 +248,18 @@ func TestMultiHostTCPAgentsMatchSingleProcess(t *testing.T) {
 		}
 	}
 	waitAttached(4)
+	// kill hard-kills one agent and returns only once the kill has fully
+	// landed. Cancelling is asynchronous on both ends — the agent closes
+	// its connection from a context.AfterFunc, the coordinator notices at
+	// its next read — so without the wait the "killed" agent can keep
+	// acking for some ticks (the short run then ends with it still
+	// attached), and a restart's waitAttached can be satisfied by the
+	// stale connection.
+	kill := func(id, remaining int) {
+		cancels[id]()
+		<-exited[id]
+		waitAttached(remaining)
+	}
 
 	// The tick barrier the CLI's -agents-barrier flag implements, plus
 	// the scripted agent failures: agent 2 is hard-killed (context
@@ -259,12 +271,12 @@ func TestMultiHostTCPAgentsMatchSingleProcess(t *testing.T) {
 	rep, err := r.RunWith(RunOptions{TickHook: func(tick int) error {
 		switch tick {
 		case 2:
-			cancels[2]()
+			kill(2, 3)
 		case 4:
 			start(2)
 			waitAttached(4)
 		case 5:
-			cancels[3]()
+			kill(3, 3)
 		}
 		if !fo.WaitRemotes(10 * time.Second) {
 			t.Errorf("tick %d: attached agents did not ack in time", tick)

@@ -89,14 +89,14 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	// processes never alias.
 	if sup := sc.Supervision; sup.Enabled() {
 		for _, h := range coord.Hosts() {
-			h.SetRetryPolicy(sup.Retry, flowSeed(sc.Seed, 1<<21+h.ID()))
+			h.SetRetryPolicy(sup.Retry, rng.Derive(sc.Seed, uint64(1<<21+h.ID())))
 			if sup.ApplyFaultRate > 0 {
-				h.SetApplyFaults(sup.ApplyFaultRate, flowSeed(sc.Seed, 1<<22+h.ID()))
+				h.SetApplyFaults(sup.ApplyFaultRate, rng.Derive(sc.Seed, uint64(1<<22+h.ID())))
 			}
 		}
-		r.net.SetRetryPolicy(sup.Retry, flowSeed(sc.Seed, 1<<23))
+		r.net.SetRetryPolicy(sup.Retry, rng.Derive(sc.Seed, 1<<23))
 		if sup.ShaperFaultRate > 0 {
-			r.net.SetShaperFaults(sup.ShaperFaultRate, flowSeed(sc.Seed, 1<<24))
+			r.net.SetShaperFaults(sup.ShaperFaultRate, rng.Derive(sc.Seed, 1<<24))
 		}
 		if sup.Watchdog {
 			coord.SetWatchdog(supervise.Config{Interval: sup.WatchdogInterval})
@@ -120,7 +120,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 				RecoverAfter:    h.RecoverAfter,
 			},
 			Retry:          sc.Supervision.Retry,
-			Seed:           flowSeed(sc.Seed, 1<<25),
+			Seed:           rng.Derive(sc.Seed, 1<<25),
 			FrameDropRate:  h.FrameDropRate,
 			FrameDupRate:   h.FrameDupRate,
 			FrameDelayRate: h.FrameDelayRate,
@@ -147,7 +147,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		}
 		fs := &flowState{
 			r: r, idx: i, cfg: *f, src: src, dst: dst,
-			rng:     rng.New(flowSeed(sc.Seed, i)),
+			rng:     rng.New(rng.Derive(sc.Seed, uint64(i))),
 			pending: map[uint64]time.Time{},
 		}
 		r.flows = append(r.flows, fs)
@@ -173,15 +173,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		}
 	}
 	return r, nil
-}
-
-// flowSeed derives a flow's RNG seed from the scenario seed (splitmix-style
-// mixing so neighboring flows do not share low bits).
-func flowSeed(seed int64, idx int) int64 {
-	z := uint64(seed) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // Coordinator exposes the coordinator driving the scenario.
@@ -315,7 +306,7 @@ func (r *Runner) runEvent(i int) {
 			if remaining := r.epoch.Add(r.sc.Horizon).Sub(r.sim.Now()); window > remaining {
 				window = remaining
 			}
-			return r.coord.InjectFaultsFor(ev.Faults, flowSeed(r.sc.Seed, 1<<20+i), window)
+			return r.coord.InjectFaultsFor(ev.Faults, rng.Derive(r.sc.Seed, uint64(1<<20+i)), window)
 		case ActionImpair:
 			return r.net.SetImpairments(ev.Impair)
 		case ActionBandwidthCap:
