@@ -8,16 +8,21 @@
 //	benchjson -o BENCH_<sha>.json < bench.txt
 //	benchjson -compare [-max-alloc-ratio 2] [-require Prefix,...] BENCH_baseline.json BENCH_<sha>.json
 //
-// The compare mode prints a per-benchmark delta table (ns/op, allocs/op)
-// between two archived reports — typically the checked-in
-// BENCH_baseline.json and a fresh run — flagging results that exist on
-// only one side. Malformed input fails loudly: a file that is not a
-// benchjson report (bad JSON, or no benchmark results at all) exits
-// non-zero instead of silently comparing nothing. The ns/op column is
-// informational, since CI machines differ; with -max-alloc-ratio N the
-// command additionally exits non-zero when any benchmark's allocs/op grew
-// by more than that factor — allocation counts are deterministic even on
-// shared runners, so this is a reliable regression gate.
+// The compare mode prints, per benchmark, allocs/op and the custom
+// b.ReportMetric values of two archived reports side by side — typically
+// the checked-in BENCH_baseline.json and a fresh run — flagging results
+// that exist on only one side. Malformed input fails loudly: a file that
+// is not a benchjson report (bad JSON, or no benchmark results at all)
+// exits non-zero instead of silently comparing nothing. With
+// -max-alloc-ratio N the command additionally exits non-zero when any
+// benchmark's allocs/op grew by more than that factor — allocation counts
+// are deterministic even on shared runners, so this is a reliable
+// regression gate.
+//
+// ns/op is neither recorded nor shown. The input is one cold iteration per
+// benchmark (-benchtime 1x), whose time is mostly warm-up: it read 67 ms
+// for a Gen2 tick that `go run ./bench` — the benchmark of record for
+// anything timed — measures at 18 ms.
 //
 // With -require, the compare additionally fails when the new report holds
 // no benchmark whose name starts with one of the given comma-separated
@@ -37,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -47,7 +53,6 @@ type Result struct {
 	Name       string  `json:"name"`
 	Package    string  `json:"package,omitempty"`
 	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AllocsPer  float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds custom b.ReportMetric units (e.g. "empty-tick-frac").
@@ -189,15 +194,14 @@ func MissingRequired(rep *Report, require string) []string {
 	return out
 }
 
-// CompareRow is one benchmark's old-vs-new delta. A missing side is
-// marked by a zero value plus the InOld/InNew flags.
+// CompareRow is one benchmark's old and new values. A missing side is
+// marked by zero values plus the InOld/InNew flags.
 type CompareRow struct {
-	Name         string
-	Package      string
-	OldNs, NewNs float64
-	OldAllocs    float64
-	NewAllocs    float64
-	InOld, InNew bool
+	Name                   string
+	Package                string
+	OldAllocs, NewAllocs   float64
+	OldMetrics, NewMetrics map[string]float64
+	InOld, InNew           bool
 }
 
 // Compare matches the two reports' results by (package, name) and returns
@@ -212,18 +216,18 @@ func Compare(old, new_ *Report) []CompareRow {
 	seen := map[string]bool{}
 	var rows []CompareRow
 	for _, r := range new_.Results {
-		row := CompareRow{Name: r.Name, Package: r.Package, NewNs: r.NsPerOp, NewAllocs: r.AllocsPer, InNew: true}
+		row := CompareRow{Name: r.Name, Package: r.Package, NewAllocs: r.AllocsPer, NewMetrics: r.Metrics, InNew: true}
 		if o, ok := oldBy[key(r)]; ok {
 			row.InOld = true
-			row.OldNs = o.NsPerOp
 			row.OldAllocs = o.AllocsPer
+			row.OldMetrics = o.Metrics
 		}
 		seen[key(r)] = true
 		rows = append(rows, row)
 	}
 	for _, r := range old.Results {
 		if !seen[key(r)] {
-			rows = append(rows, CompareRow{Name: r.Name, Package: r.Package, OldNs: r.NsPerOp, OldAllocs: r.AllocsPer, InOld: true})
+			rows = append(rows, CompareRow{Name: r.Name, Package: r.Package, OldAllocs: r.AllocsPer, OldMetrics: r.Metrics, InOld: true})
 		}
 	}
 	return rows
@@ -238,23 +242,41 @@ func rowLabel(row CompareRow) string {
 	return row.Package + "." + row.Name
 }
 
-// WriteComparison renders the delta table for rows from Compare.
+// WriteComparison renders the table for rows from Compare: one line per
+// benchmark for allocs/op, then one per custom metric either side
+// reported, in name order.
 func WriteComparison(w io.Writer, rows []CompareRow) {
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs\tnew allocs")
+	fmt.Fprintln(tw, "benchmark\tmetric\told\tnew")
+	side := func(in bool, v float64, ok bool) string {
+		if !in || !ok {
+			return "-"
+		}
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
 	for _, row := range rows {
+		label := rowLabel(row)
 		switch {
 		case !row.InOld:
-			fmt.Fprintf(tw, "%s\t-\t%.0f\t(new)\t-\t%.0f\n", rowLabel(row), row.NewNs, row.NewAllocs)
+			label += " (new)"
 		case !row.InNew:
-			fmt.Fprintf(tw, "%s\t%.0f\t-\t(gone)\t%.0f\t-\n", rowLabel(row), row.OldNs, row.OldAllocs)
-		default:
-			delta := "n/a"
-			if row.OldNs > 0 {
-				delta = fmt.Sprintf("%+.1f%%", 100*(row.NewNs-row.OldNs)/row.OldNs)
+			label += " (gone)"
+		}
+		fmt.Fprintf(tw, "%s\tallocs/op\t%s\t%s\n", label, side(row.InOld, row.OldAllocs, true), side(row.InNew, row.NewAllocs, true))
+		var units []string
+		for u := range row.OldMetrics {
+			units = append(units, u)
+		}
+		for u := range row.NewMetrics {
+			if _, ok := row.OldMetrics[u]; !ok {
+				units = append(units, u)
 			}
-			fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%s\t%.0f\t%.0f\n",
-				rowLabel(row), row.OldNs, row.NewNs, delta, row.OldAllocs, row.NewAllocs)
+		}
+		sort.Strings(units)
+		for _, u := range units {
+			o, inOld := row.OldMetrics[u]
+			n, inNew := row.NewMetrics[u]
+			fmt.Fprintf(tw, "\t%s\t%s\t%s\n", u, side(row.InOld, o, inOld), side(row.InNew, n, inNew))
 		}
 	}
 	tw.Flush()
@@ -319,7 +341,7 @@ func parseResult(line, pkg string) (Result, bool, error) {
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
-			res.NsPerOp = v
+			// Not recorded: see the package comment.
 		case "B/op":
 			res.BytesPerOp = v
 		case "allocs/op":

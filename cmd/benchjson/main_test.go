@@ -35,11 +35,16 @@ func TestParse(t *testing.T) {
 	if r.Package != "celestial" || r.Iterations != 40 {
 		t.Errorf("result = %+v", r)
 	}
-	if r.NsPerOp != 3583675 || r.BytesPerOp != 245413 || r.AllocsPer != 992 {
+	if r.BytesPerOp != 245413 || r.AllocsPer != 992 {
 		t.Errorf("std metrics = %+v", r)
 	}
 	if r.Metrics["empty-tick-frac"] != 0.58 || r.Metrics["carried-paths/op"] != 0.25 {
 		t.Errorf("custom metrics = %+v", r.Metrics)
+	}
+	// One cold iteration's ns/op is not a measurement: it is dropped, not
+	// filed under the custom metrics.
+	if _, ok := r.Metrics["ns/op"]; ok || len(r.Metrics) != 2 {
+		t.Errorf("ns/op was recorded: %+v", r.Metrics)
 	}
 	if rep.Results[1].Metrics != nil {
 		t.Errorf("unexpected custom metrics: %+v", rep.Results[1].Metrics)
@@ -48,18 +53,19 @@ func TestParse(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	old := &Report{Results: []Result{
-		{Name: "BenchmarkA", Package: "p", NsPerOp: 100, AllocsPer: 10},
-		{Name: "BenchmarkGone", Package: "p", NsPerOp: 50},
+		{Name: "BenchmarkA", Package: "p", AllocsPer: 10, Metrics: map[string]float64{"hit-frac": 0.5, "old-only": 1}},
+		{Name: "BenchmarkGone", Package: "p", AllocsPer: 50},
 	}}
 	new_ := &Report{Results: []Result{
-		{Name: "BenchmarkA", Package: "p", NsPerOp: 50, AllocsPer: 8},
-		{Name: "BenchmarkNew", Package: "p", NsPerOp: 7},
+		{Name: "BenchmarkA", Package: "p", AllocsPer: 8, Metrics: map[string]float64{"hit-frac": 0.75, "new-only": 2}},
+		{Name: "BenchmarkNew", Package: "p", AllocsPer: 7},
 	}}
 	rows := Compare(old, new_)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if r := rows[0]; r.Name != "BenchmarkA" || !r.InOld || !r.InNew || r.OldNs != 100 || r.NewNs != 50 {
+	if r := rows[0]; r.Name != "BenchmarkA" || !r.InOld || !r.InNew || r.OldAllocs != 10 || r.NewAllocs != 8 ||
+		r.OldMetrics["hit-frac"] != 0.5 || r.NewMetrics["hit-frac"] != 0.75 {
 		t.Errorf("matched row = %+v", r)
 	}
 	if r := rows[1]; r.Name != "BenchmarkNew" || r.InOld || !r.InNew {
@@ -72,18 +78,37 @@ func TestCompare(t *testing.T) {
 	var buf strings.Builder
 	WriteComparison(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"-50.0%", "(new)", "(gone)", "p.BenchmarkA"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("comparison output missing %q:\n%s", want, out)
-		}
+	want := strings.Join([]string{
+		"benchmark            metric     old  new",
+		"p.BenchmarkA         allocs/op  10   8",
+		"                     hit-frac   0.5  0.75",
+		"                     new-only   -    2",
+		"                     old-only   1    -",
+		"p.BenchmarkNew (new)  allocs/op  -    7",
+		"p.BenchmarkGone (gone)  allocs/op  50   -",
+	}, "\n") + "\n"
+	if squeeze(out) != squeeze(want) {
+		t.Errorf("comparison output =\n%swant\n%s", out, want)
 	}
+	if strings.Contains(out, "ns/op") {
+		t.Errorf("comparison output still has a time column:\n%s", out)
+	}
+}
+
+// squeeze collapses runs of spaces, so the expectation above does not
+// depend on the tabwriter's column widths.
+func squeeze(s string) string {
+	for strings.Contains(s, "  ") {
+		s = strings.ReplaceAll(s, "  ", " ")
+	}
+	return s
 }
 
 // TestCompareDistinguishesPackages guards the (package, name) match key:
 // same-named benchmarks in different packages must not be conflated.
 func TestCompareDistinguishesPackages(t *testing.T) {
-	old := &Report{Results: []Result{{Name: "BenchmarkX", Package: "p1", NsPerOp: 1}}}
-	new_ := &Report{Results: []Result{{Name: "BenchmarkX", Package: "p2", NsPerOp: 2}}}
+	old := &Report{Results: []Result{{Name: "BenchmarkX", Package: "p1", AllocsPer: 1}}}
+	new_ := &Report{Results: []Result{{Name: "BenchmarkX", Package: "p2", AllocsPer: 2}}}
 	rows := Compare(old, new_)
 	if len(rows) != 2 || rows[0].InOld || rows[1].InNew {
 		t.Fatalf("rows = %+v", rows)

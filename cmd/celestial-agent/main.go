@@ -23,7 +23,10 @@
 // coordinator over TLS. -http serves the /v1 information API from the
 // agent's replica state through the same route table the coordinator
 // uses — machines on this host can read generation, activity counts and
-// the shard's diff stream without a round-trip to the coordinator.
+// the shard's diff stream without a round-trip to the coordinator. A diff
+// frame is the shard's view of the coordinator's diff record, so each
+// /v1/diff document here is the one the coordinator would serve for that
+// view, old and new delays included.
 //
 // The process exits 0 when the coordinator ends the run with a clean
 // Bye, and non-zero on a refused handshake (bad shard id, version skew,

@@ -16,25 +16,21 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"celestial/internal/experiments"
 )
 
-func main() {
-	full := flag.Bool("full", false, "run the paper's full experiment durations with SGP4")
-	out := flag.String("out", "results", "directory for figure/series artifacts (empty disables)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	flag.Parse()
+// entry is one experiment of the suite, under the ID -only selects it by.
+type entry struct {
+	id  string
+	run func(experiments.Options) (experiments.Report, error)
+}
 
-	opts := experiments.Options{Full: *full, OutDir: *out}
-
-	type entry struct {
-		id  string
-		run func(experiments.Options) (experiments.Report, error)
-	}
+// suite lists the experiments in report order.
+func suite(ablations bool) []entry {
 	all := []entry{
 		{"F1", experiments.Fig1},
 		{"F3", experiments.Fig3},
@@ -49,7 +45,7 @@ func main() {
 		{"F10", experiments.Fig10},
 		{"F11", experiments.Fig11},
 	}
-	if *ablations {
+	if ablations {
 		all = append(all,
 			entry{"A-shells", experiments.AblationShellCount},
 			entry{"A-model", experiments.AblationKeplerVsSGP4},
@@ -57,20 +53,57 @@ func main() {
 			entry{"A-faults", experiments.AblationFaults},
 		)
 	}
+	return all
+}
 
-	var filter map[string]bool
-	if *only != "" {
-		filter = map[string]bool{}
-		for _, id := range strings.Split(*only, ",") {
-			filter[strings.TrimSpace(id)] = true
+// selectEntries applies the -only list (comma-separated IDs, empty for
+// everything) to the suite, keeping suite order. An ID that names no
+// experiment is an error listing the ones that exist: a typo must not run
+// nothing and report success.
+func selectEntries(all []entry, only string) ([]entry, error) {
+	if only == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var picked []entry
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.id
+		if want[e.id] {
+			picked = append(picked, e)
+			delete(want, e.id)
 		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment ID %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return picked, nil
+}
+
+func main() {
+	full := flag.Bool("full", false, "run the paper's full experiment durations with SGP4")
+	out := flag.String("out", "results", "directory for figure/series artifacts (empty disables)")
+	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
+	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
+	flag.Parse()
+
+	opts := experiments.Options{Full: *full, OutDir: *out}
+	selected, err := selectEntries(suite(*ablations), *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 
 	failures := 0
-	for _, e := range all {
-		if filter != nil && !filter[e.id] {
-			continue
-		}
+	for _, e := range selected {
 		begin := time.Now()
 		rep, err := e.run(opts)
 		if err != nil {

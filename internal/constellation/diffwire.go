@@ -1,20 +1,18 @@
 package constellation
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
+
+	"celestial/internal/wire"
 )
 
-// This file is the binary wire form of one generation's DiffRecord: the
-// payload the information service's /diff endpoint streams to subscribers
-// that negotiate the compact encoding instead of JSON (read replicas, and
-// any client that follows many generations). The layout follows the
-// hostlink wire conventions — fixed little-endian fields, u32 element
-// counts bounded against the remaining payload — but carries the full
-// constellation-wide record rather than a shard-scoped slice of it, so a
-// replica can re-serve the exact JSON documents the coordinator would.
+// This file is the binary wire form of one generation's DiffRecord — the
+// only binary form a diff has. The information service's /diff endpoint
+// streams it to subscribers that negotiate the compact encoding instead of
+// JSON (read replicas, and any client that follows many generations), and
+// the hostlink tier ships each host agent the same layout holding its
+// shard's view of the record. Fields go through internal/wire: fixed
+// little-endian, u32 element counts bounded against the remaining payload.
 //
 //	u64 generation
 //	f64 t | f64 baseT (NaN when full)
@@ -33,156 +31,85 @@ import (
 // diffWireFull is the flags bit marking a record with no usable base.
 const diffWireFull uint8 = 1 << 0
 
-var errDiffWireShort = errors.New("constellation: truncated diff record payload")
-
 // AppendRecordWire appends the binary wire encoding of record r at
 // generation gen to buf and returns the extended slice.
 func AppendRecordWire(buf []byte, gen uint64, r *DiffRecord) []byte {
-	le := binary.LittleEndian
-	buf = le.AppendUint64(buf, gen)
-	buf = le.AppendUint64(buf, math.Float64bits(r.T))
-	buf = le.AppendUint64(buf, math.Float64bits(r.BaseT))
+	buf = wire.AppendU64(buf, gen)
+	buf = wire.AppendF64(buf, r.T)
+	buf = wire.AppendF64(buf, r.BaseT)
 	var flags uint8
 	if r.Full {
 		flags |= diffWireFull
 	}
 	buf = append(buf, flags, r.Degraded)
-	buf = le.AppendUint32(buf, uint32(r.CarriedPaths))
-	buf = le.AppendUint32(buf, uint32(r.RepairedPaths))
-	buf = le.AppendUint32(buf, uint32(r.RepairFallbacks))
+	buf = wire.AppendU32(buf, uint32(r.CarriedPaths))
+	buf = wire.AppendU32(buf, uint32(r.RepairedPaths))
+	buf = wire.AppendU32(buf, uint32(r.RepairFallbacks))
 	buf = appendWireDeltas(buf, r.Added)
 	buf = appendWireDeltas(buf, r.Removed)
 	buf = appendWireDeltas(buf, r.DelayChanged)
-	buf = appendWireIDs(buf, r.Activated)
-	buf = appendWireIDs(buf, r.Deactivated)
-	return buf
+	buf = wire.AppendI32s(buf, r.Activated)
+	return wire.AppendI32s(buf, r.Deactivated)
 }
 
 func appendWireDeltas(buf []byte, ds []LinkDelta) []byte {
-	le := binary.LittleEndian
-	buf = le.AppendUint32(buf, uint32(len(ds)))
+	buf = wire.AppendU32(buf, uint32(len(ds)))
 	for _, d := range ds {
-		buf = le.AppendUint32(buf, uint32(int32(d.A)))
-		buf = le.AppendUint32(buf, uint32(int32(d.B)))
-		buf = le.AppendUint32(buf, uint32(d.OldQ))
-		buf = le.AppendUint32(buf, uint32(d.NewQ))
+		buf = wire.AppendI32(buf, int32(d.A))
+		buf = wire.AppendI32(buf, int32(d.B))
+		buf = wire.AppendI32(buf, d.OldQ)
+		buf = wire.AppendI32(buf, d.NewQ)
 	}
 	return buf
 }
 
-func appendWireIDs(buf []byte, ids []int32) []byte {
-	le := binary.LittleEndian
-	buf = le.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = le.AppendUint32(buf, uint32(id))
-	}
-	return buf
-}
-
-// wireReader walks a payload with a sticky truncation error, so decoders
-// read every field and check once (the hostlink reader idiom).
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.err = errDiffWireShort
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = errDiffWireShort
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.err = errDiffWireShort
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) i32() int32   { return int32(r.u32()) }
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a u32 element count and bounds it against the bytes left,
-// so a corrupt count cannot force a huge allocation.
-func (r *wireReader) count(elemBytes int) int {
-	n := int(r.u32())
-	if r.err == nil && n*elemBytes > len(r.b)-r.off {
-		r.err = errDiffWireShort
-		return 0
-	}
-	return n
-}
-
-func (r *wireReader) deltas() []LinkDelta {
-	n := r.count(16)
+func readWireDeltas(rd *wire.Reader) []LinkDelta {
+	n := rd.Count(16)
 	if n == 0 {
 		return nil
 	}
-	ds := make([]LinkDelta, 0, n)
-	for i := 0; i < n; i++ {
-		ds = append(ds, LinkDelta{
-			A: int(r.i32()), B: int(r.i32()),
-			OldQ: r.i32(), NewQ: r.i32(),
-		})
+	ds := make([]LinkDelta, n)
+	for i := range ds {
+		ds[i] = LinkDelta{A: int(rd.I32()), B: int(rd.I32()), OldQ: rd.I32(), NewQ: rd.I32()}
 	}
 	return ds
 }
 
-func (r *wireReader) ids() []int32 {
-	n := r.count(4)
-	if n == 0 {
-		return nil
+// ReadRecordWire reads one record, as AppendRecordWire wrote it, from the
+// reader's position — for formats that carry a record inside a larger
+// payload. Errors stay on the reader (check rd.Done). A flags bit this
+// revision does not define is an error, not ignored: decoding and
+// re-encoding a payload must give back its bytes.
+func ReadRecordWire(rd *wire.Reader) (uint64, DiffRecord) {
+	gen := rd.U64()
+	var rec DiffRecord
+	rec.T = rd.F64()
+	rec.BaseT = rd.F64()
+	flags := rd.U8()
+	rec.Full = flags&diffWireFull != 0
+	rec.Degraded = rd.U8()
+	rec.CarriedPaths = int(rd.U32())
+	rec.RepairedPaths = int(rd.U32())
+	rec.RepairFallbacks = int(rd.U32())
+	rec.Added = readWireDeltas(rd)
+	rec.Removed = readWireDeltas(rd)
+	rec.DelayChanged = readWireDeltas(rd)
+	rec.Activated = rd.I32s()
+	rec.Deactivated = rd.I32s()
+	if flags&^diffWireFull != 0 {
+		rd.Fail(fmt.Errorf("constellation: unknown diff record flags %#02x", flags))
 	}
-	ids := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, r.i32())
-	}
-	return ids
+	return gen, rec
 }
 
 // DecodeRecordWire decodes a payload produced by AppendRecordWire. The
 // returned record shares no memory with the payload. The payload must
 // contain exactly one record: trailing bytes are an error.
 func DecodeRecordWire(payload []byte) (uint64, DiffRecord, error) {
-	rd := &wireReader{b: payload}
-	gen := rd.u64()
-	var rec DiffRecord
-	rec.T = rd.f64()
-	rec.BaseT = rd.f64()
-	flags := rd.u8()
-	rec.Full = flags&diffWireFull != 0
-	rec.Degraded = rd.u8()
-	rec.CarriedPaths = int(rd.u32())
-	rec.RepairedPaths = int(rd.u32())
-	rec.RepairFallbacks = int(rd.u32())
-	rec.Added = rd.deltas()
-	rec.Removed = rd.deltas()
-	rec.DelayChanged = rd.deltas()
-	rec.Activated = rd.ids()
-	rec.Deactivated = rd.ids()
-	if rd.err != nil {
-		return 0, DiffRecord{}, rd.err
-	}
-	if rd.off != len(rd.b) {
-		return 0, DiffRecord{}, fmt.Errorf("constellation: %d trailing diff record bytes", len(rd.b)-rd.off)
+	rd := wire.NewReader(payload)
+	gen, rec := ReadRecordWire(rd)
+	if err := rd.Done(); err != nil {
+		return 0, DiffRecord{}, err
 	}
 	return gen, rec, nil
 }

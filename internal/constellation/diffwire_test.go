@@ -1,6 +1,8 @@
 package constellation
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -108,4 +110,57 @@ func TestDiffWireAppendReusesBuffer(t *testing.T) {
 	if &out[0] != &buf[:1][0] {
 		t.Error("encoder reallocated despite sufficient capacity")
 	}
+}
+
+// TestDiffWireBytesPinned holds the encoder to the bytes it wrote before
+// it moved onto internal/wire: /v1/diff subscribers, read replicas and —
+// since hostlink protocol 3 — host agents all parse this layout.
+func TestDiffWireBytesPinned(t *testing.T) {
+	rec := wireTestRecord()
+	full := DiffRecord{T: 0, BaseT: math.NaN(), Full: true}
+	for _, c := range []struct {
+		gen  uint64
+		rec  *DiffRecord
+		want string
+	}{
+		{17, &rec, "1100000000000000" + "0000000000404540" + "0000000000404440" + "0002" + "050000000200000001000000" +
+			"01000000" + "0100000002000000ffffffff07000000" +
+			"02000000" + "030000000400000009000000ffffffff" + "050000000600000002000000ffffffff" +
+			"01000000" + "07000000080000000300000004000000" +
+			"02000000" + "0a0000000b000000" + "01000000" + "0c000000"},
+		{1, &full, "0100000000000000" + "0000000000000000" + "010000000000f87f" + "0100" + "000000000000000000000000" +
+			"00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
+	} {
+		if got := hex.EncodeToString(AppendRecordWire(nil, c.gen, c.rec)); got != c.want {
+			t.Errorf("generation %d encodes to\n%s, want\n%s", c.gen, got, c.want)
+		}
+	}
+}
+
+// FuzzDecodeRecordWire gives the record decoder — which parses bytes from
+// an upstream /v1/diff stream and, inside a hostlink frame, from the agent
+// socket — the contract FuzzDecodeFrame gives the frame decoder: arbitrary
+// payloads never panic and never allocate past what the payload could hold,
+// and a payload that decodes re-encodes to exactly its own bytes.
+func FuzzDecodeRecordWire(f *testing.F) {
+	rec := wireTestRecord()
+	valid := AppendRecordWire(nil, 17, &rec)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(AppendRecordWire(nil, 1, &DiffRecord{BaseT: math.NaN(), Full: true}))
+	f.Add(AppendRecordWire(nil, 3, &DiffRecord{T: 2, BaseT: 1}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		gen, rec, err := DecodeRecordWire(payload)
+		if err != nil {
+			return
+		}
+		// A link delta is 16 bytes on the wire and an ID 4: a decoded
+		// record cannot hold more elements than the payload had bytes for.
+		if n := len(rec.Added) + len(rec.Removed) + len(rec.DelayChanged); 16*n+4*(len(rec.Activated)+len(rec.Deactivated)) > len(payload) {
+			t.Fatalf("%d-byte payload decoded to %d link deltas and %d IDs", len(payload), n, len(rec.Activated)+len(rec.Deactivated))
+		}
+		if enc := AppendRecordWire(nil, gen, &rec); !bytes.Equal(enc, payload) {
+			t.Fatalf("decode/encode is not canonical:\n in %x\nout %x", payload, enc)
+		}
+	})
 }

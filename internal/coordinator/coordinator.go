@@ -59,7 +59,7 @@ type Coordinator struct {
 	// generation, and its wake channel is what UpdateChan hands to
 	// long-poll and SSE readers. forcedResyncs counts DiffsSince calls
 	// that could not replay and sent the caller back to full state.
-	log           *difflog.Log[DiffEntry]
+	log           *difflog.Log[hostlink.Record]
 	forcedResyncs atomic.Uint64
 	// leases counts concurrent readers per state (see LeaseState);
 	// retired marks states waiting for their last lease before being
@@ -92,14 +92,6 @@ type Coordinator struct {
 // refetches full state.
 const diffRingCap = 64
 
-// DiffEntry is one retained update in the coordinator's diff history: the
-// monotonic generation the update produced and a retainable copy of its
-// diff.
-type DiffEntry struct {
-	Generation uint64
-	Diff       constellation.DiffRecord
-}
-
 // New builds a coordinator (and its hosts, machines and network) from a
 // validated configuration. The simulation clock starts at the
 // constellation epoch.
@@ -112,7 +104,7 @@ func New(cfg *config.Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, cons: cons, sim: sim,
 		pool:    cons.NewSnapshotPool(),
-		log:     difflog.New[DiffEntry](diffRingCap),
+		log:     difflog.New[hostlink.Record](diffRingCap),
 		leases:  map[*constellation.State]int{},
 		retired: map[*constellation.State]bool{},
 	}
@@ -195,7 +187,7 @@ func (c *Coordinator) SetDiffRetention(n int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("coordinator: cannot change diff retention after Start")
 	}
-	c.log = difflog.New[DiffEntry](n)
+	c.log = difflog.New[hostlink.Record](n)
 	c.mu.Unlock()
 	return c.buildFanout(c.foOpts)
 }
@@ -361,7 +353,7 @@ func (c *Coordinator) UpdateChan() <-chan struct{} {
 // must resynchronize from full state (the returned slice is then empty).
 // The entries are deep copies, safe to retain and serialize without
 // further locking.
-func (c *Coordinator) DiffsSince(since uint64) (entries []DiffEntry, ok bool) {
+func (c *Coordinator) DiffsSince(since uint64) (entries []hostlink.Record, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	entries, ok = c.log.Since(since)
@@ -377,7 +369,7 @@ func (c *Coordinator) DiffsSince(since uint64) (entries []DiffEntry, ok bool) {
 // an earlier epoch of the log, yields the whole retained window instead
 // of a refusal — see difflog.Log.Tail. It counts no forced resync; a
 // mirror that rebases is not a client that fell behind.
-func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (entries []DiffEntry, from, now uint64) {
+func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (entries []hostlink.Record, from, now uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	entries, from, now = c.log.Tail(cursor, epoch)
@@ -388,7 +380,7 @@ func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (entries []DiffEntry, from
 // cloneDiffs unshares entries copied out of the log. Clone, don't alias:
 // log slots reuse their slice backing arrays across ticks (AppendRecord),
 // and the copies escape the lock.
-func cloneDiffs(entries []DiffEntry) {
+func cloneDiffs(entries []hostlink.Record) {
 	for i := range entries {
 		entries[i].Diff = entries[i].Diff.Clone()
 	}
@@ -548,7 +540,7 @@ func (c *Coordinator) update() error {
 	// chains before any reader can observe it: a remote writer woken by
 	// the append must find the digest for this generation already
 	// recorded.
-	c.fo.Advance(recordOf(slot))
+	c.fo.Advance(*slot)
 	if old != nil && c.leases[old] > 0 {
 		// A concurrent reader still holds the state; its last
 		// release will recycle it.

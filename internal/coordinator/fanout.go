@@ -134,7 +134,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		After:    c.sim.After,
 		Head:     c.Generation,
 		Updated:  c.UpdateChan,
-		Replay:   c.replayRecords,
+		Replay:   c.DiffsSince,
 		Snapshot: c.shardSnapshot,
 		Ladder:   o.Ladder,
 		Retry:    o.Retry,
@@ -153,25 +153,6 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	}
 	c.fo = fo
 	return nil
-}
-
-// recordOf is a retained entry as the fan-out tier consumes it. The
-// slices stay borrowed from the entry.
-func recordOf(e *DiffEntry) hostlink.Record {
-	return hostlink.Record{DiffRecord: e.Diff, Generation: e.Generation}
-}
-
-// replayRecords adapts DiffsSince to the fan-out tier's Replay callback.
-func (c *Coordinator) replayRecords(since uint64) ([]hostlink.Record, bool) {
-	entries, ok := c.DiffsSince(since)
-	if !ok {
-		return nil, false
-	}
-	recs := make([]hostlink.Record, len(entries))
-	for i := range entries {
-		recs[i] = recordOf(&entries[i])
-	}
-	return recs, true
 }
 
 // shardSnapshot builds a shard's full state at the current generation —

@@ -89,17 +89,17 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if gen := r.history.Head(); f.Flags&FlagFull != 0 || f.Generation != gen+1 {
+	if gen := r.history.Head(); f.Full || f.Generation != gen+1 {
 		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, gen)
 	}
 	for _, l := range f.Added {
-		r.links[linkKey(l.A, l.B)] = l.DelayQ
+		r.links[linkKey(int32(l.A), int32(l.B))] = l.NewQ
 	}
-	for _, l := range f.Changed {
-		r.links[linkKey(l.A, l.B)] = l.DelayQ
+	for _, l := range f.DelayChanged {
+		r.links[linkKey(int32(l.A), int32(l.B))] = l.NewQ
 	}
 	for _, l := range f.Removed {
-		delete(r.links, linkKey(l.A, l.B))
+		delete(r.links, linkKey(int32(l.A), int32(l.B)))
 	}
 	for _, id := range f.Activated {
 		r.active[id] = true

@@ -22,12 +22,15 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
-// Record is one retained generation as the fan-out tier consumes it: the
-// coordinator's DiffRecord plus its generation number. Slices are borrowed
-// from the producer's retention log and must not be mutated.
+// Record is one retained generation: the monotonic generation an update
+// produced and a retainable copy of its diff. It is the one pairing of the
+// two outside a DiffFrame — the entry type of the coordinator's retention
+// log, what DiffsSince hands /diff and agent resyncs, and the decoded form
+// of a binary /diff stream frame. The fan-out tier borrows the slices of
+// the records it is handed and never mutates them.
 type Record struct {
-	constellation.DiffRecord
 	Generation uint64
+	Diff       constellation.DiffRecord
 }
 
 // Applier consumes a shard's frame stream. The loopback applier translates
@@ -382,43 +385,41 @@ func (fo *Fanout) digestAt(shard int, gen uint64) (uint64, bool) {
 	return m.chain, ok
 }
 
-// buildFrameInto fills dst with rec's content scoped to one shard,
-// reusing dst's slices. Link deltas are scoped by their source endpoint
-// (the side whose host programs the shaper); activity flips by ownership.
-// FlagChanged is global — a link changing anywhere can move any path's
-// latency — while FlagActivity is per-shard.
+// buildFrameInto fills dst with the shard's view of rec, reusing dst's
+// slices: the scalar fields verbatim, the five lists filtered. Link deltas
+// are scoped by their endpoints (either side's host programs a shaper);
+// activity flips by ownership. FlagChanged is global — a link changing
+// anywhere can move any path's latency — while FlagActivity is per-shard.
 func (fo *Fanout) buildFrameInto(dst *DiffFrame, shard int, rec *Record) {
+	view, of := &dst.DiffRecord, fo.cfg.ShardOf
+	added, removed, changed := view.Added[:0], view.Removed[:0], view.DelayChanged[:0]
+	activated, deactivated := view.Activated[:0], view.Deactivated[:0]
+	*view = rec.Diff
+	view.Added = appendViewLinks(added, rec.Diff.Added, of, shard)
+	view.Removed = appendViewLinks(removed, rec.Diff.Removed, of, shard)
+	view.DelayChanged = appendViewLinks(changed, rec.Diff.DelayChanged, of, shard)
+	view.Activated = appendViewIDs(activated, rec.Diff.Activated, of, shard)
+	view.Deactivated = appendViewIDs(deactivated, rec.Diff.Deactivated, of, shard)
 	dst.Generation = rec.Generation
-	dst.T = rec.T
-	dst.Degraded = rec.Degraded
 	dst.Flags = 0
-	if rec.Full {
-		dst.Flags |= FlagFull
-	}
-	if !rec.Empty() {
+	if !rec.Diff.Empty() {
 		dst.Flags |= FlagChanged
 	}
-	dst.Added = appendShardLinks(dst.Added[:0], rec.Added, fo.cfg.ShardOf, shard)
-	dst.Removed = appendShardLinks(dst.Removed[:0], rec.Removed, fo.cfg.ShardOf, shard)
-	dst.Changed = appendShardLinks(dst.Changed[:0], rec.DelayChanged, fo.cfg.ShardOf, shard)
-	dst.Activated = appendShardIDs(dst.Activated[:0], rec.Activated, fo.cfg.ShardOf, shard)
-	dst.Deactivated = appendShardIDs(dst.Deactivated[:0], rec.Deactivated, fo.cfg.ShardOf, shard)
-	if len(dst.Activated) > 0 || len(dst.Deactivated) > 0 {
+	if len(view.Activated) > 0 || len(view.Deactivated) > 0 {
 		dst.Flags |= FlagActivity
 	}
 }
 
-func appendShardLinks(dst []LinkState, deltas []constellation.LinkDelta, shardOf func(int) int, shard int) []LinkState {
+func appendViewLinks(dst, deltas []constellation.LinkDelta, shardOf func(int) int, shard int) []constellation.LinkDelta {
 	for _, d := range deltas {
-		if shardOf(d.A) != shard && shardOf(d.B) != shard {
-			continue
+		if shardOf(d.A) == shard || shardOf(d.B) == shard {
+			dst = append(dst, d)
 		}
-		dst = append(dst, LinkState{A: int32(d.A), B: int32(d.B), DelayQ: d.NewQ})
 	}
 	return dst
 }
 
-func appendShardIDs(dst []int32, ids []int32, shardOf func(int) int, shard int) []int32 {
+func appendViewIDs(dst, ids []int32, shardOf func(int) int, shard int) []int32 {
 	for _, id := range ids {
 		if shardOf(int(id)) == shard {
 			dst = append(dst, id)
@@ -430,11 +431,7 @@ func appendShardIDs(dst []int32, ids []int32, shardOf func(int) int, shard int) 
 // cloneFrame deep-copies a frame for deferred delivery.
 func cloneFrame(f *DiffFrame) *DiffFrame {
 	c := *f
-	c.Added = append([]LinkState(nil), f.Added...)
-	c.Removed = append([]LinkState(nil), f.Removed...)
-	c.Changed = append([]LinkState(nil), f.Changed...)
-	c.Activated = append([]int32(nil), f.Activated...)
-	c.Deactivated = append([]int32(nil), f.Deactivated...)
+	c.DiffRecord = f.DiffRecord.Clone()
 	return &c
 }
 
@@ -475,19 +472,26 @@ func (fo *Fanout) publishStats() {
 		fo.statsSnap = make([]ShardStats, len(fo.shards))
 	}
 	for i, s := range fo.shards {
-		st := s.stats
-		st.Agent = s.id
-		st.Applied = s.applied
-		st.Digest = s.chain
-		st.Owner = s.owner
-		st.Epoch = s.epoch
-		st.FallbackApplies = fo.fallback[s.id]
-		ls := s.ladder.Stats()
-		st.Escalations = ls.Escalations
-		st.Recoveries = ls.Recoveries
-		fo.statsSnap[i] = st
+		fo.statsSnap[i] = s.counters(fo.fallback[i])
 	}
 	fo.mu.Unlock()
+}
+
+// counters returns the shard's delivery counters as they stand, completed
+// with the state kept beside them. fallback is the commit protocol's count
+// for the shard, which lives under fo.mu.
+func (s *shard) counters(fallback int) ShardStats {
+	st := s.stats
+	st.Agent = s.id
+	st.Applied = s.applied
+	st.Digest = s.chain
+	st.Owner = s.owner
+	st.Epoch = s.epoch
+	st.FallbackApplies = fallback
+	ls := s.ladder.Stats()
+	st.Escalations = ls.Escalations
+	st.Recoveries = ls.Recoveries
+	return st
 }
 
 // send runs the wire-send fault pipeline for one frame: drop injection
@@ -646,7 +650,7 @@ func (fo *Fanout) applyFrame(s *shard, f *DiffFrame) {
 		level = fo.level
 	}
 	needInvalidate := f.Flags&FlagChanged != 0 || s.pendingInvalidate
-	needActivity := f.Flags&(FlagActivity|FlagFull) != 0 || s.pendingActivity
+	needActivity := f.Flags&FlagActivity != 0 || f.Full || s.pendingActivity
 	eff := *f
 	if level >= supervise.LevelCoalesce {
 		s.pendingInvalidate = needInvalidate
@@ -817,20 +821,9 @@ func (fo *Fanout) shardByID(agent int) (*shard, error) {
 func (fo *Fanout) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(fo.shards))
 	fo.mu.Lock()
-	fallback := append([]int(nil), fo.fallback...)
-	fo.mu.Unlock()
+	defer fo.mu.Unlock()
 	for i, s := range fo.shards {
-		st := s.stats
-		st.Agent = s.id
-		st.Applied = s.applied
-		st.Digest = s.chain
-		st.Owner = s.owner
-		st.Epoch = s.epoch
-		st.FallbackApplies = fallback[i]
-		ls := s.ladder.Stats()
-		st.Escalations = ls.Escalations
-		st.Recoveries = ls.Recoveries
-		out[i] = st
+		out[i] = s.counters(fo.fallback[i])
 	}
 	return out
 }

@@ -173,14 +173,14 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 // is Full, like a real run's first diff.
 func (h *harness) record(g uint64) Record {
 	rec := Record{Generation: g}
-	rec.T = float64(g) * h.res.Seconds()
+	rec.Diff.T = float64(g) * h.res.Seconds()
 	if g == 1 {
-		rec.Full = true
+		rec.Diff.Full = true
 		return rec
 	}
 	n := int32(g % testNodes)
-	rec.Activated = []int32{n}
-	rec.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
+	rec.Diff.Activated = []int32{n}
+	rec.Diff.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
 	return rec
 }
 

@@ -38,11 +38,6 @@ type remote struct {
 	lastSeen  time.Time
 	helloUsed bool
 	gone      bool
-	// coalesceLag is the backlog rung of this remote follower — the
-	// wall-clock twin of the loopback shard's supervise.Follower. A stream
-	// that falls four times past it has its backlog collapsed into a
-	// single snapshot instead of replaying every retained generation.
-	coalesceLag int
 }
 
 // stream is one shard's delivery state on one connection.
@@ -149,11 +144,6 @@ func (fo *Fanout) serveConn(conn net.Conn) {
 		done:     make(chan struct{}),
 		streams:  make(map[int]*stream),
 		lastSeen: time.Now(),
-
-		coalesceLag: fo.cfg.Ladder.CoalesceLag,
-	}
-	if r.coalesceLag <= 0 {
-		r.coalesceLag = 4
 	}
 
 	fo.mu.Lock()
@@ -460,8 +450,12 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	st.forceSnap = false
 	fo.mu.Unlock()
 
+	// The shard ladder's coalesce rung is the backlog rung of its remote
+	// follower too: a stream four times past it has its backlog collapsed
+	// into a single snapshot instead of replaying every retained
+	// generation.
 	lag := head - st.cursor
-	collapse := st.cursor > 0 && lag > uint64(4*r.coalesceLag)
+	collapse := st.cursor > 0 && lag > uint64(4*fo.shards[st.shard].ladder.Config().CoalesceLag)
 	if collapse {
 		fo.mu.Lock()
 		st.collapsed++
@@ -533,17 +527,18 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 		return buf, nil
 	}
 	fo.awaitWindow(r, st)
+	// The proposal counts as in flight before its first byte is written:
+	// the barrier reads resolved < proposed, and must not pass while the
+	// write below is still blocked. A failed write tears the connection
+	// down, and a detached remote is no longer waited for.
+	fo.mu.Lock()
+	st.proposed = gen
+	fo.mu.Unlock()
 	r.wmu.Lock()
 	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
 	buf, err := WriteFrame(r.conn, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: m.flags})
 	r.wmu.Unlock()
-	if err != nil {
-		return buf, err
-	}
-	fo.mu.Lock()
-	st.proposed = gen
-	fo.mu.Unlock()
-	return buf, nil
+	return buf, err
 }
 
 // awaitWindow blocks until the stream's in-flight proposals fit the

@@ -14,29 +14,30 @@
 //     resyncs and barriers never touch simulation state, so a distributed
 //     run's report stays byte-identical to the single-process run's.
 //
-// This file is the wire protocol: length-prefixed frames over a byte
-// stream, versioned via the Hello/Welcome handshake. Every frame is
-//
-//	uint32 payload length (little-endian) | uint8 frame type | payload
-//
-// and payloads are fixed-layout little-endian fields — no reflection, no
-// allocation beyond the payload buffer, and a hard size cap against
-// corrupt prefixes.
+// This file is the wire protocol: internal/wire frames over a byte stream,
+// versioned via the Hello/Welcome handshake. Payloads are fixed-layout
+// little-endian fields — no reflection, no allocation beyond the payload
+// buffer, and a hard size cap against corrupt prefixes.
 package hostlink
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"celestial/internal/constellation"
+	"celestial/internal/wire"
 )
 
 // ProtocolVersion is the wire protocol revision, carried in the handshake
-// only. Agents and coordinators must match exactly. Version 2 added the
+// only. Agents and coordinators must match exactly: a peer of another
+// revision is refused at the handshake (Bye with the VersionError text one
+// way, a *VersionError from Agent.Run the other). Version 2 added the
 // commit protocol (Propose/Applied/Commit), shard routing on data frames
-// (Reassign), and handshake auth.
-const ProtocolVersion = 2
+// (Reassign), and handshake auth; version 3 made the FrameDiff payload the
+// shard's view of the one diff record (constellation.AppendRecordWire)
+// instead of a second link format.
+const ProtocolVersion = 3
 
 // VersionError reports a protocol version skew between the two ends of a
 // handshake, naming both versions.
@@ -48,10 +49,12 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("hostlink: protocol version %d, want %d", e.Got, e.Want)
 }
 
-// MaxFramePayload caps a frame payload; a length prefix above it is
-// treated as stream corruption rather than honored with a huge allocation.
-// A full Starlink Gen2 snapshot (~84k links) is ~1 MiB, far under the cap.
-const MaxFramePayload = 64 << 20
+// MaxFramePayload and ErrFrameTooLarge are the envelope's payload cap and
+// the error for a frame above it, under the names this package's callers
+// know them by.
+const MaxFramePayload = wire.MaxFramePayload
+
+var ErrFrameTooLarge = wire.ErrFrameTooLarge
 
 // FrameType discriminates the frame payloads.
 type FrameType uint8
@@ -124,9 +127,9 @@ func (t FrameType) String() string {
 // changed; policy flags carry the loopback applier's per-shard degradation
 // decisions and are never set on frames built for the wire.
 const (
-	// FlagFull marks a diff with no usable base (the run's first
-	// generation): a replica receiving it must resync from a snapshot.
-	FlagFull uint8 = 1 << iota
+	// Bit 0 is unassigned: a diff with no usable base is marked once, by
+	// the embedded record's Full.
+	_ uint8 = 1 << iota
 	// FlagChanged is set when the producing tick's diff was non-empty
 	// anywhere in the constellation — the signal that cached paths (and
 	// therefore shaper programs) may be stale for every shard.
@@ -181,9 +184,9 @@ type Welcome struct {
 	Seed  int64
 }
 
-// LinkState is one link as a replica tracks it: endpoints in
-// constellation-wide node IDs and the one-way delay in netem.DelayQuantum
-// units.
+// LinkState is one link of a Snapshot: endpoints in constellation-wide
+// node IDs and the one-way delay in netem.DelayQuantum units. Full state
+// has no old delay to carry; deltas travel as constellation.LinkDelta.
 type LinkState struct {
 	A, B   int32
 	DelayQ int32
@@ -204,21 +207,23 @@ type Snapshot struct {
 	Links      []LinkState
 }
 
-// DiffFrame is one generation's delta scoped to a shard: link deltas
-// touching the shard's nodes and the shard's activity flips. Degraded is
-// the producing tick's supervision level, as on the /diff feed. Agent
-// routes the frame to the owning shard's replica; it is not folded into
-// the digest chain (the chain is a function of content alone).
+// DiffFrame is one generation's diff record as one shard sees it: the
+// coordinator's record with its five lists filtered down to the link
+// deltas touching the shard's nodes and the shard's own activity flips,
+// every scalar field (T, BaseT, Full, Degraded, the path-cache counters)
+// verbatim. It is a view, not a second format — on the wire it is
+//
+//	i32 agent | u8 flags | constellation.AppendRecordWire(generation, view)
+//
+// so what an agent re-serves on /v1/diff is the coordinator's document for
+// the filtered record. Agent routes the frame to the owning shard's
+// replica; it is not folded into the digest chain (the chain is a function
+// of content alone).
 type DiffFrame struct {
 	Agent      int32
 	Generation uint64
-	T          float64
 	Flags      uint8
-	Degraded   uint8
-	// Added and Changed carry the new delay quantum; Removed entries'
-	// DelayQ is -1.
-	Added, Removed, Changed []LinkState
-	Activated, Deactivated  []int32
+	constellation.DiffRecord
 }
 
 // Ack reports an agent's applied cursor.
@@ -281,227 +286,99 @@ type Reassign struct {
 	Generation uint64
 }
 
-var (
-	errShortFrame = errors.New("hostlink: truncated frame payload")
-	// ErrFrameTooLarge reports a length prefix above MaxFramePayload.
-	ErrFrameTooLarge = errors.New("hostlink: frame exceeds size cap")
-)
-
-// appendU16 .. appendF64 are the little-endian field writers.
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI32(b []byte, v int32) []byte  { return appendU32(b, uint32(v)) }
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-// reader walks a payload with sticky truncation errors, so decoders can
-// read every field and check once.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.err = errShortFrame
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = errShortFrame
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.err = errShortFrame
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("hostlink: %d trailing payload bytes", len(r.b)-r.off)
-	}
-	return nil
-}
-
-// count reads a u32 element count and bounds it against the bytes left,
-// so a corrupt count cannot force a huge allocation.
-func (r *reader) count(elemBytes int) int {
-	n := int(r.u32())
-	if r.err == nil && n*elemBytes > len(r.b)-r.off {
-		r.err = errShortFrame
-		return 0
-	}
-	return n
-}
-
-// appendStr writes a u32-length-prefixed string.
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// str reads a u32-length-prefixed string, bounded against the bytes left.
-func (r *reader) str() string {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func appendIDs(b []byte, ids []int32) []byte {
-	b = appendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = appendI32(b, id)
-	}
-	return b
-}
-
-func (r *reader) ids(dst []int32) []int32 {
-	n := r.count(4)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.i32())
-	}
-	return dst
-}
-
 func appendLinks(b []byte, ls []LinkState) []byte {
-	b = appendU32(b, uint32(len(ls)))
+	b = wire.AppendU32(b, uint32(len(ls)))
 	for _, l := range ls {
-		b = appendI32(b, l.A)
-		b = appendI32(b, l.B)
-		b = appendI32(b, l.DelayQ)
+		b = wire.AppendI32(b, l.A)
+		b = wire.AppendI32(b, l.B)
+		b = wire.AppendI32(b, l.DelayQ)
 	}
 	return b
 }
 
-func (r *reader) links(dst []LinkState) []LinkState {
-	n := r.count(12)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, LinkState{A: r.i32(), B: r.i32(), DelayQ: r.i32()})
+func readLinks(rd *wire.Reader) []LinkState {
+	n := rd.Count(12)
+	if n == 0 {
+		return nil
 	}
-	return dst
+	ls := make([]LinkState, n)
+	for i := range ls {
+		ls[i] = LinkState{A: rd.I32(), B: rd.I32(), DelayQ: rd.I32()}
+	}
+	return ls
 }
 
 // appendFrame serializes one frame (envelope + payload) into buf.
 func appendFrame(buf []byte, f any) ([]byte, error) {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
-	var t FrameType
 	switch f := f.(type) {
 	case *Hello:
-		t = FrameHello
-		buf = append(buf, byte(t), f.Version)
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Cursor)
-		buf = appendU64(buf, f.Digest)
+		buf = append(wire.BeginFrame(buf, uint8(FrameHello)), f.Version)
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Cursor)
+		buf = wire.AppendU64(buf, f.Digest)
 		buf = append(buf, f.Flags)
-		buf = appendStr(buf, f.Token)
+		buf = wire.AppendStr(buf, f.Token)
 	case *Welcome:
-		t = FrameWelcome
-		buf = append(buf, byte(t), f.Version)
-		buf = appendI32(buf, f.Agent)
-		buf = appendI32(buf, f.Shards)
-		buf = appendU64(buf, f.Generation)
+		buf = append(wire.BeginFrame(buf, uint8(FrameWelcome)), f.Version)
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendI32(buf, f.Shards)
+		buf = wire.AppendU64(buf, f.Generation)
 		buf = append(buf, f.Flags)
-		buf = appendU64(buf, uint64(f.Seed))
+		buf = wire.AppendU64(buf, uint64(f.Seed))
 	case *Snapshot:
-		t = FrameSnapshot
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
-		buf = appendU64(buf, f.Digest)
-		buf = appendF64(buf, f.T)
-		buf = appendIDs(buf, f.Active)
-		buf = appendIDs(buf, f.Inactive)
+		buf = wire.BeginFrame(buf, uint8(FrameSnapshot))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Generation)
+		buf = wire.AppendU64(buf, f.Digest)
+		buf = wire.AppendF64(buf, f.T)
+		buf = wire.AppendI32s(buf, f.Active)
+		buf = wire.AppendI32s(buf, f.Inactive)
 		buf = appendLinks(buf, f.Links)
 	case *DiffFrame:
-		t = FrameDiff
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
-		buf = appendF64(buf, f.T)
-		buf = append(buf, f.Flags, f.Degraded)
-		buf = appendLinks(buf, f.Added)
-		buf = appendLinks(buf, f.Removed)
-		buf = appendLinks(buf, f.Changed)
-		buf = appendIDs(buf, f.Activated)
-		buf = appendIDs(buf, f.Deactivated)
+		buf = wire.BeginFrame(buf, uint8(FrameDiff))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = append(buf, f.Flags)
+		buf = constellation.AppendRecordWire(buf, f.Generation, &f.DiffRecord)
 	case *Ack:
-		t = FrameAck
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
-		buf = appendU64(buf, f.Digest)
+		buf = wire.BeginFrame(buf, uint8(FrameAck))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Generation)
+		buf = wire.AppendU64(buf, f.Digest)
 	case *Heartbeat:
-		t = FrameHeartbeat
-		buf = append(buf, byte(t))
-		buf = appendU64(buf, f.Generation)
+		buf = wire.BeginFrame(buf, uint8(FrameHeartbeat))
+		buf = wire.AppendU64(buf, f.Generation)
 	case *Bye:
-		t = FrameBye
-		buf = append(buf, byte(t))
-		buf = append(buf, f.Reason...)
+		buf = append(wire.BeginFrame(buf, uint8(FrameBye)), f.Reason...)
 	case *Propose:
-		t = FramePropose
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
+		buf = wire.BeginFrame(buf, uint8(FramePropose))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Generation)
 		buf = append(buf, f.Flags)
 	case *Applied:
-		t = FrameApplied
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
-		buf = appendU64(buf, f.Digest)
-		buf = appendU32(buf, f.Attempts)
-		buf = appendU32(buf, f.Retried)
+		buf = wire.BeginFrame(buf, uint8(FrameApplied))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Generation)
+		buf = wire.AppendU64(buf, f.Digest)
+		buf = wire.AppendU32(buf, f.Attempts)
+		buf = wire.AppendU32(buf, f.Retried)
 	case *Commit:
-		t = FrameCommit
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Agent)
-		buf = appendU64(buf, f.Generation)
-		buf = appendU64(buf, f.Digest)
+		buf = wire.BeginFrame(buf, uint8(FrameCommit))
+		buf = wire.AppendI32(buf, f.Agent)
+		buf = wire.AppendU64(buf, f.Generation)
+		buf = wire.AppendU64(buf, f.Digest)
 	case *Reassign:
-		t = FrameReassign
-		buf = append(buf, byte(t))
-		buf = appendI32(buf, f.Shard)
-		buf = appendU64(buf, f.Epoch)
-		buf = appendU64(buf, f.Generation)
+		buf = wire.BeginFrame(buf, uint8(FrameReassign))
+		buf = wire.AppendI32(buf, f.Shard)
+		buf = wire.AppendU64(buf, f.Epoch)
+		buf = wire.AppendU64(buf, f.Generation)
 	default:
-		return buf[:start], fmt.Errorf("hostlink: cannot encode %T", f)
+		return buf, fmt.Errorf("hostlink: cannot encode %T", f)
 	}
-	payload := len(buf) - start - 5 // sans prefix and type byte
-	if payload > MaxFramePayload {
+	if len(buf)-start-5 > MaxFramePayload { // sans prefix and type byte
 		return buf[:start], ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payload+1)) // +1: type byte
-	return buf, nil
+	return wire.EndFrame(buf, start), nil
 }
 
 // WriteFrame serializes f into buf (reusing its capacity) and writes the
@@ -520,74 +397,52 @@ func WriteFrame(w io.Writer, buf []byte, f any) ([]byte, error) {
 // decodes it into a freshly allocated frame value. It returns the decoded
 // frame, the (possibly grown) buffer, and the first error encountered.
 func ReadFrame(r io.Reader, buf []byte) (any, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	t, buf, err := wire.ReadFrame(r, buf)
+	if err != nil {
 		return nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 {
-		return nil, buf, errShortFrame
-	}
-	if n-1 > MaxFramePayload {
-		return nil, buf, ErrFrameTooLarge
-	}
-	payload := int(n) - 1
-	if cap(buf) < payload {
-		buf = make([]byte, payload)
-	}
-	buf = buf[:payload]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, err
-	}
-	f, err := decodeFrame(FrameType(hdr[4]), buf)
+	f, err := decodeFrame(FrameType(t), buf)
 	return f, buf, err
 }
 
 // decodeFrame decodes a payload of a known type.
 func decodeFrame(t FrameType, payload []byte) (any, error) {
-	rd := &reader{b: payload}
+	rd := wire.NewReader(payload)
 	switch t {
 	case FrameHello:
-		f := &Hello{Version: rd.u8(), Agent: rd.i32(), Cursor: rd.u64(), Digest: rd.u64(), Flags: rd.u8()}
-		f.Token = rd.str()
-		return f, rd.done()
+		f := &Hello{Version: rd.U8(), Agent: rd.I32(), Cursor: rd.U64(), Digest: rd.U64(), Flags: rd.U8(), Token: rd.Str()}
+		return f, rd.Done()
 	case FrameWelcome:
-		f := &Welcome{Version: rd.u8(), Agent: rd.i32(), Shards: rd.i32(), Generation: rd.u64(), Flags: rd.u8(), Seed: int64(rd.u64())}
-		return f, rd.done()
+		f := &Welcome{Version: rd.U8(), Agent: rd.I32(), Shards: rd.I32(), Generation: rd.U64(), Flags: rd.U8(), Seed: int64(rd.U64())}
+		return f, rd.Done()
 	case FrameSnapshot:
-		f := &Snapshot{Agent: rd.i32(), Generation: rd.u64(), Digest: rd.u64(), T: rd.f64()}
-		f.Active = rd.ids(nil)
-		f.Inactive = rd.ids(nil)
-		f.Links = rd.links(nil)
-		return f, rd.done()
+		f := &Snapshot{Agent: rd.I32(), Generation: rd.U64(), Digest: rd.U64(), T: rd.F64(),
+			Active: rd.I32s(), Inactive: rd.I32s(), Links: readLinks(rd)}
+		return f, rd.Done()
 	case FrameDiff:
-		f := &DiffFrame{Agent: rd.i32(), Generation: rd.u64(), T: rd.f64(), Flags: rd.u8(), Degraded: rd.u8()}
-		f.Added = rd.links(nil)
-		f.Removed = rd.links(nil)
-		f.Changed = rd.links(nil)
-		f.Activated = rd.ids(nil)
-		f.Deactivated = rd.ids(nil)
-		return f, rd.done()
+		f := &DiffFrame{Agent: rd.I32(), Flags: rd.U8()}
+		f.Generation, f.DiffRecord = constellation.ReadRecordWire(rd)
+		return f, rd.Done()
 	case FrameAck:
-		f := &Ack{Agent: rd.i32(), Generation: rd.u64(), Digest: rd.u64()}
-		return f, rd.done()
+		f := &Ack{Agent: rd.I32(), Generation: rd.U64(), Digest: rd.U64()}
+		return f, rd.Done()
 	case FrameHeartbeat:
-		f := &Heartbeat{Generation: rd.u64()}
-		return f, rd.done()
+		f := &Heartbeat{Generation: rd.U64()}
+		return f, rd.Done()
 	case FrameBye:
 		return &Bye{Reason: string(payload)}, nil
 	case FramePropose:
-		f := &Propose{Agent: rd.i32(), Generation: rd.u64(), Flags: rd.u8()}
-		return f, rd.done()
+		f := &Propose{Agent: rd.I32(), Generation: rd.U64(), Flags: rd.U8()}
+		return f, rd.Done()
 	case FrameApplied:
-		f := &Applied{Agent: rd.i32(), Generation: rd.u64(), Digest: rd.u64(), Attempts: rd.u32(), Retried: rd.u32()}
-		return f, rd.done()
+		f := &Applied{Agent: rd.I32(), Generation: rd.U64(), Digest: rd.U64(), Attempts: rd.U32(), Retried: rd.U32()}
+		return f, rd.Done()
 	case FrameCommit:
-		f := &Commit{Agent: rd.i32(), Generation: rd.u64(), Digest: rd.u64()}
-		return f, rd.done()
+		f := &Commit{Agent: rd.I32(), Generation: rd.U64(), Digest: rd.U64()}
+		return f, rd.Done()
 	case FrameReassign:
-		f := &Reassign{Shard: rd.i32(), Epoch: rd.u64(), Generation: rd.u64()}
-		return f, rd.done()
+		f := &Reassign{Shard: rd.I32(), Epoch: rd.U64(), Generation: rd.U64()}
+		return f, rd.Done()
 	default:
 		return nil, fmt.Errorf("hostlink: unknown frame type %d", uint8(t))
 	}
@@ -617,41 +472,32 @@ const ChainSeed uint64 = fnvOffset
 // FlagChanged/FlagActivity summaries are derivable, and loopback delivery
 // decisions must not perturb the chain — so a replica folding the frames
 // it receives lands on exactly the digest the coordinator computed for
-// that shard. Section tags separate the variable-length field groups.
+// that shard. Of a link delta the chain covers the endpoints and the new
+// delay quantum, the state a replica ends up in; BaseT and the path-cache
+// counters describe the producing tick, not the shard, and stay out.
+// Section tags separate the variable-length field groups.
 func FoldDiff(chain uint64, f *DiffFrame) uint64 {
 	h := fold64(chain, f.Generation)
 	h = fold64(h, math.Float64bits(f.T))
 	full := uint64(0)
-	if f.Flags&FlagFull != 0 {
+	if f.Full {
 		full = 1
 	}
 	h = fold64(h, full)
 	h = fold64(h, uint64(f.Degraded))
-	h = fold64(h, 0xA1)
-	for _, l := range f.Added {
-		h = foldLink(h, l)
+	for i, links := range [][]constellation.LinkDelta{f.Added, f.Removed, f.DelayChanged} {
+		h = fold64(h, 0xA1+uint64(i))
+		for _, l := range links {
+			h = fold64(h, uint64(uint32(l.A)))
+			h = fold64(h, uint64(uint32(l.B)))
+			h = fold64(h, uint64(uint32(l.NewQ)))
+		}
 	}
-	h = fold64(h, 0xA2)
-	for _, l := range f.Removed {
-		h = foldLink(h, l)
-	}
-	h = fold64(h, 0xA3)
-	for _, l := range f.Changed {
-		h = foldLink(h, l)
-	}
-	h = fold64(h, 0xA4)
-	for _, id := range f.Activated {
-		h = fold64(h, uint64(uint32(id)))
-	}
-	h = fold64(h, 0xA5)
-	for _, id := range f.Deactivated {
-		h = fold64(h, uint64(uint32(id)))
+	for i, ids := range [][]int32{f.Activated, f.Deactivated} {
+		h = fold64(h, 0xA4+uint64(i))
+		for _, id := range ids {
+			h = fold64(h, uint64(uint32(id)))
+		}
 	}
 	return fold64(h, 0xAF)
-}
-
-func foldLink(h uint64, l LinkState) uint64 {
-	h = fold64(h, uint64(uint32(l.A)))
-	h = fold64(h, uint64(uint32(l.B)))
-	return fold64(h, uint64(uint32(l.DelayQ)))
 }

@@ -2,7 +2,10 @@ package hostlink
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"celestial/internal/constellation"
 )
 
 // FuzzDecodeFrame hammers the frame decoder with arbitrary payloads for
@@ -19,9 +22,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		&Welcome{Version: ProtocolVersion, Agent: 1, Shards: 4, Generation: 7, Flags: HelloApply, Seed: 42},
 		&Snapshot{Agent: 2, Generation: 3, Digest: 11, T: 6,
 			Active: []int32{1}, Inactive: []int32{2}, Links: []LinkState{{A: 1, B: 2, DelayQ: 3}}},
-		&DiffFrame{Agent: 2, Generation: 4, T: 8, Flags: FlagChanged | FlagActivity, Degraded: 1,
-			Added: []LinkState{{A: 1, B: 2, DelayQ: 3}}, Removed: []LinkState{{A: 2, B: 3, DelayQ: -1}},
-			Activated: []int32{9}, Deactivated: []int32{7}},
+		&DiffFrame{Agent: 2, Generation: 4, Flags: FlagChanged | FlagActivity, DiffRecord: constellation.DiffRecord{
+			T: 8, BaseT: 6, Degraded: 1, CarriedPaths: 2,
+			Added:     []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 3}},
+			Removed:   []constellation.LinkDelta{{A: 2, B: 3, OldQ: 4, NewQ: -1}},
+			Activated: []int32{9}, Deactivated: []int32{7}}},
+		&DiffFrame{Agent: 1, Generation: 1, DiffRecord: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}},
 		&Ack{Agent: 1, Generation: 4, Digest: 2},
 		&Heartbeat{Generation: 4},
 		&Bye{Reason: "run complete"},

@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"celestial/internal/constellation"
 )
 
 func roundtrip(t *testing.T, f any) any {
@@ -33,12 +35,16 @@ func TestWireRoundtrip(t *testing.T) {
 			Links:    []LinkState{{A: 1, B: 2, DelayQ: 30}, {A: 2, B: 5, DelayQ: 12}},
 		},
 		&DiffFrame{
-			Agent: 3, Generation: 8, T: 16.5, Flags: FlagChanged | FlagActivity, Degraded: 2,
-			Added:       []LinkState{{A: 1, B: 3, DelayQ: 9}},
-			Removed:     []LinkState{{A: 1, B: 2, DelayQ: -1}},
-			Changed:     []LinkState{{A: 2, B: 5, DelayQ: 13}},
-			Activated:   []int32{3},
-			Deactivated: []int32{5},
+			Agent: 3, Generation: 8, Flags: FlagChanged | FlagActivity,
+			DiffRecord: constellation.DiffRecord{
+				T: 16.5, BaseT: 14.5, Degraded: 2,
+				CarriedPaths: 4, RepairedPaths: 2, RepairFallbacks: 1,
+				Added:        []constellation.LinkDelta{{A: 1, B: 3, OldQ: -1, NewQ: 9}},
+				Removed:      []constellation.LinkDelta{{A: 1, B: 2, OldQ: 30, NewQ: -1}},
+				DelayChanged: []constellation.LinkDelta{{A: 2, B: 5, OldQ: 12, NewQ: 13}},
+				Activated:    []int32{3},
+				Deactivated:  []int32{5},
+			},
 		},
 		&Ack{Agent: 3, Generation: 8, Digest: 0xabc},
 		&Heartbeat{Generation: 8},
@@ -94,9 +100,11 @@ func TestWireRejectsTruncatedAndOversized(t *testing.T) {
 	// past the payload.
 	var w2 bytes.Buffer
 	payload := binary.LittleEndian.AppendUint32(nil, 0)        // agent
+	payload = append(payload, 0)                               // frame flags
 	payload = binary.LittleEndian.AppendUint64(payload, 9)     // generation
-	payload = binary.LittleEndian.AppendUint64(payload, 0)     // T
-	payload = append(payload, 0, 0)                            // flags, degraded
+	payload = append(payload, make([]byte, 16)...)             // T, BaseT
+	payload = append(payload, 0, 0)                            // record flags, degraded
+	payload = append(payload, make([]byte, 12)...)             // path-cache counters
 	payload = binary.LittleEndian.AppendUint32(payload, 1<<30) // bogus count
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
 	w2.Write(hdr[:])
@@ -108,9 +116,12 @@ func TestWireRejectsTruncatedAndOversized(t *testing.T) {
 
 func TestFoldDiffIgnoresPolicyFlags(t *testing.T) {
 	f := &DiffFrame{
-		Generation: 3, T: 6, Flags: FlagChanged,
-		Added:     []LinkState{{A: 1, B: 2, DelayQ: 5}},
-		Activated: []int32{4},
+		Generation: 3, Flags: FlagChanged,
+		DiffRecord: constellation.DiffRecord{
+			T:         6,
+			Added:     []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 5}},
+			Activated: []int32{4},
+		},
 	}
 	base := FoldDiff(ChainSeed, f)
 	g := *f
@@ -120,14 +131,14 @@ func TestFoldDiffIgnoresPolicyFlags(t *testing.T) {
 	}
 	// Content must perturb it.
 	h := *f
-	h.Added = []LinkState{{A: 1, B: 2, DelayQ: 6}}
+	h.Added = []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 6}}
 	if FoldDiff(ChainSeed, &h) == base {
 		t.Error("changed content did not perturb the digest chain")
 	}
 	// Field-group boundaries matter: the same link under a different
 	// section must fold differently.
 	i := *f
-	i.Added, i.Changed = nil, f.Added
+	i.Added, i.DelayChanged = nil, f.Added
 	if FoldDiff(ChainSeed, &i) == base {
 		t.Error("moving a link between sections did not perturb the chain")
 	}

@@ -1,22 +1,20 @@
 package httpapi
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"celestial/internal/constellation"
 	"celestial/internal/hostlink"
+	"celestial/internal/wire"
 )
 
 // DiffContentType is the media type a /diff client puts in its Accept
 // header to negotiate the compact binary frame stream instead of JSON:
-// length-prefixed frames in the hostlink envelope convention
-// (u32 little-endian length | u8 frame type | payload), carrying one
-// constellation.DiffRecord wire payload per generation. Read replicas
-// follow this stream; its frames are encoded once per generation and the
-// same buffer is written to every subscriber.
+// internal/wire frames (u32 little-endian length | u8 frame type |
+// payload), carrying one constellation.DiffRecord wire payload per
+// generation. Read replicas follow this stream; its frames are encoded
+// once per generation and the same buffer is written to every subscriber.
 const DiffContentType = "application/x-celestial-diff"
 
 // StreamFrameType discriminates the binary /diff stream frames.
@@ -55,95 +53,56 @@ func BuildFrame(gen uint64, rec *constellation.DiffRecord) *Frame {
 	data := marshalDoc(f.Doc)
 	data = data[:len(data)-1] // SSE data lines carry no trailing newline
 	f.SSE = []byte(fmt.Sprintf("event: diff\nid: %d\ndata: %s\n\n", gen, data))
-	f.Bin = appendStreamEnvelope(nil, StreamFrameDiff, func(buf []byte) []byte {
-		return constellation.AppendRecordWire(buf, gen, rec)
-	})
+	bin := wire.BeginFrame(nil, uint8(StreamFrameDiff))
+	f.Bin = wire.EndFrame(constellation.AppendRecordWire(bin, gen, rec), 0)
 	return f
-}
-
-// appendStreamEnvelope appends one framed payload: the length prefix is
-// patched after the payload writer runs, exactly like hostlink frames
-// (length counts the type byte plus the payload).
-func appendStreamEnvelope(buf []byte, t StreamFrameType, payload func([]byte) []byte) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, byte(t))
-	if payload != nil {
-		buf = payload(buf)
-	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf
 }
 
 // AppendResyncStreamFrame appends a resync frame: the head generation to
 // resume from and the topology version at that head.
 func AppendResyncStreamFrame(buf []byte, gen, topoVer uint64) []byte {
-	return appendStreamEnvelope(buf, StreamFrameResync, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint64(b, gen)
-		return binary.LittleEndian.AppendUint64(b, topoVer)
-	})
+	start := len(buf)
+	buf = wire.BeginFrame(buf, uint8(StreamFrameResync))
+	buf = wire.AppendU64(buf, gen)
+	return wire.EndFrame(wire.AppendU64(buf, topoVer), start)
 }
 
 // keepaliveStreamFrame is the static keepalive frame; it never changes, so
 // one buffer serves every stream.
-var keepaliveStreamFrame = appendStreamEnvelope(nil, StreamFrameKeepalive, nil)
+var keepaliveStreamFrame = wire.EndFrame(wire.BeginFrame(nil, uint8(StreamFrameKeepalive)), 0)
 
-// StreamFrame is one decoded frame of the binary /diff stream.
+// StreamFrame is one decoded frame of the binary /diff stream. The
+// embedded Record holds the frame's generation (diff and resync frames)
+// and the decoded diff (diff frames only).
 type StreamFrame struct {
 	Type StreamFrameType
-	// Generation is the frame's generation (diff and resync frames).
-	Generation uint64
 	// TopologyVersion is the head topology version (resync frames only).
 	TopologyVersion uint64
-	// Record is the decoded diff (diff frames only).
-	Record constellation.DiffRecord
+	hostlink.Record
 }
-
-var errShortStreamFrame = errors.New("httpapi: truncated diff stream frame")
 
 // ReadStreamFrame reads and decodes one frame from the binary /diff
 // stream, reusing buf for the payload. It returns the decoded frame, the
-// (possibly grown) buffer, and the first error encountered; the hostlink
+// (possibly grown) buffer, and the first error encountered; the envelope's
 // payload size cap guards against corrupt length prefixes.
 func ReadStreamFrame(r io.Reader, buf []byte) (StreamFrame, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	t, buf, err := wire.ReadFrame(r, buf)
+	if err != nil {
 		return StreamFrame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 {
-		return StreamFrame{}, buf, errShortStreamFrame
-	}
-	if n-1 > hostlink.MaxFramePayload {
-		return StreamFrame{}, buf, hostlink.ErrFrameTooLarge
-	}
-	payload := int(n) - 1
-	if cap(buf) < payload {
-		buf = make([]byte, payload)
-	}
-	buf = buf[:payload]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return StreamFrame{}, buf, err
-	}
-	f := StreamFrame{Type: StreamFrameType(hdr[4])}
+	f := StreamFrame{Type: StreamFrameType(t)}
+	rd := wire.NewReader(buf)
 	switch f.Type {
 	case StreamFrameDiff:
-		gen, rec, err := constellation.DecodeRecordWire(buf)
-		if err != nil {
-			return StreamFrame{}, buf, err
-		}
-		f.Generation, f.Record = gen, rec
+		f.Generation, f.Diff = constellation.ReadRecordWire(rd)
 	case StreamFrameResync:
-		if payload != 16 {
-			return StreamFrame{}, buf, errShortStreamFrame
-		}
-		f.Generation = binary.LittleEndian.Uint64(buf)
-		f.TopologyVersion = binary.LittleEndian.Uint64(buf[8:])
+		f.Generation, f.TopologyVersion = rd.U64(), rd.U64()
 	case StreamFrameKeepalive:
-		if payload != 0 {
-			return StreamFrame{}, buf, errShortStreamFrame
-		}
 	default:
-		return StreamFrame{}, buf, fmt.Errorf("httpapi: unknown diff stream frame type %d", hdr[4])
+		return StreamFrame{}, buf, fmt.Errorf("httpapi: unknown diff stream frame type %d", t)
+	}
+	if err := rd.Done(); err != nil {
+		return StreamFrame{}, buf, err
 	}
 	return f, buf, nil
 }

@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"celestial/internal/constellation"
-	"celestial/internal/coordinator"
 	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
 )
@@ -13,28 +11,23 @@ import (
 // cannot drift from theirs. A shard replica tracks machine activity and
 // link delay quanta, not the constellation geometry, so the source is
 // deliberately partial: /info reports the replica's cursor and state
-// sizes, /diff replays the shard-scoped frames the agent retained, and
-// the geometry-derived documents (/shell, /gst, /path, per-satellite)
-// answer 404 — those questions belong to the coordinator.
+// sizes, /diff replays the shard's view of each diff record the agent
+// retained — the document, SSE event and binary frame the coordinator
+// would build for that filtered record — and the geometry-derived
+// documents (/shell, /gst, /path, per-satellite) answer 404: those
+// questions belong to the coordinator.
 type ReplicaSource struct {
 	rep    *hostlink.Replica
 	shard  int
-	frames *frameMirror
+	frames *frameMirror[*hostlink.DiffFrame]
 }
 
 // NewReplicaSource wraps one shard replica as a route-table Source.
 func NewReplicaSource(shard int, rep *hostlink.Replica) *ReplicaSource {
-	pull := func(cursor, epoch uint64) ([]coordinator.DiffEntry, uint64, uint64) {
-		diffs, from, now := rep.DiffsFrom(cursor, epoch)
-		entries := make([]coordinator.DiffEntry, len(diffs))
-		for i, d := range diffs {
-			entries[i] = coordinator.DiffEntry{Generation: d.Generation, Diff: recordOfWire(d)}
-		}
-		return entries, from, now
-	}
-	return &ReplicaSource{rep: rep, shard: shard, frames: &frameMirror{
-		updated: rep.UpdateChan, pull: pull,
-		log: difflog.New[*Frame](hostlink.ReplicaRetention),
+	return &ReplicaSource{rep: rep, shard: shard, frames: &frameMirror[*hostlink.DiffFrame]{
+		updated: rep.UpdateChan, pull: rep.DiffsFrom,
+		frame: func(f *hostlink.DiffFrame) *Frame { return BuildFrame(f.Generation, &f.DiffRecord) },
+		log:   difflog.New[*Frame](hostlink.ReplicaRetention),
 	}}
 }
 
@@ -91,25 +84,4 @@ func (rs *ReplicaSource) notTracked() ([]byte, int) {
 // resets the mirrored window with it.
 func (rs *ReplicaSource) Frames(since uint64) ([]*Frame, bool) {
 	return rs.frames.since(since)
-}
-
-// recordOfWire lifts a shard-scoped wire frame back into the diff-record
-// form the shared frame builder consumes. The wire carries new delay
-// quanta only, so the record's old-quantum fields and the path-cache
-// counters are zero — an agent's /diff stream describes its shard's
-// deltas, not the coordinator's global diff.
-func recordOfWire(f *hostlink.DiffFrame) constellation.DiffRecord {
-	rec := constellation.DiffRecord{T: f.T, Degraded: f.Degraded}
-	for _, l := range f.Added {
-		rec.Added = append(rec.Added, constellation.LinkDelta{A: int(l.A), B: int(l.B), NewQ: l.DelayQ})
-	}
-	for _, l := range f.Removed {
-		rec.Removed = append(rec.Removed, constellation.LinkDelta{A: int(l.A), B: int(l.B), OldQ: l.DelayQ})
-	}
-	for _, l := range f.Changed {
-		rec.DelayChanged = append(rec.DelayChanged, constellation.LinkDelta{A: int(l.A), B: int(l.B), NewQ: l.DelayQ})
-	}
-	rec.Activated = append(rec.Activated, f.Activated...)
-	rec.Deactivated = append(rec.Deactivated, f.Deactivated...)
-	return rec
 }

@@ -2,11 +2,19 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"celestial/internal/constellation"
+	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
 )
 
@@ -32,9 +40,11 @@ func feedReplica(t *testing.T, rep *hostlink.Replica, upTo uint64) {
 	}
 	for g := uint64(2); g <= upTo; g++ {
 		if err := rep.ApplyDiff(&hostlink.DiffFrame{
-			Agent: 2, Generation: g, T: float64(2 * g),
-			Changed:   []hostlink.LinkState{{A: 10, B: 11, DelayQ: int32(4 + g)}},
-			Activated: []int32{12},
+			Agent: 2, Generation: g, DiffRecord: constellation.DiffRecord{
+				T:            float64(2 * g),
+				DelayChanged: []constellation.LinkDelta{{A: 10, B: 11, OldQ: int32(3 + g), NewQ: int32(4 + g)}},
+				Activated:    []int32{12},
+			},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +138,8 @@ func restartedReplica(t *testing.T, rep *hostlink.Replica, first func()) *hostli
 		}
 	}
 	link := func(gen uint64, a, b int32) *hostlink.DiffFrame {
-		return &hostlink.DiffFrame{Agent: 2, Generation: gen, T: float64(gen),
-			Added: []hostlink.LinkState{{A: a, B: b, DelayQ: 3}}}
+		return &hostlink.DiffFrame{Agent: 2, Generation: gen, DiffRecord: constellation.DiffRecord{
+			T: float64(gen), Added: []constellation.LinkDelta{{A: int(a), B: int(b), OldQ: -1, NewQ: 3}}}}
 	}
 	apply(rep.ApplySnapshot(&hostlink.Snapshot{Agent: 2, Generation: 10, Digest: 0xa, Active: []int32{1, 2, 3, 4}}))
 	apply(rep.ApplyDiff(link(11, 1, 2)))
@@ -161,8 +171,7 @@ func TestReplicaSourceFramesFollowSnapshotResync(t *testing.T) {
 	if !ok || len(frames) != 1 || frames[0].Generation != 11 {
 		t.Fatalf("second run: Frames(10) = %v, %v; want generation 11", frames, ok)
 	}
-	rec := recordOfWire(second)
-	if want := BuildFrame(11, &rec); !bytes.Equal(frames[0].SSE, want.SSE) {
+	if want := BuildFrame(11, &second.DiffRecord); !bytes.Equal(frames[0].SSE, want.SSE) {
 		t.Errorf("Frames(10) after the resync served\n%swant the second run's\n%s", frames[0].SSE, want.SSE)
 	}
 	if bytes.Equal(frames[0].SSE, old.SSE) {
@@ -238,5 +247,180 @@ func TestAgentRouteTableAfterCoordinatorRestart(t *testing.T) {
 	}
 	if resp.Generation != 11 {
 		t.Errorf("next cursor = %d, want 11", resp.Generation)
+	}
+}
+
+// recordFeed is the smallest producer a hostlink.Fanout accepts: one
+// generation log under one lock, with the coordinator's contract — Advance
+// runs under the producer's lock, before any reader can see the append.
+type recordFeed struct {
+	mu  sync.Mutex
+	log *difflog.Log[hostlink.Record]
+}
+
+func (p *recordFeed) push(rec hostlink.Record, fo *hostlink.Fanout) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	*p.log.Append(rec.Generation) = rec
+	fo.Advance(rec)
+}
+
+func (p *recordFeed) head() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log.Head()
+}
+
+func (p *recordFeed) updated() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log.Wait()
+}
+
+func (p *recordFeed) replay(since uint64) ([]hostlink.Record, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log.Since(since)
+}
+
+func (p *recordFeed) snapshot(int) (*hostlink.Snapshot, error) {
+	return &hostlink.Snapshot{Generation: p.head()}, nil
+}
+
+type discardApplier struct{}
+
+func (discardApplier) ApplySnapshot(*hostlink.Snapshot) error { return nil }
+func (discardApplier) ApplyDiff(*hostlink.DiffFrame) error    { return nil }
+
+// wireFedReplica takes one record the whole way an agent's documents
+// travel — Fanout.Advance filters it for shard 1 of 2 (odd node IDs), the
+// remote writer encodes the frame onto a TCP connection, a hostlink.Agent
+// decodes it into its replica — and returns that replica, at generation 2,
+// with the shard's view of the record as the test works it out by hand.
+// The record has a link appearing, one disappearing and one changing delay
+// on the shard, one of each off it, and activity flips on both.
+func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) {
+	t.Helper()
+	feed := &recordFeed{log: difflog.New[hostlink.Record](8)}
+	fo, err := hostlink.New(hostlink.Config{
+		Shards:   2,
+		ShardOf:  func(node int) int { return node % 2 },
+		Appliers: []hostlink.Applier{discardApplier{}, discardApplier{}},
+		Now:      time.Now,
+		After:    func(time.Duration, func()) error { return nil },
+		Head:     feed.head, Updated: feed.updated, Replay: feed.replay, Snapshot: feed.snapshot,
+		Heartbeat: time.Second,
+	}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fo.Serve(ln)
+	ctx, cancel := context.WithCancel(context.Background())
+	rep := hostlink.NewReplica()
+	agent := &hostlink.Agent{ID: 1, Addr: ln.Addr().String(), Replica: rep, Heartbeat: time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = agent.Run(ctx) // nil on the fan-out's Bye, ctx's error otherwise
+	}()
+	t.Cleanup(func() {
+		fo.Close()
+		ln.Close()
+		cancel()
+		<-done
+	})
+
+	// The agent attaches from a snapshot of generation 1, then follows.
+	feed.push(hostlink.Record{Generation: 1, Diff: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}}, fo)
+	rec := constellation.DiffRecord{
+		T: 4, BaseT: 2, Degraded: 1, CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
+		Added:        []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}, {A: 0, B: 2, OldQ: -1, NewQ: 6}},
+		Removed:      []constellation.LinkDelta{{A: 2, B: 4, OldQ: 8, NewQ: -1}, {A: 4, B: 3, OldQ: 9, NewQ: -1}},
+		DelayChanged: []constellation.LinkDelta{{A: 5, B: 4, OldQ: 4, NewQ: 5}, {A: 6, B: 8, OldQ: 2, NewQ: 3}},
+		Activated:    []int32{2, 3},
+		Deactivated:  []int32{4},
+	}
+	view := rec
+	view.Added, view.Removed, view.DelayChanged = rec.Added[:1], rec.Removed[1:], rec.DelayChanged[:1]
+	view.Activated, view.Deactivated = []int32{3}, nil
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if gen, _ := rep.Cursor(); gen == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the agent never attached")
+		}
+	}
+	feed.push(hostlink.Record{Generation: 2, Diff: rec}, fo)
+	if !fo.WaitRemotes(5 * time.Second) {
+		t.Fatal("the agent never acked generation 2")
+	}
+	if err := fo.VerifyRemotes(); err != nil {
+		t.Fatal(err)
+	}
+	return rep, view
+}
+
+// TestReplicaSourceServesTheCoordinatorsDocuments is the regression test
+// of an agent contradicting its coordinator: the hostlink frame used to be
+// a format of its own that dropped each link's old delay, and the agent
+// rebuilt records from it with zeros — an appearing link read old_ms 0
+// instead of -1, a disappearing one new_ms 0, "a link that now takes 0 ms".
+// A frame is now the shard's view of the record, so all three forms an
+// agent serves equal what BuildFrame makes of that view.
+func TestReplicaSourceServesTheCoordinatorsDocuments(t *testing.T) {
+	rep, view := wireFedReplica(t)
+	frames, ok := NewReplicaSource(1, rep).Frames(1)
+	if !ok || len(frames) != 1 {
+		t.Fatalf("Frames(1) = %d frames, ok=%v; want generation 2 alone", len(frames), ok)
+	}
+	got, want := frames[0], BuildFrame(2, &view)
+	if !bytes.Equal(marshalDoc(got.Doc), marshalDoc(want.Doc)) {
+		t.Errorf("JSON document\n%swant\n%s", marshalDoc(got.Doc), marshalDoc(want.Doc))
+	}
+	if !bytes.Equal(got.SSE, want.SSE) {
+		t.Errorf("SSE event\n%swant\n%s", got.SSE, want.SSE)
+	}
+	if !bytes.Equal(got.Bin, want.Bin) {
+		t.Errorf("binary frame\n%x\nwant\n%x", got.Bin, want.Bin)
+	}
+	// The values the second format lost, spelled out.
+	q := func(n float64) float64 { return n * 0.1 } // one delay quantum is 0.1 ms
+	for _, c := range []struct {
+		list string
+		got  []LinkChange
+		want LinkChange
+	}{
+		{"added", got.Doc.Added, LinkChange{A: 1, B: 2, OldMs: -1, NewMs: q(7)}},
+		{"removed", got.Doc.Removed, LinkChange{A: 4, B: 3, OldMs: q(9), NewMs: -1}},
+		{"delay_changed", got.Doc.DelayChanged, LinkChange{A: 5, B: 4, OldMs: q(4), NewMs: q(5)}},
+	} {
+		if len(c.got) != 1 || c.got[0].A != c.want.A || c.got[0].B != c.want.B ||
+			math.Abs(c.got[0].OldMs-c.want.OldMs) > 1e-9 || math.Abs(c.got[0].NewMs-c.want.NewMs) > 1e-9 {
+			t.Errorf("%s = %+v, want [%+v]", c.list, c.got, c.want)
+		}
+	}
+	if !reflect.DeepEqual(got.Doc.Activated, []int32{3}) || len(got.Doc.Deactivated) != 0 {
+		t.Errorf("activity flips = +%v -%v, want +[3] -[]", got.Doc.Activated, got.Doc.Deactivated)
+	}
+}
+
+// TestAgentRouteTableServesTheCoordinatorsDocuments is the same case at
+// the route table celestial-agent -http serves: a /v1/diff client of the
+// agent reads the body the coordinator's route table would answer with for
+// the shard's view of the record.
+func TestAgentRouteTableServesTheCoordinatorsDocuments(t *testing.T) {
+	rep, view := wireFedReplica(t)
+	mux := http.NewServeMux()
+	s := RegisterRoutes(mux, NewReplicaSource(1, rep))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/diff?since=1", nil))
+	want := marshalDoc(DiffResponse{Generation: 2, TopologyVersion: 2, Diffs: []DiffDoc{diffDoc(2, &view)}})
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("GET /v1/diff?since=1 = %d\n%swant\n%s", rec.Code, rec.Body.Bytes(), want)
 	}
 }

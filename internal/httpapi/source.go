@@ -9,6 +9,7 @@ import (
 	"celestial/internal/coordinator"
 	"celestial/internal/difflog"
 	"celestial/internal/geom"
+	"celestial/internal/hostlink"
 	"celestial/internal/netem"
 	"celestial/internal/vnet"
 )
@@ -59,14 +60,15 @@ func errDoc(status int, format string, args ...any) ([]byte, int) {
 // subscribers.
 type CoordinatorSource struct {
 	c      *coordinator.Coordinator
-	frames *frameMirror
+	frames *frameMirror[hostlink.Record]
 }
 
 // NewCoordinatorSource wraps a coordinator as a route-table Source.
 func NewCoordinatorSource(c *coordinator.Coordinator) *CoordinatorSource {
-	return &CoordinatorSource{c: c, frames: &frameMirror{
+	return &CoordinatorSource{c: c, frames: &frameMirror[hostlink.Record]{
 		updated: c.UpdateChan, pull: c.DiffsFrom,
-		log: difflog.New[*Frame](c.RingStats().Capacity),
+		frame: func(e hostlink.Record) *Frame { return BuildFrame(e.Generation, &e.Diff) },
+		log:   difflog.New[*Frame](c.RingStats().Capacity),
 	}}
 }
 
@@ -290,17 +292,20 @@ func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
 }
 
 // frameMirror lazily mirrors a producer's retained diffs — the
-// coordinator's diff log, an agent replica's frame history — into the
-// shared serialized frames of the same generations: same window, same
-// cursor answers, brought up to date by the first call after the producer
-// changed. One mirror serves every subscriber of a source, so a
-// generation is serialized once however many cursors ask for it.
-type frameMirror struct {
+// coordinator's diff log (E is hostlink.Record), an agent replica's frame
+// history (E is *hostlink.DiffFrame) — into the shared serialized frames
+// of the same generations: same window, same cursor answers, brought up to
+// date by the first call after the producer changed. One mirror serves
+// every subscriber of a source, so a generation is serialized once however
+// many cursors ask for it.
+type frameMirror[E any] struct {
 	// updated returns the producer's wake channel, replaced whenever its
 	// log changes. pull copies out of the producer, under the producer's
-	// lock, what the mirror is missing (see difflog.Log.Tail).
+	// lock, what the mirror is missing (see difflog.Log.Tail); frame
+	// serializes one of those entries.
 	updated func() <-chan struct{}
-	pull    func(cursor, epoch uint64) (entries []coordinator.DiffEntry, from, now uint64)
+	pull    func(cursor, epoch uint64) (entries []E, from, now uint64)
+	frame   func(E) *Frame
 
 	mu  sync.Mutex
 	log *difflog.Log[*Frame]
@@ -321,7 +326,7 @@ type frameMirror struct {
 // subscribers must not force later clients to resync. Frames are built
 // after pull has returned, outside the producer's lock: serializing a
 // Gen2 diff takes milliseconds and must not hold up the next update.
-func (m *frameMirror) since(cursor uint64) ([]*Frame, bool) {
+func (m *frameMirror[E]) since(cursor uint64) ([]*Frame, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// The channel is read before the pull: a change that lands after the
@@ -333,9 +338,9 @@ func (m *frameMirror) since(cursor uint64) ([]*Frame, bool) {
 			m.log.Reset(from)
 			m.epoch = epoch
 		}
-		for i := range entries {
-			e := &entries[i]
-			*m.log.Append(e.Generation) = BuildFrame(e.Generation, &e.Diff)
+		for _, e := range entries {
+			f := m.frame(e)
+			*m.log.Append(f.Generation) = f
 		}
 		m.seen = ch
 	}

@@ -90,7 +90,7 @@ func TestBinaryDiffStream(t *testing.T) {
 		// Re-encoding the wire record through the shared converter must
 		// reproduce the JSON document exactly — the replica byte-identity
 		// keystone.
-		doc := diffDoc(f.Generation, &f.Record)
+		doc := diffDoc(f.Generation, &f.Diff)
 		if !reflect.DeepEqual(doc, ref.Diffs[i]) {
 			t.Errorf("frame %d decodes to %+v, JSON replay has %+v", i, doc, ref.Diffs[i])
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"celestial/internal/constellation"
 	"celestial/internal/hostlink"
 	"celestial/internal/httpapi"
 )
@@ -54,7 +55,7 @@ func TestCursorConformance(t *testing.T) {
 		}
 		for i := range entries {
 			e := &entries[i]
-			if err := agent.ApplyDiff(&hostlink.DiffFrame{Generation: e.Generation, T: e.Diff.T}); err != nil {
+			if err := agent.ApplyDiff(&hostlink.DiffFrame{Generation: e.Generation, DiffRecord: constellation.DiffRecord{T: e.Diff.T}}); err != nil {
 				t.Fatal(err)
 			}
 			reader.applyFrame(e.Generation, &e.Diff)

@@ -42,13 +42,13 @@ import (
 
 	"celestial/internal/constellation"
 	"celestial/internal/difflog"
-	"celestial/internal/hostlink"
 	"celestial/internal/httpapi"
+	"celestial/internal/wire"
 )
 
-// maxDocBytes caps a proxied document read, sharing the hostlink frame
+// maxDocBytes caps a proxied document read, sharing the stream frames'
 // size cap: a corrupt or hostile upstream must not balloon replica memory.
-const maxDocBytes = hostlink.MaxFramePayload
+const maxDocBytes = wire.MaxFramePayload
 
 // Options configures a Replica.
 type Options struct {
@@ -308,7 +308,7 @@ func (r *Replica) followOnce(ctx context.Context) error {
 		}
 		switch f.Type {
 		case httpapi.StreamFrameDiff:
-			r.applyFrame(f.Generation, &f.Record)
+			r.applyFrame(f.Generation, &f.Diff)
 		case httpapi.StreamFrameResync:
 			r.resync(f.Generation, f.TopologyVersion)
 		case httpapi.StreamFrameKeepalive:

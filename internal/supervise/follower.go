@@ -122,6 +122,9 @@ func followerRung(l Level) int {
 	}
 }
 
+// Config returns the ladder's configuration with defaults applied.
+func (f *Follower) Config() FollowerConfig { return f.cfg }
+
 // Level returns the current rung without recording an observation.
 func (f *Follower) Level() Level { return f.level }
 
