@@ -23,6 +23,7 @@ import (
 	"celestial/internal/orbit"
 	"celestial/internal/stats"
 	"celestial/internal/supervise"
+	"celestial/internal/vnet"
 )
 
 // runReport executes one experiment per benchmark iteration and fails the
@@ -468,6 +469,69 @@ func BenchmarkTickUpdateRepair(b *testing.B) {
 	}
 	b.Run("repair", func(b *testing.B) { run(b, true) })
 	b.Run("recompute", func(b *testing.B) { run(b, false) })
+}
+
+// vnetBatch is how many events or messages one iteration of the two vnet
+// benchmarks below handles, so that allocs/op stays a whole number — and
+// zero — at CI's -benchtime 1x.
+const vnetBatch = 1000
+
+// runBatches times batch once per iteration, after one untimed call has
+// grown the queue and its slabs.
+func runBatches(b *testing.B, batch func()) {
+	batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
+	}
+	b.StopTimer()
+}
+
+// BenchmarkSimEvents is the event engine's allocation gate, in the shape of
+// bench/replay.go's vnet.event_ns: one iteration schedules a batch of
+// callbacks 1..vnetBatch ns ahead and steps the queue empty. The callback
+// is prebuilt, so anything counted is boxing or a closure on the engine's
+// own path.
+func BenchmarkSimEvents(b *testing.B) {
+	sim := vnet.NewSim(time.Unix(0, 0))
+	fired := 0
+	fn := func() { fired++ }
+	runBatches(b, func() {
+		for j := 0; j < vnetBatch; j++ {
+			if err := sim.At(sim.Now().Add(time.Duration(j+1)), fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for sim.Step() {
+		}
+	})
+	if want := (b.N + 1) * vnetBatch; fired != want {
+		b.Fatalf("fired %d events, want %d", fired, want)
+	}
+}
+
+// BenchmarkNetworkSend is the message path's allocation gate, in the shape
+// of vnet.send_ns: a nil-payload Send over a fixed two-node topology and
+// the Step that delivers it, a batch per iteration.
+func BenchmarkNetworkSend(b *testing.B) {
+	sim := vnet.NewSim(time.Unix(0, 0))
+	net := vnet.NewNetwork(sim, vnet.StaticTopology{
+		Latency: map[int]map[int]float64{0: {1: 0.010}, 1: {0: 0.010}},
+	}, 1)
+	got := 0
+	net.Handle(1, func(vnet.Message) { got++ })
+	runBatches(b, func() {
+		for j := 0; j < vnetBatch; j++ {
+			if err := net.Send(0, 1, 256, nil); err != nil {
+				b.Fatal(err)
+			}
+			sim.Step()
+		}
+	})
+	if want := (b.N + 1) * vnetBatch; got != want {
+		b.Fatalf("delivered %d messages, want %d", got, want)
+	}
 }
 
 // BenchmarkFig10IridiumTopology regenerates Fig. 10: the Iridium

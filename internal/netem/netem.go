@@ -102,17 +102,22 @@ func QuantizeLatency(s float64) float64 {
 	return float64(LatencyQuanta(s)) * DelayQuantumSeconds
 }
 
-// Delivery is the outcome of transmitting one packet.
+// Delivery is the outcome of transmitting one packet. It is a plain value:
+// the delivery times are stored inline, so a Transmit allocates nothing and
+// two Deliveries never share storage.
 type Delivery struct {
-	// Arrivals lists the delivery times; empty when the packet was
-	// lost, two entries when it was duplicated.
-	Arrivals []time.Time
+	at [2]time.Time
+	n  int
 	// Corrupted marks payload corruption (netem corrupt).
 	Corrupted bool
 }
 
+// Arrivals lists the delivery times: empty when the packet was lost, two
+// entries when it was duplicated. The slice views d's own storage.
+func (d *Delivery) Arrivals() []time.Time { return d.at[:d.n] }
+
 // Lost reports whether the packet was dropped.
-func (d Delivery) Lost() bool { return len(d.Arrivals) == 0 }
+func (d Delivery) Lost() bool { return d.n == 0 }
 
 // Shaper emulates one link direction. It is not safe for concurrent use;
 // the virtual network serializes access per link.
@@ -185,12 +190,12 @@ func (s *Shaper) Transmit(now time.Time, sizeBytes int) Delivery {
 		arrival = arrival.Add(s.params.ReorderExtraDelay)
 	}
 
-	d := Delivery{Arrivals: []time.Time{arrival}}
+	d := Delivery{at: [2]time.Time{arrival}, n: 1}
 	if s.params.CorruptProb > 0 && s.rng.Float64() < s.params.CorruptProb {
 		d.Corrupted = true
 	}
 	if s.params.DupProb > 0 && s.rng.Float64() < s.params.DupProb {
-		d.Arrivals = append(d.Arrivals, arrival.Add(DelayQuantum))
+		d.at[1], d.n = arrival.Add(DelayQuantum), 2
 	}
 	return d
 }

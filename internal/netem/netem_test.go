@@ -60,10 +60,10 @@ func TestQuantizeDelay(t *testing.T) {
 func TestPureDelay(t *testing.T) {
 	s := mustShaper(t, Params{Delay: 8 * time.Millisecond})
 	d := s.Transmit(t0, 1000)
-	if d.Lost() || d.Corrupted || len(d.Arrivals) != 1 {
+	if d.Lost() || d.Corrupted || len(d.Arrivals()) != 1 {
 		t.Fatalf("delivery = %+v", d)
 	}
-	if got := d.Arrivals[0].Sub(t0); got != 8*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 8*time.Millisecond {
 		t.Errorf("arrival after %v, want 8ms", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestPureDelay(t *testing.T) {
 func TestDelayQuantized(t *testing.T) {
 	s := mustShaper(t, Params{Delay: 8*time.Millisecond + 33*time.Microsecond})
 	d := s.Transmit(t0, 10)
-	if got := d.Arrivals[0].Sub(t0); got != 8*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 8*time.Millisecond {
 		t.Errorf("arrival after %v, want quantized 8ms", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	// 8000 bits at 1000 kbps = 8 ms serialization.
 	s := mustShaper(t, Params{BandwidthKbps: 1000})
 	d := s.Transmit(t0, 1000)
-	if got := d.Arrivals[0].Sub(t0); got != 8*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 8*time.Millisecond {
 		t.Errorf("arrival after %v, want 8ms", got)
 	}
 }
@@ -91,10 +91,10 @@ func TestQueueingBehindEarlierPackets(t *testing.T) {
 	// behind the first (8 ms serialization each).
 	d1 := s.Transmit(t0, 1000)
 	d2 := s.Transmit(t0, 1000)
-	if got := d1.Arrivals[0].Sub(t0); got != 9*time.Millisecond {
+	if got := d1.Arrivals()[0].Sub(t0); got != 9*time.Millisecond {
 		t.Errorf("first arrival after %v, want 9ms", got)
 	}
-	if got := d2.Arrivals[0].Sub(t0); got != 17*time.Millisecond {
+	if got := d2.Arrivals()[0].Sub(t0); got != 17*time.Millisecond {
 		t.Errorf("second arrival after %v, want 17ms", got)
 	}
 	// The link reports itself busy until serialization finishes.
@@ -107,12 +107,44 @@ func TestQueueingBehindEarlierPackets(t *testing.T) {
 	}
 }
 
+// TestDeliveriesDoNotAlias: a Delivery owns its arrival times. Later
+// transmissions, and copies of the value, leave them alone, and a Transmit
+// allocates nothing to hold them.
+func TestDeliveriesDoNotAlias(t *testing.T) {
+	s := mustShaper(t, Params{BandwidthKbps: 1000, Delay: time.Millisecond, DupProb: 1})
+	d1 := s.Transmit(t0, 1000)
+	want := append([]time.Time(nil), d1.Arrivals()...)
+	view := d1.Arrivals()
+	copied := d1
+	d2 := s.Transmit(t0, 1000)
+	copied.Arrivals()[0] = time.Time{}
+	if len(want) != 2 || len(d2.Arrivals()) != 2 {
+		t.Fatalf("arrivals = %d and %d, want 2 each (dup)", len(want), len(d2.Arrivals()))
+	}
+	for i := range want {
+		if !view[i].Equal(want[i]) || !d1.Arrivals()[i].Equal(want[i]) {
+			t.Errorf("arrival %d of the first delivery changed to %v, was %v", i, d1.Arrivals()[i], want[i])
+		}
+		if d2.Arrivals()[i].Equal(want[i]) {
+			t.Errorf("arrival %d of the queued packet equals the first packet's", i)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		d := s.Transmit(t0, 10)
+		if len(d.Arrivals()) != 2 {
+			t.Fatal("lost a packet")
+		}
+	}); a != 0 {
+		t.Errorf("Transmit allocates %v per packet", a)
+	}
+}
+
 func TestQueueDrainsOverTime(t *testing.T) {
 	s := mustShaper(t, Params{BandwidthKbps: 1000})
 	s.Transmit(t0, 1000) // occupies link until t0+8ms
 	// A packet sent at t0+8ms does not queue.
 	d := s.Transmit(t0.Add(8*time.Millisecond), 1000)
-	if got := d.Arrivals[0].Sub(t0); got != 16*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 16*time.Millisecond {
 		t.Errorf("arrival after %v, want 16ms", got)
 	}
 }
@@ -125,7 +157,7 @@ func TestUnlimitedBandwidth(t *testing.T) {
 	// Packets do not queue.
 	d1 := s.Transmit(t0, 1<<20)
 	d2 := s.Transmit(t0, 1<<20)
-	if !d1.Arrivals[0].Equal(d2.Arrivals[0]) {
+	if !d1.Arrivals()[0].Equal(d2.Arrivals()[0]) {
 		t.Error("packets queued despite unlimited bandwidth")
 	}
 }
@@ -155,10 +187,10 @@ func TestLoss(t *testing.T) {
 func TestDuplication(t *testing.T) {
 	s := mustShaper(t, Params{DupProb: 1, Delay: time.Millisecond})
 	d := s.Transmit(t0, 100)
-	if len(d.Arrivals) != 2 {
-		t.Fatalf("arrivals = %d, want 2", len(d.Arrivals))
+	if len(d.Arrivals()) != 2 {
+		t.Fatalf("arrivals = %d, want 2", len(d.Arrivals()))
 	}
-	if !d.Arrivals[1].After(d.Arrivals[0]) {
+	if !d.Arrivals()[1].After(d.Arrivals()[0]) {
 		t.Error("duplicate does not trail original")
 	}
 }
@@ -175,7 +207,7 @@ func TestReorderAddsDelay(t *testing.T) {
 		Delay: time.Millisecond, ReorderProb: 1, ReorderExtraDelay: 5 * time.Millisecond,
 	})
 	d := s.Transmit(t0, 10)
-	if got := d.Arrivals[0].Sub(t0); got != 6*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 6*time.Millisecond {
 		t.Errorf("reordered arrival after %v, want 6ms", got)
 	}
 }
@@ -184,7 +216,7 @@ func TestJitterBounds(t *testing.T) {
 	s := mustShaper(t, Params{Delay: 2 * time.Millisecond, Jitter: time.Millisecond})
 	for i := 0; i < 1000; i++ {
 		d := s.Transmit(t0, 10)
-		got := d.Arrivals[0].Sub(t0)
+		got := d.Arrivals()[0].Sub(t0)
 		if got < time.Millisecond || got > 3*time.Millisecond {
 			t.Fatalf("jittered arrival after %v, outside [1ms, 3ms]", got)
 		}
@@ -195,7 +227,7 @@ func TestJitterNeverNegative(t *testing.T) {
 	s := mustShaper(t, Params{Delay: 100 * time.Microsecond, Jitter: time.Millisecond})
 	for i := 0; i < 1000; i++ {
 		d := s.Transmit(t0, 10)
-		if d.Arrivals[0].Before(t0) {
+		if d.Arrivals()[0].Before(t0) {
 			t.Fatal("arrival before send")
 		}
 	}
@@ -209,7 +241,7 @@ func TestUpdateKeepsQueueState(t *testing.T) {
 	}
 	d := s.Transmit(t0, 1000)
 	// Still queues behind the pre-update packet, then new delay applies.
-	if got := d.Arrivals[0].Sub(t0); got != 20*time.Millisecond {
+	if got := d.Arrivals()[0].Sub(t0); got != 20*time.Millisecond {
 		t.Errorf("arrival after %v, want 20ms", got)
 	}
 	if err := s.Update(Params{Delay: -1}); err == nil {
@@ -230,7 +262,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		da := a.Transmit(t0, 100)
 		db := b.Transmit(t0, 100)
-		if len(da.Arrivals) != len(db.Arrivals) {
+		if len(da.Arrivals()) != len(db.Arrivals()) {
 			t.Fatal("same-seed shapers diverged")
 		}
 	}

@@ -21,7 +21,7 @@ func TestArrivalNeverBeforeSend(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			d := s.Transmit(t0, int(size))
-			for _, at := range d.Arrivals {
+			for _, at := range d.Arrivals() {
 				if at.Before(t0) {
 					return false
 				}
@@ -53,10 +53,10 @@ func TestFIFOWithoutReorder(t *testing.T) {
 			if d.Lost() {
 				return false // no loss configured
 			}
-			if !last.IsZero() && d.Arrivals[0].Before(last) {
+			if !last.IsZero() && d.Arrivals()[0].Before(last) {
 				return false
 			}
-			last = d.Arrivals[0]
+			last = d.Arrivals()[0]
 		}
 		return true
 	}, &quick.Config{MaxCount: 200})
@@ -79,7 +79,7 @@ func TestThroughputRespectsBandwidth(t *testing.T) {
 		var lastArrival time.Time
 		for i := 0; i < count; i++ {
 			d := s.Transmit(t0, size)
-			lastArrival = d.Arrivals[0]
+			lastArrival = d.Arrivals()[0]
 		}
 		elapsed := lastArrival.Sub(t0).Seconds()
 		bits := float64(count * size * 8)

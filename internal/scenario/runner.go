@@ -41,6 +41,11 @@ type flowState struct {
 	src, dst int
 	rng      *rng.Stream
 
+	// arrive is the one event callback of the flow, re-armed for every
+	// arrival; nextAt is the arrival it is armed for.
+	arrive func()
+	nextAt time.Time
+
 	nextID  uint64
 	pending map[uint64]time.Time
 
@@ -150,6 +155,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 			rng:     rng.New(rng.Derive(sc.Seed, uint64(i))),
 			pending: map[uint64]time.Time{},
 		}
+		fs.arrive = fs.onArrival
 		r.flows = append(r.flows, fs)
 		for _, node := range []int{src, dst} {
 			if !handled[node] {
@@ -254,13 +260,19 @@ func (f *flowState) armNext(from time.Time) error {
 	if at.After(f.r.epoch.Add(f.cfg.Stop)) {
 		return nil
 	}
-	return f.r.sim.At(at, func() {
-		f.fire(at)
-		// Scheduling forward from a just-executed event cannot fail.
-		if err := f.armNext(at); err != nil {
-			panic(fmt.Sprintf("scenario: rescheduling flow %q: %v", f.cfg.Name, err))
-		}
-	})
+	f.nextAt = at
+	return f.r.sim.At(at, f.arrive)
+}
+
+// onArrival is the flow's event callback: it sends the arrival it was armed
+// for and arms the next one.
+func (f *flowState) onArrival() {
+	at := f.nextAt
+	f.fire(at)
+	// Scheduling forward from a just-executed event cannot fail.
+	if err := f.armNext(at); err != nil {
+		panic(fmt.Sprintf("scenario: rescheduling flow %q: %v", f.cfg.Name, err))
+	}
 }
 
 // fire sends one arrival.

@@ -177,3 +177,55 @@ rate = 2.0
 		t.Errorf("rpc flow idle: %+v", rep.Flows[0])
 	}
 }
+
+// TestFlowArrivalAllocatesNoClosure: a flow re-arms its one arrival
+// callback, and vnet queues arrivals and deliveries without boxing, so in
+// steady state a CBR stream costs no allocation per event. (The latency
+// sample slice grows by doubling, which rounds to zero per event.)
+func TestFlowArrivalAllocatesNoClosure(t *testing.T) {
+	sc, err := Parse(strings.NewReader(`
+name = "cbr-allocs"
+seed = 1
+horizon = 2.0
+
+[[flow]]
+name = "ticker"
+type = "stream"
+source = "accra"
+target = "johannesburg"
+arrival = "cbr"
+rate = 2000.0
+request_bytes = 100
+` + testbedTOML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f := r.flows[0]
+	if err := f.schedule(); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up past the first deliveries: path cached, shaper built, queue
+	// and slabs at their steady size.
+	for i := 0; i < 500; i++ {
+		r.sim.Step()
+	}
+	if f.sent < 100 || f.delivered < 100 || f.sendErrors != 0 {
+		t.Fatalf("warm-up: sent %d delivered %d errors %d", f.sent, f.delivered, f.sendErrors)
+	}
+	sent := f.sent
+	// 1,001 events are a quarter of a virtual second: no update tick (2 s
+	// resolution) falls inside the measurement.
+	if a := testing.AllocsPerRun(1000, func() { r.sim.Step() }); a != 0 {
+		t.Errorf("%v allocations per event", a)
+	}
+	if f.sent-sent < 400 {
+		t.Errorf("only %d arrivals among the measured events", f.sent-sent)
+	}
+}

@@ -63,10 +63,21 @@ var (
 	ErrNoHandler = errors.New("vnet: destination has no handler")
 )
 
-// pairState is the cached per-directed-pair link state: the shaper (nil
-// while the pair has never been reachable) and the topology version its
+// node is what the network keeps per node: the registered handler (nil
+// while unregistered) and the link state of every directed pair the node
+// has sent on, by destination. A node exists once it was passed to Handle
+// or was the source of a Send, whatever its ID.
+type node struct {
+	handler Handler
+	out     map[int]*pairState
+}
+
+// pairState is the cached per-directed-pair link state: the destination
+// (so a Send reaches its handler without a lookup), the shaper (nil while
+// the pair has never been reachable) and the topology version its
 // parameters were refreshed at. ok caches reachability for that version.
 type pairState struct {
+	dst     *node
 	shaper  *netem.Shaper
 	version uint64
 	ok      bool
@@ -87,10 +98,8 @@ type pairState struct {
 type Network struct {
 	sim  *Sim
 	topo Topology
-	// handlers by node ID.
-	handlers map[int]Handler
-	// pairs holds per directed node pair link state, created lazily.
-	pairs map[[2]int]*pairState
+	// nodes by ID; per directed pair link state hangs off its source.
+	nodes map[int]*node
 	// impair is added on top of topology delay/bandwidth (loss etc.).
 	impair netem.Params
 	// bwCapKbps, when positive, clamps every path's bandwidth below the
@@ -120,12 +129,11 @@ type Network struct {
 // jitter models reproducible.
 func NewNetwork(sim *Sim, topo Topology, seed int64) *Network {
 	return &Network{
-		sim:      sim,
-		topo:     topo,
-		handlers: map[int]Handler{},
-		pairs:    map[[2]int]*pairState{},
-		seed:     seed,
-		version:  1,
+		sim:     sim,
+		topo:    topo,
+		nodes:   map[int]*node{},
+		seed:    seed,
+		version: 1,
 	}
 }
 
@@ -152,9 +160,11 @@ func (n *Network) InvalidatePaths() { n.version++ }
 // one host shard's shapers without forcing every other shard's pairs to
 // re-read the topology.
 func (n *Network) InvalidatePairsIf(pred func(from, to int) bool) {
-	for key, ps := range n.pairs {
-		if pred(key[0], key[1]) {
-			ps.version = 0
+	for from, src := range n.nodes {
+		for to, ps := range src.out {
+			if pred(from, to) {
+				ps.version = 0
+			}
 		}
 	}
 }
@@ -237,8 +247,19 @@ func (n *Network) shaperOp(op func() error) error {
 }
 
 // Handle registers the message handler of a node, replacing any previous
-// one.
-func (n *Network) Handle(node int, h Handler) { n.handlers[node] = h }
+// one. A nil handler unregisters the node: sending to it fails with
+// ErrNoHandler.
+func (n *Network) Handle(id int, h Handler) { n.node(id).handler = h }
+
+// node returns the state of a node, creating it on first use.
+func (n *Network) node(id int) *node {
+	nd := n.nodes[id]
+	if nd == nil {
+		nd = &node{}
+		n.nodes[id] = nd
+	}
+	return nd
+}
 
 // Stats returns how many messages were delivered and dropped so far.
 func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dropped }
@@ -257,10 +278,6 @@ func (n *Network) Send(from, to int, sizeBytes int, payload any) error {
 	if !n.topo.NodeActive(from) || !n.topo.NodeActive(to) {
 		return fmt.Errorf("%w: %d -> %d", ErrSuspended, from, to)
 	}
-	handler, ok := n.handlers[to]
-	if !ok {
-		return fmt.Errorf("%w: node %d", ErrNoHandler, to)
-	}
 	ps, err := n.pair(from, to)
 	if err != nil {
 		return err
@@ -269,45 +286,60 @@ func (n *Network) Send(from, to int, sizeBytes int, payload any) error {
 		return fmt.Errorf("%w: %d -> %d", ErrUnreachable, from, to)
 	}
 	now := n.sim.Now()
-	delivery := ps.shaper.Transmit(now, sizeBytes)
-	if delivery.Lost() {
+	tx := ps.shaper.Transmit(now, sizeBytes)
+	if tx.Lost() {
 		n.dropped++
 		return nil // loss is silent, like the real network
 	}
-	for _, at := range delivery.Arrivals {
-		msg := Message{
+	for _, at := range tx.Arrivals() {
+		// The handler is the one registered now, at send time.
+		if err := n.sim.deliver(delivery{handler: ps.dst.handler, net: n, msg: Message{
 			From: from, To: to, SizeBytes: sizeBytes, Payload: payload,
-			SentAt: now, DeliveredAt: at, Corrupted: delivery.Corrupted,
-		}
-		if err := n.sim.At(at, func() {
-			n.delivered++
-			handler(msg)
-		}); err != nil {
+			SentAt: now, DeliveredAt: at, Corrupted: tx.Corrupted,
+		}}); err != nil {
 			return fmt.Errorf("vnet: scheduling delivery: %w", err)
 		}
 	}
 	return nil
 }
 
-// pair returns the pair's link state, refreshed from the topology when the
-// pair is behind the current version: reachability is re-read, and the
-// shaper parameters updated only when they actually changed. Pairs at the
-// current version return without touching the topology at all.
+// pair returns the link state of a directed pair whose destination has a
+// handler (ErrNoHandler otherwise, before the topology is consulted),
+// refreshed when it is behind the current topology version. The state is
+// created on the first Send.
 func (n *Network) pair(from, to int) (*pairState, error) {
-	key := [2]int{from, to}
-	ps, ok := n.pairs[key]
-	if !ok {
-		ps = &pairState{}
-		n.pairs[key] = ps
-	} else if ps.version == n.version {
-		return ps, nil
+	src := n.node(from)
+	ps := src.out[to]
+	if ps == nil {
+		dst := n.nodes[to]
+		if dst == nil || dst.handler == nil {
+			return nil, fmt.Errorf("%w: node %d", ErrNoHandler, to)
+		}
+		if src.out == nil {
+			src.out = map[int]*pairState{}
+		}
+		ps = &pairState{dst: dst}
+		src.out[to] = ps
+	} else if ps.dst.handler == nil {
+		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, to)
 	}
+	if ps.version != n.version {
+		if err := n.refresh(ps, from, to); err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
+}
 
+// refresh re-reads the pair's path from the topology: reachability is
+// re-read, and the shaper parameters updated only when they actually
+// changed. Send skips it while the pair is at the current version.
+func (n *Network) refresh(ps *pairState, from, to int) error {
 	pi := n.topo.PathInfo(from, to)
 	if !pi.OK || math.IsInf(pi.LatencyS, 1) {
 		ps.ok = false
 		ps.version = n.version
-		return ps, nil
+		return nil
 	}
 	params := n.impair
 	params.Delay = netem.QuantizeDelay(time.Duration(pi.LatencyS * float64(time.Second)))
@@ -327,16 +359,16 @@ func (n *Network) pair(from, to int) (*pairState, error) {
 			ps.shaper = s
 			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	} else if params != ps.shaper.Params() {
 		if err := n.shaperOp(func() error { return ps.shaper.Update(params) }); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	ps.ok = true
 	ps.version = n.version
-	return ps, nil
+	return nil
 }
 
 // StaticTopology is a fixed Topology, useful for tests and for modeling

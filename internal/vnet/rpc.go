@@ -70,9 +70,11 @@ func (r *RPC) HandleRequests(fn func(Request) (payload any, sizeBytes int)) {
 	r.handler = fn
 }
 
-// Call sends a request of the given size and invokes done exactly once:
-// with the response, or with ErrTimeout after the deadline, or immediately
-// with a send error. Must be called from the simulation goroutine.
+// Call sends a request of the given size. When it returns nil, done is
+// invoked exactly once: with the response, or with ErrTimeout after the
+// deadline. When the timeout is not positive or the send fails, Call
+// returns the error and done is never invoked; nothing stays outstanding.
+// Must be called from the simulation goroutine.
 func (r *RPC) Call(to int, sizeBytes int, payload any, timeout time.Duration, done func(Response)) error {
 	if timeout <= 0 {
 		return fmt.Errorf("vnet: rpc timeout must be positive, have %v", timeout)

@@ -131,11 +131,24 @@ func TestRPCSendErrorSurfacesImmediately(t *testing.T) {
 	n := NewNetwork(s, StaticTopology{Latency: map[int]map[int]float64{}}, 1)
 	client := NewRPC(n, s, 0)
 	NewRPC(n, s, 1)
-	if err := client.Call(1, 10, "x", time.Second, func(Response) {}); !errors.Is(err, ErrUnreachable) {
+	called := 0
+	done := func(Response) { called++ }
+	if err := client.Call(1, 10, "x", time.Second, done); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
-	if err := client.Call(1, 10, "x", 0, func(Response) {}); err == nil {
+	if err := client.Call(1, 10, "x", 0, done); err == nil {
 		t.Error("accepted zero timeout")
+	}
+	// A failed Call is reported by its return value alone: nothing is
+	// left outstanding and no timeout is armed, so done never runs.
+	if client.Pending() != 0 || s.Pending() != 0 {
+		t.Errorf("after failed calls: %d requests outstanding, %d events queued", client.Pending(), s.Pending())
+	}
+	if _, err := s.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if called != 0 {
+		t.Errorf("done ran %d times for calls that returned an error", called)
 	}
 }
 

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
@@ -473,6 +474,27 @@ func TestParseSatRef(t *testing.T) {
 			t.Errorf("ParseSatRef(%q) parsed, want rejection", ref)
 		}
 	}
+}
+
+// FuzzParseSatRef: the parser never panics, and whatever it accepts has
+// two non-negative parts and exactly one spelling — the one the testbed
+// prints — so no two strings name the same node.
+func FuzzParseSatRef(f *testing.F) {
+	for _, ref := range []string{"878.0", "0.4", "007.2", "1.+0", "-1.0", "1..0", "99999999999999999999.0", "１.0", ""} {
+		f.Add(ref)
+	}
+	f.Fuzz(func(t *testing.T, ref string) {
+		sat, shell, ok := ParseSatRef(ref)
+		if !ok {
+			return
+		}
+		if sat < 0 || shell < 0 {
+			t.Fatalf("ParseSatRef(%q) = (%d, %d): negative index", ref, sat, shell)
+		}
+		if back := fmt.Sprintf("%d.%d", sat, shell); back != ref {
+			t.Fatalf("ParseSatRef(%q) = (%d, %d), which spells %q", ref, sat, shell, back)
+		}
+	})
 }
 
 func TestShaperRetryRecoversInjectedFaults(t *testing.T) {
