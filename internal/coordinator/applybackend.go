@@ -55,9 +55,10 @@ func (b *hostBackend) NoteUpdate() {
 }
 
 // AdoptSnapshot implements applyengine.Backend. The loopback shard's
-// authoritative state is the coordinator's own, so adopting a snapshot
-// reduces to a full activity sweep against the current state (the engine
-// has already invalidated the shard's paths).
+// authoritative state is the coordinator's own, so the snapshot it is
+// handed is a header and adopting it reduces to a full activity sweep
+// against the current state (the engine has already invalidated the
+// shard's paths).
 func (b *hostBackend) AdoptSnapshot(*hostlink.Snapshot) error {
 	return b.SweepActivity()
 }

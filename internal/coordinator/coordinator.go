@@ -194,8 +194,10 @@ func (c *Coordinator) SetDiffRetention(n int) error {
 
 // RingStats describes the diff retention ring: its capacity, current
 // fill, how many retained entries were evicted by newer generations, and
-// how many DiffsSince calls missed the window and forced the caller into
-// a full-state resync.
+// how many clients' cursors missed the window and were sent back to full
+// state: /diff subscribers and remote agents. A loopback shard's own
+// resync never asks the ring (it replays the fan-out tier's marks); the
+// shard's snapshot_resyncs, in the same /agents document, counts those.
 type RingStats struct {
 	Capacity      int    `json:"capacity"`
 	Length        int    `json:"length"`

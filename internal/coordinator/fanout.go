@@ -73,8 +73,10 @@ func (c *Coordinator) Fanout() *hostlink.Fanout { return c.fo }
 func (c *Coordinator) FanoutOptions() FanoutOptions { return c.foOpts }
 
 // buildFanout constructs the fan-out tier: shard layout, loopback
-// appliers, and the producer callbacks that make agent resyncs work
-// exactly like /diff clients.
+// appliers, and the producer callbacks its wall-clock plane reads records
+// and snapshots through, so remote agents resync exactly like /diff
+// clients. The loopback shards need none of them: they hear of a
+// generation through Advance (see update) and heal from the tier's marks.
 func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	shards := o.Agents
 	if shards <= 0 {
@@ -156,8 +158,9 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 }
 
 // shardSnapshot builds a shard's full state at the current generation —
-// the resync document a rejoining agent adopts when the retention ring
-// has moved past its cursor.
+// the resync document a reconnecting remote agent adopts when the
+// retention ring has moved past its cursor. A loopback shard never asks
+// for it: its backend sweeps against the coordinator's own state.
 func (c *Coordinator) shardSnapshot(shard int) (*hostlink.Snapshot, error) {
 	st, gen, release := c.LeaseStateGen()
 	defer release()

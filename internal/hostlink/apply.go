@@ -15,7 +15,8 @@ type ApplyResult struct {
 // ResultApplier is an Applier that reports a digest for its last applied
 // generation. Appliers that implement it participate in the commit
 // protocol: the fan-out tier records their results and compares them
-// against the Applied frames remote agents return.
+// against the Applied frames remote agents return. Both sides compute
+// that digest from the same input, a header-only frame (see Applier).
 type ResultApplier interface {
 	Applier
 	LastResult() ApplyResult

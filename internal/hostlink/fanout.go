@@ -33,9 +33,13 @@ type Record struct {
 	Diff       constellation.DiffRecord
 }
 
-// Applier consumes a shard's frame stream. The loopback applier translates
-// policy flags into path invalidation and machine-activity sweeps on the
-// in-process hosts; a remote replica rebuilds shard state from content.
+// Applier consumes a shard's frame stream. A loopback applier
+// (Config.Appliers) translates policy flags into path invalidation and
+// machine-activity sweeps on the in-process hosts, and is handed header-only
+// values: a DiffFrame carrying Agent, Generation, Flags and Full, a Snapshot
+// carrying Agent, Generation and Digest — the shape a Propose gives a remote
+// agent's engine. Only a Replica, fed from the wire, receives content and
+// rebuilds shard state from it.
 type Applier interface {
 	ApplySnapshot(s *Snapshot) error
 	ApplyDiff(f *DiffFrame) error
@@ -61,9 +65,12 @@ type Config struct {
 	Now   func() time.Time
 	After func(d time.Duration, fn func()) error
 
-	// Head returns the newest generation; Updated returns a channel
-	// closed when it advances; Replay returns the retained records
-	// after a cursor (nil, false when the ring has evicted it);
+	// Head, Updated, Replay and Snapshot are the wall-clock plane's view
+	// of the producer, called from remote writer goroutines only (the
+	// virtual plane hears of a generation through Advance and of nothing
+	// else). Head returns the newest generation; Updated returns a
+	// channel closed when it advances; Replay returns the retained
+	// records after a cursor (nil, false when the ring has evicted it);
 	// Snapshot builds a shard's full state at head. These mirror the
 	// /diff information service's contract so agents resync exactly
 	// like diff clients.
@@ -176,10 +183,11 @@ type shard struct {
 	rndFn    func() float64
 	sendOp   func() error
 
-	// scratch is the shard's frame for the current generation, built by
-	// Advance and reused across ticks; it is cloned only when delivery
-	// is deferred (delay faults, queued backlog).
+	// scratch is the shard's view of the newest generation, built by
+	// Advance to fold the digest chain and reused across ticks; next is
+	// what Distribute delivers of it.
 	scratch DiffFrame
+	next    offer
 
 	applied uint64 // consumed cursor
 	chain   uint64 // digest chain at head (coordinator side)
@@ -190,8 +198,8 @@ type shard struct {
 	pendingInvalidate bool
 	pendingActivity   bool
 
-	// queue holds deferred frames (delay faults) in arrival order.
-	queue []queuedFrame
+	// queue holds deferred offers (delay faults) in arrival order.
+	queue []queuedOffer
 
 	down      bool
 	dead      bool
@@ -208,15 +216,25 @@ type shard struct {
 	lastErr    error
 }
 
-type queuedFrame struct {
-	f   *DiffFrame
+// offer is what the virtual plane delivers of one generation to one shard:
+// everything the degradation policy reads and nothing else. content is the
+// shard's FlagChanged|FlagActivity; the diff's lists stay with the producer
+// and the wire.
+type offer struct {
+	gen     uint64
+	content uint8
+	full    bool
+}
+
+type queuedOffer struct {
+	o   offer
 	due time.Time
 }
 
 // Fanout is the coordinator-side fan-out tier: it owns per-shard delivery
-// state, applies frames through the loopback appliers on the simulation
-// goroutine, and (optionally) serves the same frame stream to remote
-// agents over TCP.
+// state, steps each generation's offer through the loopback appliers on the
+// simulation goroutine (the virtual plane), and (optionally) serves the
+// generations' content to remote agents over TCP (the wall-clock plane).
 type Fanout struct {
 	cfg    Config
 	shards []*shard
@@ -229,11 +247,12 @@ type Fanout struct {
 	// with remote writer goroutines. Loopback delivery state is owned by
 	// the simulation goroutine and needs no lock.
 	mu sync.Mutex
-	// marks retains, per generation, one mark per shard: the shard's
-	// chain digest (what an agent's Ack is verified against) and the
-	// loopback engine's apply result (what its Applied is verified
-	// against). Advance appends a generation, so the log's head is the
-	// fan-out tier's; recordResult completes its marks.
+	// marks retains, per generation, one mark per shard: the offer the
+	// virtual plane replays a gap from, the shard's chain digest (what an
+	// agent's Ack is verified against) and the loopback engine's apply
+	// result (what its Applied is verified against). Advance appends a
+	// generation, so the log's head is the fan-out tier's; recordResult
+	// completes its marks.
 	marks *difflog.Log[[]shardMark]
 
 	remotes   map[int]*remote
@@ -242,26 +261,25 @@ type Fanout struct {
 	// remoteOwner[shard] is the agent serving the shard's remote stream
 	// (wall-clock plane, identity while every agent is attached);
 	// remoteEpoch counts reassignments and deadShard marks shards whose
-	// agent died on the virtual plane (never reclaimable). fallback and
-	// applyMismatch are the commit protocol's wall-clock counters,
-	// indexed by shard.
-	remoteOwner   []int
-	remoteEpoch   []uint64
-	deadShard     []bool
-	fallback      []int
-	applyMismatch []int
+	// agent died on the virtual plane (never reclaimable). fallback is
+	// the commit protocol's wall-clock counter, indexed by shard.
+	remoteOwner []int
+	remoteEpoch []uint64
+	deadShard   []bool
+	fallback    []int
 	// statsSnap is the per-tick copy of the shard counters published for
 	// concurrent readers (the /agents endpoint); the live counters are
 	// owned by the simulation goroutine.
 	statsSnap []ShardStats
 }
 
-// shardMark is one shard's commit-protocol record of one generation: the
+// shardMark is one shard's record of one generation: its offer, the
 // digest chain after folding the generation's frame and, once the
 // loopback engine applied it, the engine's commit digest and the
 // effective policy flags it executed. flags is never zero for a recorded
 // result, so flags == 0 reads "nothing was applied for this generation".
 type shardMark struct {
+	offer
 	chain  uint64
 	result uint64
 	flags  uint8
@@ -270,8 +288,10 @@ type shardMark struct {
 var errFrameDropped = errors.New("hostlink: injected frame drop")
 
 // New builds a Fanout whose marks log retains retention generations. The
-// producer passes its own diff retention, so every generation Replay can
-// still serve also still has its digests.
+// producer passes its own diff retention and appends to both logs in one
+// critical section (see Advance), so the two answer every cursor alike:
+// a generation Replay can still serve still has its digests, and the
+// virtual plane replays or snapshots exactly where a /diff client would.
 func New(cfg Config, retention int) (*Fanout, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("hostlink: %d shards", cfg.Shards)
@@ -296,16 +316,15 @@ func New(cfg Config, retention int) (*Fanout, error) {
 		cfg.ApplyWindow = 1
 	}
 	fo := &Fanout{
-		cfg:           cfg,
-		shards:        make([]*shard, cfg.Shards),
-		marks:         difflog.New[[]shardMark](retention),
-		remotes:       make(map[int]*remote),
-		ackNotify:     make(chan struct{}),
-		remoteOwner:   make([]int, cfg.Shards),
-		remoteEpoch:   make([]uint64, cfg.Shards),
-		deadShard:     make([]bool, cfg.Shards),
-		fallback:      make([]int, cfg.Shards),
-		applyMismatch: make([]int, cfg.Shards),
+		cfg:         cfg,
+		shards:      make([]*shard, cfg.Shards),
+		marks:       difflog.New[[]shardMark](retention),
+		remotes:     make(map[int]*remote),
+		ackNotify:   make(chan struct{}),
+		remoteOwner: make([]int, cfg.Shards),
+		remoteEpoch: make([]uint64, cfg.Shards),
+		deadShard:   make([]bool, cfg.Shards),
+		fallback:    make([]int, cfg.Shards),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
@@ -344,16 +363,18 @@ func sendOK() error { return nil }
 func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 
 // Advance folds one new generation into every shard's digest chain and
-// builds the per-shard scratch frames. The producer must call it for
-// every generation, in order, before waking replay readers — the marks
-// are what remote writers verify acks against. Each shard scans the
-// whole record for its share and owns its frame and chain, so the shards
-// are built side by side.
+// marks it: the per-shard offers the virtual plane delivers and replays,
+// the digests remote writers verify acks against. The producer must call
+// it for every generation, in order, on the simulation goroutine, in the
+// critical section that retains the record and before waking replay
+// readers. Each shard scans the whole record for its share and owns its
+// view and chain, so the shards are built side by side.
 func (fo *Fanout) Advance(rec Record) {
 	par.For(len(fo.shards), func(lo, hi int) {
 		for _, s := range fo.shards[lo:hi] {
 			fo.buildFrameInto(&s.scratch, s.id, &rec)
 			s.chain = FoldDiff(s.chain, &s.scratch)
+			s.next = offer{gen: rec.Generation, content: s.scratch.Flags, full: rec.Diff.Full}
 		}
 	})
 	fo.mu.Lock()
@@ -362,7 +383,7 @@ func (fo *Fanout) Advance(rec Record) {
 		*marks = make([]shardMark, len(fo.shards))
 	}
 	for _, s := range fo.shards {
-		(*marks)[s.id] = shardMark{chain: s.chain}
+		(*marks)[s.id] = shardMark{offer: s.next, chain: s.chain}
 	}
 	fo.mu.Unlock()
 }
@@ -375,14 +396,6 @@ func (fo *Fanout) markAt(shard int, gen uint64) (shardMark, bool) {
 		return shardMark{}, false
 	}
 	return (*marks)[shard], true
-}
-
-// digestAt returns shard's chain digest at gen, if still retained.
-func (fo *Fanout) digestAt(shard int, gen uint64) (uint64, bool) {
-	fo.mu.Lock()
-	defer fo.mu.Unlock()
-	m, ok := fo.markAt(shard, gen)
-	return m.chain, ok
 }
 
 // buildFrameInto fills dst with the shard's view of rec, reusing dst's
@@ -428,13 +441,6 @@ func appendViewIDs(dst, ids []int32, shardOf func(int) int, shard int) []int32 {
 	return dst
 }
 
-// cloneFrame deep-copies a frame for deferred delivery.
-func cloneFrame(f *DiffFrame) *DiffFrame {
-	c := *f
-	c.DiffRecord = f.DiffRecord.Clone()
-	return &c
-}
-
 // Distribute delivers the generation prepared by the last Advance call to
 // every shard's loopback applier, under the per-shard fault pipeline and
 // degradation ladder. level is the global watchdog rung for this tick.
@@ -451,12 +457,12 @@ func (fo *Fanout) Distribute(level supervise.Level) error {
 			continue
 		}
 		// Lag before this frame: generations produced but not consumed.
-		lag := int(s.scratch.Generation - 1 - s.applied)
+		lag := int(s.next.gen - 1 - s.applied)
 		if lag < 0 {
 			lag = 0
 		}
 		s.level = s.ladder.Observe(lag)
-		if err := fo.send(s, &s.scratch); err != nil {
+		if err := fo.send(s, s.next); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -494,15 +500,15 @@ func (s *shard) counters(fallback int) ShardStats {
 	return st
 }
 
-// send runs the wire-send fault pipeline for one frame: drop injection
+// send runs the wire-send fault pipeline for one offer: drop injection
 // under the retry policy (virtual backoff), then delay and duplicate
 // draws, then delivery or enqueueing.
-func (fo *Fanout) send(s *shard, f *DiffFrame) error {
+func (fo *Fanout) send(s *shard, o offer) error {
 	res := retry.Do(fo.cfg.Retry, s.rndFn, s.sendOp)
 	s.retryStats.Record(res)
 	if res.Err != nil {
-		// The frame is lost; the gap is healed from the retention ring
-		// when the next frame lands.
+		// The offer is lost; the gap is healed from the marks log when
+		// the next one lands.
 		s.stats.Dropped++
 		return nil
 	}
@@ -512,114 +518,105 @@ func (fo *Fanout) send(s *shard, f *DiffFrame) error {
 		s.stats.Delayed++
 	}
 	dup := fo.cfg.DupRate > 0 && s.faultRnd.Float64() < fo.cfg.DupRate
-	if dup {
-		s.stats.Duplicated++
+	ship := func() error {
+		switch {
+		case delayed:
+			return fo.defer_(s, o, fo.cfg.Delay)
+		case len(s.queue) > 0:
+			// Order behind offers still in flight.
+			return fo.defer_(s, o, 0)
+		}
+		fo.deliver(s, o)
+		return nil
 	}
-	var err error
-	if delayed {
-		err = fo.defer_(s, f, fo.cfg.Delay)
-	} else if len(s.queue) > 0 {
-		// Order behind frames still in flight.
-		err = fo.defer_(s, f, 0)
-	} else {
-		fo.deliver(s, f)
-	}
+	err := ship()
 	if dup {
 		// The duplicate ships on the same schedule; delivery discards it
 		// by cursor.
-		if delayed {
-			err = errors.Join(err, fo.defer_(s, f, fo.cfg.Delay))
-		} else if len(s.queue) > 0 {
-			err = errors.Join(err, fo.defer_(s, f, 0))
-		} else {
-			fo.deliver(s, f)
-		}
+		s.stats.Duplicated++
+		err = errors.Join(err, ship())
 	}
 	return err
 }
 
-// defer_ schedules a cloned frame for later delivery on the simulation
-// clock.
-func (fo *Fanout) defer_(s *shard, f *DiffFrame, d time.Duration) error {
-	qf := queuedFrame{f: cloneFrame(f), due: fo.cfg.Now().Add(d)}
-	s.queue = append(s.queue, qf)
+// defer_ schedules an offer for later delivery on the simulation clock.
+func (fo *Fanout) defer_(s *shard, o offer, d time.Duration) error {
+	s.queue = append(s.queue, queuedOffer{o: o, due: fo.cfg.Now().Add(d)})
 	return fo.cfg.After(d, func() {
-		fo.drainDue(s)
+		fo.drain(s, false)
 	})
 }
 
-// drainDue delivers every queued frame whose due time has arrived, in
-// arrival order.
-func (fo *Fanout) drainDue(s *shard) {
+// drain delivers the shard's queued offers in arrival order: those whose
+// due time has arrived, or with all set (the end-of-run settlement) every
+// one of them. A down shard has none: Kill empties the queue and nothing
+// is sent to a shard that is down.
+func (fo *Fanout) drain(s *shard, all bool) {
 	now := fo.cfg.Now()
-	for len(s.queue) > 0 {
-		qf := s.queue[0]
-		if qf.due.After(now) {
-			return
-		}
+	for len(s.queue) > 0 && (all || !s.queue[0].due.After(now)) {
+		o := s.queue[0].o
 		s.queue = s.queue[1:]
-		if len(s.queue) == 0 {
-			// Let the backing array go once drained so retained clones
-			// do not pin each other.
-			s.queue = nil
-		}
-		if !s.down {
-			fo.deliver(s, qf.f)
-		}
+		fo.deliver(s, o)
 	}
 }
 
-// deliver hands one frame to the shard pipeline: duplicates are discarded
-// by cursor, gaps healed from the retention ring, in-order frames applied
+// deliver hands one offer to the shard pipeline: duplicates are discarded
+// by cursor, gaps healed from the marks log, in-order offers applied
 // under the shard's effective degradation level.
-func (fo *Fanout) deliver(s *shard, f *DiffFrame) {
+func (fo *Fanout) deliver(s *shard, o offer) {
 	switch {
-	case f.Generation <= s.applied:
+	case o.gen <= s.applied:
 		return // duplicate or superseded by a resync
-	case f.Generation != s.applied+1:
+	case o.gen != s.applied+1:
 		fo.resync(s)
 	default:
-		fo.applyFrame(s, f)
-		s.applied = f.Generation
+		fo.applyFrame(s, o)
+		s.applied = o.gen
 	}
 }
 
-// resync heals a shard whose next in-order frame is missing: replay the
-// retained generations after its cursor, or adopt a full snapshot when
-// the ring has evicted the cursor.
+// resync brings a shard that is behind head up to it: replay the retained
+// offers after its cursor, or adopt a snapshot when the log has evicted
+// the cursor — difflog's cursor table on a log with the producer's
+// retention, so the choice is the one a /diff client at that cursor gets.
+// A shard already at head is left alone.
 func (fo *Fanout) resync(s *shard) {
-	recs, ok := fo.cfg.Replay(s.applied)
+	fo.mu.Lock()
+	head := fo.marks.Head()
+	gens, ok := fo.marks.Since(s.applied)
+	// The log's slots are refilled in place; copy this shard's offers out
+	// from under the lock, which applyFrame's recordResult takes again.
+	offers := make([]offer, len(gens))
+	for i, marks := range gens {
+		offers[i] = marks[s.id].offer
+	}
+	m, _ := fo.markAt(s.id, head)
+	fo.mu.Unlock()
+	if s.applied == head {
+		return
+	}
 	if ok {
 		s.stats.Resyncs++
-		var frame DiffFrame
-		for i := range recs {
-			fo.buildFrameInto(&frame, s.id, &recs[i])
-			fo.applyFrame(s, &frame)
-			s.applied = recs[i].Generation
+		for _, o := range offers {
+			fo.applyFrame(s, o)
+			s.applied = o.gen
 			s.stats.Replayed++
 		}
 		return
 	}
-	// The ring no longer covers the cursor: full-state resync, exactly
-	// like a /diff client that fell too far behind.
+	// The log no longer covers the cursor: full-state resync, exactly
+	// like a /diff client that fell too far behind. A loopback applier's
+	// state is the producer's own, so the snapshot is its header.
 	s.stats.SnapshotResyncs++
-	snap, err := fo.cfg.Snapshot(s.id)
-	if err != nil {
-		s.stats.ApplyErrors++
-		s.lastErr = err
-		return
-	}
-	if d, ok := fo.digestAt(s.id, snap.Generation); ok {
-		snap.Digest = d
-	}
+	snap := &Snapshot{Agent: int32(s.id), Generation: head, Digest: m.chain}
 	if err := s.applier.ApplySnapshot(snap); err != nil {
 		s.stats.ApplyErrors++
 		s.lastErr = err
 		return
 	}
-	fo.recordResult(s, snap.Generation, FlagInvalidate|FlagSweep)
+	fo.recordResult(s, head, FlagInvalidate|FlagSweep)
 	// A snapshot is authoritative: all carried debt is settled by it.
-	s.applied = snap.Generation
+	s.applied = head
 	s.pendingInvalidate = false
 	s.pendingActivity = false
 }
@@ -642,45 +639,45 @@ func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 }
 
 // applyFrame runs the per-shard degradation policy — the sharded version
-// of the coordinator's former global distribute step — and hands the
-// effective frame to the applier with policy flags set.
-func (fo *Fanout) applyFrame(s *shard, f *DiffFrame) {
+// of the coordinator's former global distribute step — over one offer and
+// hands the applier the generation's header with the policy flags set.
+func (fo *Fanout) applyFrame(s *shard, o offer) {
 	level := s.level
 	if fo.level > level {
 		level = fo.level
 	}
-	needInvalidate := f.Flags&FlagChanged != 0 || s.pendingInvalidate
-	needActivity := f.Flags&FlagActivity != 0 || f.Full || s.pendingActivity
-	eff := *f
+	needInvalidate := o.content&FlagChanged != 0 || s.pendingInvalidate
+	needActivity := o.content&FlagActivity != 0 || o.full || s.pendingActivity
+	var policy uint8
 	if level >= supervise.LevelCoalesce {
 		s.pendingInvalidate = needInvalidate
 	} else if needInvalidate {
-		eff.Flags |= FlagInvalidate
+		policy |= FlagInvalidate
 		s.pendingInvalidate = false
 	}
-	sweep := false
 	switch {
 	case level == supervise.LevelCoalesce:
 		s.pendingActivity = needActivity
 		s.stats.Coalesced++
 	case needActivity:
-		eff.Flags |= FlagSweep
+		policy |= FlagSweep
 		s.pendingActivity = false
-		sweep = true
-	case f.Flags&FlagChanged != 0 && level < supervise.LevelCoalesce:
-		eff.Flags |= FlagNote
+	case o.content&FlagChanged != 0 && level < supervise.LevelCoalesce:
+		policy |= FlagNote
 	}
 	if level == supervise.LevelActivityOnly {
 		s.stats.ActivityOnly++
 	}
-	if eff.Flags&(FlagInvalidate|FlagSweep|FlagNote) == 0 {
+	if policy == 0 {
 		return // nothing to do this generation
 	}
-	defer fo.recordResult(s, eff.Generation, eff.Flags&(FlagInvalidate|FlagSweep|FlagNote))
-	if err := s.applier.ApplyDiff(&eff); err != nil {
+	defer fo.recordResult(s, o.gen, policy)
+	f := DiffFrame{Agent: int32(s.id), Generation: o.gen, Flags: o.content | policy}
+	f.Full = o.full
+	if err := s.applier.ApplyDiff(&f); err != nil {
 		s.stats.ApplyErrors++
 		s.lastErr = err
-		if sweep {
+		if policy&FlagSweep != 0 {
 			// The sweep did not complete; carry it so the next frame
 			// converges the shard.
 			s.pendingActivity = true
@@ -688,25 +685,17 @@ func (fo *Fanout) applyFrame(s *shard, f *DiffFrame) {
 	}
 }
 
-// Converge drains every live shard's in-flight frames and heals cursor
-// gaps from the ring — the end-of-run settlement, so a frame lost on the
-// final generation cannot leave a shard behind head in the report. Must
-// run on the simulation goroutine after the last Distribute.
+// Converge drains every live shard's in-flight offers and heals cursor
+// gaps from the marks log — the end-of-run settlement, so an offer lost on
+// the final generation cannot leave a shard behind head in the report.
+// Must run on the simulation goroutine after the last Distribute.
 func (fo *Fanout) Converge() {
-	head := fo.cfg.Head()
 	for _, s := range fo.shards {
 		if s.down {
 			continue
 		}
-		for len(s.queue) > 0 {
-			qf := s.queue[0]
-			s.queue = s.queue[1:]
-			fo.deliver(s, qf.f)
-		}
-		s.queue = nil
-		if s.applied < head {
-			fo.resync(s)
-		}
+		fo.drain(s, true)
+		fo.resync(s)
 	}
 	fo.publishStats()
 }
@@ -746,10 +735,8 @@ func (fo *Fanout) rebalance(s *shard) {
 	fo.mu.Unlock()
 	fo.wakeAcks()
 	// Heal the generations buffered while the agent was down, exactly
-	// like a rejoin: ring replay, snapshot past eviction.
-	if s.applied < fo.cfg.Head() {
-		fo.resync(s)
-	}
+	// like a rejoin: replay, snapshot past eviction.
+	fo.resync(s)
 }
 
 // survivorFor picks the lowest live agent other than shard, or -1 when
@@ -802,9 +789,7 @@ func (fo *Fanout) Rejoin(agent int) error {
 	s.down = false
 	s.stats.Down = false
 	s.stats.Rejoined++
-	if s.applied < fo.cfg.Head() {
-		fo.resync(s)
-	}
+	fo.resync(s)
 	return nil
 }
 

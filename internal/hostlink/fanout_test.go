@@ -1,6 +1,7 @@
 package hostlink
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -101,8 +102,12 @@ func (m *memSource) Snapshot(shard int) (*Snapshot, error) {
 	return &Snapshot{Generation: head, T: float64(head)}, nil
 }
 
-// recApplier records the frames a shard's loopback applier received.
+// recApplier records the frames a shard's loopback applier received, and
+// fails the test when one carries content: the virtual plane delivers
+// headers — the {Agent, Generation, Flags} an Agent builds from a Propose,
+// plus Full — and the diff's lists, times and counters stay with the wire.
 type recApplier struct {
+	t     testing.TB
 	gens  []uint64
 	flags []uint8
 	snaps []uint64
@@ -110,11 +115,19 @@ type recApplier struct {
 }
 
 func (a *recApplier) ApplySnapshot(s *Snapshot) error {
+	if s.T != 0 || len(s.Active)+len(s.Inactive)+len(s.Links) != 0 {
+		a.t.Errorf("loopback snapshot at generation %d carries content: %+v", s.Generation, s)
+	}
 	a.snaps = append(a.snaps, s.Generation)
 	return a.err
 }
 
 func (a *recApplier) ApplyDiff(f *DiffFrame) error {
+	r := &f.DiffRecord
+	if r.T != 0 || r.BaseT != 0 || r.CarriedPaths != 0 || r.RepairedPaths != 0 || r.RepairFallbacks != 0 ||
+		len(r.Added)+len(r.Removed)+len(r.DelayChanged)+len(r.Activated)+len(r.Deactivated) != 0 {
+		a.t.Errorf("loopback frame at generation %d carries content: %+v", f.Generation, r)
+	}
 	a.gens = append(a.gens, f.Generation)
 	a.flags = append(a.flags, f.Flags)
 	return a.err
@@ -140,7 +153,7 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 	}
 	appliers := make([]Applier, shards)
 	for i := range appliers {
-		a := &recApplier{}
+		a := &recApplier{t: t}
 		h.apps = append(h.apps, a)
 		appliers[i] = a
 	}
@@ -497,5 +510,102 @@ func TestFanoutDeterminism(t *testing.T) {
 	}
 	if a[0].Digest == 0 || a[0].Digest == a[1].Digest {
 		t.Errorf("shard digests suspicious: %016x vs %016x", a[0].Digest, a[1].Digest)
+	}
+}
+
+// TestVirtualPlaneNeverReadsTheSource runs the loopback plane through every
+// recovery it has — gaps under drop/dup/delay, a kill and rejoin inside the
+// retention window, a kill past eviction, a DeadAfter rebalance, the final
+// Converge — with a producer whose Replay and Snapshot fail the test. Those
+// are the wall-clock plane's: the virtual plane heals from the marks Advance
+// left it, by replay where the cursor is retained and by snapshot where it
+// is not.
+func TestVirtualPlaneNeverReadsTheSource(t *testing.T) {
+	h := newHarness(t, 3, 8, func(c *Config) {
+		c.DropRate = 0.2
+		c.DupRate = 0.2
+		c.DelayRate = 0.2
+		c.Delay = 3 * time.Second
+		c.Retry = retry.Policy{MaxAttempts: 1}
+		c.DeadAfter = 30 * time.Second
+		c.Replay = func(since uint64) ([]Record, bool) {
+			t.Errorf("virtual plane called Replay(%d)", since)
+			return nil, false
+		}
+		c.Snapshot = func(shard int) (*Snapshot, error) {
+			t.Errorf("virtual plane called Snapshot(%d)", shard)
+			return nil, errors.New("not for the virtual plane")
+		}
+	})
+	step := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	h.run(5)
+	step("kill 0", h.fo.Kill(0))
+	h.run(3) // inside the 8-deep window
+	step("rejoin 0", h.fo.Rejoin(0))
+	step("kill 1", h.fo.Kill(1))
+	h.run(12) // past eviction
+	step("rejoin 1", h.fo.Rejoin(1))
+	step("kill 2", h.fo.Kill(2))
+	h.run(20) // 40 s down: dead after 30, shard rebalanced
+	h.fs.advance(h.fs.now.Add(time.Minute))
+	h.fo.Converge()
+
+	stats := h.fo.ShardStats()
+	for _, st := range stats {
+		if st.Applied != h.gen {
+			t.Errorf("shard %d applied = %d, want head %d", st.Agent, st.Applied, h.gen)
+		}
+	}
+	if stats[0].Resyncs == 0 || stats[0].Replayed < 3 {
+		t.Errorf("shard 0 rejoined inside the window without a replay: %+v", stats[0])
+	}
+	if stats[1].SnapshotResyncs == 0 || len(h.apps[1].snaps) == 0 {
+		t.Errorf("shard 1 rejoined past eviction without a snapshot: %+v", stats[1])
+	}
+	if !stats[2].Dead || stats[2].Rebalances != 1 || stats[2].SnapshotResyncs == 0 {
+		t.Errorf("shard 2 was not rebalanced through a snapshot: %+v", stats[2])
+	}
+}
+
+// TestDeferredDeliveryCopiesNoContent holds a deferred delivery to what it
+// is — a queued header: with every frame delayed, a tick allocates the same
+// whether its diff has one delta in one list or hundreds across all five.
+func TestDeferredDeliveryCopiesNoContent(t *testing.T) {
+	const runs = 50
+	perTick := func(deltas int) float64 {
+		h := newHarness(t, 2, 64, func(c *Config) {
+			c.DelayRate = 1
+			c.Delay = time.Second
+		})
+		h.run(2)
+		// The records are built up front; the fan-out tier borrows their
+		// slices and never mutates them, so they can share one set.
+		var diff constellation.DiffRecord
+		for i := 0; i < deltas; i++ {
+			n := i % testNodes
+			diff.Added = append(diff.Added, constellation.LinkDelta{A: n, B: (n + 1) % testNodes, NewQ: int32(i)})
+			if deltas > 1 {
+				diff.Removed = append(diff.Removed, diff.Added[i])
+				diff.DelayChanged = append(diff.DelayChanged, diff.Added[i])
+				diff.Activated = append(diff.Activated, int32(n))
+				diff.Deactivated = append(diff.Deactivated, int32(n))
+			}
+		}
+		return testing.AllocsPerRun(runs, func() {
+			h.gen++
+			h.fs.advance(time.Unix(0, 0).Add(time.Duration(h.gen) * h.res))
+			h.src.push(Record{Generation: h.gen, Diff: diff}, h.fo.Advance)
+			if err := h.fo.Distribute(supervise.LevelFull); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := perTick(1), perTick(400); small != large {
+		t.Errorf("a tick of deferred deliveries allocates %v times for 1 delta, %v for 400 in every list", small, large)
 	}
 }

@@ -23,16 +23,16 @@ type remote struct {
 	// replacement, Close).
 	done chan struct{}
 
-	// wmu serializes frame writes: the writer goroutine streams frames,
-	// the reader goroutine answers Applied with Commit, and Close says
-	// goodbye — interleaved writes would corrupt the stream.
+	// wmu serializes frame writes (see Fanout.write): the writer goroutine
+	// streams frames, the reader goroutine answers Applied with Commit,
+	// and Close says goodbye — interleaved writes would corrupt the stream.
 	wmu  sync.Mutex
-	cbuf []byte // commit scratch, guarded by wmu
+	cbuf []byte // commit scratch, owned by the reader goroutine
 
 	// streams[shard] is the delivery state of one shard this connection
 	// serves: its own shard plus any it adopted after a rebalance. The
-	// map and the ack/propose fields are guarded by fo.mu; cursor and
-	// chain belong to the writer goroutine.
+	// map and the ack/propose fields are guarded by fo.mu; the cursor
+	// belongs to the writer goroutine.
 	streams map[int]*stream
 
 	lastSeen  time.Time
@@ -44,13 +44,10 @@ type remote struct {
 type stream struct {
 	shard int
 
-	// Writer-owned: the replay cursor, its digest chain, and whether the
-	// Hello-resumed cursor was validated against the digest ring.
+	// Writer-owned: the replay cursor; announced is the remote-ownership
+	// epoch last announced with a Reassign frame (own-shard streams never
+	// announce).
 	cursor    uint64
-	chain     uint64
-	validated bool
-	// announced is the remote-ownership epoch last announced with a
-	// Reassign frame (own-shard streams never announce).
 	announced uint64
 	epoch     uint64
 
@@ -65,7 +62,6 @@ type stream struct {
 	collapsed      int
 	digestMismatch int
 	applies        int
-	attempts       int
 	retried        int
 	forceSnap      bool
 }
@@ -308,23 +304,41 @@ func (fo *Fanout) noteApplied(r *remote, a *Applied) {
 	}
 	m, _ := fo.markAt(shard, a.Generation)
 	if m.flags == 0 || m.result != a.Digest {
-		fo.applyMismatch[shard]++
 		fo.fallback[shard]++
 	}
 	if a.Generation > st.resolved {
 		st.resolved = a.Generation
 	}
 	st.applies++
-	st.attempts += int(a.Attempts)
 	st.retried += int(a.Retried)
 	commit = m.chain
 	fo.mu.Unlock()
 	fo.wakeAcks()
 
+	r.cbuf, _ = fo.write(r, r.cbuf, &Commit{Agent: a.Agent, Generation: a.Generation, Digest: commit})
+}
+
+// write sends one frame to an agent under the connection's write lock and
+// the write deadline, reusing buf.
+func (fo *Fanout) write(r *remote, buf []byte, f any) ([]byte, error) {
 	r.wmu.Lock()
+	defer r.wmu.Unlock()
 	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-	r.cbuf, _ = WriteFrame(r.conn, r.cbuf, &Commit{Agent: a.Agent, Generation: a.Generation, Digest: commit})
-	r.wmu.Unlock()
+	return WriteFrame(r.conn, buf, f)
+}
+
+// rearm restarts a timer a wait loop reuses, whether it fired, was read or
+// is still running. go.mod says go 1.22, which keeps the pre-1.23 timer
+// channel on every toolchain: a fired timer nobody read still holds its
+// tick, and is drained here before Reset.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // syncStreams reconciles the connection's stream set with the current
@@ -340,11 +354,14 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 		}
 		st := r.streams[s]
 		if st == nil {
-			st = &stream{shard: s, chain: ChainSeed, announced: ^uint64(0)}
+			st = &stream{shard: s, announced: ^uint64(0)}
 			if s == r.agent && !r.helloUsed {
-				// Resume the agent's own replica from its Hello cursor;
-				// validated against the digest ring on the first pass.
-				st.cursor, st.chain = hello.Cursor, hello.Digest
+				// Resume the agent's own replica from its Hello cursor if
+				// the marks log still vouches for its chain digest there;
+				// anything else starts from a snapshot.
+				if m, ok := fo.markAt(s, hello.Cursor); ok && m.chain == hello.Digest {
+					st.cursor = hello.Cursor
+				}
 				r.helloUsed = true
 			}
 			r.streams[s] = st
@@ -366,6 +383,10 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 // stream falls too far behind.
 func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 	var err error
+	// One heartbeat timer for the whole loop, re-armed per idle wait: a
+	// time.After per wake would stay live until it fired, one per tick.
+	heartbeat := time.NewTimer(fo.cfg.Heartbeat)
+	defer heartbeat.Stop()
 	for {
 		select {
 		case <-r.done:
@@ -400,17 +421,14 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 		if fo.cfg.Head() > head {
 			continue
 		}
+		rearm(heartbeat, fo.cfg.Heartbeat)
 		select {
 		case <-r.done:
 			return
 		case <-ch:
 		case <-ackCh:
-		case <-time.After(fo.cfg.Heartbeat):
-			r.wmu.Lock()
-			_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-			buf, err = WriteFrame(r.conn, buf, &Heartbeat{Generation: head})
-			r.wmu.Unlock()
-			if err != nil {
+		case <-heartbeat.C:
+			if buf, err = fo.write(r, buf, &Heartbeat{Generation: head}); err != nil {
 				return
 			}
 		}
@@ -427,22 +445,12 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	// An adopted shard announces its ownership epoch before any frames:
 	// the agent creates (or resets expectations for) a secondary replica.
 	if st.shard != r.agent && st.announced != st.epoch {
-		r.wmu.Lock()
-		_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-		buf, err = WriteFrame(r.conn, buf, &Reassign{Shard: int32(st.shard), Epoch: st.epoch, Generation: head})
-		r.wmu.Unlock()
-		if err != nil {
+		if buf, err = fo.write(r, buf, &Reassign{Shard: int32(st.shard), Epoch: st.epoch, Generation: head}); err != nil {
 			return false, buf, err
 		}
 		st.announced = st.epoch
 		st.cursor = 0 // adopted state starts from a snapshot
 		progress = true
-	}
-	if !st.validated {
-		if d, ok := fo.digestAt(st.shard, st.cursor); st.cursor == 0 || !ok || d != st.chain {
-			st.cursor = 0
-		}
-		st.validated = true
 	}
 
 	fo.mu.Lock()
@@ -463,7 +471,7 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	}
 	if st.cursor == 0 || force || collapse {
 		if head == 0 {
-			st.cursor, st.chain = 0, ChainSeed
+			st.cursor = 0
 			return progress, buf, nil
 		}
 		var sent bool
@@ -488,12 +496,7 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 		for i := range recs {
 			fo.buildFrameInto(&frame, st.shard, &recs[i])
 			frame.Agent = int32(st.shard)
-			st.chain = FoldDiff(st.chain, &frame)
-			r.wmu.Lock()
-			_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-			buf, err = WriteFrame(r.conn, buf, &frame)
-			r.wmu.Unlock()
-			if err != nil {
+			if buf, err = fo.write(r, buf, &frame); err != nil {
 				return progress, buf, err
 			}
 			st.cursor = recs[i].Generation
@@ -534,17 +537,13 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 	fo.mu.Lock()
 	st.proposed = gen
 	fo.mu.Unlock()
-	r.wmu.Lock()
-	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-	buf, err := WriteFrame(r.conn, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: m.flags})
-	r.wmu.Unlock()
-	return buf, err
+	return fo.write(r, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: m.flags})
 }
 
 // awaitWindow blocks until the stream's in-flight proposals fit the
 // apply window, charging unresolved proposals as fallbacks on timeout.
 func (fo *Fanout) awaitWindow(r *remote, st *stream) {
-	deadline := time.Now().Add(fo.cfg.WriteTimeout)
+	var timeout *time.Timer // armed by the first wait; most windows are open
 	for {
 		fo.mu.Lock()
 		pending := st.proposed - st.resolved
@@ -553,11 +552,15 @@ func (fo *Fanout) awaitWindow(r *remote, st *stream) {
 		if pending < uint64(fo.cfg.ApplyWindow) {
 			return
 		}
+		if timeout == nil {
+			timeout = time.NewTimer(fo.cfg.WriteTimeout)
+			defer timeout.Stop()
+		}
 		select {
 		case <-r.done:
 			return
 		case <-ch:
-		case <-time.After(time.Until(deadline)):
+		case <-timeout.C:
 			fo.mu.Lock()
 			if st.proposed > st.resolved {
 				fo.fallback[st.shard] += int(st.proposed - st.resolved)
@@ -571,40 +574,32 @@ func (fo *Fanout) awaitWindow(r *remote, st *stream) {
 }
 
 // sendSnapshot ships a full shard snapshot at head and advances the
-// stream cursor. Returns false (without error) when the digest ring has
-// not caught up yet and the caller should retry after the next update.
+// stream cursor. Returns false (without error) when the marks log does not
+// hold the snapshot's generation — it was evicted while the snapshot was
+// built, so the producer has moved on; with nothing sent the writer falls
+// through to its idle wait, which retries on the update it finds there.
 func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte, error) {
 	snap, err := fo.cfg.Snapshot(st.shard)
 	if err != nil {
 		return false, buf, err
 	}
-	d, ok := fo.digestAt(st.shard, snap.Generation)
+	fo.mu.Lock()
+	m, ok := fo.markAt(st.shard, snap.Generation)
+	fo.mu.Unlock()
 	if !ok {
-		// The digest ring has not caught up with this generation yet (or
-		// already evicted it); retry after the next update.
-		select {
-		case <-r.done:
-			return false, buf, errors.New("hostlink: detached")
-		case <-fo.cfg.Updated():
-		case <-time.After(fo.cfg.Heartbeat):
-		}
-		st.cursor, st.chain = 0, ChainSeed
+		st.cursor = 0
 		return false, buf, nil
 	}
 	snap.Agent = int32(st.shard)
-	snap.Digest = d
-	r.wmu.Lock()
-	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-	buf, err = WriteFrame(r.conn, buf, snap)
-	r.wmu.Unlock()
-	if err != nil {
+	snap.Digest = m.chain
+	if buf, err = fo.write(r, buf, snap); err != nil {
 		return false, buf, err
 	}
 	fo.mu.Lock()
 	st.snapshots++
 	st.sent = snap.Generation
 	fo.mu.Unlock()
-	st.cursor, st.chain = snap.Generation, d
+	st.cursor = snap.Generation
 	return true, buf, nil
 }
 
@@ -648,7 +643,8 @@ func (fo *Fanout) remoteLagLocked() bool {
 // the run; its shard is adopted by a survivor or resyncs when it
 // returns. Reports whether all served streams were caught up on return.
 func (fo *Fanout) WaitRemotes(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
 	for {
 		fo.mu.Lock()
 		caughtUp := !fo.remoteLagLocked()
@@ -657,13 +653,9 @@ func (fo *Fanout) WaitRemotes(timeout time.Duration) bool {
 		if caughtUp {
 			return true
 		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return false
-		}
 		select {
 		case <-ch:
-		case <-time.After(wait):
+		case <-expired.C:
 			return false
 		}
 	}
@@ -714,10 +706,7 @@ func (fo *Fanout) Close() {
 	}
 	fo.mu.Unlock()
 	for _, r := range remotes {
-		r.wmu.Lock()
-		_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
-		_, _ = WriteFrame(r.conn, nil, &Bye{Reason: "run complete"})
-		r.wmu.Unlock()
+		_, _ = fo.write(r, nil, &Bye{Reason: "run complete"})
 		fo.detach(r)
 	}
 }

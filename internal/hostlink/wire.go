@@ -1,18 +1,32 @@
 // Package hostlink is the coordinator↔host-agent fan-out tier: the piece
 // of the paper's architecture (Fig. 2) that carries each tick's
 // constellation diff and activity overlay from the one coordinator to the
-// N emulation hosts. It has two halves sharing one code path:
+// N emulation hosts. It has two planes:
 //
-//   - a loopback side, where every shard's frames are applied in-process
-//     on the simulation goroutine under seeded fault injection (frame
-//     drop/dup/delay, scripted agent kill/rejoin, dead-agent detection in
-//     virtual time) — fully deterministic and reflected in the run report;
+//   - the virtual plane (fanout.go), where every shard's generations are
+//     applied in-process on the simulation goroutine under seeded fault
+//     injection (frame drop/dup/delay, scripted agent kill/rejoin,
+//     dead-agent detection in virtual time) — fully deterministic and
+//     reflected in the run report. It reads marks: per generation and
+//     shard, the generation number, two content bits and Full, which is
+//     all the degradation policy and a loopback applier consume. It never
+//     holds, copies or replays a diff's content;
 //
-//   - a remote side, where standalone agent processes (cmd/celestial-agent)
-//     follow the same frame stream over TCP as digest-verified replicas.
-//     Remote delivery is wall-clock territory: acks, heartbeats, reconnect
-//     resyncs and barriers never touch simulation state, so a distributed
-//     run's report stays byte-identical to the single-process run's.
+//   - the wall-clock plane (remote.go), where standalone agent processes
+//     (cmd/celestial-agent) follow the generations over TCP as
+//     digest-verified replicas. It reads content: the producer's retained
+//     records and shard snapshots, filtered and encoded per connection.
+//     Acks, heartbeats, reconnect resyncs and barriers never touch
+//     simulation state, so a distributed run's report stays byte-identical
+//     to the single-process run's.
+//
+// What the planes share is the marks log — one difflog appended by
+// Fanout.Advance with the producer's retention, holding each generation's
+// offers, chain digests and apply results — and through it difflog's one
+// cursor table: a loopback shard and a remote agent at the same cursor get
+// the same replay-or-snapshot answer. The apply engine is one too, with one
+// input: a header-only DiffFrame, built by Fanout.applyFrame on this side
+// of the wire and by Agent.applyPropose on the other.
 //
 // This file is the wire protocol: internal/wire frames over a byte stream,
 // versioned via the Hello/Welcome handshake. Payloads are fixed-layout
@@ -124,8 +138,10 @@ func (t FrameType) String() string {
 }
 
 // DiffFrame flag bits. Content flags describe what the producing tick
-// changed; policy flags carry the loopback applier's per-shard degradation
-// decisions and are never set on frames built for the wire.
+// changed; policy flags carry the virtual plane's per-shard degradation
+// decisions to an apply engine — on the header-only frame a loopback
+// applier is handed, and in a Propose — and are never set on a FrameDiff
+// built for the wire.
 const (
 	// Bit 0 is unassigned: a diff with no usable base is marked once, by
 	// the embedded record's Full.
@@ -218,7 +234,8 @@ type Snapshot struct {
 // so what an agent re-serves on /v1/diff is the coordinator's document for
 // the filtered record. Agent routes the frame to the owning shard's
 // replica; it is not folded into the digest chain (the chain is a function
-// of content alone).
+// of content alone). An apply engine is handed the header alone — Agent,
+// Generation, Flags, and Full on the loopback side — with every list empty.
 type DiffFrame struct {
 	Agent      int32
 	Generation uint64

@@ -27,9 +27,12 @@ type AgentsResponse struct {
 
 // handleAgents serves GET /agents, the fan-out tier's status document.
 func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
+	c := s.coord.c
+	ring := c.RingStats()
+	ring.ForcedResyncs += s.coord.misses.Load()
 	writeJSON(w, http.StatusOK, AgentsResponse{
-		Generation: s.coord.Generation(),
-		Ring:       s.coord.RingStats(),
-		Agents:     s.coord.Fanout().AgentsStatus(),
+		Generation: c.Generation(),
+		Ring:       ring,
+		Agents:     c.Fanout().AgentsStatus(),
 	})
 }

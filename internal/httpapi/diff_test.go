@@ -200,6 +200,12 @@ func TestDiffResyncPastRing(t *testing.T) {
 	if resp.Generation != c.Generation() {
 		t.Errorf("resync generation = %d, want %d", resp.Generation, c.Generation())
 	}
+	// The client sent back to full state is the ring's one forced resync.
+	var agents AgentsResponse
+	get(t, s, "/agents", http.StatusOK, &agents)
+	if agents.Ring.ForcedResyncs != 1 {
+		t.Errorf("/agents ring.forced_resyncs = %d after one stale cursor, want 1", agents.Ring.ForcedResyncs)
+	}
 	// Resuming from the returned generation works.
 	if err := c.Run(time.Second); err != nil {
 		t.Fatal(err)

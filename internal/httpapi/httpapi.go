@@ -54,9 +54,10 @@ type Server struct {
 	src Source
 	mux *http.ServeMux
 
-	// coord is set only on coordinator-backed servers and enables the
-	// /agents endpoint (fan-out telemetry a replica does not have).
-	coord *coordinator.Coordinator
+	// coord is set only on coordinator-backed servers (it is then src) and
+	// enables the /agents endpoint (fan-out telemetry a replica does not
+	// have).
+	coord *CoordinatorSource
 
 	// caching gates the serialized-response caches (see SetCaching).
 	caching bool
@@ -85,8 +86,9 @@ type Server struct {
 // enabled. The coordinator-backed server additionally serves /agents.
 func New(c *coordinator.Coordinator) *Server {
 	mux := http.NewServeMux()
-	s := RegisterRoutes(mux, NewCoordinatorSource(c))
-	s.coord = c
+	cs := NewCoordinatorSource(c)
+	s := RegisterRoutes(mux, cs)
+	s.coord = cs
 	mux.HandleFunc("GET /agents", s.handleAgents)
 	mux.HandleFunc("GET /v1/agents", s.handleAgents)
 	return s

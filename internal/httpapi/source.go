@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
@@ -61,6 +62,10 @@ func errDoc(status int, format string, args ...any) ([]byte, int) {
 type CoordinatorSource struct {
 	c      *coordinator.Coordinator
 	frames *frameMirror[hostlink.Record]
+	// misses counts the subscribers Frames sent back to full state. The
+	// mirror answers them without asking the coordinator, so /agents adds
+	// them to the ring's forced resyncs.
+	misses atomic.Uint64
 }
 
 // NewCoordinatorSource wraps a coordinator as a route-table Source.
@@ -284,9 +289,7 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
 	frames, ok := cs.frames.since(since)
 	if !ok {
-		// Count the forced resync on the coordinator's ring stats, as a
-		// direct DiffsSince miss would.
-		cs.c.DiffsSince(since)
+		cs.misses.Add(1)
 	}
 	return frames, ok
 }

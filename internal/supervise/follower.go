@@ -13,10 +13,9 @@ package supervise
 // LevelActivityOnly (withhold path invalidation, still sweep activity).
 // LevelDeferRepair is a tick-pipeline concern and is never returned.
 type Follower struct {
-	cfg     FollowerConfig
-	level   Level
-	healthy int // consecutive in-budget observations at the current level
-	stats   FollowerStats
+	cfg FollowerConfig
+	ladder
+	stats FollowerStats
 }
 
 // FollowerConfig parameterizes a per-shard follower ladder. The zero value
@@ -66,14 +65,16 @@ func (c FollowerConfig) normalized() FollowerConfig {
 
 // NewFollower returns a ladder at LevelFull.
 func NewFollower(cfg FollowerConfig) *Follower {
-	return &Follower{cfg: cfg.normalized(), level: LevelFull}
+	cfg = cfg.normalized()
+	return &Follower{cfg: cfg, ladder: ladder{
+		rungs: []Level{LevelFull, LevelCoalesce, LevelActivityOnly},
+		after: cfg.RecoverAfter,
+	}}
 }
 
 // Observe records the shard's current delivery lag and returns the level
-// its next frame must be applied at. Escalation is immediate — the ladder
-// jumps straight to the rung the lag calls for — while recovery steps one
-// rung at a time after RecoverAfter consecutive healthy observations, the
-// same asymmetry the Watchdog uses.
+// its next frame must be applied at: straight up to the rung the lag calls
+// for, one rung down per RecoverAfter observations below the current one.
 func (f *Follower) Observe(lag int) Level {
 	f.stats.Observations++
 	target := LevelFull
@@ -83,50 +84,21 @@ func (f *Follower) Observe(lag int) Level {
 	case lag >= f.cfg.CoalesceLag:
 		target = LevelCoalesce
 	}
-	if target > f.level {
-		f.stats.Escalations += followerRung(target) - followerRung(f.level)
-		f.level = target
-		f.healthy = 0
-	} else if target < f.level {
-		f.healthy++
-		if f.healthy >= f.cfg.RecoverAfter {
-			// Step one rung down, skipping DeferRepair, which is not a
-			// follower rung.
-			if f.level == LevelActivityOnly {
-				f.level = LevelCoalesce
-			} else {
-				f.level = LevelFull
-			}
-			f.stats.Recoveries++
-			f.healthy = 0
-		}
-	} else {
-		f.healthy = 0
+	f.stats.Escalations += f.raise(target)
+	if f.settle(target < f.level()) {
+		f.stats.Recoveries++
 	}
-	if f.level > LevelFull {
+	if f.level() > LevelFull {
 		f.stats.Degraded++
 	}
-	return f.level
-}
-
-// followerRung maps a level to its position on the three-rung follower
-// ladder (LevelDeferRepair is not a follower rung).
-func followerRung(l Level) int {
-	switch {
-	case l >= LevelActivityOnly:
-		return 2
-	case l >= LevelCoalesce:
-		return 1
-	default:
-		return 0
-	}
+	return f.level()
 }
 
 // Config returns the ladder's configuration with defaults applied.
 func (f *Follower) Config() FollowerConfig { return f.cfg }
 
 // Level returns the current rung without recording an observation.
-func (f *Follower) Level() Level { return f.level }
+func (f *Follower) Level() Level { return f.level() }
 
 // Stats returns the ladder counters accumulated so far.
 func (f *Follower) Stats() FollowerStats { return f.stats }

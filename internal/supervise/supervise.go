@@ -139,15 +139,52 @@ type Stats struct {
 	Overruns int
 }
 
+// ladder is the rung rule the Watchdog and the Follower share: escalation
+// is immediate, to whatever rung is called for; recovery is one rung at a
+// time, after a run of healthy observations that any relapse restarts.
+type ladder struct {
+	rungs   []Level // the levels this ladder occupies, ascending
+	at      int     // index of the current rung
+	healthy int     // consecutive healthy observations on it
+	after   int     // how many of them step one rung down
+}
+
+func (l *ladder) level() Level { return l.rungs[l.at] }
+
+// raise climbs to the lowest rung at or above to (the top one if there is
+// none) and reports how many rungs that was; it never descends.
+func (l *ladder) raise(to Level) (climbed int) {
+	for l.level() < to && l.at < len(l.rungs)-1 {
+		l.at, l.healthy = l.at+1, 0
+		climbed++
+	}
+	return climbed
+}
+
+// settle records one observation at the current rung and reports whether
+// it completed a healthy run and stepped the ladder down a rung.
+func (l *ladder) settle(healthy bool) (steppedDown bool) {
+	if !healthy {
+		l.healthy = 0
+		return false
+	}
+	l.healthy++
+	if l.healthy < l.after || l.at == 0 {
+		return false
+	}
+	l.at--
+	l.healthy = 0
+	return true
+}
+
 // Watchdog supervises the tick pipeline. It is driven from the single
 // goroutine running the pipeline (the simulation goroutine); it is not safe
 // for concurrent use.
 type Watchdog struct {
-	cfg     Config
-	budget  time.Duration
-	est     [numStages]float64 // EWMA cost estimate per stage, ns
-	level   Level
-	healthy int // consecutive under-budget ticks at the current level
+	cfg    Config
+	budget time.Duration
+	est    [numStages]float64 // EWMA cost estimate per stage, ns
+	ladder
 
 	inTick   bool
 	measured [numStages]time.Duration
@@ -172,6 +209,10 @@ func New(cfg Config) *Watchdog {
 	return &Watchdog{
 		cfg:    cfg,
 		budget: time.Duration(float64(cfg.Interval) * cfg.BudgetFraction),
+		ladder: ladder{
+			rungs: []Level{LevelFull, LevelDeferRepair, LevelCoalesce, LevelActivityOnly},
+			after: cfg.RecoverAfter,
+		},
 	}
 }
 
@@ -179,7 +220,7 @@ func New(cfg Config) *Watchdog {
 func (w *Watchdog) Budget() time.Duration { return w.budget }
 
 // Level returns the current degradation level.
-func (w *Watchdog) Level() Level { return w.level }
+func (w *Watchdog) Level() Level { return w.level() }
 
 // Stats returns the decision counters so far.
 func (w *Watchdog) Stats() Stats { return w.stats }
@@ -194,12 +235,10 @@ func (w *Watchdog) BeginTick() Level {
 	for s := range w.measured {
 		w.measured[s] = 0
 	}
-	if w.projected() > w.budget && w.level < LevelActivityOnly {
-		w.level++
-		w.healthy = 0
+	if w.projected() > w.budget && w.raise(w.level()+1) > 0 {
 		w.stats.Escalations++
 	}
-	return w.level
+	return w.level()
 }
 
 // projected sums the per-stage cost estimates.
@@ -239,15 +278,10 @@ func (w *Watchdog) OverBudget() bool { return w.Elapsed() > w.budget }
 // Escalate raises the current tick's level mid-tick (never lowers it),
 // recording the escalation.
 func (w *Watchdog) Escalate(to Level) Level {
-	if to > LevelActivityOnly {
-		to = LevelActivityOnly
-	}
-	if to > w.level {
-		w.level = to
-		w.healthy = 0
+	if w.raise(to) > 0 {
 		w.stats.Escalations++
 	}
-	return w.level
+	return w.level()
 }
 
 // Outcome summarizes one supervised tick.
@@ -265,7 +299,7 @@ type Outcome struct {
 // ladder back down one level. Returns the tick's outcome.
 func (w *Watchdog) EndTick() Outcome {
 	if !w.inTick {
-		return Outcome{Level: w.level}
+		return Outcome{Level: w.level()}
 	}
 	w.inTick = false
 	var total time.Duration
@@ -278,12 +312,12 @@ func (w *Watchdog) EndTick() Outcome {
 			w.est[s] = (1-w.cfg.Alpha)*w.est[s] + w.cfg.Alpha*float64(w.measured[s])
 		}
 	}
-	out := Outcome{Level: w.level, Total: total, Overrun: total > w.cfg.Interval}
+	out := Outcome{Level: w.level(), Total: total, Overrun: total > w.cfg.Interval}
 	w.stats.Ticks++
 	if out.Overrun {
 		w.stats.Overruns++
 	}
-	switch w.level {
+	switch out.Level {
 	case LevelDeferRepair:
 		w.stats.DeferredRepair++
 	case LevelCoalesce:
@@ -291,22 +325,15 @@ func (w *Watchdog) EndTick() Outcome {
 	case LevelActivityOnly:
 		w.stats.ActivityOnly++
 	}
-	if w.level > LevelFull {
+	if out.Level > LevelFull {
 		w.stats.DegradedTicks++
 	}
 	// Recovery: de-escalate one rung after RecoverAfter consecutive
 	// under-budget ticks, but only when the *projection with the skipped
 	// stages restored* would also fit — otherwise the ladder would
 	// oscillate between a level that fits and one that cannot.
-	if total <= w.budget && w.projected() <= w.budget {
-		w.healthy++
-		if w.healthy >= w.cfg.RecoverAfter && w.level > LevelFull {
-			w.level--
-			w.healthy = 0
-			w.stats.Recoveries++
-		}
-	} else {
-		w.healthy = 0
+	if w.settle(total <= w.budget && w.projected() <= w.budget) {
+		w.stats.Recoveries++
 	}
 	return out
 }
