@@ -137,27 +137,16 @@ func (c *Config) withDefaults() {
 	if c.Hosts == 0 {
 		c.Hosts = 1
 	}
-	if c.Network.BandwidthKbps == 0 {
-		c.Network.BandwidthKbps = DefaultBandwidthKbps
-	}
+	mergeNetwork(&c.Network, NetworkParams{
+		BandwidthKbps:      DefaultBandwidthKbps,
+		MinElevationDeg:    DefaultMinElevationDeg,
+		AtmosphereCutoffKm: geom.AtmosphereCutoffKm,
+		GSTConnectionType:  "all",
+	})
 	if c.Network.GSTBandwidthKbps == 0 {
 		c.Network.GSTBandwidthKbps = c.Network.BandwidthKbps
 	}
-	if c.Network.MinElevationDeg == 0 {
-		c.Network.MinElevationDeg = DefaultMinElevationDeg
-	}
-	if c.Network.AtmosphereCutoffKm == 0 {
-		c.Network.AtmosphereCutoffKm = geom.AtmosphereCutoffKm
-	}
-	if c.Network.GSTConnectionType == "" {
-		c.Network.GSTConnectionType = "all"
-	}
-	if c.Compute.VCPUs == 0 {
-		c.Compute.VCPUs = DefaultVCPUs
-	}
-	if c.Compute.MemMiB == 0 {
-		c.Compute.MemMiB = DefaultMemMiB
-	}
+	mergeCompute(&c.Compute, ComputeParams{VCPUs: DefaultVCPUs, MemMiB: DefaultMemMiB})
 	for i := range c.Shells {
 		s := &c.Shells[i]
 		if s.Name == "" {
@@ -302,7 +291,7 @@ func Parse(r io.Reader) (*Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromTable(doc)
+	return FromTable(toml.NewTable(doc))
 }
 
 // ParseFile reads and validates a TOML configuration file.
@@ -323,232 +312,90 @@ func Finalize(c *Config) error {
 
 // FromTable builds a Config from an already-parsed TOML table using the
 // same schema as Parse — e.g. the inline [testbed] table of a scenario
-// file — applying defaults and validating.
-func FromTable(tbl map[string]any) (*Config, error) {
-	cfg, err := fromDoc(tbl)
-	if err != nil {
-		return nil, err
+// file — applying defaults and validating. Wrong types, out-of-range
+// numbers and unknown keys anywhere under the table are errors.
+func FromTable(t *toml.Table) (*Config, error) {
+	c := &Config{
+		Name:       t.String("name"),
+		Duration:   t.Seconds("duration"),
+		Resolution: t.Seconds("resolution"),
+		Hosts:      t.Int("hosts"),
+		Network:    networkFromTable(t.Table("network_params")),
+		Compute:    computeFromTable(t.Table("compute_params")),
 	}
-	if err := Finalize(cfg); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// fromDoc maps a parsed TOML tree to a Config.
-func fromDoc(doc toml.Doc) (*Config, error) {
-	c := &Config{}
-	var err error
-
-	if c.Name, _, err = toml.GetString(doc, "name"); err != nil {
-		return nil, err
-	}
-	if v, ok, err := toml.GetFloat(doc, "duration"); err != nil {
-		return nil, err
-	} else if ok {
-		c.Duration = time.Duration(v * float64(time.Second))
-	}
-	if v, ok, err := toml.GetFloat(doc, "resolution"); err != nil {
-		return nil, err
-	} else if ok {
-		c.Resolution = time.Duration(v * float64(time.Second))
-	}
-	if v, ok, err := toml.GetInt(doc, "hosts"); err != nil {
-		return nil, err
-	} else if ok {
-		c.Hosts = int(v)
-	}
-	if s, ok, err := toml.GetString(doc, "epoch"); err != nil {
-		return nil, err
-	} else if ok {
-		c.Epoch, err = time.Parse(time.RFC3339, s)
-		if err != nil {
-			return nil, fmt.Errorf("config: epoch: %w", err)
+	if s := t.String("epoch"); t.Has("epoch") {
+		var err error
+		if c.Epoch, err = time.Parse(time.RFC3339, s); err != nil {
+			t.Fail("epoch", "must be an RFC 3339 time: %v", err)
 		}
 	}
-	if arr, ok, err := toml.GetFloatArray(doc, "bbox"); err != nil {
-		return nil, err
-	} else if ok {
-		if len(arr) != 4 {
-			return nil, fmt.Errorf("config: bbox must have 4 elements [latMin, lonMin, latMax, lonMax], have %d", len(arr))
-		}
+	if arr := t.Floats("bbox"); len(arr) == 4 {
 		c.BoundingBox = bbox.Box{LatMinDeg: arr[0], LonMinDeg: arr[1], LatMaxDeg: arr[2], LonMaxDeg: arr[3]}
+	} else if arr != nil {
+		t.Fail("bbox", "must have 4 elements [latMin, lonMin, latMax, lonMax], have %d", len(arr))
 	}
-
-	if tbl, err := toml.GetTable(doc, "network_params"); err != nil {
-		return nil, err
-	} else if tbl != nil {
-		if c.Network, err = networkFromTable(tbl); err != nil {
-			return nil, err
-		}
+	for _, st := range t.Tables("shell") {
+		c.Shells = append(c.Shells, shellFromTable(st))
 	}
-	if tbl, err := toml.GetTable(doc, "compute_params"); err != nil {
-		return nil, err
-	} else if tbl != nil {
-		if c.Compute, err = computeFromTable(tbl); err != nil {
-			return nil, err
-		}
+	for _, gt := range t.Tables("ground_station") {
+		c.GroundStations = append(c.GroundStations, GroundStation{
+			Name:     gt.String("name"),
+			Location: geom.LatLon{LatDeg: gt.Float("lat"), LonDeg: gt.Float("long")},
+			Compute:  computeFromTable(gt.Table("compute_params")),
+		})
 	}
-
-	shells, err := toml.GetTableArray(doc, "shell")
-	if err != nil {
+	if err := t.Err(); err != nil {
 		return nil, err
 	}
-	for i, tbl := range shells {
-		s, err := shellFromTable(tbl)
-		if err != nil {
-			return nil, fmt.Errorf("config: shell %d: %w", i, err)
-		}
-		c.Shells = append(c.Shells, s)
-	}
-
-	gsts, err := toml.GetTableArray(doc, "ground_station")
-	if err != nil {
+	if err := Finalize(c); err != nil {
 		return nil, err
-	}
-	for i, tbl := range gsts {
-		g, err := gstFromTable(tbl)
-		if err != nil {
-			return nil, fmt.Errorf("config: ground station %d: %w", i, err)
-		}
-		c.GroundStations = append(c.GroundStations, g)
 	}
 	return c, nil
 }
 
-func networkFromTable(tbl map[string]any) (NetworkParams, error) {
-	var n NetworkParams
-	var err error
-	if n.BandwidthKbps, _, err = toml.GetFloat(tbl, "bandwidth_kbits"); err != nil {
-		return n, err
+func networkFromTable(t *toml.Table) NetworkParams {
+	return NetworkParams{
+		BandwidthKbps:      t.Float("bandwidth_kbits"),
+		GSTBandwidthKbps:   t.Float("gst_bandwidth_kbits"),
+		MinElevationDeg:    t.Float("min_elevation"),
+		AtmosphereCutoffKm: t.Float("atmosphere_cutoff_km"),
+		GSTConnectionType:  t.String("ground_station_connection_type"),
 	}
-	if n.GSTBandwidthKbps, _, err = toml.GetFloat(tbl, "gst_bandwidth_kbits"); err != nil {
-		return n, err
-	}
-	if n.MinElevationDeg, _, err = toml.GetFloat(tbl, "min_elevation"); err != nil {
-		return n, err
-	}
-	if n.AtmosphereCutoffKm, _, err = toml.GetFloat(tbl, "atmosphere_cutoff_km"); err != nil {
-		return n, err
-	}
-	if n.GSTConnectionType, _, err = toml.GetString(tbl, "ground_station_connection_type"); err != nil {
-		return n, err
-	}
-	return n, nil
 }
 
-func computeFromTable(tbl map[string]any) (ComputeParams, error) {
-	var p ComputeParams
-	if v, _, err := toml.GetInt(tbl, "vcpu_count"); err != nil {
-		return p, err
-	} else {
-		p.VCPUs = int(v)
+func computeFromTable(t *toml.Table) ComputeParams {
+	return ComputeParams{
+		VCPUs:     t.Int("vcpu_count"),
+		MemMiB:    t.Int("mem_size_mib"),
+		DiskMiB:   t.Int("disk_size_mib"),
+		Kernel:    t.String("kernel"),
+		RootFS:    t.String("rootfs"),
+		BootDelay: t.Seconds("boot_delay"),
 	}
-	if v, _, err := toml.GetInt(tbl, "mem_size_mib"); err != nil {
-		return p, err
-	} else {
-		p.MemMiB = int(v)
-	}
-	if v, _, err := toml.GetInt(tbl, "disk_size_mib"); err != nil {
-		return p, err
-	} else {
-		p.DiskMiB = int(v)
-	}
-	var err error
-	if p.Kernel, _, err = toml.GetString(tbl, "kernel"); err != nil {
-		return p, err
-	}
-	if p.RootFS, _, err = toml.GetString(tbl, "rootfs"); err != nil {
-		return p, err
-	}
-	if v, _, err := toml.GetFloat(tbl, "boot_delay"); err != nil {
-		return p, err
-	} else {
-		p.BootDelay = time.Duration(v * float64(time.Second))
-	}
-	return p, nil
 }
 
-func shellFromTable(tbl map[string]any) (Shell, error) {
-	var s Shell
-	var err error
-	if s.Name, _, err = toml.GetString(tbl, "name"); err != nil {
-		return s, err
+func shellFromTable(t *toml.Table) Shell {
+	s := Shell{
+		ShellConfig: orbit.ShellConfig{
+			Name:           t.String("name"),
+			Planes:         t.Int("planes"),
+			SatsPerPlane:   t.Int("sats"),
+			AltitudeKm:     t.Float("altitude_km"),
+			InclinationDeg: t.Float("inclination"),
+			ArcDeg:         t.Float("arc_of_ascending_nodes"),
+			Eccentricity:   t.Float("eccentricity"),
+			PhasingFactor:  t.Int("phasing_factor"),
+		},
+		Network: networkFromTable(t.Table("network_params")),
+		Compute: computeFromTable(t.Table("compute_params")),
 	}
-	if v, ok, err := toml.GetInt(tbl, "planes"); err != nil {
-		return s, err
-	} else if ok {
-		s.Planes = int(v)
+	switch m := t.String("model"); {
+	case !t.Has("model") || m == "sgp4":
+		s.Model = orbit.ModelSGP4
+	case m == "kepler":
+		s.Model = orbit.ModelKepler
+	default:
+		t.Fail("model", "must be \"sgp4\" or \"kepler\", have %q", m)
 	}
-	if v, ok, err := toml.GetInt(tbl, "sats"); err != nil {
-		return s, err
-	} else if ok {
-		s.SatsPerPlane = int(v)
-	}
-	if s.AltitudeKm, _, err = toml.GetFloat(tbl, "altitude_km"); err != nil {
-		return s, err
-	}
-	if s.InclinationDeg, _, err = toml.GetFloat(tbl, "inclination"); err != nil {
-		return s, err
-	}
-	if s.ArcDeg, _, err = toml.GetFloat(tbl, "arc_of_ascending_nodes"); err != nil {
-		return s, err
-	}
-	if s.Eccentricity, _, err = toml.GetFloat(tbl, "eccentricity"); err != nil {
-		return s, err
-	}
-	if v, ok, err := toml.GetInt(tbl, "phasing_factor"); err != nil {
-		return s, err
-	} else if ok {
-		s.PhasingFactor = int(v)
-	}
-	if m, ok, err := toml.GetString(tbl, "model"); err != nil {
-		return s, err
-	} else if ok {
-		switch m {
-		case "sgp4":
-			s.Model = orbit.ModelSGP4
-		case "kepler":
-			s.Model = orbit.ModelKepler
-		default:
-			return s, fmt.Errorf("unknown model %q (want sgp4 or kepler)", m)
-		}
-	}
-	if sub, err := toml.GetTable(tbl, "network_params"); err != nil {
-		return s, err
-	} else if sub != nil {
-		if s.Network, err = networkFromTable(sub); err != nil {
-			return s, err
-		}
-	}
-	if sub, err := toml.GetTable(tbl, "compute_params"); err != nil {
-		return s, err
-	} else if sub != nil {
-		if s.Compute, err = computeFromTable(sub); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
-}
-
-func gstFromTable(tbl map[string]any) (GroundStation, error) {
-	var g GroundStation
-	var err error
-	if g.Name, _, err = toml.GetString(tbl, "name"); err != nil {
-		return g, err
-	}
-	if g.Location.LatDeg, _, err = toml.GetFloat(tbl, "lat"); err != nil {
-		return g, err
-	}
-	if g.Location.LonDeg, _, err = toml.GetFloat(tbl, "long"); err != nil {
-		return g, err
-	}
-	if sub, err := toml.GetTable(tbl, "compute_params"); err != nil {
-		return g, err
-	} else if sub != nil {
-		if g.Compute, err = computeFromTable(sub); err != nil {
-			return g, err
-		}
-	}
-	return g, nil
+	return s
 }

@@ -338,3 +338,23 @@ func TestParseFileRoundTrip(t *testing.T) {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
+
+// TestParseStrict: a standalone config file is read as strictly as an
+// inline [testbed] table — paths are relative to the file's root.
+func TestParseStrict(t *testing.T) {
+	const shell = "[[shell]]\nplanes = 1\nsats = 1\naltitude_km = 550\ninclination = 53\n"
+	cases := map[string]struct{ doc, want string }{
+		"unknown root key":    {"durration = 60\n" + shell, "toml: unknown key durration"},
+		"unknown nested key":  {shell + "[shell.network_params]\nbandwith_kbits = 1\n", "toml: unknown key shell[0].network_params.bandwith_kbits"},
+		"several, sorted":     {"zz = 1\naa = 2\n" + shell + "sat = 3\n", "toml: unknown key aa, zz, shell[0].sat"},
+		"wrong type":          {shell + "[compute_params]\nmem_size_mib = \"512\"\n", "toml: compute_params.mem_size_mib must be an integer"},
+		"type before unknown": {"durration = 60\nhosts = true\n" + shell, "toml: hosts must be an integer"},
+		"overflowing seconds": {"duration = 1e30\n" + shell, "toml: duration does not fit a duration"},
+		"non-finite":          {shell + "eccentricity = nan\n", "toml: shell[0].eccentricity must be finite"},
+	}
+	for name, tc := range cases {
+		if _, err := Parse(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, tc.want)
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"celestial/internal/orbit"
 	"celestial/internal/par"
 	"celestial/internal/topo"
+	"celestial/internal/vnet"
 )
 
 // NodeKind distinguishes satellites from ground stations in the
@@ -187,6 +188,21 @@ func (c *Constellation) GSTNodeByName(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("constellation: unknown ground station %q", name)
+}
+
+// NodeByRef resolves a node reference — a ground-station name ("accra") or
+// a strict "<sat>.<shell>" satellite pair ("878.0", see vnet.ParseSatRef) —
+// to its constellation-wide node ID. Scenario files, the HTTP information
+// service and Testbed.NodeByName all resolve through here, so they accept
+// exactly the same spellings.
+func (c *Constellation) NodeByRef(ref string) (int, error) {
+	if id, err := c.GSTNodeByName(ref); err == nil {
+		return id, nil
+	}
+	if sat, shell, ok := vnet.ParseSatRef(ref); ok {
+		return c.SatNode(shell, sat)
+	}
+	return 0, fmt.Errorf("unknown node %q (want \"<sat>.<shell>\" or a ground station name)", ref)
 }
 
 // Shells returns the instantiated shells.

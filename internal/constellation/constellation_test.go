@@ -76,6 +76,16 @@ func TestNodeNumbering(t *testing.T) {
 	if _, err := c.GSTNodeByName("atlantis"); err == nil {
 		t.Error("accepted unknown ground station")
 	}
+	for ref, want := range map[string]int{"johannesburg": 531, "527.0": 527, "0.0": 0} {
+		if id, err := c.NodeByRef(ref); err != nil || id != want {
+			t.Errorf("NodeByRef(%q) = %d, %v, want %d", ref, id, err, want)
+		}
+	}
+	for _, ref := range []string{"atlantis", "528.0", "0.1", "3.0junk", "-1.0", "3.+0", "3.0.5", "007.0", ""} {
+		if id, err := c.NodeByRef(ref); err == nil {
+			t.Errorf("NodeByRef(%q) = %d, want an error", ref, id)
+		}
+	}
 	node, err := c.Node(531)
 	if err != nil || node.Kind != KindGroundStation || node.Name != "johannesburg" {
 		t.Errorf("Node(531) = %+v, %v", node, err)

@@ -261,7 +261,7 @@ func TestStateConcurrentQueryStress(t *testing.T) {
 
 // benchSnapshot runs the given snapshot function with allocation
 // reporting; the -family name keeps it greppable next to
-// BenchmarkConstellationUpdate in the root bench harness.
+// BenchmarkConstellationUpdateStarlinkP1 in the root bench harness.
 func benchSnapshot(b *testing.B, cfg *config.Config, fn func(c *Constellation) func(t float64) (*State, error)) {
 	c := mustNew(b, cfg)
 	snap := fn(c)

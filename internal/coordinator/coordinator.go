@@ -466,9 +466,9 @@ func (c *Coordinator) Robustness() Robustness {
 	}
 	r.ApplyErrors, r.LastApplyErr = c.fo.ApplyErrors()
 	for _, h := range c.hosts {
-		r.HostRetries.Add(h.RetryStats())
+		r.HostRetries.Add(h.LifecycleOps().Stats())
 	}
-	r.ShaperRetries = c.net.RetryStats()
+	r.ShaperRetries = c.net.ShaperOps().Stats()
 	r.WireRetries = c.fo.RetryStats()
 	return r
 }

@@ -686,8 +686,8 @@ func TestApplyErrorsDoNotAbortRun(t *testing.T) {
 	// Every lifecycle attempt fails: the initial boot sweep and every
 	// later activity sweep report errors, but the run must keep going.
 	for _, h := range c.Hosts() {
-		h.SetApplyFaults(1.0, int64(h.ID())+1)
-		h.SetRetryPolicy(retry.Policy{MaxAttempts: 2}, int64(h.ID())+1)
+		h.LifecycleOps().SetFaults(1.0, int64(h.ID())+1)
+		h.LifecycleOps().SetPolicy(retry.Policy{MaxAttempts: 2}, int64(h.ID())+1)
 	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)

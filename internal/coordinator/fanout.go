@@ -3,14 +3,11 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"celestial/internal/applyengine"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
 	"celestial/internal/netem"
-	"celestial/internal/retry"
-	"celestial/internal/supervise"
 )
 
 // FanoutOptions configures the host fan-out tier (see ConfigureFanout).
@@ -20,34 +17,10 @@ type FanoutOptions struct {
 	// machines. Zero means one agent per host; it must not exceed the
 	// host count (hosts are never split across agents).
 	Agents int
-	// Ladder configures each shard's follower degradation ladder.
-	Ladder supervise.FollowerConfig
-	// Retry is the wire-send retry policy; Seed feeds the per-shard
-	// jitter and fault-injection streams.
-	Retry retry.Policy
-	Seed  int64
-	// FrameDropRate, FrameDupRate and FrameDelayRate inject frame loss,
-	// duplication and delay (by FrameDelay) into the loopback wire sends
-	// — deterministic scenario events, not wall-clock noise.
-	FrameDropRate  float64
-	FrameDupRate   float64
-	FrameDelayRate float64
-	FrameDelay     time.Duration
-	// DeadAfter declares a killed agent permanently dead after this much
-	// virtual time; its shard is then rebalanced to a surviving agent
-	// (or the coordinator's loopback) instead of failing its machines.
-	// Zero disables the dead path.
-	DeadAfter time.Duration
-	// Heartbeat and WriteTimeout size the remote agent connections; zero
-	// means the hostlink defaults.
-	Heartbeat    time.Duration
-	WriteTimeout time.Duration
-	// Token, when non-empty, is demanded of every remote agent's Hello
-	// frame before it may attach.
-	Token string
-	// ApplyWindow bounds in-flight commit-protocol proposals per shard;
-	// zero adopts the fully serialized default of 1.
-	ApplyWindow int
+	// Options are the tier's own settable options (ladder, retry, seed,
+	// frame faults, dead-after, remote timeouts, token, apply window),
+	// handed to hostlink as they are.
+	hostlink.Options
 }
 
 // ConfigureFanout rebuilds the fan-out tier with the given options. Must
@@ -138,17 +111,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		Updated:  c.UpdateChan,
 		Replay:   c.DiffsSince,
 		Snapshot: c.shardSnapshot,
-		Ladder:   o.Ladder,
-		Retry:    o.Retry,
-		Seed:     o.Seed,
-		DropRate: o.FrameDropRate,
-		DupRate:  o.FrameDupRate, DelayRate: o.FrameDelayRate,
-		Delay:        o.FrameDelay,
-		DeadAfter:    o.DeadAfter,
-		Heartbeat:    o.Heartbeat,
-		WriteTimeout: o.WriteTimeout,
-		Token:        o.Token,
-		ApplyWindow:  o.ApplyWindow,
+		Options:  o.Options,
 	}, c.log.Cap())
 	if err != nil {
 		return err

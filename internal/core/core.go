@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"net"
 	"net/http"
 	"time"
@@ -138,21 +137,17 @@ func (t *Testbed) InjectFaults(model faults.SEUModel, seed int64) error {
 // ("878.0.celestial", "accra.gst.celestial").
 func (t *Testbed) NodeByName(name string) (int, error) {
 	cons := t.coord.Constellation()
-	if id, err := cons.GSTNodeByName(name); err == nil {
+	id, err := cons.NodeByRef(name)
+	if err == nil {
 		return id, nil
 	}
-	if shell, sat, gst, err := vnet.ParseName(name); err == nil {
+	if shell, sat, gst, dnsErr := vnet.ParseName(name); dnsErr == nil {
 		if gst != "" {
 			return cons.GSTNodeByName(gst)
 		}
 		return cons.SatNode(shell, sat)
 	}
-	// The short "<sat>.<shell>" form shares the strict parser with the
-	// scenario engine and the HTTP information service.
-	if sat, shell, ok := vnet.ParseSatRef(name); ok {
-		return cons.SatNode(shell, sat)
-	}
-	return 0, fmt.Errorf("core: unknown node %q", name)
+	return 0, err
 }
 
 // ServeDNS answers testbed DNS queries on a UDP socket until it is closed.

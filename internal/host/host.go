@@ -23,7 +23,6 @@ import (
 
 	"celestial/internal/machine"
 	"celestial/internal/retry"
-	"celestial/internal/rng"
 )
 
 // Scheduler schedules callbacks at absolute times (satisfied by vnet.Sim).
@@ -112,16 +111,11 @@ type Host struct {
 	loads      map[int]float64 // workload CPU demand, fraction of allocation
 	lastUpdate time.Time
 	trace      []UsagePoint
-	retryStats retry.Stats
 
-	// retryPolicy, retryRnd, faultRate and faultRnd configure the
-	// lifecycle-op retry middleware and its fault injection; they are only
-	// touched from the apply path (the simulation goroutine) and must not
-	// be changed concurrently with it.
-	retryPolicy retry.Policy
-	retryRnd    *rng.Stream
-	faultRate   float64
-	faultRnd    *rng.Stream
+	// ops is the retry middleware around machine lifecycle operations,
+	// with its fault injection; Do and the setters are only used from the
+	// apply path (the simulation goroutine).
+	ops *retry.Guard
 }
 
 // New creates a host. The current scheduler time marks the start of the
@@ -135,6 +129,7 @@ func New(id int, cap Capacity, sched Scheduler) (*Host, error) {
 		started:  sched.Now(),
 		machines: map[int]*machine.Machine{},
 		loads:    map[int]float64{},
+		ops:      retry.NewGuard("injected apply fault"),
 	}, nil
 }
 
@@ -188,62 +183,16 @@ func (h *Host) sortedLocked() []*machine.Machine {
 	return h.byID
 }
 
-// SetRetryPolicy configures the retry middleware around machine lifecycle
-// operations (start, suspend, resume): transient failures are retried under
-// the policy, with jitter drawn from a stream seeded with seed. The zero
-// policy adopts retry.Default. Must not be called concurrently with
-// ApplyActivity or StartMachine.
-func (h *Host) SetRetryPolicy(p retry.Policy, seed int64) {
-	h.retryPolicy = p
-	h.retryRnd = rng.New(seed)
-}
-
-// SetApplyFaults injects transient failures into machine lifecycle
-// operations: each attempt independently fails with probability rate before
-// reaching the machine, drawn from a stream seeded with seed. The injected
-// errors are marked retry.Transient, so a configured retry policy recovers
-// from them; rate 0 disables injection. This is the scenario engine's hook
-// for exercising the retry path deterministically. Must not be called
-// concurrently with ApplyActivity or StartMachine.
-func (h *Host) SetApplyFaults(rate float64, seed int64) {
-	h.faultRate = rate
-	h.faultRnd = rng.New(seed)
-}
-
-// RetryStats returns the accumulated lifecycle-op retry counters.
-func (h *Host) RetryStats() retry.Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.retryStats
-}
-
-// lifecycleOp runs one machine lifecycle operation through the retry
-// middleware, injecting configured faults ahead of the real operation, and
-// folds the outcome into the host's retry stats.
-func (h *Host) lifecycleOp(op func() error) error {
-	attempt := op
-	if h.faultRate > 0 && h.faultRnd != nil {
-		attempt = func() error {
-			if h.faultRnd.Float64() < h.faultRate {
-				return retry.Transient(fmt.Errorf("injected apply fault"))
-			}
-			return op()
-		}
-	}
-	var rnd func() float64
-	if h.retryRnd != nil {
-		rnd = h.retryRnd.Float64
-	}
-	res := retry.Do(h.retryPolicy, rnd, attempt)
-	h.mu.Lock()
-	h.retryStats.Record(res)
-	h.mu.Unlock()
-	return res.Err
-}
+// LifecycleOps returns the retry middleware every machine lifecycle
+// operation (start, suspend, resume) runs through — where a caller sets the
+// retry policy, injects seeded transient faults and reads the retry
+// counters. Its setters must not be called concurrently with ApplyActivity
+// or StartMachine.
+func (h *Host) LifecycleOps() *retry.Guard { return h.ops }
 
 // StartMachine boots one machine, scheduling its boot completion after the
 // machine's boot delay. The start transition runs through the retry
-// middleware (see SetRetryPolicy).
+// middleware (see LifecycleOps).
 func (h *Host) StartMachine(id int) error {
 	h.mu.Lock()
 	m, ok := h.machines[id]
@@ -252,7 +201,7 @@ func (h *Host) StartMachine(id int) error {
 		return fmt.Errorf("host %d: no machine %d", h.id, id)
 	}
 	now := h.sched.Now()
-	if err := h.lifecycleOp(func() error { return m.Start(now) }); err != nil {
+	if err := h.ops.Do(func() error { return m.Start(now) }); err != nil {
 		return err
 	}
 	return h.sched.At(now.Add(m.BootDelay()), func() {
@@ -298,7 +247,7 @@ func (h *Host) SetLoad(id int, fraction float64) error {
 // The sweep visits machines in node-ID order and does not stop at the
 // first failure: one stuck machine must not leave the rest of the host's
 // fleet on a stale activity state. Each transition runs through the retry
-// middleware (see SetRetryPolicy); errors that survive it are aggregated
+// middleware (see LifecycleOps); errors that survive it are aggregated
 // with errors.Join, each naming its machine.
 func (h *Host) ApplyActivity(active func(id int) bool) error {
 	return h.ApplyActivityScoped(nil, active)
@@ -330,11 +279,11 @@ func (h *Host) ApplyActivityScoped(member func(id int) bool, active func(id int)
 			}
 		case machine.Active:
 			if !want {
-				err = h.lifecycleOp(func() error { return m.Suspend(now) })
+				err = h.ops.Do(func() error { return m.Suspend(now) })
 			}
 		case machine.Suspended:
 			if want {
-				err = h.lifecycleOp(func() error { return m.Resume(now) })
+				err = h.ops.Do(func() error { return m.Resume(now) })
 			}
 		}
 		if err != nil {

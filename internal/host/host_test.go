@@ -371,8 +371,8 @@ func TestApplyActivityAggregatesErrors(t *testing.T) {
 	m3 := addMachine(t, h, 3, 1, 128, 0) // never started, must stay untouched
 	// Every lifecycle attempt fails: both suspends must still be tried and
 	// both failures reported, naming their machines.
-	h.SetApplyFaults(1.0, 7)
-	h.SetRetryPolicy(retry.Policy{MaxAttempts: 2}, 7)
+	h.LifecycleOps().SetFaults(1.0, 7)
+	h.LifecycleOps().SetPolicy(retry.Policy{MaxAttempts: 2}, 7)
 	err := h.ApplyActivity(func(id int) bool { return false })
 	if err == nil {
 		t.Fatal("sweep with universal faults returned nil")
@@ -394,7 +394,7 @@ func TestApplyActivityAggregatesErrors(t *testing.T) {
 		t.Errorf("states = %v, %v, %v", m1.State(), m2.State(), m3.State())
 	}
 	// 2 clean starts from StartAll, then 2 given-up suspends of 2 attempts.
-	st := h.RetryStats()
+	st := h.LifecycleOps().Stats()
 	if st.Ops != 4 || st.GaveUp != 2 || st.Attempts != 6 {
 		t.Errorf("retry stats = %+v", st)
 	}
@@ -415,8 +415,8 @@ func TestApplyActivityRetriesTransientFaults(t *testing.T) {
 	}
 	// Each attempt fails with p=0.4; 8 attempts make give-up vanishingly
 	// rare, and the seeded stream makes the outcome reproducible.
-	h.SetApplyFaults(0.4, 11)
-	h.SetRetryPolicy(retry.Policy{MaxAttempts: 8}, 11)
+	h.LifecycleOps().SetFaults(0.4, 11)
+	h.LifecycleOps().SetPolicy(retry.Policy{MaxAttempts: 8}, 11)
 	if err := h.ApplyActivity(func(id int) bool { return false }); err != nil {
 		t.Fatalf("sweep with retried faults failed: %v", err)
 	}
@@ -426,7 +426,7 @@ func TestApplyActivityRetriesTransientFaults(t *testing.T) {
 		}
 	}
 	// 6 clean starts from StartAll plus 6 suspends under injected faults.
-	st := h.RetryStats()
+	st := h.LifecycleOps().Stats()
 	if st.Ops != 12 || st.Retried == 0 || st.Recovered != st.Retried || st.GaveUp != 0 {
 		t.Errorf("retry stats = %+v", st)
 	}
@@ -439,8 +439,8 @@ func TestStartMachineRetriesInjectedFaults(t *testing.T) {
 	sim := vnet.NewSim(hostStart)
 	h := newHost(t, sim)
 	m := addMachine(t, h, 1, 1, 128, 100*time.Millisecond)
-	h.SetApplyFaults(0.5, 3)
-	h.SetRetryPolicy(retry.Policy{MaxAttempts: 10}, 3)
+	h.LifecycleOps().SetFaults(0.5, 3)
+	h.LifecycleOps().SetPolicy(retry.Policy{MaxAttempts: 10}, 3)
 	if err := h.StartMachine(1); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestApplyActivityFatalErrorsNotRetried(t *testing.T) {
 	if err := m.Crash(sim.Now(), "seu"); err != nil {
 		t.Fatal(err)
 	}
-	h.SetRetryPolicy(retry.Policy{MaxAttempts: 5}, 1)
+	h.LifecycleOps().SetPolicy(retry.Policy{MaxAttempts: 5}, 1)
 	if err := h.ApplyActivity(func(id int) bool { return true }); err != nil {
 		t.Fatalf("crashed machine is not runnable, sweep must skip it: %v", err)
 	}

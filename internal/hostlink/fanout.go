@@ -79,22 +79,24 @@ type Config struct {
 	Replay   func(since uint64) ([]Record, bool)
 	Snapshot func(shard int) (*Snapshot, error)
 
-	// Ladder configures the per-shard follower degradation ladder.
+	// Options are the tier's settable options, declared once below.
+	Options
+}
+
+// Options are the fan-out tier's settable options: the one declaration
+// Config, coordinator.FanoutOptions and the scenario [hosts] table embed,
+// so a value set in a scenario file reaches New without being re-spelled.
+// The zero value is a fault-free tier with default ladder and timeouts.
+type Options struct {
+	// Ladder configures the per-shard follower degradation ladder
+	// (rungs in generations behind); zeros adopt the supervise defaults.
 	Ladder supervise.FollowerConfig
-
-	// Token, when non-empty, is the bearer token remote agents must
-	// present in their Hello frame; plaintext loopback runs leave it
-	// empty. Optional.
-	Token string
-
-	// ApplyWindow bounds commit-protocol proposals in flight per shard;
-	// zero adopts 1 (fully serialized, the deterministic default).
-	ApplyWindow int
 
 	// Retry is the wire-send retry policy (virtual backoff); Seed feeds
 	// the per-shard jitter and fault-injection streams. DropRate,
 	// DupRate and DelayRate inject frame loss, duplication and delay
-	// (by Delay) into loopback sends.
+	// (by Delay) into loopback sends — seeded on the virtual clock, so
+	// they are deterministic scenario events, not wall-clock noise.
 	Retry     retry.Policy
 	Seed      int64
 	DropRate  float64
@@ -112,6 +114,33 @@ type Config struct {
 	// connections; zero means the package defaults.
 	Heartbeat    time.Duration
 	WriteTimeout time.Duration
+
+	// Token, when non-empty, is the bearer token remote agents must
+	// present in their Hello frame; plaintext loopback runs leave it
+	// empty.
+	Token string
+
+	// ApplyWindow bounds commit-protocol proposals in flight per shard;
+	// zero adopts 1 (fully serialized, the deterministic default).
+	ApplyWindow int
+}
+
+// Validate reports the first option outside its range: rates are
+// probabilities, everything else is non-negative.
+func (o Options) Validate() error {
+	prob := func(v float64) bool { return v >= 0 && v <= 1 }
+	switch {
+	case !prob(o.DropRate) || !prob(o.DupRate) || !prob(o.DelayRate):
+		return fmt.Errorf("hostlink: frame fault rate outside [0, 1] (drop %v, dup %v, delay %v)", o.DropRate, o.DupRate, o.DelayRate)
+	case o.Delay < 0 || o.DeadAfter < 0 || o.Heartbeat < 0 || o.WriteTimeout < 0:
+		return fmt.Errorf("hostlink: negative duration (delay %v, dead-after %v, heartbeat %v, write timeout %v)",
+			o.Delay, o.DeadAfter, o.Heartbeat, o.WriteTimeout)
+	case o.Ladder.CoalesceLag < 0 || o.Ladder.ActivityOnlyLag < 0 || o.Ladder.RecoverAfter < 0:
+		return fmt.Errorf("hostlink: negative ladder rung %+v", o.Ladder)
+	case o.ApplyWindow < 0:
+		return fmt.Errorf("hostlink: negative apply window %d", o.ApplyWindow)
+	}
+	return o.Retry.Validate()
 }
 
 // ShardStats is one shard's deterministic delivery counters — everything
@@ -306,13 +335,16 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	if retention <= 0 {
 		return nil, fmt.Errorf("hostlink: retention %d", retention)
 	}
-	if cfg.Heartbeat <= 0 {
+	if err := cfg.Options.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.WriteTimeout <= 0 {
+	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
-	if cfg.ApplyWindow <= 0 {
+	if cfg.ApplyWindow == 0 {
 		cfg.ApplyWindow = 1
 	}
 	fo := &Fanout{

@@ -2,6 +2,7 @@ package hostlink
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -158,17 +159,16 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 		appliers[i] = a
 	}
 	cfg := Config{
-		Shards:    shards,
-		ShardOf:   func(node int) int { return node % shards },
-		Appliers:  appliers,
-		Now:       h.fs.Now,
-		After:     h.fs.After,
-		Head:      h.src.Head,
-		Updated:   h.src.Updated,
-		Replay:    h.src.Replay,
-		Snapshot:  h.src.Snapshot,
-		Seed:      42,
-		Heartbeat: 100 * time.Millisecond,
+		Shards:   shards,
+		ShardOf:  func(node int) int { return node % shards },
+		Appliers: appliers,
+		Now:      h.fs.Now,
+		After:    h.fs.After,
+		Head:     h.src.Head,
+		Updated:  h.src.Updated,
+		Replay:   h.src.Replay,
+		Snapshot: h.src.Snapshot,
+		Options:  Options{Seed: 42, Heartbeat: 100 * time.Millisecond},
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -607,5 +607,40 @@ func TestDeferredDeliveryCopiesNoContent(t *testing.T) {
 	}
 	if small, large := perTick(1), perTick(400); small != large {
 		t.Errorf("a tick of deferred deliveries allocates %v times for 1 delta, %v for 400 in every list", small, large)
+	}
+}
+
+// TestOptionsValidate: New refuses options outside their ranges — the
+// checks every embedder of Options (coordinator, scenario [hosts]) relies
+// on instead of repeating them.
+func TestOptionsValidate(t *testing.T) {
+	if err := (Options{DropRate: 1, DupRate: 0.5, Delay: time.Second, ApplyWindow: 4}).Validate(); err != nil {
+		t.Errorf("valid options rejected: %v", err)
+	}
+	bad := map[string]Options{
+		"rate above one":   {DupRate: 1.5},
+		"negative rate":    {DelayRate: -0.1},
+		"nan rate":         {DropRate: math.NaN()},
+		"negative delay":   {Delay: -time.Millisecond},
+		"negative dead":    {DeadAfter: -time.Second},
+		"negative timeout": {WriteTimeout: -time.Second},
+		"negative rung":    {Ladder: supervise.FollowerConfig{RecoverAfter: -1}},
+		"negative window":  {ApplyWindow: -1},
+		"bad retry":        {Retry: retry.Policy{Jitter: 2}},
+	}
+	for name, o := range bad {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", name, o)
+		}
+		h := &harness{fs: &fakeSim{now: time.Unix(0, 0)}, src: newMemSource(4)}
+		_, err := New(Config{
+			Shards: 1, ShardOf: func(int) int { return 0 }, Appliers: []Applier{&recApplier{t: t}},
+			Now: h.fs.Now, After: h.fs.After,
+			Head: h.src.Head, Updated: h.src.Updated, Replay: h.src.Replay, Snapshot: h.src.Snapshot,
+			Options: o,
+		}, 4)
+		if err == nil {
+			t.Errorf("%s: New accepted %+v", name, o)
+		}
 	}
 }

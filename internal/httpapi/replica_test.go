@@ -309,7 +309,7 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 		Now:      time.Now,
 		After:    func(time.Duration, func()) error { return nil },
 		Head:     feed.head, Updated: feed.updated, Replay: feed.replay, Snapshot: feed.snapshot,
-		Heartbeat: time.Second,
+		Options: hostlink.Options{Heartbeat: time.Second},
 	}, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -213,28 +213,12 @@ func (cs *CoordinatorSource) GSTDoc(name string) ([]byte, int) {
 	return marshalDoc(resp), 200
 }
 
-// resolveNode turns a path parameter — "<sat>.<shell>" like "878.0" for
-// satellites, or a ground station name — into a node ID. Satellite
-// references go through the shared strict parser (vnet.ParseSatRef), so
-// "3.2junk" or "-1.0" do not resolve (fmt.Sscanf's "%d.%d" used to accept
-// both).
-func (cs *CoordinatorSource) resolveNode(param string) (int, error) {
-	cons := cs.c.Constellation()
-	if id, err := cons.GSTNodeByName(param); err == nil {
-		return id, nil
-	}
-	if sat, shell, ok := vnet.ParseSatRef(param); ok {
-		return cons.SatNode(shell, sat)
-	}
-	return 0, fmt.Errorf("unknown node %q (want \"<sat>.<shell>\" or a ground station name)", param)
-}
-
 func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
-	src, err := cs.resolveNode(source)
+	src, err := cs.c.Constellation().NodeByRef(source)
 	if err != nil {
 		return errDoc(404, "%v", err)
 	}
-	dst, err := cs.resolveNode(target)
+	dst, err := cs.c.Constellation().NodeByRef(target)
 	if err != nil {
 		return errDoc(404, "%v", err)
 	}

@@ -20,7 +20,10 @@ package retry
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
+
+	"celestial/internal/rng"
 )
 
 // Policy bounds one retried operation.
@@ -214,4 +217,71 @@ func (s *Stats) Add(other Stats) {
 	s.GaveUp += other.GaveUp
 	s.Fatal += other.Fatal
 	s.Backoff += other.Backoff
+}
+
+// Guard is the middleware around one class of operation — a host's machine
+// lifecycle transitions, the network's shaper programming: it runs each
+// operation under a policy with seeded jitter, optionally injects seeded
+// transient faults ahead of it, and accumulates the outcomes. Each attempt
+// costs one fault draw only while injection is on, and each backoff one
+// jitter draw only while the policy's Jitter is positive, so a run's draws
+// are a function of its seeds and settings alone. Do and the setters belong
+// to the goroutine that applies operations; Stats may be read from any.
+type Guard struct {
+	policy Policy
+	jitter *rng.Stream
+	rate   float64
+	faults *rng.Stream
+	fault  error
+
+	mu    sync.Mutex
+	stats Stats
+}
+
+// NewGuard returns a guard with the zero policy (Default, so no jitter) and
+// no fault injection; fault is the text of the transient error it injects.
+func NewGuard(fault string) *Guard {
+	return &Guard{fault: Transient(errors.New(fault)), jitter: rng.New(0)}
+}
+
+// SetPolicy sets the retry policy (the zero policy adopts Default) and
+// seeds the jitter stream.
+func (g *Guard) SetPolicy(p Policy, seed int64) {
+	g.policy = p
+	g.jitter = rng.New(seed)
+}
+
+// SetFaults makes each attempt fail independently with probability rate
+// before reaching the operation, drawn from a stream seeded with seed. The
+// injected error is Transient, so the policy recovers from it; rate 0
+// disables injection. Scenarios use this to exercise the retry path
+// deterministically.
+func (g *Guard) SetFaults(rate float64, seed int64) {
+	g.rate = rate
+	g.faults = rng.New(seed)
+}
+
+// Do runs op through the middleware and returns its final error.
+func (g *Guard) Do(op func() error) error {
+	attempt := op
+	if g.rate > 0 {
+		attempt = func() error {
+			if g.faults.Float64() < g.rate {
+				return g.fault
+			}
+			return op()
+		}
+	}
+	res := Do(g.policy, g.jitter.Float64, attempt)
+	g.mu.Lock()
+	g.stats.Record(res)
+	g.mu.Unlock()
+	return res.Err
+}
+
+// Stats returns the accumulated outcomes.
+func (g *Guard) Stats() Stats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.stats
 }

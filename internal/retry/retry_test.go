@@ -146,3 +146,53 @@ func TestStats(t *testing.T) {
 		t.Fatalf("merged = %+v", total)
 	}
 }
+
+// TestGuardDrawOrder pins the guard's use of its two streams — the contract
+// that keeps seeded runs byte-identical: one fault draw per attempt while
+// injection is on, one jitter draw per backoff while Jitter is positive, and
+// none otherwise. The expected outcome is replayed by hand from streams with
+// the same seeds.
+func TestGuardDrawOrder(t *testing.T) {
+	const rate, faultSeed, jitterSeed = 0.5, 11, 12
+	p := Policy{MaxAttempts: 8, Jitter: 0.5}
+	g := NewGuard("injected test fault")
+	g.SetPolicy(p, jitterSeed)
+	g.SetFaults(rate, faultSeed)
+	faults, jitter := rng.New(faultSeed), rng.New(jitterSeed)
+	var want Stats
+	for op := 0; op < 50; op++ {
+		ran := 0
+		err := g.Do(func() error { ran++; return nil })
+		want.Record(Do(p, jitter.Float64, func() error {
+			if faults.Float64() < rate {
+				return Transient(errors.New("injected test fault"))
+			}
+			return nil
+		}))
+		if (err == nil) != (ran == 1) {
+			t.Fatalf("op %d: err = %v but the operation ran %d times", op, err, ran)
+		}
+		if err != nil && (!IsTransient(err) || err.Error() != "retry: gave up after 8 attempts: injected test fault") {
+			t.Fatalf("op %d: err = %v", op, err)
+		}
+	}
+	if got := g.Stats(); got != want || got.Retried == 0 {
+		t.Errorf("stats = %+v, want %+v with retries", got, want)
+	}
+
+	// Injection off and Jitter zero: neither stream is touched.
+	quiet := NewGuard("unused")
+	quiet.SetPolicy(Policy{MaxAttempts: 3}, 1)
+	quiet.SetFaults(0, 2)
+	fails := 0
+	if err := quiet.Do(func() error { fails++; return Transient(errors.New("busy")) }); err == nil || fails != 3 {
+		t.Fatalf("err = %v after %d attempts", err, fails)
+	}
+	if quiet.jitter.Uint64() != rng.New(1).Uint64() || quiet.faults.Uint64() != rng.New(2).Uint64() {
+		t.Error("a stream was drawn from with injection off and no jitter")
+	}
+	// The zero guard retries under Default without jitter.
+	if err := NewGuard("unused").Do(func() error { return nil }); err != nil {
+		t.Error(err)
+	}
+}

@@ -94,15 +94,11 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	// processes never alias.
 	if sup := sc.Supervision; sup.Enabled() {
 		for _, h := range coord.Hosts() {
-			h.SetRetryPolicy(sup.Retry, rng.Derive(sc.Seed, uint64(1<<21+h.ID())))
-			if sup.ApplyFaultRate > 0 {
-				h.SetApplyFaults(sup.ApplyFaultRate, rng.Derive(sc.Seed, uint64(1<<22+h.ID())))
-			}
+			h.LifecycleOps().SetPolicy(sup.Retry, rng.Derive(sc.Seed, uint64(1<<21+h.ID())))
+			h.LifecycleOps().SetFaults(sup.ApplyFaultRate, rng.Derive(sc.Seed, uint64(1<<22+h.ID())))
 		}
-		r.net.SetRetryPolicy(sup.Retry, rng.Derive(sc.Seed, 1<<23))
-		if sup.ShaperFaultRate > 0 {
-			r.net.SetShaperFaults(sup.ShaperFaultRate, rng.Derive(sc.Seed, 1<<24))
-		}
+		r.net.ShaperOps().SetPolicy(sup.Retry, rng.Derive(sc.Seed, 1<<23))
+		r.net.ShaperOps().SetFaults(sup.ShaperFaultRate, rng.Derive(sc.Seed, 1<<24))
 		if sup.Watchdog {
 			coord.SetWatchdog(supervise.Config{Interval: sup.WatchdogInterval})
 		}
@@ -117,33 +113,23 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 				return nil, err
 			}
 		}
-		if err := coord.ConfigureFanout(coordinator.FanoutOptions{
-			Agents: h.Agents,
-			Ladder: supervise.FollowerConfig{
-				CoalesceLag:     h.CoalesceLag,
-				ActivityOnlyLag: h.ActivityOnlyLag,
-				RecoverAfter:    h.RecoverAfter,
-			},
-			Retry:          sc.Supervision.Retry,
-			Seed:           rng.Derive(sc.Seed, 1<<25),
-			FrameDropRate:  h.FrameDropRate,
-			FrameDupRate:   h.FrameDupRate,
-			FrameDelayRate: h.FrameDelayRate,
-			FrameDelay:     h.FrameDelay,
-			DeadAfter:      h.DeadAfter,
-		}); err != nil {
+		opts := h.FanoutOptions
+		opts.Retry = sc.Supervision.Retry
+		opts.Seed = rng.Derive(sc.Seed, 1<<25)
+		if err := coord.ConfigureFanout(opts); err != nil {
 			return nil, fmt.Errorf("scenario: hosts: %w", err)
 		}
 	}
 
+	cons := coord.Constellation()
 	handled := map[int]bool{}
 	for i := range sc.Flows {
 		f := &sc.Flows[i]
-		src, err := r.resolveNode(f.Source)
+		src, err := cons.NodeByRef(f.Source)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: flow %q: %w", f.Name, err)
 		}
-		dst, err := r.resolveNode(f.Target)
+		dst, err := cons.NodeByRef(f.Target)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: flow %q: %w", f.Name, err)
 		}
@@ -166,7 +152,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	}
 	for i := range sc.Events {
 		if n := sc.Events[i].Node; n != "" {
-			if _, err := r.resolveNode(n); err != nil {
+			if _, err := cons.NodeByRef(n); err != nil {
 				return nil, fmt.Errorf("scenario: event %d (%s): %w", i, sc.Events[i].Action, err)
 			}
 		}
@@ -183,23 +169,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 
 // Coordinator exposes the coordinator driving the scenario.
 func (r *Runner) Coordinator() *coordinator.Coordinator { return r.coord }
-
-// resolveNode maps a node reference — a ground-station name or a
-// "SAT.SHELL" pair — to its constellation-wide node ID. The satellite
-// form goes through the shared strict parser (vnet.ParseSatRef, the same
-// one the HTTP information service uses): trailing junk ("878.0.5",
-// "878.0x") and signed indices ("878.+0") are errors, not silently
-// mangled references to the wrong node.
-func (r *Runner) resolveNode(name string) (int, error) {
-	cons := r.coord.Constellation()
-	if id, err := cons.GSTNodeByName(name); err == nil {
-		return id, nil
-	}
-	if sat, shell, ok := vnet.ParseSatRef(name); ok {
-		return cons.SatNode(shell, sat)
-	}
-	return 0, fmt.Errorf("unknown node %q", name)
-}
 
 // dispatchFor builds the message handler of one node, routing stream
 // packets, rpc requests and rpc responses of every flow terminating there.
@@ -324,7 +293,7 @@ func (r *Runner) runEvent(i int) {
 		case ActionBandwidthCap:
 			return r.net.SetBandwidthCap(ev.BandwidthKbps)
 		case ActionNodeDown:
-			node, err := r.resolveNode(ev.Node)
+			node, err := r.coord.Constellation().NodeByRef(ev.Node)
 			if err != nil {
 				return err
 			}
@@ -334,7 +303,7 @@ func (r *Runner) runEvent(i int) {
 			}
 			return m.Crash(r.sim.Now(), "scenario: scripted outage")
 		case ActionNodeUp:
-			node, err := r.resolveNode(ev.Node)
+			node, err := r.coord.Constellation().NodeByRef(ev.Node)
 			if err != nil {
 				return err
 			}

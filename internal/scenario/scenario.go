@@ -23,9 +23,12 @@ import (
 	"time"
 
 	"celestial/internal/config"
+	"celestial/internal/coordinator"
 	"celestial/internal/faults"
+	"celestial/internal/hostlink"
 	"celestial/internal/netem"
 	"celestial/internal/retry"
+	"celestial/internal/supervise"
 	"celestial/internal/toml"
 )
 
@@ -128,26 +131,15 @@ type Event struct {
 // frame faults are deterministic scenario events — a scenario with frame
 // faults is still byte-identical across runs.
 type Hosts struct {
-	// Agents is the fan-out width; zero means one agent per host.
-	Agents int
 	// DiffRing overrides the coordinator's diff retention ring capacity
 	// (how far behind an agent may fall and still catch up by replay).
 	DiffRing int
-	// DeadAfter declares a killed agent permanently dead after this much
-	// virtual time, failing its machines; zero disables the dead path.
-	DeadAfter time.Duration
-	// CoalesceLag and ActivityOnlyLag are the per-shard follower ladder
-	// rungs (in generations behind); RecoverAfter the healthy-tick streak
-	// required to step back down. Zeros adopt the supervise defaults.
-	CoalesceLag     int
-	ActivityOnlyLag int
-	RecoverAfter    int
-	// FrameDropRate, FrameDupRate and FrameDelayRate inject frame loss,
-	// duplication and delay (by FrameDelay) into wire sends.
-	FrameDropRate  float64
-	FrameDupRate   float64
-	FrameDelayRate float64
-	FrameDelay     time.Duration
+	// FanoutOptions is the tier's own configuration, passed to the
+	// coordinator as it is. The file sets Agents, Ladder, the frame
+	// fault rates, Delay and DeadAfter; NewRunner fills Retry (from
+	// [supervision]) and Seed (from the scenario seed); the wall-clock
+	// and deployment options have no key.
+	coordinator.FanoutOptions
 }
 
 // Enabled reports whether the table configures anything beyond the
@@ -233,95 +225,46 @@ func parse(text, baseDir string, allowRef bool) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	sc := &Scenario{}
-	if sc.Name, _, err = toml.GetString(doc, "name"); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if v, _, err := toml.GetInt(doc, "seed"); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	} else {
-		sc.Seed = v
-	}
-	if v, ok, err := toml.GetFloat(doc, "horizon"); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	} else if ok {
-		sc.Horizon = time.Duration(v * float64(time.Second))
+	t := toml.NewTable(doc)
+	sc := &Scenario{
+		Name:    t.String("name"),
+		Seed:    t.Int64("seed"),
+		Horizon: t.Seconds("horizon"),
 	}
 
 	// Testbed: inline table or file reference.
-	ref, hasRef, err := toml.GetString(doc, "config")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	inline, err := toml.GetTable(doc, "testbed")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
+	ref := t.String("config")
 	switch {
-	case hasRef && inline != nil:
+	case t.Has("config") && t.Has("testbed"):
 		return nil, fmt.Errorf("scenario: both config reference and inline [testbed] given")
-	case hasRef:
+	case t.Has("config"):
 		if !allowRef {
 			return nil, fmt.Errorf("scenario: config file references require ParseFile")
 		}
 		if !filepath.IsAbs(ref) {
 			ref = filepath.Join(baseDir, ref)
 		}
-		if sc.Config, err = config.ParseFile(ref); err != nil {
-			return nil, fmt.Errorf("scenario: testbed: %w", err)
-		}
-	case inline != nil:
-		if sc.Config, err = config.FromTable(inline); err != nil {
-			return nil, fmt.Errorf("scenario: testbed: %w", err)
-		}
+		sc.Config, err = config.ParseFile(ref)
+	case t.Has("testbed"):
+		sc.Config, err = config.FromTable(t.Table("testbed"))
 	default:
 		return nil, fmt.Errorf("scenario: missing testbed (inline [testbed] table or config reference)")
 	}
-
-	flows, err := toml.GetTableArray(doc, "flow")
 	if err != nil {
+		return nil, fmt.Errorf("scenario: testbed: %w", err)
+	}
+
+	for i, ft := range t.Tables("flow") {
+		sc.Flows = append(sc.Flows, flowFromTable(ft, i))
+	}
+	for _, et := range t.Tables("event") {
+		sc.Events = append(sc.Events, eventFromTable(et))
+	}
+	sc.Supervision = supervisionFromTable(t.Table("supervision"))
+	sc.Hosts = hostsFromTable(t.Table("hosts"))
+	if err := t.Err(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	for i, tbl := range flows {
-		f, err := flowFromTable(tbl, i)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: flow %d: %w", i, err)
-		}
-		sc.Flows = append(sc.Flows, f)
-	}
-
-	events, err := toml.GetTableArray(doc, "event")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	for i, tbl := range events {
-		ev, err := eventFromTable(tbl)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: event %d: %w", i, err)
-		}
-		sc.Events = append(sc.Events, ev)
-	}
-
-	sup, err := toml.GetTable(doc, "supervision")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if sup != nil {
-		if sc.Supervision, err = supervisionFromTable(sup); err != nil {
-			return nil, fmt.Errorf("scenario: supervision: %w", err)
-		}
-	}
-
-	hosts, err := toml.GetTable(doc, "hosts")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if hosts != nil {
-		if sc.Hosts, err = hostsFromTable(hosts); err != nil {
-			return nil, fmt.Errorf("scenario: hosts: %w", err)
-		}
-	}
-
 	if err := sc.finalize(); err != nil {
 		return nil, err
 	}
@@ -329,207 +272,93 @@ func parse(text, baseDir string, allowRef bool) (*Scenario, error) {
 }
 
 // supervisionFromTable decodes the [supervision] table.
-func supervisionFromTable(tbl map[string]any) (Supervision, error) {
-	s := Supervision{}
-	var err error
-	if s.Watchdog, _, err = toml.GetBool(tbl, "watchdog"); err != nil {
-		return s, err
+func supervisionFromTable(t *toml.Table) Supervision {
+	return Supervision{
+		Watchdog:         t.Bool("watchdog"),
+		WatchdogInterval: t.Seconds("watchdog_interval"),
+		ApplyFaultRate:   t.Float("apply_fault_rate"),
+		ShaperFaultRate:  t.Float("shaper_fault_rate"),
+		Retry: retry.Policy{
+			MaxAttempts: t.Int("retry_max_attempts"),
+			Initial:     t.Millis("retry_initial_ms"),
+			Max:         t.Millis("retry_max_ms"),
+			Multiplier:  t.Float("retry_multiplier"),
+			Jitter:      t.Float("retry_jitter"),
+			Budget:      t.Millis("retry_budget_ms"),
+		},
 	}
-	if s.WatchdogInterval, _, err = seconds(tbl, "watchdog_interval"); err != nil {
-		return s, err
-	}
-	if s.ApplyFaultRate, _, err = toml.GetFloat(tbl, "apply_fault_rate"); err != nil {
-		return s, err
-	}
-	if s.ShaperFaultRate, _, err = toml.GetFloat(tbl, "shaper_fault_rate"); err != nil {
-		return s, err
-	}
-	if v, _, err := toml.GetInt(tbl, "retry_max_attempts"); err != nil {
-		return s, err
-	} else {
-		s.Retry.MaxAttempts = int(v)
-	}
-	if s.Retry.Initial, _, err = milliseconds(tbl, "retry_initial_ms"); err != nil {
-		return s, err
-	}
-	if s.Retry.Max, _, err = milliseconds(tbl, "retry_max_ms"); err != nil {
-		return s, err
-	}
-	if s.Retry.Multiplier, _, err = toml.GetFloat(tbl, "retry_multiplier"); err != nil {
-		return s, err
-	}
-	if s.Retry.Jitter, _, err = toml.GetFloat(tbl, "retry_jitter"); err != nil {
-		return s, err
-	}
-	if s.Retry.Budget, _, err = milliseconds(tbl, "retry_budget_ms"); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // hostsFromTable decodes the [hosts] table.
-func hostsFromTable(tbl map[string]any) (Hosts, error) {
-	h := Hosts{}
-	var err error
-	if v, _, err := toml.GetInt(tbl, "agents"); err != nil {
-		return h, err
-	} else {
-		h.Agents = int(v)
+func hostsFromTable(t *toml.Table) Hosts {
+	return Hosts{
+		DiffRing: t.Int("diff_ring"),
+		FanoutOptions: coordinator.FanoutOptions{
+			Agents: t.Int("agents"),
+			Options: hostlink.Options{
+				Ladder: supervise.FollowerConfig{
+					CoalesceLag:     t.Int("lag_coalesce"),
+					ActivityOnlyLag: t.Int("lag_activity_only"),
+					RecoverAfter:    t.Int("recover_after"),
+				},
+				DropRate:  t.Float("frame_drop_rate"),
+				DupRate:   t.Float("frame_dup_rate"),
+				DelayRate: t.Float("frame_delay_rate"),
+				Delay:     t.Millis("frame_delay_ms"),
+				DeadAfter: t.Seconds("dead_after"),
+			},
+		},
 	}
-	if v, _, err := toml.GetInt(tbl, "diff_ring"); err != nil {
-		return h, err
-	} else {
-		h.DiffRing = int(v)
-	}
-	if h.DeadAfter, _, err = seconds(tbl, "dead_after"); err != nil {
-		return h, err
-	}
-	if v, _, err := toml.GetInt(tbl, "lag_coalesce"); err != nil {
-		return h, err
-	} else {
-		h.CoalesceLag = int(v)
-	}
-	if v, _, err := toml.GetInt(tbl, "lag_activity_only"); err != nil {
-		return h, err
-	} else {
-		h.ActivityOnlyLag = int(v)
-	}
-	if v, _, err := toml.GetInt(tbl, "recover_after"); err != nil {
-		return h, err
-	} else {
-		h.RecoverAfter = int(v)
-	}
-	if h.FrameDropRate, _, err = toml.GetFloat(tbl, "frame_drop_rate"); err != nil {
-		return h, err
-	}
-	if h.FrameDupRate, _, err = toml.GetFloat(tbl, "frame_dup_rate"); err != nil {
-		return h, err
-	}
-	if h.FrameDelayRate, _, err = toml.GetFloat(tbl, "frame_delay_rate"); err != nil {
-		return h, err
-	}
-	if h.FrameDelay, _, err = milliseconds(tbl, "frame_delay_ms"); err != nil {
-		return h, err
-	}
-	return h, nil
 }
 
-// seconds reads a float seconds key as a duration.
-func seconds(tbl map[string]any, key string) (time.Duration, bool, error) {
-	v, ok, err := toml.GetFloat(tbl, key)
-	return time.Duration(v * float64(time.Second)), ok, err
-}
-
-// milliseconds reads a float milliseconds key as a duration.
-func milliseconds(tbl map[string]any, key string) (time.Duration, bool, error) {
-	v, ok, err := toml.GetFloat(tbl, key)
-	return time.Duration(v * float64(time.Millisecond)), ok, err
-}
-
-func flowFromTable(tbl map[string]any, idx int) (Flow, error) {
-	f := Flow{}
-	var err error
-	if f.Name, _, err = toml.GetString(tbl, "name"); err != nil {
-		return f, err
+func flowFromTable(t *toml.Table, idx int) Flow {
+	f := Flow{
+		Name:          t.String("name"),
+		Type:          t.String("type"),
+		Source:        t.String("source"),
+		Target:        t.String("target"),
+		Arrival:       t.String("arrival"),
+		Rate:          t.Float("rate"),
+		RequestBytes:  t.Int("request_bytes"),
+		ResponseBytes: t.Int("response_bytes"),
+		Timeout:       t.Seconds("timeout"),
+		Start:         t.Seconds("start"),
+		Stop:          t.Seconds("stop"),
 	}
 	if f.Name == "" {
 		f.Name = fmt.Sprintf("flow-%d", idx)
 	}
-	if f.Type, _, err = toml.GetString(tbl, "type"); err != nil {
-		return f, err
-	}
-	if f.Source, _, err = toml.GetString(tbl, "source"); err != nil {
-		return f, err
-	}
-	if f.Target, _, err = toml.GetString(tbl, "target"); err != nil {
-		return f, err
-	}
-	if f.Arrival, _, err = toml.GetString(tbl, "arrival"); err != nil {
-		return f, err
-	}
-	if f.Rate, _, err = toml.GetFloat(tbl, "rate"); err != nil {
-		return f, err
-	}
-	if v, _, err := toml.GetInt(tbl, "request_bytes"); err != nil {
-		return f, err
-	} else {
-		f.RequestBytes = int(v)
-	}
-	if v, _, err := toml.GetInt(tbl, "response_bytes"); err != nil {
-		return f, err
-	} else {
-		f.ResponseBytes = int(v)
-	}
-	if f.Timeout, _, err = seconds(tbl, "timeout"); err != nil {
-		return f, err
-	}
-	if f.Start, _, err = seconds(tbl, "start"); err != nil {
-		return f, err
-	}
-	if f.Stop, _, err = seconds(tbl, "stop"); err != nil {
-		return f, err
-	}
-	return f, nil
+	return f
 }
 
-func eventFromTable(tbl map[string]any) (Event, error) {
-	ev := Event{}
-	var err error
-	if ev.At, _, err = seconds(tbl, "at"); err != nil {
-		return ev, err
+func eventFromTable(t *toml.Table) Event {
+	ev := Event{
+		At:     t.Seconds("at"),
+		Action: t.String("action"),
+		Window: t.Seconds("window"),
+		Faults: faults.SEUModel{
+			RatePerHour:  t.Float("rate_per_hour"),
+			ShutdownProb: t.Float("shutdown_prob"),
+			RebootAfter:  t.Seconds("reboot_after"),
+			DegradeTo:    t.Float("degrade_to"),
+			DegradeFor:   t.Seconds("degrade_for"),
+		},
+		Impair: netem.Params{
+			LossProb:          t.Float("loss"),
+			Jitter:            t.Millis("jitter_ms"),
+			DupProb:           t.Float("duplicate"),
+			CorruptProb:       t.Float("corrupt"),
+			ReorderProb:       t.Float("reorder"),
+			ReorderExtraDelay: t.Millis("reorder_extra_ms"),
+		},
+		BandwidthKbps: t.Float("bandwidth_kbits"),
+		Node:          t.String("node"),
+		Agent:         -1,
 	}
-	if ev.Action, _, err = toml.GetString(tbl, "action"); err != nil {
-		return ev, err
+	if t.Has("agent") {
+		ev.Agent = t.Int("agent")
 	}
-	if ev.Window, _, err = seconds(tbl, "window"); err != nil {
-		return ev, err
-	}
-	if ev.Faults.RatePerHour, _, err = toml.GetFloat(tbl, "rate_per_hour"); err != nil {
-		return ev, err
-	}
-	if ev.Faults.ShutdownProb, _, err = toml.GetFloat(tbl, "shutdown_prob"); err != nil {
-		return ev, err
-	}
-	if ev.Faults.RebootAfter, _, err = seconds(tbl, "reboot_after"); err != nil {
-		return ev, err
-	}
-	if ev.Faults.DegradeTo, _, err = toml.GetFloat(tbl, "degrade_to"); err != nil {
-		return ev, err
-	}
-	if ev.Faults.DegradeFor, _, err = seconds(tbl, "degrade_for"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.LossProb, _, err = toml.GetFloat(tbl, "loss"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.Jitter, _, err = milliseconds(tbl, "jitter_ms"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.DupProb, _, err = toml.GetFloat(tbl, "duplicate"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.CorruptProb, _, err = toml.GetFloat(tbl, "corrupt"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.ReorderProb, _, err = toml.GetFloat(tbl, "reorder"); err != nil {
-		return ev, err
-	}
-	if ev.Impair.ReorderExtraDelay, _, err = milliseconds(tbl, "reorder_extra_ms"); err != nil {
-		return ev, err
-	}
-	if ev.BandwidthKbps, _, err = toml.GetFloat(tbl, "bandwidth_kbits"); err != nil {
-		return ev, err
-	}
-	if ev.Node, _, err = toml.GetString(tbl, "node"); err != nil {
-		return ev, err
-	}
-	ev.Agent = -1
-	if v, ok, err := toml.GetInt(tbl, "agent"); err != nil {
-		return ev, err
-	} else if ok {
-		ev.Agent = int(v)
-	}
-	return ev, nil
+	return ev
 }
 
 // Truncate shortens the scenario's horizon to d: flow windows are clamped
@@ -655,33 +484,10 @@ func (sc *Scenario) finalize() error {
 		return fmt.Errorf("scenario: supervision: %w", err)
 	}
 
-	hcfg := &sc.Hosts
-	if hcfg.Agents < 0 {
-		return fmt.Errorf("scenario: hosts: negative agent count %d", hcfg.Agents)
-	}
-	if hcfg.DiffRing < 0 {
-		return fmt.Errorf("scenario: hosts: negative diff ring %d", hcfg.DiffRing)
-	}
-	if hcfg.DeadAfter < 0 {
-		return fmt.Errorf("scenario: hosts: negative dead_after %v", hcfg.DeadAfter)
-	}
-	if hcfg.CoalesceLag < 0 || hcfg.ActivityOnlyLag < 0 || hcfg.RecoverAfter < 0 {
-		return fmt.Errorf("scenario: hosts: negative ladder rung")
-	}
-	for _, rate := range []struct {
-		name string
-		v    float64
-	}{
-		{"frame_drop_rate", hcfg.FrameDropRate},
-		{"frame_dup_rate", hcfg.FrameDupRate},
-		{"frame_delay_rate", hcfg.FrameDelayRate},
-	} {
-		if rate.v < 0 || rate.v > 1 {
-			return fmt.Errorf("scenario: hosts: %s %v outside [0, 1]", rate.name, rate.v)
-		}
-	}
-	if hcfg.FrameDelay < 0 {
-		return fmt.Errorf("scenario: hosts: negative frame delay %v", hcfg.FrameDelay)
+	if h := sc.Hosts; h.Agents < 0 || h.DiffRing < 0 {
+		return fmt.Errorf("scenario: hosts: negative agents %d or diff_ring %d", h.Agents, h.DiffRing)
+	} else if err := h.Options.Validate(); err != nil {
+		return fmt.Errorf("scenario: hosts: %w", err)
 	}
 
 	for i := range sc.Events {

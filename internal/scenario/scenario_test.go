@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"celestial/internal/config"
 )
 
 // testbedTOML is a small but fully connected testbed: the 24×22 shell
@@ -268,4 +271,183 @@ func TestTruncate(t *testing.T) {
 	if err := sc.Truncate(time.Millisecond); err == nil {
 		t.Error("accepted horizon below resolution")
 	}
+}
+
+// TestStrictTables: every table kind of a scenario file rejects a key it
+// does not know and a value of the wrong type, naming the key's dotted path
+// from the document root — a misspelt setting is an error, never a silently
+// different run.
+func TestStrictTables(t *testing.T) {
+	// Each case injects one line under a header of the base document.
+	base := strings.Join([]string{
+		"#root", "[supervision]", "[hosts]", "[[flow]]", `source = "accra"`, `target = "johannesburg"`, "rate = 1.0",
+		"[[event]]", "at = 1.0", `action = "impair"`,
+		"[testbed]", "#testbed", "[testbed.network_params]", "[testbed.compute_params]",
+		"[[testbed.shell]]", "planes = 24", "sats = 22", "altitude_km = 550", "inclination = 53.0",
+		"[testbed.shell.compute_params]", "[testbed.shell.network_params]",
+		"[[testbed.ground_station]]", `name = "accra"`, "[testbed.ground_station.compute_params]",
+		"[[testbed.ground_station]]", `name = "johannesburg"`, "",
+	}, "\n")
+	if _, err := Parse(strings.NewReader(base)); err != nil {
+		t.Fatalf("base document: %v", err)
+	}
+	cases := []struct {
+		after, line, want string
+	}{
+		{"#root", "sead = 1", "unknown key sead"},
+		{"#root", `seed = "x"`, "seed must be an integer"},
+		{"#root", `horizon = "x"`, "horizon must be a number, have string"},
+		{"[supervision]", "retry_jiter = 0.1", "unknown key supervision.retry_jiter"},
+		{"[supervision]", "watchdog = 1", "supervision.watchdog must be a boolean, have integer"},
+		{"[hosts]", "frame_drop_rat = 0.1", "unknown key hosts.frame_drop_rat"},
+		{"[hosts]", `frame_delay_ms = "50"`, "hosts.frame_delay_ms must be a number, have string"},
+		{"[hosts]", "agents = 1.5", "hosts.agents must be an integer, have 1.5"},
+		{"[[flow]]", "rat = 2.0", "unknown key flow[0].rat"},
+		{"[[flow]]", "request_bytes = true", "flow[0].request_bytes must be an integer"},
+		{"[[event]]", "los = 0.1", "unknown key event[0].los"},
+		{"[[event]]", `jitter_ms = "1"`, "event[0].jitter_ms must be a number"},
+		{"#testbed", "resolutoin = 2.0", "unknown key testbed.resolutoin"},
+		{"#testbed", "hosts = [1]", "testbed.hosts must be an integer"},
+		{"#testbed", `bbox = [1, "x", 3, 4]`, "testbed.bbox[1] must be a number, have string"},
+		{"#testbed", "bbox = [1, 2]", "testbed.bbox must have 4 elements"},
+		{"#testbed", `epoch = "yesterday"`, "testbed.epoch must be an RFC 3339 time"},
+		{"[testbed.network_params]", "min_elevatoin = 25.0", "unknown key testbed.network_params.min_elevatoin"},
+		{"[testbed.network_params]", "min_elevation = true", "testbed.network_params.min_elevation must be a number"},
+		{"[testbed.compute_params]", "vcpus = 2", "unknown key testbed.compute_params.vcpus"},
+		{"[testbed.compute_params]", `vcpu_count = "2"`, "testbed.compute_params.vcpu_count must be an integer"},
+		{"[[testbed.shell]]", "plains = 3", "unknown key testbed.shell[0].plains"},
+		{"[[testbed.shell]]", "phasing_factor = 0.5", "testbed.shell[0].phasing_factor must be an integer"},
+		{"[[testbed.shell]]", `model = "magic"`, `testbed.shell[0].model must be "sgp4" or "kepler", have "magic"`},
+		{"[testbed.shell.compute_params]", "memory = 1", "unknown key testbed.shell[0].compute_params.memory"},
+		{"[testbed.shell.network_params]", `bandwidth_kbits = "fast"`, "testbed.shell[0].network_params.bandwidth_kbits must be a number"},
+		{"[testbed.ground_station.compute_params]", "boot_delay = false", "testbed.ground_station[0].compute_params.boot_delay must be a number"},
+		{`name = "johannesburg"`, "lon = 28.0", "unknown key testbed.ground_station[1].lon"},
+		{`name = "johannesburg"`, `lat = "south"`, "testbed.ground_station[1].lat must be a number"},
+	}
+	for _, tc := range cases {
+		doc := strings.Replace(base, tc.after+"\n", tc.after+"\n"+tc.line+"\n", 1)
+		if doc == base {
+			t.Fatalf("no line %q in the base document", tc.after)
+		}
+		if _, err := Parse(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s under %s: err = %v, want it to contain %q", tc.line, tc.after, err, tc.want)
+		}
+	}
+	// A whole table nobody opens is an unknown key of its parent.
+	if _, err := Parse(strings.NewReader(base + "\n[hostz]\nagents = 2\n")); err == nil ||
+		!strings.Contains(err.Error(), "unknown key hostz") {
+		t.Errorf("unknown table: err = %v", err)
+	}
+}
+
+// TestNumbersCheckedOnce: numbers no setting means anything at are parse
+// errors naming the key — not accepted-then-crash (nan passes every
+// "x <= 0" check), not a wrapped-around negative duration.
+func TestNumbersCheckedOnce(t *testing.T) {
+	flow := "[[flow]]\nsource = \"accra\"\ntarget = \"johannesburg\"\n"
+	cases := map[string]struct{ doc, want string }{
+		"nan rate":       {flow + "rate = nan\n" + testbedTOML, "flow[0].rate must be finite, have NaN"},
+		"inf rate":       {flow + "rate = +inf\n" + testbedTOML, "flow[0].rate must be finite, have +Inf"},
+		"huge horizon":   {"horizon = 1e30\n" + testbedTOML, "horizon does not fit a duration"},
+		"huge delay":     {"[hosts]\nframe_delay_ms = 1e300\n" + testbedTOML, "hosts.frame_delay_ms does not fit a duration"},
+		"huge int":       {"seed = 1e19\n" + testbedTOML, "seed must be an integer"},
+		"nan resolution": {strings.Replace(testbedTOML, "resolution = 2.0", "resolution = nan", 1), "testbed.resolution must be finite"},
+		"negative rate":  {"[hosts]\nframe_drop_rate = -0.1\n" + testbedTOML, "hosts: hostlink: frame fault rate outside [0, 1]"},
+		"rate above one": {"[hosts]\nframe_dup_rate = 1.5\n" + testbedTOML, "hosts: hostlink: frame fault rate outside [0, 1]"},
+		"negative delay": {"[hosts]\nframe_delay_ms = -1\n" + testbedTOML, "hosts: hostlink: negative duration"},
+		"negative rung":  {"[hosts]\nlag_coalesce = -1\n" + testbedTOML, "hosts: hostlink: negative ladder rung"},
+		"negative ring":  {"[hosts]\ndiff_ring = -1\n" + testbedTOML, "hosts: negative agents 0 or diff_ring -1"},
+	}
+	for name, tc := range cases {
+		if _, err := Parse(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestTestbedSourceErrors pins the three messages about where the testbed
+// comes from; they are decided before any table is read strictly.
+func TestTestbedSourceErrors(t *testing.T) {
+	cases := map[string]struct{ doc, want string }{
+		"both":    {`config = "a.toml"` + testbedTOML, "scenario: both config reference and inline [testbed] given"},
+		"ref":     {`config = "a.toml"`, "scenario: config file references require ParseFile"},
+		"neither": {`name = "x"`, "scenario: missing testbed (inline [testbed] table or config reference)"},
+	}
+	for name, tc := range cases {
+		if _, err := Parse(strings.NewReader(tc.doc)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// checkedInFiles returns every TOML file the repository ships: scenarios
+// (examples and bench workloads) and standalone testbed configs.
+func checkedInFiles(t testing.TB) (scenarios, configs []string) {
+	t.Helper()
+	for _, glob := range []string{"../../examples/scenarios/*.toml", "../../bench/workloads/*.toml"} {
+		files, err := filepath.Glob(glob)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no files under %s (%v)", glob, err)
+		}
+		scenarios = append(scenarios, files...)
+	}
+	configs, err := filepath.Glob("../../examples/configs/*.toml")
+	if err != nil || len(configs) == 0 {
+		t.Fatalf("no files under examples/configs (%v)", err)
+	}
+	return scenarios, configs
+}
+
+// TestCheckedInFilesParse: the strict reader accepts everything checked in
+// — no shipped file holds a key nobody reads.
+func TestCheckedInFilesParse(t *testing.T) {
+	scenarios, configs := checkedInFiles(t)
+	for _, path := range scenarios {
+		if _, err := ParseFile(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	for _, path := range configs {
+		if _, err := config.ParseFile(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+// FuzzScenarioParse: Parse never panics, and a scenario it accepts is one
+// the runner can take at its word — a positive horizon, finite positive
+// flow rates, every flow window and event inside the horizon.
+func FuzzScenarioParse(f *testing.F) {
+	scenarios, _ := checkedInFiles(f)
+	for _, path := range scenarios {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Add(workloadTOML + hostsFaultTOML + testbedTOML)
+	f.Add("horizon = 1e30\n[[flow]]\nrate = nan\nstart = -inf\n[hosts]\nframe_delay_ms = 1e300\n" + testbedTOML)
+	f.Fuzz(func(t *testing.T, text string) {
+		sc, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if sc.Horizon <= 0 || sc.Config == nil || sc.Config.Duration != sc.Horizon || sc.Config.Resolution > sc.Horizon {
+			t.Fatalf("accepted horizon %v over config %+v", sc.Horizon, sc.Config)
+		}
+		for _, fl := range sc.Flows {
+			if !(fl.Rate > 0) || math.IsInf(fl.Rate, 0) {
+				t.Fatalf("flow %q: accepted rate %v", fl.Name, fl.Rate)
+			}
+			if fl.Start < 0 || fl.Start >= fl.Stop || fl.Stop > sc.Horizon || fl.Timeout <= 0 {
+				t.Fatalf("flow %q: accepted window [%v, %v] timeout %v in horizon %v", fl.Name, fl.Start, fl.Stop, fl.Timeout, sc.Horizon)
+			}
+		}
+		for i, ev := range sc.Events {
+			if ev.At < 0 || ev.At > sc.Horizon {
+				t.Fatalf("event %d: accepted at %v in horizon %v", i, ev.At, sc.Horizon)
+			}
+		}
+	})
 }

@@ -5,8 +5,10 @@
 // features those formats never use (dates, multiline strings, inline
 // tables).
 //
-// Documents parse into a tree of nested maps; the typed Get accessors
-// decode leaves with descriptive errors naming the offending key.
+// Documents parse into a tree of nested maps. Decoders read that tree
+// through a Table, the one strict reader: wrong types, non-finite or
+// out-of-range numbers and keys nobody reads are errors naming the key's
+// dotted path, and there is no lenient mode.
 package toml
 
 import (
@@ -294,115 +296,4 @@ func unescapeString(s string) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// Typed accessors for document leaves. Each reports presence via its second
-// return and returns an error naming the key when the type does not match.
-
-// GetString reads a string key.
-func GetString(m map[string]any, key string) (string, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return "", false, nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", false, fmt.Errorf("toml: %q must be a string, have %T", key, v)
-	}
-	return s, true, nil
-}
-
-// GetInt reads an integer key; integral floats are accepted.
-func GetInt(m map[string]any, key string) (int64, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return 0, false, nil
-	}
-	switch n := v.(type) {
-	case int64:
-		return n, true, nil
-	case float64:
-		if n == float64(int64(n)) {
-			return int64(n), true, nil
-		}
-	}
-	return 0, false, fmt.Errorf("toml: %q must be an integer, have %v", key, v)
-}
-
-// GetFloat reads a number key (integer or float).
-func GetFloat(m map[string]any, key string) (float64, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return 0, false, nil
-	}
-	switch n := v.(type) {
-	case int64:
-		return float64(n), true, nil
-	case float64:
-		return n, true, nil
-	}
-	return 0, false, fmt.Errorf("toml: %q must be a number, have %T", key, v)
-}
-
-// GetBool reads a boolean key.
-func GetBool(m map[string]any, key string) (bool, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return false, false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, false, fmt.Errorf("toml: %q must be a boolean, have %T", key, v)
-	}
-	return b, true, nil
-}
-
-// GetFloatArray reads a flat numeric array key.
-func GetFloatArray(m map[string]any, key string) ([]float64, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return nil, false, nil
-	}
-	arr, ok := v.([]any)
-	if !ok {
-		return nil, false, fmt.Errorf("toml: %q must be an array, have %T", key, v)
-	}
-	out := make([]float64, 0, len(arr))
-	for i, e := range arr {
-		switch n := e.(type) {
-		case int64:
-			out = append(out, float64(n))
-		case float64:
-			out = append(out, n)
-		default:
-			return nil, false, fmt.Errorf("toml: %q[%d] must be a number, have %T", key, i, e)
-		}
-	}
-	return out, true, nil
-}
-
-// GetTableArray reads an [[array of tables]] key; a missing key yields nil.
-func GetTableArray(m map[string]any, key string) ([]map[string]any, error) {
-	v, ok := m[key]
-	if !ok {
-		return nil, nil
-	}
-	arr, ok := v.([]map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("toml: %q must be an array of tables, have %T", key, v)
-	}
-	return arr, nil
-}
-
-// GetTable reads a [table] key; a missing key yields nil.
-func GetTable(m map[string]any, key string) (map[string]any, error) {
-	v, ok := m[key]
-	if !ok {
-		return nil, nil
-	}
-	tbl, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("toml: %q must be a table, have %T", key, v)
-	}
-	return tbl, nil
 }

@@ -75,10 +75,9 @@ func GSTName(name string) string {
 
 // ParseSatRef parses the short "<sat>.<shell>" satellite reference (e.g.
 // "878.0") used by scenario files, the HTTP information service and
-// Testbed.NodeByName. Both fields must be bare non-negative decimal
-// integers: no sign, no whitespace, no trailing junk — "3.2junk" or
-// "-1.0" do not parse. Every consumer of the reference syntax shares this
-// parser so they accept exactly the same spellings.
+// Testbed.NodeByName (all through constellation.NodeByRef). Both fields
+// must be bare non-negative decimal integers: no sign, no whitespace, no
+// trailing junk — "3.2junk", "878.0.5" or "-1.0" do not parse.
 func ParseSatRef(ref string) (sat, shell int, ok bool) {
 	satStr, shellStr, found := strings.Cut(ref, ".")
 	if !found {

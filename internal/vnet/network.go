@@ -8,7 +8,6 @@ import (
 
 	"celestial/internal/netem"
 	"celestial/internal/retry"
-	"celestial/internal/rng"
 )
 
 // PathInfo describes the current network path between two nodes as the
@@ -114,15 +113,10 @@ type Network struct {
 	delivered uint64
 	dropped   uint64
 
-	// retryPolicy, retryRnd, faultRate and faultRnd configure the retry
-	// middleware around shaper programming (see SetRetryPolicy and
-	// SetShaperFaults); retryStats accumulates its outcomes. All are
-	// driven from the simulation goroutine, like the rest of the network.
-	retryPolicy retry.Policy
-	retryRnd    *rng.Stream
-	faultRate   float64
-	faultRnd    *rng.Stream
-	retryStats  retry.Stats
+	// shaperOps is the retry middleware around shaper programming (see
+	// ShaperOps), driven from the simulation goroutine like the rest of
+	// the network.
+	shaperOps *retry.Guard
 }
 
 // NewNetwork creates a network driven by sim. The seed makes the loss and
@@ -134,6 +128,8 @@ func NewNetwork(sim *Sim, topo Topology, seed int64) *Network {
 		nodes:   map[int]*node{},
 		seed:    seed,
 		version: 1,
+
+		shaperOps: retry.NewGuard("injected shaper fault"),
 	}
 }
 
@@ -202,49 +198,11 @@ func (n *Network) SetBandwidthCap(kbps float64) error {
 	return nil
 }
 
-// SetRetryPolicy configures the retry middleware around per-pair shaper
-// programming (creation and parameter updates in pair): transient failures
-// are retried under the policy, with jitter drawn from a stream seeded with
-// seed. The zero policy adopts retry.Default.
-func (n *Network) SetRetryPolicy(p retry.Policy, seed int64) {
-	n.retryPolicy = p
-	n.retryRnd = rng.New(seed)
-}
-
-// SetShaperFaults injects transient failures into shaper programming: each
-// attempt independently fails with probability rate before reaching the
-// shaper, drawn from a stream seeded with seed. The injected errors are
-// marked retry.Transient so a configured retry policy recovers from them;
-// rate 0 disables injection. Scenario engines use this to exercise the
-// retry path deterministically.
-func (n *Network) SetShaperFaults(rate float64, seed int64) {
-	n.faultRate = rate
-	n.faultRnd = rng.New(seed)
-}
-
-// RetryStats returns the accumulated shaper-programming retry counters.
-func (n *Network) RetryStats() retry.Stats { return n.retryStats }
-
-// shaperOp runs one shaper-programming operation through the retry
-// middleware, injecting configured faults ahead of the real operation.
-func (n *Network) shaperOp(op func() error) error {
-	attempt := op
-	if n.faultRate > 0 && n.faultRnd != nil {
-		attempt = func() error {
-			if n.faultRnd.Float64() < n.faultRate {
-				return retry.Transient(fmt.Errorf("injected shaper fault"))
-			}
-			return op()
-		}
-	}
-	var rnd func() float64
-	if n.retryRnd != nil {
-		rnd = n.retryRnd.Float64
-	}
-	res := retry.Do(n.retryPolicy, rnd, attempt)
-	n.retryStats.Record(res)
-	return res.Err
-}
+// ShaperOps returns the retry middleware per-pair shaper programming
+// (creation and parameter updates in refresh) runs through — where a caller
+// sets the retry policy, injects seeded transient faults and reads the
+// retry counters.
+func (n *Network) ShaperOps() *retry.Guard { return n.shaperOps }
 
 // Handle registers the message handler of a node, replacing any previous
 // one. A nil handler unregisters the node: sending to it fails with
@@ -351,7 +309,7 @@ func (n *Network) refresh(ps *pairState, from, to int) error {
 		// Distinct deterministic seed per directed pair, stable across
 		// reachability changes so runs stay reproducible.
 		seed := n.seed ^ int64(from)<<32 ^ int64(to)
-		if err := n.shaperOp(func() error {
+		if err := n.shaperOps.Do(func() error {
 			s, err := netem.NewShaper(params, seed)
 			if err != nil {
 				return err
@@ -362,7 +320,7 @@ func (n *Network) refresh(ps *pairState, from, to int) error {
 			return err
 		}
 	} else if params != ps.shaper.Params() {
-		if err := n.shaperOp(func() error { return ps.shaper.Update(params) }); err != nil {
+		if err := n.shaperOps.Do(func() error { return ps.shaper.Update(params) }); err != nil {
 			return err
 		}
 	}

@@ -507,8 +507,8 @@ func TestShaperRetryRecoversInjectedFaults(t *testing.T) {
 	n.Handle(1, func(Message) { got++ })
 	// Every programming attempt fails with p=0.6; 10 attempts make the
 	// seeded outcome recover deterministically.
-	n.SetShaperFaults(0.6, 5)
-	n.SetRetryPolicy(retry.Policy{MaxAttempts: 10}, 5)
+	n.ShaperOps().SetFaults(0.6, 5)
+	n.ShaperOps().SetPolicy(retry.Policy{MaxAttempts: 10}, 5)
 	if err := n.Send(0, 1, 100, "x"); err != nil {
 		t.Fatalf("send with retried shaper faults: %v", err)
 	}
@@ -518,7 +518,7 @@ func TestShaperRetryRecoversInjectedFaults(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivered %d messages", got)
 	}
-	st := n.RetryStats()
+	st := n.ShaperOps().Stats()
 	if st.Ops != 1 || st.Retried != 1 || st.Recovered != 1 || st.GaveUp != 0 {
 		t.Fatalf("retry stats = %+v", st)
 	}
@@ -529,8 +529,8 @@ func TestShaperRetryGivesUpSurfacesError(t *testing.T) {
 	topo := StaticTopology{Latency: map[int]map[int]float64{0: {1: 0.01}}}
 	n := NewNetwork(s, topo, 1)
 	n.Handle(1, func(Message) {})
-	n.SetShaperFaults(1.0, 5)
-	n.SetRetryPolicy(retry.Policy{MaxAttempts: 3}, 5)
+	n.ShaperOps().SetFaults(1.0, 5)
+	n.ShaperOps().SetPolicy(retry.Policy{MaxAttempts: 3}, 5)
 	err := n.Send(0, 1, 100, "x")
 	if err == nil {
 		t.Fatal("send with unrecoverable shaper faults returned nil")
@@ -538,12 +538,12 @@ func TestShaperRetryGivesUpSurfacesError(t *testing.T) {
 	if !retry.IsTransient(err) {
 		t.Errorf("give-up error %v lost transient classification", err)
 	}
-	if st := n.RetryStats(); st.GaveUp != 1 || st.Attempts != 3 {
+	if st := n.ShaperOps().Stats(); st.GaveUp != 1 || st.Attempts != 3 {
 		t.Fatalf("retry stats = %+v", st)
 	}
 	// The pair was left unprogrammed: a later fault-free send must
 	// program it and deliver.
-	n.SetShaperFaults(0, 5)
+	n.ShaperOps().SetFaults(0, 5)
 	if err := n.Send(0, 1, 100, "x"); err != nil {
 		t.Fatalf("send after faults cleared: %v", err)
 	}
