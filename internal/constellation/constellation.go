@@ -341,8 +341,8 @@ type State struct {
 	upCap     []int32
 }
 
-// dijkstraWorkspaces pools heap scratch across path-cache fills; the
-// result arrays come from the snapshot's spares, the heap from here.
+// dijkstraWorkspaces pools queue scratch across path-cache fills; the
+// result arrays come from the snapshot's spares, the queue from here.
 var dijkstraWorkspaces = sync.Pool{New: func() any { return new(graph.Workspace) }}
 
 // maxSpareResults bounds the per-State freelist of recycled Dijkstra
@@ -673,7 +673,7 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 	// routers: only satellites forward traffic. The node numbering puts
 	// all satellites before all ground stations, so the Kind check
 	// reduces to a compare against the closed-over satellite count —
-	// this predicate runs once per heap pop on the Dijkstra hot path.
+	// this predicate runs once per queue pop on the Dijkstra hot path.
 	// The count is constant per constellation, so the closure is built
 	// once and survives buffer reuse.
 	if satN := n - len(c.gst); st.transitFn == nil || satN != st.satN {
@@ -987,7 +987,7 @@ func (st *State) fillEntry(e *pathEntry, a int) {
 	}
 	defer e.done.Store(true)
 	// Recycle result arrays harvested from the previous tick and borrow
-	// pooled heap scratch; the computed result is owned by this entry for
+	// pooled queue scratch; the computed result is owned by this entry for
 	// the snapshot's lifetime.
 	dist, prev := st.takeArrays()
 	ws := dijkstraWorkspaces.Get().(*graph.Workspace)

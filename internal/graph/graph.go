@@ -1,6 +1,7 @@
 // Package graph provides the shortest-path machinery of the Constellation
 // Calculation: a compact weighted undirected graph with a frozen
-// compressed-sparse-row core, Dijkstra's algorithm with a binary heap,
+// compressed-sparse-row core, Dijkstra's algorithm over a monotone radix
+// queue (internal/monoq, shared with the event engine of internal/vnet),
 // incremental repair of single-source results under edge diffs
 // (RepairSSSP), and the Floyd-Warshall all-pairs algorithm. The paper uses
 // efficient implementations of these to compute shortest network paths
@@ -10,6 +11,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"celestial/internal/monoq"
 )
 
 // Inf marks an unreachable node in distance results.
@@ -262,8 +265,8 @@ func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
 		return fmt.Errorf("graph: PatchFrozen on an unfrozen graph")
 	}
 	for _, d := range deltas {
-		if d.A < 0 || d.A >= g.n || d.B < 0 || d.B >= g.n || d.A == d.B {
-			return fmt.Errorf("graph: invalid edge delta (%d, %d) on %d nodes", d.A, d.B, g.n)
+		if err := d.check(g.n); err != nil {
+			return err
 		}
 		if d.OldW < 0 && d.NewW < 0 {
 			continue // absent on both sides: nothing to do
@@ -432,58 +435,6 @@ func (g *Graph) Neighbors(node int) []Edge {
 // Degree returns the number of incident edges of a node.
 func (g *Graph) Degree(node int) int { return len(g.Neighbors(node)) }
 
-// item is a heap entry for Dijkstra.
-type item struct {
-	node int
-	dist float64
-}
-
-// minHeap is a hand-rolled binary min-heap over items. container/heap is
-// deliberately not used: its interface{}-based Push/Pop box every item,
-// which made heap traffic the dominant allocation of the constellation
-// update loop.
-type minHeap []item
-
-func (h *minHeap) push(it item) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].dist <= s[i].dist {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *minHeap) pop() item {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].dist < s[min].dist {
-			min = l
-		}
-		if r < n && s[r].dist < s[min].dist {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // ShortestPaths is the result of a single-source Dijkstra run.
 type ShortestPaths struct {
 	Source int
@@ -495,35 +446,46 @@ type ShortestPaths struct {
 	Prev []int
 }
 
-// Workspace holds a Dijkstra run's heap scratch — plus the stamp array and
+// frontier is the priority queue of a shortest-path run: tentative
+// distances, keyed by their IEEE 754 bits, over node indices. Distances are
+// non-negative and never NaN, and for such floats bit order is numeric
+// order, so the monotone radix queue settles nodes in distance order
+// without the weights having to be integers. runHeap never pushes a
+// distance below the one it just popped (weights are non-negative), which
+// is the queue's one requirement.
+type frontier = monoq.Queue[int32]
+
+// Workspace holds a Dijkstra run's queue scratch — plus the stamp array and
 // cone queue of RepairSSSP — so that repeated runs on graphs of similar
 // size reallocate nothing; pair it with DijkstraTransitInto and recycled
 // dist/prev arrays to make a run allocation-free. A Workspace is not safe
 // for concurrent use; give each goroutine its own. The zero value is ready
 // to use.
 type Workspace struct {
-	heap minHeap
-	// stamp is an epoch-stamped visited array shared by RepairSSSP's cone
-	// search (stamp == epoch) and boundary seeding (stamp == epoch+1):
-	// bumping the epoch clears it in O(1).
+	heap frontier
+	// stamp is the epoch-stamped visited array of RepairSSSP's cone search
+	// (stamp == epoch): bumping the epoch clears it in O(1).
 	stamp []int32
 	epoch int32
 	queue []int32
 }
 
-// prepareRepair sizes the stamp array for n nodes and returns the two fresh
-// epoch values for the affected-cone and seeded marks.
-func (ws *Workspace) prepareRepair(n int) (coneEpoch, seedEpoch int32) {
-	if len(ws.stamp) < n || ws.epoch > math.MaxInt32-2 {
+// prepareRepair sizes the stamp array for n nodes and returns a fresh epoch
+// value for the affected-cone mark.
+func (ws *Workspace) prepareRepair(n int) int32 {
+	if len(ws.stamp) < n || ws.epoch == math.MaxInt32 {
 		ws.stamp = make([]int32, n)
 		ws.epoch = 0
 	}
-	ws.epoch += 2
-	return ws.epoch - 1, ws.epoch
+	ws.epoch++
+	return ws.epoch
 }
 
-// Dijkstra computes single-source shortest paths from src using a binary
-// heap, running in O((N+M) log N).
+// Dijkstra computes single-source shortest paths from src. The priority
+// queue is a monotone radix queue over the distances' float bits (see
+// internal/monoq): O(M + N·B) for B the number of bits in which two queued
+// distances can differ — at most 63, a handful in practice — rather than a
+// binary heap's O((N+M) log N).
 func (g *Graph) Dijkstra(src int) (ShortestPaths, error) {
 	return g.DijkstraTransit(src, nil)
 }
@@ -541,11 +503,11 @@ func (g *Graph) DijkstraTransit(src int, transit func(node int) bool) (ShortestP
 // DijkstraTransitInto is DijkstraTransit writing into caller-owned result
 // buffers: dist and prev back the returned ShortestPaths when they have
 // sufficient capacity and are reallocated otherwise; either way the caller
-// owns the result. A non-nil ws lends only its heap scratch. This is the
+// owns the result. A non-nil ws lends only its queue scratch. This is the
 // entry point of the snapshot path cache, which recycles result arrays
 // from the previous tick.
 func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist []float64, prev []int, ws *Workspace) (ShortestPaths, error) {
-	var h *minHeap
+	var h *frontier
 	if ws != nil {
 		h = &ws.heap
 	}
@@ -553,9 +515,9 @@ func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist [
 }
 
 // dijkstra is the shared Dijkstra core: dist and prev are used as result
-// backing when large enough, h as heap scratch when non-nil. It scans the
+// backing when large enough, h as queue scratch when non-nil. It scans the
 // frozen CSR image, building it first if a mutation invalidated it.
-func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, prev []int, h *minHeap) (ShortestPaths, error) {
+func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, prev []int, h *frontier) (ShortestPaths, error) {
 	sp := ShortestPaths{Source: src}
 	if src < 0 || src >= g.n {
 		return sp, fmt.Errorf("graph: source %d out of range [0, %d)", src, g.n)
@@ -576,17 +538,17 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 	sp.Dist[src] = 0
 
 	if h == nil {
-		h = &minHeap{}
+		h = new(frontier)
 	}
-	*h = (*h)[:0]
-	h.push(item{node: src, dist: 0})
+	h.Reset()
+	h.Push(0, int32(src))
 	g.runHeap(&sp, transit, h)
 	return sp, nil
 }
 
 // runHeap drains h, settling nodes over the frozen CSR arrays. It is the
-// shared engine of full Dijkstra runs (heap seeded with the source) and
-// RepairSSSP (heap seeded with the affected cone's boundary).
+// shared engine of full Dijkstra runs (queue seeded with the source) and
+// RepairSSSP (queue seeded with the affected cone's boundary).
 //
 // Relaxation is canonical: on a strictly shorter distance the predecessor
 // follows the improving edge as usual; on an exactly equal distance over a
@@ -599,27 +561,28 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 // equal-distance endpoints into a predecessor cycle); graphs containing
 // zero-weight edges keep a deterministic but order-dependent tree, which is
 // why RepairSSSP refuses its fast path on them.
-func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *minHeap) {
+func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *frontier) {
 	rs, re, et, wt := g.rowStart, g.rowEnd, g.edgeTo, g.weight
 	src := sp.Source
-	for len(*h) > 0 {
-		it := h.pop()
-		if it.dist > sp.Dist[it.node] {
+	for h.Len() > 0 {
+		key, n := h.Pop()
+		node, dist := int(n), math.Float64frombits(key)
+		if dist > sp.Dist[node] {
 			continue // stale entry
 		}
-		if transit != nil && it.node != src && !transit(it.node) {
+		if transit != nil && node != src && !transit(node) {
 			continue // reachable, but not allowed to forward
 		}
-		for idx := rs[it.node]; idx < re[it.node]; idx++ {
+		for idx := rs[node]; idx < re[node]; idx++ {
 			to := int(et[idx])
 			w := wt[idx]
-			nd := it.dist + w
+			nd := dist + w
 			if nd < sp.Dist[to] {
 				sp.Dist[to] = nd
-				sp.Prev[to] = it.node
-				h.push(item{node: to, dist: nd})
-			} else if nd == sp.Dist[to] && w > 0 && it.node < sp.Prev[to] {
-				sp.Prev[to] = it.node
+				sp.Prev[to] = node
+				h.Push(math.Float64bits(nd), et[idx])
+			} else if nd == sp.Dist[to] && w > 0 && node < sp.Prev[to] {
+				sp.Prev[to] = node
 			}
 		}
 	}

@@ -15,6 +15,17 @@ type EdgeDelta struct {
 	OldW, NewW float64
 }
 
+// check rejects a delta that does not join two distinct nodes of an n-node
+// graph or carries a NaN side: NaN compares false with everything, so it
+// would pass for a present edge and be patched in as a weight no distance
+// survives (AddEdge refuses it for the same reason).
+func (d EdgeDelta) check(n int) error {
+	if d.A < 0 || d.A >= n || d.B < 0 || d.B >= n || d.A == d.B || math.IsNaN(d.OldW) || math.IsNaN(d.NewW) {
+		return fmt.Errorf("graph: invalid edge delta (%d, %d, %v -> %v) on %d nodes", d.A, d.B, d.OldW, d.NewW, n)
+	}
+	return nil
+}
+
 // RepairFallbackFraction is the dynamic-repair cutoff: when the affected
 // cone (nodes whose shortest-path tree support was invalidated) exceeds
 // this fraction of all nodes, re-settling it costs about as much as a full
@@ -26,11 +37,12 @@ const RepairFallbackFraction = 0.2
 // differs from g by deltas — into a result valid for g, in the spirit of
 // Ramalingam–Reps dynamic shortest paths: only the cone of nodes whose old
 // tree support broke is unsettled and re-settled from a priority queue
-// seeded with its boundary and the endpoints of improved edges, so a small
-// diff costs O(affected · log affected) instead of a full O((N+M) log N)
-// run. The repaired result is bit-identical — distances and predecessors —
-// to a fresh run on g, because both sides resolve equal-distance ties with
-// the canonical rule of runHeap.
+// seeded with its boundary and the endpoints an improved edge brought
+// closer, so a small diff costs time proportional to the affected nodes
+// and their edges instead of a full run over the graph. The repaired
+// result is bit-identical — distances and predecessors — to a fresh run on
+// g, because both sides resolve equal-distance ties with the canonical rule
+// of runHeap.
 //
 // sp's Dist/Prev arrays are rewritten in place and must be exclusively
 // owned by the caller; transit must be the same predicate the original run
@@ -51,8 +63,8 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		return false, fmt.Errorf("graph: repair source %d out of range [0, %d)", src, g.n)
 	}
 	for _, d := range deltas {
-		if d.A < 0 || d.A >= g.n || d.B < 0 || d.B >= g.n || d.A == d.B {
-			return false, fmt.Errorf("graph: invalid edge delta (%d, %d) on %d nodes", d.A, d.B, g.n)
+		if err := d.check(g.n); err != nil {
+			return false, err
 		}
 	}
 	if ws == nil {
@@ -79,7 +91,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 	// not part of the old tree cannot worsen any distance, and (because
 	// predecessors are canonical minima) cannot have been a recorded
 	// predecessor either.
-	cone, seeded := ws.prepareRepair(g.n)
+	cone := ws.prepareRepair(g.n)
 	stamp := ws.stamp
 	queue := ws.queue[:0]
 	for _, d := range deltas {
@@ -127,22 +139,22 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 	}
 	ws.queue = queue
 
-	// Phase 3: unsettle the cone, then seed the heap with (a) each cone
+	// Phase 3: unsettle the cone, then seed the queue with (a) each cone
 	// node's lexicographically best candidate among its settled
-	// neighbors — heap traffic stays proportional to the cone, not to
-	// its (much larger) boundary — and (b) the endpoints of added or
-	// cheapened edges, whose rescans propagate improvements. The seed
-	// scan considers every settled supporter of a cone node, and
-	// cone-internal supporters relax it when they settle, so the final
-	// predecessors are the same canonical minima a full run computes.
-	// Rescanning a settled node is idempotent under canonical
-	// relaxation, so over-seeding never changes the result.
+	// neighbors — queue traffic stays proportional to the cone, not to
+	// its (much larger) boundary — and (b) whichever endpoint of an added
+	// or cheapened edge that edge brings closer, whose rescan propagates
+	// the improvement. The seed scan considers every settled supporter of
+	// a cone node, and cone-internal supporters relax it when they
+	// settle, so the final predecessors are the same canonical minima a
+	// full run computes. All seeds are pushed before the first pop, so
+	// the queue sees monotone keys whatever order they come in.
 	for _, v := range queue {
 		sp.Dist[v] = Inf
 		sp.Prev[v] = -1
 	}
 	h := &ws.heap
-	*h = (*h)[:0]
+	h.Reset()
 	src := sp.Source
 	wts := g.weight
 	for _, u := range queue {
@@ -165,16 +177,44 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		if bp >= 0 {
 			sp.Dist[b] = bd
 			sp.Prev[b] = bp
-			h.push(item{node: b, dist: bd})
+			h.Push(math.Float64bits(bd), u)
+		}
+	}
+	// An improved edge outside the cone is relaxed on the spot, in both
+	// directions, under runHeap's own rule: most such edges improve
+	// nothing, and pushing their endpoints would rescan two rows to find
+	// that out. The weight is read from g, not from the delta, so a delta
+	// list that changes an edge twice costs nothing but the repeated
+	// look-up in the shorter of the two rows. With an endpoint inside the
+	// cone there is nothing to do — its seed scan above already read the
+	// edge from the new CSR, and it relaxes the other endpoint when it
+	// settles.
+	relax := func(u, v int, w float64) {
+		du := sp.Dist[u]
+		if math.IsInf(du, 1) || (transit != nil && u != src && !transit(u)) {
+			return
+		}
+		if nd := du + w; nd < sp.Dist[v] {
+			sp.Dist[v] = nd
+			sp.Prev[v] = u
+			h.Push(math.Float64bits(nd), int32(v))
+		} else if nd == sp.Dist[v] && w > 0 && u < sp.Prev[v] {
+			sp.Prev[v] = u
 		}
 	}
 	for _, d := range deltas {
-		if d.OldW < 0 || (d.NewW >= 0 && d.NewW < d.OldW) {
-			for _, v := range [2]int{d.A, d.B} {
-				if stamp[v] != cone && stamp[v] != seeded && !math.IsInf(sp.Dist[v], 1) {
-					stamp[v] = seeded
-					h.push(item{node: v, dist: sp.Dist[v]})
-				}
+		improved := d.NewW >= 0 && (d.OldW < 0 || d.NewW < d.OldW)
+		if !improved || stamp[d.A] == cone || stamp[d.B] == cone {
+			continue
+		}
+		u, v := d.A, d.B
+		if re[v]-rs[v] < re[u]-rs[u] {
+			u, v = v, u
+		}
+		for idx := rs[u]; idx < re[u]; idx++ {
+			if int(et[idx]) == v {
+				relax(u, v, wts[idx])
+				relax(v, u, wts[idx])
 			}
 		}
 	}

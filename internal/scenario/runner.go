@@ -403,7 +403,7 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 	}
 	// Start performs the first constellation update and flushes
 	// zero-delay boot completions, so flows scheduled below (same
-	// timestamp, later sequence numbers) find machines usable.
+	// timestamp, scheduled later) find machines usable.
 	if err := r.coord.Start(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,53 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if len(a) == 0 || a[len(a)-1] != '\n' {
 		t.Error("report is not newline-terminated")
+	}
+}
+
+// TestRunDeterminismAcrossGOMAXPROCS: the report is a function of the
+// scenario, not of how many workers the parallel stages of a tick —
+// snapshot assembly, the visibility index, shortest-path repair, the
+// fan-out — split their work over. Every other byte-identity gate runs both
+// of its sides at the same parallelism. Eight stations in a ring of rpc
+// flows keep eight shortest-path trees cached, which eight workers repair
+// side by side, each on its own workspace, and one worker in a row on one.
+func TestRunDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	// accra and johannesburg are testbedTOML's own stations.
+	extra := []struct {
+		name      string
+		lat, long float64
+	}{
+		{"nairobi", -1.29, 36.82}, {"lagos", 6.52, 3.38}, {"cairo", 30.04, 31.24},
+		{"dakar", 14.72, -17.47}, {"luanda", -8.84, 13.23}, {"addis", 9.03, 38.74},
+	}
+	names := []string{"accra", "johannesburg"}
+	var doc strings.Builder
+	doc.WriteString("name = \"procs\"\nseed = 11\nhorizon = 12.0\n")
+	doc.WriteString(testbedTOML)
+	for _, s := range extra {
+		names = append(names, s.name)
+		fmt.Fprintf(&doc, "\n[[testbed.ground_station]]\nname = %q\nlat = %v\nlong = %v\n", s.name, s.lat, s.long)
+	}
+	for i, from := range names {
+		fmt.Fprintf(&doc, "\n[[flow]]\nname = %q\ntype = \"rpc\"\nsource = %q\ntarget = %q\narrival = \"poisson\"\nrate = 40.0\nrequest_bytes = 200\nresponse_bytes = 400\ntimeout = 1.0\n",
+			"f"+from, from, names[(i+3)%len(names)])
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	reports := map[int][]byte{}
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		rep := run(t, doc.String())
+		if rep.Ticks.RepairedPaths < len(names) {
+			t.Fatalf("GOMAXPROCS %d: %d paths repaired over the run, too few to gate the repair stage: %+v",
+				procs, rep.Ticks.RepairedPaths, rep.Ticks)
+		}
+		var err error
+		if reports[procs], err = rep.JSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reports[1], reports[8]) {
+		t.Fatalf("reports differ between GOMAXPROCS 1 and 8:\n--- 1\n%s\n--- 8\n%s", reports[1], reports[8])
 	}
 }
 

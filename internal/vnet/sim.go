@@ -17,88 +17,25 @@ import (
 	"time"
 
 	"celestial/internal/clock"
+	"celestial/internal/monoq"
 )
 
-// entry is one queued event as the heap orders it: the scheduled time as
-// nanoseconds since the engine's start, the scheduling sequence number that
-// breaks ties, and where the event's payload lives. Times compare as one
-// integer rather than through time.Time's wall/monotonic decoding, and no
-// entry is boxed: on a tick that carries traffic the queue is the hottest
-// code in the process.
-type entry struct {
-	key      int64
-	seq      uint64
-	slot     int32
-	delivery bool // slot indexes Sim.deliveries rather than Sim.calls
-}
+// eventQueue orders pending events by their scheduled time, as nanoseconds
+// since the engine's start, and holds for each the slot its payload lives
+// in: a slot of Sim.calls as is, a slot of Sim.deliveries as its complement
+// (negative). Times compare as one integer rather than through time.Time's
+// wall/monotonic decoding, and no entry is boxed: on a tick that carries
+// traffic the queue is the hottest code in the process.
+//
+// The engine never schedules before now, so the queue is the monotone
+// radix queue graph's shortest-path runs use, not a comparison heap. Its
+// FIFO order among equal keys is the engine's determinism contract —
+// events fire in (time, scheduling order) — which is why an entry carries
+// no sequence number.
+type eventQueue = monoq.Queue[int32]
 
-// before is the engine's determinism contract: events fire in (time, seq)
-// order, so events at equal times fire in the order they were scheduled.
-func (a entry) before(b entry) bool {
-	return a.key < b.key || a.key == b.key && a.seq < b.seq
-}
-
-// eventQueue is a hand-rolled 4-ary min-heap of entries (container/heap
-// would box every entry through interface{}, see graph.minHeap). Four
-// children per node halve the depth a pop sifts through, and the siblings
-// it compares are 96 contiguous bytes: about a fifth faster than a binary
-// heap on batches of a thousand events, and no slower at 16k pending.
-type eventQueue []entry
-
-const arity = 4
-
-func (q *eventQueue) push(e entry) {
-	s := append(*q, e)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !e.before(s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-	*q = s
-}
-
-func (q *eventQueue) pop() entry {
-	s := *q
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	*q = s
-	i := 0
-	for {
-		first := arity*i + 1
-		if first >= n {
-			break
-		}
-		end := first + arity
-		if end > n {
-			end = n
-		}
-		min := first
-		for c := first + 1; c < end; c++ {
-			if s[c].before(s[min]) {
-				min = c
-			}
-		}
-		if !s[min].before(last) {
-			break
-		}
-		s[i] = s[min]
-		i = min
-	}
-	if n > 0 {
-		s[i] = last
-	}
-	return top
-}
-
-// slab stores event payloads outside the heap, so sifting moves 24-byte
-// entries only. Freed slots are zeroed — a fired event retains neither its
+// slab stores event payloads outside the queue, whose entries stay 16
+// bytes. Freed slots are zeroed — a fired event retains neither its
 // closure nor a message payload — and reused most recently freed first.
 type slab[T any] struct {
 	slots []T
@@ -156,7 +93,6 @@ type Sim struct {
 	nowKey int64
 
 	pq         eventQueue
-	seq        uint64
 	calls      slab[call]
 	deliveries slab[delivery]
 }
@@ -176,7 +112,8 @@ func (s *Sim) Now() time.Time { return s.now }
 
 // key maps a time onto the queue's integer axis. Distinct instants get
 // distinct keys: a time too far from the start for a Duration to hold the
-// offset is an error rather than a saturated, mis-ordered key.
+// offset is an error rather than a saturated, mis-ordered key. Keys that
+// reach the queue are at or after nowKey, so never negative.
 func (s *Sim) key(t time.Time) (int64, error) {
 	d := t.Sub(s.base)
 	if d == math.MaxInt64 || d == math.MinInt64 {
@@ -205,20 +142,18 @@ func (s *Sim) At(t time.Time, fn func()) error {
 	if err != nil {
 		return err
 	}
-	s.seq++
-	s.pq.push(entry{key: key, seq: s.seq, slot: s.calls.put(call{at: t, fn: fn})})
+	s.pq.Push(uint64(key), s.calls.put(call{at: t, fn: fn}))
 	return nil
 }
 
-// deliver schedules a message arrival at d.msg.DeliveredAt. It takes one
-// sequence number, exactly as At does.
+// deliver schedules a message arrival at d.msg.DeliveredAt. It takes its
+// place in the scheduling order exactly as At does.
 func (s *Sim) deliver(d delivery) error {
 	key, err := s.futureKey(d.msg.DeliveredAt)
 	if err != nil {
 		return err
 	}
-	s.seq++
-	s.pq.push(entry{key: key, seq: s.seq, slot: s.deliveries.put(d), delivery: true})
+	s.pq.Push(uint64(key), ^s.deliveries.put(d))
 	return nil
 }
 
@@ -252,7 +187,7 @@ func (s *Sim) Every(start time.Time, interval time.Duration, fn func() bool) err
 }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.pq) }
+func (s *Sim) Pending() int { return s.pq.Len() }
 
 // advance moves virtual time to t, whose key the caller has checked to be
 // at or after now.
@@ -268,18 +203,18 @@ func (s *Sim) advance(t time.Time, key int64) {
 // Step executes the next event, advancing the clock to its timestamp. It
 // returns false when no events remain.
 func (s *Sim) Step() bool {
-	if len(s.pq) == 0 {
+	if s.pq.Len() == 0 {
 		return false
 	}
-	e := s.pq.pop()
-	if e.delivery {
-		d := s.deliveries.take(e.slot)
-		s.advance(d.msg.DeliveredAt, e.key)
+	key, slot := s.pq.Pop()
+	if slot < 0 {
+		d := s.deliveries.take(^slot)
+		s.advance(d.msg.DeliveredAt, int64(key))
 		d.net.delivered++
 		d.handler(d.msg)
 	} else {
-		c := s.calls.take(e.slot)
-		s.advance(c.at, e.key)
+		c := s.calls.take(slot)
+		s.advance(c.at, int64(key))
 		c.fn()
 	}
 	return true
@@ -295,7 +230,10 @@ func (s *Sim) RunUntil(t time.Time) error {
 	if key < s.nowKey {
 		return fmt.Errorf("vnet: cannot run until %v, already at %v", t, s.now)
 	}
-	for len(s.pq) > 0 && s.pq[0].key <= key {
+	// Min only looks: were it to commit the queue to the next event's key,
+	// an event scheduled after this call, between t and that key, would be
+	// a push below the queue's floor.
+	for s.pq.Len() > 0 && s.pq.Min() <= uint64(key) {
 		s.Step()
 	}
 	s.advance(t, key)
@@ -309,8 +247,8 @@ func (s *Sim) Drain(limit int) (int, error) {
 	for s.Step() {
 		n++
 		if limit > 0 && n >= limit {
-			if len(s.pq) > 0 {
-				return n, fmt.Errorf("vnet: drain limit %d reached with %d events pending", limit, len(s.pq))
+			if s.pq.Len() > 0 {
+				return n, fmt.Errorf("vnet: drain limit %d reached with %d events pending", limit, s.pq.Len())
 			}
 		}
 	}
