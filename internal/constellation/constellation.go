@@ -242,9 +242,10 @@ const pathShards = 16
 // snapshots harvest whole entries — not just their result arrays — into
 // the spares pool. shared marks entries listed by more than one state (set
 // under the source shard's lock during carry-over, read during reset,
-// which the pool's snapshot lock orders after any carry-over): neither
-// their result arrays nor the entry itself may be harvested for reuse,
-// since a reader may still hold them through a lease on another state.
+// which the pool orders after any carry-over: one prepare at a time, each
+// joined before the next takes a buffer): neither their result arrays nor
+// the entry itself may be harvested for reuse, since a reader may still
+// hold them through a lease on another state.
 type pathEntry struct {
 	mu     sync.Mutex
 	done   atomic.Bool
@@ -376,7 +377,7 @@ func (c *Constellation) snapshotFresh(t float64, workers int) (*State, error) {
 		return nil, err
 	}
 	st.rebuildGraph()
-	st.computeDiffFrom(nil)
+	st.diffLinksFrom(nil)
 	return st, nil
 }
 
@@ -501,7 +502,7 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	// adjacent ticks' graphs bit-identical whenever no link moved by a full
 	// quantum — the foundation of the diff engine and the path-cache
 	// carry-over. The delay quantum and the realized uplink sequences are
-	// recorded as this tick's link fingerprint for computeDiffFrom.
+	// recorded as this tick's link fingerprint for diffLinksFrom.
 	//
 	// islQ first holds each feasible ISL's slot, then its delay quantum.
 	st.islQ = resize(st.islQ, planTotal)
@@ -758,11 +759,22 @@ func resize[T any](s []T, n int) []T {
 // previous snapshot's computed shortest-path entries are transplanted into
 // the new one instead of being recomputed. Concurrent Snapshot calls are
 // serialized; Recycle may be called concurrently at any time.
+//
+// A snapshot is computed in two halves, cut where its inputs change kind.
+// prepare is a function of the offset t and the previous pooled state
+// only — propagation, visibility, link assembly, the link diff, the graph
+// patch and the repair of the previous state's path cache — so it may run
+// as soon as the previous state is published (Prefetch), beside whatever
+// the caller does until t falls due. finish needs the boundary itself: the
+// activity overlay and the path sources planted on the previous state keep
+// changing until then. Snapshot is always prepare followed by finish.
 type SnapshotPool struct {
 	c *Constellation
-	// snapMu serializes Snapshot computations: the previous state's
+	// snapMu serializes Snapshot and Prefetch: the previous state's
 	// fingerprint and path shards are read during a compute, so no other
-	// compute may be overwriting a buffer meanwhile.
+	// compute may be overwriting a buffer meanwhile. A prepare launched by
+	// Prefetch runs without it; pre stands in for the lock until the next
+	// Snapshot has joined that goroutine.
 	snapMu sync.Mutex
 	mu     sync.Mutex
 	// free are recycled states ready for reuse.
@@ -771,6 +783,9 @@ type SnapshotPool struct {
 	// tick. It is cleared when recycled (a recycled buffer may be
 	// overwritten at any time and cannot serve as a base).
 	last *State
+	// pre is the prepare launched by Prefetch and not yet joined (guarded
+	// by snapMu); at most one is in flight.
+	pre *prefetch
 	// noRepair disables the incremental path repair (see SetPathRepair).
 	noRepair bool
 	// noGraphPatch disables the frozen-CSR clone-and-patch graph path
@@ -779,14 +794,51 @@ type SnapshotPool struct {
 	// overlay, when set, vetoes node activity beyond the bounding box
 	// (see SetActivityOverlay).
 	overlay func(id int) bool
-	// deltaScratch and jobScratch are repairPaths's per-tick buffers,
-	// reused across Snapshot calls (which snapMu serializes).
+	// deltaScratch and jobScratch are the edge-delta and repairPaths
+	// buffers, reused across ticks. Both halves of a snapshot use them,
+	// never at once: finish starts after prepare has been joined.
 	deltaScratch []graph.EdgeDelta
 	jobScratch   []repairJob
 	// stageTimer, when set, receives the wall-clock duration of each
 	// Snapshot stage (see SetStageTimer).
 	stageTimer func(stage string, d time.Duration)
 }
+
+// prepared is what the first half of a snapshot hands to the second.
+type prepared struct {
+	t float64
+	// out is the computed state, nil when err is set (its buffer is then
+	// already back in the pool); prev is the diff base it was computed
+	// against, the pool's last state when the buffer was taken.
+	out, prev *State
+	err       error
+	// deltas are the tick's merged graph-level link deltas (backed by the
+	// pool's deltaScratch); nil on a Full or link-unchanged diff.
+	deltas []graph.EdgeDelta
+	// noRepair is SetPathRepair's setting when the prepare started; the
+	// catch-up in finish follows it too.
+	noRepair bool
+	// stage accumulates the wall time of the "snapshot", "diff" and
+	// "repair" stages over both halves.
+	stage [3]time.Duration
+}
+
+// lap adds the time since *start to stage i and restarts the clock.
+func (pr *prepared) lap(i int, start *time.Time) {
+	now := time.Now()
+	pr.stage[i] += now.Sub(*start)
+	*start = now
+}
+
+// prefetch is a prepare running on its own goroutine; done is closed once
+// the embedded result is complete.
+type prefetch struct {
+	prepared
+	done chan struct{}
+}
+
+// stageNames are SetStageTimer's keys, in prepared.stage order.
+var stageNames = [3]string{"snapshot", "diff", "repair"}
 
 // NewSnapshotPool creates an empty pool for the constellation.
 func (c *Constellation) NewSnapshotPool() *SnapshotPool {
@@ -799,9 +851,79 @@ func (c *Constellation) NewSnapshotPool() *SnapshotPool {
 // use — recycling each state before taking the next — still works but
 // yields Full diffs, since the only possible base is the very buffer being
 // overwritten; keep two states in flight to get deltas and path carry-over.
+//
+// Snapshot is the only way to obtain a state. If a Prefetch for the same t
+// is in flight, Snapshot waits for it and finishes its result on the
+// calling goroutine; a prefetch for any other t, or one whose diff base has
+// been recycled since, is waited for and discarded, and the state is
+// computed inline. Either way the returned state is the same, bit for bit.
 func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
+	pr, ok := p.join(t)
+	if !ok {
+		pr = p.prepare(t, p.noRepair, p.noGraphPatch)
+	}
+	return p.finish(&pr)
+}
+
+// Prefetch starts computing the state at offset t on a goroutine of the
+// pool's own, against the state the last Snapshot returned, and returns at
+// once. The next Snapshot(t) joins it and only finishes — applies the
+// activity overlay, catches up on path sources planted meanwhile, delivers
+// the stage timings — so a caller that knows its next tick can have the
+// heavy half computed while the current state is still in effect.
+//
+// Prefetch is a hint: the state Snapshot returns — links, graph, diff, path
+// cache and its counters — does not depend on whether it was called. At
+// most one prepare is in flight; a Prefetch while one is outstanding is
+// ignored. An error the prepare runs into is returned by the Snapshot that
+// joins it.
+func (p *SnapshotPool) Prefetch(t float64) {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	if p.pre != nil {
+		return
+	}
+	pf := &prefetch{done: make(chan struct{})}
+	p.pre = pf
+	noRepair, noGraphPatch := p.noRepair, p.noGraphPatch
+	go func() {
+		defer close(pf.done)
+		pf.prepared = p.prepare(t, noRepair, noGraphPatch)
+	}()
+}
+
+// join waits for the prepare in flight, if any, and returns its result when
+// it is the one a synchronous Snapshot(t) would compute now: same offset,
+// and the diff base is still the pool's last state (a Recycle of the base
+// since would make the synchronous diff Full). Anything else goes back to
+// the pool.
+func (p *SnapshotPool) join(t float64) (prepared, bool) {
+	pf := p.pre
+	if pf == nil {
+		return prepared{}, false
+	}
+	p.pre = nil
+	<-pf.done
+	p.mu.Lock()
+	current := p.last == pf.prev
+	p.mu.Unlock()
+	if pf.t == t && current {
+		return pf.prepared, true
+	}
+	p.Recycle(pf.out)
+	return prepared{}, false
+}
+
+// prepare is the half of a snapshot that depends only on t and on the
+// pool's previous state, both fixed the moment that state was published:
+// it takes a buffer, computes positions and links into it, diffs the links
+// against the previous state, materializes the graph and carries over the
+// previous state's path cache as far as it is complete. It runs on the
+// Snapshot goroutine or on Prefetch's, the same code on both; the settings
+// it follows are passed in because Prefetch captures them at launch.
+func (p *SnapshotPool) prepare(t float64, noRepair, noGraphPatch bool) prepared {
 	p.mu.Lock()
 	var st *State
 	if k := len(p.free); k > 0 {
@@ -814,17 +936,68 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 		prev, p.last = nil, nil
 	}
 	p.mu.Unlock()
-	stageStart := time.Time{}
-	if p.stageTimer != nil {
-		stageStart = time.Now()
-	}
+	pr := prepared{t: t, prev: prev, noRepair: noRepair}
+	stageStart := time.Now()
 	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0))
 	if err != nil {
 		// The buffers remain reusable even when the computation
 		// failed halfway through.
 		p.Recycle(st)
-		return nil, err
+		pr.err = err
+		return pr
 	}
+	pr.out = out
+	pr.lap(0, &stageStart)
+	out.diffLinksFrom(prev)
+
+	// Materialize the latency graph. Steady state clones the previous
+	// tick's frozen CSR image — read-only on prev, so concurrent readers
+	// holding a lease on it are unaffected — and patches this tick's
+	// merged link deltas into it in place, skipping the per-edge rebuild
+	// and O(N+M) re-freeze. The deltas are computed once and shared with
+	// the path repair in both halves. Cold starts, Full diffs, the
+	// SetGraphPatch knob and any patch mismatch (impossible for
+	// diff-produced deltas) fall back to rebuilding from the assembled link
+	// list; either way the frozen image is identical (PatchFrozen's row
+	// order may differ, which the canonical Dijkstra tie-break makes
+	// unobservable).
+	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
+		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff)
+		pr.deltas = p.deltaScratch
+	}
+	patched := false
+	if prev != nil && !out.diff.Full && !noGraphPatch {
+		if err := out.g.CopyFrozenFrom(prev.g); err == nil {
+			if err := out.g.PatchFrozen(pr.deltas); err == nil {
+				patched = true
+				out.diff.GraphPatched = true
+				out.diff.PatchedEdges = len(pr.deltas)
+			}
+		}
+	}
+	if !patched {
+		out.rebuildGraph()
+	}
+	pr.lap(1, &stageStart)
+
+	p.carryPaths(&pr)
+	pr.lap(2, &stageStart)
+	return pr
+}
+
+// finish is the half of a snapshot that needs the tick boundary: machine
+// health and the path sources planted on the previous state keep changing
+// while that state is in effect, so the activity overlay, the activity
+// flips and a second carry-over pass over the previous state's path cache
+// — which finds only the entries completed since prepare looked — happen
+// here, on the Snapshot goroutine, before the state becomes the pool's
+// last. The stage timings of both halves are delivered here as well.
+func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
+	if pr.err != nil {
+		return nil, pr.err
+	}
+	out := pr.out
+	stageStart := time.Now()
 	if p.overlay != nil {
 		for i := range out.Active {
 			if out.Active[i] && !p.overlay(i) {
@@ -832,60 +1005,15 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 			}
 		}
 	}
+	pr.lap(0, &stageStart)
+	out.diffActivityFrom(pr.prev)
+	pr.lap(1, &stageStart)
+	p.carryPaths(pr)
+	pr.lap(2, &stageStart)
 	if p.stageTimer != nil {
-		now := time.Now()
-		p.stageTimer("snapshot", now.Sub(stageStart))
-		stageStart = now
-	}
-	out.computeDiffFrom(prev)
-
-	// Materialize the latency graph. Steady state clones the previous
-	// tick's frozen CSR image — read-only on prev, so concurrent readers
-	// holding a lease on it are unaffected — and patches this tick's
-	// merged link deltas into it in place, skipping the per-edge rebuild
-	// and O(N+M) re-freeze. The deltas are computed once and shared with
-	// the path repair below. Cold starts, Full diffs, the SetGraphPatch
-	// knob and any patch mismatch (impossible for diff-produced deltas)
-	// fall back to rebuilding from the assembled link list; either way the
-	// frozen image is identical (PatchFrozen's row order may differ, which
-	// the canonical Dijkstra tie-break makes unobservable).
-	var deltas []graph.EdgeDelta
-	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
-		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff)
-		deltas = p.deltaScratch
-	}
-	patched := false
-	if prev != nil && !out.diff.Full && !p.noGraphPatch {
-		if err := out.g.CopyFrozenFrom(prev.g); err == nil {
-			if err := out.g.PatchFrozen(deltas); err == nil {
-				patched = true
-				out.diff.GraphPatched = true
-				out.diff.PatchedEdges = len(deltas)
-			}
+		for i, d := range pr.stage {
+			p.stageTimer(stageNames[i], d)
 		}
-	}
-	if !patched {
-		out.rebuildGraph()
-	}
-	if p.stageTimer != nil {
-		now := time.Now()
-		p.stageTimer("diff", now.Sub(stageStart))
-		stageStart = now
-	}
-
-	if prev != nil && !out.diff.Full {
-		if out.diff.LinksUnchanged() {
-			// Bit-identical graph (the diff is empty, or only node
-			// activity flipped — the bounding box does not affect path
-			// calculation, §3.3): share the previous tick's computed
-			// trees outright.
-			out.diff.CarriedPaths = transplantPaths(prev, out)
-		} else if !p.noRepair {
-			p.repairPaths(prev, out, deltas)
-		}
-	}
-	if p.stageTimer != nil {
-		p.stageTimer("repair", time.Since(stageStart))
 	}
 	p.mu.Lock()
 	p.last = out
@@ -893,27 +1021,54 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	return out, nil
 }
 
-// SetActivityOverlay installs a veto on node activity: after each pooled
-// snapshot is assembled, Active[i] is cleared for every node the overlay
-// reports inactive, before the diff against the previous snapshot is
-// computed. The coordinator uses this to fold machine health into the
-// state — a satellite whose server crashed (radiation SEU shutdown) shows
-// up as a Deactivated flip in the next tick's diff, and as an Activated
-// flip once it reboots, exactly like a bounding-box exit and re-entry.
-// Like the bounding box, the overlay does not affect path calculation
-// (§3.3 of the paper): links through an inactive node keep routing.
+// carryPaths brings the completed path-cache entries of the previous state
+// that the new one does not hold yet over to it, adding to the diff's
+// path counters. On a bit-identical graph (the diff is empty, or only node
+// activity flipped — the bounding box does not affect path calculation,
+// §3.3) the trees are shared outright; otherwise they are repaired under
+// the tick's link deltas. Both halves of a snapshot call it: prepare
+// harvests what is complete when it looks, finish what was completed on
+// the previous state afterwards, so together they carry exactly the
+// entries a single pass at the boundary would.
+func (p *SnapshotPool) carryPaths(pr *prepared) {
+	prev, out := pr.prev, pr.out
+	if prev == nil || out.diff.Full {
+		return
+	}
+	if out.diff.LinksUnchanged() {
+		out.diff.CarriedPaths += transplantPaths(prev, out)
+	} else if !pr.noRepair {
+		p.repairPaths(prev, out, pr.deltas)
+	}
+}
+
+// SetActivityOverlay installs a veto on node activity: when a pooled
+// snapshot is finished, Active[i] is cleared for every node the overlay
+// reports inactive, before the activity flips against the previous
+// snapshot are computed. The coordinator uses this to fold machine health
+// into the state — a satellite whose server crashed (radiation SEU
+// shutdown) shows up as a Deactivated flip in the next tick's diff, and as
+// an Activated flip once it reboots, exactly like a bounding-box exit and
+// re-entry. Like the bounding box, the overlay does not affect path
+// calculation (§3.3 of the paper): links through an inactive node keep
+// routing.
 //
-// The overlay is consulted once per node per Snapshot, on the calling
-// goroutine. It must not be changed concurrently with Snapshot.
+// The overlay is consulted once per node per Snapshot, inside the Snapshot
+// call and on its goroutine — never from a Prefetch, so what it reads may
+// change freely between ticks. It must not be changed while a Snapshot
+// call is running.
 func (p *SnapshotPool) SetActivityOverlay(fn func(id int) bool) { p.overlay = fn }
 
 // SetPathRepair disables (on=false) or re-enables the incremental repair
 // of carried shortest-path entries on non-empty diffs, forcing every
 // structural tick back to on-demand full Dijkstra recomputes. Repaired
 // results are bit-identical to recomputed ones (locked in by the repair
-// differential tests); the knob exists for differential testing and for
-// benchmarking the repair. It must not be toggled concurrently with
-// Snapshot.
+// differential tests); the knob exists for differential testing, for
+// benchmarking the repair and for the coordinator's deferred-repair
+// degradation level. The setting is read when a prepare starts — by
+// Prefetch, or by a Snapshot that has no prefetch to join — and holds for
+// that whole snapshot. It must not be toggled while a Snapshot or Prefetch
+// call is running.
 func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
 
 // SetGraphPatch disables (on=false) or re-enables the steady-state graph
@@ -921,18 +1076,22 @@ func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
 // patches this tick's link deltas into it in place, forcing every tick
 // back to a full rebuild from the link list. Patched and rebuilt graphs
 // yield bit-identical shortest paths (locked in by the patch differential
-// tests); the knob exists for differential testing and benchmarks. It must
-// not be toggled concurrently with Snapshot.
+// tests); the knob exists for differential testing and benchmarks. Like
+// SetPathRepair it is read when a prepare starts and must not be toggled
+// while a Snapshot or Prefetch call is running.
 func (p *SnapshotPool) SetGraphPatch(on bool) { p.noGraphPatch = !on }
 
 // SetStageTimer installs a callback that receives the wall-clock duration
-// of each pooled-snapshot stage, keyed "snapshot" (propagation and state
-// assembly), "diff" (fingerprint comparison and graph materialization) and
-// "repair" (path-cache transplant or incremental repair). The coordinator's
-// tick watchdog uses these measurements to budget the update pipeline
-// against the tick interval. The callback runs on the Snapshot goroutine;
-// nil (the default) disables timing entirely. It must not be changed
-// concurrently with Snapshot.
+// of each pooled-snapshot stage, keyed "snapshot" (propagation, state
+// assembly and the activity overlay), "diff" (fingerprint comparison and
+// graph materialization) and "repair" (path-cache transplant or
+// incremental repair). The coordinator's tick watchdog uses these
+// measurements to budget the update pipeline against the tick interval. A
+// stage's duration is the work done for it, wherever it ran: the part a
+// Prefetch computed ahead is measured there and added to the part Snapshot
+// does at the boundary. The three callbacks are made once per Snapshot,
+// from inside the Snapshot call and on its goroutine; nil (the default)
+// disables them. It must not be changed while a Snapshot call is running.
 func (p *SnapshotPool) SetStageTimer(fn func(stage string, d time.Duration)) { p.stageTimer = fn }
 
 // Recycle returns a State's buffers to the pool. The State must not be

@@ -191,12 +191,14 @@ func (d *Diff) Stats() DiffStats {
 // the State and valid until it is recycled.
 func (st *State) Diff() *Diff { return &st.diff }
 
-// computeDiffFrom fills st.diff by comparing st's link fingerprint — the
-// per-plan-edge ISL delay quanta and the per-station realized uplink
-// sequences recorded during assembly — against prev's. prev must be a
-// fully computed snapshot of the same constellation that stays readable
-// for the duration of the call; nil yields a Full diff.
-func (st *State) computeDiffFrom(prev *State) {
+// diffLinksFrom starts st.diff afresh and fills its link half by comparing
+// st's link fingerprint — the per-plan-edge ISL delay quanta and the
+// per-station realized uplink sequences recorded during assembly — against
+// prev's. prev must be a fully computed snapshot of the same constellation
+// that stays readable for the duration of the call; nil yields a Full diff.
+// Links never depend on node activity (§3.3), so this half needs nothing
+// that is decided at the tick boundary; diffActivityFrom is the other half.
+func (st *State) diffLinksFrom(prev *State) {
 	d := &st.diff
 	d.T = st.T
 	d.BaseT = math.NaN()
@@ -263,7 +265,16 @@ func (st *State) computeDiffFrom(prev *State) {
 			}
 		}
 	}
+}
 
+// diffActivityFrom fills the activity half of st.diff, the nodes whose
+// Active flag differs from prev's, once st.Active is final (bounding box
+// and activity overlay both applied). A Full diff lists nothing.
+func (st *State) diffActivityFrom(prev *State) {
+	d := &st.diff
+	if d.Full {
+		return
+	}
 	for i := range st.Active {
 		if prev.Active[i] != st.Active[i] {
 			if st.Active[i] {
@@ -298,13 +309,18 @@ func int32sEqual(a, b []int32) bool {
 // recycled for new computations — they are simply left to the garbage
 // collector once the last referencing state lets go. Only completed
 // entries are shared; an entry whose computation is in flight on prev
-// stays exclusive to it.
+// stays exclusive to it. Sources next already holds are skipped, so a
+// second pass (SnapshotPool.carryPaths) counts only what it adds. next is
+// not published yet; only prev's shards need their locks.
 func transplantPaths(prev, next *State) int {
 	shared := 0
 	for i := range prev.paths {
 		src, dst := &prev.paths[i], &next.paths[i]
 		src.mu.Lock()
 		for a, e := range src.m {
+			if _, held := dst.m[a]; held {
+				continue
+			}
 			if e.done.Load() && e.err == nil {
 				e.shared = true
 				dst.m[a] = e

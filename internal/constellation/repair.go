@@ -96,14 +96,19 @@ type repairJob struct {
 // entries they in turn carried) are never mutated in place, the same
 // copy-on-harvest safety rule the carry-over path follows. The work fans
 // out across GOMAXPROCS workers; results are deterministic per source, so
-// parallelism never changes a repaired tree. Runs under the pool's
-// snapshot lock, before next is published.
+// parallelism never changes a repaired tree. Runs before next is published,
+// once per half of a snapshot (SnapshotPool.carryPaths): sources next
+// already holds are skipped and the diff's counters are added to, so the
+// second pass repairs only what was completed on prev since the first.
 func (p *SnapshotPool) repairPaths(prev, next *State, deltas []graph.EdgeDelta) {
 	jobs := p.jobScratch[:0]
 	for i := range prev.paths {
-		src := &prev.paths[i]
+		src, held := &prev.paths[i], next.paths[i].m
 		src.mu.Lock()
 		for a, e := range src.m {
+			if _, ok := held[a]; ok {
+				continue
+			}
 			if e.done.Load() && e.err == nil {
 				jobs = append(jobs, repairJob{src: a, old: e})
 			}
@@ -153,6 +158,6 @@ func (p *SnapshotPool) repairPaths(prev, next *State, deltas []graph.EdgeDelta) 
 		}
 		jobs[j] = repairJob{} // release entry references held by the scratch
 	}
-	next.diff.RepairedPaths = int(repaired.Load())
-	next.diff.RepairFallbacks = int(fallbacks.Load())
+	next.diff.RepairedPaths += int(repaired.Load())
+	next.diff.RepairFallbacks += int(fallbacks.Load())
 }

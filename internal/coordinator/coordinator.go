@@ -67,6 +67,11 @@ type Coordinator struct {
 	leases  map[*constellation.State]int
 	retired map[*constellation.State]bool
 
+	// runErr is the first error an update in Start's loop ran into; the
+	// loop stops there and Run reports it. Like wd it is only touched on
+	// the simulation goroutine.
+	runErr error
+
 	// wd, when set, supervises each tick against the update interval and
 	// decides its degradation level (see SetWatchdog). It is only touched
 	// from the update path on the simulation goroutine.
@@ -403,9 +408,11 @@ func (c *Coordinator) LastDiff() constellation.DiffStats {
 }
 
 // ElapsedSeconds returns the virtual time since the epoch.
-func (c *Coordinator) ElapsedSeconds() float64 {
-	return c.sim.Now().Sub(c.cfg.Epoch).Seconds()
-}
+func (c *Coordinator) ElapsedSeconds() float64 { return c.offset(c.sim.Now()) }
+
+// offset converts a virtual instant to seconds since the epoch, the
+// snapshot pool's time axis.
+func (c *Coordinator) offset(t time.Time) float64 { return t.Sub(c.cfg.Epoch).Seconds() }
 
 // SetWatchdog installs a tick watchdog: every update is budgeted against
 // the configured interval (the testbed's update resolution when
@@ -487,6 +494,12 @@ func (c *Coordinator) Robustness() Robustness {
 // full Dijkstra recompute for a source that was cached on the previous
 // tick. The coordinator only decides when the pipeline runs; the repair
 // mechanism itself lives in constellation and graph.
+//
+// When is the last thing update decides: everything in a snapshot that is a
+// function of the tick time and the state just published starts right away
+// (SnapshotPool.Prefetch), beside the interval's events, so the next update
+// only joins it and does what needs the boundary — machine health, path
+// sources planted meanwhile — before recording and distributing.
 func (c *Coordinator) update() error {
 	// Tick supervision: the watchdog projects this tick's cost from the
 	// per-stage estimates and picks the degradation level up front, so an
@@ -495,17 +508,18 @@ func (c *Coordinator) update() error {
 	if c.wd != nil {
 		level = c.wd.BeginTick()
 	}
-	deferRepair := level >= supervise.LevelDeferRepair
-	if deferRepair {
-		// Skip the incremental path-cache repair for this tick; queries
-		// recompute on demand, and repair resumes once the ladder steps
-		// back down.
+	if level >= supervise.LevelDeferRepair {
+		// Skip the incremental path-cache repair; queries recompute on
+		// demand, and repair resumes once the ladder steps back down. The
+		// pool reads the setting when a snapshot's computation starts: for
+		// this tick's, if nothing was prefetched, and in any case for the
+		// next tick's, launched below — there the deferral takes effect one
+		// generation after the level that asked for it.
 		c.pool.SetPathRepair(false)
+		defer c.pool.SetPathRepair(true)
 	}
-	st, err := c.pool.Snapshot(c.ElapsedSeconds())
-	if deferRepair {
-		c.pool.SetPathRepair(true)
-	}
+	now := c.sim.Now()
+	st, err := c.pool.Snapshot(c.offset(now))
 	if err != nil {
 		if c.wd != nil {
 			c.wd.EndTick()
@@ -556,6 +570,11 @@ func (c *Coordinator) update() error {
 	if c.wd != nil {
 		c.wd.EndTick()
 	}
+	// Generation k is in effect; k+1 depends only on its tick time and on k.
+	// Compute it ahead if the update loop will run that tick at all.
+	if next := c.offset(now.Add(c.cfg.Resolution)); next <= c.cfg.Duration.Seconds() {
+		c.pool.Prefetch(next)
+	}
 	return nil
 }
 
@@ -600,9 +619,11 @@ func (c *Coordinator) Start() error {
 			return false
 		}
 		if err := c.update(); err != nil {
-			// A failing propagation is unrecoverable mid-run; stop
-			// the loop. Snapshot errors cannot occur for validated
-			// LEO configurations.
+			// A failing propagation is unrecoverable mid-run: stop the
+			// loop and keep the error for Run.
+			if c.runErr == nil {
+				c.runErr = err
+			}
 			return false
 		}
 		return true
@@ -619,12 +640,17 @@ func (c *Coordinator) SampleHosts() []host.UsagePoint {
 	return out
 }
 
-// Run advances the simulation by d, executing all scheduled work.
+// Run advances the simulation by d, executing all scheduled work. It
+// returns the error that stopped the update loop, if one did — in this call
+// or an earlier one.
 func (c *Coordinator) Run(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("coordinator: negative run duration %v", d)
 	}
-	return c.sim.RunUntil(c.sim.Now().Add(d))
+	if err := c.sim.RunUntil(c.sim.Now().Add(d)); err != nil {
+		return err
+	}
+	return c.runErr
 }
 
 // InjectFaults schedules radiation fault events for every satellite

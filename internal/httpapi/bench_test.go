@@ -14,12 +14,16 @@ import (
 )
 
 // benchServer builds a started coordinator (Starlink shell 1 scale, two
-// stations, long duration so the tick loop never stops mid-benchmark) and
-// an API server over it.
-func benchServer(b *testing.B, caching bool) (*Server, *coordinator.Coordinator) {
+// stations) whose experiment lasts duration, runs it for warm, and returns
+// an API server over it. The rows below count every allocation in the
+// process, and the coordinator computes its next tick's snapshot ahead on
+// another goroutine for as long as a next tick is due: a benchmark that
+// serves one fixed generation passes warm == duration, so the update loop
+// is over and nothing is in flight when its timer starts.
+func benchServer(b *testing.B, caching bool, duration, warm time.Duration) (*Server, *coordinator.Coordinator) {
 	b.Helper()
 	cfg := &config.Config{
-		Duration:   time.Hour,
+		Duration:   duration,
 		Resolution: time.Second,
 		Shells: []config.Shell{{
 			ShellConfig: orbit.ShellConfig{
@@ -41,6 +45,9 @@ func benchServer(b *testing.B, caching bool) (*Server, *coordinator.Coordinator)
 		b.Fatal(err)
 	}
 	if err := c.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Run(warm); err != nil {
 		b.Fatal(err)
 	}
 	s := New(c)
@@ -99,14 +106,14 @@ func BenchmarkAPI(b *testing.B) {
 		"/path/accra/100.0",
 	}
 	b.Run("info-cached", func(b *testing.B) {
-		s, _ := benchServer(b, true)
+		s, _ := benchServer(b, true, time.Second, time.Second)
 		hammer(b, s, "/info")
 	})
 	b.Run("info-speedup", func(b *testing.B) {
 		// The req/s ratio the response cache buys on /info, measured
 		// over a fixed iteration count so the metric is meaningful even
 		// under the CI's -benchtime 1x protocol.
-		s, c := benchServer(b, true)
+		s, c := benchServer(b, true, time.Second, time.Second)
 		uncached := New(c)
 		uncached.SetCaching(false)
 		serveOnce(s, "/info")
@@ -129,15 +136,15 @@ func BenchmarkAPI(b *testing.B) {
 		b.ReportMetric(float64(cold)/float64(warm), "speedup-x")
 	})
 	b.Run("info-uncached", func(b *testing.B) {
-		s, _ := benchServer(b, false)
+		s, _ := benchServer(b, false, time.Second, time.Second)
 		hammer(b, s, "/info")
 	})
 	b.Run("path-cached", func(b *testing.B) {
-		s, _ := benchServer(b, true)
+		s, _ := benchServer(b, true, time.Second, time.Second)
 		hammer(b, s, pathEndpoints...)
 	})
 	b.Run("path-uncached", func(b *testing.B) {
-		s, _ := benchServer(b, false)
+		s, _ := benchServer(b, false, time.Second, time.Second)
 		hammer(b, s, pathEndpoints...)
 	})
 	b.Run("diff-replay", func(b *testing.B) {
@@ -145,16 +152,15 @@ func BenchmarkAPI(b *testing.B) {
 		// window re-serves prebuilt per-generation frames, so allocs/op
 		// must not scale back up to per-request re-serialization of every
 		// diff document (the regression the frame cache removed).
-		s, c := benchServer(b, true)
-		for i := 0; i < 8; i++ {
-			if err := c.Run(time.Second); err != nil {
-				b.Fatal(err)
-			}
-		}
+		s, c := benchServer(b, true, 8*time.Second, 8*time.Second)
 		hammer(b, s, "/diff?since="+strconv.FormatUint(c.Generation()-8, 10))
 	})
 	b.Run("mixed-ticking", func(b *testing.B) {
-		s, c := benchServer(b, true)
+		// Three ticks in, the snapshot pool owns all the buffers it will
+		// ever cycle through; the ticker below only ever runs steady ticks.
+		// This row's allocs/op is not a per-request count: it includes
+		// whatever the ticks that fit into the measured requests allocate.
+		s, c := benchServer(b, true, time.Hour, 3*time.Second)
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		go func() {

@@ -433,7 +433,9 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 	}
 	tick := 0
 	for t := r.epoch.Add(res); !t.After(horizon); t = t.Add(res) {
-		if err := r.sim.RunUntil(t); err != nil {
+		// Through the coordinator rather than the simulation, so an update
+		// that failed inside the window ends the run with its error.
+		if err := r.coord.Run(t.Sub(r.sim.Now())); err != nil {
 			return nil, err
 		}
 		r.observeTick()
@@ -456,7 +458,7 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 	}
 	// The tail past the last full tick (a horizon that is not a multiple
 	// of the resolution).
-	if err := r.sim.RunUntil(horizon); err != nil {
+	if err := r.coord.Run(horizon.Sub(r.sim.Now())); err != nil {
 		return nil, err
 	}
 	// Settle the fan-out tier: a frame fault on the final generation has

@@ -2,10 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"celestial/internal/orbit"
+	"celestial/internal/sgp4"
 )
 
 // run parses and executes a scenario document, returning the report.
@@ -92,6 +98,189 @@ func TestRunDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if !bytes.Equal(reports[1], reports[8]) {
 		t.Fatalf("reports differ between GOMAXPROCS 1 and 8:\n--- 1\n%s\n--- 8\n%s", reports[1], reports[8])
+	}
+}
+
+// TestRunDeterminismWithMidIntervalInputs: generation k+1 is computed while
+// generation k is in effect, so everything that changes during an interval
+// has to reach it anyway. Machine health does (a fault burst, a node-down /
+// node-up pair); so do shortest-path sources — three of the four flows
+// start mid-run, late in an interval, and plant their endpoints' trees on
+// the published state long after the next state's computation has looked
+// at its path cache. The report is byte-identical at GOMAXPROCS 1, 2 and 8
+// over twenty runs, every late tree is carried at the first boundary after
+// it was planted, and no prepare outlives a run that reaches its horizon.
+func TestRunDeterminismWithMidIntervalInputs(t *testing.T) {
+	const horizonS, resolutionS = 16, 2 // testbedTOML's resolution
+	stations := []struct {
+		name      string
+		lat, long float64
+	}{
+		{"nairobi", -1.29, 36.82}, {"lagos", 6.52, 3.38}, {"cairo", 30.04, 31.24},
+		{"dakar", 14.72, -17.47}, {"luanda", -8.84, 13.23}, {"addis", 9.03, 38.74},
+		{"spare", 12.0, 20.0},
+	}
+	// cbr at 20/s: a flow's first arrival comes 50 ms after its start, and
+	// an rpc's response leaves the target some tens of ms later — both well
+	// inside the interval the start falls in.
+	flows := []struct {
+		kind, from, to string
+		startS         float64
+	}{
+		{"rpc", "accra", "johannesburg", 0},
+		{"rpc", "nairobi", "lagos", 3.6},
+		{"stream", "cairo", "dakar", 7.7},
+		{"rpc", "luanda", "addis", 11.6},
+	}
+	var doc strings.Builder
+	fmt.Fprintf(&doc, "name = \"mid-interval\"\nseed = 5\nhorizon = %d.0\n", horizonS)
+	doc.WriteString(testbedTOML)
+	for _, s := range stations {
+		fmt.Fprintf(&doc, "\n[[testbed.ground_station]]\nname = %q\nlat = %v\nlong = %v\n", s.name, s.lat, s.long)
+	}
+	// Each source is carried at every tick after the interval it was
+	// planted in (ticks run 0..horizon/resolution, the first is Full).
+	wantCarried := 0
+	for _, f := range flows {
+		fmt.Fprintf(&doc, "\n[[flow]]\nname = %q\ntype = %q\nsource = %q\ntarget = %q\narrival = \"cbr\"\nrate = 20.0\nstart = %v\nrequest_bytes = 200\nresponse_bytes = 400\ntimeout = 1.0\n",
+			f.from+"-"+f.to, f.kind, f.from, f.to, f.startS)
+		sources := 1 // a stream plants its source, an rpc its target as well
+		if f.kind == "rpc" {
+			sources = 2
+		}
+		wantCarried += sources * (horizonS/resolutionS - int(f.startS)/resolutionS)
+	}
+	doc.WriteString(`
+[[event]]
+at = 4.5
+action = "fault-burst"
+window = 8.0
+rate_per_hour = 360.0
+shutdown_prob = 1.0
+reboot_after = 2.0
+
+[[event]]
+at = 5.5
+action = "node-down"
+node = "spare"
+
+[[event]]
+at = 10.5
+action = "node-up"
+node = "spare"
+`)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first []byte
+	for i, procs := range [20]int{1, 2, 8, 1, 2, 8, 1, 2, 8, 1, 2, 8, 1, 2, 8, 1, 2, 8, 1, 2} {
+		runtime.GOMAXPROCS(procs)
+		rep := run(t, doc.String())
+		// No prepare outlives the run: none is launched for a tick past the
+		// horizon. (At GOMAXPROCS 1 such a goroutine would not even have
+		// started yet. Its stack names its creator either way, which a bare
+		// runtime.NumGoroutine cannot: that also counts a parallel-stage
+		// worker that has signalled its WaitGroup and not yet exited.)
+		stacks := make([]byte, 1<<20)
+		if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("SnapshotPool).Prefetch")) {
+			t.Fatalf("run %d (GOMAXPROCS %d): a prefetch goroutine is alive after RunWith returned:\n%s", i, procs, stacks)
+		}
+		if got := rep.Ticks.CarriedPaths + rep.Ticks.RepairedPaths + rep.Ticks.RepairFallbacks; got != wantCarried {
+			t.Fatalf("run %d (GOMAXPROCS %d): %d path trees carried over the run, want %d — one planted mid-interval missed its first boundary: %+v",
+				i, procs, got, wantCarried, rep.Ticks)
+		}
+		if rep.Ticks.Deactivated == 0 || rep.Ticks.Activated == 0 {
+			t.Fatalf("run %d: no activity flips, the overlay is not exercised: %+v", i, rep.Ticks)
+		}
+		out, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = out
+		} else if !bytes.Equal(first, out) {
+			t.Fatalf("run %d (GOMAXPROCS %d) differs from run 0 (GOMAXPROCS 1):\n--- 0\n%s\n--- %d\n%s", i, procs, first, i, out)
+		}
+	}
+}
+
+// decayTOML is a validated testbed that cannot last: four SGP4 satellites
+// at the lowest altitude the config accepts, on an orbit eccentric enough
+// for the perigee to graze the surface.
+const decayTOML = `
+name = "decay"
+seed = 1
+horizon = 60.0
+
+[testbed]
+name = "decay"
+resolution = 1.0
+hosts = 1
+
+[[testbed.shell]]
+planes = 1
+sats = 4
+altitude_km = 200
+inclination = 53.0
+eccentricity = %.7f
+model = "sgp4"
+`
+
+// TestRunSurfacesPropagationError: an update that fails mid-run — here a
+// real sgp4.ErrDecayed, met by the snapshot computed ahead on the pool's
+// goroutine — stops the update loop, and the run reports it instead of
+// assembling a report from the last good tick. The eccentricity is searched
+// for, not written down: the smallest one (in the 1e-7 steps a TLE holds)
+// whose first satellite dips below the surface within the horizon does so
+// some twenty seconds after the epoch, where the orbit's radius is least,
+// and is sound at the epoch itself.
+func TestRunSurfacesPropagationError(t *testing.T) {
+	parse := func(e7 int) *Scenario {
+		sc, err := Parse(strings.NewReader(fmt.Sprintf(decayTOML, float64(e7)*1e-7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	// firstFailure returns the first whole second at which the shell cannot
+	// be propagated, or -1 when it lasts the horizon.
+	firstFailure := func(sc *Scenario) int {
+		sh, err := orbit.NewShell(sc.Config.Shells[0].ShellConfig, sc.Config.EpochJulian())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s <= int(sc.Horizon.Seconds()); s++ {
+			if _, err := sh.PositionsECEF(float64(s), nil); err != nil {
+				return s
+			}
+		}
+		return -1
+	}
+	// config.Validate accepts eccentricities in [0, 0.05).
+	e7 := sort.Search(499999, func(e7 int) bool { return firstFailure(parse(e7)) >= 0 })
+	sc := parse(e7)
+	failAt := firstFailure(sc)
+	if failAt < 2 {
+		t.Fatalf("eccentricity %d e-7: first failure at %d s, want one a few ticks into the run", e7, failAt)
+	}
+
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if rep != nil || !errors.Is(err, sgp4.ErrDecayed) {
+		t.Fatalf("Run = %v, %v; want no report and sgp4.ErrDecayed", rep, err)
+	}
+	// Ticks 0..failAt-1 succeeded; the failing one was never published.
+	if got := r.Coordinator().Updates(); got != failAt {
+		t.Errorf("%d updates completed, want %d", got, failAt)
+	}
+	// The loop has stopped for good, and the coordinator keeps saying why.
+	if err := r.Coordinator().Run(5 * time.Second); !errors.Is(err, sgp4.ErrDecayed) {
+		t.Errorf("Coordinator.Run after the failure = %v, want the same error", err)
+	}
+	if got := r.Coordinator().Updates(); got != failAt {
+		t.Errorf("update loop ran on after its error: %d updates, want %d", got, failAt)
 	}
 }
 
