@@ -1,11 +1,11 @@
-// Package clock provides the time sources of the testbed: a wall clock, a
-// deterministic virtual clock for simulated-time experiments, and the
+// Package clock provides the wall-clock time source of the testbed and the
 // processing-delay jitter model calibrated from the paper's baseline
-// measurement.
+// measurement. Virtual time is not here: it belongs to the discrete-event
+// engine (vnet.Sim), whose Now is read on the simulation goroutine only.
 //
 // The paper minimizes clock drift between clients by scheduling them on one
 // host with a shared PTP clock (§4.1). In this emulator all virtual
-// machines of a run share one Clock instance, which makes timestamps
+// machines of a run read the one engine's time, which makes timestamps
 // consistent by construction; the measured client-side processing delay
 // (1.37 ms median, 3.86 ms standard deviation) is modeled explicitly with
 // ProcessingDelayModel so that end-to-end measurements keep the same jitter
@@ -13,10 +13,8 @@
 package clock
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -36,54 +34,6 @@ func (Wall) Now() time.Time { return time.Now() }
 
 // Since implements Clock.
 func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Virtual is a manually advanced clock. It is safe for concurrent use. The
-// zero value is not usable; create instances with NewVirtual.
-type Virtual struct {
-	mu  sync.RWMutex
-	now time.Time
-}
-
-// NewVirtual creates a virtual clock starting at the given time.
-func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
-}
-
-// Now implements Clock.
-func (v *Virtual) Now() time.Time {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.now
-}
-
-// Since implements Clock.
-func (v *Virtual) Since(t time.Time) time.Duration {
-	return v.Now().Sub(t)
-}
-
-// Advance moves the clock forward by d. Negative durations are rejected:
-// virtual time, like real time, is monotonic.
-func (v *Virtual) Advance(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("clock: cannot advance by negative duration %v", d)
-	}
-	v.mu.Lock()
-	v.now = v.now.Add(d)
-	v.mu.Unlock()
-	return nil
-}
-
-// Set jumps the clock to an absolute time, which must not be before the
-// current virtual time.
-func (v *Virtual) Set(t time.Time) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.Before(v.now) {
-		return fmt.Errorf("clock: cannot move backwards from %v to %v", v.now, t)
-	}
-	v.now = t
-	return nil
-}
 
 // ProcessingDelayModel generates client processing delays with a log-normal
 // distribution. The defaults reproduce the paper's baseline measurement:

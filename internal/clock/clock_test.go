@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -18,51 +17,6 @@ func TestWallClock(t *testing.T) {
 	}
 	if c.Since(before) < 0 {
 		t.Error("negative since")
-	}
-}
-
-func TestVirtualClock(t *testing.T) {
-	start := time.Date(2022, 4, 14, 12, 0, 0, 0, time.UTC)
-	v := NewVirtual(start)
-	if !v.Now().Equal(start) {
-		t.Errorf("now = %v", v.Now())
-	}
-	if err := v.Advance(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.Since(start); got != 90*time.Second {
-		t.Errorf("since = %v", got)
-	}
-	if err := v.Advance(-time.Second); err == nil {
-		t.Error("accepted negative advance")
-	}
-	if err := v.Set(start.Add(time.Hour)); err != nil {
-		t.Errorf("Set forward: %v", err)
-	}
-	if err := v.Set(start); err == nil {
-		t.Error("accepted backwards Set")
-	}
-}
-
-func TestVirtualClockConcurrency(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if err := v.Advance(time.Millisecond); err != nil {
-					t.Error(err)
-					return
-				}
-				_ = v.Now()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := v.Now(); got != time.Unix(0, 0).Add(800*time.Millisecond) {
-		t.Errorf("final = %v", got)
 	}
 }
 

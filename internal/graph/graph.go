@@ -78,6 +78,14 @@ type Graph struct {
 	// across zero-weight ties, so RepairSSSP refuses its fast path on
 	// such graphs.
 	zeroW bool
+
+	// wmin is at most the least positive weight of the frozen image (+Inf
+	// when it has none), the width the frontier's keys are cut from (see
+	// frontier), and wmax at least its greatest finite weight. Freeze
+	// computes both exactly; PatchFrozen only ever widens them, since a
+	// removal leaving a stale wmin merely makes the keys finer, and a stale
+	// pair merely makes RepairSSSP's absorption test more cautious.
+	wmin, wmax float64
 }
 
 // Edge is an outgoing adjacency entry.
@@ -187,11 +195,13 @@ func (g *Graph) FreezeSlack(slack int) {
 	g.edgeTo = resizeSlice(g.edgeTo, dir)
 	g.weight = resizeSlice(g.weight, dir)
 	off := int32(0)
+	g.wmin, g.wmax = Inf, 0
 	for v := range g.adj {
 		g.rowStart[v] = off
 		for _, e := range g.adj[v] {
 			g.edgeTo[off] = int32(e.To)
 			g.weight[off] = e.Weight
+			g.widenWeights(e.Weight)
 			off++
 		}
 		g.rowEnd[v] = off
@@ -200,6 +210,24 @@ func (g *Graph) FreezeSlack(slack int) {
 	g.rowStart[g.n] = off
 	g.patchSlack = slack
 	g.frozen = true
+}
+
+// widenWeights folds one edge weight into wmin and wmax.
+func (g *Graph) widenWeights(w float64) {
+	if w > 0 && w < g.wmin {
+		g.wmin = w
+	}
+	if w > g.wmax && !math.IsInf(w, 1) {
+		g.wmax = w
+	}
+}
+
+// sumsMayAbsorb reports whether adding a positive weight to a distance may
+// leave the distance unchanged: fl(d+w) == d needs w ≤ 2^-53·d, and no
+// finite shortest distance exceeds n·wmax (a simple path; the 2^-50 bound
+// leaves room for its rounding). Such a weight acts as a zero one.
+func (g *Graph) sumsMayAbsorb() bool {
+	return g.wmin*(1<<50) <= float64(g.n)*g.wmax
 }
 
 // Frozen reports whether the CSR image is current.
@@ -222,6 +250,7 @@ func (g *Graph) CopyFrozenFrom(src *Graph) error {
 	g.n = src.n
 	g.m = src.m
 	g.zeroW = src.zeroW
+	g.wmin, g.wmax = src.wmin, src.wmax
 	g.patchSlack = src.patchSlack
 	g.rowStart = resizeSlice(g.rowStart, len(src.rowStart))
 	copy(g.rowStart, src.rowStart)
@@ -272,6 +301,7 @@ func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
 			continue // absent on both sides: nothing to do
 		}
 		g.patched = true
+		g.widenWeights(d.NewW)
 		switch {
 		case d.OldW < 0:
 			// Addition into the slack slots of both rows.
@@ -446,14 +476,44 @@ type ShortestPaths struct {
 	Prev []int
 }
 
-// frontier is the priority queue of a shortest-path run: tentative
-// distances, keyed by their IEEE 754 bits, over node indices. Distances are
-// non-negative and never NaN, and for such floats bit order is numeric
-// order, so the monotone radix queue settles nodes in distance order
-// without the weights having to be integers. runHeap never pushes a
-// distance below the one it just popped (weights are non-negative), which
+// frontier is the priority queue of a shortest-path run over node indices,
+// keyed by tentative distance in quanta of half the graph's least positive
+// weight: key(d) = floor(d · 2/wmin) (see frontierKey). This is Dial's
+// bucketing on the radix queue. Two distances in one bucket differ by less
+// than any edge weight, so neither node can improve the other, and a node
+// popped is already final — the exact order of its bucket does not matter,
+// and the canonical tie-break of runHeap makes predecessors independent of
+// it. Quantum keys share their high bits far more than the IEEE 754 bits of
+// the distances do, so the queue moves entries between buckets less.
+//
+// Where a bucket is wider than that — keys clamped at monoq.MaxKey, a scale
+// capped because wmin is subnormal, a graph whose only weights are zero —
+// the run stays exact by label correction: a node improved after it was
+// popped is pushed again, and every node is scanned with its final
+// distance. key is monotone in d and a relaxed distance is never below the
+// settled one, so runHeap never pushes below the key it just popped, which
 // is the queue's one requirement.
 type frontier = monoq.Queue[int32]
+
+// frontierScale returns the factor frontierKey multiplies distances by:
+// 2/wmin, kept finite when wmin is subnormal, and 0 — every key 0 — when the
+// graph has no positive weight.
+func frontierScale(wmin float64) float64 {
+	if math.IsInf(wmin, 1) {
+		return 0
+	}
+	return math.Min(2/wmin, math.MaxFloat64)
+}
+
+// frontierKey maps a non-negative distance to its frontier key, clamped to
+// monoq.MaxKey. The float conversion of MaxKey is 2^63, the first value the
+// clamp must catch.
+func frontierKey(d, scale float64) uint64 {
+	if k := d * scale; k < float64(monoq.MaxKey) {
+		return uint64(k)
+	}
+	return monoq.MaxKey
+}
 
 // Workspace holds a Dijkstra run's queue scratch — plus the stamp array and
 // cone queue of RepairSSSP — so that repeated runs on graphs of similar
@@ -482,9 +542,9 @@ func (ws *Workspace) prepareRepair(n int) int32 {
 }
 
 // Dijkstra computes single-source shortest paths from src. The priority
-// queue is a monotone radix queue over the distances' float bits (see
+// queue is a monotone radix queue over distance quanta (see frontier and
 // internal/monoq): O(M + N·B) for B the number of bits in which two queued
-// distances can differ — at most 63, a handful in practice — rather than a
+// keys can differ — at most 63, a handful in practice — rather than a
 // binary heap's O((N+M) log N).
 func (g *Graph) Dijkstra(src int) (ShortestPaths, error) {
 	return g.DijkstraTransit(src, nil)
@@ -555,8 +615,9 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 // positive-weight edge the smaller predecessor node ID wins. The final
 // predecessor of every node is therefore min over its settled neighbors
 // that support its final distance — a pure function of the graph,
-// independent of settle order. That is what lets an incremental repair
-// reproduce a from-scratch run bit for bit, predecessors included.
+// independent of settle order, and so of how the frontier buckets
+// distances. That is what lets an incremental repair reproduce a
+// from-scratch run bit for bit, predecessors included.
 // Zero-weight ties are excluded from the rule (they could order two
 // equal-distance endpoints into a predecessor cycle); graphs containing
 // zero-weight edges keep a deterministic but order-dependent tree, which is
@@ -564,11 +625,13 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *frontier) {
 	rs, re, et, wt := g.rowStart, g.rowEnd, g.edgeTo, g.weight
 	src := sp.Source
+	scale := frontierScale(g.wmin)
 	for h.Len() > 0 {
 		key, n := h.Pop()
-		node, dist := int(n), math.Float64frombits(key)
-		if dist > sp.Dist[node] {
-			continue // stale entry
+		node := int(n)
+		dist := sp.Dist[node]
+		if frontierKey(dist, scale) < key {
+			continue // stale entry: the node was pushed again, closer
 		}
 		if transit != nil && node != src && !transit(node) {
 			continue // reachable, but not allowed to forward
@@ -580,7 +643,7 @@ func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *front
 			if nd < sp.Dist[to] {
 				sp.Dist[to] = nd
 				sp.Prev[to] = node
-				h.Push(math.Float64bits(nd), et[idx])
+				h.Push(frontierKey(nd, scale), et[idx])
 			} else if nd == sp.Dist[to] && w > 0 && node < sp.Prev[to] {
 				sp.Prev[to] = node
 			}

@@ -52,8 +52,11 @@ const RepairFallbackFraction = 0.2
 // returned repaired flag reports whether the incremental fast path was
 // taken; it is false when the repair fell back to a full recompute — cone
 // larger than RepairFallbackFraction of the graph, a zero-weight edge
-// present (see runHeap), or a result sized for a different node count.
-// Either way the resulting sp is exact.
+// present (see runHeap), weights so far apart that one may vanish in a sum
+// and act as a zero one (sumsMayAbsorb: its equal-distance endpoints could
+// be each other's predecessors, a cycle no cone search enters), or a
+// result sized for a different node count. Either way the resulting sp is
+// exact.
 func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(node int) bool, ws *Workspace) (repaired bool, err error) {
 	if sp == nil || sp.Source < 0 || sp.Source >= g.n {
 		src := -1
@@ -78,13 +81,13 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		*sp = nsp
 		return false, nil
 	}
-	if g.zeroW || len(sp.Dist) != g.n || len(sp.Prev) != g.n {
+	g.Freeze()
+	if g.zeroW || g.sumsMayAbsorb() || len(sp.Dist) != g.n || len(sp.Prev) != g.n {
 		return full()
 	}
 	if len(deltas) == 0 {
 		return true, nil
 	}
-	g.Freeze()
 
 	// Phase 1: roots of the affected cone — nodes whose tree edge to
 	// their predecessor was removed or became heavier. Edges that were
@@ -157,6 +160,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 	h.Reset()
 	src := sp.Source
 	wts := g.weight
+	scale := frontierScale(g.wmin)
 	for _, u := range queue {
 		b := int(u)
 		bd, bp := Inf, -1
@@ -177,7 +181,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		if bp >= 0 {
 			sp.Dist[b] = bd
 			sp.Prev[b] = bp
-			h.Push(math.Float64bits(bd), u)
+			h.Push(frontierKey(bd, scale), u)
 		}
 	}
 	// An improved edge outside the cone is relaxed on the spot, in both
@@ -197,7 +201,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		if nd := du + w; nd < sp.Dist[v] {
 			sp.Dist[v] = nd
 			sp.Prev[v] = u
-			h.Push(math.Float64bits(nd), int32(v))
+			h.Push(frontierKey(nd, scale), int32(v))
 		} else if nd == sp.Dist[v] && w > 0 && u < sp.Prev[v] {
 			sp.Prev[v] = u
 		}

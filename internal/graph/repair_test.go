@@ -212,6 +212,37 @@ func TestRepairSSSPZeroWeightFallsBack(t *testing.T) {
 	}
 }
 
+// TestRepairSSSPAbsorbedWeightFallsBack: a positive weight that vanishes in
+// a sum acts as a zero one. Nodes 1 and 2 sit at distance 2, joined by a
+// 1e-300 edge that supports each from the other, so under the canonical
+// rule each is the other's predecessor. Removing their real supporters
+// roots no cone — neither removed edge is a tree edge — and a fast-path
+// repair would keep both at distance 2 instead of unreachable.
+func TestRepairSSSPAbsorbedWeightFallsBack(t *testing.T) {
+	edges := []testEdge{{0, 3, 1}, {0, 4, 1}, {3, 1, 1}, {4, 2, 1}, {1, 2, 1e-300}}
+	g1 := buildGraph(t, 5, edges)
+	old, _ := g1.Dijkstra(0)
+	if old.Prev[1] != 2 || old.Prev[2] != 1 {
+		t.Fatalf("predecessors %v: the case no longer builds its cycle", old.Prev)
+	}
+	deltas := []EdgeDelta{{A: 3, B: 1, OldW: 1, NewW: -1}, {A: 4, B: 2, OldW: 1, NewW: -1}}
+	g2 := buildGraph(t, 5, []testEdge{{0, 3, 1}, {0, 4, 1}, {1, 2, 1e-300}})
+	sp := ShortestPaths{Source: 0, Dist: old.Dist, Prev: old.Prev}
+	repaired, err := g2.RepairSSSP(&sp, deltas, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired {
+		t.Error("repair took the fast path with a weight 2^-50 below the others")
+	}
+	want, _ := g2.Dijkstra(0)
+	for v := range want.Dist {
+		if sp.Dist[v] != want.Dist[v] || sp.Prev[v] != want.Prev[v] {
+			t.Fatalf("node %d: got %v/%d want %v/%d", v, sp.Dist[v], sp.Prev[v], want.Dist[v], want.Prev[v])
+		}
+	}
+}
+
 // TestRepairSSSPValidation covers the error paths.
 func TestRepairSSSPValidation(t *testing.T) {
 	g := buildGraph(t, 3, []testEdge{{0, 1, 1}})

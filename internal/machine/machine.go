@@ -20,6 +20,7 @@ package machine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -90,6 +91,10 @@ type Machine struct {
 	throttle    float64 // fraction of allocated CPU available, (0, 1]
 	transitions []Transition
 	bootCount   int
+
+	// running mirrors state == Active. It is written under mu, with state,
+	// and read without it: the virtual network asks twice per message.
+	running atomic.Bool
 }
 
 // New creates a machine in the Created state.
@@ -152,6 +157,7 @@ func transitionError(m *Machine, op string) error {
 func (m *Machine) record(at time.Time, to State, reason string) {
 	m.transitions = append(m.transitions, Transition{At: at, From: m.state, To: to, Reason: reason})
 	m.state = to
+	m.running.Store(to == Active)
 }
 
 // Start begins booting a Created, Stopped or Failed machine.
@@ -250,8 +256,9 @@ func (m *Machine) SetThrottle(f float64) error {
 	return nil
 }
 
-// Running reports whether the machine can currently serve requests.
-func (m *Machine) Running() bool { return m.State() == Active }
+// Running reports whether the machine can currently serve requests, that
+// is whether it is Active, without taking the machine's lock.
+func (m *Machine) Running() bool { return m.running.Load() }
 
 // HoldsMemory reports whether the machine's memory is reserved on its
 // host. Booted machines keep their reservation through suspension; only

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Load rejects
@@ -18,8 +17,8 @@ const CheckpointVersion = 2
 
 // Checkpoint is the crash-safe record of a run's state at one tick
 // boundary. It deliberately does not try to serialize the simulation event
-// queue — scheduled closures (pending RPC timeouts, in-flight deliveries,
-// armed fault events) have no faithful wire form. Instead it captures
+// queue — scheduled events (in-flight deliveries, armed fault events, flow
+// arrivals) have no faithful wire form. Instead it captures
 // everything a deterministic replay can be checked against: every flow's
 // complete RNG state (one SplitMix64 word), its counters and digests over
 // its pending-RPC and latency samples, the tick and event cursors, the
@@ -163,15 +162,7 @@ func (r *Runner) capture(tick int) *Checkpoint {
 // checkpoint captures one flow's state.
 func (f *flowState) checkpoint() FlowCheckpoint {
 	h := fnv.New64a()
-	ids := make([]uint64, 0, len(f.pending))
-	for id := range f.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		writeUint64(h, id)
-		writeUint64(h, uint64(f.pending[id].Sub(f.r.epoch)))
-	}
+	f.pending.digest(h)
 	pendingDigest := h.Sum64()
 	h.Reset()
 	for _, ms := range f.latenciesMs {
@@ -186,7 +177,7 @@ func (f *flowState) checkpoint() FlowCheckpoint {
 		Corrupted:     f.corrupted,
 		NextID:        f.nextID,
 		RNGState:      f.rng.State(),
-		Pending:       len(f.pending),
+		Pending:       f.pending.open,
 		PendingDigest: pendingDigest,
 		LatencyCount:  len(f.latenciesMs),
 		LatencyDigest: h.Sum64(),

@@ -27,6 +27,9 @@ type Runner struct {
 	flows  []*flowState
 	events []EventReport
 	ticks  TickReport
+	// err is the first failure inside an event callback, which cannot
+	// return one; RunWith ends the run with it at the next boundary.
+	err error
 }
 
 // flowState is the live state of one workload flow. Its random stream is an
@@ -47,7 +50,7 @@ type flowState struct {
 	nextAt time.Time
 
 	nextID  uint64
-	pending map[uint64]time.Time
+	pending pendingRPCs
 
 	sent, delivered     int64
 	sendErrors          int64
@@ -55,18 +58,27 @@ type flowState struct {
 	latenciesMs         []float64
 }
 
-// payload markers routed by the per-node dispatch handler. Flows are
-// addressed by index so one node can terminate any number of flows of
+// A scenario message carries no boxed payload: its vnet.Message.Tag holds
+// the message kind in the low tagKindBits bits, the flow's index above them
+// and, for rpc messages, the request id in the remaining high bits. Flows
+// are addressed by index so one node can terminate any number of flows of
 // either type.
-type streamPacket struct{ flow int }
-type rpcRequest struct {
-	flow      int
-	id        uint64
-	respBytes int
-}
-type rpcResponse struct {
-	flow int
-	id   uint64
+const (
+	msgStream uint64 = iota
+	msgRequest
+	msgResponse
+
+	tagKindBits = 2
+	tagFlowBits = 16
+	tagIDShift  = tagKindBits + tagFlowBits
+	// maxFlows and maxRPCID bound what the tag can address.
+	maxFlows = 1 << tagFlowBits
+	maxRPCID = 1<<(64-tagIDShift) - 1
+)
+
+// msgTag encodes a scenario message's tag.
+func msgTag(kind uint64, flow int, id uint64) uint64 {
+	return kind | uint64(flow)<<tagKindBits | id<<tagIDShift
 }
 
 // NewRunner builds the coordinator (and its hosts, machines and network)
@@ -121,6 +133,9 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		}
 	}
 
+	if len(sc.Flows) > maxFlows {
+		return nil, fmt.Errorf("scenario: %d flows, at most %d are supported", len(sc.Flows), maxFlows)
+	}
 	cons := coord.Constellation()
 	handled := map[int]bool{}
 	for i := range sc.Flows {
@@ -138,8 +153,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		}
 		fs := &flowState{
 			r: r, idx: i, cfg: *f, src: src, dst: dst,
-			rng:     rng.New(rng.Derive(sc.Seed, uint64(i))),
-			pending: map[uint64]time.Time{},
+			rng: rng.New(rng.Derive(sc.Seed, uint64(i))),
 		}
 		fs.arrive = fs.onArrival
 		r.flows = append(r.flows, fs)
@@ -174,33 +188,32 @@ func (r *Runner) Coordinator() *coordinator.Coordinator { return r.coord }
 // packets, rpc requests and rpc responses of every flow terminating there.
 func (r *Runner) dispatchFor(node int) vnet.Handler {
 	return func(m vnet.Message) {
-		switch p := m.Payload.(type) {
-		case streamPacket:
-			f := r.flows[p.flow]
+		f := r.flows[m.Tag>>tagKindBits&(maxFlows-1)]
+		switch id := m.Tag >> tagIDShift; m.Tag & (1<<tagKindBits - 1) {
+		case msgStream:
 			f.delivered++
 			if m.Corrupted {
 				f.corrupted++
 			}
 			f.latenciesMs = append(f.latenciesMs, float64(m.Latency())/float64(time.Millisecond))
-		case rpcRequest:
+		case msgRequest:
 			if m.Corrupted {
-				r.flows[p.flow].corrupted++
+				f.corrupted++
 			}
 			// Serve the request; a failed response send behaves like
 			// network loss and surfaces as a client timeout.
-			_ = r.net.Send(node, m.From, p.respBytes, rpcResponse{flow: p.flow, id: p.id})
-		case rpcResponse:
-			f := r.flows[p.flow]
-			sentAt, ok := f.pending[p.id]
+			_ = r.net.SendTag(node, m.From, f.cfg.ResponseBytes, msgTag(msgResponse, f.idx, id))
+		case msgResponse:
+			now := r.sim.Now().Sub(r.epoch)
+			sentAt, ok := f.pending.answer(id, now, f.cfg.Timeout)
 			if !ok {
-				return // response after timeout
+				return // a duplicate, or after the timeout
 			}
-			delete(f.pending, p.id)
 			f.delivered++
 			if m.Corrupted {
 				f.corrupted++
 			}
-			f.latenciesMs = append(f.latenciesMs, float64(r.sim.Now().Sub(sentAt))/float64(time.Millisecond))
+			f.latenciesMs = append(f.latenciesMs, float64(now-sentAt)/float64(time.Millisecond))
 		}
 	}
 }
@@ -249,27 +262,40 @@ func (f *flowState) fire(at time.Time) {
 	f.sent++
 	switch f.cfg.Type {
 	case FlowStream:
-		if err := f.r.net.Send(f.src, f.dst, f.cfg.RequestBytes, streamPacket{flow: f.idx}); err != nil {
+		if err := f.r.net.SendTag(f.src, f.dst, f.cfg.RequestBytes, msgTag(msgStream, f.idx, 0)); err != nil {
 			f.sendErrors++
 		}
 	case FlowRPC:
 		f.nextID++
 		id := f.nextID
-		err := f.r.net.Send(f.src, f.dst, f.cfg.RequestBytes,
-			rpcRequest{flow: f.idx, id: id, respBytes: f.cfg.ResponseBytes})
-		if err != nil {
-			f.sendErrors++
+		if id > maxRPCID {
+			if f.r.err == nil {
+				f.r.err = fmt.Errorf("scenario: flow %q: rpc id %d does not fit a message tag", f.cfg.Name, id)
+			}
 			return
 		}
-		f.pending[id] = at
-		if err := f.r.sim.After(f.cfg.Timeout, func() {
-			if _, ok := f.pending[id]; ok {
-				delete(f.pending, id)
-				f.timeouts++
-			}
-		}); err != nil {
-			panic(fmt.Sprintf("scenario: scheduling timeout for flow %q: %v", f.cfg.Name, err))
+		sentAt := at.Sub(f.r.epoch)
+		f.settle(sentAt)
+		err := f.r.net.SendTag(f.src, f.dst, f.cfg.RequestBytes, msgTag(msgRequest, f.idx, id))
+		if err != nil {
+			f.sendErrors++
 		}
+		f.pending.push(id, sentAt, err != nil)
+	}
+}
+
+// settle counts the requests whose deadline has passed by now, an offset
+// from the epoch, as timeouts. The counters are exact after it: the runner
+// settles every flow before it reads them.
+func (f *flowState) settle(now time.Duration) {
+	f.timeouts += f.pending.settle(now, f.cfg.Timeout)
+}
+
+// settle settles every flow at the current virtual time.
+func (r *Runner) settle() {
+	now := r.sim.Now().Sub(r.epoch)
+	for _, f := range r.flows {
+		f.settle(now)
 	}
 }
 
@@ -387,8 +413,8 @@ func (r *Runner) Run() (*Report, error) { return r.RunWith(RunOptions{}) }
 // once per Runner.
 //
 // Resume works by deterministic re-execution: simulation state includes
-// scheduled closures (pending RPC timeouts, in-flight deliveries, armed
-// fault events) that no checkpoint format could faithfully serialize, so a
+// scheduled events (in-flight deliveries, armed fault events, flow
+// arrivals) that no checkpoint format could faithfully serialize, so a
 // resumed run replays the entire prefix from the epoch — cheap, since
 // virtual time costs no wall-clock waiting — and uses the checkpoint to
 // *prove* the replay reconstructed the killed run exactly (every flow's
@@ -438,6 +464,10 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 		if err := r.coord.Run(t.Sub(r.sim.Now())); err != nil {
 			return nil, err
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		r.settle()
 		r.observeTick()
 		tick++
 		if opts.Resume != nil && tick == opts.Resume.Tick {
@@ -461,10 +491,14 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 	if err := r.coord.Run(horizon.Sub(r.sim.Now())); err != nil {
 		return nil, err
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	// Settle the fan-out tier: a frame fault on the final generation has
 	// no successor tick to heal the gap, so force every live shard to its
 	// head before reading the report counters.
 	r.coord.Fanout().Converge()
+	r.settle()
 	return r.report(), nil
 }
 
@@ -499,7 +533,7 @@ func (r *Runner) report() *Report {
 			Delivered:  f.delivered,
 			SendErrors: f.sendErrors,
 			Timeouts:   f.timeouts,
-			InFlight:   int64(len(f.pending)),
+			InFlight:   int64(f.pending.open),
 			Corrupted:  f.corrupted,
 			Latency:    summarizeLatency(f.latenciesMs),
 		})

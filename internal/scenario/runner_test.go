@@ -417,53 +417,75 @@ rate = 2.0
 }
 
 // TestFlowArrivalAllocatesNoClosure: a flow re-arms its one arrival
-// callback, and vnet queues arrivals and deliveries without boxing, so in
-// steady state a CBR stream costs no allocation per event. (The latency
-// sample slice grows by doubling, which rounds to zero per event.)
+// callback, its messages carry their flow, kind and rpc id in an unboxed
+// tag, and an rpc's timeout is a deadline in the flow's ring of pending
+// requests rather than a scheduled closure — so in steady state neither a
+// CBR stream's packet nor an rpc's whole round trip (arrival, request,
+// response) costs an allocation. Each measured run steps the engine until
+// one more message is delivered to the flow, so a boxed payload or a
+// timeout closure back on the path is at least one allocation per run. (The
+// latency sample slice and the ring grow by doubling, which rounds to zero
+// per run.)
 func TestFlowArrivalAllocatesNoClosure(t *testing.T) {
-	sc, err := Parse(strings.NewReader(`
+	for _, tc := range []struct{ name, flow string }{
+		{"stream", `type = "stream"`},
+		{"rpc", "type = \"rpc\"\nresponse_bytes = 400\ntimeout = 1.0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := Parse(strings.NewReader(`
 name = "cbr-allocs"
 seed = 1
 horizon = 2.0
 
 [[flow]]
 name = "ticker"
-type = "stream"
 source = "accra"
 target = "johannesburg"
 arrival = "cbr"
 rate = 2000.0
 request_bytes = 100
-` + testbedTOML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	f := r.flows[0]
-	if err := f.schedule(); err != nil {
-		t.Fatal(err)
-	}
-	// Warm up past the first deliveries: path cached, shaper built, queue
-	// and slabs at their steady size.
-	for i := 0; i < 500; i++ {
-		r.sim.Step()
-	}
-	if f.sent < 100 || f.delivered < 100 || f.sendErrors != 0 {
-		t.Fatalf("warm-up: sent %d delivered %d errors %d", f.sent, f.delivered, f.sendErrors)
-	}
-	sent := f.sent
-	// 1,001 events are a quarter of a virtual second: no update tick (2 s
-	// resolution) falls inside the measurement.
-	if a := testing.AllocsPerRun(1000, func() { r.sim.Step() }); a != 0 {
-		t.Errorf("%v allocations per event", a)
-	}
-	if f.sent-sent < 400 {
-		t.Errorf("only %d arrivals among the measured events", f.sent-sent)
+` + tc.flow + "\n" + testbedTOML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.coord.Start(); err != nil {
+				t.Fatal(err)
+			}
+			f := r.flows[0]
+			if err := f.schedule(); err != nil {
+				t.Fatal(err)
+			}
+			deliver := func() {
+				for n := f.delivered; f.delivered == n; {
+					r.sim.Step()
+				}
+			}
+			// Warm up past the first deliveries: path cached, shaper built,
+			// queue, slabs and ring at their steady size.
+			for i := 0; i < 200; i++ {
+				deliver()
+			}
+			if f.sendErrors != 0 || f.timeouts != 0 {
+				t.Fatalf("warm-up: sent %d delivered %d errors %d timeouts %d",
+					f.sent, f.delivered, f.sendErrors, f.timeouts)
+			}
+			sent := f.sent
+			// 600 deliveries at 2,000 arrivals a second stay well inside the
+			// first virtual second: no update tick (2 s resolution) falls
+			// inside the measurement.
+			if a := testing.AllocsPerRun(600, deliver); a != 0 {
+				t.Errorf("%v allocations per delivered message", a)
+			}
+			if f.sent-sent < 500 {
+				t.Errorf("only %d arrivals among the measured events", f.sent-sent)
+			}
+			if end := r.sim.Now().Sub(r.epoch); end >= sc.Config.Resolution {
+				t.Errorf("measurement ran to %v, past the first update tick", end)
+			}
+		})
 	}
 }

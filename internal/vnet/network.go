@@ -37,7 +37,10 @@ type Message struct {
 	From, To  int
 	SizeBytes int
 	Payload   any
-	SentAt    time.Time
+	// Tag is an unboxed payload for senders whose message is a few
+	// integers (see SendTag); the network delivers it unchanged.
+	Tag    uint64
+	SentAt time.Time
 	// DeliveredAt is filled in on delivery.
 	DeliveredAt time.Time
 	// Corrupted marks netem payload corruption.
@@ -227,6 +230,17 @@ func (n *Network) Stats() (delivered, dropped uint64) { return n.delivered, n.dr
 // bottleneck bandwidth; the registered handler of the destination runs at
 // the delivery time. Send must be called from the simulation goroutine.
 func (n *Network) Send(from, to int, sizeBytes int, payload any) error {
+	return n.send(from, to, sizeBytes, payload, 0)
+}
+
+// SendTag is Send with the message's Tag as its payload instead: a sender
+// whose message fits one word passes it without boxing it into an any.
+func (n *Network) SendTag(from, to int, sizeBytes int, tag uint64) error {
+	return n.send(from, to, sizeBytes, nil, tag)
+}
+
+// send is the one body of Send and SendTag.
+func (n *Network) send(from, to int, sizeBytes int, payload any, tag uint64) error {
 	if from == to {
 		return fmt.Errorf("vnet: cannot send from node %d to itself", from)
 	}
@@ -252,7 +266,7 @@ func (n *Network) Send(from, to int, sizeBytes int, payload any) error {
 	for _, at := range tx.Arrivals() {
 		// The handler is the one registered now, at send time.
 		if err := n.sim.deliver(delivery{handler: ps.dst.handler, net: n, msg: Message{
-			From: from, To: to, SizeBytes: sizeBytes, Payload: payload,
+			From: from, To: to, SizeBytes: sizeBytes, Payload: payload, Tag: tag,
 			SentAt: now, DeliveredAt: at, Corrupted: tx.Corrupted,
 		}}); err != nil {
 			return fmt.Errorf("vnet: scheduling delivery: %w", err)

@@ -16,7 +16,6 @@ import (
 	"math"
 	"time"
 
-	"celestial/internal/clock"
 	"celestial/internal/monoq"
 )
 
@@ -83,12 +82,10 @@ type delivery struct {
 // All scheduling and execution must happen from one goroutine; this is what
 // makes experiment runs bit-for-bit reproducible.
 type Sim struct {
-	clk *clock.Virtual
 	// base is the start time stripped of any monotonic reading, so that
 	// keys are wall-clock offsets whichever readings a scheduled time has.
 	base time.Time
-	// now and nowKey mirror clk for the simulation goroutine, which reads
-	// the time once or more per event and must not pay clk's lock for it.
+	// now is the virtual time and nowKey its key.
 	now    time.Time
 	nowKey int64
 
@@ -99,12 +96,8 @@ type Sim struct {
 
 // NewSim creates an engine whose virtual clock starts at the given time.
 func NewSim(start time.Time) *Sim {
-	return &Sim{clk: clock.NewVirtual(start), base: start.Round(0), now: start}
+	return &Sim{base: start.Round(0), now: start}
 }
-
-// Clock exposes the engine's clock for components that only need to read
-// time. Unlike Now it is safe to read from any goroutine.
-func (s *Sim) Clock() clock.Clock { return s.clk }
 
 // Now returns the current virtual time. Like every other method it must
 // only be called from the simulation goroutine.
@@ -191,14 +184,7 @@ func (s *Sim) Pending() int { return s.pq.Len() }
 
 // advance moves virtual time to t, whose key the caller has checked to be
 // at or after now.
-func (s *Sim) advance(t time.Time, key int64) {
-	s.now, s.nowKey = t, key
-	if err := s.clk.Set(t); err != nil {
-		// Events are popped in time order from a queue that rejects past
-		// timestamps, so the clock can never move backwards.
-		panic(fmt.Sprintf("vnet: clock regression: %v", err))
-	}
-}
+func (s *Sim) advance(t time.Time, key int64) { s.now, s.nowKey = t, key }
 
 // Step executes the next event, advancing the clock to its timestamp. It
 // returns false when no events remain.
