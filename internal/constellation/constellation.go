@@ -91,10 +91,6 @@ type Constellation struct {
 	visCell []float64
 	// inBox is cfg.BoundingBox prepared for the per-satellite activity test.
 	inBox bbox.Tester
-	// bruteVis disables the visibility index (see SetBruteVisibility).
-	bruteVis bool
-	// visRebuild forces full index rebuilds (see SetVisIndexRebuild).
-	visRebuild bool
 }
 
 // New builds a Constellation from a validated configuration.
@@ -207,22 +203,6 @@ func (c *Constellation) NodeByRef(ref string) (int, error) {
 
 // Shells returns the instantiated shells.
 func (c *Constellation) Shells() []*orbit.Shell { return c.shells }
-
-// SetBruteVisibility disables (on=true) or re-enables the per-shell
-// spatial visibility index, falling back to the exhaustive per-station
-// scan. Snapshots are identical either way (topo.VisIndex guarantees it);
-// the knob exists for differential tests and for benchmarking the index.
-// It must not be toggled concurrently with snapshot computation.
-func (c *Constellation) SetBruteVisibility(on bool) { c.bruteVis = on }
-
-// SetVisIndexRebuild forces (on=true) a full visibility-index rebuild every
-// tick instead of the default incremental update, which re-buckets only the
-// satellites that crossed a grid-cell boundary since the buffer's previous
-// use. Snapshots are identical either way (topo.VisIndex guarantees the
-// incremental index is query-identical to a fresh build); the knob exists
-// for differential tests and benchmarks. It must not be toggled
-// concurrently with snapshot computation.
-func (c *Constellation) SetVisIndexRebuild(on bool) { c.visRebuild = on }
 
 // GroundStations returns the configured ground stations.
 func (c *Constellation) GroundStations() []config.GroundStation { return c.gst }
@@ -363,8 +343,9 @@ func (c *Constellation) Snapshot(t float64) (*State, error) {
 }
 
 // SnapshotSequential is the single-threaded reference implementation of
-// Snapshot. It exists for differential testing of the parallel pipeline
-// and as a baseline for benchmarks.
+// Snapshot. It exists for differential testing: a fresh state has a cold
+// visibility index and a graph rebuilt from its link list, so it is also
+// the full-rebuild reference for the pool's incremental paths.
 func (c *Constellation) SnapshotSequential(t float64) (*State, error) {
 	return c.snapshotFresh(t, 1)
 }
@@ -459,32 +440,21 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	// spatial index over the satellites' ground-track cells, shared by all
 	// stations, replaces the brute-force O(G×S) elevation scan; each
 	// station only tests satellites whose cell can clear its elevation
-	// mask. The index is incrementally updated by default — only
-	// satellites that crossed a grid-cell boundary since this buffer's
-	// previous generation re-bucket; Update falls back to a full build on
-	// a cold or mismatched index. Query results are identical to the
-	// exhaustive scan either way (see topo.VisIndex), so neither the index
-	// nor its maintenance mode ever changes the computed state.
-	if !c.bruteVis && len(c.gst) > 0 {
+	// mask. The index is updated incrementally — only satellites that
+	// crossed a grid-cell boundary since this buffer's previous generation
+	// re-bucket; Update falls back to a full build on a cold or mismatched
+	// index. Query results are identical to the exhaustive scan either way
+	// (see topo.VisIndex), so the index never changes the computed state.
+	if len(c.gst) > 0 {
 		for si, sh := range c.shells {
 			shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
-			if c.visRebuild {
-				st.visIdx[si].Build(shellPos, c.visCell[si], workers)
-			} else {
-				st.visIdx[si].Update(shellPos, c.visCell[si], workers)
-			}
+			st.visIdx[si].Update(shellPos, c.visCell[si], workers)
 		}
 	}
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
 		for gi := glo; gi < ghi; gi++ {
-			for si, sh := range c.shells {
+			for si := range c.shells {
 				minElev := c.cfg.Shells[si].Network.MinElevationDeg
-				if c.bruteVis {
-					shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
-					st.uplinks[gi][si] = topo.VisibleSatsInto(
-						c.gstPos[gi], shellPos, minElev, st.uplinks[gi][si])
-					continue
-				}
 				st.uplinks[gi][si] = st.visIdx[si].VisibleInto(
 					c.gstPos[gi], minElev, st.uplinks[gi][si])
 			}
@@ -788,9 +758,6 @@ type SnapshotPool struct {
 	pre *prefetch
 	// noRepair disables the incremental path repair (see SetPathRepair).
 	noRepair bool
-	// noGraphPatch disables the frozen-CSR clone-and-patch graph path
-	// (see SetGraphPatch).
-	noGraphPatch bool
 	// overlay, when set, vetoes node activity beyond the bounding box
 	// (see SetActivityOverlay).
 	overlay func(id int) bool
@@ -862,7 +829,7 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	defer p.snapMu.Unlock()
 	pr, ok := p.join(t)
 	if !ok {
-		pr = p.prepare(t, p.noRepair, p.noGraphPatch)
+		pr = p.prepare(t, p.noRepair)
 	}
 	return p.finish(&pr)
 }
@@ -887,10 +854,10 @@ func (p *SnapshotPool) Prefetch(t float64) {
 	}
 	pf := &prefetch{done: make(chan struct{})}
 	p.pre = pf
-	noRepair, noGraphPatch := p.noRepair, p.noGraphPatch
+	noRepair := p.noRepair
 	go func() {
 		defer close(pf.done)
-		pf.prepared = p.prepare(t, noRepair, noGraphPatch)
+		pf.prepared = p.prepare(t, noRepair)
 	}()
 }
 
@@ -921,9 +888,9 @@ func (p *SnapshotPool) join(t float64) (prepared, bool) {
 // it takes a buffer, computes positions and links into it, diffs the links
 // against the previous state, materializes the graph and carries over the
 // previous state's path cache as far as it is complete. It runs on the
-// Snapshot goroutine or on Prefetch's, the same code on both; the settings
-// it follows are passed in because Prefetch captures them at launch.
-func (p *SnapshotPool) prepare(t float64, noRepair, noGraphPatch bool) prepared {
+// Snapshot goroutine or on Prefetch's, the same code on both; the repair
+// setting is passed in because Prefetch captures it at launch.
+func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	p.mu.Lock()
 	var st *State
 	if k := len(p.free); k > 0 {
@@ -955,18 +922,17 @@ func (p *SnapshotPool) prepare(t float64, noRepair, noGraphPatch bool) prepared 
 	// holding a lease on it are unaffected — and patches this tick's
 	// merged link deltas into it in place, skipping the per-edge rebuild
 	// and O(N+M) re-freeze. The deltas are computed once and shared with
-	// the path repair in both halves. Cold starts, Full diffs, the
-	// SetGraphPatch knob and any patch mismatch (impossible for
-	// diff-produced deltas) fall back to rebuilding from the assembled link
-	// list; either way the frozen image is identical (PatchFrozen's row
-	// order may differ, which the canonical Dijkstra tie-break makes
-	// unobservable).
+	// the path repair in both halves. Cold starts, Full diffs and any patch
+	// mismatch (impossible for diff-produced deltas) fall back to
+	// rebuilding from the assembled link list; either way the frozen image
+	// is identical (PatchFrozen's row order may differ, which the canonical
+	// Dijkstra tie-break makes unobservable).
 	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
 		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff)
 		pr.deltas = p.deltaScratch
 	}
 	patched := false
-	if prev != nil && !out.diff.Full && !noGraphPatch {
+	if prev != nil && !out.diff.Full {
 		if err := out.g.CopyFrozenFrom(prev.g); err == nil {
 			if err := out.g.PatchFrozen(pr.deltas); err == nil {
 				patched = true
@@ -1063,23 +1029,12 @@ func (p *SnapshotPool) SetActivityOverlay(fn func(id int) bool) { p.overlay = fn
 // of carried shortest-path entries on non-empty diffs, forcing every
 // structural tick back to on-demand full Dijkstra recomputes. Repaired
 // results are bit-identical to recomputed ones (locked in by the repair
-// differential tests); the knob exists for differential testing, for
-// benchmarking the repair and for the coordinator's deferred-repair
-// degradation level. The setting is read when a prepare starts — by
-// Prefetch, or by a Snapshot that has no prefetch to join — and holds for
-// that whole snapshot. It must not be toggled while a Snapshot or Prefetch
+// differential tests); the knob exists for the coordinator's
+// deferred-repair degradation level. The setting is read when a prepare
+// starts — by Prefetch, or by a Snapshot that has no prefetch to join — and
+// holds for that whole snapshot. It must not be toggled while a Snapshot or Prefetch
 // call is running.
 func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
-
-// SetGraphPatch disables (on=false) or re-enables the steady-state graph
-// materialization that clones the previous tick's frozen CSR image and
-// patches this tick's link deltas into it in place, forcing every tick
-// back to a full rebuild from the link list. Patched and rebuilt graphs
-// yield bit-identical shortest paths (locked in by the patch differential
-// tests); the knob exists for differential testing and benchmarks. Like
-// SetPathRepair it is read when a prepare starts and must not be toggled
-// while a Snapshot or Prefetch call is running.
-func (p *SnapshotPool) SetGraphPatch(on bool) { p.noGraphPatch = !on }
 
 // SetStageTimer installs a callback that receives the wall-clock duration
 // of each pooled-snapshot stage, keyed "snapshot" (propagation, state

@@ -303,23 +303,43 @@ func TestNonPooledSnapshotsAreFullDiffs(t *testing.T) {
 }
 
 // TestIndexedVisibilityMatchesBruteSnapshots is the whole-pipeline
-// differential for the spatial index: snapshots with and without it are
-// identical.
+// differential for the spatial index: every station's uplinks, from a
+// freshly built index and from one updated incrementally by a pool, equal
+// the exhaustive elevation scan over the snapshot's own positions.
 func TestIndexedVisibilityMatchesBruteSnapshots(t *testing.T) {
-	cfg := testConfig(t, orbit.ModelKepler)
-	indexed := mustNew(t, cfg)
-	brute := mustNew(t, cfg)
-	brute.SetBruteVisibility(true)
+	c := mustNew(t, testConfig(t, orbit.ModelKepler))
+	tp := &tickingPool{pool: c.NewSnapshotPool()}
+	var brute []topo.Uplink
+	check := func(st *State) {
+		t.Helper()
+		for gi := range c.gst {
+			for si, sh := range c.shells {
+				shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
+				brute = topo.VisibleSatsInto(c.gstPos[gi], shellPos,
+					c.cfg.Shells[si].Network.MinElevationDeg, brute)
+				got := st.uplinks[gi][si]
+				if len(got) != len(brute) {
+					t.Fatalf("t=%v station %d shell %d: %d uplinks, brute scan %d",
+						st.T, gi, si, len(got), len(brute))
+				}
+				for i := range brute {
+					if got[i] != brute[i] {
+						t.Fatalf("t=%v station %d shell %d uplink %d: %+v, brute scan %+v",
+							st.T, gi, si, i, got[i], brute[i])
+					}
+				}
+			}
+		}
+	}
 	for _, offset := range []float64{0, 42, 1800, 5000} {
-		a, err := indexed.Snapshot(offset)
+		fresh, err := c.Snapshot(offset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := brute.Snapshot(offset)
-		if err != nil {
-			t.Fatal(err)
+		check(fresh)
+		for i := 0; i < 3; i++ {
+			check(tp.tick(t, offset+float64(i)*7.5))
 		}
-		assertStatesIdentical(t, b, a)
 	}
 }
 

@@ -213,3 +213,42 @@ func BenchmarkHandleQuery(b *testing.B) {
 		}
 	}
 }
+
+// FuzzHandleQuery feeds the server arbitrary packets. It must not panic;
+// a packet it answers gets a response of at least a header that echoes the
+// query's ID with QR set, and a NOERROR response parses.
+func FuzzHandleQuery(f *testing.F) {
+	for i, name := range []string{"878.0.celestial", "accra.gst.celestial", "12345.0.celestial"} {
+		q, err := BuildQuery(uint16(i), name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(q)
+	}
+	aaaa, _ := BuildQuery(9, "878.0.celestial")
+	aaaa[len(aaaa)-3] = 28
+	f.Add(aaaa)
+	f.Add(make([]byte, headerLen))
+	f.Add([]byte{1, 2, 3})
+	srv := NewServer(NewResolver(fakeDir{}))
+	f.Fuzz(func(t *testing.T, query []byte) {
+		resp := srv.HandleQuery(query)
+		if resp == nil {
+			return
+		}
+		if len(resp) < headerLen {
+			t.Fatalf("%d-byte response", len(resp))
+		}
+		if resp[0] != query[0] || resp[1] != query[1] {
+			t.Fatalf("response ID %x, query ID %x", resp[:2], query[:2])
+		}
+		if resp[2]&0x80 == 0 {
+			t.Fatal("response without QR")
+		}
+		if resp[3]&0xf == rcodeNoError {
+			if _, _, err := ParseResponse(resp); err != nil {
+				t.Fatalf("NOERROR response does not parse: %v", err)
+			}
+		}
+	})
+}

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"celestial/internal/hostlink"
 )
 
 // body performs a GET and returns the response body bytes.
@@ -22,8 +26,8 @@ func body(t *testing.T, s *Server, path string, wantStatus int) []byte {
 	return rec.Body.Bytes()
 }
 
-// differentialEndpoints are the cacheable endpoints the byte-equality
-// differential runs over.
+// differentialEndpoints are the endpoints the legacy-versus-/v1
+// byte-equality test runs over.
 var differentialEndpoints = []string{
 	"/info",
 	"/shell/0",
@@ -37,29 +41,45 @@ var differentialEndpoints = []string{
 	"/diff?since=0",
 }
 
-// TestCachedResponsesByteIdentical is the differential test for the cache
-// rebuild: for every endpoint, the cached server's response — on a cold
-// cache and again on a warm one — must be byte-for-byte identical to the
-// uncached encoder's output for the same snapshot, across topology
-// changes.
+// TestCachedResponsesByteIdentical is the differential test for the
+// response caches: for every cacheable endpoint, the server's response — on
+// a cold cache and again on a warm one — must be byte-for-byte the document
+// the Source's builder returns when called directly for the same snapshot,
+// across topology changes.
 func TestCachedResponsesByteIdentical(t *testing.T) {
-	cached, c := testServer(t)
-	uncached := New(c)
-	uncached.SetCaching(false)
+	s, c := testServer(t)
+	src := s.Source()
+	refs := []struct {
+		ep    string
+		build func() ([]byte, int)
+	}{
+		{"/info", src.InfoDoc},
+		{"/shell/0", func() ([]byte, int) { return src.ShellDoc("0") }},
+		{"/shell/0/100", func() ([]byte, int) { return src.SatDoc("0", "100") }},
+		{"/shell/0/0", func() ([]byte, int) { return src.SatDoc("0", "0") }},
+		{"/gst/accra", func() ([]byte, int) { return src.GSTDoc("accra") }},
+		{"/gst/johannesburg", func() ([]byte, int) { return src.GSTDoc("johannesburg") }},
+		{"/path/accra/johannesburg", func() ([]byte, int) { return src.PathDoc("accra", "johannesburg") }},
+		{"/path/0.0/5.0", func() ([]byte, int) { return src.PathDoc("0.0", "5.0") }},
+		{"/path/100.0/accra", func() ([]byte, int) { return src.PathDoc("100.0", "accra") }},
+	}
 
 	check := func(tag string) {
 		t.Helper()
-		for _, ep := range differentialEndpoints {
-			ref := body(t, uncached, ep, http.StatusOK)
-			cold := body(t, cached, ep, http.StatusOK)
-			warm := body(t, cached, ep, http.StatusOK)
+		for _, r := range refs {
+			ref, status := r.build()
+			if status != http.StatusOK {
+				t.Fatalf("%s: builder for %s answered %d: %s", tag, r.ep, status, ref)
+			}
+			cold := body(t, s, r.ep, http.StatusOK)
+			warm := body(t, s, r.ep, http.StatusOK)
 			if !bytes.Equal(ref, cold) {
-				t.Errorf("%s: GET %s cold cache differs from uncached encoder:\n  uncached: %s\n  cached:   %s",
-					tag, ep, ref, cold)
+				t.Errorf("%s: GET %s cold cache differs from the builder:\n  builder: %s\n  cached:  %s",
+					tag, r.ep, ref, cold)
 			}
 			if !bytes.Equal(cold, warm) {
 				t.Errorf("%s: GET %s warm cache differs from its own cold fill:\n  cold: %s\n  warm: %s",
-					tag, ep, cold, warm)
+					tag, r.ep, cold, warm)
 			}
 		}
 	}
@@ -67,7 +87,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	check("t=0")
 	// Advance through several update ticks (non-empty diffs: satellites
 	// move whole delay quanta at this resolution) and re-run: the caches
-	// must have invalidated and refilled to the fresh encoder output.
+	// must have invalidated and refilled to the fresh builder output.
 	if err := c.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +96,98 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("t=32")
+}
+
+// raceDetector reports whether the test binary was built with -race. The
+// race detector makes sync.Pool drop a share of what is put back, so
+// encoding/json allocates buffers a normal build reuses, and allocation
+// counts are only checked without it.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// countingSource is a Source that counts the documents its builders make.
+type countingSource struct {
+	Source
+	builds int
+}
+
+func (s *countingSource) InfoDoc() ([]byte, int) {
+	s.builds++
+	return s.Source.InfoDoc()
+}
+
+func (s *countingSource) ShellDoc(shell string) ([]byte, int) {
+	s.builds++
+	return s.Source.ShellDoc(shell)
+}
+
+func (s *countingSource) SatDoc(shell, sat string) ([]byte, int) {
+	s.builds++
+	return s.Source.SatDoc(shell, sat)
+}
+
+func (s *countingSource) GSTDoc(name string) ([]byte, int) {
+	s.builds++
+	return s.Source.GSTDoc(name)
+}
+
+func (s *countingSource) PathDoc(source, target string) ([]byte, int) {
+	s.builds++
+	return s.Source.PathDoc(source, target)
+}
+
+// TestCacheHitsBuildNothing is the response caches' cost contract: a
+// repeat request for a cached document calls no builder — neither a
+// Source document builder nor the /diff frame serializer — and allocates
+// at most what a hit allocated when the bound was set (a build costs 8 to
+// 29). It measures after the coordinator's run is over, so no prefetched
+// snapshot is being computed meanwhile.
+func TestCacheHitsBuildNothing(t *testing.T) {
+	_, c := benchServer(t, 8*time.Second, 8*time.Second)
+	cs := NewCoordinatorSource(c)
+	src := &countingSource{Source: cs}
+	frame := cs.frames.frame
+	cs.frames.frame = func(e hostlink.Record) *Frame {
+		src.builds++
+		return frame(e)
+	}
+	s := RegisterRoutes(http.NewServeMux(), src)
+	for _, hit := range []struct {
+		path      string
+		maxAllocs float64
+	}{
+		{"/v1/info", 1},
+		{"/v1/gst/accra", 3},
+		{"/v1/path/accra/johannesburg", 4},
+		{"/path/0.0/263.0", 4},
+		{"/v1/diff?since=" + strconv.FormatUint(c.Generation()-8, 10), 8},
+	} {
+		before := src.builds
+		body(t, s, hit.path, http.StatusOK)
+		if src.builds == before {
+			t.Fatalf("GET %s: the cold request built nothing", hit.path)
+		}
+		before = src.builds
+		req := httptest.NewRequest(http.MethodGet, hit.path, nil)
+		w := &nopResponseWriter{h: make(http.Header)}
+		allocs := testing.AllocsPerRun(100, func() { s.ServeHTTP(w, req) })
+		if n := src.builds - before; n != 0 {
+			t.Errorf("GET %s: %d builds on a warm cache", hit.path, n)
+		}
+		if allocs > hit.maxAllocs && !raceDetector() {
+			t.Errorf("GET %s: a hit allocates %v, bound %v", hit.path, allocs, hit.maxAllocs)
+		}
+	}
 }
 
 // TestCacheServesStoredDocument pins the cache mechanics themselves: a

@@ -59,9 +59,6 @@ type Server struct {
 	// have).
 	coord *CoordinatorSource
 
-	// caching gates the serialized-response caches (see SetCaching).
-	caching bool
-
 	// sseKeepAlive and sseWriteTimeout are the /diff event stream's idle
 	// keepalive period and per-frame write deadline (see SetStreamTiming).
 	sseKeepAlive    time.Duration
@@ -82,8 +79,8 @@ type Server struct {
 	paths  respCache
 }
 
-// New creates the API server for a coordinator, with response caching
-// enabled. The coordinator-backed server additionally serves /agents.
+// New creates the API server for a coordinator. The coordinator-backed
+// server additionally serves /agents.
 func New(c *coordinator.Coordinator) *Server {
 	mux := http.NewServeMux()
 	cs := NewCoordinatorSource(c)
@@ -98,11 +95,11 @@ func New(c *coordinator.Coordinator) *Server {
 // serving from src: every endpoint under its canonical /v1/ path and at
 // its legacy unversioned alias (kept for one release). The coordinator's
 // server and every read replica go through this one entry point, so the
-// two cannot drift. It returns the Server bound to the routes; its knobs
-// (SetCaching, SetStreamTiming) apply to the registered handlers.
+// two cannot drift. It returns the Server bound to the routes; its
+// SetStreamTiming applies to the registered handlers.
 func RegisterRoutes(mux *http.ServeMux, src Source) *Server {
 	s := &Server{
-		src: src, mux: mux, caching: true,
+		src: src, mux: mux,
 		// The stream timing defaults are shared with the host fan-out
 		// tier: an SSE subscriber and a remote host agent are the same
 		// kind of follower, so one pair of deployment knobs tunes both.
@@ -131,10 +128,9 @@ func RegisterRoutes(mux *http.ServeMux, src Source) *Server {
 func (s *Server) Source() Source { return s.src }
 
 // SetStreamTiming overrides the /diff event stream's idle keepalive period
-// and per-frame write deadline. Zero keeps the current value. Like
-// SetCaching it must not be called while requests are in flight; deploy
-// configurations set it once at startup, alongside the matching fan-out
-// heartbeat.
+// and per-frame write deadline. Zero keeps the current value. It must not
+// be called while requests are in flight; deploy configurations set it
+// once at startup, alongside the matching fan-out heartbeat.
 func (s *Server) SetStreamTiming(keepAlive, writeTimeout time.Duration) {
 	if keepAlive > 0 {
 		s.sseKeepAlive = keepAlive
@@ -143,13 +139,6 @@ func (s *Server) SetStreamTiming(keepAlive, writeTimeout time.Duration) {
 		s.sseWriteTimeout = writeTimeout
 	}
 }
-
-// SetCaching disables (on=false) or re-enables the serialized-response
-// caches, forcing every request through the full build-and-encode path.
-// Responses are byte-identical either way; the knob exists for the
-// differential tests and the cached-vs-uncached benchmarks. It must not be
-// toggled while requests are in flight.
-func (s *Server) SetCaching(on bool) { s.caching = on }
 
 // ResetCaches drops every cached document. Read replicas call it after a
 // forced resync against an upstream whose generation counter regressed (a
@@ -300,14 +289,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // and the build can then only make the cached document fresher than its
 // key, never staler.
 func (s *Server) serve(w http.ResponseWriter, c *respCache, ver uint64, key string, build func() ([]byte, int)) {
-	if s.caching {
-		if doc, ok := c.get(ver, key); ok {
-			writeDoc(w, http.StatusOK, doc)
-			return
-		}
+	if doc, ok := c.get(ver, key); ok {
+		writeDoc(w, http.StatusOK, doc)
+		return
 	}
 	doc, status := build()
-	if status == http.StatusOK && s.caching {
+	if status == http.StatusOK {
 		c.put(ver, key, doc)
 	}
 	writeDoc(w, status, doc)

@@ -70,14 +70,14 @@ func spinUntil(b *testing.B, what string, timeout time.Duration, cond func() boo
 	}
 }
 
-// BenchmarkReadFanout is the read-path scale gate: 100k concurrent binary
+// BenchmarkReadFanout is the read path at scale: 100k concurrent binary
 // /diff subscribers spread over four read replicas of one coordinator,
 // plus mixed GET traffic, while the coordinator ticks. It reports the
 // fan-out lag percentiles (coordinator publish to subscriber receipt),
 // the replicas' GET throughput under that load, and the stream bytes per
 // subscriber per update — the shared-frame economy. The timed loop
 // afterwards measures a single cached replica read; all fleet results
-// travel as metrics (the CI protocol runs -benchtime 1x).
+// travel as metrics, so one iteration (-benchtime 1x) reports them.
 func BenchmarkReadFanout(b *testing.B) {
 	const (
 		numReplicas = 4

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // errKilled is the sentinel the tests' tick hooks abort runs with,
@@ -231,4 +232,57 @@ func TestInjectedFaultsRecoveredAndReported(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("supervised runs differ:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
+}
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint arbitrary file contents, seeded
+// with a checkpoint a short fault-soak run wrote and truncations of it. It
+// must not panic, and a checkpoint it accepts has the current version, a
+// digest that recomputes, and can be matched against a scenario.
+func FuzzLoadCheckpoint(f *testing.F) {
+	data, err := os.ReadFile("../../examples/scenarios/fault-soak.toml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	sc, err := Parse(bytes.NewReader(data))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sc.Truncate(6 * time.Second); err != nil {
+		f.Fatal(err)
+	}
+	r, err := NewRunner(sc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "run.ckpt")
+	if _, err := r.RunWith(RunOptions{CheckpointPath: path}); err != nil {
+		f.Fatal(err)
+	}
+	if loaded, err := LoadCheckpoint(path); err != nil || loaded.Matches(sc) != nil {
+		f.Fatalf("the seed checkpoint does not load and match: %v", err)
+	}
+	cp, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(cp), len(cp) - 2, len(cp) / 2, len(cp) / 3, 0} {
+		f.Add(cp[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		if cp.Version != CheckpointVersion {
+			t.Fatalf("accepted version %d", cp.Version)
+		}
+		if got := cp.computeDigest(); got != cp.Digest {
+			t.Fatalf("accepted digest %#x, recomputed %#x", cp.Digest, got)
+		}
+		_ = cp.Matches(sc)
+	})
 }

@@ -172,11 +172,14 @@ func Parse(name, line1, line2 string) (TLE, error) {
 	if t.RAANDeg, err = atof(line2[17:25]); err != nil {
 		return t, parseErr(2, "raan: %v", err)
 	}
-	ecc, err := atoi(strings.TrimSpace(line2[26:33]))
-	if err != nil {
-		return t, parseErr(2, "eccentricity: %v", err)
+	// Eccentricity is seven digits behind an implied decimal point, with
+	// no sign and no blanks: a value in [0, 1).
+	ecc := line2[26:33]
+	if strings.Trim(ecc, "0123456789") != "" {
+		return t, parseErr(2, "eccentricity %q is not seven digits", ecc)
 	}
-	t.Eccentricity = float64(ecc) * 1e-7
+	n, _ := strconv.Atoi(ecc)
+	t.Eccentricity = float64(n) * 1e-7
 	if t.ArgPerigeeDeg, err = atof(line2[34:42]); err != nil {
 		return t, parseErr(2, "argument of perigee: %v", err)
 	}
@@ -226,8 +229,14 @@ func atoi(s string) (int, error) {
 	return strconv.Atoi(strings.TrimSpace(s))
 }
 
+// atof decodes a decimal field. NaN and the infinities parse as floats but
+// are no value any TLE field holds.
 func atof(s string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, err
 }
 
 // parseExp decodes the TLE "implied decimal point, explicit exponent"
@@ -256,7 +265,11 @@ func parseExp(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sign * mant * math.Pow(10, float64(exp)), nil
+	v := sign * mant * math.Pow(10, float64(exp))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
 }
 
 // formatExp encodes a value in the TLE implied-decimal exponent notation,

@@ -2,6 +2,7 @@ package tle
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,18 @@ const (
 	issLine1 = "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927"
 	issLine2 = "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537"
 )
+
+// Vanguard 1's elements, with an epoch in 1958; withChecksum completes
+// them.
+const (
+	vanguardLine1 = "1 00005U 58002B   58001.00000000  .00000000  00000+0  00000+0 0  999"
+	vanguardLine2 = "2 00005  34.2682 348.7242 1859667 331.7664  19.3264 10.8241652400001"
+)
+
+// withChecksum replaces column 69 of a line with the checksum of the rest.
+func withChecksum(line string) string {
+	return line[:68] + string(rune('0'+Checksum(line)))
+}
 
 func TestChecksum(t *testing.T) {
 	if got := Checksum(issLine1); got != 7 {
@@ -290,9 +303,8 @@ func BenchmarkSynthesize(b *testing.B) {
 // corrupting the corresponding columns.
 func TestParseFieldCorruptions(t *testing.T) {
 	corrupt := func(line string, from, to int, repl string) string {
-		out := line[:from] + repl + line[from+len(repl):]
 		_ = to
-		return out[:68] + string(rune('0'+Checksum(out)))
+		return withChecksum(line[:from] + repl + line[from+len(repl):])
 	}
 	tests := []struct {
 		name         string
@@ -310,6 +322,12 @@ func TestParseFieldCorruptions(t *testing.T) {
 		{"bad ma", issLine1, corrupt(issLine2, 43, 51, "xx.xxxx ")},
 		{"bad mm", issLine1, corrupt(issLine2, 52, 63, "xx.xxxxxxxx")},
 		{"bad rev", issLine1, corrupt(issLine2, 63, 68, "xxxx")},
+		{"nan inclination", issLine1, corrupt(issLine2, 8, 16, "     NaN")},
+		{"signed ecc", issLine1, corrupt(issLine2, 26, 33, "-000001")},
+		{"inf mean motion", issLine1, corrupt(issLine2, 52, 63, "       +Inf")},
+		{"blank in ecc", issLine1, corrupt(issLine2, 26, 33, "   6703")},
+		{"infinite mm ddot", corrupt(issLine1, 44, 52, " 1+99999"), issLine2},
+		{"zero times infinite bstar", corrupt(issLine1, 53, 61, " 0+99999"), issLine2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -322,11 +340,7 @@ func TestParseFieldCorruptions(t *testing.T) {
 
 // TestEpochYearWindow checks the two-digit year pivot (57-99 => 19xx).
 func TestEpochYearWindow(t *testing.T) {
-	l1 := "1 00005U 58002B   58001.00000000  .00000000  00000+0  00000+0 0  999"
-	l1 = l1[:68] + string(rune('0'+Checksum(l1)))
-	l2 := "2 00005  34.2682 348.7242 1859667 331.7664  19.3264 10.8241652400001"
-	l2 = l2[:68] + string(rune('0'+Checksum(l2)))
-	tle, err := Parse("vanguard", l1, l2)
+	tle, err := Parse("vanguard", withChecksum(vanguardLine1), withChecksum(vanguardLine2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,4 +376,43 @@ func TestFormatExpRounding(t *testing.T) {
 	if got := formatExp(-0.5); got[0] != '-' {
 		t.Errorf("negative sign missing: %q", got)
 	}
+}
+
+// FuzzParseLines feeds ParseLines arbitrary text. It must not panic, and
+// every TLE it accepts has finite fields and an eccentricity in [0, 1);
+// every line pair Parse accepts carries one NORAD id on both lines.
+func FuzzParseLines(f *testing.F) {
+	f.Add(issName + "\n" + issLine1 + "\n" + issLine2 + "\n")
+	f.Add("vanguard\n" + withChecksum(vanguardLine1) + "\n" + withChecksum(vanguardLine2) + "\n\n" +
+		issLine1 + "\r\n" + issLine2)
+	f.Add(issLine1)
+	f.Fuzz(func(t *testing.T, text string) {
+		tles, _ := ParseLines(text)
+		for _, tle := range tles {
+			for _, v := range []float64{
+				tle.EpochDay, tle.MeanMotionDot, tle.MeanMotionDDot, tle.BStar,
+				tle.InclinationDeg, tle.RAANDeg, tle.Eccentricity,
+				tle.ArgPerigeeDeg, tle.MeanAnomalyDeg, tle.MeanMotion,
+			} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted a non-finite field: %+v", tle)
+				}
+			}
+			if tle.Eccentricity < 0 || tle.Eccentricity >= 1 {
+				t.Fatalf("accepted eccentricity %v", tle.Eccentricity)
+			}
+		}
+		lines := strings.Split(text, "\n")
+		for i := 0; i+1 < len(lines); i++ {
+			tle, err := Parse("", lines[i], lines[i+1])
+			if err != nil {
+				continue
+			}
+			id1, err1 := strconv.Atoi(strings.TrimSpace(lines[i][2:7]))
+			id2, err2 := strconv.Atoi(strings.TrimSpace(lines[i+1][2:7]))
+			if err1 != nil || err2 != nil || id1 != id2 || id1 != tle.NoradID {
+				t.Fatalf("accepted ids %q and %q as %d", lines[i][2:7], lines[i+1][2:7], tle.NoradID)
+			}
+		}
+	})
 }

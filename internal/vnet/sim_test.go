@@ -341,10 +341,13 @@ func TestDrainReleasesEverySlot(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing: once the queue and slabs have grown, an
-// event costs no allocation, and neither does a message with a nil payload.
+// event costs no allocation, neither does a batch of a thousand events
+// spread over a thousand nanoseconds and stepped empty, and neither does a
+// message with a nil payload.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	sim := NewSim(simStart)
-	fn := func() {}
+	fired := 0
+	fn := func() { fired++ }
 	event := func() {
 		if err := sim.At(sim.Now().Add(time.Microsecond), fn); err != nil {
 			t.Fatal(err)
@@ -354,6 +357,24 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	event()
 	if a := testing.AllocsPerRun(1000, event); a != 0 {
 		t.Errorf("At+Step allocates %v per event", a)
+	}
+
+	const batchSize = 1000
+	batch := func() {
+		for j := 1; j <= batchSize; j++ {
+			if err := sim.At(sim.Now().Add(time.Duration(j)), fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for sim.Step() {
+		}
+	}
+	batch()
+	if a := testing.AllocsPerRun(100, batch); a != 0 {
+		t.Errorf("a batch of %d events allocates %v", batchSize, a)
+	}
+	if want := 1002 + 102*batchSize; fired != want {
+		t.Errorf("fired %d events, want %d", fired, want)
 	}
 
 	net := NewNetwork(sim, twoNodeTopo(0.010, 0), 1)
