@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index in DESIGN.md) and prints a
-// paper-vs-measured report — the source of EXPERIMENTS.md.
+// evaluation (the IDs in suite below) and prints a paper-vs-measured
+// report.
 //
 // Usage:
 //

@@ -553,9 +553,9 @@ func (c *Coordinator) update() error {
 	slot.Generation = gen
 	slot.Diff = d.AppendRecord(slot.Diff)
 	// Fold the new generation into the fan-out tier's per-shard digest
-	// chains before any reader can observe it: a remote writer woken by
-	// the append must find the digest for this generation already
-	// recorded.
+	// chains in the critical section that retains it, so the tier's marks
+	// and the log answer every cursor alike. Remote writers hear of it
+	// only from distribute, below.
 	c.fo.Advance(*slot)
 	if old != nil && c.leases[old] > 0 {
 		// A concurrent reader still holds the state; its last

@@ -18,8 +18,8 @@ type FanoutOptions struct {
 	// host count (hosts are never split across agents).
 	Agents int
 	// Options are the tier's own settable options (ladder, retry, seed,
-	// frame faults, dead-after, remote timeouts, token, apply window),
-	// handed to hostlink as they are.
+	// frame faults, dead-after, remote timeouts, token), handed to
+	// hostlink as they are.
 	hostlink.Options
 }
 
@@ -40,16 +40,18 @@ func (c *Coordinator) ConfigureFanout(o FanoutOptions) error {
 func (c *Coordinator) Fanout() *hostlink.Fanout { return c.fo }
 
 // FanoutOptions returns the options the fan-out tier was last built with
-// — the starting point for deployment-level overrides (agent auth token,
-// apply window) layered on top of a scenario's hosts configuration via
+// — the starting point for deployment-level overrides (the agent auth
+// token) layered on top of a scenario's hosts configuration via
 // ConfigureFanout before Start.
 func (c *Coordinator) FanoutOptions() FanoutOptions { return c.foOpts }
 
 // buildFanout constructs the fan-out tier: shard layout, loopback
 // appliers, and the producer callbacks its wall-clock plane reads records
 // and snapshots through, so remote agents resync exactly like /diff
-// clients. The loopback shards need none of them: they hear of a
-// generation through Advance (see update) and heal from the tier's marks.
+// clients. Neither plane hears of a generation from the producer: the
+// loopback shards get it through Advance and Distribute (see update) and
+// heal from the tier's marks, and Distribute publishes it to the remote
+// writers once the loopback results are recorded.
 func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	shards := o.Agents
 	if shards <= 0 {
@@ -107,8 +109,6 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		Appliers: appliers,
 		Now:      c.sim.Now,
 		After:    c.sim.After,
-		Head:     c.Generation,
-		Updated:  c.UpdateChan,
 		Replay:   c.DiffsSince,
 		Snapshot: c.shardSnapshot,
 		Options:  o.Options,

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4 and §5). Each experiment function is self-contained,
 // deterministic, and returns a Report with the measured values, so the
-// same code backs the cmd/experiments binary, the repository's benchmark
-// harness, and EXPERIMENTS.md.
+// same code backs the cmd/experiments binary and this package's tests,
+// which run each experiment in quick mode and check its claim.
 //
 // The experiments use shortened default durations so the full suite runs
 // in minutes; pass Full to reproduce the paper's 10–15 minute runs.
@@ -29,7 +29,8 @@ import (
 
 // Report is one experiment's outcome.
 type Report struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "F4").
+	// ID is the experiment identifier cmd/experiments -only selects it by
+	// (e.g. "F4").
 	ID string
 	// Title names the paper artifact.
 	Title string

@@ -327,25 +327,7 @@ func ProcessingDelayModelReport(o Options) (Report, error) {
 	return rep, nil
 }
 
-// All runs every experiment in paper order.
-func All(o Options) ([]Report, error) {
-	runs := []func(Options) (Report, error){
-		Fig1, Fig3, Fig4, Fig5, Fig6, Fig7And8,
-		CostTable, CalcTime, NetemQuantization, ProcessingDelayModelReport,
-		Fig10, Fig11,
-	}
-	var out []Report
-	for _, run := range runs {
-		rep, err := run(o)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", rep.ID, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// Ablations: design-choice benchmarks called out in DESIGN.md.
+// Ablations: design-choice benchmarks, run by cmd/experiments -ablations.
 
 // AblationShellCount compares the meetup result using only Starlink shell 1
 // against the full 5-shell constellation: the paper observes extra shells

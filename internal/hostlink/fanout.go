@@ -65,17 +65,15 @@ type Config struct {
 	Now   func() time.Time
 	After func(d time.Duration, fn func()) error
 
-	// Head, Updated, Replay and Snapshot are the wall-clock plane's view
-	// of the producer, called from remote writer goroutines only (the
-	// virtual plane hears of a generation through Advance and of nothing
-	// else). Head returns the newest generation; Updated returns a
-	// channel closed when it advances; Replay returns the retained
-	// records after a cursor (nil, false when the ring has evicted it);
-	// Snapshot builds a shard's full state at head. These mirror the
-	// /diff information service's contract so agents resync exactly
-	// like diff clients.
-	Head     func() uint64
-	Updated  func() <-chan struct{}
+	// Replay and Snapshot are the wall-clock plane's view of the
+	// producer's content, called from remote writer goroutines only (the
+	// virtual plane heals from its marks and reads neither). Replay
+	// returns the retained records after a cursor (nil, false when the
+	// ring has evicted it); Snapshot builds a shard's full state at the
+	// producer's newest generation. These mirror the /diff information
+	// service's contract so agents resync exactly like diff clients.
+	// When a generation reaches the wire is the tier's own decision: a
+	// writer hears of it from Distribute, never from the producer.
 	Replay   func(since uint64) ([]Record, bool)
 	Snapshot func(shard int) (*Snapshot, error)
 
@@ -119,10 +117,6 @@ type Options struct {
 	// present in their Hello frame; plaintext loopback runs leave it
 	// empty.
 	Token string
-
-	// ApplyWindow bounds commit-protocol proposals in flight per shard;
-	// zero adopts 1 (fully serialized, the deterministic default).
-	ApplyWindow int
 }
 
 // Validate reports the first option outside its range: rates are
@@ -137,8 +131,6 @@ func (o Options) Validate() error {
 			o.Delay, o.DeadAfter, o.Heartbeat, o.WriteTimeout)
 	case o.Ladder.CoalesceLag < 0 || o.Ladder.ActivityOnlyLag < 0 || o.Ladder.RecoverAfter < 0:
 		return fmt.Errorf("hostlink: negative ladder rung %+v", o.Ladder)
-	case o.ApplyWindow < 0:
-		return fmt.Errorf("hostlink: negative apply window %d", o.ApplyWindow)
 	}
 	return o.Retry.Validate()
 }
@@ -187,8 +179,8 @@ type ShardStats struct {
 	Epoch      uint64 `json:"epoch"`
 	Rebalances int    `json:"rebalances"`
 	// FallbackApplies counts generations the coordinator applied locally
-	// because a remote agent's commit-protocol window timed out or its
-	// result digest mismatched — zero whenever remotes keep up.
+	// because a remote agent's proposal timed out or its result digest
+	// mismatched — zero whenever remotes keep up.
 	FallbackApplies int `json:"fallback_applies"`
 	// Escalations/Recoveries are the follower ladder's rung moves.
 	Escalations int `json:"escalations"`
@@ -280,9 +272,13 @@ type Fanout struct {
 	// virtual plane replays a gap from, the shard's chain digest (what an
 	// agent's Ack is verified against) and the loopback engine's apply
 	// result (what its Applied is verified against). Advance appends a
-	// generation, so the log's head is the fan-out tier's; recordResult
-	// completes its marks.
+	// generation; recordResult completes its marks.
 	marks *difflog.Log[[]shardMark]
+	// published is the generation Distribute last delivered: the one head
+	// of the wall-clock plane, read by the remote writers, the barrier and
+	// VerifyRemotes. A writer hears of a generation only once its loopback
+	// results are recorded, so no proposal finds its result missing.
+	published uint64
 
 	remotes   map[int]*remote
 	ackNotify chan struct{}
@@ -328,8 +324,7 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	if len(cfg.Appliers) != cfg.Shards {
 		return nil, fmt.Errorf("hostlink: %d appliers for %d shards", len(cfg.Appliers), cfg.Shards)
 	}
-	if cfg.ShardOf == nil || cfg.Now == nil || cfg.After == nil ||
-		cfg.Head == nil || cfg.Updated == nil || cfg.Replay == nil || cfg.Snapshot == nil {
+	if cfg.ShardOf == nil || cfg.Now == nil || cfg.After == nil || cfg.Replay == nil || cfg.Snapshot == nil {
 		return nil, errors.New("hostlink: missing required callback")
 	}
 	if retention <= 0 {
@@ -343,9 +338,6 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.ApplyWindow == 0 {
-		cfg.ApplyWindow = 1
 	}
 	fo := &Fanout{
 		cfg:         cfg,
@@ -398,9 +390,9 @@ func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 // marks it: the per-shard offers the virtual plane delivers and replays,
 // the digests remote writers verify acks against. The producer must call
 // it for every generation, in order, on the simulation goroutine, in the
-// critical section that retains the record and before waking replay
-// readers. Each shard scans the whole record for its share and owns its
-// view and chain, so the shards are built side by side.
+// critical section that retains the record (see New). Each shard scans
+// the whole record for its share and owns its view and chain, so the
+// shards are built side by side.
 func (fo *Fanout) Advance(rec Record) {
 	par.For(len(fo.shards), func(lo, hi int) {
 		for _, s := range fo.shards[lo:hi] {
@@ -475,8 +467,9 @@ func appendViewIDs(dst, ids []int32, shardOf func(int) int, shard int) []int32 {
 
 // Distribute delivers the generation prepared by the last Advance call to
 // every shard's loopback applier, under the per-shard fault pipeline and
-// degradation ladder. level is the global watchdog rung for this tick.
-// Must run on the simulation goroutine, after Advance.
+// degradation ladder, then publishes it to the remote writers. level is
+// the global watchdog rung for this tick. Must run on the simulation
+// goroutine, after Advance.
 func (fo *Fanout) Distribute(level supervise.Level) error {
 	fo.level = level
 	now := fo.cfg.Now()
@@ -498,13 +491,15 @@ func (fo *Fanout) Distribute(level supervise.Level) error {
 			errs = append(errs, err)
 		}
 	}
-	fo.publishStats()
+	fo.publish()
 	return errors.Join(errs...)
 }
 
-// publishStats copies the shard counters under fo.mu for concurrent
-// status readers. The slice is reused; after warmup this is copy-only.
-func (fo *Fanout) publishStats() {
+// publish copies the shard counters under fo.mu for concurrent status
+// readers, makes the generation Advance last marked the published head,
+// and wakes the remote writers and the barrier. The slice is reused; after
+// warmup this is copy-only.
+func (fo *Fanout) publish() {
 	fo.mu.Lock()
 	if fo.statsSnap == nil {
 		fo.statsSnap = make([]ShardStats, len(fo.shards))
@@ -512,7 +507,9 @@ func (fo *Fanout) publishStats() {
 	for i, s := range fo.shards {
 		fo.statsSnap[i] = s.counters(fo.fallback[i])
 	}
+	fo.published = fo.marks.Head()
 	fo.mu.Unlock()
+	fo.wakeAcks()
 }
 
 // counters returns the shard's delivery counters as they stand, completed
@@ -729,7 +726,7 @@ func (fo *Fanout) Converge() {
 		fo.drain(s, true)
 		fo.resync(s)
 	}
-	fo.publishStats()
+	fo.publish()
 }
 
 // maybeDead promotes a down shard to permanently dead once DeadAfter

@@ -58,7 +58,8 @@ func (fs *fakeSim) advance(to time.Time) {
 // memSource is an in-memory diff producer with the coordinator's
 // retention contract — the same difflog, guarded the same way:
 // Replay(since) serves the retained suffix or reports eviction, Snapshot
-// serves head. Safe for concurrent readers (remote writer goroutines).
+// serves the newest generation. Safe for concurrent readers (remote
+// writer goroutines).
 type memSource struct {
 	mu  sync.Mutex
 	log *difflog.Log[Record]
@@ -76,18 +77,6 @@ func (m *memSource) push(rec Record, advance func(Record)) {
 	*m.log.Append(rec.Generation) = rec
 	advance(rec)
 	m.mu.Unlock()
-}
-
-func (m *memSource) Head() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.Head()
-}
-
-func (m *memSource) Updated() <-chan struct{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.Wait()
 }
 
 func (m *memSource) Replay(since uint64) ([]Record, bool) {
@@ -164,8 +153,6 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 		Appliers: appliers,
 		Now:      h.fs.Now,
 		After:    h.fs.After,
-		Head:     h.src.Head,
-		Updated:  h.src.Updated,
 		Replay:   h.src.Replay,
 		Snapshot: h.src.Snapshot,
 		Options:  Options{Seed: 42, Heartbeat: 100 * time.Millisecond},
@@ -614,7 +601,7 @@ func TestDeferredDeliveryCopiesNoContent(t *testing.T) {
 // checks every embedder of Options (coordinator, scenario [hosts]) relies
 // on instead of repeating them.
 func TestOptionsValidate(t *testing.T) {
-	if err := (Options{DropRate: 1, DupRate: 0.5, Delay: time.Second, ApplyWindow: 4}).Validate(); err != nil {
+	if err := (Options{DropRate: 1, DupRate: 0.5, Delay: time.Second}).Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 	bad := map[string]Options{
@@ -625,7 +612,6 @@ func TestOptionsValidate(t *testing.T) {
 		"negative dead":    {DeadAfter: -time.Second},
 		"negative timeout": {WriteTimeout: -time.Second},
 		"negative rung":    {Ladder: supervise.FollowerConfig{RecoverAfter: -1}},
-		"negative window":  {ApplyWindow: -1},
 		"bad retry":        {Retry: retry.Policy{Jitter: 2}},
 	}
 	for name, o := range bad {
@@ -635,8 +621,7 @@ func TestOptionsValidate(t *testing.T) {
 		h := &harness{fs: &fakeSim{now: time.Unix(0, 0)}, src: newMemSource(4)}
 		_, err := New(Config{
 			Shards: 1, ShardOf: func(int) int { return 0 }, Appliers: []Applier{&recApplier{t: t}},
-			Now: h.fs.Now, After: h.fs.After,
-			Head: h.src.Head, Updated: h.src.Updated, Replay: h.src.Replay, Snapshot: h.src.Snapshot,
+			Now: h.fs.Now, After: h.fs.After, Replay: h.src.Replay, Snapshot: h.src.Snapshot,
 			Options: o,
 		}, 4)
 		if err == nil {

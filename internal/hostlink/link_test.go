@@ -31,6 +31,7 @@ type agentProc struct {
 
 func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpHarness {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	h := newHarness(t, shards, retention, func(c *Config) {
 		c.Heartbeat = 50 * time.Millisecond
 		c.WriteTimeout = time.Second
@@ -48,7 +49,6 @@ func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpH
 		th.fo.Close()
 		ln.Close()
 		th.mu.Lock()
-		defer th.mu.Unlock()
 		for _, p := range th.agents {
 			p.cancel()
 		}
@@ -57,6 +57,19 @@ func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpH
 		for _, p := range th.agents {
 			<-p.done
 		}
+		th.mu.Unlock()
+		// Every goroutine the harness started — the accept loop, each
+		// connection's writer and reader, each agent — must be gone: a
+		// writer that never wakes is a leak, and is caught here.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines before the harness, %d after it:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	})
 	return th
 }
@@ -64,15 +77,23 @@ func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpH
 // startAgent launches (or relaunches) an agent for a shard, reusing the
 // given replica so reconnects resume from its cursor.
 func (th *tcpHarness) startAgent(id int, r *Replica) *agentProc {
+	return th.launch(&Agent{ID: id, Replica: r})
+}
+
+// startApplyAgent is startAgent in apply mode: proposals are answered
+// through the engines newEngine builds.
+func (th *tcpHarness) startApplyAgent(id int, r *Replica, newEngine func(shard int, seed int64) ResultApplier) *agentProc {
+	return th.launch(&Agent{ID: id, Replica: r, Apply: true, NewApplier: newEngine})
+}
+
+// launch runs agent a against the harness's listener, with the
+// coordinator's heartbeat.
+func (th *tcpHarness) launch(a *Agent) *agentProc {
 	ctx, cancel := context.WithCancel(context.Background())
-	a := &Agent{
-		ID:            id,
-		Addr:          th.ln.Addr().String(),
-		Replica:       r,
-		Heartbeat:     50 * time.Millisecond,
-		ReconnectWait: 20 * time.Millisecond,
-		Logf:          th.t.Logf,
-	}
+	a.Addr = th.ln.Addr().String()
+	a.Heartbeat = th.fo.cfg.Heartbeat
+	a.ReconnectWait = 20 * time.Millisecond
+	a.Logf = th.t.Logf
 	p := &agentProc{agent: a, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
@@ -238,18 +259,18 @@ func TestTCPAgentRejoinAfterEvictionSnapshots(t *testing.T) {
 
 // TestWriterIdleCheckAgainstProducerLock is the regression test of a
 // lock-order inversion: the producer calls Advance (fo.mu) while holding its
-// own lock, so a writer must not call back into the producer (Head) while
-// holding fo.mu. Four writers run their idle check — Head yields first, to
-// widen the window the inversion needs — against a producer ticking as
-// fast as it can; with the inversion the run stops within a few hundred
-// ticks.
+// own lock, so a writer must not call back into the producer while holding
+// fo.mu. Replay is the producer callback a writer calls on every
+// generation; four writers call it — yielding first, to widen the window
+// an inversion needs — against a producer ticking as fast as it can. With
+// the inversion the run stops within a few hundred ticks.
 func TestWriterIdleCheckAgainstProducerLock(t *testing.T) {
 	const shards, ticks = 4, 3000
 	th := newTCPHarness(t, shards, 64, func(c *Config) {
-		head := c.Head
-		c.Head = func() uint64 {
+		replay := c.Replay
+		c.Replay = func(since uint64) ([]Record, bool) {
 			runtime.Gosched()
-			return head()
+			return replay(since)
 		}
 	})
 	replicas := make([]*Replica, shards)

@@ -3,6 +3,7 @@ package hostlink
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync/atomic"
@@ -117,8 +118,12 @@ func TestVersionSkewEndsAgentRun(t *testing.T) {
 
 // resultApplier is a loopback applier that takes part in the commit
 // protocol the way applyengine.Engine does: every applied generation has a
-// result digest, so the fan-out tier has something to propose.
-type resultApplier struct{ last ApplyResult }
+// result digest, so the fan-out tier has something to propose. Each diff
+// takes delay to apply.
+type resultApplier struct {
+	delay time.Duration
+	last  ApplyResult
+}
 
 func (a *resultApplier) ApplySnapshot(s *Snapshot) error {
 	a.last = ApplyResult{Generation: s.Generation, Digest: ResultDigest(s.Generation, FlagInvalidate|FlagSweep)}
@@ -126,11 +131,100 @@ func (a *resultApplier) ApplySnapshot(s *Snapshot) error {
 }
 
 func (a *resultApplier) ApplyDiff(f *DiffFrame) error {
+	time.Sleep(a.delay)
 	a.last = ApplyResult{Generation: f.Generation, Digest: ResultDigest(f.Generation, f.Flags&(FlagInvalidate|FlagSweep|FlagNote))}
 	return nil
 }
 
 func (a *resultApplier) LastResult() ApplyResult { return a.last }
+
+// hungEngine is an agent's engine that answers no proposal until release
+// is closed.
+type hungEngine struct {
+	resultApplier
+	release <-chan struct{}
+}
+
+func (e *hungEngine) ApplyDiff(f *DiffFrame) error {
+	<-e.release
+	return e.resultApplier.ApplyDiff(f)
+}
+
+// TestProposalsExactUnderSlowLoopback is the regression test of skipped
+// proposals: a writer used to hear of a generation from the producer's log,
+// before Distribute had recorded the loopback result a proposal needs, and
+// then proposed nothing for it. With a loopback apply slow enough to lose
+// that race every time, each apply-mode agent must be proposed every
+// generation after the one it bootstraps from by snapshot, and the barrier
+// must not pass before the proposal at head has been sent.
+func TestProposalsExactUnderSlowLoopback(t *testing.T) {
+	const shards, ticks = 2, 40
+	th := newTCPHarness(t, shards, 64, func(c *Config) {
+		c.Appliers = []Applier{&resultApplier{delay: 2 * time.Millisecond}, &resultApplier{delay: 2 * time.Millisecond}}
+	})
+	agents := make([]*agentProc, shards)
+	for i := range agents {
+		agents[i] = th.startApplyAgent(i, NewReplica(), func(int, int64) ResultApplier { return &resultApplier{} })
+	}
+	th.waitAttached(shards)
+	for i := 0; i < ticks; i++ {
+		th.tick(supervise.LevelFull)
+		th.barrier()
+		if th.gen == 1 {
+			continue // the snapshot proposes nothing
+		}
+		for s, st := range th.fo.AgentsStatus() {
+			if st.Remote == nil || st.Remote.Proposed != th.gen {
+				t.Fatalf("the barrier passed at generation %d with shard %d's remote at %+v", th.gen, s, st.Remote)
+			}
+		}
+	}
+	for i, p := range agents {
+		if st := p.agent.Stats(); st.Applies != ticks-1 || st.CommitMismatches != 0 {
+			t.Errorf("agent %d answered %d proposals with %d commit mismatches, want %d and none", i, st.Applies, st.CommitMismatches, ticks-1)
+		}
+	}
+	for _, st := range th.fo.ShardStats() {
+		if st.FallbackApplies != 0 {
+			t.Errorf("shard %d: %d fallback applies", st.Agent, st.FallbackApplies)
+		}
+	}
+}
+
+// TestTimedOutProposalChargesOneFallback is the regression test of a
+// timed-out proposal charged as every generation since the stream began:
+// resolved starts at 0, so proposed − resolved read 2 fallback applies for
+// an agent that attached at generation 1 and 7 for one that attached at 6.
+// The agent's engine never answers; its first proposal times out when the
+// writer comes to propose the next generation, and is one fallback apply.
+func TestTimedOutProposalChargesOneFallback(t *testing.T) {
+	for _, attachAt := range []int{1, 6} {
+		t.Run(fmt.Sprintf("attach at %d", attachAt), func(t *testing.T) {
+			th := newTCPHarness(t, 1, 64, func(c *Config) {
+				c.Appliers = []Applier{&resultApplier{}}
+				// Long enough that the silent agent is not detached before
+				// its proposal times out.
+				c.Heartbeat = time.Second
+				c.WriteTimeout = 50 * time.Millisecond
+			})
+			release := make(chan struct{})
+			t.Cleanup(func() { close(release) }) // runs before the harness joins the agent
+			th.run(attachAt)
+			th.startApplyAgent(0, NewReplica(), func(int, int64) ResultApplier { return &hungEngine{release: release} })
+			th.waitAttached(1)
+			th.barrier() // bootstrapped by snapshot at attachAt
+			th.run(2)    // attachAt+1 is proposed and never answered; attachAt+2 waits it out
+			for deadline := time.Now().Add(5 * time.Second); th.fo.ShardStats()[0].FallbackApplies == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the unanswered proposal was never charged")
+				}
+			}
+			if got := th.fo.ShardStats()[0].FallbackApplies; got != 1 {
+				t.Errorf("one unanswered proposal charged %d fallback applies, want 1", got)
+			}
+		})
+	}
+}
 
 // TestBarrierHoldsWhileProposeIsInFlight is the regression test of a
 // barrier that could pass too early: proposed was recorded after the
@@ -192,9 +286,6 @@ func TestBarrierHoldsWhileProposeIsInFlight(t *testing.T) {
 	}
 	write(&Ack{Agent: 0, Generation: 1, Digest: snap.Digest})
 
-	// Generation 2 is distributed — its loopback result recorded — while
-	// the writer is still blocked handing the peer the diff frame, so the
-	// proposal cannot be skipped for want of a result.
 	h.tick(supervise.LevelFull)
 	diff, ok := read().(*DiffFrame)
 	if !ok || diff.Generation != 2 {

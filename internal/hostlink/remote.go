@@ -160,7 +160,7 @@ func (fo *Fanout) serveConn(conn net.Conn) {
 		fo.remoteOwner[agent] = agent
 		fo.remoteEpoch[agent]++
 	}
-	head := fo.marks.Head()
+	head := fo.published
 	fo.mu.Unlock()
 	fo.wakeAcks()
 
@@ -343,8 +343,10 @@ func rearm(t *time.Timer, d time.Duration) {
 
 // syncStreams reconciles the connection's stream set with the current
 // remote-ownership table: adopted shards appear, reassigned-away shards
-// vanish. Returns the streams to serve, in shard order, plus head.
-func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
+// vanish. Returns the streams to serve, in shard order, the published
+// head, and the wake channel taken with it: whatever changes after this
+// call — a publication, an ack, an ownership move — closes that channel.
+func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64, <-chan struct{}) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
 	for s := 0; s < fo.cfg.Shards; s++ {
@@ -373,7 +375,7 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].shard < out[j].shard })
-	return out, fo.marks.Head()
+	return out, fo.published, fo.ackNotify
 }
 
 // writeLoop streams frames to one agent: per owned shard,
@@ -393,7 +395,7 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 			return
 		default:
 		}
-		streams, head := fo.syncStreams(r, hello)
+		streams, head, wake := fo.syncStreams(r, hello)
 		progress := false
 		for _, st := range streams {
 			var p bool
@@ -407,26 +409,14 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 			continue
 		}
 
-		// Caught up (or nothing produced yet): wait for the next
-		// generation or an ownership change, heartbeating so the agent
+		// Caught up (or nothing published yet): wait for the next
+		// publication, ack or ownership change, heartbeating so the agent
 		// knows we are alive.
-		ch := fo.cfg.Updated()
-		fo.mu.Lock()
-		ackCh := fo.ackNotify
-		fo.mu.Unlock()
-		// Head takes the producer's lock, under which the producer calls
-		// Advance (fo.mu): it must be read with fo.mu released. ch was
-		// captured first, so a generation landing after this check still
-		// wakes the select below.
-		if fo.cfg.Head() > head {
-			continue
-		}
 		rearm(heartbeat, fo.cfg.Heartbeat)
 		select {
 		case <-r.done:
 			return
-		case <-ch:
-		case <-ackCh:
+		case <-wake:
 		case <-heartbeat.C:
 			if buf, err = fo.write(r, buf, &Heartbeat{Generation: head}); err != nil {
 				return
@@ -492,6 +482,11 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 			fo.mu.Unlock()
 			return true, buf, nil
 		}
+		// The producer retains a generation before Distribute publishes
+		// it; one past head waits for its publication.
+		for len(recs) > 0 && recs[len(recs)-1].Generation > head {
+			recs = recs[:len(recs)-1]
+		}
 		var frame DiffFrame
 		for i := range recs {
 			fo.buildFrameInto(&frame, st.shard, &recs[i])
@@ -508,17 +503,17 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 		st.sent = st.cursor
 		st.replays++
 		fo.mu.Unlock()
+		fo.wakeAcks() // the barrier waits for sent as well as for the ack
 		progress = true
 	}
 	return progress, buf, nil
 }
 
 // propose runs the commit protocol for one generation in apply mode: if
-// the loopback engine recorded a result for it, wait for the in-flight
-// window, then ship a Propose. A window that never drains within the
-// write timeout is charged as fallback applies — the coordinator's
-// mirror already applied the generations, so the run proceeds, never
-// silently.
+// the loopback engine recorded a result for it (Distribute publishes a
+// generation after applying it), wait until the stream's previous
+// proposal is resolved, then ship a Propose. One proposal is in flight per
+// stream.
 func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte, error) {
 	if !r.apply {
 		return buf, nil
@@ -529,7 +524,7 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 	if m.flags == 0 {
 		return buf, nil
 	}
-	fo.awaitWindow(r, st)
+	fo.awaitResolved(r, st)
 	// The proposal counts as in flight before its first byte is written:
 	// the barrier reads resolved < proposed, and must not pass while the
 	// write below is still blocked. A failed write tears the connection
@@ -540,16 +535,18 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 	return fo.write(r, buf, &Propose{Agent: int32(st.shard), Generation: gen, Flags: m.flags})
 }
 
-// awaitWindow blocks until the stream's in-flight proposals fit the
-// apply window, charging unresolved proposals as fallbacks on timeout.
-func (fo *Fanout) awaitWindow(r *remote, st *stream) {
-	var timeout *time.Timer // armed by the first wait; most windows are open
+// awaitResolved blocks until the stream's previous proposal is resolved.
+// One left unanswered for the write timeout is charged as one fallback
+// apply — the coordinator's mirror already applied that generation, so the
+// run proceeds, never silently — and counts as resolved.
+func (fo *Fanout) awaitResolved(r *remote, st *stream) {
+	var timeout *time.Timer // armed by the first wait; most proposals are answered
 	for {
 		fo.mu.Lock()
-		pending := st.proposed - st.resolved
+		pending := st.resolved < st.proposed
 		ch := fo.ackNotify
 		fo.mu.Unlock()
-		if pending < uint64(fo.cfg.ApplyWindow) {
+		if !pending {
 			return
 		}
 		if timeout == nil {
@@ -562,8 +559,8 @@ func (fo *Fanout) awaitWindow(r *remote, st *stream) {
 		case <-ch:
 		case <-timeout.C:
 			fo.mu.Lock()
-			if st.proposed > st.resolved {
-				fo.fallback[st.shard] += int(st.proposed - st.resolved)
+			if st.resolved < st.proposed {
+				fo.fallback[st.shard]++
 				st.resolved = st.proposed
 			}
 			fo.mu.Unlock()
@@ -573,11 +570,12 @@ func (fo *Fanout) awaitWindow(r *remote, st *stream) {
 	}
 }
 
-// sendSnapshot ships a full shard snapshot at head and advances the
-// stream cursor. Returns false (without error) when the marks log does not
-// hold the snapshot's generation — it was evicted while the snapshot was
-// built, so the producer has moved on; with nothing sent the writer falls
-// through to its idle wait, which retries on the update it finds there.
+// sendSnapshot ships a full shard snapshot at the producer's newest
+// generation and advances the stream cursor. Returns false (without error)
+// when that generation is not published yet, or when the marks log no
+// longer holds it — it was evicted while the snapshot was built, so the
+// producer has moved on. With nothing sent the writer falls through to its
+// idle wait, which retries on the next publication.
 func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte, error) {
 	snap, err := fo.cfg.Snapshot(st.shard)
 	if err != nil {
@@ -585,6 +583,7 @@ func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte,
 	}
 	fo.mu.Lock()
 	m, ok := fo.markAt(st.shard, snap.Generation)
+	ok = ok && snap.Generation <= fo.published
 	fo.mu.Unlock()
 	if !ok {
 		st.cursor = 0
@@ -599,6 +598,7 @@ func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte,
 	st.snapshots++
 	st.sent = snap.Generation
 	fo.mu.Unlock()
+	fo.wakeAcks()
 	st.cursor = snap.Generation
 	return true, buf, nil
 }
@@ -618,11 +618,13 @@ func (fo *Fanout) ConnectedAgents() int {
 	return len(fo.remotes)
 }
 
-// remoteLagLocked reports whether any served stream is behind: cursor
-// not acked at head, or proposals unresolved. A shard whose remote
-// owner is attached but whose stream has not materialized yet counts as
-// behind — the barrier must not pass between a detach and the
-// survivor's adoption.
+// remoteLagLocked reports whether any served stream is behind the
+// published head: not sent or not acked up to it, or a proposal
+// unresolved. Sent counts because the writer records it after its
+// proposals up to head, and the ack of a frame can arrive before them. A
+// shard whose remote owner is attached but whose stream has not
+// materialized yet counts as behind — the barrier must not pass between a
+// detach and the survivor's adoption.
 func (fo *Fanout) remoteLagLocked() bool {
 	for s := 0; s < fo.cfg.Shards; s++ {
 		r, ok := fo.remotes[fo.remoteOwner[s]]
@@ -630,15 +632,15 @@ func (fo *Fanout) remoteLagLocked() bool {
 			continue
 		}
 		st := r.streams[s]
-		if st == nil || st.acked < fo.marks.Head() || st.resolved < st.proposed {
+		if st == nil || st.sent < fo.published || st.acked < fo.published || st.resolved < st.proposed {
 			return true
 		}
 	}
 	return false
 }
 
-// WaitRemotes blocks until every served shard stream has acked the
-// current head generation and resolved its proposals, or the timeout
+// WaitRemotes blocks until every served shard stream has been sent and
+// has acked the published head and resolved its proposals, or the timeout
 // elapses. Detached agents do not count — a killed agent must not stall
 // the run; its shard is adopted by a survivor or resyncs when it
 // returns. Reports whether all served streams were caught up on return.
@@ -662,13 +664,13 @@ func (fo *Fanout) WaitRemotes(timeout time.Duration) bool {
 }
 
 // VerifyRemotes checks every served shard stream's final state against
-// the coordinator: cursor at head, chain digest identical, proposals
-// resolved. It is the distributed run's proof of equivalence with the
-// loopback path.
+// the coordinator: sent and acked at the published head, chain digest
+// identical, proposals resolved. It is the distributed run's proof of
+// equivalence with the loopback path.
 func (fo *Fanout) VerifyRemotes() error {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	head := fo.marks.Head()
+	head := fo.published
 	var errs []error
 	for s := 0; s < fo.cfg.Shards; s++ {
 		owner := fo.remoteOwner[s]
@@ -681,8 +683,8 @@ func (fo *Fanout) VerifyRemotes() error {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d has no stream on agent %d", s, owner))
 			continue
 		}
-		if st.acked != head {
-			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d acked generation %d, head is %d", s, owner, st.acked, head))
+		if st.sent < head || st.acked != head {
+			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d sent generation %d and acked %d, head is %d", s, owner, st.sent, st.acked, head))
 			continue
 		}
 		if m, ok := fo.markAt(s, head); ok && m.chain != st.ackDigest {

@@ -16,6 +16,7 @@ import (
 	"celestial/internal/constellation"
 	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
+	"celestial/internal/supervise"
 )
 
 // replicaServer builds a route table over a fresh replica and returns
@@ -252,29 +253,22 @@ func TestAgentRouteTableAfterCoordinatorRestart(t *testing.T) {
 
 // recordFeed is the smallest producer a hostlink.Fanout accepts: one
 // generation log under one lock, with the coordinator's contract — Advance
-// runs under the producer's lock, before any reader can see the append.
+// runs under the producer's lock, beside the append, and Distribute after
+// it, which is when remote writers hear of the generation.
 type recordFeed struct {
 	mu  sync.Mutex
 	log *difflog.Log[hostlink.Record]
 }
 
-func (p *recordFeed) push(rec hostlink.Record, fo *hostlink.Fanout) {
+func (p *recordFeed) push(t *testing.T, rec hostlink.Record, fo *hostlink.Fanout) {
+	t.Helper()
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	*p.log.Append(rec.Generation) = rec
 	fo.Advance(rec)
-}
-
-func (p *recordFeed) head() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.log.Head()
-}
-
-func (p *recordFeed) updated() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.log.Wait()
+	p.mu.Unlock()
+	if err := fo.Distribute(supervise.LevelFull); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (p *recordFeed) replay(since uint64) ([]hostlink.Record, bool) {
@@ -284,7 +278,9 @@ func (p *recordFeed) replay(since uint64) ([]hostlink.Record, bool) {
 }
 
 func (p *recordFeed) snapshot(int) (*hostlink.Snapshot, error) {
-	return &hostlink.Snapshot{Generation: p.head()}, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &hostlink.Snapshot{Generation: p.log.Head()}, nil
 }
 
 type discardApplier struct{}
@@ -308,8 +304,9 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 		Appliers: []hostlink.Applier{discardApplier{}, discardApplier{}},
 		Now:      time.Now,
 		After:    func(time.Duration, func()) error { return nil },
-		Head:     feed.head, Updated: feed.updated, Replay: feed.replay, Snapshot: feed.snapshot,
-		Options: hostlink.Options{Heartbeat: time.Second},
+		Replay:   feed.replay,
+		Snapshot: feed.snapshot,
+		Options:  hostlink.Options{Heartbeat: time.Second},
 	}, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +332,7 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 	})
 
 	// The agent attaches from a snapshot of generation 1, then follows.
-	feed.push(hostlink.Record{Generation: 1, Diff: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}}, fo)
+	feed.push(t, hostlink.Record{Generation: 1, Diff: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}}, fo)
 	rec := constellation.DiffRecord{
 		T: 4, BaseT: 2, Degraded: 1, CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
 		Added:        []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}, {A: 0, B: 2, OldQ: -1, NewQ: 6}},
@@ -355,7 +352,7 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 			t.Fatal("the agent never attached")
 		}
 	}
-	feed.push(hostlink.Record{Generation: 2, Diff: rec}, fo)
+	feed.push(t, hostlink.Record{Generation: 2, Diff: rec}, fo)
 	if !fo.WaitRemotes(5 * time.Second) {
 		t.Fatal("the agent never acked generation 2")
 	}
