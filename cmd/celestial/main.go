@@ -277,6 +277,16 @@ func runScenario(o scenarioOpts) {
 	if err != nil {
 		log.Fatalf("celestial: %v", err)
 	}
+	if o.agentsToken != "" {
+		// The token is a deployment secret, not a scenario property:
+		// layer it over the scenario's hosts configuration by rebuilding
+		// the fan-out tier before anything serves it.
+		opts := r.Coordinator().FanoutOptions()
+		opts.Token = o.agentsToken
+		if err := r.Coordinator().ConfigureFanout(opts); err != nil {
+			log.Fatalf("celestial: %v", err)
+		}
+	}
 	if o.httpAddr != "" {
 		ln, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
@@ -297,16 +307,6 @@ func runScenario(o scenarioOpts) {
 	// state — remote agents are digest-verified followers — so the run
 	// report stays byte-identical to a single-process run.
 	var barrierHook func(tick int) error
-	if o.agentsToken != "" {
-		// The token is a deployment secret, not a scenario property:
-		// layer it over the scenario's hosts configuration by rebuilding
-		// the fan-out tier before Start.
-		opts := r.Coordinator().FanoutOptions()
-		opts.Token = o.agentsToken
-		if err := r.Coordinator().ConfigureFanout(opts); err != nil {
-			log.Fatalf("celestial: %v", err)
-		}
-	}
 	fo := r.Coordinator().Fanout()
 	if o.agentsListen != "" {
 		ln, err := net.Listen("tcp", o.agentsListen)

@@ -1,7 +1,7 @@
-// Package clock provides the wall-clock time source of the testbed and the
-// processing-delay jitter model calibrated from the paper's baseline
-// measurement. Virtual time is not here: it belongs to the discrete-event
-// engine (vnet.Sim), whose Now is read on the simulation goroutine only.
+// Package clock provides the processing-delay jitter model calibrated from
+// the paper's baseline measurement. Virtual time is not here: it belongs
+// to the discrete-event engine (vnet.Sim), whose Now is read on the
+// simulation goroutine only.
 //
 // The paper minimizes clock drift between clients by scheduling them on one
 // host with a shared PTP clock (§4.1). In this emulator all virtual
@@ -17,23 +17,6 @@ import (
 	"math/rand"
 	"time"
 )
-
-// Clock abstracts the time source used by the emulation.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-	// Since returns the elapsed time since t.
-	Since(t time.Time) time.Duration
-}
-
-// Wall is the real-time clock.
-type Wall struct{}
-
-// Now implements Clock.
-func (Wall) Now() time.Time { return time.Now() }
-
-// Since implements Clock.
-func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // ProcessingDelayModel generates client processing delays with a log-normal
 // distribution. The defaults reproduce the paper's baseline measurement:

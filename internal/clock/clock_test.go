@@ -5,20 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 )
-
-func TestWallClock(t *testing.T) {
-	var c Clock = Wall{}
-	before := time.Now()
-	now := c.Now()
-	if now.Before(before) {
-		t.Error("wall clock went backwards")
-	}
-	if c.Since(before) < 0 {
-		t.Error("negative since")
-	}
-}
 
 func TestProcessingDelayModelCalibration(t *testing.T) {
 	m := DefaultProcessingDelay()

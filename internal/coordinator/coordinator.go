@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"celestial/internal/config"
 	"celestial/internal/constellation"
-	"celestial/internal/difflog"
 	"celestial/internal/faults"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
@@ -47,20 +45,12 @@ type Coordinator struct {
 	mu       sync.RWMutex
 	current  *constellation.State
 	prev     *constellation.State
-	updates  int
+	gen      uint64
 	lastDiff constellation.DiffStats
 	// topoVer is the generation of the most recent update whose diff was
 	// non-empty — the version of the emulated topology as clients can
 	// observe it. Empty-diff ticks advance the generation but not this.
 	topoVer uint64
-	// log retains the most recent updates' diff records for the
-	// information service's GET /diff?since= replay and the fan-out
-	// tier's agent resyncs (capacity: SetDiffRetention). Its head is the
-	// generation, and its wake channel is what UpdateChan hands to
-	// long-poll and SSE readers. forcedResyncs counts DiffsSince calls
-	// that could not replay and sent the caller back to full state.
-	log           *difflog.Log[hostlink.Record]
-	forcedResyncs atomic.Uint64
 	// leases counts concurrent readers per state (see LeaseState);
 	// retired marks states waiting for their last lease before being
 	// recycled.
@@ -79,23 +69,18 @@ type Coordinator struct {
 
 	// fo is the host fan-out tier: every tick's diff is distributed to
 	// the hosts through per-shard loopback appliers (and, when agents are
-	// attached, mirrored to them over TCP). foOpts remembers the
-	// configuration so retention changes can rebuild the tier pre-Start.
-	fo     *hostlink.Fanout
-	foOpts FanoutOptions
-	// shardOf maps node ID to its owning shard; shardNodes and
-	// shardHosts are each shard's nodes (ID order) and hosts.
+	// attached, mirrored to them over TCP), and retained in the tier's
+	// generation log, which the information service's /diff replay reads
+	// too. foOpts is the configuration it was built with. Both are
+	// swapped (ConfigureFanout) and read under mu, like the shard layout:
+	// shardOf maps node ID to its owning shard; shardNodes and shardHosts
+	// are each shard's nodes (ID order) and hosts.
+	fo         *hostlink.Fanout
+	foOpts     FanoutOptions
 	shardOf    []int
 	shardNodes [][]int
 	shardHosts [][]*host.Host
 }
-
-// diffRingCap is the default diff retention: how many recent updates'
-// diff records the coordinator keeps for replay (see SetDiffRetention).
-// At the paper's 1 s update resolution this covers about a minute of
-// history; a client that falls further behind gets a resync signal and
-// refetches full state.
-const diffRingCap = 64
 
 // New builds a coordinator (and its hosts, machines and network) from a
 // validated configuration. The simulation clock starts at the
@@ -109,7 +94,6 @@ func New(cfg *config.Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, cons: cons, sim: sim,
 		pool:    cons.NewSnapshotPool(),
-		log:     difflog.New[hostlink.Record](diffRingCap),
 		leases:  map[*constellation.State]int{},
 		retired: map[*constellation.State]bool{},
 	}
@@ -178,51 +162,10 @@ func New(cfg *config.Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetDiffRetention resizes the diff retention log (default diffRingCap).
-// A larger log lets slow /diff clients and disconnected agents catch up
-// by replay instead of full-state resync, at the cost of retained diff
-// memory. Must be called before Start; it rebuilds the fan-out tier,
-// whose digest log is sized from this one.
-func (c *Coordinator) SetDiffRetention(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("coordinator: diff retention %d", n)
-	}
-	c.mu.Lock()
-	if c.updates > 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("coordinator: cannot change diff retention after Start")
-	}
-	c.log = difflog.New[hostlink.Record](n)
-	c.mu.Unlock()
-	return c.buildFanout(c.foOpts)
-}
-
-// RingStats describes the diff retention ring: its capacity, current
-// fill, how many retained entries were evicted by newer generations, and
-// how many clients' cursors missed the window and were sent back to full
-// state: /diff subscribers and remote agents. A loopback shard's own
-// resync never asks the ring (it replays the fan-out tier's marks); the
-// shard's snapshot_resyncs, in the same /agents document, counts those.
-type RingStats struct {
-	Capacity      int    `json:"capacity"`
-	Length        int    `json:"length"`
-	Evictions     uint64 `json:"evictions"`
-	ForcedResyncs uint64 `json:"forced_resyncs"`
-}
-
-// RingStats returns the retention ring counters. Evictions are a
-// deterministic function of the run (ticks beyond capacity); forced
-// resyncs depend on client behavior and stay out of the run report.
-func (c *Coordinator) RingStats() RingStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return RingStats{
-		Capacity:      c.log.Cap(),
-		Length:        c.log.Len(),
-		Evictions:     c.log.Evictions(),
-		ForcedResyncs: c.forcedResyncs.Load(),
-	}
-}
+// RingStats returns the counters of the fan-out tier's generation log,
+// the retention window behind /diff replay and agent resyncs (see
+// hostlink.Fanout.RingStats).
+func (c *Coordinator) RingStats() hostlink.RingStats { return c.Fanout().RingStats() }
 
 // Constellation returns the underlying constellation.
 func (c *Coordinator) Constellation() *constellation.Constellation { return c.cons }
@@ -288,8 +231,7 @@ func (c *Coordinator) LeaseState() (*constellation.State, func()) {
 // with another's label when an update races the lease.
 func (c *Coordinator) LeaseStateGen() (*constellation.State, uint64, func()) {
 	c.mu.Lock()
-	st := c.current
-	gen := uint64(c.updates)
+	st, gen := c.current, c.gen
 	if st != nil {
 		c.leases[st]++
 	}
@@ -315,13 +257,6 @@ func (c *Coordinator) LeaseStateGen() (*constellation.State, uint64, func()) {
 	}
 }
 
-// Updates returns how many update cycles have run.
-func (c *Coordinator) Updates() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.updates
-}
-
 // Generation returns the monotonic snapshot generation: 0 before the first
 // update, then incremented by exactly one per completed update cycle. The
 // information service keys its per-tick response caches on it and clients
@@ -329,7 +264,7 @@ func (c *Coordinator) Updates() int {
 func (c *Coordinator) Generation() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return uint64(c.updates)
+	return c.gen
 }
 
 // TopologyVersion returns the generation of the most recent update whose
@@ -345,52 +280,17 @@ func (c *Coordinator) TopologyVersion() uint64 {
 
 // UpdateChan returns a channel that is closed when the next update
 // completes. Grab the channel, re-check Generation, then block: the
-// coordinator closes and replaces the channel under its lock on every
-// update, so the close cannot be missed between the two reads.
-func (c *Coordinator) UpdateChan() <-chan struct{} {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.log.Wait()
-}
+// update closes it in the critical section that advances the generation,
+// so the close cannot be missed between the two reads. The channel is the
+// fan-out tier's (hostlink.Fanout.UpdateChan); one taken before
+// ConfigureFanout replaced the tier is never closed.
+func (c *Coordinator) UpdateChan() <-chan struct{} { return c.Fanout().UpdateChan() }
 
-// DiffsSince returns retained diff records for every generation in
-// (since, Generation()], oldest first. ok is false when the cursor is
-// outside the replayable window — it fell off the retention ring, or lies
-// in the future (a stale or corrupted client cursor) — and the caller
-// must resynchronize from full state (the returned slice is then empty).
-// The entries are deep copies, safe to retain and serialize without
-// further locking.
-func (c *Coordinator) DiffsSince(since uint64) (entries []hostlink.Record, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	entries, ok = c.log.Since(since)
-	if !ok {
-		c.forcedResyncs.Add(1)
-	}
-	cloneDiffs(entries)
-	return entries, ok
-}
-
-// DiffsFrom is DiffsSince for a mirror of the diff log (the information
-// service's frame cache): a cursor the log cannot replay, or one taken in
-// an earlier epoch of the log, yields the whole retained window instead
-// of a refusal — see difflog.Log.Tail. It counts no forced resync; a
-// mirror that rebases is not a client that fell behind.
-func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (entries []hostlink.Record, from, now uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	entries, from, now = c.log.Tail(cursor, epoch)
-	cloneDiffs(entries)
-	return entries, from, now
-}
-
-// cloneDiffs unshares entries copied out of the log. Clone, don't alias:
-// log slots reuse their slice backing arrays across ticks (AppendRecord),
-// and the copies escape the lock.
-func cloneDiffs(entries []hostlink.Record) {
-	for i := range entries {
-		entries[i].Diff = entries[i].Diff.Clone()
-	}
+// DiffsFrom copies out of the fan-out tier's generation log what a mirror
+// of it is missing — the information service's frame cache; see
+// hostlink.Fanout.DiffsFrom.
+func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (recs []hostlink.Record, from, now uint64) {
+	return c.Fanout().DiffsFrom(cursor, epoch)
 }
 
 // LastDiff returns the statistics of the most recent update's
@@ -471,12 +371,13 @@ func (c *Coordinator) Robustness() Robustness {
 	if c.wd != nil {
 		r.Watchdog = c.wd.Stats()
 	}
-	r.ApplyErrors, r.LastApplyErr = c.fo.ApplyErrors()
+	fo := c.Fanout()
+	r.ApplyErrors, r.LastApplyErr = fo.ApplyErrors()
 	for _, h := range c.hosts {
 		r.HostRetries.Add(h.LifecycleOps().Stats())
 	}
 	r.ShaperRetries = c.net.ShaperOps().Stats()
-	r.WireRetries = c.fo.RetryStats()
+	r.WireRetries = fo.RetryStats()
 	return r
 }
 
@@ -538,25 +439,19 @@ func (c *Coordinator) update() error {
 	old := c.prev
 	c.prev = c.current
 	c.current = st
-	c.updates++
+	c.gen++
 	c.lastDiff = d.Stats()
-	gen := uint64(c.updates)
 	if !d.Empty() {
-		c.topoVer = gen
+		c.topoVer = c.gen
 	}
-	// Retain this update's diff for /diff?since= replay. The slot's
-	// record reuses its backing arrays, so steady-state ticks do not
-	// allocate for history retention. Append also wakes the long-poll/SSE
-	// readers waiting for a new generation; they cannot look before this
-	// lock is released.
-	slot := c.log.Append(gen)
-	slot.Generation = gen
-	slot.Diff = d.AppendRecord(slot.Diff)
-	// Fold the new generation into the fan-out tier's per-shard digest
-	// chains in the critical section that retains it, so the tier's marks
-	// and the log answer every cursor alike. Remote writers hear of it
-	// only from distribute, below.
-	c.fo.Advance(*slot)
+	// Retain this update in the fan-out tier's generation log, for /diff
+	// replay and agent resyncs, and fold it into the per-shard digest
+	// chains. The slot reuses its backing arrays, so steady-state ticks do
+	// not allocate for history retention. In this critical section the
+	// log's head and Generation move together, and the long-poll/SSE
+	// readers Advance wakes cannot look before the lock is released.
+	// Remote writers hear of the generation only from distribute, below.
+	c.fo.Advance(c.gen, d)
 	if old != nil && c.leases[old] > 0 {
 		// A concurrent reader still holds the state; its last
 		// release will recycle it.
@@ -628,16 +523,6 @@ func (c *Coordinator) Start() error {
 		}
 		return true
 	})
-}
-
-// SampleHosts collects one usage sample from every host (used by the
-// resource-trace experiments).
-func (c *Coordinator) SampleHosts() []host.UsagePoint {
-	out := make([]host.UsagePoint, 0, len(c.hosts))
-	for _, h := range c.hosts {
-		out = append(out, h.Sample())
-	}
-	return out
 }
 
 // Run advances the simulation by d, executing all scheduled work. It

@@ -105,15 +105,15 @@ func TestStartBootsAndUpdates(t *testing.T) {
 	if c.State() == nil {
 		t.Fatal("no state after Start")
 	}
-	if c.Updates() != 1 {
-		t.Errorf("updates = %d", c.Updates())
+	if c.Generation() != 1 {
+		t.Errorf("generation = %d", c.Generation())
 	}
 	// Run 10 seconds: 5 more updates at 2 s resolution.
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Updates(); got != 6 {
-		t.Errorf("updates after 10 s = %d, want 6", got)
+	if got := c.Generation(); got != 6 {
+		t.Errorf("generation after 10 s = %d, want 6", got)
 	}
 	if c.ElapsedSeconds() != 10 {
 		t.Errorf("elapsed = %v", c.ElapsedSeconds())
@@ -133,7 +133,7 @@ func TestUpdateLoopStopsAfterDuration(t *testing.T) {
 	if err := c.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	u := c.Updates()
+	u := c.Generation()
 	// Duration is 2 min at 2 s: at most ~62 updates even though we ran
 	// 5 minutes.
 	if u > 63 {
@@ -339,19 +339,6 @@ func TestInjectFaultsSurfaceInDiff(t *testing.T) {
 	}
 }
 
-func TestSampleHosts(t *testing.T) {
-	c := started(t)
-	pts := c.SampleHosts()
-	if len(pts) != 3 {
-		t.Fatalf("samples = %d", len(pts))
-	}
-	for i, p := range pts {
-		if p.Machines == 0 {
-			t.Errorf("host %d has no machine processes", i)
-		}
-	}
-}
-
 func TestRunRejectsNegative(t *testing.T) {
 	c := started(t)
 	if err := c.Run(-time.Second); err == nil {
@@ -425,8 +412,8 @@ func TestLeaseStatePinsAgainstRecycling(t *testing.T) {
 	if err := c.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if c.Updates() < 10 {
-		t.Fatalf("only %d updates ran", c.Updates())
+	if c.Generation() < 10 {
+		t.Fatalf("only %d updates ran", c.Generation())
 	}
 	if st.T != leasedT {
 		t.Fatalf("leased state overwritten: T %v -> %v", leasedT, st.T)
@@ -627,8 +614,8 @@ func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
 		t.Fatalf("final level = %v", lvl)
 	}
 	// The degradation level rides on the retained diff records.
-	entries, ok := c.DiffsSince(0)
-	if !ok || len(entries) == 0 {
+	entries, _, _ := c.DiffsFrom(0, 0)
+	if len(entries) == 0 {
 		t.Fatal("no diff history")
 	}
 	degraded := 0
@@ -702,7 +689,7 @@ func TestApplyErrorsDoNotAbortRun(t *testing.T) {
 	if r.HostRetries.GaveUp == 0 || r.HostRetries.Ops == 0 {
 		t.Fatalf("host retry stats = %+v", r.HostRetries)
 	}
-	if c.Updates() < 5 {
-		t.Fatalf("run stalled at %d updates", c.Updates())
+	if c.Generation() < 5 {
+		t.Fatalf("run stalled at %d updates", c.Generation())
 	}
 }

@@ -17,41 +17,41 @@ type FanoutOptions struct {
 	// machines. Zero means one agent per host; it must not exceed the
 	// host count (hosts are never split across agents).
 	Agents int
-	// Options are the tier's own settable options (ladder, retry, seed,
-	// frame faults, dead-after, remote timeouts, token), handed to
-	// hostlink as they are.
+	// Options are the tier's own settable options (retention, ladder,
+	// retry, seed, frame faults, dead-after, remote timeouts, token),
+	// handed to hostlink as they are.
 	hostlink.Options
 }
 
 // ConfigureFanout rebuilds the fan-out tier with the given options. Must
-// be called before Start.
-func (c *Coordinator) ConfigureFanout(o FanoutOptions) error {
-	c.mu.RLock()
-	started := c.updates > 0
-	c.mu.RUnlock()
-	if started {
-		return errors.New("coordinator: cannot configure fan-out after Start")
-	}
-	return c.buildFanout(o)
-}
+// be called before Start. Readers on other goroutines (the /agents and
+// /diff handlers) may run meanwhile: they see the old tier or the new one.
+func (c *Coordinator) ConfigureFanout(o FanoutOptions) error { return c.buildFanout(o) }
 
 // Fanout returns the host fan-out tier, e.g. to serve remote agents on a
 // listener or script kill/rejoin events.
-func (c *Coordinator) Fanout() *hostlink.Fanout { return c.fo }
+func (c *Coordinator) Fanout() *hostlink.Fanout {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.fo
+}
 
 // FanoutOptions returns the options the fan-out tier was last built with
 // — the starting point for deployment-level overrides (the agent auth
 // token) layered on top of a scenario's hosts configuration via
 // ConfigureFanout before Start.
-func (c *Coordinator) FanoutOptions() FanoutOptions { return c.foOpts }
+func (c *Coordinator) FanoutOptions() FanoutOptions {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.foOpts
+}
 
-// buildFanout constructs the fan-out tier: shard layout, loopback
-// appliers, and the producer callbacks its wall-clock plane reads records
-// and snapshots through, so remote agents resync exactly like /diff
-// clients. Neither plane hears of a generation from the producer: the
-// loopback shards get it through Advance and Distribute (see update) and
-// heal from the tier's marks, and Distribute publishes it to the remote
-// writers once the loopback results are recorded.
+// buildFanout constructs the fan-out tier — shard layout, loopback
+// appliers, and the snapshot callback its wall-clock plane resyncs evicted
+// agents with — and swaps it in, unless an update has run. Neither plane
+// hears of a generation from the producer: update hands it to Advance,
+// which retains it in the tier's log, and Distribute delivers it to the
+// loopback shards and then publishes it to the remote writers.
 func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	shards := o.Agents
 	if shards <= 0 {
@@ -60,26 +60,25 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	if shards > len(c.hosts) {
 		return fmt.Errorf("coordinator: %d agents for %d hosts (hosts are never split across agents)", shards, len(c.hosts))
 	}
-	c.foOpts = o
 
 	// A host's machines all live on one shard: shard = host ID mod
 	// shards. With the default one-agent-per-host layout this is the
 	// identity, so the sweep order inside each shard matches the legacy
 	// single-process distribute path.
-	c.shardOf = make([]int, len(c.byNode))
-	c.shardNodes = make([][]int, shards)
-	c.shardHosts = make([][]*host.Host, shards)
+	shardOf := make([]int, len(c.byNode))
+	shardNodes := make([][]int, shards)
+	shardHosts := make([][]*host.Host, shards)
 	for _, h := range c.hosts {
 		s := h.ID() % shards
-		c.shardHosts[s] = append(c.shardHosts[s], h)
+		shardHosts[s] = append(shardHosts[s], h)
 	}
 	for node, h := range c.hostOf {
 		if h == nil {
 			continue
 		}
 		s := h.ID() % shards
-		c.shardOf[node] = s
-		c.shardNodes[s] = append(c.shardNodes[s], node)
+		shardOf[node] = s
+		shardNodes[s] = append(shardNodes[s], node)
 	}
 
 	// Every shard applies through the shared engine — the loopback
@@ -99,7 +98,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 			Retry: o.Retry,
 			Seed:  o.Seed,
 		})
-		machines[s] = len(c.shardNodes[s])
+		machines[s] = len(shardNodes[s])
 	}
 
 	fo, err := hostlink.New(hostlink.Config{
@@ -109,21 +108,26 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		Appliers: appliers,
 		Now:      c.sim.Now,
 		After:    c.sim.After,
-		Replay:   c.DiffsSince,
 		Snapshot: c.shardSnapshot,
 		Options:  o.Options,
-	}, c.log.Cap())
+	})
 	if err != nil {
 		return err
 	}
-	c.fo = fo
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen > 0 {
+		return errors.New("coordinator: cannot configure fan-out after Start")
+	}
+	c.fo, c.foOpts = fo, o
+	c.shardOf, c.shardNodes, c.shardHosts = shardOf, shardNodes, shardHosts
 	return nil
 }
 
 // shardSnapshot builds a shard's full state at the current generation —
-// the resync document a reconnecting remote agent adopts when the
-// retention ring has moved past its cursor. A loopback shard never asks
-// for it: its backend sweeps against the coordinator's own state.
+// the resync document a reconnecting remote agent adopts when the tier's
+// log has moved past its cursor. A loopback shard never asks for it: its
+// backend sweeps against the coordinator's own state.
 func (c *Coordinator) shardSnapshot(shard int) (*hostlink.Snapshot, error) {
 	st, gen, release := c.LeaseStateGen()
 	defer release()

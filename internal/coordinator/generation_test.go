@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"celestial/internal/config"
+	"celestial/internal/hostlink"
 )
 
 // TestMachineAndHostLookups locks in the constant-time per-node lookup
@@ -64,19 +65,14 @@ func TestGenerationAndDiffRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := c.Generation()
-	if want := uint64(c.Updates()); gen != want {
-		t.Fatalf("generation = %d, updates = %d", gen, want)
-	}
-	if gen < 5 {
-		t.Fatalf("generation = %d after 10 s at 2 s resolution", gen)
+	if gen != 6 {
+		t.Fatalf("generation = %d after 10 s at 2 s resolution, want 6", gen)
 	}
 
-	entries, ok := c.DiffsSince(0)
-	if !ok {
-		t.Fatal("DiffsSince(0) reported resync inside the retention window")
-	}
-	if len(entries) != int(gen) {
-		t.Fatalf("DiffsSince(0) = %d entries, want %d", len(entries), gen)
+	// Every update is retained, in order, with the generation's diff.
+	entries, from, epoch := c.DiffsFrom(0, 0)
+	if from != 0 || len(entries) != int(gen) {
+		t.Fatalf("DiffsFrom(0) = %d entries after %d, want %d after 0", len(entries), from, gen)
 	}
 	for i, e := range entries {
 		if e.Generation != uint64(i)+1 {
@@ -90,24 +86,21 @@ func TestGenerationAndDiffRing(t *testing.T) {
 	if !entries[0].Diff.Full {
 		t.Error("generation 1's record is not a Full diff")
 	}
-
-	// A cursor at the head yields nothing, successfully.
-	if got, ok := c.DiffsSince(gen); !ok || len(got) != 0 {
-		t.Errorf("DiffsSince(head) = %d entries, ok=%v", len(got), ok)
+	// A cursor at the head yields nothing; a partial window only the
+	// missing suffix.
+	if got, from, _ := c.DiffsFrom(gen, epoch); from != gen || len(got) != 0 {
+		t.Errorf("DiffsFrom(head) = %d entries after %d", len(got), from)
 	}
-	// A future cursor (stale or corrupted client state) is told to
-	// resync rather than being treated as satisfied — otherwise an SSE
-	// subscriber with such a cursor would hang forever, event-free.
-	if got, ok := c.DiffsSince(gen + 5); ok || len(got) != 0 {
-		t.Errorf("DiffsSince(future) = %d entries, ok=%v, want resync", len(got), ok)
-	}
-	// A partial window returns only the missing suffix.
-	if got, ok := c.DiffsSince(gen - 2); !ok || len(got) != 2 {
-		t.Errorf("DiffsSince(head-2) = %d entries, ok=%v", len(got), ok)
+	if got, from, _ := c.DiffsFrom(gen-2, epoch); from != gen-2 || len(got) != 2 {
+		t.Errorf("DiffsFrom(head-2) = %d entries after %d", len(got), from)
 	}
 }
 
-func TestDiffsSinceSignalsResyncPastRing(t *testing.T) {
+// TestRetentionAndRingStats locks in the configurable retention: the
+// fan-out tier's Retention sizes the log the coordinator reports, its
+// length pins at capacity and each further tick evicts one generation,
+// and the tier cannot be rebuilt once the log holds history.
+func TestRetentionAndRingStats(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Resolution = time.Second
 	cfg.Duration = 2 * time.Minute
@@ -118,55 +111,17 @@ func TestDiffsSinceSignalsResyncPastRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Run well past the retention ring's capacity.
-	horizon := time.Duration(diffRingCap+10) * time.Second
-	if err := c.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	if gen <= diffRingCap {
-		t.Fatalf("generation = %d, want > %d", gen, diffRingCap)
-	}
-	if _, ok := c.DiffsSince(0); ok {
-		t.Error("DiffsSince(0) did not signal resync after the ring wrapped")
-	}
-	// The newest diffRingCap generations stay replayable.
-	entries, ok := c.DiffsSince(gen - diffRingCap)
-	if !ok || len(entries) != diffRingCap {
-		t.Fatalf("DiffsSince(oldest) = %d entries, ok=%v", len(entries), ok)
-	}
-	if entries[0].Generation != gen-diffRingCap+1 || entries[len(entries)-1].Generation != gen {
-		t.Errorf("replay window [%d, %d], want [%d, %d]",
-			entries[0].Generation, entries[len(entries)-1].Generation, gen-diffRingCap+1, gen)
-	}
-}
-
-// TestSetDiffRetentionAndRingStats locks in the configurable retention
-// ring: capacity takes effect, evictions count ticks beyond it, forced
-// resyncs count DiffsSince calls that missed the window, and the knob
-// refuses to resize a ring that already holds history.
-func TestSetDiffRetentionAndRingStats(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Resolution = time.Second
-	cfg.Duration = 2 * time.Minute
-	if err := config.Finalize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if rs := c.RingStats(); rs.Capacity != hostlink.DefaultRetention {
+		t.Fatalf("default capacity = %d, want %d", rs.Capacity, hostlink.DefaultRetention)
 	}
 	const retention = 8
-	if err := c.SetDiffRetention(retention); err != nil {
+	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: -1}}); err == nil {
+		t.Error("a negative retention was accepted")
+	}
+	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: retention}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetDiffRetention(0); err == nil {
-		t.Error("SetDiffRetention(0) did not error")
-	}
-	if rs := c.RingStats(); rs.Capacity != retention || rs.Length != 0 || rs.Evictions != 0 {
+	if rs := c.RingStats(); rs != (hostlink.RingStats{Capacity: retention}) {
 		t.Fatalf("pre-start ring stats = %+v", rs)
 	}
 	if err := c.Start(); err != nil {
@@ -179,8 +134,6 @@ func TestSetDiffRetentionAndRingStats(t *testing.T) {
 	if rs := c.RingStats(); rs.Length != int(c.Generation()) || rs.Evictions != 0 {
 		t.Fatalf("ring stats before wrap = %+v at generation %d", rs, c.Generation())
 	}
-	// Run past capacity: length pins at capacity and each further tick
-	// evicts exactly one slot.
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -192,28 +145,24 @@ func TestSetDiffRetentionAndRingStats(t *testing.T) {
 	if want := gen - retention; rs.Evictions != want {
 		t.Errorf("evictions = %d, want %d (generation %d)", rs.Evictions, want, gen)
 	}
-	// A cursor past the window forces a resync and is counted; a cursor
-	// inside it is not.
-	if _, ok := c.DiffsSince(0); ok {
-		t.Error("DiffsSince(0) did not signal resync past an 8-deep ring")
+	// The oldest retained generation is the window's first.
+	if entries, from, _ := c.DiffsFrom(0, 0); from != gen-retention || len(entries) != retention {
+		t.Errorf("DiffsFrom(0) = %d entries after %d, want %d after %d", len(entries), from, retention, gen-retention)
 	}
-	if _, ok := c.DiffsSince(gen - 1); !ok {
-		t.Error("DiffsSince(head-1) signalled resync inside the window")
-	}
-	if got := c.RingStats().ForcedResyncs; got != rs.ForcedResyncs+1 {
-		t.Errorf("forced resyncs = %d, want %d", got, rs.ForcedResyncs+1)
-	}
-	// The ring cannot be resized once it holds history: replayability of
+	// The log cannot be resized once it holds history: replayability of
 	// the retained window must not silently change mid-run.
-	if err := c.SetDiffRetention(4); err == nil {
-		t.Error("SetDiffRetention after Start did not error")
+	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: 4}}); err == nil {
+		t.Error("ConfigureFanout after Start did not error")
+	}
+	if got := c.RingStats().Capacity; got != retention {
+		t.Errorf("capacity = %d after a refused rebuild, want %d", got, retention)
 	}
 }
 
-// TestDiffsSinceConcurrentWithUpdates races /diff-style readers against
-// the update loop's ring writes (meaningful under -race): every replayed
+// TestDiffsFromConcurrentWithUpdates races /diff-style mirrors against
+// the update loop's log writes (meaningful under -race): every copied
 // window must be gap-free and in order even while slots are recycled.
-func TestDiffsSinceConcurrentWithUpdates(t *testing.T) {
+func TestDiffsFromConcurrentWithUpdates(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Resolution = time.Second
 	cfg.Duration = 2 * time.Minute
@@ -224,7 +173,7 @@ func TestDiffsSinceConcurrentWithUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetDiffRetention(8); err != nil {
+	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Start(); err != nil {
@@ -233,20 +182,18 @@ func TestDiffsSinceConcurrentWithUpdates(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var cursor uint64
+		var cursor, epoch uint64
 		for i := 0; i < 200; i++ {
-			entries, ok := c.DiffsSince(cursor)
-			if !ok {
-				cursor = c.Generation()
-				continue
-			}
+			entries, from, now := c.DiffsFrom(cursor, epoch)
+			epoch = now
 			for _, e := range entries {
-				if e.Generation != cursor+1 {
-					t.Errorf("replay gap: got generation %d after cursor %d", e.Generation, cursor)
+				if e.Generation != from+1 {
+					t.Errorf("replay gap: got generation %d after %d", e.Generation, from)
 					return
 				}
-				cursor = e.Generation
+				from = e.Generation
 			}
+			cursor = from
 		}
 	}()
 	if err := c.Run(30 * time.Second); err != nil {
@@ -278,9 +225,9 @@ func TestLeaseStateGenPairsStateWithGeneration(t *testing.T) {
 	}
 	// The paired generation labels this snapshot: its offset matches the
 	// retained diff record for the same generation.
-	entries, ok := c.DiffsSince(gen - 1)
-	if !ok || len(entries) != 1 {
-		t.Fatalf("DiffsSince(gen-1) = %d entries, ok=%v", len(entries), ok)
+	entries, _, _ := c.DiffsFrom(gen-1, 0)
+	if len(entries) != 1 {
+		t.Fatalf("DiffsFrom(gen-1) = %d entries", len(entries))
 	}
 	if entries[0].Diff.T != st.T {
 		t.Errorf("generation %d record T %v != leased state T %v", gen, entries[0].Diff.T, st.T)

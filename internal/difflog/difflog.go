@@ -1,11 +1,11 @@
 // Package difflog is the one generation log behind every retained window
-// of the coordinator's update stream: the coordinator's own diff history,
-// the fan-out tier's per-generation digests, the follower replicas'
-// replay windows and the information service's serialized frames. Each of
-// them keeps the most recent generations of one stream of consecutive
-// generation numbers and answers a subscriber's cursor the same way; that
-// answer — the cursor table on Since — and the bookkeeping behind it live
-// here once.
+// of the coordinator's update stream: the fan-out tier's log, which keeps
+// each generation's record beside its per-shard marks, the follower
+// replicas' replay windows and the information service's serialized
+// frames. Each of them keeps the most recent generations of one stream of
+// consecutive generation numbers and answers a subscriber's cursor the
+// same way; that answer — the cursor table on Since — and the bookkeeping
+// behind it live here once.
 //
 // A Log is a plain data structure. It takes no lock of its own: the owner
 // guards it with the lock that already guards the state the log belongs

@@ -22,12 +22,17 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
+// DefaultRetention is how many generations the tier's log keeps unless
+// Options.Retention says otherwise. At the paper's 1 s update resolution
+// this covers about a minute of history; a follower that falls further
+// behind resyncs from a snapshot.
+const DefaultRetention = 64
+
 // Record is one retained generation: the monotonic generation an update
 // produced and a retainable copy of its diff. It is the one pairing of the
-// two outside a DiffFrame — the entry type of the coordinator's retention
-// log, what DiffsSince hands /diff and agent resyncs, and the decoded form
-// of a binary /diff stream frame. The fan-out tier borrows the slices of
-// the records it is handed and never mutates them.
+// two outside a DiffFrame — the record half of a slot in the tier's
+// generation log, what DiffsFrom hands the information service's /diff
+// mirror, and the decoded form of a binary /diff stream frame.
 type Record struct {
 	Generation uint64
 	Diff       constellation.DiffRecord
@@ -49,7 +54,8 @@ type Applier interface {
 // unless noted.
 type Config struct {
 	// Shards is the fan-out width; ShardOf maps a constellation node ID
-	// to its owning shard and is called from several goroutines at once.
+	// to its owning shard, and must be a pure lookup: it is called from
+	// several goroutines at once, with the tier's lock held.
 	// Machines[i] is shard i's machine count (status/report only).
 	Shards   int
 	ShardOf  func(node int) int
@@ -65,16 +71,14 @@ type Config struct {
 	Now   func() time.Time
 	After func(d time.Duration, fn func()) error
 
-	// Replay and Snapshot are the wall-clock plane's view of the
-	// producer's content, called from remote writer goroutines only (the
-	// virtual plane heals from its marks and reads neither). Replay
-	// returns the retained records after a cursor (nil, false when the
-	// ring has evicted it); Snapshot builds a shard's full state at the
-	// producer's newest generation. These mirror the /diff information
-	// service's contract so agents resync exactly like diff clients.
-	// When a generation reaches the wire is the tier's own decision: a
-	// writer hears of it from Distribute, never from the producer.
-	Replay   func(since uint64) ([]Record, bool)
+	// Snapshot builds a shard's full state at the producer's newest
+	// generation: the resync document of a remote agent whose cursor the
+	// tier's log no longer covers, exactly like a /diff client's. It is
+	// the one producer callback of the wall-clock plane, called from
+	// remote writer goroutines without fo.mu held; the virtual plane heals
+	// from its marks and never calls it. Everything else a writer sends
+	// comes from the tier's own log, and when a generation reaches the
+	// wire is the tier's decision: a writer hears of it from Distribute.
 	Snapshot func(shard int) (*Snapshot, error)
 
 	// Options are the tier's settable options, declared once below.
@@ -84,8 +88,15 @@ type Config struct {
 // Options are the fan-out tier's settable options: the one declaration
 // Config, coordinator.FanoutOptions and the scenario [hosts] table embed,
 // so a value set in a scenario file reaches New without being re-spelled.
-// The zero value is a fault-free tier with default ladder and timeouts.
+// The zero value is a fault-free tier with default retention, ladder and
+// timeouts.
 type Options struct {
+	// Retention is how many generations the tier's log keeps: how far a
+	// loopback shard, a remote agent or a /diff client may fall behind
+	// and still catch up by replay instead of a snapshot, at the cost of
+	// retained diff memory. Zero means DefaultRetention.
+	Retention int
+
 	// Ladder configures the per-shard follower degradation ladder
 	// (rungs in generations behind); zeros adopt the supervise defaults.
 	Ladder supervise.FollowerConfig
@@ -126,6 +137,8 @@ func (o Options) Validate() error {
 	switch {
 	case !prob(o.DropRate) || !prob(o.DupRate) || !prob(o.DelayRate):
 		return fmt.Errorf("hostlink: frame fault rate outside [0, 1] (drop %v, dup %v, delay %v)", o.DropRate, o.DupRate, o.DelayRate)
+	case o.Retention < 0:
+		return fmt.Errorf("hostlink: negative retention %d", o.Retention)
 	case o.Delay < 0 || o.DeadAfter < 0 || o.Heartbeat < 0 || o.WriteTimeout < 0:
 		return fmt.Errorf("hostlink: negative duration (delay %v, dead-after %v, heartbeat %v, write timeout %v)",
 			o.Delay, o.DeadAfter, o.Heartbeat, o.WriteTimeout)
@@ -264,16 +277,20 @@ type Fanout struct {
 	// and the shard ladder's rung.
 	level supervise.Level
 
-	// mu guards the marks log and the remote bookkeeping — state shared
-	// with remote writer goroutines. Loopback delivery state is owned by
-	// the simulation goroutine and needs no lock.
+	// mu guards the generation log and the remote bookkeeping — state
+	// shared with remote writer goroutines and the information service.
+	// Loopback delivery state is owned by the simulation goroutine and
+	// needs no lock.
 	mu sync.Mutex
-	// marks retains, per generation, one mark per shard: the offer the
-	// virtual plane replays a gap from, the shard's chain digest (what an
-	// agent's Ack is verified against) and the loopback engine's apply
-	// result (what its Applied is verified against). Advance appends a
-	// generation; recordResult completes its marks.
-	marks *difflog.Log[[]shardMark]
+	// log is the tier's generation log, the one retained window of the
+	// update stream: Advance fills a slot in place with the generation's
+	// record and marks, and recordResult completes its marks. The virtual
+	// plane replays gaps from it, remote writers stream from it, and the
+	// information service's /diff mirror copies from it (DiffsFrom).
+	// forcedResyncs counts remote writers that found their cursor evicted
+	// and sent their agent back to a snapshot.
+	log           *difflog.Log[generation]
+	forcedResyncs uint64
 	// published is the generation Distribute last delivered: the one head
 	// of the wall-clock plane, read by the remote writers, the barrier and
 	// VerifyRemotes. A writer hears of a generation only once its loopback
@@ -298,6 +315,14 @@ type Fanout struct {
 	statsSnap []ShardStats
 }
 
+// generation is one slot of the tier's log: the producer's record, and
+// marks[shard] for every shard. Both are refilled in place when the slot
+// is handed out again, so nothing of them leaves fo.mu uncopied.
+type generation struct {
+	Record
+	marks []shardMark
+}
+
 // shardMark is one shard's record of one generation: its offer, the
 // digest chain after folding the generation's frame and, once the
 // loopback engine applied it, the engine's commit digest and the
@@ -312,26 +337,25 @@ type shardMark struct {
 
 var errFrameDropped = errors.New("hostlink: injected frame drop")
 
-// New builds a Fanout whose marks log retains retention generations. The
-// producer passes its own diff retention and appends to both logs in one
-// critical section (see Advance), so the two answer every cursor alike:
-// a generation Replay can still serve still has its digests, and the
-// virtual plane replays or snapshots exactly where a /diff client would.
-func New(cfg Config, retention int) (*Fanout, error) {
+// New builds a Fanout whose generation log retains cfg.Retention
+// generations. One log answers every cursor — a loopback shard's, a remote
+// agent's and, through DiffsFrom, a /diff client's — so all of them replay
+// or snapshot at the same point.
+func New(cfg Config) (*Fanout, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("hostlink: %d shards", cfg.Shards)
 	}
 	if len(cfg.Appliers) != cfg.Shards {
 		return nil, fmt.Errorf("hostlink: %d appliers for %d shards", len(cfg.Appliers), cfg.Shards)
 	}
-	if cfg.ShardOf == nil || cfg.Now == nil || cfg.After == nil || cfg.Replay == nil || cfg.Snapshot == nil {
+	if cfg.ShardOf == nil || cfg.Now == nil || cfg.After == nil || cfg.Snapshot == nil {
 		return nil, errors.New("hostlink: missing required callback")
-	}
-	if retention <= 0 {
-		return nil, fmt.Errorf("hostlink: retention %d", retention)
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Retention == 0 {
+		cfg.Retention = DefaultRetention
 	}
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = DefaultHeartbeat
@@ -342,7 +366,7 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	fo := &Fanout{
 		cfg:         cfg,
 		shards:      make([]*shard, cfg.Shards),
-		marks:       difflog.New[[]shardMark](retention),
+		log:         difflog.New[generation](cfg.Retention),
 		remotes:     make(map[int]*remote),
 		ackNotify:   make(chan struct{}),
 		remoteOwner: make([]int, cfg.Shards),
@@ -386,40 +410,97 @@ func sendOK() error { return nil }
 // Shards returns the fan-out width.
 func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 
-// Advance folds one new generation into every shard's digest chain and
-// marks it: the per-shard offers the virtual plane delivers and replays,
-// the digests remote writers verify acks against. The producer must call
-// it for every generation, in order, on the simulation goroutine, in the
-// critical section that retains the record (see New). Each shard scans
-// the whole record for its share and owns its view and chain, so the
-// shards are built side by side.
-func (fo *Fanout) Advance(rec Record) {
+// Advance retains one new generation and folds it into every shard's
+// digest chain. It fills the log's next slot in place: a copy of d, whose
+// backing arrays the slot reuses from the generation it evicts, and one
+// mark per shard — the offer the virtual plane delivers and replays, the
+// digest remote writers verify acks against. The producer must call it for
+// every generation, in order, on the simulation goroutine; it closes the
+// UpdateChan channel. Each shard scans the whole record for its share and
+// owns its view and chain, so the shards are built side by side.
+func (fo *Fanout) Advance(gen uint64, d *constellation.Diff) {
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	g := fo.log.Append(gen)
+	g.Generation = gen
+	g.Diff = d.AppendRecord(g.Diff)
 	par.For(len(fo.shards), func(lo, hi int) {
 		for _, s := range fo.shards[lo:hi] {
-			fo.buildFrameInto(&s.scratch, s.id, &rec)
+			fo.buildFrameInto(&s.scratch, s.id, &g.Record)
 			s.chain = FoldDiff(s.chain, &s.scratch)
-			s.next = offer{gen: rec.Generation, content: s.scratch.Flags, full: rec.Diff.Full}
+			s.next = offer{gen: gen, content: s.scratch.Flags, full: d.Full}
 		}
 	})
-	fo.mu.Lock()
-	marks := fo.marks.Append(rec.Generation)
-	if *marks == nil {
-		*marks = make([]shardMark, len(fo.shards))
+	if g.marks == nil {
+		g.marks = make([]shardMark, len(fo.shards))
 	}
 	for _, s := range fo.shards {
-		(*marks)[s.id] = shardMark{offer: s.next, chain: s.chain}
+		g.marks[s.id] = shardMark{offer: s.next, chain: s.chain}
 	}
-	fo.mu.Unlock()
 }
 
 // markAt returns shard's mark of one generation, if the log still holds
 // it. Callers hold fo.mu.
 func (fo *Fanout) markAt(shard int, gen uint64) (shardMark, bool) {
-	marks, ok := fo.marks.At(gen)
+	g, ok := fo.log.At(gen)
 	if !ok {
 		return shardMark{}, false
 	}
-	return (*marks)[shard], true
+	return g.marks[shard], true
+}
+
+// UpdateChan returns a channel that the next Advance closes. Grab the
+// channel, re-check the producer's generation, then block: Advance runs
+// in the producer's critical section that advances the generation, so an
+// update cannot fall between the two reads unseen. The channel is the same
+// exactly as long as nothing was appended (see difflog.Log.Wait).
+func (fo *Fanout) UpdateChan() <-chan struct{} {
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	return fo.log.Wait()
+}
+
+// DiffsFrom copies out the records a mirror of the log is missing (the
+// information service's frame cache): a cursor the log cannot replay, or
+// one taken in an earlier epoch of the log, yields the whole retained
+// window instead of a refusal — see difflog.Log.Tail. It counts no forced
+// resync; a mirror that rebases is not a client that fell behind. The
+// records are deep copies, safe to retain and serialize without a lock.
+func (fo *Fanout) DiffsFrom(cursor, epoch uint64) (recs []Record, from, now uint64) {
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	gens, from, now := fo.log.Tail(cursor, epoch)
+	recs = make([]Record, len(gens))
+	for i, g := range gens {
+		recs[i] = Record{Generation: g.Generation, Diff: g.Diff.Clone()}
+	}
+	return recs, from, now
+}
+
+// RingStats describes the tier's generation log: its capacity, current
+// fill, how many retained generations newer ones evicted, and how many
+// clients' cursors missed the window and were sent back to full state.
+type RingStats struct {
+	Capacity      int    `json:"capacity"`
+	Length        int    `json:"length"`
+	Evictions     uint64 `json:"evictions"`
+	ForcedResyncs uint64 `json:"forced_resyncs"`
+}
+
+// RingStats returns the log's counters. Capacity, length and evictions are
+// a deterministic function of the run; ForcedResyncs counts remote agents
+// whose writer found the cursor evicted — wall-clock behavior, kept out of
+// the run report. A loopback shard that resyncs from a snapshot is counted
+// in its own ShardStats.SnapshotResyncs instead.
+func (fo *Fanout) RingStats() RingStats {
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	return RingStats{
+		Capacity:      fo.log.Cap(),
+		Length:        fo.log.Len(),
+		Evictions:     fo.log.Evictions(),
+		ForcedResyncs: fo.forcedResyncs,
+	}
 }
 
 // buildFrameInto fills dst with the shard's view of rec, reusing dst's
@@ -507,7 +588,7 @@ func (fo *Fanout) publish() {
 	for i, s := range fo.shards {
 		fo.statsSnap[i] = s.counters(fo.fallback[i])
 	}
-	fo.published = fo.marks.Head()
+	fo.published = fo.log.Head()
 	fo.mu.Unlock()
 	fo.wakeAcks()
 }
@@ -536,7 +617,7 @@ func (fo *Fanout) send(s *shard, o offer) error {
 	res := retry.Do(fo.cfg.Retry, s.rndFn, s.sendOp)
 	s.retryStats.Record(res)
 	if res.Err != nil {
-		// The offer is lost; the gap is healed from the marks log when
+		// The offer is lost; the gap is healed from the log when
 		// the next one lands.
 		s.stats.Dropped++
 		return nil
@@ -590,7 +671,7 @@ func (fo *Fanout) drain(s *shard, all bool) {
 }
 
 // deliver hands one offer to the shard pipeline: duplicates are discarded
-// by cursor, gaps healed from the marks log, in-order offers applied
+// by cursor, gaps healed from the log, in-order offers applied
 // under the shard's effective degradation level.
 func (fo *Fanout) deliver(s *shard, o offer) {
 	switch {
@@ -606,18 +687,18 @@ func (fo *Fanout) deliver(s *shard, o offer) {
 
 // resync brings a shard that is behind head up to it: replay the retained
 // offers after its cursor, or adopt a snapshot when the log has evicted
-// the cursor — difflog's cursor table on a log with the producer's
-// retention, so the choice is the one a /diff client at that cursor gets.
-// A shard already at head is left alone.
+// the cursor — difflog's cursor table on the one log every follower reads,
+// so the choice is the one a /diff client at that cursor gets. A shard
+// already at head is left alone.
 func (fo *Fanout) resync(s *shard) {
 	fo.mu.Lock()
-	head := fo.marks.Head()
-	gens, ok := fo.marks.Since(s.applied)
+	head := fo.log.Head()
+	gens, ok := fo.log.Since(s.applied)
 	// The log's slots are refilled in place; copy this shard's offers out
 	// from under the lock, which applyFrame's recordResult takes again.
 	offers := make([]offer, len(gens))
-	for i, marks := range gens {
-		offers[i] = marks[s.id].offer
+	for i, g := range gens {
+		offers[i] = g.marks[s.id].offer
 	}
 	m, _ := fo.markAt(s.id, head)
 	fo.mu.Unlock()
@@ -660,8 +741,8 @@ func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 	}
 	res := ra.LastResult()
 	fo.mu.Lock()
-	if marks, ok := fo.marks.At(gen); ok {
-		m := &(*marks)[s.id]
+	if g, ok := fo.log.At(gen); ok {
+		m := &g.marks[s.id]
 		m.result, m.flags = res.Digest, flags
 	}
 	fo.mu.Unlock()
@@ -715,7 +796,7 @@ func (fo *Fanout) applyFrame(s *shard, o offer) {
 }
 
 // Converge drains every live shard's in-flight offers and heals cursor
-// gaps from the marks log — the end-of-run settlement, so an offer lost on
+// gaps from the log — the end-of-run settlement, so an offer lost on
 // the final generation cannot leave a shard behind head in the report.
 // Must run on the simulation goroutine after the last Distribute.
 func (fo *Fanout) Converge() {

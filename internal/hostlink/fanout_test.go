@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
-	"celestial/internal/difflog"
 	"celestial/internal/retry"
 	"celestial/internal/supervise"
 )
@@ -55,41 +54,29 @@ func (fs *fakeSim) advance(to time.Time) {
 	fs.now = to
 }
 
-// memSource is an in-memory diff producer with the coordinator's
-// retention contract — the same difflog, guarded the same way:
-// Replay(since) serves the retained suffix or reports eviction, Snapshot
-// serves the newest generation. Safe for concurrent readers (remote
-// writer goroutines).
+// memSource is an in-memory diff producer: it keeps its generation the
+// way Coordinator.update does, and builds snapshots at it. Safe for
+// concurrent readers (remote writer goroutines).
 type memSource struct {
 	mu  sync.Mutex
-	log *difflog.Log[Record]
+	gen uint64
 }
 
-func newMemSource(retention int) *memSource {
-	return &memSource{log: difflog.New[Record](retention)}
-}
-
-// push retains rec and, before releasing the source's lock, hands it to
-// advance — the way Coordinator.update calls Fanout.Advance under its own
-// lock, so the harness holds the two locks in the order a real run does.
-func (m *memSource) push(rec Record, advance func(Record)) {
+// push makes d the producer's generation gen and, before releasing the
+// source's lock, hands it to advance — the way Coordinator.update calls
+// Fanout.Advance under its own lock, so the harness holds the two locks in
+// the order a real run does.
+func (m *memSource) push(gen uint64, d *constellation.Diff, advance func(uint64, *constellation.Diff)) {
 	m.mu.Lock()
-	*m.log.Append(rec.Generation) = rec
-	advance(rec)
+	m.gen = gen
+	advance(gen, d)
 	m.mu.Unlock()
-}
-
-func (m *memSource) Replay(since uint64) ([]Record, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.Since(since)
 }
 
 func (m *memSource) Snapshot(shard int) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	head := m.log.Head()
-	return &Snapshot{Generation: head, T: float64(head)}, nil
+	return &Snapshot{Generation: m.gen, T: float64(m.gen)}, nil
 }
 
 // recApplier records the frames a shard's loopback applier received, and
@@ -138,7 +125,7 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 	t.Helper()
 	h := &harness{
 		fs:  &fakeSim{now: time.Unix(0, 0)},
-		src: newMemSource(retention),
+		src: &memSource{},
 		res: 2 * time.Second,
 	}
 	appliers := make([]Applier, shards)
@@ -153,14 +140,13 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 		Appliers: appliers,
 		Now:      h.fs.Now,
 		After:    h.fs.After,
-		Replay:   h.src.Replay,
 		Snapshot: h.src.Snapshot,
-		Options:  Options{Seed: 42, Heartbeat: 100 * time.Millisecond},
+		Options:  Options{Retention: retention, Seed: 42, Heartbeat: 100 * time.Millisecond},
 	}
 	if mod != nil {
 		mod(&cfg)
 	}
-	fo, err := New(cfg, retention)
+	fo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,29 +154,34 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 	return h
 }
 
-// record fabricates generation g: node g%testNodes flips active and one
-// link delta moves, so every shard sees traffic over time. Generation 1
-// is Full, like a real run's first diff.
-func (h *harness) record(g uint64) Record {
-	rec := Record{Generation: g}
-	rec.Diff.T = float64(g) * h.res.Seconds()
+// diff fabricates generation g's diff: node g%testNodes flips active and
+// one link delta moves, so every shard sees traffic over time. Generation
+// 1 is Full, like a real run's first diff.
+func (h *harness) diff(g uint64) *constellation.Diff {
+	d := &constellation.Diff{T: float64(g) * h.res.Seconds()}
 	if g == 1 {
-		rec.Diff.Full = true
-		return rec
+		d.Full = true
+		return d
 	}
 	n := int32(g % testNodes)
-	rec.Diff.Activated = []int32{n}
-	rec.Diff.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
-	return rec
+	d.Activated = []int32{n}
+	d.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
+	return d
 }
 
-// tick advances the virtual clock one resolution (firing due timers) and
-// produces + distributes the next generation at the given global level.
-func (h *harness) tick(level supervise.Level) {
+// advance produces the next generation: it moves the virtual clock one
+// resolution (firing due timers) and hands the generation to Advance,
+// without distributing it.
+func (h *harness) advance() {
 	h.gen++
 	h.fs.advance(time.Unix(0, 0).Add(time.Duration(h.gen) * h.res))
-	rec := h.record(h.gen)
-	h.src.push(rec, h.fo.Advance)
+	h.src.push(h.gen, h.diff(h.gen), h.fo.Advance)
+}
+
+// tick produces + distributes the next generation at the given global
+// level.
+func (h *harness) tick(level supervise.Level) {
+	h.advance()
 	if err := h.fo.Distribute(level); err != nil {
 		panic(err)
 	}
@@ -374,6 +365,57 @@ func TestFanoutRejoinAfterEvictionSnapshots(t *testing.T) {
 	}
 }
 
+// TestLogWindowAndRingStats holds the tier's generation log to the window
+// the /diff mirror is answered from: DiffsFrom copies out the records after
+// a cursor, rebases a cursor the log does not cover onto the retained
+// window, and hands out copies the slots' refills cannot reach; RingStats
+// counts capacity, fill and evictions, and no forced resync for a mirror.
+func TestLogWindowAndRingStats(t *testing.T) {
+	h := newHarness(t, 2, 8, nil)
+	if rs := h.fo.RingStats(); rs != (RingStats{Capacity: 8}) {
+		t.Fatalf("empty log: %+v", rs)
+	}
+	h.run(7)
+	if rs := h.fo.RingStats(); rs.Length != 7 || rs.Evictions != 0 {
+		t.Fatalf("before the wrap: %+v", rs)
+	}
+	early, from, epoch := h.fo.DiffsFrom(0, 0)
+	if from != 0 || len(early) != 7 {
+		t.Fatalf("DiffsFrom(0) = %d records after %d, want 7 after 0", len(early), from)
+	}
+	same := func(stage string, recs []Record, first uint64) {
+		t.Helper()
+		for i, r := range recs {
+			g := first + uint64(i)
+			if want := h.diff(g).Record(); r.Generation != g || !reflect.DeepEqual(r.Diff, want) {
+				t.Errorf("%s: record %d = %+v, want generation %d %+v", stage, i, r, g, want)
+			}
+		}
+	}
+	same("before the wrap", early, 1)
+
+	h.run(10) // generations 10..17 retained
+	rs := h.fo.RingStats()
+	if rs.Length != 8 || rs.Evictions != 9 || rs.ForcedResyncs != 0 {
+		t.Fatalf("after the wrap: %+v, want length 8, 9 evictions, no forced resync", rs)
+	}
+	for _, cur := range []uint64{0, 8, 18} { // evicted, and in the future
+		recs, from, _ := h.fo.DiffsFrom(cur, epoch)
+		if from != 9 || len(recs) != 8 {
+			t.Errorf("DiffsFrom(%d) = %d records after %d, want the window: 8 after 9", cur, len(recs), from)
+		}
+		same("rebased", recs, 10)
+	}
+	if recs, from, _ := h.fo.DiffsFrom(15, epoch); from != 15 || len(recs) != 2 {
+		t.Errorf("DiffsFrom(15) = %d records after %d, want 2 after 15", len(recs), from)
+	}
+	if recs, from, _ := h.fo.DiffsFrom(17, epoch); from != 17 || len(recs) != 0 {
+		t.Errorf("DiffsFrom(head) = %d records after %d, want none", len(recs), from)
+	}
+	// Generations 9..15 refilled the slots of 1..7 in place.
+	same("copies taken before the refill", early, 1)
+}
+
 func TestFanoutDeadAgentRebalances(t *testing.T) {
 	h := newHarness(t, 2, 64, func(c *Config) {
 		c.DeadAfter = 4 * time.Second // two ticks
@@ -503,10 +545,10 @@ func TestFanoutDeterminism(t *testing.T) {
 // TestVirtualPlaneNeverReadsTheSource runs the loopback plane through every
 // recovery it has — gaps under drop/dup/delay, a kill and rejoin inside the
 // retention window, a kill past eviction, a DeadAfter rebalance, the final
-// Converge — with a producer whose Replay and Snapshot fail the test. Those
-// are the wall-clock plane's: the virtual plane heals from the marks Advance
-// left it, by replay where the cursor is retained and by snapshot where it
-// is not.
+// Converge — with a producer whose Snapshot fails the test. It is the
+// wall-clock plane's: the virtual plane heals from the marks Advance left
+// it, by replay where the cursor is retained and by snapshot where it is
+// not.
 func TestVirtualPlaneNeverReadsTheSource(t *testing.T) {
 	h := newHarness(t, 3, 8, func(c *Config) {
 		c.DropRate = 0.2
@@ -515,10 +557,6 @@ func TestVirtualPlaneNeverReadsTheSource(t *testing.T) {
 		c.Delay = 3 * time.Second
 		c.Retry = retry.Policy{MaxAttempts: 1}
 		c.DeadAfter = 30 * time.Second
-		c.Replay = func(since uint64) ([]Record, bool) {
-			t.Errorf("virtual plane called Replay(%d)", since)
-			return nil, false
-		}
 		c.Snapshot = func(shard int) (*Snapshot, error) {
 			t.Errorf("virtual plane called Snapshot(%d)", shard)
 			return nil, errors.New("not for the virtual plane")
@@ -563,16 +601,15 @@ func TestVirtualPlaneNeverReadsTheSource(t *testing.T) {
 // is — a queued header: with every frame delayed, a tick allocates the same
 // whether its diff has one delta in one list or hundreds across all five.
 func TestDeferredDeliveryCopiesNoContent(t *testing.T) {
-	const runs = 50
+	const runs, retention = 50, 4
 	perTick := func(deltas int) float64 {
-		h := newHarness(t, 2, 64, func(c *Config) {
+		h := newHarness(t, 2, retention, func(c *Config) {
 			c.DelayRate = 1
 			c.Delay = time.Second
 		})
 		h.run(2)
-		// The records are built up front; the fan-out tier borrows their
-		// slices and never mutates them, so they can share one set.
-		var diff constellation.DiffRecord
+		// One diff serves every tick: Advance copies it into the log.
+		var diff constellation.Diff
 		for i := 0; i < deltas; i++ {
 			n := i % testNodes
 			diff.Added = append(diff.Added, constellation.LinkDelta{A: n, B: (n + 1) % testNodes, NewQ: int32(i)})
@@ -583,14 +620,20 @@ func TestDeferredDeliveryCopiesNoContent(t *testing.T) {
 				diff.Deactivated = append(diff.Deactivated, int32(n))
 			}
 		}
-		return testing.AllocsPerRun(runs, func() {
+		tick := func() {
 			h.gen++
 			h.fs.advance(time.Unix(0, 0).Add(time.Duration(h.gen) * h.res))
-			h.src.push(Record{Generation: h.gen, Diff: diff}, h.fo.Advance)
+			h.src.push(h.gen, &diff, h.fo.Advance)
 			if err := h.fo.Distribute(supervise.LevelFull); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		// Grow every slot of the log to this diff's size first: a slot
+		// keeps its arrays, so the copy allocates only while they grow.
+		for i := 0; i < retention; i++ {
+			tick()
+		}
+		return testing.AllocsPerRun(runs, tick)
 	}
 	if small, large := perTick(1), perTick(400); small != large {
 		t.Errorf("a tick of deferred deliveries allocates %v times for 1 delta, %v for 400 in every list", small, large)
@@ -612,18 +655,19 @@ func TestOptionsValidate(t *testing.T) {
 		"negative dead":    {DeadAfter: -time.Second},
 		"negative timeout": {WriteTimeout: -time.Second},
 		"negative rung":    {Ladder: supervise.FollowerConfig{RecoverAfter: -1}},
+		"negative ring":    {Retention: -1},
 		"bad retry":        {Retry: retry.Policy{Jitter: 2}},
 	}
 	for name, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%s: accepted %+v", name, o)
 		}
-		h := &harness{fs: &fakeSim{now: time.Unix(0, 0)}, src: newMemSource(4)}
+		h := &harness{fs: &fakeSim{now: time.Unix(0, 0)}, src: &memSource{}}
 		_, err := New(Config{
 			Shards: 1, ShardOf: func(int) int { return 0 }, Appliers: []Applier{&recApplier{t: t}},
-			Now: h.fs.Now, After: h.fs.After, Replay: h.src.Replay, Snapshot: h.src.Snapshot,
+			Now: h.fs.Now, After: h.fs.After, Snapshot: h.src.Snapshot,
 			Options: o,
-		}, 4)
+		})
 		if err == nil {
 			t.Errorf("%s: New accepted %+v", name, o)
 		}

@@ -3,11 +3,11 @@ package hostlink
 import (
 	"context"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"celestial/internal/leaktest"
 	"celestial/internal/supervise"
 )
 
@@ -31,7 +31,10 @@ type agentProc struct {
 
 func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpHarness {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	// Every goroutine the harness starts — the accept loop, each
+	// connection's writer and reader, each agent — must be gone when the
+	// test is: a writer that never wakes is a leak.
+	leaktest.Check(t)
 	h := newHarness(t, shards, retention, func(c *Config) {
 		c.Heartbeat = 50 * time.Millisecond
 		c.WriteTimeout = time.Second
@@ -58,18 +61,6 @@ func newTCPHarness(t *testing.T, shards, retention int, mod func(*Config)) *tcpH
 			<-p.done
 		}
 		th.mu.Unlock()
-		// Every goroutine the harness started — the accept loop, each
-		// connection's writer and reader, each agent — must be gone: a
-		// writer that never wakes is a leak, and is caught here.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("%d goroutines before the harness, %d after it:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
 	})
 	return th
 }
@@ -257,22 +248,61 @@ func TestTCPAgentRejoinAfterEvictionSnapshots(t *testing.T) {
 	}
 }
 
+// TestTCPAgentEvictedCursorForcesOneResync: a remote writer whose cursor
+// the log evicted while it slept sends its agent back to a snapshot and
+// counts exactly one forced resync. The writer cannot replay gap by gap:
+// four generations are retained before one of them is published, so the
+// one wake it gets finds generations 4–6 in a three-deep log and its
+// cursor at 2.
+func TestTCPAgentEvictedCursorForcesOneResync(t *testing.T) {
+	th := newTCPHarness(t, 1, 3, nil)
+	r0 := NewReplica()
+	th.startAgent(0, r0)
+	th.waitAttached(1)
+	for i := 0; i < 2; i++ {
+		th.tick(supervise.LevelFull)
+		th.barrier()
+	}
+	if got := th.fo.RingStats().ForcedResyncs; got != 0 {
+		t.Fatalf("forced resyncs = %d while the writer kept up, want 0", got)
+	}
+	_, _, _, _, snaps := r0.Counts()
+
+	for i := 0; i < 4; i++ {
+		th.advance()
+	}
+	if err := th.fo.Distribute(supervise.LevelFull); err != nil {
+		t.Fatal(err)
+	}
+	th.barrier()
+	if err := th.fo.VerifyRemotes(); err != nil {
+		t.Fatalf("digest verification after the forced resync failed: %v", err)
+	}
+	rs := th.fo.RingStats()
+	if rs.ForcedResyncs != 1 {
+		t.Errorf("forced resyncs = %d, want 1", rs.ForcedResyncs)
+	}
+	if rs.Capacity != 3 || rs.Length != 3 || rs.Evictions != 3 {
+		t.Errorf("ring stats = %+v, want capacity 3, length 3, 3 evictions", rs)
+	}
+	if gen, _ := r0.Cursor(); gen != 6 {
+		t.Errorf("replica cursor = %d, want 6", gen)
+	}
+	if _, _, _, _, after := r0.Counts(); after != snaps+1 {
+		t.Errorf("the resync took %d snapshots, want 1", after-snaps)
+	}
+}
+
 // TestWriterIdleCheckAgainstProducerLock is the regression test of a
 // lock-order inversion: the producer calls Advance (fo.mu) while holding its
 // own lock, so a writer must not call back into the producer while holding
-// fo.mu. Replay is the producer callback a writer calls on every
-// generation; four writers call it — yielding first, to widen the window
-// an inversion needs — against a producer ticking as fast as it can. With
-// the inversion the run stops within a few hundred ticks.
+// fo.mu. Four writers replay every generation from the tier's log under
+// fo.mu against a producer ticking as fast as it can, and bootstrap
+// through Snapshot, the producer callback; with an inversion the run stops
+// within a few hundred ticks.
 func TestWriterIdleCheckAgainstProducerLock(t *testing.T) {
 	const shards, ticks = 4, 3000
-	th := newTCPHarness(t, shards, 64, func(c *Config) {
-		replay := c.Replay
-		c.Replay = func(since uint64) ([]Record, bool) {
-			runtime.Gosched()
-			return replay(since)
-		}
-	})
+	th := newTCPHarness(t, shards, 64, nil)
 	replicas := make([]*Replica, shards)
 	for i := range replicas {
 		replicas[i] = NewReplica()

@@ -46,10 +46,12 @@ type stream struct {
 
 	// Writer-owned: the replay cursor; announced is the remote-ownership
 	// epoch last announced with a Reassign frame (own-shard streams never
-	// announce).
+	// announce); frames holds the shard's views of the generations being
+	// replayed, copied out of the log and reused pass after pass.
 	cursor    uint64
 	announced uint64
 	epoch     uint64
+	frames    []DiffFrame
 
 	// Guarded by fo.mu.
 	acked          uint64
@@ -359,7 +361,7 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64, <-cha
 			st = &stream{shard: s, announced: ^uint64(0)}
 			if s == r.agent && !r.helloUsed {
 				// Resume the agent's own replica from its Hello cursor if
-				// the marks log still vouches for its chain digest there;
+				// the log still vouches for its chain digest there;
 				// anything else starts from a snapshot.
 				if m, ok := fo.markAt(s, hello.Cursor); ok && m.chain == hello.Digest {
 					st.cursor = hello.Cursor
@@ -473,29 +475,18 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	}
 
 	if st.cursor > 0 && st.cursor < head {
-		recs, ok := fo.cfg.Replay(st.cursor)
+		frames, ok := fo.replayViews(st, head)
 		if !ok {
-			// The ring evicted the cursor while we slept: forced full
+			// The log evicted the cursor while we slept: forced full
 			// resync on the next pass.
-			fo.mu.Lock()
-			st.forceSnap = true
-			fo.mu.Unlock()
 			return true, buf, nil
 		}
-		// The producer retains a generation before Distribute publishes
-		// it; one past head waits for its publication.
-		for len(recs) > 0 && recs[len(recs)-1].Generation > head {
-			recs = recs[:len(recs)-1]
-		}
-		var frame DiffFrame
-		for i := range recs {
-			fo.buildFrameInto(&frame, st.shard, &recs[i])
-			frame.Agent = int32(st.shard)
-			if buf, err = fo.write(r, buf, &frame); err != nil {
+		for i := range frames {
+			if buf, err = fo.write(r, buf, &frames[i]); err != nil {
 				return progress, buf, err
 			}
-			st.cursor = recs[i].Generation
-			if buf, err = fo.propose(r, st, recs[i].Generation, buf); err != nil {
+			st.cursor = frames[i].Generation
+			if buf, err = fo.propose(r, st, st.cursor, buf); err != nil {
 				return progress, buf, err
 			}
 		}
@@ -507,6 +498,32 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 		progress = true
 	}
 	return progress, buf, nil
+}
+
+// replayViews copies the stream's views of the generations in (cursor,
+// head] out of the log, under fo.mu because Advance refills the slots in
+// place; head is published, so every one of them is retained or evicted,
+// never in progress. When the log has evicted the cursor it returns false
+// instead, counts a forced resync and makes the next pass snapshot.
+func (fo *Fanout) replayViews(st *stream, head uint64) ([]DiffFrame, bool) {
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	if _, ok := fo.log.At(st.cursor + 1); !ok {
+		st.forceSnap = true
+		fo.forcedResyncs++
+		return nil, false
+	}
+	n := int(head - st.cursor)
+	for len(st.frames) < n {
+		st.frames = append(st.frames, DiffFrame{})
+	}
+	frames := st.frames[:n]
+	for i := range frames {
+		g, _ := fo.log.At(st.cursor + 1 + uint64(i))
+		fo.buildFrameInto(&frames[i], st.shard, &g.Record)
+		frames[i].Agent = int32(st.shard)
+	}
+	return frames, true
 }
 
 // propose runs the commit protocol for one generation in apply mode: if
@@ -572,8 +589,8 @@ func (fo *Fanout) awaitResolved(r *remote, st *stream) {
 
 // sendSnapshot ships a full shard snapshot at the producer's newest
 // generation and advances the stream cursor. Returns false (without error)
-// when that generation is not published yet, or when the marks log no
-// longer holds it — it was evicted while the snapshot was built, so the
+// when that generation is not published yet, or when the log no longer
+// holds it — it was evicted while the snapshot was built, so the
 // producer has moved on. With nothing sent the writer falls through to its
 // idle wait, which retries on the next publication.
 func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte, error) {

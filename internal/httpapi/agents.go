@@ -3,12 +3,11 @@ package httpapi
 import (
 	"net/http"
 
-	"celestial/internal/coordinator"
 	"celestial/internal/hostlink"
 )
 
 // AgentsResponse is the GET /agents response: the host fan-out tier's
-// per-shard delivery state plus the diff retention ring that feeds agent
+// per-shard delivery state plus the generation log that feeds agent
 // resyncs. Unlike the topology endpoints this is operational telemetry —
 // it changes with every tick and with remote connection churn — so it is
 // deliberately never cached.
@@ -16,10 +15,11 @@ type AgentsResponse struct {
 	// Generation is the coordinator's head generation at serve time; a
 	// shard whose applied cursor trails it is behind.
 	Generation uint64 `json:"generation"`
-	// Ring is the diff retention ring: its capacity bounds how long a
+	// Ring is the tier's generation log: its capacity bounds how long a
 	// disconnected agent can be away and still resync by replay rather
-	// than snapshot.
-	Ring coordinator.RingStats `json:"ring"`
+	// than snapshot. Its forced resyncs count the remote agents and the
+	// /diff subscribers whose cursor it no longer covered.
+	Ring hostlink.RingStats `json:"ring"`
 	// Agents is one entry per shard; the remote half is present only
 	// while a TCP agent is attached (loopback shards omit it).
 	Agents []hostlink.AgentStatus `json:"agents"`
@@ -28,11 +28,12 @@ type AgentsResponse struct {
 // handleAgents serves GET /agents, the fan-out tier's status document.
 func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 	c := s.coord.c
-	ring := c.RingStats()
+	fo := c.Fanout()
+	ring := fo.RingStats()
 	ring.ForcedResyncs += s.coord.misses.Load()
 	writeJSON(w, http.StatusOK, AgentsResponse{
 		Generation: c.Generation(),
 		Ring:       ring,
-		Agents:     c.Fanout().AgentsStatus(),
+		Agents:     fo.AgentsStatus(),
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"celestial/internal/config"
 	"celestial/internal/coordinator"
 	"celestial/internal/geom"
+	"celestial/internal/leaktest"
 	"celestial/internal/orbit"
 	"celestial/internal/supervise"
 )
@@ -101,7 +102,7 @@ func TestDiffFutureCursorResyncs(t *testing.T) {
 
 // TestDiffEmptyReplayKeepsCursor locks in the cursor race fix: a response
 // that replays no diffs must echo the client's cursor unchanged, not a
-// fresh Generation() read — an update completing between DiffsSince and
+// fresh Generation() read — an update completing between Frames and
 // the response would otherwise be skipped without a resync signal.
 func TestDiffEmptyReplayKeepsCursor(t *testing.T) {
 	s, c := testServer(t)
@@ -122,6 +123,7 @@ func TestDiffBadParameters(t *testing.T) {
 }
 
 func TestDiffLongPollWakesOnUpdate(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	gen := c.Generation()
 	tick := make(chan struct{})
@@ -222,6 +224,7 @@ func TestDiffResyncPastRing(t *testing.T) {
 // generation must immediately receive a resync event (and then resume
 // streaming), not hang event-free on the update channel.
 func TestDiffSSEFutureCursorResyncs(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -282,6 +285,7 @@ func TestDiffSSEFutureCursorResyncs(t *testing.T) {
 // at the head of a quiet topology must receive periodic comment frames so
 // proxy idle timeouts do not reap the connection.
 func TestDiffSSEKeepAlive(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	s.SetStreamTiming(20*time.Millisecond, 0)
 	srv := httptest.NewServer(s)
@@ -319,6 +323,7 @@ func TestDiffSSEKeepAlive(t *testing.T) {
 // TestDiffSSEStreams subscribes over a real HTTP connection and reads
 // diff events while the tick loop advances in a background goroutine.
 func TestDiffSSEStreams(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -413,6 +418,7 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 }
 
 func TestDiffSSEEvictsStalledSubscriber(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)

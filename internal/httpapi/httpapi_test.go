@@ -19,6 +19,16 @@ import (
 
 func testServer(t *testing.T) (*Server, *coordinator.Coordinator) {
 	t.Helper()
+	c := newCoordinator(t)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return New(c), c
+}
+
+// newCoordinator builds the test constellation's coordinator, not started.
+func newCoordinator(t *testing.T) *coordinator.Coordinator {
+	t.Helper()
 	cfg := &config.Config{
 		Duration:   time.Minute,
 		Resolution: 2 * time.Second,
@@ -41,10 +51,7 @@ func testServer(t *testing.T) (*Server, *coordinator.Coordinator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return New(c), c
+	return c
 }
 
 func get(t *testing.T, s *Server, path string, wantStatus int, into any) {

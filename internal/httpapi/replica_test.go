@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"celestial/internal/constellation"
-	"celestial/internal/difflog"
 	"celestial/internal/hostlink"
+	"celestial/internal/leaktest"
 	"celestial/internal/supervise"
 )
 
@@ -252,35 +252,29 @@ func TestAgentRouteTableAfterCoordinatorRestart(t *testing.T) {
 }
 
 // recordFeed is the smallest producer a hostlink.Fanout accepts: one
-// generation log under one lock, with the coordinator's contract — Advance
-// runs under the producer's lock, beside the append, and Distribute after
-// it, which is when remote writers hear of the generation.
+// generation under one lock, with the coordinator's contract — Advance
+// runs under the producer's lock, beside the generation's advance, and
+// Distribute after it, which is when remote writers hear of the generation.
 type recordFeed struct {
 	mu  sync.Mutex
-	log *difflog.Log[hostlink.Record]
+	gen uint64
 }
 
-func (p *recordFeed) push(t *testing.T, rec hostlink.Record, fo *hostlink.Fanout) {
+func (p *recordFeed) push(t *testing.T, d *constellation.Diff, fo *hostlink.Fanout) {
 	t.Helper()
 	p.mu.Lock()
-	*p.log.Append(rec.Generation) = rec
-	fo.Advance(rec)
+	p.gen++
+	fo.Advance(p.gen, d)
 	p.mu.Unlock()
 	if err := fo.Distribute(supervise.LevelFull); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func (p *recordFeed) replay(since uint64) ([]hostlink.Record, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.log.Since(since)
-}
-
 func (p *recordFeed) snapshot(int) (*hostlink.Snapshot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &hostlink.Snapshot{Generation: p.log.Head()}, nil
+	return &hostlink.Snapshot{Generation: p.gen}, nil
 }
 
 type discardApplier struct{}
@@ -297,17 +291,17 @@ func (discardApplier) ApplyDiff(*hostlink.DiffFrame) error    { return nil }
 // on the shard, one of each off it, and activity flips on both.
 func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) {
 	t.Helper()
-	feed := &recordFeed{log: difflog.New[hostlink.Record](8)}
+	leaktest.Check(t)
+	feed := &recordFeed{}
 	fo, err := hostlink.New(hostlink.Config{
 		Shards:   2,
 		ShardOf:  func(node int) int { return node % 2 },
 		Appliers: []hostlink.Applier{discardApplier{}, discardApplier{}},
 		Now:      time.Now,
 		After:    func(time.Duration, func()) error { return nil },
-		Replay:   feed.replay,
 		Snapshot: feed.snapshot,
-		Options:  hostlink.Options{Heartbeat: time.Second},
-	}, 8)
+		Options:  hostlink.Options{Retention: 8, Heartbeat: time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +326,8 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 	})
 
 	// The agent attaches from a snapshot of generation 1, then follows.
-	feed.push(t, hostlink.Record{Generation: 1, Diff: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}}, fo)
-	rec := constellation.DiffRecord{
+	feed.push(t, &constellation.Diff{T: 2, BaseT: math.NaN(), Full: true}, fo)
+	diff := &constellation.Diff{
 		T: 4, BaseT: 2, Degraded: 1, CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
 		Added:        []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}, {A: 0, B: 2, OldQ: -1, NewQ: 6}},
 		Removed:      []constellation.LinkDelta{{A: 2, B: 4, OldQ: 8, NewQ: -1}, {A: 4, B: 3, OldQ: 9, NewQ: -1}},
@@ -341,6 +335,7 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 		Activated:    []int32{2, 3},
 		Deactivated:  []int32{4},
 	}
+	rec := diff.Record()
 	view := rec
 	view.Added, view.Removed, view.DelayChanged = rec.Added[:1], rec.Removed[1:], rec.DelayChanged[:1]
 	view.Activated, view.Deactivated = []int32{3}, nil
@@ -352,7 +347,7 @@ func wireFedReplica(t *testing.T) (*hostlink.Replica, constellation.DiffRecord) 
 			t.Fatal("the agent never attached")
 		}
 	}
-	feed.push(t, hostlink.Record{Generation: 2, Diff: rec}, fo)
+	feed.push(t, diff, fo)
 	if !fo.WaitRemotes(5 * time.Second) {
 		t.Fatal("the agent never acked generation 2")
 	}

@@ -279,7 +279,7 @@ func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
 }
 
 // frameMirror lazily mirrors a producer's retained diffs — the
-// coordinator's diff log (E is hostlink.Record), an agent replica's frame
+// coordinator's generation log (E is hostlink.Record), an agent replica's frame
 // history (E is *hostlink.DiffFrame) — into the shared serialized frames
 // of the same generations: same window, same cursor answers, brought up to
 // date by the first call after the producer changed. One mirror serves

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"celestial/internal/httpapi/middleware"
+	"celestial/internal/leaktest"
 )
 
 // TestV1AliasesByteIdentical pins the versioned route table: every legacy
@@ -46,6 +47,7 @@ func TestV1AliasesByteIdentical(t *testing.T) {
 // checks the frame stream replays the same generations — with the same
 // decoded documents — as the JSON long-poll over the same window.
 func TestBinaryDiffStream(t *testing.T) {
+	leaktest.Check(t)
 	s, c := testServer(t)
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)

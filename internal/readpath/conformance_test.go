@@ -9,15 +9,14 @@ import (
 	"celestial/internal/httpapi"
 )
 
-// TestCursorConformance drives the five places a subscriber's cursor is
-// answered — Coordinator.DiffsSince, hostlink.Replica.Diffs,
-// readpath.Replica.Frames and the coordinator's and an agent's frame
-// sources — through one stream of generations and one cursor table, and
-// expects the same ok/length answer from all of them: before the
-// 64-generation window wraps, after it has, right after the followers
-// resynced (where the coordinator, which never resyncs, still replays
-// what they no longer can), and once its window has slid past the resync
-// point and all five coincide again.
+// TestCursorConformance drives the four places a subscriber's cursor is
+// answered — hostlink.Replica.Diffs, readpath.Replica.Frames and the
+// coordinator's and an agent's frame sources — through one stream of
+// generations and one cursor table, and expects the same ok/length answer
+// from all of them: before the 64-generation window wraps, after it has,
+// right after the followers resynced (where the coordinator, which never
+// resyncs, still replays what they no longer can), and once its window has
+// slid past the resync point and all four coincide again.
 func TestCursorConformance(t *testing.T) {
 	const retention = 64
 	c := testCoordinator(t, time.Second)
@@ -33,11 +32,10 @@ func TestCursorConformance(t *testing.T) {
 		name  string
 		since func(cursor uint64) (int, bool)
 		// follower marks the three that are fed from the stream and can be
-		// resynced; the other two read the coordinator's own log.
+		// resynced; the other one mirrors the coordinator's own log.
 		follower bool
 	}
 	subjects := []subject{
-		{"Coordinator.DiffsSince", func(cur uint64) (int, bool) { e, ok := c.DiffsSince(cur); return len(e), ok }, false},
 		{"CoordinatorSource.Frames", func(cur uint64) (int, bool) { f, ok := coordSrc.Frames(cur); return len(f), ok }, false},
 		{"hostlink.Replica.Diffs", func(cur uint64) (int, bool) { f, ok := agent.Diffs(cur); return len(f), ok }, true},
 		{"ReplicaSource.Frames", func(cur uint64) (int, bool) { f, ok := agentSrc.Frames(cur); return len(f), ok }, true},
@@ -49,8 +47,8 @@ func TestCursorConformance(t *testing.T) {
 	var fed, base uint64
 	follow := func() {
 		t.Helper()
-		entries, ok := c.DiffsSince(fed)
-		if !ok {
+		entries, from, _ := c.DiffsFrom(fed, 0)
+		if from != fed {
 			t.Fatalf("the test fell off the coordinator's window at %d", fed)
 		}
 		for i := range entries {
@@ -82,7 +80,7 @@ func TestCursorConformance(t *testing.T) {
 
 	// check asks every subject the cursor table around its expected
 	// window (oldest-1 is the last replayable cursor) and compares with
-	// the one rule; allAgree additionally demands five equal windows.
+	// the one rule; allAgree additionally demands four equal windows.
 	check := func(stage string, allAgree bool) {
 		t.Helper()
 		head := c.Generation()

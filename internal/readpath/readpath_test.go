@@ -19,6 +19,7 @@ import (
 	"celestial/internal/geom"
 	"celestial/internal/httpapi"
 	"celestial/internal/httpapi/middleware"
+	"celestial/internal/leaktest"
 	"celestial/internal/orbit"
 )
 
@@ -119,6 +120,7 @@ var differentialEndpoints = []string{
 // be byte-for-byte identical to the coordinator server's — including
 // after update ticks have invalidated the replica's document caches.
 func TestReplicaByteIdenticalDifferential(t *testing.T) {
+	leaktest.Check(t)
 	c := testCoordinator(t, 2*time.Second)
 	api := httpapi.New(c)
 	up := httptest.NewServer(api)
@@ -163,6 +165,7 @@ func TestReplicaByteIdenticalDifferential(t *testing.T) {
 // resync to the upstream head (not replay a hole), and following must
 // continue normally — with the differential still holding — afterwards.
 func TestReplicaResyncPastUpstreamRing(t *testing.T) {
+	leaktest.Check(t)
 	c := testCoordinator(t, 500*time.Millisecond)
 	if err := c.Run(40 * time.Second); err != nil { // 80 updates > 64 retained
 		t.Fatal(err)
@@ -203,6 +206,7 @@ func TestReplicaResyncPastUpstreamRing(t *testing.T) {
 // resync, flush its document caches (monotonic cache versions would pin
 // pre-restart documents otherwise) and serve the new upstream's bytes.
 func TestReplicaUpstreamRestartMidStream(t *testing.T) {
+	leaktest.Check(t)
 	cA := testCoordinator(t, 2*time.Second)
 	if err := cA.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -281,6 +285,7 @@ func TestReplicaUpstreamRestartMidStream(t *testing.T) {
 // middleware: the replica must present its bearer token on both the diff
 // stream and document fetches.
 func TestReplicaGuardedUpstream(t *testing.T) {
+	leaktest.Check(t)
 	c := testCoordinator(t, 2*time.Second)
 	api := httpapi.New(c)
 	up := httptest.NewServer(middleware.Chain(api, middleware.TokenAuth("sesame")))
@@ -397,6 +402,7 @@ func TestReplicaFrameRingSemantics(t *testing.T) {
 // the subscriber must get a resync event and then resume on live frames —
 // the same contract the coordinator's stream gives the replica itself.
 func TestReplicaDiffResyncPastOwnRetention(t *testing.T) {
+	leaktest.Check(t)
 	r := offlineReplica(t, 4)
 	var gen uint64
 	for gen = 1; gen <= 10; gen++ {
@@ -484,6 +490,7 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 // stream evicts a subscriber that stops draining, exactly like the
 // coordinator's.
 func TestReplicaEvictsStalledSubscriber(t *testing.T) {
+	leaktest.Check(t)
 	r := offlineReplica(t, 64)
 	for gen := uint64(1); gen <= 10; gen++ {
 		rec := syntheticRecord(gen)
@@ -511,6 +518,7 @@ func TestReplicaEvictsStalledSubscriber(t *testing.T) {
 // second-tier replica following a first-tier replica's /diff re-fan-out
 // converges to the coordinator's cursor (replicas can follow replicas).
 func TestReplicaChainsOwnSubscribers(t *testing.T) {
+	leaktest.Check(t)
 	c := testCoordinator(t, 2*time.Second)
 	api := httpapi.New(c)
 	up := httptest.NewServer(api)

@@ -120,11 +120,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	// (the [hosts] table). The fan-out seed lives in its own index range
 	// (1<<25) so frame faults never alias another random process.
 	if h := sc.Hosts; h.Enabled() {
-		if h.DiffRing > 0 {
-			if err := coord.SetDiffRetention(h.DiffRing); err != nil {
-				return nil, err
-			}
-		}
 		opts := h.FanoutOptions
 		opts.Retry = sc.Supervision.Retry
 		opts.Seed = rng.Derive(sc.Seed, 1<<25)

@@ -272,14 +272,14 @@ func TestRunSurfacesPropagationError(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want no report and sgp4.ErrDecayed", rep, err)
 	}
 	// Ticks 0..failAt-1 succeeded; the failing one was never published.
-	if got := r.Coordinator().Updates(); got != failAt {
+	if got := int(r.Coordinator().Generation()); got != failAt {
 		t.Errorf("%d updates completed, want %d", got, failAt)
 	}
 	// The loop has stopped for good, and the coordinator keeps saying why.
 	if err := r.Coordinator().Run(5 * time.Second); !errors.Is(err, sgp4.ErrDecayed) {
 		t.Errorf("Coordinator.Run after the failure = %v, want the same error", err)
 	}
-	if got := r.Coordinator().Updates(); got != failAt {
+	if got := int(r.Coordinator().Generation()); got != failAt {
 		t.Errorf("update loop ran on after its error: %d updates, want %d", got, failAt)
 	}
 }

@@ -131,14 +131,12 @@ type Event struct {
 // frame faults are deterministic scenario events — a scenario with frame
 // faults is still byte-identical across runs.
 type Hosts struct {
-	// DiffRing overrides the coordinator's diff retention ring capacity
-	// (how far behind an agent may fall and still catch up by replay).
-	DiffRing int
 	// FanoutOptions is the tier's own configuration, passed to the
-	// coordinator as it is. The file sets Agents, Ladder, the frame
-	// fault rates, Delay and DeadAfter; NewRunner fills Retry (from
-	// [supervision]) and Seed (from the scenario seed); the wall-clock
-	// and deployment options have no key.
+	// coordinator as it is. The file sets Agents, Retention (diff_ring:
+	// how far behind an agent may fall and still catch up by replay),
+	// Ladder, the frame fault rates, Delay and DeadAfter; NewRunner fills
+	// Retry (from [supervision]) and Seed (from the scenario seed); the
+	// wall-clock and deployment options have no key.
 	coordinator.FanoutOptions
 }
 
@@ -292,10 +290,10 @@ func supervisionFromTable(t *toml.Table) Supervision {
 // hostsFromTable decodes the [hosts] table.
 func hostsFromTable(t *toml.Table) Hosts {
 	return Hosts{
-		DiffRing: t.Int("diff_ring"),
 		FanoutOptions: coordinator.FanoutOptions{
 			Agents: t.Int("agents"),
 			Options: hostlink.Options{
+				Retention: t.Int("diff_ring"),
 				Ladder: supervise.FollowerConfig{
 					CoalesceLag:     t.Int("lag_coalesce"),
 					ActivityOnlyLag: t.Int("lag_activity_only"),
@@ -484,8 +482,8 @@ func (sc *Scenario) finalize() error {
 		return fmt.Errorf("scenario: supervision: %w", err)
 	}
 
-	if h := sc.Hosts; h.Agents < 0 || h.DiffRing < 0 {
-		return fmt.Errorf("scenario: hosts: negative agents %d or diff_ring %d", h.Agents, h.DiffRing)
+	if h := sc.Hosts; h.Agents < 0 || h.Retention < 0 {
+		return fmt.Errorf("scenario: hosts: negative agents %d or diff_ring %d", h.Agents, h.Retention)
 	} else if err := h.Options.Validate(); err != nil {
 		return fmt.Errorf("scenario: hosts: %w", err)
 	}

@@ -106,18 +106,19 @@ type Config struct {
 	// Interval is the tick interval the pipeline must fit into (the
 	// testbed's update resolution). Required.
 	Interval time.Duration
-	// BudgetFraction is the share of Interval the pipeline may use
-	// before the watchdog degrades; the headroom absorbs scheduling
-	// noise and leaves room for the emulated workload. Zero adopts the
-	// default 0.8.
-	BudgetFraction float64
-	// Alpha is the EWMA weight of the newest tick in the per-stage cost
-	// estimates. Zero adopts the default 0.3.
-	Alpha float64
 	// RecoverAfter is how many consecutive under-budget ticks step the
 	// ladder back down one level. Zero adopts the default 3.
 	RecoverAfter int
 }
+
+// budgetFraction is the share of Config.Interval the pipeline may use
+// before the watchdog degrades; the headroom absorbs scheduling noise and
+// leaves room for the emulated workload. alpha is the EWMA weight of the
+// newest tick in the per-stage cost estimates.
+const (
+	budgetFraction = 0.8
+	alpha          = 0.3
+)
 
 // Stats counts watchdog decisions over a run.
 type Stats struct {
@@ -197,18 +198,12 @@ func New(cfg Config) *Watchdog {
 	if cfg.Interval <= 0 {
 		panic(fmt.Sprintf("supervise: non-positive interval %v", cfg.Interval))
 	}
-	if cfg.BudgetFraction <= 0 || cfg.BudgetFraction > 1 {
-		cfg.BudgetFraction = 0.8
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
 	if cfg.RecoverAfter <= 0 {
 		cfg.RecoverAfter = 3
 	}
 	return &Watchdog{
 		cfg:    cfg,
-		budget: time.Duration(float64(cfg.Interval) * cfg.BudgetFraction),
+		budget: time.Duration(float64(cfg.Interval) * budgetFraction),
 		ladder: ladder{
 			rungs: []Level{LevelFull, LevelDeferRepair, LevelCoalesce, LevelActivityOnly},
 			after: cfg.RecoverAfter,
@@ -216,7 +211,7 @@ func New(cfg Config) *Watchdog {
 	}
 }
 
-// Budget returns the per-tick time budget (Interval × BudgetFraction).
+// Budget returns the per-tick time budget (Interval × budgetFraction).
 func (w *Watchdog) Budget() time.Duration { return w.budget }
 
 // Level returns the current degradation level.
@@ -309,7 +304,7 @@ func (w *Watchdog) EndTick() Outcome {
 		// into the EWMA would forget the stage's true cost and bounce
 		// the ladder. Only observed work updates estimates.
 		if w.measured[s] > 0 {
-			w.est[s] = (1-w.cfg.Alpha)*w.est[s] + w.cfg.Alpha*float64(w.measured[s])
+			w.est[s] = (1-alpha)*w.est[s] + alpha*float64(w.measured[s])
 		}
 	}
 	out := Outcome{Level: w.level(), Total: total, Overrun: total > w.cfg.Interval}
