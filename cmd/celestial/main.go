@@ -54,8 +54,8 @@
 // -checkpoint persists a crash-safe snapshot of the run state at tick
 // boundaries (atomic write: temp file, fsync, rename). After a crash — or
 // a scripted one via -crash-after-ticks — rerunning with -resume replays
-// the run deterministically from the epoch, verifies the replayed state
-// against the checkpoint field for field, and continues to the horizon;
+// the run deterministically from the epoch, verifies the replayed report so
+// far and flow state against the checkpoint, and continues to the horizon;
 // the resumed report is byte-identical to an uninterrupted run's.
 package main
 

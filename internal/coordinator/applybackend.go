@@ -9,14 +9,13 @@ import (
 // hostBackend is the coordinator's loopback applyengine.Backend: it
 // translates the engine's operations into the legacy distribute actions
 // — path invalidation, machine-activity sweeps, link-reprogram notes —
-// scoped to one shard's hosts and machines. cmd/celestial-agent builds
-// the same engine over applyengine.ReplicaBackend; both run the policy
-// flags through identical control flow, which is what makes the commit
-// protocol's result digests comparable across deployments.
+// scoped to one shard's hosts. cmd/celestial-agent builds the same engine
+// over applyengine.ReplicaBackend; both run the policy flags through
+// identical control flow, which is what makes the commit protocol's result
+// digests comparable across deployments.
 type hostBackend struct {
-	c      *Coordinator
-	shard  int
-	member func(id int) bool
+	c     *Coordinator
+	shard int
 }
 
 // InvalidatePaths implements applyengine.Backend: stale shaper
@@ -29,7 +28,9 @@ func (b *hostBackend) InvalidatePaths() {
 }
 
 // SweepActivity implements applyengine.Backend: reconcile every machine
-// on the shard's hosts with the coordinator's current activity set.
+// on the shard's hosts with the coordinator's current activity set. A shard
+// owns its hosts whole (see buildFanout), so every machine on them is the
+// shard's.
 func (b *hostBackend) SweepActivity() error {
 	c := b.c
 	st := c.State()
@@ -38,7 +39,7 @@ func (b *hostBackend) SweepActivity() error {
 	}
 	var errs []error
 	for _, h := range c.shardHosts[b.shard] {
-		if err := h.ApplyActivityScoped(b.member, func(id int) bool { return st.Active[id] }); err != nil {
+		if err := h.ApplyActivity(func(id int) bool { return st.Active[id] }); err != nil {
 			errs = append(errs, err)
 		}
 	}

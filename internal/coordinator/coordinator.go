@@ -19,7 +19,6 @@ import (
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
 	"celestial/internal/machine"
-	"celestial/internal/retry"
 	"celestial/internal/supervise"
 	"celestial/internal/vnet"
 )
@@ -320,7 +319,7 @@ func (c *Coordinator) offset(t time.Time) float64 { return t.Sub(c.cfg.Epoch).Se
 // the degradation ladder — defer path-cache repair, coalesce the diff into
 // the next tick, fall back to activity-only updates — instead of silently
 // drifting behind real time. Degradations ride on each tick's diff
-// (Diff.Degraded) and are counted in Robustness. Watchdog decisions depend
+// (Diff.Degraded) and are counted in its Stats. Watchdog decisions depend
 // on wall-clock stage timings, so supervised runs trade byte-exact
 // reproducibility for bounded tick latency; leave the watchdog off for
 // differential testing. Must not be called concurrently with the update
@@ -344,42 +343,6 @@ func (c *Coordinator) SetWatchdog(cfg supervise.Config) {
 
 // Watchdog returns the installed tick watchdog, nil when unsupervised.
 func (c *Coordinator) Watchdog() *supervise.Watchdog { return c.wd }
-
-// Robustness summarizes the failure handling of a run: watchdog decisions,
-// frame applications that failed even after retries, and the retry
-// middleware counters aggregated over every host, the virtual network's
-// shaper programming, and the fan-out tier's wire sends.
-type Robustness struct {
-	// Watchdog is zero when no watchdog is installed.
-	Watchdog supervise.Stats
-	// ApplyErrors counts shard frames whose application (activity sweep,
-	// path invalidation) reported at least one machine error after
-	// retries; LastApplyErr is the most recent one.
-	ApplyErrors  int
-	LastApplyErr error
-	// HostRetries aggregates machine lifecycle retry counters across all
-	// hosts; ShaperRetries counts the virtual network's shaper
-	// programming retries; WireRetries the fan-out tier's frame sends.
-	HostRetries   retry.Stats
-	ShaperRetries retry.Stats
-	WireRetries   retry.Stats
-}
-
-// Robustness returns the run's failure-handling counters so far.
-func (c *Coordinator) Robustness() Robustness {
-	r := Robustness{}
-	if c.wd != nil {
-		r.Watchdog = c.wd.Stats()
-	}
-	fo := c.Fanout()
-	r.ApplyErrors, r.LastApplyErr = fo.ApplyErrors()
-	for _, h := range c.hosts {
-		r.HostRetries.Add(h.LifecycleOps().Stats())
-	}
-	r.ShaperRetries = c.net.ShaperOps().Stats()
-	r.WireRetries = fo.RetryStats()
-	return r
-}
 
 // update runs one constellation calculation cycle and distributes the
 // difference to the hosts, like the paper's coordinator ships link deltas
@@ -477,8 +440,8 @@ func (c *Coordinator) update() error {
 // every host shard through the fan-out tier, which honors the per-shard
 // degradation ladders, the global watchdog level, and any distribution
 // debt coalesced ticks left behind. Frame-apply failures are recorded in
-// the shard counters (see Robustness), not fatal — one stuck machine must
-// not abort the emulation.
+// the shard counters (see Fanout.ApplyErrors), not fatal — one stuck
+// machine must not abort the emulation.
 func (c *Coordinator) distribute(level supervise.Level) {
 	applyStart := time.Time{}
 	if c.wd != nil {

@@ -603,12 +603,12 @@ func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Robustness()
-	if r.Watchdog.Ticks == 0 || r.Watchdog.DegradedTicks != r.Watchdog.Ticks {
-		t.Fatalf("watchdog stats = %+v", r.Watchdog)
+	ws := c.Watchdog().Stats()
+	if ws.Ticks == 0 || ws.DegradedTicks != ws.Ticks {
+		t.Fatalf("watchdog stats = %+v", ws)
 	}
-	if r.Watchdog.Coalesced == 0 || r.Watchdog.ActivityOnly == 0 {
-		t.Fatalf("ladder did not walk through coalesce and activity-only: %+v", r.Watchdog)
+	if ws.Coalesced == 0 || ws.ActivityOnly == 0 {
+		t.Fatalf("ladder did not walk through coalesce and activity-only: %+v", ws)
 	}
 	if lvl := c.Watchdog().Level(); lvl != supervise.LevelActivityOnly {
 		t.Fatalf("final level = %v", lvl)
@@ -656,9 +656,9 @@ func TestWatchdogRecoversWhenBudgetAmple(t *testing.T) {
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Robustness()
-	if r.Watchdog.Ticks == 0 || r.Watchdog.DegradedTicks != 0 || r.Watchdog.Escalations != 0 {
-		t.Fatalf("watchdog stats = %+v", r.Watchdog)
+	ws := c.Watchdog().Stats()
+	if ws.Ticks == 0 || ws.DegradedTicks != 0 || ws.Escalations != 0 {
+		t.Fatalf("watchdog stats = %+v", ws)
 	}
 	if st := c.LastDiff(); st.Degraded != 0 {
 		t.Fatalf("last diff degraded = %d", st.Degraded)
@@ -682,12 +682,15 @@ func TestApplyErrorsDoNotAbortRun(t *testing.T) {
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Robustness()
-	if r.ApplyErrors == 0 || r.LastApplyErr == nil {
-		t.Fatalf("robustness = %+v", r)
+	if n, last := c.Fanout().ApplyErrors(); n == 0 || last == nil {
+		t.Fatalf("apply errors = %d, last %v", n, last)
 	}
-	if r.HostRetries.GaveUp == 0 || r.HostRetries.Ops == 0 {
-		t.Fatalf("host retry stats = %+v", r.HostRetries)
+	var hs retry.Stats
+	for _, h := range c.Hosts() {
+		hs.Add(h.LifecycleOps().Stats())
+	}
+	if hs.GaveUp == 0 || hs.Ops == 0 {
+		t.Fatalf("host retry stats = %+v", hs)
 	}
 	if c.Generation() < 5 {
 		t.Fatalf("run stalled at %d updates", c.Generation())

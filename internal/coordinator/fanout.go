@@ -87,16 +87,11 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 	appliers := make([]hostlink.Applier, shards)
 	machines := make([]int, shards)
 	for s := 0; s < shards; s++ {
-		shard := s
 		appliers[s] = applyengine.New(applyengine.Config{
-			Shard: s,
-			Backend: &hostBackend{
-				c:      c,
-				shard:  s,
-				member: func(id int) bool { return c.shardOf[id] == shard },
-			},
-			Retry: o.Retry,
-			Seed:  o.Seed,
+			Shard:   s,
+			Backend: &hostBackend{c: c, shard: s},
+			Retry:   o.Retry,
+			Seed:    o.Seed,
 		})
 		machines[s] = len(shardNodes[s])
 	}

@@ -250,15 +250,6 @@ func (h *Host) SetLoad(id int, fraction float64) error {
 // middleware (see LifecycleOps); errors that survive it are aggregated
 // with errors.Join, each naming its machine.
 func (h *Host) ApplyActivity(active func(id int) bool) error {
-	return h.ApplyActivityScoped(nil, active)
-}
-
-// ApplyActivityScoped is ApplyActivity restricted to the machines member
-// admits: machines outside the scope are not visited at all, so their
-// activity state (and any pending transition errors) are untouched. A nil
-// member means every machine, which is exactly ApplyActivity. The fan-out
-// tier uses it to sweep one host shard while other shards coalesce.
-func (h *Host) ApplyActivityScoped(member func(id int) bool, active func(id int) bool) error {
 	now := h.sched.Now()
 	h.mu.Lock()
 	h.lastUpdate = now
@@ -267,9 +258,6 @@ func (h *Host) ApplyActivityScoped(member func(id int) bool, active func(id int)
 
 	var errs []error
 	for _, m := range machines {
-		if member != nil && !member(m.ID()) {
-			continue
-		}
 		want := active(m.ID())
 		var err error
 		switch m.State() {

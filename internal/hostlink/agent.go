@@ -32,16 +32,11 @@ type Replica struct {
 	frames    int
 	snapshots int
 
-	// history retains recently applied diff frames for the agent's local
-	// /v1 read path; its head is the replica's generation. A snapshot is
-	// a resync point and resets it.
+	// history retains the last DefaultRetention applied diff frames for
+	// the agent's local /v1 read path; its head is the replica's
+	// generation. A snapshot is a resync point and resets it.
 	history *difflog.Log[*DiffFrame]
 }
-
-// ReplicaRetention bounds the replica's retained diff frames — a small
-// replay window for local /diff followers, independent of the
-// coordinator's retention.
-const ReplicaRetention = 64
 
 // NewReplica returns an empty replica at generation 0.
 func NewReplica() *Replica {
@@ -49,7 +44,7 @@ func NewReplica() *Replica {
 		active:  make(map[int32]bool),
 		links:   make(map[[2]int32]int32),
 		digest:  ChainSeed,
-		history: difflog.New[*DiffFrame](ReplicaRetention),
+		history: difflog.New[*DiffFrame](DefaultRetention),
 	}
 }
 

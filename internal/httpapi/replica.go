@@ -27,7 +27,7 @@ func NewReplicaSource(shard int, rep *hostlink.Replica) *ReplicaSource {
 	return &ReplicaSource{rep: rep, shard: shard, frames: &frameMirror[*hostlink.DiffFrame]{
 		updated: rep.UpdateChan, pull: rep.DiffsFrom,
 		frame: func(f *hostlink.DiffFrame) *Frame { return BuildFrame(f.Generation, &f.DiffRecord) },
-		log:   difflog.New[*Frame](hostlink.ReplicaRetention),
+		log:   difflog.New[*Frame](hostlink.DefaultRetention),
 	}}
 }
 

@@ -42,6 +42,7 @@ import (
 
 	"celestial/internal/constellation"
 	"celestial/internal/difflog"
+	"celestial/internal/hostlink"
 	"celestial/internal/httpapi"
 	"celestial/internal/wire"
 )
@@ -64,8 +65,8 @@ type Options struct {
 	// for upstreams behind the token-auth middleware. Empty sends none.
 	UpstreamAuth string
 	// Retention is how many generations of frames the replica retains for
-	// its own /diff subscribers; 0 uses the coordinator's default ring
-	// capacity (64).
+	// its own /diff subscribers; 0 uses hostlink.DefaultRetention, the
+	// coordinator's default.
 	Retention int
 	// ReconnectWait is the pause between follow attempts after the
 	// stream drops; 0 uses one second.
@@ -120,7 +121,7 @@ func New(opts Options) (*Replica, error) {
 		return nil, fmt.Errorf("readpath: bad upstream URL %q", opts.Upstream)
 	}
 	if opts.Retention <= 0 {
-		opts.Retention = 64
+		opts.Retention = hostlink.DefaultRetention
 	}
 	r := &Replica{
 		upstream:      strings.TrimSuffix(opts.Upstream, "/"),

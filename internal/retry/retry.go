@@ -18,8 +18,10 @@
 package retry
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -173,20 +175,51 @@ func Do(p Policy, rnd func() float64, op func() error) Result {
 
 // Stats accumulates Do results across many operations, e.g. every machine
 // lifecycle op a host performed during a run. The counters feed the run
-// report's robustness section.
+// report's robustness section, which encodes them as they are declared
+// here (see MarshalJSON).
 type Stats struct {
 	// Ops counts Do calls; Attempts the total operation executions.
-	Ops      int64
-	Attempts int64
+	Ops      int64 `json:"ops"`
+	Attempts int64 `json:"attempts"`
 	// Retried counts ops that needed more than one attempt; Recovered
 	// those that then succeeded; GaveUp those that exhausted attempts or
 	// budget; Fatal those that stopped on a non-transient error.
-	Retried   int64
-	Recovered int64
-	GaveUp    int64
-	Fatal     int64
-	// Backoff is the total virtual backoff charged.
-	Backoff time.Duration
+	Retried   int64 `json:"retried"`
+	Recovered int64 `json:"recovered"`
+	GaveUp    int64 `json:"gave_up"`
+	Fatal     int64 `json:"fatal"`
+	// Backoff is the total virtual backoff charged, encoded in
+	// milliseconds as backoff_ms.
+	Backoff time.Duration `json:"-"`
+}
+
+// counters is Stats without its methods, so the JSON methods can encode
+// the tagged fields without recursing.
+type counters Stats
+
+// MarshalJSON encodes the counters followed by backoff_ms, the backoff in
+// (fractional) milliseconds.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		counters
+		BackoffMs float64 `json:"backoff_ms"`
+	}{counters(s), float64(s.Backoff) / float64(time.Millisecond)})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes. The backoff rounds to the
+// nearest nanosecond, which restores every backoff below 2^51 ns (26 days)
+// exactly, so a decoded report re-encodes to the same bytes.
+func (s *Stats) UnmarshalJSON(b []byte) error {
+	var v struct {
+		counters
+		BackoffMs float64 `json:"backoff_ms"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*s = Stats(v.counters)
+	s.Backoff = time.Duration(math.Round(v.BackoffMs * float64(time.Millisecond)))
+	return nil
 }
 
 // Record folds one result into the stats.

@@ -109,11 +109,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if cp.Tick != 6 {
 		t.Errorf("final checkpoint at tick %d, want 6", cp.Tick)
 	}
-	if cp.Version != CheckpointVersion || cp.Scenario != "unit-run" || cp.Seed != 7 {
+	if cp.Version != CheckpointVersion || cp.Report.Scenario != "unit-run" || cp.Report.Seed != 7 {
 		t.Errorf("checkpoint identity = %+v", cp)
 	}
-	if len(cp.Flows) != 2 || cp.Flows[0].Name != "ping" || cp.Flows[0].Sent == 0 {
-		t.Errorf("flow state not captured: %+v", cp.Flows)
+	if len(cp.Flows) != 2 || cp.Flows[0].Name != "ping" || cp.Report.Flows[0].Sent == 0 {
+		t.Errorf("flow state not captured: %+v %+v", cp.Flows, cp.Report.Flows)
 	}
 	if cp.Flows[1].RNGState == 0 {
 		t.Error("poisson flow RNG state not captured")
@@ -175,7 +175,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 // does not match the deterministic replay — here a hand-edited RNG word,
 // standing in for a changed scenario file or binary — must abort the
 // resume instead of continuing a franken-run. The digest is recomputed so
-// only the field-for-field replay comparison can catch it.
+// only the replay comparison can catch it.
 func TestResumeRejectsDivergedState(t *testing.T) {
 	doc := workloadTOML + testbedTOML
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -191,6 +191,76 @@ func TestResumeRejectsDivergedState(t *testing.T) {
 	if _, err := runnerFor(t, doc).RunWith(RunOptions{Resume: cp}); err == nil ||
 		!strings.Contains(err.Error(), "diverged") {
 		t.Errorf("diverged checkpoint accepted: %v", err)
+	}
+}
+
+// TestResumeRejectsUnreachedTick guards the verification itself: a
+// checkpoint whose tick the run never reaches — before the first boundary
+// or past the last — would otherwise resume without being checked. Load
+// refuses a tick below 1, and a resume that ends without having verified
+// fails instead of returning a report.
+func TestResumeRejectsUnreachedTick(t *testing.T) {
+	doc := workloadTOML + testbedTOML
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := runnerFor(t, doc).RunWith(RunOptions{CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tick := range []int{10_000, 0} {
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Tick = tick
+		cp.Digest = cp.computeDigest()
+		if rep, err := runnerFor(t, doc).RunWith(RunOptions{Resume: cp}); err == nil {
+			t.Errorf("tick %d: resume returned a report without verifying: %+v", tick, rep.Ticks)
+		}
+		edited := filepath.Join(t.TempDir(), "edited.ckpt")
+		if err := cp.WriteFile(edited); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(edited); (err != nil) != (tick < 1) {
+			t.Errorf("tick %d: load returned %v", tick, err)
+		}
+	}
+}
+
+// TestResumeRejectsChangedDupRate: the checkpoint pins the whole report so
+// far, including counters no hand-picked field list held. Duplicated
+// frames are discarded by cursor, so a resume under a changed
+// frame_dup_rate rebuilds the same applied cursors, digests, frames and
+// resyncs — only the shards' duplicated counters tell the runs apart, and
+// verification must refuse it.
+func TestResumeRejectsChangedDupRate(t *testing.T) {
+	const hosts = `
+[hosts]
+agents = 2
+frame_drop_rate = 0.0
+frame_dup_rate = 0.0
+frame_delay_rate = 0.0
+`
+	doc := workloadTOML + hosts + testbedTOML
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	_, err := runnerFor(t, doc).RunWith(RunOptions{
+		CheckpointPath: path,
+		TickHook: func(tick int) error {
+			if tick == 4 {
+				return errKilled
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("run returned %v, want errKilled", err)
+	}
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := workloadTOML + strings.Replace(hosts, "frame_dup_rate = 0.0", "frame_dup_rate = 0.5", 1) + testbedTOML
+	if _, err := runnerFor(t, dup).RunWith(RunOptions{Resume: cp}); err == nil ||
+		!strings.Contains(err.Error(), `"duplicated"`) {
+		t.Errorf("resume under a changed frame_dup_rate: %v", err)
 	}
 }
 
@@ -212,7 +282,7 @@ func TestInjectedFaultsRecoveredAndReported(t *testing.T) {
 	if rb.ShaperRetries.Ops == 0 || rb.ShaperRetries.Retried == 0 {
 		t.Errorf("shaper retries not exercised: %+v", rb.ShaperRetries)
 	}
-	if rb.HostRetries.BackoffMs <= 0 {
+	if rb.HostRetries.Backoff <= 0 {
 		t.Errorf("no virtual backoff charged: %+v", rb.HostRetries)
 	}
 	// The run must complete its full tick schedule despite the faults.
@@ -237,7 +307,8 @@ func TestInjectedFaultsRecoveredAndReported(t *testing.T) {
 // FuzzLoadCheckpoint feeds LoadCheckpoint arbitrary file contents, seeded
 // with a checkpoint a short fault-soak run wrote and truncations of it. It
 // must not panic, and a checkpoint it accepts has the current version, a
-// digest that recomputes, and can be matched against a scenario.
+// digest that recomputes, a tick of at least 1, and can be matched against
+// a scenario.
 func FuzzLoadCheckpoint(f *testing.F) {
 	data, err := os.ReadFile("../../examples/scenarios/fault-soak.toml")
 	if err != nil {
@@ -282,6 +353,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		if got := cp.computeDigest(); got != cp.Digest {
 			t.Fatalf("accepted digest %#x, recomputed %#x", cp.Digest, got)
+		}
+		if cp.Tick < 1 {
+			t.Fatalf("accepted tick %d", cp.Tick)
 		}
 		_ = cp.Matches(sc)
 	})

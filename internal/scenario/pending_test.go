@@ -220,13 +220,17 @@ func TestCheckpointPendingRPCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := cp.Flows[0]
-	want := FlowCheckpoint{Sent: 1211, Delivered: 728, Timeouts: 467, NextID: 1211, Pending: 16, PendingDigest: 0x62f16fa4f89f4dd2}
-	if fc.Sent != want.Sent || fc.Delivered != want.Delivered || fc.Timeouts != want.Timeouts ||
-		fc.NextID != want.NextID || fc.Pending != want.Pending || fc.PendingDigest != want.PendingDigest {
+	fr, fc := cp.Report.Flows[0], cp.Flows[0]
+	wantReport := FlowReport{Sent: 1211, Delivered: 728, Timeouts: 467, InFlight: 16}
+	if fr.Sent != wantReport.Sent || fr.Delivered != wantReport.Delivered || fr.Timeouts != wantReport.Timeouts ||
+		fr.InFlight != wantReport.InFlight {
+		t.Errorf("checkpoint flow report %+v, want %+v", fr, wantReport)
+	}
+	want := FlowCheckpoint{NextID: 1211, PendingDigest: 0x62f16fa4f89f4dd2}
+	if fc.NextID != want.NextID || fc.PendingDigest != want.PendingDigest {
 		t.Errorf("checkpoint flow state %+v, want %+v", fc, want)
 	}
-	if fc.Pending == 0 {
+	if fr.InFlight == 0 {
 		t.Error("no request in flight at the checkpoint: the digest pins nothing")
 	}
 }

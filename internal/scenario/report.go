@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	"celestial/internal/retry"
 	"celestial/internal/stats"
+	"celestial/internal/supervise"
 )
 
 // Report is the machine-readable outcome of one scenario run. It is a pure
@@ -104,41 +106,20 @@ type TickReport struct {
 }
 
 // RobustnessReport summarizes the run's failure handling: retry middleware
-// counters for host machine lifecycle operations and shaper programming,
-// activity sweeps that still failed after retries, and the tick watchdog's
-// decisions. With fault injection configured but the watchdog off, every
-// field is a pure function of the scenario seed and stays inside the
-// determinism gate.
+// counters for host machine lifecycle operations (summed over every host)
+// and shaper programming, activity sweeps that still failed after retries,
+// and the tick watchdog's decisions. The counters are the middleware's own
+// retry.Stats and supervise.Stats, encoded where they are declared. With
+// fault injection configured but the watchdog off, every field is a pure
+// function of the scenario seed and stays inside the determinism gate. The
+// watchdog section is all zero when the watchdog is off and driven by wall
+// clock when it is on, so a supervised run can be neither gated nor resumed.
 type RobustnessReport struct {
-	HostRetries   RetryReport    `json:"host_retries"`
-	ShaperRetries RetryReport    `json:"shaper_retries"`
-	ApplyErrors   int            `json:"apply_errors"`
-	LastApplyErr  string         `json:"last_apply_error,omitempty"`
-	Watchdog      WatchdogReport `json:"watchdog"`
-}
-
-// RetryReport mirrors retry.Stats on the wire.
-type RetryReport struct {
-	Ops       int64   `json:"ops"`
-	Attempts  int64   `json:"attempts"`
-	Retried   int64   `json:"retried"`
-	Recovered int64   `json:"recovered"`
-	GaveUp    int64   `json:"gave_up"`
-	Fatal     int64   `json:"fatal"`
-	BackoffMs float64 `json:"backoff_ms"`
-}
-
-// WatchdogReport mirrors supervise.Stats on the wire. All zero when the
-// watchdog is off; nondeterministic (wall-clock-driven) when it is on.
-type WatchdogReport struct {
-	Ticks          int `json:"ticks"`
-	DegradedTicks  int `json:"degraded_ticks"`
-	DeferredRepair int `json:"deferred_repair"`
-	Coalesced      int `json:"coalesced"`
-	ActivityOnly   int `json:"activity_only"`
-	Escalations    int `json:"escalations"`
-	Recoveries     int `json:"recoveries"`
-	Overruns       int `json:"overruns"`
+	HostRetries   retry.Stats     `json:"host_retries"`
+	ShaperRetries retry.Stats     `json:"shaper_retries"`
+	ApplyErrors   int             `json:"apply_errors"`
+	LastApplyErr  string          `json:"last_apply_error,omitempty"`
+	Watchdog      supervise.Stats `json:"watchdog"`
 }
 
 // FanoutReport summarizes the host fan-out tier: the diff retention ring
@@ -151,14 +132,16 @@ type FanoutReport struct {
 	Agents        int           `json:"agents"`
 	RingCapacity  int           `json:"ring_capacity"`
 	RingEvictions uint64        `json:"ring_evictions"`
-	WireRetries   RetryReport   `json:"wire_retries"`
+	WireRetries   retry.Stats   `json:"wire_retries"`
 	Shards        []ShardReport `json:"shards"`
 }
 
-// ShardReport mirrors hostlink.ShardStats on the wire. Digest is the
-// shard's chain digest at its newest generation, rendered as 16 hex
-// digits — the value a fully caught-up replica must ack, and the anchor
-// the multi-host differential tests compare against remote replicas.
+// ShardReport is hostlink.ShardStats on the wire. It is a type of its own
+// because Digest, the shard's chain digest at its newest generation, is
+// rendered as 16 hex digits — the value a fully caught-up replica must ack,
+// the anchor the multi-host differential tests compare against remote
+// replicas, and the string the benchmark's goldens read — and because the
+// report leaves out Down, which its Killed, Rejoined and Dead imply.
 // Owner is the shard currently applying this shard's machines (its own
 // agent id until a rebalance moves it; -1 when the coordinator's
 // loopback adopted it), Epoch counts ownership transfers, Rebalances

@@ -6,7 +6,6 @@ import (
 
 	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
-	"celestial/internal/retry"
 	"celestial/internal/rng"
 	"celestial/internal/supervise"
 	"celestial/internal/vnet"
@@ -386,10 +385,11 @@ type RunOptions struct {
 	// Resume verifies the run against a checkpoint from a previous,
 	// killed execution of the same scenario: the run replays
 	// deterministically from the epoch, and when it reaches the
-	// checkpoint's tick its recomputed state is compared field for field
-	// against the persisted one. Any mismatch — a changed scenario file,
-	// binary, or corrupted checkpoint — aborts the resume instead of
-	// silently continuing a different run.
+	// checkpoint's tick its recomputed state — the report so far and each
+	// flow's hidden state — is compared against the persisted one. Any
+	// mismatch — a changed scenario file, binary, or corrupted checkpoint
+	// — aborts the resume instead of silently continuing a different run,
+	// and so does a run that never reaches the checkpoint's tick.
 	Resume *Checkpoint
 	// TickHook, when set, runs at every tick boundary after checkpoint
 	// persistence with the 1-based tick index. A non-nil error aborts the
@@ -412,8 +412,8 @@ func (r *Runner) Run() (*Report, error) { return r.RunWith(RunOptions{}) }
 // arrivals) that no checkpoint format could faithfully serialize, so a
 // resumed run replays the entire prefix from the epoch — cheap, since
 // virtual time costs no wall-clock waiting — and uses the checkpoint to
-// *prove* the replay reconstructed the killed run exactly (every flow's
-// RNG word, counters, pending-RPC digests, tick counters, network totals).
+// *prove* the replay reconstructed the killed run exactly (the report so
+// far, every flow's RNG word and its pending-RPC and latency digests).
 // The remainder then continues from reconstructed state, so the final
 // report is byte-identical to an uninterrupted run.
 func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
@@ -452,7 +452,7 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 	if every <= 0 {
 		every = 1
 	}
-	tick := 0
+	tick, verified := 0, false
 	for t := r.epoch.Add(res); !t.After(horizon); t = t.Add(res) {
 		// Through the coordinator rather than the simulation, so an update
 		// that failed inside the window ends the run with its error.
@@ -469,6 +469,7 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 			if err := opts.Resume.Verify(r.capture(tick)); err != nil {
 				return nil, fmt.Errorf("scenario: resume verification at tick %d: %w", tick, err)
 			}
+			verified = true
 		}
 		if opts.CheckpointPath != "" && tick%every == 0 {
 			if err := r.capture(tick).WriteFile(opts.CheckpointPath); err != nil {
@@ -480,6 +481,9 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 				return nil, err
 			}
 		}
+	}
+	if opts.Resume != nil && !verified {
+		return nil, fmt.Errorf("scenario: resume checkpoint is at tick %d, but the run has %d ticks", opts.Resume.Tick, tick)
 	}
 	// The tail past the last full tick (a horizon that is not a multiple
 	// of the resolution).
@@ -539,28 +543,24 @@ func (r *Runner) report() *Report {
 	return rep
 }
 
-// robustness converts the coordinator's failure-handling counters to their
-// report form.
+// robustness reads the failure-handling counters from where they live: the
+// watchdog (when one is installed), the fan-out tier's failed frame
+// applications, every host's lifecycle guard and the network's shaper
+// guard.
 func (r *Runner) robustness() RobustnessReport {
-	rb := r.coord.Robustness()
-	rep := RobustnessReport{
-		HostRetries:   retryReport(rb.HostRetries),
-		ShaperRetries: retryReport(rb.ShaperRetries),
-		ApplyErrors:   rb.ApplyErrors,
-		Watchdog: WatchdogReport{
-			Ticks:          rb.Watchdog.Ticks,
-			DegradedTicks:  rb.Watchdog.DegradedTicks,
-			DeferredRepair: rb.Watchdog.DeferredRepair,
-			Coalesced:      rb.Watchdog.Coalesced,
-			ActivityOnly:   rb.Watchdog.ActivityOnly,
-			Escalations:    rb.Watchdog.Escalations,
-			Recoveries:     rb.Watchdog.Recoveries,
-			Overruns:       rb.Watchdog.Overruns,
-		},
+	var rep RobustnessReport
+	if wd := r.coord.Watchdog(); wd != nil {
+		rep.Watchdog = wd.Stats()
 	}
-	if rb.LastApplyErr != nil {
-		rep.LastApplyErr = rb.LastApplyErr.Error()
+	n, last := r.coord.Fanout().ApplyErrors()
+	rep.ApplyErrors = n
+	if last != nil {
+		rep.LastApplyErr = last.Error()
 	}
+	for _, h := range r.coord.Hosts() {
+		rep.HostRetries.Add(h.LifecycleOps().Stats())
+	}
+	rep.ShaperRetries = r.net.ShaperOps().Stats()
 	return rep
 }
 
@@ -574,7 +574,7 @@ func (r *Runner) fanout() FanoutReport {
 		Agents:        fo.Shards(),
 		RingCapacity:  ring.Capacity,
 		RingEvictions: ring.Evictions,
-		WireRetries:   retryReport(r.coord.Robustness().WireRetries),
+		WireRetries:   fo.RetryStats(),
 		Shards:        []ShardReport{},
 	}
 	for _, st := range fo.ShardStats() {
@@ -606,19 +606,6 @@ func (r *Runner) fanout() FanoutReport {
 		})
 	}
 	return rep
-}
-
-// retryReport converts retry.Stats to its report form.
-func retryReport(s retry.Stats) RetryReport {
-	return RetryReport{
-		Ops:       s.Ops,
-		Attempts:  s.Attempts,
-		Retried:   s.Retried,
-		Recovered: s.Recovered,
-		GaveUp:    s.GaveUp,
-		Fatal:     s.Fatal,
-		BackoffMs: float64(s.Backoff) / float64(time.Millisecond),
-	}
 }
 
 // ActiveSatellites returns the number of active satellites in the current

@@ -120,24 +120,25 @@ const (
 	alpha          = 0.3
 )
 
-// Stats counts watchdog decisions over a run.
+// Stats counts watchdog decisions over a run; the scenario report encodes
+// it as its robustness section's watchdog.
 type Stats struct {
 	// Ticks counts supervised ticks; DegradedTicks those that ran at any
 	// level above LevelFull.
-	Ticks         int
-	DegradedTicks int
+	Ticks         int `json:"ticks"`
+	DegradedTicks int `json:"degraded_ticks"`
 	// DeferredRepair, Coalesced and ActivityOnly count ticks at each
 	// rung (a tick counts once, at its final level).
-	DeferredRepair int
-	Coalesced      int
-	ActivityOnly   int
+	DeferredRepair int `json:"deferred_repair"`
+	Coalesced      int `json:"coalesced"`
+	ActivityOnly   int `json:"activity_only"`
 	// Escalations counts level increases (projected at tick start or
 	// measured mid-tick); Recoveries counts step-downs.
-	Escalations int
-	Recoveries  int
+	Escalations int `json:"escalations"`
+	Recoveries  int `json:"recoveries"`
 	// Overruns counts ticks whose measured pipeline time exceeded the
 	// full interval — real-time drift the degradation could not prevent.
-	Overruns int
+	Overruns int `json:"overruns"`
 }
 
 // ladder is the rung rule the Watchdog and the Follower share: escalation
