@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	celestial-agent -coordinator host:port -agent N [-heartbeat 15s]
+//	celestial-agent -coordinator host:port -agent N
 //	celestial-agent ... -apply [-token T] [-tls-ca ca.pem | -tls-insecure]
 //	celestial-agent ... -http :8081
 //
@@ -54,7 +54,6 @@ import (
 func main() {
 	coordinator := flag.String("coordinator", "", "coordinator agent-listener address (host:port)")
 	agent := flag.Int("agent", -1, "shard id this agent owns")
-	heartbeat := flag.Duration("heartbeat", hostlink.DefaultHeartbeat, "heartbeat interval; must match the coordinator's")
 	reconnect := flag.Duration("reconnect", 500*time.Millisecond, "wait between redial attempts")
 	crashAfter := flag.Uint64("crash-after-gens", 0, "exit hard (status 3, no Bye) once the replica has applied this generation — agent-loss testing; a restarted agent resyncs and rejoins")
 	apply := flag.Bool("apply", false, "request authoritative remote apply: answer the coordinator's Propose frames through the shared apply engine")
@@ -76,7 +75,6 @@ func main() {
 		ID:            *agent,
 		Addr:          *coordinator,
 		Replica:       hostlink.NewReplica(),
-		Heartbeat:     *heartbeat,
 		ReconnectWait: *reconnect,
 		Token:         *token,
 		Logf:          log.Printf,

@@ -48,7 +48,7 @@ func main() {
 	httpAuth := flag.String("http-auth", "", "bearer token required on this replica's requests (empty disables auth)")
 	httpRate := flag.String("http-rate", "", "per-client rate limit, \"<rps>\" or \"<rps>:<burst>\" (empty disables)")
 	httpLog := flag.Bool("http-log", false, "log one line per request")
-	retention := flag.Int("retention", 0, "generations of diff frames retained for this replica's own /diff subscribers (0: upstream default)")
+	retention := flag.Int("retention", 0, "generations of diff frames retained for this replica's own /diff subscribers (0: hostlink.DefaultRetention, 64)")
 	reconnect := flag.Duration("reconnect", time.Second, "wait between upstream reconnect attempts")
 	flag.Parse()
 
@@ -58,10 +58,6 @@ func main() {
 	}
 	if *replicas < 1 {
 		log.Fatalf("celestial-read: -replicas %d: want at least 1", *replicas)
-	}
-	rate, burst, err := middleware.ParseRate(*httpRate)
-	if err != nil {
-		log.Fatalf("celestial-read: -http-rate: %v", err)
 	}
 	host, portStr, err := net.SplitHostPort(*listen)
 	if err != nil {
@@ -92,12 +88,10 @@ func main() {
 			log.Fatalf("celestial-read: listener %s: %v", addr, err)
 		}
 		defer ln.Close()
-		mw := []middleware.Middleware{middleware.Recover(log.Printf)}
-		if *httpLog {
-			mw = append(mw, middleware.AccessLog(log.Printf))
+		h, err := middleware.Deploy(r, *httpAuth, *httpRate, *httpLog, log.Printf)
+		if err != nil {
+			log.Fatalf("celestial-read: -http-rate: %v", err)
 		}
-		mw = append(mw, middleware.TokenAuth(*httpAuth), middleware.RateLimit(rate, burst))
-		h := middleware.Chain(r, mw...)
 		go func() {
 			if err := http.Serve(ln, h); err != nil && ctx.Err() == nil {
 				log.Printf("celestial-read: http server %s: %v", addr, err)

@@ -76,22 +76,14 @@ import (
 	"celestial/internal/scenario"
 )
 
-// apiChain composes the deployment's HTTP policy middleware around the
-// information API: panic recovery always, then (innermost-first as
-// configured) access logging, bearer-token auth and per-client rate
-// limiting. The same chain wraps the coordinator here and the read
-// replicas in celestial-read.
+// apiChain wraps the information API in the deployment middleware, the
+// same chain celestial-read puts around its replicas.
 func apiChain(h http.Handler, auth, rateSpec string, accessLog bool) http.Handler {
-	rate, burst, err := middleware.ParseRate(rateSpec)
+	h, err := middleware.Deploy(h, auth, rateSpec, accessLog, log.Printf)
 	if err != nil {
 		log.Fatalf("celestial: -http-rate: %v", err)
 	}
-	mw := []middleware.Middleware{middleware.Recover(log.Printf)}
-	if accessLog {
-		mw = append(mw, middleware.AccessLog(log.Printf))
-	}
-	mw = append(mw, middleware.TokenAuth(auth), middleware.RateLimit(rate, burst))
-	return middleware.Chain(h, mw...)
+	return h
 }
 
 func main() {
@@ -273,19 +265,12 @@ func runScenario(o scenarioOpts) {
 			log.Fatalf("celestial: %v", err)
 		}
 	}
+	// The agent token is a deployment secret, not a scenario property: it
+	// rides along in the hosts configuration without changing the run.
+	sc.Hosts.Token = o.agentsToken
 	r, err := scenario.NewRunner(sc)
 	if err != nil {
 		log.Fatalf("celestial: %v", err)
-	}
-	if o.agentsToken != "" {
-		// The token is a deployment secret, not a scenario property:
-		// layer it over the scenario's hosts configuration by rebuilding
-		// the fan-out tier before anything serves it.
-		opts := r.Coordinator().FanoutOptions()
-		opts.Token = o.agentsToken
-		if err := r.Coordinator().ConfigureFanout(opts); err != nil {
-			log.Fatalf("celestial: %v", err)
-		}
 	}
 	if o.httpAddr != "" {
 		ln, err := net.Listen("tcp", o.httpAddr)

@@ -62,29 +62,47 @@ type Coordinator struct {
 	runErr error
 
 	// wd, when set, supervises each tick against the update interval and
-	// decides its degradation level (see SetWatchdog). It is only touched
-	// from the update path on the simulation goroutine.
+	// decides its degradation level (see Options.Watchdog). It is only
+	// touched from the update path on the simulation goroutine.
 	wd *supervise.Watchdog
 
 	// fo is the host fan-out tier: every tick's diff is distributed to
 	// the hosts through per-shard loopback appliers (and, when agents are
 	// attached, mirrored to them over TCP), and retained in the tier's
 	// generation log, which the information service's /diff replay reads
-	// too. foOpts is the configuration it was built with. Both are
-	// swapped (ConfigureFanout) and read under mu, like the shard layout:
+	// too. It and the shard layout are built by New and never replaced:
 	// shardOf maps node ID to its owning shard; shardNodes and shardHosts
 	// are each shard's nodes (ID order) and hosts.
 	fo         *hostlink.Fanout
-	foOpts     FanoutOptions
 	shardOf    []int
 	shardNodes [][]int
 	shardHosts [][]*host.Host
 }
 
-// New builds a coordinator (and its hosts, machines and network) from a
-// validated configuration. The simulation clock starts at the
+// Options are everything that shapes a coordinator's ticks beyond the
+// testbed configuration. They are fixed at New: a coordinator is never
+// rewired once built. The zero value is one fan-out shard per host, no
+// frame faults and no watchdog.
+type Options struct {
+	// Fanout configures the host fan-out tier.
+	Fanout FanoutOptions
+	// Watchdog, when positive, is the interval every tick is budgeted
+	// against (normally the testbed's update resolution): a tick projected
+	// or measured to overrun walks the degradation ladder — defer path-cache
+	// repair, coalesce the diff into the next tick, fall back to
+	// activity-only updates — instead of silently drifting behind real
+	// time. Degradations ride on each tick's diff (Diff.Degraded) and are
+	// counted in the watchdog's Stats. Watchdog decisions depend on
+	// wall-clock stage timings, so supervised runs trade byte-exact
+	// reproducibility for bounded tick latency; leave it zero for
+	// differential testing.
+	Watchdog time.Duration
+}
+
+// New builds a coordinator (and its hosts, machines, network and fan-out
+// tier) from a validated configuration. The simulation clock starts at the
 // constellation epoch.
-func New(cfg *config.Config) (*Coordinator, error) {
+func New(cfg *config.Config, o Options) (*Coordinator, error) {
 	cons, err := constellation.New(cfg)
 	if err != nil {
 		return nil, err
@@ -155,8 +173,21 @@ func New(cfg *config.Config) (*Coordinator, error) {
 		c.byNode[node.ID] = m
 		c.hostOf[node.ID] = target
 	}
-	if err := c.buildFanout(FanoutOptions{}); err != nil {
+	if err := c.buildFanout(o.Fanout); err != nil {
 		return nil, err
+	}
+	if o.Watchdog > 0 {
+		c.wd = supervise.New(o.Watchdog)
+		c.pool.SetStageTimer(func(stage string, d time.Duration) {
+			switch stage {
+			case "snapshot":
+				c.wd.Observe(supervise.StageSnapshot, d)
+			case "diff":
+				c.wd.Observe(supervise.StageDiff, d)
+			case "repair":
+				c.wd.Observe(supervise.StagePathRepair, d)
+			}
+		})
 	}
 	return c, nil
 }
@@ -164,7 +195,7 @@ func New(cfg *config.Config) (*Coordinator, error) {
 // RingStats returns the counters of the fan-out tier's generation log,
 // the retention window behind /diff replay and agent resyncs (see
 // hostlink.Fanout.RingStats).
-func (c *Coordinator) RingStats() hostlink.RingStats { return c.Fanout().RingStats() }
+func (c *Coordinator) RingStats() hostlink.RingStats { return c.fo.RingStats() }
 
 // Constellation returns the underlying constellation.
 func (c *Coordinator) Constellation() *constellation.Constellation { return c.cons }
@@ -281,15 +312,14 @@ func (c *Coordinator) TopologyVersion() uint64 {
 // completes. Grab the channel, re-check Generation, then block: the
 // update closes it in the critical section that advances the generation,
 // so the close cannot be missed between the two reads. The channel is the
-// fan-out tier's (hostlink.Fanout.UpdateChan); one taken before
-// ConfigureFanout replaced the tier is never closed.
-func (c *Coordinator) UpdateChan() <-chan struct{} { return c.Fanout().UpdateChan() }
+// fan-out tier's (hostlink.Fanout.UpdateChan).
+func (c *Coordinator) UpdateChan() <-chan struct{} { return c.fo.UpdateChan() }
 
 // DiffsFrom copies out of the fan-out tier's generation log what a mirror
 // of it is missing — the information service's frame cache; see
 // hostlink.Fanout.DiffsFrom.
 func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (recs []hostlink.Record, from, now uint64) {
-	return c.Fanout().DiffsFrom(cursor, epoch)
+	return c.fo.DiffsFrom(cursor, epoch)
 }
 
 // LastDiff returns the statistics of the most recent update's
@@ -312,34 +342,6 @@ func (c *Coordinator) ElapsedSeconds() float64 { return c.offset(c.sim.Now()) }
 // offset converts a virtual instant to seconds since the epoch, the
 // snapshot pool's time axis.
 func (c *Coordinator) offset(t time.Time) float64 { return t.Sub(c.cfg.Epoch).Seconds() }
-
-// SetWatchdog installs a tick watchdog: every update is budgeted against
-// the configured interval (the testbed's update resolution when
-// cfg.Interval is zero), and a tick projected or measured to overrun walks
-// the degradation ladder — defer path-cache repair, coalesce the diff into
-// the next tick, fall back to activity-only updates — instead of silently
-// drifting behind real time. Degradations ride on each tick's diff
-// (Diff.Degraded) and are counted in its Stats. Watchdog decisions depend
-// on wall-clock stage timings, so supervised runs trade byte-exact
-// reproducibility for bounded tick latency; leave the watchdog off for
-// differential testing. Must not be called concurrently with the update
-// loop (normally: call it before Start).
-func (c *Coordinator) SetWatchdog(cfg supervise.Config) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = c.cfg.Resolution
-	}
-	c.wd = supervise.New(cfg)
-	c.pool.SetStageTimer(func(stage string, d time.Duration) {
-		switch stage {
-		case "snapshot":
-			c.wd.Observe(supervise.StageSnapshot, d)
-		case "diff":
-			c.wd.Observe(supervise.StageDiff, d)
-		case "repair":
-			c.wd.Observe(supervise.StagePathRepair, d)
-		}
-	})
-}
 
 // Watchdog returns the installed tick watchdog, nil when unsupervised.
 func (c *Coordinator) Watchdog() *supervise.Watchdog { return c.wd }

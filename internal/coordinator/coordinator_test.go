@@ -43,7 +43,7 @@ func testConfig(t testing.TB) *config.Config {
 
 func started(t testing.TB) *Coordinator {
 	t.Helper()
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func started(t testing.TB) *Coordinator {
 }
 
 func TestNewBuildsMachinesOnHosts(t *testing.T) {
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSuspendedDestinationRejects(t *testing.T) {
 	cfg := testConfig(t)
 	// Tiny box over West Africa: nearly all satellites suspended.
 	cfg.BoundingBox = bbox.Box{LatMinDeg: 0, LonMinDeg: -10, LatMaxDeg: 10, LonMaxDeg: 10}
-	c, err := New(cfg)
+	c, err := New(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestDeterministicRepetitions(t *testing.T) {
 }
 
 func BenchmarkUpdateCycle(b *testing.B) {
-	c, err := New(testConfig(b))
+	c, err := New(testConfig(b), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,15 +588,14 @@ func TestDiffDrivenUpdatesPreserveDelivery(t *testing.T) {
 }
 
 func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
-	c, err := New(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A 1ns budget is impossible to meet, so every tick degrades: the
 	// first escalates mid-tick to coalesce, later ones project over budget
 	// at tick start and climb to activity-only. This drives the ladder
 	// deterministically without depending on real pipeline cost.
-	c.SetWatchdog(supervise.Config{Interval: time.Nanosecond})
+	c, err := New(testConfig(t), Options{Watchdog: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -643,13 +642,12 @@ func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
 }
 
 func TestWatchdogRecoversWhenBudgetAmple(t *testing.T) {
-	c, err := New(testConfig(t))
+	// A huge budget is never exceeded: the pipeline must stay at full
+	// fidelity and mark nothing degraded.
+	c, err := New(testConfig(t), Options{Watchdog: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A huge budget is never exceeded: the pipeline must stay at full
-	// fidelity and mark nothing degraded.
-	c.SetWatchdog(supervise.Config{Interval: time.Hour})
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +664,7 @@ func TestWatchdogRecoversWhenBudgetAmple(t *testing.T) {
 }
 
 func TestApplyErrorsDoNotAbortRun(t *testing.T) {
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // linear-scan all hosts on every call despite the per-node table built in
 // New — this is the regression test for the O(1) rewrite.)
 func TestMachineAndHostLookups(t *testing.T) {
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMachineAndHostLookups(t *testing.T) {
 }
 
 func TestGenerationAndDiffRing(t *testing.T) {
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestGenerationAndDiffRing(t *testing.T) {
 	}
 }
 
-// TestRetentionAndRingStats locks in the configurable retention: the
-// fan-out tier's Retention sizes the log the coordinator reports, its
-// length pins at capacity and each further tick evicts one generation,
-// and the tier cannot be rebuilt once the log holds history.
+// TestRetentionAndRingStats locks in the configurable retention: New
+// refuses a negative one, the fan-out tier's Retention sizes the log the
+// coordinator reports, and its length pins at capacity with each further
+// tick evicting one generation.
 func TestRetentionAndRingStats(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Resolution = time.Second
@@ -107,7 +107,10 @@ func TestRetentionAndRingStats(t *testing.T) {
 	if err := config.Finalize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cfg)
+	if _, err := New(cfg, Options{Fanout: FanoutOptions{Options: hostlink.Options{Retention: -1}}}); err == nil {
+		t.Error("a negative retention was accepted")
+	}
+	c, err := New(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +118,8 @@ func TestRetentionAndRingStats(t *testing.T) {
 		t.Fatalf("default capacity = %d, want %d", rs.Capacity, hostlink.DefaultRetention)
 	}
 	const retention = 8
-	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: -1}}); err == nil {
-		t.Error("a negative retention was accepted")
-	}
-	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: retention}}); err != nil {
+	c, err = New(cfg, Options{Fanout: FanoutOptions{Options: hostlink.Options{Retention: retention}}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rs := c.RingStats(); rs != (hostlink.RingStats{Capacity: retention}) {
@@ -149,14 +150,6 @@ func TestRetentionAndRingStats(t *testing.T) {
 	if entries, from, _ := c.DiffsFrom(0, 0); from != gen-retention || len(entries) != retention {
 		t.Errorf("DiffsFrom(0) = %d entries after %d, want %d after %d", len(entries), from, retention, gen-retention)
 	}
-	// The log cannot be resized once it holds history: replayability of
-	// the retained window must not silently change mid-run.
-	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: 4}}); err == nil {
-		t.Error("ConfigureFanout after Start did not error")
-	}
-	if got := c.RingStats().Capacity; got != retention {
-		t.Errorf("capacity = %d after a refused rebuild, want %d", got, retention)
-	}
 }
 
 // TestDiffsFromConcurrentWithUpdates races /diff-style mirrors against
@@ -169,11 +162,8 @@ func TestDiffsFromConcurrentWithUpdates(t *testing.T) {
 	if err := config.Finalize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cfg)
+	c, err := New(cfg, Options{Fanout: FanoutOptions{Options: hostlink.Options{Retention: 8}}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ConfigureFanout(FanoutOptions{Options: hostlink.Options{Retention: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Start(); err != nil {
@@ -203,7 +193,7 @@ func TestDiffsFromConcurrentWithUpdates(t *testing.T) {
 }
 
 func TestLeaseStateGenPairsStateWithGeneration(t *testing.T) {
-	c, err := New(testConfig(t))
+	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

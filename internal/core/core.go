@@ -32,7 +32,7 @@ type Testbed struct {
 // NewTestbed builds a testbed from a finalized configuration. Call Start
 // to boot machines and begin the update loop.
 func NewTestbed(cfg *config.Config) (*Testbed, error) {
-	coord, err := coordinator.New(cfg)
+	coord, err := coordinator.New(cfg, coordinator.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -88,18 +88,15 @@ type Config struct {
 // Options are the fan-out tier's settable options: the one declaration
 // Config, coordinator.FanoutOptions and the scenario [hosts] table embed,
 // so a value set in a scenario file reaches New without being re-spelled.
-// The zero value is a fault-free tier with default retention, ladder and
-// timeouts.
+// The zero value is a fault-free tier with default retention and timeouts.
+// The per-shard degradation ladder has no option: it runs on the supervise
+// package's fixed rungs.
 type Options struct {
 	// Retention is how many generations the tier's log keeps: how far a
 	// loopback shard, a remote agent or a /diff client may fall behind
 	// and still catch up by replay instead of a snapshot, at the cost of
 	// retained diff memory. Zero means DefaultRetention.
 	Retention int
-
-	// Ladder configures the per-shard follower degradation ladder
-	// (rungs in generations behind); zeros adopt the supervise defaults.
-	Ladder supervise.FollowerConfig
 
 	// Retry is the wire-send retry policy (virtual backoff); Seed feeds
 	// the per-shard jitter and fault-injection streams. DropRate,
@@ -142,8 +139,6 @@ func (o Options) Validate() error {
 	case o.Delay < 0 || o.DeadAfter < 0 || o.Heartbeat < 0 || o.WriteTimeout < 0:
 		return fmt.Errorf("hostlink: negative duration (delay %v, dead-after %v, heartbeat %v, write timeout %v)",
 			o.Delay, o.DeadAfter, o.Heartbeat, o.WriteTimeout)
-	case o.Ladder.CoalesceLag < 0 || o.Ladder.ActivityOnlyLag < 0 || o.Ladder.RecoverAfter < 0:
-		return fmt.Errorf("hostlink: negative ladder rung %+v", o.Ladder)
 	}
 	return o.Retry.Validate()
 }
@@ -379,7 +374,7 @@ func New(cfg Config) (*Fanout, error) {
 			id:       i,
 			owner:    i,
 			applier:  cfg.Appliers[i],
-			ladder:   supervise.NewFollower(cfg.Ladder),
+			ladder:   supervise.NewFollower(),
 			retryRnd: rng.New(rng.Derive(cfg.Seed, uint64(i))),
 			faultRnd: rng.New(rng.Derive(cfg.Seed, uint64(i)+0x10000)),
 			chain:    ChainSeed,

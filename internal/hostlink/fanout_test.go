@@ -654,7 +654,6 @@ func TestOptionsValidate(t *testing.T) {
 		"negative delay":   {Delay: -time.Millisecond},
 		"negative dead":    {DeadAfter: -time.Second},
 		"negative timeout": {WriteTimeout: -time.Second},
-		"negative rung":    {Ladder: supervise.FollowerConfig{RecoverAfter: -1}},
 		"negative ring":    {Retention: -1},
 		"bad retry":        {Retry: retry.Policy{Jitter: 2}},
 	}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"celestial/internal/supervise"
 )
 
 // remote is one attached agent connection's bookkeeping. Everything here
@@ -450,12 +452,11 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	st.forceSnap = false
 	fo.mu.Unlock()
 
-	// The shard ladder's coalesce rung is the backlog rung of its remote
-	// follower too: a stream four times past it has its backlog collapsed
-	// into a single snapshot instead of replaying every retained
-	// generation.
+	// The shard ladder's top rung is the backlog rung of its remote
+	// follower too: a stream past it has its backlog collapsed into a
+	// single snapshot instead of replaying every retained generation.
 	lag := head - st.cursor
-	collapse := st.cursor > 0 && lag > uint64(4*fo.shards[st.shard].ladder.Config().CoalesceLag)
+	collapse := st.cursor > 0 && lag > supervise.ActivityOnlyLag
 	if collapse {
 		fo.mu.Lock()
 		st.collapsed++

@@ -40,7 +40,7 @@ func benchServer(tb testing.TB, duration, warm time.Duration) (*Server, *coordin
 	if err := config.Finalize(cfg); err != nil {
 		tb.Fatal(err)
 	}
-	c, err := coordinator.New(cfg)
+	c, err := coordinator.New(cfg, coordinator.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

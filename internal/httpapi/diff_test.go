@@ -16,7 +16,6 @@ import (
 	"celestial/internal/geom"
 	"celestial/internal/leaktest"
 	"celestial/internal/orbit"
-	"celestial/internal/supervise"
 )
 
 func TestDiffSinceReplay(t *testing.T) {
@@ -180,7 +179,7 @@ func TestDiffResyncPastRing(t *testing.T) {
 	if err := config.Finalize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c, err := coordinator.New(cfg)
+	c, err := coordinator.New(cfg, coordinator.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,10 +441,13 @@ func TestDiffSSEEvictsStalledSubscriber(t *testing.T) {
 }
 
 func TestDiffDegradedLevelOnWire(t *testing.T) {
-	s, c := testServer(t)
 	// An impossible 1ns budget degrades every tick; the level must show up
 	// on the replayed wire diffs.
-	c.SetWatchdog(supervise.Config{Interval: time.Nanosecond})
+	c := newCoordinator(t, coordinator.Options{Watchdog: time.Nanosecond})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(c)
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

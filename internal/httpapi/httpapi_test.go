@@ -19,7 +19,7 @@ import (
 
 func testServer(t *testing.T) (*Server, *coordinator.Coordinator) {
 	t.Helper()
-	c := newCoordinator(t)
+	c := newCoordinator(t, coordinator.Options{})
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func testServer(t *testing.T) (*Server, *coordinator.Coordinator) {
 }
 
 // newCoordinator builds the test constellation's coordinator, not started.
-func newCoordinator(t *testing.T) *coordinator.Coordinator {
+func newCoordinator(t *testing.T, o coordinator.Options) *coordinator.Coordinator {
 	t.Helper()
 	cfg := &config.Config{
 		Duration:   time.Minute,
@@ -47,7 +47,7 @@ func newCoordinator(t *testing.T) *coordinator.Coordinator {
 	if err := config.Finalize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c, err := coordinator.New(cfg)
+	c, err := coordinator.New(cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}

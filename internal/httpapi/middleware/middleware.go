@@ -37,6 +37,25 @@ func Chain(h http.Handler, mw ...Middleware) http.Handler {
 	return h
 }
 
+// Deploy wraps h in the deployment policy both servers run — the
+// coordinator's information API and every read replica: panic recovery
+// always, then access logging when accessLog is set, bearer-token auth
+// (an empty token disables it) and per-client rate limiting (rateSpec in
+// ParseRate's syntax, empty disables it), logging through logf. It fails
+// only on a malformed rateSpec.
+func Deploy(h http.Handler, token, rateSpec string, accessLog bool, logf func(format string, args ...any)) (http.Handler, error) {
+	rate, burst, err := ParseRate(rateSpec)
+	if err != nil {
+		return nil, err
+	}
+	mw := []Middleware{Recover(logf)}
+	if accessLog {
+		mw = append(mw, AccessLog(logf))
+	}
+	mw = append(mw, TokenAuth(token), RateLimit(rate, burst))
+	return Chain(h, mw...), nil
+}
+
 // statusWriter captures the status and byte count for access logging,
 // passing everything else — including Flush and write deadlines, via
 // Unwrap — through to the wrapped writer.

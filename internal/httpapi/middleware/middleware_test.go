@@ -48,6 +48,41 @@ func TestChainOrder(t *testing.T) {
 	}
 }
 
+// TestDeploy: the deployment chain authenticates, rate-limits, logs and
+// recovers, and refuses a malformed rate instead of serving unlimited.
+func TestDeploy(t *testing.T) {
+	if _, err := Deploy(okHandler(), "", "fast", false, t.Logf); err == nil {
+		t.Error("malformed rate accepted")
+	}
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	h, err := Deploy(okHandler(), "sesame", "1:1", true, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth := map[string]string{"Authorization": "Bearer sesame"}
+	if rec := do(h, "10.0.0.1:1", nil); rec.Code != http.StatusUnauthorized {
+		t.Errorf("missing token = %d, want 401", rec.Code)
+	}
+	if rec := do(h, "10.0.0.1:1", auth); rec.Code != http.StatusOK {
+		t.Errorf("first request = %d, want 200", rec.Code)
+	}
+	if rec := do(h, "10.0.0.1:1", auth); rec.Code != http.StatusTooManyRequests {
+		t.Errorf("second request within the burst window = %d, want 429", rec.Code)
+	}
+	if len(lines) != 3 {
+		t.Errorf("access log has %d lines, want 3: %q", len(lines), lines)
+	}
+	panicky := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") })
+	h, err = Deploy(panicky, "", "", false, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(h, "", nil); rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicking handler = %d, want 500", rec.Code)
+	}
+}
+
 func TestTokenAuth(t *testing.T) {
 	h := Chain(okHandler(), TokenAuth("sesame"))
 	if rec := do(h, "", nil); rec.Code != http.StatusUnauthorized {

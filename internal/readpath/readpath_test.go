@@ -45,7 +45,7 @@ func testCoordinator(t testing.TB, resolution time.Duration) *coordinator.Coordi
 	if err := config.Finalize(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c, err := coordinator.New(cfg)
+	c, err := coordinator.New(cfg, coordinator.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

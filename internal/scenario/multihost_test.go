@@ -15,15 +15,12 @@ import (
 
 // hostsFaultTOML layers the fan-out tier onto the unit scenario: two
 // agents sharing the two hosts, seeded frame faults on the loopback wire,
-// a tightened degradation ladder, and a scripted kill/rejoin of agent 1
+// and a scripted kill/rejoin of agent 1
 // (the satellite-only shard — the ground stations live on host 0).
 const hostsFaultTOML = `
 [hosts]
 agents = 2
 diff_ring = 16
-lag_coalesce = 2
-lag_activity_only = 4
-recover_after = 2
 frame_drop_rate = 0.2
 frame_dup_rate = 0.1
 frame_delay_rate = 0.2

@@ -7,7 +7,6 @@ import (
 	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
 	"celestial/internal/rng"
-	"celestial/internal/supervise"
 	"celestial/internal/vnet"
 )
 
@@ -83,7 +82,19 @@ func msgTag(kind uint64, flow int, id uint64) uint64 {
 // NewRunner builds the coordinator (and its hosts, machines and network)
 // for a scenario and resolves every node reference. Call Run to execute.
 func NewRunner(sc *Scenario) (*Runner, error) {
-	coord, err := coordinator.New(sc.Config)
+	// Host fan-out tier: retention, shard layout and seeded frame faults
+	// (the [hosts] table). The fan-out seed lives in its own index range
+	// (1<<25) so frame faults never alias another random process. The tick
+	// watchdog budgets every tick against the update resolution.
+	o := coordinator.Options{Fanout: sc.Hosts.FanoutOptions}
+	if sc.Hosts.Enabled() {
+		o.Fanout.Retry = sc.Supervision.Retry
+		o.Fanout.Seed = rng.Derive(sc.Seed, 1<<25)
+	}
+	if sc.Supervision.Watchdog {
+		o.Watchdog = sc.Config.Resolution
+	}
+	coord, err := coordinator.New(sc.Config, o)
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +110,9 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	r.net.SetSeed(sc.Seed)
 
 	// Robustness middleware: seeded fault injection and retries on every
-	// host and on shaper programming, and optionally the tick watchdog.
-	// All seeds derive from the scenario seed in disjoint index ranges
-	// (flows use small indices, fault bursts 1<<20+i), so the random
-	// processes never alias.
+	// host and on shaper programming. All seeds derive from the scenario
+	// seed in disjoint index ranges (flows use small indices, fault bursts
+	// 1<<20+i), so the random processes never alias.
 	if sup := sc.Supervision; sup.Enabled() {
 		for _, h := range coord.Hosts() {
 			h.LifecycleOps().SetPolicy(sup.Retry, rng.Derive(sc.Seed, uint64(1<<21+h.ID())))
@@ -110,21 +120,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		}
 		r.net.ShaperOps().SetPolicy(sup.Retry, rng.Derive(sc.Seed, 1<<23))
 		r.net.ShaperOps().SetFaults(sup.ShaperFaultRate, rng.Derive(sc.Seed, 1<<24))
-		if sup.Watchdog {
-			coord.SetWatchdog(supervise.Config{Interval: sup.WatchdogInterval})
-		}
-	}
-
-	// Host fan-out tier: retention, shard layout and seeded frame faults
-	// (the [hosts] table). The fan-out seed lives in its own index range
-	// (1<<25) so frame faults never alias another random process.
-	if h := sc.Hosts; h.Enabled() {
-		opts := h.FanoutOptions
-		opts.Retry = sc.Supervision.Retry
-		opts.Seed = rng.Derive(sc.Seed, 1<<25)
-		if err := coord.ConfigureFanout(opts); err != nil {
-			return nil, fmt.Errorf("scenario: hosts: %w", err)
-		}
 	}
 
 	if len(sc.Flows) > maxFlows {

@@ -28,7 +28,6 @@ import (
 	"celestial/internal/hostlink"
 	"celestial/internal/netem"
 	"celestial/internal/retry"
-	"celestial/internal/supervise"
 	"celestial/internal/toml"
 )
 
@@ -125,24 +124,29 @@ type Event struct {
 }
 
 // Hosts configures the host fan-out tier (the [hosts] table): how many
-// agents share the machines, the diff retention backing their resyncs,
-// the per-shard degradation ladder, and seeded frame-fault injection on
-// the coordinator-to-agent wire. Like [supervision] fault injection, all
-// frame faults are deterministic scenario events — a scenario with frame
-// faults is still byte-identical across runs.
+// agents share the machines, the diff retention backing their resyncs, and
+// seeded frame-fault injection on the coordinator-to-agent wire. The
+// per-shard degradation ladder runs on fixed rungs (supervise.CoalesceLag,
+// supervise.ActivityOnlyLag) and has no key. Like [supervision] fault
+// injection, all frame faults are deterministic scenario events — a
+// scenario with frame faults is still byte-identical across runs.
 type Hosts struct {
 	// FanoutOptions is the tier's own configuration, passed to the
 	// coordinator as it is. The file sets Agents, Retention (diff_ring:
-	// how far behind an agent may fall and still catch up by replay),
-	// Ladder, the frame fault rates, Delay and DeadAfter; NewRunner fills
-	// Retry (from [supervision]) and Seed (from the scenario seed); the
-	// wall-clock and deployment options have no key.
+	// how far behind an agent may fall and still catch up by replay), the
+	// frame fault rates, Delay and DeadAfter; NewRunner fills Retry (from
+	// [supervision]) and Seed (from the scenario seed); the wall-clock and
+	// deployment options have no key, and cmd/celestial sets Token.
 	coordinator.FanoutOptions
 }
 
 // Enabled reports whether the table configures anything beyond the
-// defaults.
-func (h Hosts) Enabled() bool { return h != (Hosts{}) }
+// defaults. The agent token is a deployment secret, not a property of the
+// run, so it never changes what the run derives.
+func (h Hosts) Enabled() bool {
+	h.Token = ""
+	return h != (Hosts{})
+}
 
 // Supervision configures the run's robustness middleware (the [supervision]
 // table): deterministic transient-fault injection into machine lifecycle
@@ -153,11 +157,9 @@ func (h Hosts) Enabled() bool { return h != (Hosts{}) }
 // wall-clock stage timings, so enabling it trades the determinism gate for
 // bounded tick latency (leave it off in checked-in CI scenarios).
 type Supervision struct {
-	// Watchdog enables tick supervision with graceful degradation.
+	// Watchdog enables tick supervision with graceful degradation, every
+	// tick budgeted against the testbed's update resolution.
 	Watchdog bool
-	// WatchdogInterval overrides the watchdog's per-tick budget interval;
-	// zero adopts the testbed's update resolution.
-	WatchdogInterval time.Duration
 	// ApplyFaultRate injects transient failures into each host machine
 	// lifecycle attempt (start, suspend, resume) with this probability.
 	ApplyFaultRate float64
@@ -272,10 +274,9 @@ func parse(text, baseDir string, allowRef bool) (*Scenario, error) {
 // supervisionFromTable decodes the [supervision] table.
 func supervisionFromTable(t *toml.Table) Supervision {
 	return Supervision{
-		Watchdog:         t.Bool("watchdog"),
-		WatchdogInterval: t.Seconds("watchdog_interval"),
-		ApplyFaultRate:   t.Float("apply_fault_rate"),
-		ShaperFaultRate:  t.Float("shaper_fault_rate"),
+		Watchdog:        t.Bool("watchdog"),
+		ApplyFaultRate:  t.Float("apply_fault_rate"),
+		ShaperFaultRate: t.Float("shaper_fault_rate"),
 		Retry: retry.Policy{
 			MaxAttempts: t.Int("retry_max_attempts"),
 			Initial:     t.Millis("retry_initial_ms"),
@@ -294,11 +295,6 @@ func hostsFromTable(t *toml.Table) Hosts {
 			Agents: t.Int("agents"),
 			Options: hostlink.Options{
 				Retention: t.Int("diff_ring"),
-				Ladder: supervise.FollowerConfig{
-					CoalesceLag:     t.Int("lag_coalesce"),
-					ActivityOnlyLag: t.Int("lag_activity_only"),
-					RecoverAfter:    t.Int("recover_after"),
-				},
 				DropRate:  t.Float("frame_drop_rate"),
 				DupRate:   t.Float("frame_dup_rate"),
 				DelayRate: t.Float("frame_delay_rate"),
@@ -469,9 +465,6 @@ func (sc *Scenario) finalize() error {
 	}
 
 	sup := &sc.Supervision
-	if sup.WatchdogInterval < 0 {
-		return fmt.Errorf("scenario: supervision: negative watchdog interval %v", sup.WatchdogInterval)
-	}
 	if sup.ApplyFaultRate < 0 || sup.ApplyFaultRate > 1 {
 		return fmt.Errorf("scenario: supervision: apply fault rate %v outside [0, 1]", sup.ApplyFaultRate)
 	}

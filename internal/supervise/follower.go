@@ -13,25 +13,18 @@ package supervise
 // LevelActivityOnly (withhold path invalidation, still sweep activity).
 // LevelDeferRepair is a tick-pipeline concern and is never returned.
 type Follower struct {
-	cfg FollowerConfig
 	ladder
 	stats FollowerStats
 }
 
-// FollowerConfig parameterizes a per-shard follower ladder. The zero value
-// is usable: defaults are applied by NewFollower.
-type FollowerConfig struct {
-	// CoalesceLag is the backlog (in generations) at which the shard
-	// degrades to LevelCoalesce. Default 4.
-	CoalesceLag int
-	// ActivityOnlyLag is the backlog at which the shard degrades to
-	// LevelActivityOnly. Default 16; forced above CoalesceLag.
-	ActivityOnlyLag int
-	// RecoverAfter is how many consecutive observations under CoalesceLag
-	// the shard must string together before stepping one rung back toward
-	// LevelFull. Default 3.
-	RecoverAfter int
-}
+// The follower's rungs, in generations of backlog: a shard degrades to
+// LevelCoalesce at CoalesceLag behind and to LevelActivityOnly at
+// ActivityOnlyLag behind, and steps one rung back toward LevelFull after
+// recoverAfter consecutive observations below its current rung.
+const (
+	CoalesceLag     = 4
+	ActivityOnlyLag = 16
+)
 
 // FollowerStats counts a follower's ladder traffic. All counters are
 // deterministic functions of the observed lag sequence.
@@ -46,42 +39,21 @@ type FollowerStats struct {
 	Recoveries  int
 }
 
-// normalized returns the config with defaults applied.
-func (c FollowerConfig) normalized() FollowerConfig {
-	if c.CoalesceLag <= 0 {
-		c.CoalesceLag = 4
-	}
-	if c.ActivityOnlyLag <= 0 {
-		c.ActivityOnlyLag = 16
-	}
-	if c.ActivityOnlyLag <= c.CoalesceLag {
-		c.ActivityOnlyLag = c.CoalesceLag + 1
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 3
-	}
-	return c
-}
-
 // NewFollower returns a ladder at LevelFull.
-func NewFollower(cfg FollowerConfig) *Follower {
-	cfg = cfg.normalized()
-	return &Follower{cfg: cfg, ladder: ladder{
-		rungs: []Level{LevelFull, LevelCoalesce, LevelActivityOnly},
-		after: cfg.RecoverAfter,
-	}}
+func NewFollower() *Follower {
+	return &Follower{ladder: ladder{rungs: []Level{LevelFull, LevelCoalesce, LevelActivityOnly}}}
 }
 
 // Observe records the shard's current delivery lag and returns the level
 // its next frame must be applied at: straight up to the rung the lag calls
-// for, one rung down per RecoverAfter observations below the current one.
+// for, one rung down per recoverAfter observations below the current one.
 func (f *Follower) Observe(lag int) Level {
 	f.stats.Observations++
 	target := LevelFull
 	switch {
-	case lag >= f.cfg.ActivityOnlyLag:
+	case lag >= ActivityOnlyLag:
 		target = LevelActivityOnly
-	case lag >= f.cfg.CoalesceLag:
+	case lag >= CoalesceLag:
 		target = LevelCoalesce
 	}
 	f.stats.Escalations += f.raise(target)
@@ -93,9 +65,6 @@ func (f *Follower) Observe(lag int) Level {
 	}
 	return f.level()
 }
-
-// Config returns the ladder's configuration with defaults applied.
-func (f *Follower) Config() FollowerConfig { return f.cfg }
 
 // Level returns the current rung without recording an observation.
 func (f *Follower) Level() Level { return f.level() }

@@ -3,12 +3,18 @@ package supervise
 import "testing"
 
 func TestFollowerEscalatesToLagTarget(t *testing.T) {
-	f := NewFollower(FollowerConfig{CoalesceLag: 4, ActivityOnlyLag: 16, RecoverAfter: 3})
-	if got := f.Observe(0); got != LevelFull {
-		t.Fatalf("Observe(0) = %v, want LevelFull", got)
+	f := NewFollower()
+	if got := f.Level(); got != LevelFull {
+		t.Fatalf("new follower at %v, want LevelFull", got)
 	}
-	if got := f.Observe(4); got != LevelCoalesce {
-		t.Fatalf("Observe(4) = %v, want LevelCoalesce", got)
+	if got := f.Observe(CoalesceLag - 1); got != LevelFull {
+		t.Fatalf("Observe(%d) = %v, want LevelFull", CoalesceLag-1, got)
+	}
+	if got := f.Observe(CoalesceLag); got != LevelCoalesce {
+		t.Fatalf("Observe(%d) = %v, want LevelCoalesce", CoalesceLag, got)
+	}
+	if got := f.Observe(ActivityOnlyLag - 1); got != LevelCoalesce {
+		t.Fatalf("Observe(%d) = %v, want LevelCoalesce", ActivityOnlyLag-1, got)
 	}
 	// Escalation jumps straight to the rung the lag calls for.
 	if got := f.Observe(40); got != LevelActivityOnly {
@@ -18,13 +24,13 @@ func TestFollowerEscalatesToLagTarget(t *testing.T) {
 	if st.Escalations != 2 {
 		t.Errorf("Escalations = %d, want 2 (Full→Coalesce, Coalesce→ActivityOnly)", st.Escalations)
 	}
-	if st.Degraded != 2 || st.Observations != 3 {
-		t.Errorf("Degraded/Observations = %d/%d, want 2/3", st.Degraded, st.Observations)
+	if st.Degraded != 3 || st.Observations != 4 {
+		t.Errorf("Degraded/Observations = %d/%d, want 3/4", st.Degraded, st.Observations)
 	}
 }
 
 func TestFollowerJumpCountsEveryRung(t *testing.T) {
-	f := NewFollower(FollowerConfig{})
+	f := NewFollower()
 	f.Observe(1000) // straight to activity-only
 	if got := f.Stats().Escalations; got != 2 {
 		t.Errorf("Escalations after Full→ActivityOnly jump = %d, want 2", got)
@@ -32,22 +38,27 @@ func TestFollowerJumpCountsEveryRung(t *testing.T) {
 }
 
 func TestFollowerRecoversOneRungAtATime(t *testing.T) {
-	f := NewFollower(FollowerConfig{CoalesceLag: 4, ActivityOnlyLag: 8, RecoverAfter: 2})
-	f.Observe(8)
+	f := NewFollower()
+	f.Observe(ActivityOnlyLag)
 	if f.Level() != LevelActivityOnly {
 		t.Fatalf("level = %v, want LevelActivityOnly", f.Level())
 	}
-	// One healthy observation is not enough.
-	if got := f.Observe(0); got != LevelActivityOnly {
-		t.Fatalf("after 1 healthy observation level = %v, want LevelActivityOnly", got)
+	// Fewer than recoverAfter healthy observations are not enough.
+	for i := 1; i < recoverAfter; i++ {
+		if got := f.Observe(0); got != LevelActivityOnly {
+			t.Fatalf("after %d healthy observations level = %v, want LevelActivityOnly", i, got)
+		}
 	}
-	// The second steps down exactly one rung, to Coalesce, not to Full.
+	// The last of the streak steps down exactly one rung, to Coalesce, not
+	// to Full.
 	if got := f.Observe(0); got != LevelCoalesce {
-		t.Fatalf("after 2 healthy observations level = %v, want LevelCoalesce", got)
+		t.Fatalf("after %d healthy observations level = %v, want LevelCoalesce", recoverAfter, got)
 	}
-	f.Observe(0)
+	for i := 1; i < recoverAfter; i++ {
+		f.Observe(0)
+	}
 	if got := f.Observe(0); got != LevelFull {
-		t.Fatalf("after 2 more healthy observations level = %v, want LevelFull", got)
+		t.Fatalf("after %d more healthy observations level = %v, want LevelFull", recoverAfter, got)
 	}
 	if st := f.Stats(); st.Recoveries != 2 {
 		t.Errorf("Recoveries = %d, want 2", st.Recoveries)
@@ -55,29 +66,18 @@ func TestFollowerRecoversOneRungAtATime(t *testing.T) {
 }
 
 func TestFollowerRelapseResetsHealthyStreak(t *testing.T) {
-	f := NewFollower(FollowerConfig{CoalesceLag: 4, ActivityOnlyLag: 8, RecoverAfter: 2})
-	f.Observe(5) // Coalesce
-	f.Observe(0) // healthy 1/2
-	f.Observe(5) // relapse: streak resets
-	if got := f.Observe(0); got != LevelCoalesce {
-		t.Fatalf("after relapse + 1 healthy level = %v, want LevelCoalesce", got)
+	f := NewFollower()
+	f.Observe(CoalesceLag + 1) // Coalesce
+	for i := 1; i < recoverAfter; i++ {
+		f.Observe(0) // one short of a streak
+	}
+	f.Observe(CoalesceLag + 1) // relapse: streak resets
+	for i := 1; i < recoverAfter; i++ {
+		if got := f.Observe(0); got != LevelCoalesce {
+			t.Fatalf("after relapse + %d healthy level = %v, want LevelCoalesce", i, got)
+		}
 	}
 	if got := f.Observe(0); got != LevelFull {
-		t.Fatalf("after relapse + 2 healthy level = %v, want LevelFull", got)
-	}
-}
-
-func TestFollowerConfigDefaults(t *testing.T) {
-	c := FollowerConfig{}.normalized()
-	if c.CoalesceLag != 4 || c.ActivityOnlyLag != 16 || c.RecoverAfter != 3 {
-		t.Errorf("normalized zero config = %+v, want {4 16 3}", c)
-	}
-	// An inverted ladder is repaired, not accepted.
-	c = FollowerConfig{CoalesceLag: 10, ActivityOnlyLag: 5}.normalized()
-	if c.ActivityOnlyLag != 11 {
-		t.Errorf("ActivityOnlyLag = %d, want 11 (forced above CoalesceLag)", c.ActivityOnlyLag)
-	}
-	if NewFollower(FollowerConfig{}).Level() != LevelFull {
-		t.Error("new follower must start at LevelFull")
+		t.Fatalf("after relapse + %d healthy level = %v, want LevelFull", recoverAfter, got)
 	}
 }

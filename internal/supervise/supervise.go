@@ -18,9 +18,12 @@
 //	                    activity (liveness) but stop reprogramming link
 //	                    shapers until the pipeline recovers
 //
-// — and recovers one level at a time after a run of healthy ticks. Every
-// degradation is recorded: the level rides on the tick's constellation
-// diff, replays through /diff frames, and is counted in the run report.
+// — and recovers one level at a time after three healthy ticks in a row.
+// The Follower walks the per-shard lag ladder of the host fan-out tier on
+// the same recovery count, with fixed rungs (CoalesceLag, ActivityOnlyLag);
+// neither ladder has a tuning knob. Every degradation is recorded: the level
+// rides on the tick's constellation diff, replays through /diff frames, and
+// is counted in the run report.
 //
 // Following RAFDA's argument that failure-handling policy belongs in an
 // explicit middleware layer, the Watchdog holds only policy: it never
@@ -101,23 +104,16 @@ func (l Level) String() string {
 	}
 }
 
-// Config parameterizes a Watchdog.
-type Config struct {
-	// Interval is the tick interval the pipeline must fit into (the
-	// testbed's update resolution). Required.
-	Interval time.Duration
-	// RecoverAfter is how many consecutive under-budget ticks step the
-	// ladder back down one level. Zero adopts the default 3.
-	RecoverAfter int
-}
-
-// budgetFraction is the share of Config.Interval the pipeline may use
-// before the watchdog degrades; the headroom absorbs scheduling noise and
-// leaves room for the emulated workload. alpha is the EWMA weight of the
-// newest tick in the per-stage cost estimates.
+// budgetFraction is the share of the interval the pipeline may use before
+// the watchdog degrades; the headroom absorbs scheduling noise and leaves
+// room for the emulated workload. alpha is the EWMA weight of the newest
+// tick in the per-stage cost estimates. recoverAfter is how many
+// consecutive healthy observations step either ladder — the Watchdog's or
+// a Follower's — one rung back down.
 const (
 	budgetFraction = 0.8
 	alpha          = 0.3
+	recoverAfter   = 3
 )
 
 // Stats counts watchdog decisions over a run; the scenario report encodes
@@ -148,7 +144,6 @@ type ladder struct {
 	rungs   []Level // the levels this ladder occupies, ascending
 	at      int     // index of the current rung
 	healthy int     // consecutive healthy observations on it
-	after   int     // how many of them step one rung down
 }
 
 func (l *ladder) level() Level { return l.rungs[l.at] }
@@ -171,7 +166,7 @@ func (l *ladder) settle(healthy bool) (steppedDown bool) {
 		return false
 	}
 	l.healthy++
-	if l.healthy < l.after || l.at == 0 {
+	if l.healthy < recoverAfter || l.at == 0 {
 		return false
 	}
 	l.at--
@@ -183,9 +178,9 @@ func (l *ladder) settle(healthy bool) (steppedDown bool) {
 // goroutine running the pipeline (the simulation goroutine); it is not safe
 // for concurrent use.
 type Watchdog struct {
-	cfg    Config
-	budget time.Duration
-	est    [numStages]float64 // EWMA cost estimate per stage, ns
+	interval time.Duration
+	budget   time.Duration
+	est      [numStages]float64 // EWMA cost estimate per stage, ns
 	ladder
 
 	inTick   bool
@@ -193,26 +188,21 @@ type Watchdog struct {
 	stats    Stats
 }
 
-// New creates a watchdog. It panics on a non-positive interval — the
-// budget would be meaningless.
-func New(cfg Config) *Watchdog {
-	if cfg.Interval <= 0 {
-		panic(fmt.Sprintf("supervise: non-positive interval %v", cfg.Interval))
-	}
-	if cfg.RecoverAfter <= 0 {
-		cfg.RecoverAfter = 3
+// New creates a watchdog budgeting every tick against interval, the tick
+// interval the pipeline must fit into (the testbed's update resolution). It
+// panics on a non-positive interval — the budget would be meaningless.
+func New(interval time.Duration) *Watchdog {
+	if interval <= 0 {
+		panic(fmt.Sprintf("supervise: non-positive interval %v", interval))
 	}
 	return &Watchdog{
-		cfg:    cfg,
-		budget: time.Duration(float64(cfg.Interval) * budgetFraction),
-		ladder: ladder{
-			rungs: []Level{LevelFull, LevelDeferRepair, LevelCoalesce, LevelActivityOnly},
-			after: cfg.RecoverAfter,
-		},
+		interval: interval,
+		budget:   time.Duration(float64(interval) * budgetFraction),
+		ladder:   ladder{rungs: []Level{LevelFull, LevelDeferRepair, LevelCoalesce, LevelActivityOnly}},
 	}
 }
 
-// Budget returns the per-tick time budget (Interval × budgetFraction).
+// Budget returns the per-tick time budget (interval × budgetFraction).
 func (w *Watchdog) Budget() time.Duration { return w.budget }
 
 // Level returns the current degradation level.
@@ -308,7 +298,7 @@ func (w *Watchdog) EndTick() Outcome {
 			w.est[s] = (1-alpha)*w.est[s] + alpha*float64(w.measured[s])
 		}
 	}
-	out := Outcome{Level: w.level(), Total: total, Overrun: total > w.cfg.Interval}
+	out := Outcome{Level: w.level(), Total: total, Overrun: total > w.interval}
 	w.stats.Ticks++
 	if out.Overrun {
 		w.stats.Overruns++
@@ -324,7 +314,7 @@ func (w *Watchdog) EndTick() Outcome {
 	if out.Level > LevelFull {
 		w.stats.DegradedTicks++
 	}
-	// Recovery: de-escalate one rung after RecoverAfter consecutive
+	// Recovery: de-escalate one rung after recoverAfter consecutive
 	// under-budget ticks, but only when the *projection with the skipped
 	// stages restored* would also fit — otherwise the ladder would
 	// oscillate between a level that fits and one that cannot.

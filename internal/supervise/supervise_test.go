@@ -16,7 +16,7 @@ func tick(w *Watchdog, snap, diff, repair, apply time.Duration) Outcome {
 }
 
 func TestHealthyRunStaysFull(t *testing.T) {
-	w := New(Config{Interval: 100 * time.Millisecond})
+	w := New(100 * time.Millisecond)
 	for i := 0; i < 20; i++ {
 		out := tick(w, 10*time.Millisecond, 5*time.Millisecond, 5*time.Millisecond, 10*time.Millisecond)
 		if out.Level != LevelFull {
@@ -30,7 +30,7 @@ func TestHealthyRunStaysFull(t *testing.T) {
 }
 
 func TestProjectionEscalatesBeforeOverrun(t *testing.T) {
-	w := New(Config{Interval: 100 * time.Millisecond}) // budget 80ms
+	w := New(100 * time.Millisecond) // budget 80ms
 	// One expensive tick seeds the estimates well over budget
 	// (EWMA with alpha 0.3: 0.3 × 400ms = 120ms > 80ms).
 	tick(w, 100*time.Millisecond, 100*time.Millisecond, 100*time.Millisecond, 100*time.Millisecond)
@@ -45,7 +45,7 @@ func TestProjectionEscalatesBeforeOverrun(t *testing.T) {
 }
 
 func TestLadderWalksAllRungs(t *testing.T) {
-	w := New(Config{Interval: 10 * time.Millisecond})
+	w := New(10 * time.Millisecond)
 	levels := []Level{}
 	for i := 0; i < 5; i++ {
 		out := tick(w, 20*time.Millisecond, 20*time.Millisecond, 0, 0)
@@ -66,7 +66,7 @@ func TestLadderWalksAllRungs(t *testing.T) {
 }
 
 func TestOverBudgetAndEscalate(t *testing.T) {
-	w := New(Config{Interval: 10 * time.Millisecond}) // budget 8ms
+	w := New(10 * time.Millisecond) // budget 8ms
 	w.BeginTick()
 	w.Observe(StageSnapshot, 5*time.Millisecond)
 	if w.OverBudget() {
@@ -93,7 +93,7 @@ func TestOverBudgetAndEscalate(t *testing.T) {
 }
 
 func TestRecoveryAfterHealthyStreak(t *testing.T) {
-	w := New(Config{Interval: 100 * time.Millisecond, RecoverAfter: 3})
+	w := New(100 * time.Millisecond)
 	w.BeginTick()
 	w.Escalate(LevelCoalesce)
 	w.Observe(StageSnapshot, time.Millisecond)
@@ -120,25 +120,28 @@ func TestRecoveryAfterHealthyStreak(t *testing.T) {
 }
 
 func TestRecoveryBlockedWhileProjectionOverBudget(t *testing.T) {
-	w := New(Config{Interval: 10 * time.Millisecond, RecoverAfter: 1})
-	// Seed huge estimates, then escalate.
-	tick(w, 50*time.Millisecond, 50*time.Millisecond, 0, 0)
-	tick(w, 50*time.Millisecond, 50*time.Millisecond, 0, 0)
-	if w.Level() == LevelFull {
-		t.Fatal("ladder did not escalate")
+	w := New(10 * time.Millisecond)
+	// Seed huge estimates until the projection has climbed to the top rung,
+	// where BeginTick cannot escalate any further.
+	for i := 0; w.Level() < LevelActivityOnly; i++ {
+		if i == 10 {
+			t.Fatalf("ladder stuck at %v", w.Level())
+		}
+		tick(w, 50*time.Millisecond, 50*time.Millisecond, 0, 0)
 	}
-	lvl := w.Level()
-	// A cheap degraded tick is under budget, but the estimates (with the
-	// skipped stages' remembered cost) still project over budget — the
-	// ladder must hold, not bounce.
-	tick(w, time.Millisecond, 0, 0, 0)
-	if w.Level() < lvl {
-		t.Fatalf("ladder recovered to %v while projection over budget", w.Level())
+	// A full recovery streak of cheap degraded ticks is under budget, but
+	// the estimates (with the skipped stages' remembered cost) still project
+	// over budget — the ladder must hold, not bounce.
+	for i := 0; i < recoverAfter; i++ {
+		tick(w, time.Millisecond, 0, 0, 0)
+	}
+	if w.Level() != LevelActivityOnly || w.Stats().Recoveries != 0 {
+		t.Fatalf("ladder recovered to %v while projection over budget (stats %+v)", w.Level(), w.Stats())
 	}
 }
 
 func TestObserveOutsideTickIgnored(t *testing.T) {
-	w := New(Config{Interval: time.Second})
+	w := New(time.Second)
 	w.Observe(StageSnapshot, time.Hour)
 	w.BeginTick()
 	if w.Elapsed() != 0 {
@@ -151,7 +154,7 @@ func TestObserveOutsideTickIgnored(t *testing.T) {
 }
 
 func TestEndTickWithoutBegin(t *testing.T) {
-	w := New(Config{Interval: time.Second})
+	w := New(time.Second)
 	out := w.EndTick()
 	if out.Total != 0 || w.Stats().Ticks != 0 {
 		t.Fatalf("outcome = %+v, stats = %+v", out, w.Stats())
@@ -176,5 +179,5 @@ func TestNewPanicsOnBadInterval(t *testing.T) {
 			t.Fatal("no panic for zero interval")
 		}
 	}()
-	New(Config{})
+	New(0)
 }
