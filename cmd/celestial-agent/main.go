@@ -6,12 +6,13 @@
 // convergence. Killed agents can simply be restarted: the agent redials
 // with its replica cursor and the coordinator resyncs it from the diff
 // retention ring, or with a full snapshot when the ring has moved on.
+// The agent follows and applies; it serves no information API. Machines
+// on a host read /v1 from a celestial-read replica of the coordinator.
 //
 // Usage:
 //
 //	celestial-agent -coordinator host:port -agent N
 //	celestial-agent ... -apply [-token T] [-tls-ca ca.pem | -tls-insecure]
-//	celestial-agent ... -http :8081
 //
 // With -apply the agent requests authoritative remote apply: the
 // coordinator sends a Propose frame per generation, the agent executes
@@ -20,13 +21,7 @@
 // with the result digest so the coordinator can verify the remote apply
 // before committing the generation. -token presents a bearer token in
 // the Hello frame; -tls-ca (or -tls-insecure, for tests) dials the
-// coordinator over TLS. -http serves the /v1 information API from the
-// agent's replica state through the same route table the coordinator
-// uses — machines on this host can read generation, activity counts and
-// the shard's diff stream without a round-trip to the coordinator. A diff
-// frame is the shard's view of the coordinator's diff record, so each
-// /v1/diff document here is the one the coordinator would serve for that
-// view, old and new delays included.
+// coordinator over TLS.
 //
 // The process exits 0 when the coordinator ends the run with a clean
 // Bye, and non-zero on a refused handshake (bad shard id, version skew,
@@ -40,7 +35,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -48,7 +42,6 @@ import (
 
 	"celestial/internal/applyengine"
 	"celestial/internal/hostlink"
-	"celestial/internal/httpapi"
 )
 
 func main() {
@@ -60,7 +53,6 @@ func main() {
 	token := flag.String("token", "", "bearer token presented in the Hello frame (required when the coordinator runs with -agents-token)")
 	tlsCA := flag.String("tls-ca", "", "dial the coordinator over TLS, trusting the PEM roots in this file")
 	tlsInsecure := flag.Bool("tls-insecure", false, "dial the coordinator over TLS without verifying its certificate (tests only)")
-	httpAddr := flag.String("http", "", "TCP address to serve the /v1 information API from the replica on (e.g. :8081)")
 	flag.Parse()
 
 	if *coordinator == "" || *agent < 0 {
@@ -109,22 +101,6 @@ func main() {
 		a.TLS = &tls.Config{RootCAs: roots, ServerName: host}
 	case *tlsInsecure:
 		a.TLS = &tls.Config{InsecureSkipVerify: true}
-	}
-
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatalf("celestial-agent %d: http listener: %v", *agent, err)
-		}
-		defer ln.Close()
-		mux := http.NewServeMux()
-		httpapi.RegisterRoutes(mux, httpapi.NewReplicaSource(*agent, a.Replica))
-		go func() {
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("celestial-agent %d: http server: %v", *agent, err)
-			}
-		}()
-		log.Printf("celestial-agent %d: serving replica info API on http://%s/v1/info", *agent, ln.Addr())
 	}
 
 	if *crashAfter > 0 {

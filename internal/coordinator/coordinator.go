@@ -318,8 +318,8 @@ func (c *Coordinator) UpdateChan() <-chan struct{} { return c.fo.UpdateChan() }
 // DiffsFrom copies out of the fan-out tier's generation log what a mirror
 // of it is missing — the information service's frame cache; see
 // hostlink.Fanout.DiffsFrom.
-func (c *Coordinator) DiffsFrom(cursor, epoch uint64) (recs []hostlink.Record, from, now uint64) {
-	return c.fo.DiffsFrom(cursor, epoch)
+func (c *Coordinator) DiffsFrom(cursor uint64) (recs []hostlink.Record, from uint64) {
+	return c.fo.DiffsFrom(cursor)
 }
 
 // LastDiff returns the statistics of the most recent update's

@@ -613,7 +613,7 @@ func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
 		t.Fatalf("final level = %v", lvl)
 	}
 	// The degradation level rides on the retained diff records.
-	entries, _, _ := c.DiffsFrom(0, 0)
+	entries, _ := c.DiffsFrom(0)
 	if len(entries) == 0 {
 		t.Fatal("no diff history")
 	}

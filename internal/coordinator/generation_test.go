@@ -70,7 +70,7 @@ func TestGenerationAndDiffRing(t *testing.T) {
 	}
 
 	// Every update is retained, in order, with the generation's diff.
-	entries, from, epoch := c.DiffsFrom(0, 0)
+	entries, from := c.DiffsFrom(0)
 	if from != 0 || len(entries) != int(gen) {
 		t.Fatalf("DiffsFrom(0) = %d entries after %d, want %d after 0", len(entries), from, gen)
 	}
@@ -88,10 +88,10 @@ func TestGenerationAndDiffRing(t *testing.T) {
 	}
 	// A cursor at the head yields nothing; a partial window only the
 	// missing suffix.
-	if got, from, _ := c.DiffsFrom(gen, epoch); from != gen || len(got) != 0 {
+	if got, from := c.DiffsFrom(gen); from != gen || len(got) != 0 {
 		t.Errorf("DiffsFrom(head) = %d entries after %d", len(got), from)
 	}
-	if got, from, _ := c.DiffsFrom(gen-2, epoch); from != gen-2 || len(got) != 2 {
+	if got, from := c.DiffsFrom(gen - 2); from != gen-2 || len(got) != 2 {
 		t.Errorf("DiffsFrom(head-2) = %d entries after %d", len(got), from)
 	}
 }
@@ -147,7 +147,7 @@ func TestRetentionAndRingStats(t *testing.T) {
 		t.Errorf("evictions = %d, want %d (generation %d)", rs.Evictions, want, gen)
 	}
 	// The oldest retained generation is the window's first.
-	if entries, from, _ := c.DiffsFrom(0, 0); from != gen-retention || len(entries) != retention {
+	if entries, from := c.DiffsFrom(0); from != gen-retention || len(entries) != retention {
 		t.Errorf("DiffsFrom(0) = %d entries after %d, want %d after %d", len(entries), from, retention, gen-retention)
 	}
 }
@@ -172,10 +172,9 @@ func TestDiffsFromConcurrentWithUpdates(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var cursor, epoch uint64
+		var cursor uint64
 		for i := 0; i < 200; i++ {
-			entries, from, now := c.DiffsFrom(cursor, epoch)
-			epoch = now
+			entries, from := c.DiffsFrom(cursor)
 			for _, e := range entries {
 				if e.Generation != from+1 {
 					t.Errorf("replay gap: got generation %d after %d", e.Generation, from)
@@ -215,7 +214,7 @@ func TestLeaseStateGenPairsStateWithGeneration(t *testing.T) {
 	}
 	// The paired generation labels this snapshot: its offset matches the
 	// retained diff record for the same generation.
-	entries, _, _ := c.DiffsFrom(gen-1, 0)
+	entries, _ := c.DiffsFrom(gen - 1)
 	if len(entries) != 1 {
 		t.Fatalf("DiffsFrom(gen-1) = %d entries", len(entries))
 	}

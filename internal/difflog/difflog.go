@@ -25,7 +25,6 @@ type Log[T any] struct {
 	head      uint64
 	n         int
 	evictions uint64
-	epoch     uint64
 	wake      chan struct{}
 }
 
@@ -94,7 +93,6 @@ func (l *Log[T]) Reset(head uint64) {
 func (l *Log[T]) restart(head uint64) {
 	clear(l.slots)
 	l.head, l.n = head, 0
-	l.epoch++
 }
 
 // At returns the entry of one retained generation.
@@ -142,14 +140,14 @@ func (l *Log[T]) Since(cursor uint64) (entries []T, ok bool) {
 // Tail is Since for a mirror of this log — a follower that keeps its own
 // copy of the window and wants whatever it takes to make that copy
 // current. A cursor this log cannot replay is moved to Oldest-1 instead
-// of refused, and so is any cursor read in an earlier epoch: the epoch
-// changes whenever the window restarts, after which an old cursor may
-// name a generation number this log holds again with different content.
-// from is the cursor the entries follow; the mirror drops what it holds
-// when from is not the cursor it asked with.
-func (l *Log[T]) Tail(cursor, epoch uint64) (entries []T, from, now uint64) {
-	if epoch != l.epoch || !l.replays(cursor) {
+// of refused; from is the cursor the entries follow, and the mirror drops
+// what it holds when from is not the cursor it asked with. A mirror
+// trusts a cursor it read earlier, so the mirrored log must only append
+// consecutive generations and never Reset: a restarted window could hold
+// a generation number the mirror has seen with different content.
+func (l *Log[T]) Tail(cursor uint64) (entries []T, from uint64) {
+	if !l.replays(cursor) {
 		cursor = l.head - uint64(l.n)
 	}
-	return l.after(cursor), cursor, l.epoch
+	return l.after(cursor), cursor
 }

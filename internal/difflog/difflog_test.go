@@ -165,43 +165,23 @@ func TestLogAppendReusesSlot(t *testing.T) {
 	}
 }
 
-// TestLogTail pins the mirror read: entries after the cursor when this epoch
+// TestLogTail pins the mirror read: entries after the cursor when the log
 // can replay it, the whole window — and from says so — when it cannot.
 func TestLogTail(t *testing.T) {
 	l := New[uint64](4)
 	fill(l, 1, 6) // window (2, 6]
-	_, _, epoch := l.Tail(0, 0)
-	check := func(cursor, ep uint64, wantFrom uint64, want []uint64) {
+	check := func(cursor uint64, wantFrom uint64, want []uint64) {
 		t.Helper()
-		got, from, now := l.Tail(cursor, ep)
+		got, from := l.Tail(cursor)
 		if from != wantFrom || !reflect.DeepEqual(got, want) {
-			t.Errorf("Tail(%d, %d) = %v from %d, want %v from %d", cursor, ep, got, from, want, wantFrom)
-		}
-		if _, _, again := l.Tail(from, now); again != now {
-			t.Errorf("Tail reported epoch %d, then %d without a mutation between", now, again)
+			t.Errorf("Tail(%d) = %v from %d, want %v from %d", cursor, got, from, want, wantFrom)
 		}
 	}
-	check(6, epoch, 6, nil)
-	check(4, epoch, 4, []uint64{5, 6})
-	check(2, epoch, 2, []uint64{3, 4, 5, 6})
-	check(1, epoch, 2, []uint64{3, 4, 5, 6})   // evicted: rebased
-	check(9, epoch, 2, []uint64{3, 4, 5, 6})   // future: rebased
-	check(4, epoch+1, 2, []uint64{3, 4, 5, 6}) // in window, but read in another epoch
-
-	// A Reset to a lower generation followed by appends brings back
-	// generation numbers the old epoch also had: a mirror that followed
-	// the old epoch to 6 must not be told "nothing new".
-	l.Reset(4)
-	fill(l, 5, 6)
-	check(6, epoch, 4, []uint64{5, 6})
-	_, _, now := l.Tail(0, 0)
-	if now == epoch {
-		t.Error("epoch unchanged across Reset")
-	}
-	check(6, now, 6, nil)
-	// A non-successor Append restarts the window like a Reset does.
-	fill(l, 9, 9)
-	check(6, now, 8, []uint64{9})
+	check(6, 6, nil)
+	check(4, 4, []uint64{5, 6})
+	check(2, 2, []uint64{3, 4, 5, 6})
+	check(1, 2, []uint64{3, 4, 5, 6}) // evicted: rebased
+	check(9, 2, []uint64{3, 4, 5, 6}) // future: rebased
 }
 
 // model is the naive reference: every generation ever appended since the

@@ -27,14 +27,13 @@ type Replica struct {
 	active map[int32]bool
 	links  map[[2]int32]int32
 	digest uint64
-	t      float64
 
 	frames    int
 	snapshots int
 
-	// history retains the last DefaultRetention applied diff frames for
-	// the agent's local /v1 read path; its head is the replica's
-	// generation. A snapshot is a resync point and resets it.
+	// history retains the last DefaultRetention applied diff frames,
+	// which the benchmark reads back through Diffs; its head is the
+	// replica's generation. A snapshot is a resync point and resets it.
 	history *difflog.Log[*DiffFrame]
 }
 
@@ -72,7 +71,6 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 		r.links[linkKey(l.A, l.B)] = l.DelayQ
 	}
 	r.digest = s.Digest
-	r.t = s.T
 	r.snapshots++
 	r.history.Reset(s.Generation)
 	return nil
@@ -103,10 +101,9 @@ func (r *Replica) ApplyDiff(f *DiffFrame) error {
 		r.active[id] = false
 	}
 	r.digest = FoldDiff(r.digest, f)
-	r.t = f.T
 	r.frames++
-	// The frame is retained for local /diff replay; ReadFrame hands the
-	// replica a freshly decoded value, never a reused buffer.
+	// The frame is retained without a copy: ReadFrame hands the replica a
+	// freshly decoded value, never a reused buffer.
 	*r.history.Append(f.Generation) = f
 	return nil
 }
@@ -120,32 +117,6 @@ func (r *Replica) Diffs(since uint64) ([]*DiffFrame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.history.Since(since)
-}
-
-// DiffsFrom is Diffs for a mirror of the history (the agent's /v1 frame
-// cache): a cursor the history cannot replay, or one taken before the
-// last snapshot, yields the whole retained window instead of a refusal —
-// see difflog.Log.Tail.
-func (r *Replica) DiffsFrom(cursor, epoch uint64) (frames []*DiffFrame, from, now uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.history.Tail(cursor, epoch)
-}
-
-// UpdateChan returns a channel closed on the next replica update — the
-// same contract the coordinator's UpdateChan offers SSE streams.
-func (r *Replica) UpdateChan() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.history.Wait()
-}
-
-// State returns the replica's generation, chain digest and simulation
-// time.
-func (r *Replica) State() (gen, digest uint64, t float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.history.Head(), r.digest, r.t
 }
 
 // Cursor returns the replica's applied generation and chain digest.
@@ -381,9 +352,8 @@ func (a *Agent) session(ctx context.Context) (done bool, err error) {
 		case *Commit:
 			a.noteCommit(f)
 		case *Reassign:
-			// The announced shard's snapshot follows; make sure its
-			// replica exists so /v1 reads can find it immediately.
-			_ = a.ReplicaFor(int(f.Shard))
+			// The announced shard's snapshot follows, and ReplicaFor
+			// creates its replica then.
 			a.mu.Lock()
 			a.stats.Reassigns++
 			a.mu.Unlock()

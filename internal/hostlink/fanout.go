@@ -456,20 +456,21 @@ func (fo *Fanout) UpdateChan() <-chan struct{} {
 }
 
 // DiffsFrom copies out the records a mirror of the log is missing (the
-// information service's frame cache): a cursor the log cannot replay, or
-// one taken in an earlier epoch of the log, yields the whole retained
-// window instead of a refusal — see difflog.Log.Tail. It counts no forced
-// resync; a mirror that rebases is not a client that fell behind. The
-// records are deep copies, safe to retain and serialize without a lock.
-func (fo *Fanout) DiffsFrom(cursor, epoch uint64) (recs []Record, from, now uint64) {
+// information service's frame cache): a cursor the log cannot replay
+// yields the whole retained window instead of a refusal — see
+// difflog.Log.Tail, whose precondition holds because Advance only ever
+// appends the producer's next generation. It counts no forced resync; a
+// mirror that rebases is not a client that fell behind. The records are
+// deep copies, safe to retain and serialize without a lock.
+func (fo *Fanout) DiffsFrom(cursor uint64) (recs []Record, from uint64) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	gens, from, now := fo.log.Tail(cursor, epoch)
+	gens, from := fo.log.Tail(cursor)
 	recs = make([]Record, len(gens))
 	for i, g := range gens {
 		recs[i] = Record{Generation: g.Generation, Diff: g.Diff.Clone()}
 	}
-	return recs, from, now
+	return recs, from
 }
 
 // RingStats describes the tier's generation log: its capacity, current

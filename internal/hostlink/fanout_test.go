@@ -379,7 +379,7 @@ func TestLogWindowAndRingStats(t *testing.T) {
 	if rs := h.fo.RingStats(); rs.Length != 7 || rs.Evictions != 0 {
 		t.Fatalf("before the wrap: %+v", rs)
 	}
-	early, from, epoch := h.fo.DiffsFrom(0, 0)
+	early, from := h.fo.DiffsFrom(0)
 	if from != 0 || len(early) != 7 {
 		t.Fatalf("DiffsFrom(0) = %d records after %d, want 7 after 0", len(early), from)
 	}
@@ -400,16 +400,16 @@ func TestLogWindowAndRingStats(t *testing.T) {
 		t.Fatalf("after the wrap: %+v, want length 8, 9 evictions, no forced resync", rs)
 	}
 	for _, cur := range []uint64{0, 8, 18} { // evicted, and in the future
-		recs, from, _ := h.fo.DiffsFrom(cur, epoch)
+		recs, from := h.fo.DiffsFrom(cur)
 		if from != 9 || len(recs) != 8 {
 			t.Errorf("DiffsFrom(%d) = %d records after %d, want the window: 8 after 9", cur, len(recs), from)
 		}
 		same("rebased", recs, 10)
 	}
-	if recs, from, _ := h.fo.DiffsFrom(15, epoch); from != 15 || len(recs) != 2 {
+	if recs, from := h.fo.DiffsFrom(15); from != 15 || len(recs) != 2 {
 		t.Errorf("DiffsFrom(15) = %d records after %d, want 2 after 15", len(recs), from)
 	}
-	if recs, from, _ := h.fo.DiffsFrom(17, epoch); from != 17 || len(recs) != 0 {
+	if recs, from := h.fo.DiffsFrom(17); from != 17 || len(recs) != 0 {
 		t.Errorf("DiffsFrom(head) = %d records after %d, want none", len(recs), from)
 	}
 	// Generations 9..15 refilled the slots of 1..7 in place.

@@ -1,12 +1,16 @@
 package hostlink
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"celestial/internal/constellation"
 	"celestial/internal/leaktest"
 	"celestial/internal/supervise"
 )
@@ -169,6 +173,85 @@ func TestTCPAgentsFollowAndVerify(t *testing.T) {
 		} else if st.Remote.Acked != 8 {
 			t.Errorf("agent %d acked %d, want 8", i, st.Remote.Acked)
 		}
+	}
+}
+
+// TestTCPAgentReceivesTheShardView takes one record the whole way an
+// agent's frames travel — Advance filters it for shard 1 of 2 (odd node
+// IDs), the remote writer encodes the frame onto a TCP connection, the
+// agent decodes it into its replica — and checks that the replica retains
+// the shard's view of the record as the test works it out by hand. The
+// record has a link appearing, one disappearing and one changing delay on
+// the shard, one of each off it, and activity flips on both. Each link
+// keeps its old delay: an appearing link's is -1, not 0.
+func TestTCPAgentReceivesTheShardView(t *testing.T) {
+	th := newTCPHarness(t, 2, 8, nil)
+	rep := NewReplica()
+	th.startAgent(1, rep)
+	push := func(d *constellation.Diff) {
+		t.Helper()
+		th.gen++
+		th.src.push(th.gen, d, th.fo.Advance)
+		if err := th.fo.Distribute(supervise.LevelFull); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The agent attaches from a snapshot of generation 1, then follows.
+	push(&constellation.Diff{T: 2, BaseT: math.NaN(), Full: true})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if gen, _ := rep.Cursor(); gen == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the agent never attached")
+		}
+	}
+	diff := &constellation.Diff{
+		T: 4, BaseT: 2, Degraded: 1, CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
+		Added:        []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}, {A: 0, B: 2, OldQ: -1, NewQ: 6}},
+		Removed:      []constellation.LinkDelta{{A: 2, B: 4, OldQ: 8, NewQ: -1}, {A: 4, B: 3, OldQ: 9, NewQ: -1}},
+		DelayChanged: []constellation.LinkDelta{{A: 5, B: 4, OldQ: 4, NewQ: 5}, {A: 6, B: 8, OldQ: 2, NewQ: 3}},
+		Activated:    []int32{2, 3},
+		Deactivated:  []int32{4},
+	}
+	rec := diff.Record()
+	view := rec
+	view.Added, view.Removed, view.DelayChanged = rec.Added[:1], rec.Removed[1:], rec.DelayChanged[:1]
+	view.Activated, view.Deactivated = []int32{3}, nil
+	push(diff)
+	th.barrier()
+	if err := th.fo.VerifyRemotes(); err != nil {
+		t.Fatal(err)
+	}
+
+	frames, ok := rep.Diffs(1)
+	if !ok || len(frames) != 1 {
+		t.Fatalf("Diffs(1) = %d frames, ok=%v; want generation 2 alone", len(frames), ok)
+	}
+	got := frames[0]
+	if got.Agent != 1 || got.Generation != 2 || got.Full {
+		t.Errorf("frame header = agent %d generation %d full %v, want 1/2/false", got.Agent, got.Generation, got.Full)
+	}
+	if g, w := constellation.AppendRecordWire(nil, 2, &got.DiffRecord), constellation.AppendRecordWire(nil, 2, &view); !bytes.Equal(g, w) {
+		t.Errorf("the agent decoded\n%+v\nwant the shard's view\n%+v", got.DiffRecord, view)
+	}
+	// The delays, spelled out.
+	for _, c := range []struct {
+		list string
+		got  []constellation.LinkDelta
+		want constellation.LinkDelta
+	}{
+		{"added", got.Added, constellation.LinkDelta{A: 1, B: 2, OldQ: -1, NewQ: 7}},
+		{"removed", got.Removed, constellation.LinkDelta{A: 4, B: 3, OldQ: 9, NewQ: -1}},
+		{"delay_changed", got.DelayChanged, constellation.LinkDelta{A: 5, B: 4, OldQ: 4, NewQ: 5}},
+	} {
+		if len(c.got) != 1 || c.got[0] != c.want {
+			t.Errorf("%s = %+v, want [%+v]", c.list, c.got, c.want)
+		}
+	}
+	if !reflect.DeepEqual(got.Activated, []int32{3}) || len(got.Deactivated) != 0 {
+		t.Errorf("activity flips = +%v -%v, want +[3] -[]", got.Activated, got.Deactivated)
 	}
 }
 

@@ -231,8 +231,8 @@ type Snapshot struct {
 //
 //	i32 agent | u8 flags | constellation.AppendRecordWire(generation, view)
 //
-// so what an agent re-serves on /v1/diff is the coordinator's document for
-// the filtered record. Agent routes the frame to the owning shard's
+// so an agent decodes the shard's view of the coordinator's record, old
+// and new delays included. Agent routes the frame to the owning shard's
 // replica; it is not folded into the digest chain (the chain is a function
 // of content alone). An apply engine is handed the header alone — Agent,
 // Generation, Flags, and Full on the loopback side — with every list empty.

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"celestial/internal/hostlink"
 )
 
 // body performs a GET and returns the response body bytes.
@@ -115,10 +113,23 @@ func raceDetector() bool {
 	return false
 }
 
-// countingSource is a Source that counts the documents its builders make.
+// countingSource is a Source that counts the documents its builders make
+// and the frames Frames serialized — a frame it has not handed out before.
 type countingSource struct {
 	Source
 	builds int
+	frames map[*Frame]bool
+}
+
+func (s *countingSource) Frames(since uint64) ([]*Frame, bool) {
+	frames, ok := s.Source.Frames(since)
+	for _, f := range frames {
+		if !s.frames[f] {
+			s.frames[f] = true
+			s.builds++
+		}
+	}
+	return frames, ok
 }
 
 func (s *countingSource) InfoDoc() ([]byte, int) {
@@ -154,13 +165,7 @@ func (s *countingSource) PathDoc(source, target string) ([]byte, int) {
 // snapshot is being computed meanwhile.
 func TestCacheHitsBuildNothing(t *testing.T) {
 	_, c := benchServer(t, 8*time.Second, 8*time.Second)
-	cs := NewCoordinatorSource(c)
-	src := &countingSource{Source: cs}
-	frame := cs.frames.frame
-	cs.frames.frame = func(e hostlink.Record) *Frame {
-		src.builds++
-		return frame(e)
-	}
+	src := &countingSource{Source: NewCoordinatorSource(c), frames: map[*Frame]bool{}}
 	s := RegisterRoutes(http.NewServeMux(), src)
 	for _, hit := range []struct {
 		path      string

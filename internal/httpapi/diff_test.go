@@ -78,6 +78,44 @@ func TestDiffSinceReplay(t *testing.T) {
 
 func itoa(v uint64) string { return strconv.FormatUint(v, 10) }
 
+// TestCoordinatorSourceSerializesOncePerGeneration pins the frame mirror's
+// contract — each generation is serialized once and shared by every
+// subscriber — against subscribers at different cursors: a fast one must
+// not make a slow one rebuild its frames, and a repeated call gets the
+// same frames again.
+func TestCoordinatorSourceSerializesOncePerGeneration(t *testing.T) {
+	c := newCoordinator(t, coordinator.Options{})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(38 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if gen := c.Generation(); gen != 20 {
+		t.Fatalf("generation = %d, want 20", gen)
+	}
+	cs := NewCoordinatorSource(c)
+	slow, ok := cs.Frames(5)
+	if !ok || len(slow) != 15 {
+		t.Fatalf("Frames(5) = %d frames, ok=%v; want 15", len(slow), ok)
+	}
+	fast, ok := cs.Frames(18)
+	if !ok || len(fast) != 2 {
+		t.Fatalf("Frames(18) = %d frames, ok=%v; want 2", len(fast), ok)
+	}
+	for i, f := range fast {
+		if f != slow[13+i] {
+			t.Errorf("generation %d: the fast subscriber got a frame of its own", f.Generation)
+		}
+	}
+	again, _ := cs.Frames(5)
+	for i, f := range again {
+		if f != slow[i] {
+			t.Fatalf("generation %d was serialized again after a subscriber at a newer cursor asked", f.Generation)
+		}
+	}
+}
+
 // TestDiffFutureCursorResyncs locks in the future-cursor handling: a
 // since beyond the live generation (stale or corrupted client state) gets
 // an immediate resync answer — not an empty success that would echo the

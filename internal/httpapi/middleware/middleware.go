@@ -236,14 +236,15 @@ func RateLimit(rate float64, burst int) Middleware {
 // ParseRate parses the "-http-rate" flag syntax: "<rps>" or
 // "<rps>:<burst>", e.g. "100" or "100:250". An omitted burst defaults to
 // the ceiling of the rate (one second of traffic); an empty string means
-// disabled (rate 0).
+// disabled (rate 0). NaN and the infinities are refused like any other
+// malformed rate.
 func ParseRate(s string) (rate float64, burst int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
 	rateStr, burstStr, hasBurst := strings.Cut(s, ":")
 	rate, err = strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate < 0 {
+	if err != nil || rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return 0, 0, fmt.Errorf("bad rate %q (want \"<rps>\" or \"<rps>:<burst>\")", s)
 	}
 	if hasBurst {

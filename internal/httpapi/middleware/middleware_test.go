@@ -51,8 +51,10 @@ func TestChainOrder(t *testing.T) {
 // TestDeploy: the deployment chain authenticates, rate-limits, logs and
 // recovers, and refuses a malformed rate instead of serving unlimited.
 func TestDeploy(t *testing.T) {
-	if _, err := Deploy(okHandler(), "", "fast", false, t.Logf); err == nil {
-		t.Error("malformed rate accepted")
+	for _, rate := range []string{"fast", "NaN", "inf", "+Inf:5"} {
+		if _, err := Deploy(okHandler(), "", rate, false, t.Logf); err == nil {
+			t.Errorf("malformed rate %q accepted", rate)
+		}
 	}
 	var lines []string
 	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }

@@ -10,7 +10,6 @@ import (
 	"celestial/internal/coordinator"
 	"celestial/internal/difflog"
 	"celestial/internal/geom"
-	"celestial/internal/hostlink"
 	"celestial/internal/netem"
 	"celestial/internal/vnet"
 )
@@ -56,25 +55,28 @@ func errDoc(status int, format string, args ...any) ([]byte, int) {
 }
 
 // CoordinatorSource adapts a coordinator to the Source interface: the
-// document builders that used to live in the HTTP handlers, plus the
-// frame mirror that serializes each retained diff once for all of its
-// subscribers.
+// document builders that used to live in the HTTP handlers, plus a frame
+// mirror of the coordinator's generation log that serializes each
+// retained diff once for all of its subscribers.
 type CoordinatorSource struct {
-	c      *coordinator.Coordinator
-	frames *frameMirror[hostlink.Record]
+	c *coordinator.Coordinator
 	// misses counts the subscribers Frames sent back to full state. The
 	// mirror answers them without asking the coordinator, so /agents adds
 	// them to the ring's forced resyncs.
 	misses atomic.Uint64
+
+	// mu guards the mirror: frames holds the serialized frames of the
+	// coordinator's window, and seen is the coordinator's wake channel as
+	// of the last pull. While the coordinator still hands out that channel
+	// nothing was appended and the mirror is current.
+	mu     sync.Mutex
+	frames *difflog.Log[*Frame]
+	seen   <-chan struct{}
 }
 
 // NewCoordinatorSource wraps a coordinator as a route-table Source.
 func NewCoordinatorSource(c *coordinator.Coordinator) *CoordinatorSource {
-	return &CoordinatorSource{c: c, frames: &frameMirror[hostlink.Record]{
-		updated: c.UpdateChan, pull: c.DiffsFrom,
-		frame: func(e hostlink.Record) *Frame { return BuildFrame(e.Generation, &e.Diff) },
-		log:   difflog.New[*Frame](c.RingStats().Capacity),
-	}}
+	return &CoordinatorSource{c: c, frames: difflog.New[*Frame](c.RingStats().Capacity)}
 }
 
 // Coordinator returns the wrapped coordinator.
@@ -266,70 +268,37 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	return marshalDoc(resp), 200
 }
 
-// Frames returns the shared frames after since. This is where the
-// per-subscriber serialization used to happen: now each retained
-// generation is converted and serialized exactly once, and every
-// long-poll, SSE and binary-stream subscriber shares the same buffers.
+// Frames returns the shared frames after since. Each retained generation
+// is converted and serialized exactly once, and every long-poll, SSE and
+// binary-stream subscriber shares the same buffers.
+//
+// The mirror is brought up to the coordinator's log by the first call
+// after an update. When its own cursor fell off the log's window (no /diff
+// consumer for longer than the log retains) it rebases onto the current
+// window instead of failing — a quiet spell with no subscribers must not
+// force later clients to resync. Frames are built after DiffsFrom has
+// returned, outside the coordinator's lock: serializing a Gen2 diff takes
+// milliseconds and must not hold up the next update.
 func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
-	frames, ok := cs.frames.since(since)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	// The channel is read before the pull: an update that lands after the
+	// read is either in the pull or leaves seen behind the coordinator, to
+	// be pulled next time — never ahead of it.
+	if ch := cs.c.UpdateChan(); ch != cs.seen {
+		recs, from := cs.c.DiffsFrom(cs.frames.Head())
+		if from != cs.frames.Head() {
+			cs.frames.Reset(from)
+		}
+		for i := range recs {
+			f := BuildFrame(recs[i].Generation, &recs[i].Diff)
+			*cs.frames.Append(f.Generation) = f
+		}
+		cs.seen = ch
+	}
+	frames, ok := cs.frames.Since(since)
 	if !ok {
 		cs.misses.Add(1)
 	}
 	return frames, ok
-}
-
-// frameMirror lazily mirrors a producer's retained diffs — the
-// coordinator's generation log (E is hostlink.Record), an agent replica's frame
-// history (E is *hostlink.DiffFrame) — into the shared serialized frames
-// of the same generations: same window, same cursor answers, brought up to
-// date by the first call after the producer changed. One mirror serves
-// every subscriber of a source, so a generation is serialized once however
-// many cursors ask for it.
-type frameMirror[E any] struct {
-	// updated returns the producer's wake channel, replaced whenever its
-	// log changes. pull copies out of the producer, under the producer's
-	// lock, what the mirror is missing (see difflog.Log.Tail); frame
-	// serializes one of those entries.
-	updated func() <-chan struct{}
-	pull    func(cursor, epoch uint64) (entries []E, from, now uint64)
-	frame   func(E) *Frame
-
-	mu  sync.Mutex
-	log *difflog.Log[*Frame]
-	// epoch is the producer log's epoch the mirrored window belongs to,
-	// and seen its wake channel as of the last pull: while the producer
-	// still hands out that channel nothing was appended or reset and the
-	// mirror is current — a check that cannot miss a producer that
-	// restarted and climbed back to the generation it was mirrored at.
-	epoch uint64
-	seen  <-chan struct{}
-}
-
-// since answers one subscriber's cursor from the mirrored window, first
-// bringing the mirror up to the producer. When the mirror's own cursor
-// fell off the producer's window (no /diff consumer for longer than it
-// retains) or the producer restarted, the mirror rebases onto the
-// producer's current window instead of failing — a quiet spell with no
-// subscribers must not force later clients to resync. Frames are built
-// after pull has returned, outside the producer's lock: serializing a
-// Gen2 diff takes milliseconds and must not hold up the next update.
-func (m *frameMirror[E]) since(cursor uint64) ([]*Frame, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// The channel is read before the pull: a change that lands after the
-	// read is either in the pull or leaves seen behind the producer, to
-	// be pulled next time — never ahead of it.
-	if ch := m.updated(); ch != m.seen {
-		entries, from, epoch := m.pull(m.log.Head(), m.epoch)
-		if from != m.log.Head() || epoch != m.epoch {
-			m.log.Reset(from)
-			m.epoch = epoch
-		}
-		for _, e := range entries {
-			f := m.frame(e)
-			*m.log.Append(f.Generation) = f
-		}
-		m.seen = ch
-	}
-	return m.log.Since(cursor)
 }

@@ -9,20 +9,19 @@ import (
 	"celestial/internal/httpapi"
 )
 
-// TestCursorConformance drives the four places a subscriber's cursor is
+// TestCursorConformance drives the three places a subscriber's cursor is
 // answered — hostlink.Replica.Diffs, readpath.Replica.Frames and the
-// coordinator's and an agent's frame sources — through one stream of
-// generations and one cursor table, and expects the same ok/length answer
-// from all of them: before the 64-generation window wraps, after it has,
-// right after the followers resynced (where the coordinator, which never
-// resyncs, still replays what they no longer can), and once its window has
-// slid past the resync point and all four coincide again.
+// coordinator's frame source — through one stream of generations and one
+// cursor table, and expects the same ok/length answer from all of them:
+// before the 64-generation window wraps, after it has, right after the
+// followers resynced (where the coordinator, which never resyncs, still
+// replays what they no longer can), and once its window has slid past the
+// resync point and all three coincide again.
 func TestCursorConformance(t *testing.T) {
 	const retention = 64
 	c := testCoordinator(t, time.Second)
 	coordSrc := httpapi.NewCoordinatorSource(c)
 	agent := hostlink.NewReplica()
-	agentSrc := httpapi.NewReplicaSource(0, agent)
 	reader, err := New(Options{Upstream: "http://upstream.invalid"})
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +30,13 @@ func TestCursorConformance(t *testing.T) {
 	type subject struct {
 		name  string
 		since func(cursor uint64) (int, bool)
-		// follower marks the three that are fed from the stream and can be
+		// follower marks the two that are fed from the stream and can be
 		// resynced; the other one mirrors the coordinator's own log.
 		follower bool
 	}
 	subjects := []subject{
 		{"CoordinatorSource.Frames", func(cur uint64) (int, bool) { f, ok := coordSrc.Frames(cur); return len(f), ok }, false},
 		{"hostlink.Replica.Diffs", func(cur uint64) (int, bool) { f, ok := agent.Diffs(cur); return len(f), ok }, true},
-		{"ReplicaSource.Frames", func(cur uint64) (int, bool) { f, ok := agentSrc.Frames(cur); return len(f), ok }, true},
 		{"readpath.Replica.Frames", func(cur uint64) (int, bool) { f, ok := reader.Frames(cur); return len(f), ok }, true},
 	}
 
@@ -47,7 +45,7 @@ func TestCursorConformance(t *testing.T) {
 	var fed, base uint64
 	follow := func() {
 		t.Helper()
-		entries, from, _ := c.DiffsFrom(fed, 0)
+		entries, from := c.DiffsFrom(fed)
 		if from != fed {
 			t.Fatalf("the test fell off the coordinator's window at %d", fed)
 		}
@@ -80,7 +78,7 @@ func TestCursorConformance(t *testing.T) {
 
 	// check asks every subject the cursor table around its expected
 	// window (oldest-1 is the last replayable cursor) and compares with
-	// the one rule; allAgree additionally demands four equal windows.
+	// the one rule; allAgree additionally demands three equal windows.
 	check := func(stage string, allAgree bool) {
 		t.Helper()
 		head := c.Generation()

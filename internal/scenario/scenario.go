@@ -88,7 +88,7 @@ type Flow struct {
 	Source, Target string
 	// Arrival is ArrivalPoisson or ArrivalCBR.
 	Arrival string
-	// Rate is the arrival rate per second.
+	// Rate is the arrival rate per second, at most 1e9.
 	Rate float64
 	// RequestBytes sizes each request (rpc) or packet (stream).
 	RequestBytes int
@@ -437,6 +437,11 @@ func (sc *Scenario) finalize() error {
 		}
 		if f.Rate <= 0 {
 			return fmt.Errorf("scenario: flow %q: rate must be positive, have %v", f.Name, f.Rate)
+		}
+		// A faster flow's gap truncates to 0 ns, and its arrivals would
+		// re-arm at the same instant forever.
+		if f.Rate > 1e9 {
+			return fmt.Errorf("scenario: flow %q: rate %v exceeds 1e9 per second (at most one arrival per virtual nanosecond)", f.Name, f.Rate)
 		}
 		if f.RequestBytes == 0 {
 			f.RequestBytes = 256

@@ -198,6 +198,7 @@ func TestParseErrors(t *testing.T) {
 		"bad flow type":     "[[flow]]\ntype = \"carrier-pigeon\"\nsource = \"accra\"\ntarget = \"johannesburg\"\nrate = 1.0\n" + testbedTOML,
 		"bad arrival":       "[[flow]]\nsource = \"accra\"\ntarget = \"johannesburg\"\nrate = 1.0\narrival = \"bursty\"\n" + testbedTOML,
 		"zero rate":         "[[flow]]\nsource = \"accra\"\ntarget = \"johannesburg\"\n" + testbedTOML,
+		"rate past 1 GHz":   "[[flow]]\ntype = \"stream\"\nsource = \"accra\"\ntarget = \"johannesburg\"\nrate = 2e9\n" + testbedTOML,
 		"window past end":   "horizon = 5.0\n[[flow]]\nsource = \"accra\"\ntarget = \"johannesburg\"\nrate = 1.0\nstop = 9.0\n" + testbedTOML,
 		"bad action":        "[[event]]\nat = 1.0\naction = \"melt\"\n" + testbedTOML,
 		"late event":        "horizon = 5.0\n[[event]]\nat = 9.0\naction = \"impair\"\n" + testbedTOML,
