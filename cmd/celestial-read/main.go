@@ -11,7 +11,8 @@
 //	celestial-read -upstream ... -listen :8090 -http-auth secret -http-rate 100:200
 //
 // With -replicas N, N in-process replicas are served on consecutive ports
-// starting at -listen (an in-process multi-replica smoke deployment; real
+// starting at -listen, or each on its own ephemeral port when -listen's
+// port is 0 (an in-process multi-replica smoke deployment; real
 // deployments run one process per host). Each replica follows the
 // upstream independently over the compact binary diff framing, reconnects
 // with backoff when the stream drops, and resyncs from the upstream's
@@ -42,7 +43,7 @@ import (
 
 func main() {
 	upstream := flag.String("upstream", "", "base URL of the upstream information server (e.g. http://127.0.0.1:8080)")
-	listen := flag.String("listen", ":8090", "TCP address the first replica serves on; replica i serves on port+i")
+	listen := flag.String("listen", ":8090", "TCP address the first replica serves on; replica i serves on port+i, or on its own ephemeral port when the port is 0")
 	replicas := flag.Int("replicas", 1, "number of in-process replicas (consecutive ports from -listen)")
 	upstreamAuth := flag.String("upstream-auth", "", "bearer token presented on upstream requests")
 	httpAuth := flag.String("http-auth", "", "bearer token required on this replica's requests (empty disables auth)")
@@ -82,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("celestial-read: %v", err)
 		}
-		addr := net.JoinHostPort(host, strconv.Itoa(port+i))
+		addr := replicaAddr(host, port, i)
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			log.Fatalf("celestial-read: listener %s: %v", addr, err)
@@ -107,4 +108,14 @@ func main() {
 
 	<-ctx.Done()
 	fmt.Fprintln(os.Stderr, "celestial-read: shutting down")
+}
+
+// replicaAddr is the listen address of replica i when the first listens on
+// host:port. Port 0 asks the kernel for an ephemeral port, so every replica
+// asks again instead of taking port i.
+func replicaAddr(host string, port, i int) string {
+	if port == 0 {
+		return net.JoinHostPort(host, "0")
+	}
+	return net.JoinHostPort(host, strconv.Itoa(port+i))
 }

@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
+	"time"
 
 	"celestial"
 	"celestial/internal/constellation"
@@ -26,10 +28,14 @@ import (
 func main() {
 	preset := flag.String("preset", "", `preset constellation: "starlink" or "iridium"`)
 	configPath := flag.String("config", "", "TOML configuration to render")
-	t := flag.Float64("t", 0, "snapshot time in seconds after the epoch")
+	t := flag.Float64("t", 0, "snapshot time in seconds after the epoch (finite, within ±9.2e9, the virtual clock's range)")
 	links := flag.Bool("links", false, "draw inter-satellite links")
 	out := flag.String("o", "", "output SVG path (default stdout)")
 	flag.Parse()
+	if err := checkTime(*t); err != nil {
+		fmt.Fprintf(os.Stderr, "celestial-viz: %v\n", err)
+		os.Exit(2)
+	}
 
 	var cfg *celestial.Config
 	switch {
@@ -105,4 +111,14 @@ func main() {
 		log.Fatalf("celestial-viz: %v", err)
 	}
 	log.Printf("wrote %s (%d elements, t=%.0fs)", *out, m.Elements(), *t)
+}
+
+// checkTime refuses a snapshot time the virtual clock cannot hold: it
+// counts time.Duration nanoseconds, so |t| must stay below MaxInt64 ns
+// (about 292 years), and NaN and ±Inf are no time at all.
+func checkTime(t float64) error {
+	if !(math.Abs(t)*float64(time.Second) < float64(math.MaxInt64)) {
+		return fmt.Errorf("-t %v: want a finite time within ±%.4g s", t, float64(math.MaxInt64)/float64(time.Second))
+	}
+	return nil
 }

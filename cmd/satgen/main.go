@@ -1,8 +1,8 @@
 // Command satgen generates constellation data: shell summaries and
 // synthesized two-line element sets (TLEs) for the preset constellations or
-// a TOML configuration. The generated TLEs drive the same SGP4 code path
-// as element sets downloaded from a NORAD database, so they can be fed to
-// any external SGP4 tooling for cross-validation.
+// a TOML configuration. The testbed synthesizes these TLEs and parses them
+// back into its SGP4 propagator (it reads no TLE files); printed, they can
+// be fed to any external SGP4 tooling for cross-validation.
 //
 // Usage:
 //

@@ -32,7 +32,7 @@ import (
 // Backend is the deployment-specific half of the engine: what
 // invalidation, sweeps and notes mean in this process. The coordinator's
 // backend programs real hosts and the virtual network; an agent's backend
-// accounts the work against its replica.
+// has no host to program.
 type Backend interface {
 	// InvalidatePaths marks cached shaper parameters stale for the pairs
 	// this shard owns; they recompute lazily on next use.
@@ -51,7 +51,8 @@ type Backend interface {
 
 // Config sizes one engine. Backend is required.
 type Config struct {
-	// Shard is the shard this engine applies for (telemetry only).
+	// Shard is the shard this engine applies for; it selects the
+	// engine's jitter stream.
 	Shard int
 	// Backend executes the deployment-specific operations.
 	Backend Backend
@@ -68,14 +69,12 @@ type Config struct {
 // Engine applies generations for one shard. It implements
 // hostlink.ResultApplier and is safe for concurrent use.
 type Engine struct {
-	shard   int
 	backend Backend
 	policy  retry.Policy
 	seed    int64
 
-	mu    sync.Mutex
-	last  hostlink.ApplyResult
-	stats retry.Stats
+	mu   sync.Mutex
+	last hostlink.ApplyResult
 }
 
 // New builds an engine. It panics on a nil backend — that is a wiring
@@ -85,15 +84,11 @@ func New(cfg Config) *Engine {
 		panic("applyengine: nil backend")
 	}
 	return &Engine{
-		shard:   cfg.Shard,
 		backend: cfg.Backend,
 		policy:  cfg.Retry,
 		seed:    rng.Derive(cfg.Seed, uint64(cfg.Shard)+0x20000),
 	}
 }
-
-// Shard returns the shard this engine applies for.
-func (e *Engine) Shard() int { return e.shard }
 
 // policyFlags masks a frame down to the bits that command work.
 const policyFlags = hostlink.FlagInvalidate | hostlink.FlagSweep | hostlink.FlagNote
@@ -134,9 +129,7 @@ func (e *Engine) ApplySnapshot(s *hostlink.Snapshot) error {
 // do runs op under the retry policy with the generation's jitter stream.
 func (e *Engine) do(gen uint64, op func() error) retry.Result {
 	rnd := rng.New(rng.Derive(e.seed, gen))
-	res := retry.Do(e.policy, rnd.Float64, op)
-	e.stats.Record(res)
-	return res
+	return retry.Do(e.policy, rnd.Float64, op)
 }
 
 func (e *Engine) record(gen uint64, flags uint8, res retry.Result) {
@@ -155,61 +148,21 @@ func (e *Engine) LastResult() hostlink.ApplyResult {
 	return e.last
 }
 
-// RetryStats returns the engine's accumulated retry accounting. The
-// counters ride Applied frames and /agents; they are never folded into
-// the run report, which must not depend on deployment.
-func (e *Engine) RetryStats() retry.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
 // ReplicaBackend is the agent-side Backend: on a real deployment the
 // agent's host would program tc/netem and the machine manager here; the
-// testbed's agent accounts the operations against its replica instead, so
-// the engine's control flow, retry accounting and result digests are
-// exercised end to end without privileged host access.
-type ReplicaBackend struct {
-	mu          sync.Mutex
-	invalidates int64
-	sweeps      int64
-	notes       int64
-	snapshots   int64
-}
+// testbed's agent has no host to program, so every operation succeeds at
+// once and the engine's control flow, retry policy and result digests
+// run end to end without privileged host access.
+type ReplicaBackend struct{}
 
 // InvalidatePaths implements Backend.
-func (b *ReplicaBackend) InvalidatePaths() {
-	b.mu.Lock()
-	b.invalidates++
-	b.mu.Unlock()
-}
+func (*ReplicaBackend) InvalidatePaths() {}
 
 // SweepActivity implements Backend.
-func (b *ReplicaBackend) SweepActivity() error {
-	b.mu.Lock()
-	b.sweeps++
-	b.mu.Unlock()
-	return nil
-}
+func (*ReplicaBackend) SweepActivity() error { return nil }
 
 // NoteUpdate implements Backend.
-func (b *ReplicaBackend) NoteUpdate() {
-	b.mu.Lock()
-	b.notes++
-	b.mu.Unlock()
-}
+func (*ReplicaBackend) NoteUpdate() {}
 
 // AdoptSnapshot implements Backend.
-func (b *ReplicaBackend) AdoptSnapshot(*hostlink.Snapshot) error {
-	b.mu.Lock()
-	b.snapshots++
-	b.mu.Unlock()
-	return nil
-}
-
-// Counts returns the operations executed so far.
-func (b *ReplicaBackend) Counts() (invalidates, sweeps, notes, snapshots int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.invalidates, b.sweeps, b.notes, b.snapshots
-}
+func (*ReplicaBackend) AdoptSnapshot(*hostlink.Snapshot) error { return nil }

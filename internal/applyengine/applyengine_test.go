@@ -87,10 +87,6 @@ func TestEngineRetriesTransientSweeps(t *testing.T) {
 	if res.Digest != hostlink.ResultDigest(9, hostlink.FlagSweep) {
 		t.Fatal("retries perturbed the result digest")
 	}
-	st := e.RetryStats()
-	if st.Ops != 1 || st.Retried != 1 || st.Recovered != 1 || st.Backoff <= 0 {
-		t.Fatalf("retry stats = %+v", st)
-	}
 
 	// A fatal error surfaces immediately.
 	b.sweepErrs = []error{errors.New("illegal transition")}
@@ -118,9 +114,7 @@ func TestEngineJitterStreamsAlignPerGeneration(t *testing.T) {
 			retry.Transient(errors.New("busy")),
 			retry.Transient(errors.New("busy")),
 		}
-		before := e.RetryStats().Backoff
-		_ = e.ApplyDiff(&hostlink.DiffFrame{Generation: 7, Flags: hostlink.FlagSweep})
-		return e.RetryStats().Backoff - before
+		return e.do(7, b.SweepActivity).Backoff
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("generation-7 backoff depends on history: %v vs %v", a, b)
@@ -142,14 +136,25 @@ func TestEngineSnapshotDigestsAsInvalidateSweep(t *testing.T) {
 	}
 }
 
-func TestReplicaBackendCounts(t *testing.T) {
-	b := &ReplicaBackend{}
-	e := New(Config{Backend: b, Seed: 5})
-	_ = e.ApplyDiff(&hostlink.DiffFrame{Generation: 1, Flags: hostlink.FlagInvalidate | hostlink.FlagSweep})
-	_ = e.ApplyDiff(&hostlink.DiffFrame{Generation: 2, Flags: hostlink.FlagNote})
-	_ = e.ApplySnapshot(&hostlink.Snapshot{Generation: 3})
-	inv, sweeps, notes, snaps := b.Counts()
-	if inv != 2 || sweeps != 1 || notes != 1 || snaps != 1 {
-		t.Fatalf("counts = %d/%d/%d/%d, want 2/1/1/1", inv, sweeps, notes, snaps)
+func TestReplicaBackendDigestsEveryGeneration(t *testing.T) {
+	e := New(Config{Backend: &ReplicaBackend{}, Seed: 5})
+	steps := []struct {
+		apply func() error
+		gen   uint64
+		flags uint8
+	}{
+		{func() error {
+			return e.ApplyDiff(&hostlink.DiffFrame{Generation: 1, Flags: hostlink.FlagInvalidate | hostlink.FlagSweep})
+		}, 1, hostlink.FlagInvalidate | hostlink.FlagSweep},
+		{func() error { return e.ApplyDiff(&hostlink.DiffFrame{Generation: 2, Flags: hostlink.FlagNote}) }, 2, hostlink.FlagNote},
+		{func() error { return e.ApplySnapshot(&hostlink.Snapshot{Generation: 3}) }, 3, hostlink.FlagInvalidate | hostlink.FlagSweep},
+	}
+	for _, st := range steps {
+		if err := st.apply(); err != nil {
+			t.Fatalf("generation %d: %v", st.gen, err)
+		}
+		if got, want := e.LastResult(), (hostlink.ApplyResult{Generation: st.gen, Digest: hostlink.ResultDigest(st.gen, st.flags), Attempts: 1}); got != want {
+			t.Fatalf("generation %d result = %+v, want %+v", st.gen, got, want)
+		}
 	}
 }

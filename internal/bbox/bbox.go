@@ -31,12 +31,6 @@ type Box struct {
 // workloads).
 var WholeEarth = Box{LatMinDeg: -90, LonMinDeg: -180, LatMaxDeg: 90, LonMaxDeg: 180}
 
-// New builds a box from two corner coordinates, validating ranges.
-func New(latMin, lonMin, latMax, lonMax float64) (Box, error) {
-	b := Box{LatMinDeg: latMin, LonMinDeg: lonMin, LatMaxDeg: latMax, LonMaxDeg: lonMax}
-	return b, b.Validate()
-}
-
 // Validate reports an error for out-of-range coordinates.
 func (b Box) Validate() error {
 	switch {

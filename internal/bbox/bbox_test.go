@@ -33,15 +33,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNewRejectsInvalid(t *testing.T) {
-	if _, err := New(50, 0, 10, 10); err == nil {
-		t.Error("New accepted inverted latitudes")
-	}
-	if _, err := New(0, 0, 10, 10); err != nil {
-		t.Errorf("New rejected valid box: %v", err)
-	}
-}
-
 func TestContains(t *testing.T) {
 	africa := Box{-5, -20, 25, 25}
 	tests := []struct {

@@ -135,9 +135,6 @@ func New(cfg *config.Config) (*Constellation, error) {
 	return c, nil
 }
 
-// Config returns the configuration the constellation was built from.
-func (c *Constellation) Config() *config.Config { return c.cfg }
-
 // NodeCount returns the total number of nodes (satellites plus ground
 // stations).
 func (c *Constellation) NodeCount() int { return len(c.nodes) }
@@ -336,18 +333,11 @@ const maxSpareResults = 128
 // Snapshot computes the constellation state t seconds after the epoch,
 // fanning the orbit propagation, ISL feasibility tests and ground-station
 // visibility scans out across GOMAXPROCS workers. The result is
-// byte-identical to SnapshotSequential — parallelism never changes the
-// computed state, preserving the paper's repeatability property.
+// byte-identical to a single-worker run (SnapshotSequential in
+// pipeline_test.go) — parallelism never changes the computed state,
+// preserving the paper's repeatability property.
 func (c *Constellation) Snapshot(t float64) (*State, error) {
 	return c.snapshotFresh(t, runtime.GOMAXPROCS(0))
-}
-
-// SnapshotSequential is the single-threaded reference implementation of
-// Snapshot. It exists for differential testing: a fresh state has a cold
-// visibility index and a graph rebuilt from its link list, so it is also
-// the full-rebuild reference for the pool's incremental paths.
-func (c *Constellation) SnapshotSequential(t float64) (*State, error) {
-	return c.snapshotFresh(t, 1)
 }
 
 // snapshotFresh computes a snapshot into a new State with the given worker
@@ -1136,8 +1126,8 @@ func (st *State) Path(a, b int) ([]int, error) {
 }
 
 // Uplinks returns the candidate uplinks (sorted closest-first) of a ground
-// station to one shell's satellites, as VisibleSats computed them for this
-// snapshot.
+// station to one shell's satellites, as the visibility index computed them
+// for this snapshot.
 func (st *State) Uplinks(gst, shell int) ([]topo.Uplink, error) {
 	if gst < 0 || gst >= len(st.uplinks) {
 		return nil, fmt.Errorf("constellation: ground station %d out of range [0, %d)", gst, len(st.uplinks))

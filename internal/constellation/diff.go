@@ -121,9 +121,6 @@ func (r *DiffRecord) Empty() bool {
 		len(r.DelayChanged) == 0 && len(r.Activated) == 0 && len(r.Deactivated) == 0
 }
 
-// Record returns a retainable deep copy of the diff.
-func (d *Diff) Record() DiffRecord { return d.AppendRecord(DiffRecord{}) }
-
 // Clone returns a deep copy of the record sharing no memory with r —
 // the escape hatch for records whose slices are reused in place (like
 // the coordinator's retention ring slots, refilled via AppendRecord).

@@ -13,6 +13,14 @@ import (
 	"celestial/internal/orbit"
 )
 
+// SnapshotSequential is the single-threaded reference implementation of
+// Snapshot, for differential testing: a fresh state has a cold visibility
+// index and a graph rebuilt from its link list, so it is also the
+// full-rebuild reference for the pool's incremental paths.
+func (c *Constellation) SnapshotSequential(t float64) (*State, error) {
+	return c.snapshotFresh(t, 1)
+}
+
 // sortEdges orders a CSR row canonically for set comparison.
 func sortEdges(es []graph.Edge) {
 	sort.Slice(es, func(i, j int) bool {
@@ -77,14 +85,12 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 	}
 	assertLinkBandwidths(t, want)
 	assertLinkBandwidths(t, got)
-	if want.g.N() != got.g.N() || want.g.M() != got.g.M() {
-		t.Fatalf("graph shape: %d/%d vs %d/%d", want.g.N(), want.g.M(), got.g.N(), got.g.M())
-	}
-	// Rows are compared as sets via the frozen CSR image: a pooled state's
-	// graph may have been clone-and-patched (stale adjacency lists, rows
-	// reordered by swap-removal), which is observationally identical.
+	// The graph has one node per position. Rows are compared as sets via
+	// the frozen CSR image: a pooled state's graph may have been
+	// clone-and-patched (stale adjacency lists, rows reordered by
+	// swap-removal), which is observationally identical.
 	var wbuf, gbuf []graph.Edge
-	for v := 0; v < want.g.N(); v++ {
+	for v := range want.Positions {
 		wbuf = want.g.FrozenRow(v, wbuf[:0])
 		gbuf = got.g.FrozenRow(v, gbuf[:0])
 		if len(wbuf) != len(gbuf) {

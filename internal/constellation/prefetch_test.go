@@ -40,7 +40,7 @@ func cachedSources(st *State) []int {
 func assertHintIdentical(t *testing.T, tick int, want, got *State) {
 	t.Helper()
 	assertStatesIdentical(t, want, got)
-	wr, gr := want.Diff().Record(), got.Diff().Record()
+	wr, gr := want.Diff().AppendRecord(DiffRecord{}), got.Diff().AppendRecord(DiffRecord{})
 	if w, g := AppendRecordWire(nil, uint64(tick), &wr), AppendRecordWire(nil, uint64(tick), &gr); !bytes.Equal(w, g) {
 		t.Fatalf("tick %d: diff records differ:\n sync     %+v\n prefetch %+v", tick, want.Diff().Stats(), got.Diff().Stats())
 	}

@@ -20,7 +20,7 @@ func diffFixture() *Diff {
 
 func TestDiffRecordDeepCopies(t *testing.T) {
 	d := diffFixture()
-	rec := d.Record()
+	rec := d.AppendRecord(DiffRecord{})
 
 	if rec.T != 4 || rec.BaseT != 2 || rec.Full {
 		t.Errorf("header = %+v", rec)
@@ -43,7 +43,7 @@ func TestDiffRecordDeepCopies(t *testing.T) {
 }
 
 func TestDiffRecordCloneSharesNoMemory(t *testing.T) {
-	rec := diffFixture().Record()
+	rec := diffFixture().AppendRecord(DiffRecord{})
 	clone := rec.Clone()
 	// Refilling the original in place — as a retention-ring slot does via
 	// AppendRecord — must not reach the clone.
@@ -66,7 +66,7 @@ func TestDiffRecordEmptyMatchesDiff(t *testing.T) {
 		diffFixture(),
 	}
 	for i, d := range cases {
-		rec := d.Record()
+		rec := d.AppendRecord(DiffRecord{})
 		if rec.Empty() != d.Empty() {
 			t.Errorf("case %d: record.Empty() = %v, diff.Empty() = %v", i, rec.Empty(), d.Empty())
 		}
@@ -75,7 +75,7 @@ func TestDiffRecordEmptyMatchesDiff(t *testing.T) {
 
 func TestAppendRecordReusesBackingArrays(t *testing.T) {
 	d := diffFixture()
-	rec := d.Record()
+	rec := d.AppendRecord(DiffRecord{})
 	added := rec.Added[:0]
 	// Refilling a record from a same-shaped diff must reuse the slot's
 	// backing arrays (the coordinator's ring relies on this to keep

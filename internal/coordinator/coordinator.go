@@ -128,11 +128,7 @@ func New(cfg *config.Config, o Options) (*Coordinator, error) {
 		if m == nil {
 			return true
 		}
-		switch m.State() {
-		case machine.Failed, machine.Stopped:
-			return false
-		}
-		return true
+		return m.State() != machine.Failed
 	})
 
 	// Hosts: the paper uses identical cloud instances (N2-highcpu-32).

@@ -609,13 +609,13 @@ func TestWatchdogWalksLadderAndRecordsDegradation(t *testing.T) {
 	if ws.Coalesced == 0 || ws.ActivityOnly == 0 {
 		t.Fatalf("ladder did not walk through coalesce and activity-only: %+v", ws)
 	}
-	if lvl := c.Watchdog().Level(); lvl != supervise.LevelActivityOnly {
-		t.Fatalf("final level = %v", lvl)
-	}
 	// The degradation level rides on the retained diff records.
 	entries, _ := c.DiffsFrom(0)
 	if len(entries) == 0 {
 		t.Fatal("no diff history")
+	}
+	if lvl := supervise.Level(entries[len(entries)-1].Diff.Degraded); lvl != supervise.LevelActivityOnly {
+		t.Fatalf("final level = %v", lvl)
 	}
 	degraded := 0
 	for _, e := range entries {

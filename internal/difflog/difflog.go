@@ -38,12 +38,12 @@ func New[T any](capacity int) *Log[T] {
 }
 
 // Head is the newest generation: the last one appended, or the point of
-// the last Reset. Oldest is the first generation still retained; with
-// nothing retained it is Head+1, so Oldest-1 is always the oldest cursor
-// Since accepts. Len and Cap are the window's fill and bound; Evictions
-// counts entries overwritten by an Append into a full window.
+// the last Reset. Len and Cap are the window's fill and bound, so the
+// oldest generation still retained, Oldest = Head−Len+1, is Head+1 when
+// nothing is retained and Oldest−1 is always the oldest cursor Since
+// accepts. Evictions counts entries overwritten by an Append into a full
+// window.
 func (l *Log[T]) Head() uint64      { return l.head }
-func (l *Log[T]) Oldest() uint64    { return l.head - uint64(l.n) + 1 }
 func (l *Log[T]) Len() int          { return l.n }
 func (l *Log[T]) Cap() int          { return len(l.slots) }
 func (l *Log[T]) Evictions() uint64 { return l.evictions }

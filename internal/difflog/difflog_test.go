@@ -115,9 +115,10 @@ func TestLogCursorTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l := tc.build()
-			if l.Head() != tc.head || l.Oldest() != tc.oldest || l.Len() != tc.length || l.Evictions() != uint64(tc.evicts) {
+			oldest := l.Head() - uint64(l.Len()) + 1
+			if l.Head() != tc.head || oldest != tc.oldest || l.Len() != tc.length || l.Evictions() != uint64(tc.evicts) {
 				t.Fatalf("head/oldest/len/evictions = %d/%d/%d/%d, want %d/%d/%d/%d",
-					l.Head(), l.Oldest(), l.Len(), l.Evictions(), tc.head, tc.oldest, tc.length, tc.evicts)
+					l.Head(), oldest, l.Len(), l.Evictions(), tc.head, tc.oldest, tc.length, tc.evicts)
 			}
 			for _, a := range tc.answers {
 				got, ok := l.Since(a.cursor)
@@ -292,11 +293,9 @@ func TestLogModel(t *testing.T) {
 					t.Fatalf("step %d: Wait channel replaced = %v, mutated = %v", step, l.Wait() != ch, mutated)
 				}
 				w := m.window()
-				if l.Head() != m.head() || l.Len() != len(w) || l.Oldest() != m.head()-uint64(len(w))+1 ||
-					l.Cap() != capacity || l.Evictions() != m.evicted {
-					t.Fatalf("step %d: head/len/oldest/evictions = %d/%d/%d/%d, model %d/%d/%d/%d", step,
-						l.Head(), l.Len(), l.Oldest(), l.Evictions(),
-						m.head(), len(w), m.head()-uint64(len(w))+1, m.evicted)
+				if l.Head() != m.head() || l.Len() != len(w) || l.Cap() != capacity || l.Evictions() != m.evicted {
+					t.Fatalf("step %d: head/len/evictions = %d/%d/%d, model %d/%d/%d", step,
+						l.Head(), l.Len(), l.Evictions(), m.head(), len(w), m.evicted)
 				}
 			}
 		})

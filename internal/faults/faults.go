@@ -1,8 +1,8 @@
-// Package faults models the environmental failure sources of the LEO edge
+// Package faults models the environmental failure source of the LEO edge
 // that Celestial lets users test against (§2.3, §3.1 of the paper):
 // radiation-induced single event upsets (SEUs) from galactic cosmic rays,
 // which cause temporary performance degradation or full shutdowns of
-// satellite servers, and thermal shutdowns of ground equipment.
+// satellite servers.
 //
 // The SEU arrival process is Poisson: inter-arrival times are exponential
 // with a configurable per-machine rate. An Injector samples fault events
@@ -13,7 +13,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -196,53 +195,4 @@ func (in *Injector) Schedule(sched Scheduler, target Target, horizon time.Durati
 		}
 	}
 	return events, nil
-}
-
-// ThermalModel describes ground-equipment thermal shutdown: Starlink
-// dishes go into thermal shutdown at high temperatures (§6.5 of the
-// paper). The outage pattern is a deterministic duty cycle around local
-// solar noon, approximated here by a fixed window per day.
-type ThermalModel struct {
-	// StartOfDay is the outage start offset within each 24 h period.
-	StartOfDay time.Duration
-	// OutageLen is the outage duration per day.
-	OutageLen time.Duration
-}
-
-// Validate reports an error for unusable parameters.
-func (m ThermalModel) Validate() error {
-	if m.StartOfDay < 0 || m.StartOfDay >= 24*time.Hour {
-		return fmt.Errorf("faults: thermal start %v outside [0, 24h)", m.StartOfDay)
-	}
-	if m.OutageLen < 0 || m.OutageLen > 24*time.Hour {
-		return fmt.Errorf("faults: thermal outage %v outside [0, 24h]", m.OutageLen)
-	}
-	return nil
-}
-
-// Down reports whether the ground equipment is thermally down at an offset
-// from midnight.
-func (m ThermalModel) Down(sinceMidnight time.Duration) bool {
-	if m.OutageLen == 0 {
-		return false
-	}
-	tod := sinceMidnight % (24 * time.Hour)
-	if tod < 0 {
-		tod += 24 * time.Hour
-	}
-	end := m.StartOfDay + m.OutageLen
-	if end <= 24*time.Hour {
-		return tod >= m.StartOfDay && tod < end
-	}
-	// Outage wraps past midnight.
-	return tod >= m.StartOfDay || tod < end-24*time.Hour
-}
-
-// MTBF returns the mean time between failures implied by an SEU rate, a
-// convenience for reporting.
-func MTBF(ratePerHour float64) time.Duration {
-	if ratePerHour <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(float64(time.Hour) / ratePerHour)
 }

@@ -188,60 +188,6 @@ func TestNewInjectorRejectsBadModel(t *testing.T) {
 	}
 }
 
-func TestThermalModel(t *testing.T) {
-	m := ThermalModel{StartOfDay: 12 * time.Hour, OutageLen: 2 * time.Hour}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		at   time.Duration
-		want bool
-	}{
-		{11 * time.Hour, false},
-		{12 * time.Hour, true},
-		{13 * time.Hour, true},
-		{14 * time.Hour, false},
-		{36 * time.Hour, true},  // next day, noon
-		{-11 * time.Hour, true}, // negative offsets wrap (13:00 prior day)
-	}
-	for _, tt := range tests {
-		if got := m.Down(tt.at); got != tt.want {
-			t.Errorf("Down(%v) = %v, want %v", tt.at, got, tt.want)
-		}
-	}
-	// Zero outage: never down.
-	if (ThermalModel{}).Down(12 * time.Hour) {
-		t.Error("zero model down")
-	}
-	// Wrap past midnight.
-	w := ThermalModel{StartOfDay: 23 * time.Hour, OutageLen: 2 * time.Hour}
-	if !w.Down(23*time.Hour + 30*time.Minute) {
-		t.Error("not down before midnight")
-	}
-	if !w.Down(30 * time.Minute) {
-		t.Error("not down after midnight")
-	}
-	if w.Down(2 * time.Hour) {
-		t.Error("down after outage end")
-	}
-	// Validation.
-	if err := (ThermalModel{StartOfDay: 25 * time.Hour}).Validate(); err == nil {
-		t.Error("accepted start >= 24h")
-	}
-	if err := (ThermalModel{OutageLen: 25 * time.Hour}).Validate(); err == nil {
-		t.Error("accepted outage > 24h")
-	}
-}
-
-func TestMTBF(t *testing.T) {
-	if got := MTBF(2); got != 30*time.Minute {
-		t.Errorf("MTBF(2) = %v", got)
-	}
-	if got := MTBF(0); got != time.Duration(math.MaxInt64) {
-		t.Errorf("MTBF(0) = %v", got)
-	}
-}
-
 func TestSampleZeroRateLongHorizon(t *testing.T) {
 	// A zero rate must stay event-free over an arbitrarily long horizon —
 	// and return immediately, not loop sampling infinite gaps.

@@ -26,9 +26,6 @@ const (
 	// EarthMuKm3S2 is the WGS84 gravitational parameter in km^3/s^2.
 	EarthMuKm3S2 = 398600.4418
 
-	// EarthRotationRadS is the Earth's rotation rate in rad/s (sidereal).
-	EarthRotationRadS = 7.2921158553e-5
-
 	// SpeedOfLightKmS is the speed of light in vacuum in km/s. The paper
 	// assumes both laser ISLs and RF ground links propagate at c.
 	SpeedOfLightKmS = 299792.458
@@ -61,15 +58,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Dot returns the dot product of v and w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -213,12 +201,6 @@ func ECIToECEF(p Vec3, gmstRad float64) Vec3 {
 	}
 }
 
-// ECEFToECI rotates an Earth-fixed position into the ECI (TEME) frame at
-// the given Greenwich mean sidereal time.
-func ECEFToECI(p Vec3, gmstRad float64) Vec3 {
-	return ECIToECEF(p, -gmstRad)
-}
-
 // LineOfSight reports whether the straight segment between two positions
 // clears a sphere of radius EarthRadiusKm + occlusionAltKm centered at the
 // origin. It is used for ISL feasibility: a laser link whose lowest point
@@ -265,12 +247,6 @@ func ElevationDeg(observer, target Vec3) float64 {
 // ground links).
 func PropagationDelay(distanceKm float64) float64 {
 	return distanceKm / SpeedOfLightKmS
-}
-
-// SlantRangeKm returns the straight-line distance between a ground point at
-// the given geodetic location and a satellite position in ECEF.
-func SlantRangeKm(ground LatLon, sat Vec3) float64 {
-	return ground.ECEF().Distance(sat)
 }
 
 // Footprint returns the maximum great-circle (central-angle) radius in

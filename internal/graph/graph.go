@@ -1,11 +1,11 @@
 // Package graph provides the shortest-path machinery of the Constellation
 // Calculation: a compact weighted undirected graph with a frozen
 // compressed-sparse-row core, Dijkstra's algorithm over a monotone radix
-// queue (internal/monoq, shared with the event engine of internal/vnet),
+// queue (internal/monoq, shared with the event engine of internal/vnet) and
 // incremental repair of single-source results under edge diffs
-// (RepairSSSP), and the Floyd-Warshall all-pairs algorithm. The paper uses
-// efficient implementations of these to compute shortest network paths
-// within the constellation and their end-to-end latency (§3.1).
+// (RepairSSSP). The paper uses efficient implementations of these to
+// compute shortest network paths within the constellation and their
+// end-to-end latency (§3.1).
 package graph
 
 import (
@@ -124,35 +124,11 @@ func (g *Graph) Reset(n int) {
 	g.zeroW = false
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
-// M returns the number of undirected edges.
-func (g *Graph) M() int { return g.m }
-
-// AddEdge inserts an undirected edge between a and b. Negative weights and
-// out-of-range nodes are rejected; parallel edges are allowed (shortest
-// path computations simply use the cheaper one).
-func (g *Graph) AddEdge(a, b int, weight float64) error {
-	if a < 0 || a >= g.n || b < 0 || b >= g.n {
-		return fmt.Errorf("graph: edge (%d, %d) out of range [0, %d)", a, b, g.n)
-	}
-	if a == b {
-		return fmt.Errorf("graph: self-loop on node %d", a)
-	}
-	if weight < 0 || math.IsNaN(weight) {
-		return fmt.Errorf("graph: invalid weight %v on edge (%d, %d)", weight, a, b)
-	}
-	g.AddEdgeUnchecked(a, b, weight)
-	return nil
-}
-
-// AddEdgeUnchecked inserts an undirected edge without the range, self-loop
-// and weight validation of AddEdge. It is the fast path for callers whose
-// edges are validated once at construction time — the constellation's
-// per-tick graph rebuild inserts tens of thousands of precomputed plan
-// edges and must not pay per-edge checks or error allocation. Out-of-range
-// nodes panic; external callers should use AddEdge.
+// AddEdgeUnchecked inserts an undirected edge without checking its range,
+// self-loop or weight: its caller validates edges once at construction
+// time — the constellation's per-tick graph rebuild inserts tens of
+// thousands of precomputed plan edges and must not pay per-edge checks or
+// error allocation. Out-of-range nodes panic.
 func (g *Graph) AddEdgeUnchecked(a, b int, weight float64) {
 	g.adj[a] = append(g.adj[a], Edge{To: b, Weight: weight})
 	g.adj[b] = append(g.adj[b], Edge{To: a, Weight: weight})
@@ -229,9 +205,6 @@ func (g *Graph) widenWeights(w float64) {
 func (g *Graph) sumsMayAbsorb() bool {
 	return g.wmin*(1<<50) <= float64(g.n)*g.wmax
 }
-
-// Frozen reports whether the CSR image is current.
-func (g *Graph) Frozen() bool { return g.frozen }
 
 // CopyFrozenFrom clones src's frozen CSR image into g, reusing g's backing
 // arrays. It is the cheap half of the steady-state graph path: three flat
@@ -421,11 +394,11 @@ func resizeSlice[T any](s []T, n int) []T {
 }
 
 // FrozenRow appends node v's live entries from the frozen CSR image to buf
-// and returns it. Unlike Neighbors it reflects PatchFrozen mutations, so
-// differential tests can compare a patched image against a rebuilt one;
-// entry order within a row is unspecified (patching reorders rows), so
-// callers should compare rows as sets. It returns buf unchanged when the
-// graph is not frozen or v is out of range.
+// and returns it. Unlike the adjacency lists it reflects PatchFrozen
+// mutations, so differential tests can compare a patched image against a
+// rebuilt one; entry order within a row is unspecified (patching reorders
+// rows), so callers should compare rows as sets. It returns buf unchanged
+// when the graph is not frozen or v is out of range.
 func (g *Graph) FrozenRow(v int, buf []Edge) []Edge {
 	if !g.frozen || v < 0 || v >= g.n {
 		return buf
@@ -450,20 +423,6 @@ func (g *Graph) FrozenHasEdge(a, b int) bool {
 	}
 	return false
 }
-
-// Neighbors returns the adjacency list of a node. The returned slice is
-// owned by the graph and must not be modified; for a graph in patched mode
-// (CopyFrozenFrom/PatchFrozen) the adjacency lists are stale — use
-// FrozenRow there.
-func (g *Graph) Neighbors(node int) []Edge {
-	if node < 0 || node >= g.n {
-		return nil
-	}
-	return g.adj[node]
-}
-
-// Degree returns the number of incident edges of a node.
-func (g *Graph) Degree(node int) int { return len(g.Neighbors(node)) }
 
 // ShortestPaths is the result of a single-source Dijkstra run.
 type ShortestPaths struct {
@@ -665,104 +624,4 @@ func (sp ShortestPaths) PathTo(dst int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// AllPairs is the result of a Floyd-Warshall run: a dense N×N distance
-// matrix with next-hop information for path reconstruction.
-type AllPairs struct {
-	n    int
-	dist []float64
-	next []int32
-}
-
-// FloydWarshall computes all-pairs shortest paths in O(N^3) time and
-// O(N^2) space. It is preferable over N Dijkstra runs for dense queries on
-// small to medium graphs (such as a single constellation shell subset).
-func (g *Graph) FloydWarshall() *AllPairs {
-	n := g.n
-	ap := &AllPairs{
-		n:    n,
-		dist: make([]float64, n*n),
-		next: make([]int32, n*n),
-	}
-	for i := range ap.dist {
-		ap.dist[i] = Inf
-		ap.next[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		ap.dist[i*n+i] = 0
-		ap.next[i*n+i] = int32(i)
-	}
-	for u, edges := range g.adj {
-		for _, e := range edges {
-			if e.Weight < ap.dist[u*n+e.To] {
-				ap.dist[u*n+e.To] = e.Weight
-				ap.next[u*n+e.To] = int32(e.To)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		rowK := ap.dist[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			dik := ap.dist[i*n+k]
-			if math.IsInf(dik, 1) {
-				continue
-			}
-			rowI := ap.dist[i*n : (i+1)*n]
-			nextI := ap.next[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				if nd := dik + rowK[j]; nd < rowI[j] {
-					rowI[j] = nd
-					nextI[j] = ap.next[i*n+k]
-				}
-			}
-		}
-	}
-	return ap
-}
-
-// Dist returns the shortest distance between a and b, Inf if unreachable.
-func (ap *AllPairs) Dist(a, b int) float64 {
-	if a < 0 || a >= ap.n || b < 0 || b >= ap.n {
-		return Inf
-	}
-	return ap.dist[a*ap.n+b]
-}
-
-// Path reconstructs a shortest path between a and b, inclusive. It returns
-// nil if b is unreachable from a.
-func (ap *AllPairs) Path(a, b int) []int {
-	if a < 0 || a >= ap.n || b < 0 || b >= ap.n || ap.next[a*ap.n+b] == -1 {
-		return nil
-	}
-	path := []int{a}
-	for a != b {
-		a = int(ap.next[a*ap.n+b])
-		path = append(path, a)
-	}
-	return path
-}
-
-// Connected reports whether every node is reachable from node 0. An empty
-// graph is connected.
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				count++
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return count == g.n
 }

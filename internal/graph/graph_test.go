@@ -39,7 +39,7 @@ func TestAddEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(0, 1, 5); err != nil {
 		t.Errorf("rejected valid edge: %v", err)
 	}
-	if g.M() != 1 || g.Degree(0) != 1 || g.Degree(1) != 1 {
+	if g.m != 1 || len(g.adj[0]) != 1 || len(g.adj[1]) != 1 {
 		t.Error("edge bookkeeping wrong")
 	}
 }
@@ -235,26 +235,6 @@ func TestSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestConnected(t *testing.T) {
-	if !New(0).Connected() {
-		t.Error("empty graph should be connected")
-	}
-	if !New(1).Connected() {
-		t.Error("single node should be connected")
-	}
-	g := lineGraph(t, 4)
-	if !g.Connected() {
-		t.Error("line should be connected")
-	}
-	g2 := New(4)
-	if err := g2.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g2.Connected() {
-		t.Error("split graph reported connected")
-	}
-}
-
 func TestParallelEdgesUseCheapest(t *testing.T) {
 	g := New(2)
 	if err := g.AddEdge(0, 1, 10); err != nil {
@@ -272,13 +252,6 @@ func TestParallelEdgesUseCheapest(t *testing.T) {
 	}
 	if ap := g.FloydWarshall(); ap.Dist(0, 1) != 3 {
 		t.Errorf("floyd dist = %v, want 3", ap.Dist(0, 1))
-	}
-}
-
-func TestNeighborsOutOfRange(t *testing.T) {
-	g := New(2)
-	if g.Neighbors(-1) != nil || g.Neighbors(2) != nil {
-		t.Error("out-of-range neighbors not nil")
 	}
 }
 
@@ -304,9 +277,6 @@ func torus(t testing.TB, w, h int) *Graph {
 
 func TestTorusDistances(t *testing.T) {
 	g := torus(t, 8, 8)
-	if !g.Connected() {
-		t.Fatal("torus not connected")
-	}
 	sp, err := g.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
@@ -327,17 +297,9 @@ func BenchmarkDijkstraTorus1584(b *testing.B) {
 	g := torus(b, 72, 22)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Dijkstra(i % g.N()); err != nil {
+		if _, err := g.Dijkstra(i % g.n); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFloydWarshall256(b *testing.B) {
-	g := torus(b, 16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FloydWarshall()
 	}
 }
 
@@ -436,22 +398,22 @@ func TestDijkstraTransitIntoMatchesAllocating(t *testing.T) {
 
 func TestGraphReset(t *testing.T) {
 	g := lineGraph(t, 5)
-	if g.N() != 5 || g.M() != 4 {
-		t.Fatalf("line graph shape %d/%d", g.N(), g.M())
+	if g.n != 5 || g.m != 4 {
+		t.Fatalf("line graph shape %d/%d", g.n, g.m)
 	}
 	g.Reset(3)
-	if g.N() != 3 || g.M() != 0 {
-		t.Fatalf("after Reset(3): %d nodes, %d edges", g.N(), g.M())
+	if g.n != 3 || g.m != 0 {
+		t.Fatalf("after Reset(3): %d nodes, %d edges", g.n, g.m)
 	}
 	for v := 0; v < 3; v++ {
-		if len(g.Neighbors(v)) != 0 {
+		if len(g.adj[v]) != 0 {
 			t.Fatalf("node %d kept neighbors after reset", v)
 		}
 	}
 	// Growing past the original capacity works too.
 	g.Reset(8)
-	if g.N() != 8 {
-		t.Fatalf("after Reset(8): %d nodes", g.N())
+	if g.n != 8 {
+		t.Fatalf("after Reset(8): %d nodes", g.n)
 	}
 	if err := g.AddEdge(6, 7, 1); err != nil {
 		t.Fatal(err)
@@ -464,8 +426,8 @@ func TestGraphReset(t *testing.T) {
 		t.Fatalf("rebuilt graph distances wrong: %v", sp.Dist)
 	}
 	g.Reset(-1)
-	if g.N() != 0 {
-		t.Fatalf("Reset(-1) -> %d nodes", g.N())
+	if g.n != 0 {
+		t.Fatalf("Reset(-1) -> %d nodes", g.n)
 	}
 }
 
@@ -482,11 +444,11 @@ func TestAddEdgeUncheckedMatchesAddEdge(t *testing.T) {
 		}
 		b.AddEdgeUnchecked(ed.u, ed.v, ed.w)
 	}
-	if a.M() != b.M() {
-		t.Fatalf("edge counts differ: %d vs %d", a.M(), b.M())
+	if a.m != b.m {
+		t.Fatalf("edge counts differ: %d vs %d", a.m, b.m)
 	}
 	for v := 0; v < 5; v++ {
-		an, bn := a.Neighbors(v), b.Neighbors(v)
+		an, bn := a.adj[v], b.adj[v]
 		if len(an) != len(bn) {
 			t.Fatalf("node %d degree: %d vs %d", v, len(an), len(bn))
 		}

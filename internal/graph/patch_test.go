@@ -69,10 +69,10 @@ func less2(a, b [2]int) bool {
 // assertSameSSSP asserts bit-identical Dijkstra results from every source.
 func assertSameSSSP(t *testing.T, want, got *Graph, ctx string) {
 	t.Helper()
-	if want.N() != got.N() || want.M() != got.M() {
-		t.Fatalf("%s: shape mismatch: %d/%d nodes, %d/%d edges", ctx, want.N(), got.N(), want.M(), got.M())
+	if want.n != got.n || want.m != got.m {
+		t.Fatalf("%s: shape mismatch: %d/%d nodes, %d/%d edges", ctx, want.n, got.n, want.m, got.m)
 	}
-	for src := 0; src < want.N(); src++ {
+	for src := 0; src < want.n; src++ {
 		a, err := want.Dijkstra(src)
 		if err != nil {
 			t.Fatal(err)

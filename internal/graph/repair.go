@@ -18,7 +18,7 @@ type EdgeDelta struct {
 // check rejects a delta that does not join two distinct nodes of an n-node
 // graph or carries a NaN side: NaN compares false with everything, so it
 // would pass for a present edge and be patched in as a weight no distance
-// survives (AddEdge refuses it for the same reason).
+// survives.
 func (d EdgeDelta) check(n int) error {
 	if d.A < 0 || d.A >= n || d.B < 0 || d.B >= n || d.A == d.B || math.IsNaN(d.OldW) || math.IsNaN(d.NewW) {
 		return fmt.Errorf("graph: invalid edge delta (%d, %d, %v -> %v) on %d nodes", d.A, d.B, d.OldW, d.NewW, n)

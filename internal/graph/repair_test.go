@@ -302,7 +302,7 @@ func TestFreezeInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp, _ := g.Dijkstra(0)
-	if !g.Frozen() {
+	if !g.frozen {
 		t.Error("graph not frozen after a shortest-path run")
 	}
 	if !math.IsInf(sp.Dist[2], 1) {
@@ -311,7 +311,7 @@ func TestFreezeInvalidation(t *testing.T) {
 	if err := g.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if g.Frozen() {
+	if g.frozen {
 		t.Error("mutation left the graph frozen")
 	}
 	sp, _ = g.Dijkstra(0)
@@ -319,7 +319,7 @@ func TestFreezeInvalidation(t *testing.T) {
 		t.Errorf("dist[2] = %v after adding edge", sp.Dist[2])
 	}
 	g.Reset(2)
-	if g.Frozen() {
+	if g.frozen {
 		t.Error("Reset left the graph frozen")
 	}
 }

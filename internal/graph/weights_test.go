@@ -34,8 +34,8 @@ func TestDeltasRejectNaN(t *testing.T) {
 			t.Errorf("PatchFrozen(%+v): err = %v", d, err)
 		}
 		// The refused delta left the image alone.
-		if after, _ := g.Dijkstra(0); after.Dist[2] != 2 || g.M() != 2 {
-			t.Errorf("PatchFrozen(%+v) changed the graph: dist %v, %d edges", d, after.Dist, g.M())
+		if after, _ := g.Dijkstra(0); after.Dist[2] != 2 || g.m != 2 {
+			t.Errorf("PatchFrozen(%+v) changed the graph: dist %v, %d edges", d, after.Dist, g.m)
 		}
 	}
 }

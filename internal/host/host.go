@@ -136,9 +136,6 @@ func New(id int, cap Capacity, sched Scheduler) (*Host, error) {
 // ID returns the host's index.
 func (h *Host) ID() int { return h.id }
 
-// Capacity returns the host hardware description.
-func (h *Host) Capacity() Capacity { return h.cap }
-
 // AddMachine assigns a machine to this host. Over-provisioning is allowed
 // — collocating more allocated vCPUs than physical cores is exactly the
 // cost-efficiency mechanism of §3.3 — so no capacity check is made.
@@ -152,14 +149,6 @@ func (h *Host) AddMachine(m *machine.Machine) error {
 	h.byID = nil
 	h.loads[m.ID()] = idleMachineLoad
 	return nil
-}
-
-// Machine returns an assigned machine by node ID.
-func (h *Host) Machine(id int) (*machine.Machine, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.machines[id]
-	return m, ok
 }
 
 // Machines returns the assigned machines sorted by node ID, in a slice the
@@ -208,16 +197,6 @@ func (h *Host) StartMachine(id int) error {
 		// The machine may have crashed or been stopped mid-boot.
 		_ = m.CompleteBoot(h.sched.Now())
 	})
-}
-
-// StartAll boots every assigned machine.
-func (h *Host) StartAll() error {
-	for _, m := range h.Machines() {
-		if err := h.StartMachine(m.ID()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetLoad sets the workload CPU demand of a machine as a fraction of its
@@ -356,27 +335,4 @@ func (h *Host) Trace() []UsagePoint {
 	out := make([]UsagePoint, len(h.trace))
 	copy(out, h.trace)
 	return out
-}
-
-// AllocatedVCPUs returns the sum of vCPUs allocated to assigned machines,
-// used for over-provisioning reports.
-func (h *Host) AllocatedVCPUs() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := 0
-	for _, m := range h.machines {
-		total += m.Resources().VCPUs
-	}
-	return total
-}
-
-// AllocatedMemMiB returns the total memory allocated to assigned machines.
-func (h *Host) AllocatedMemMiB() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := 0
-	for _, m := range h.machines {
-		total += m.Resources().MemMiB
-	}
-	return total
 }

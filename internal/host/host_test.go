@@ -64,12 +64,15 @@ func TestAddAndStartMachines(t *testing.T) {
 	if err := h.StartMachine(99); err == nil {
 		t.Error("started unknown machine")
 	}
-	got, ok := h.Machine(7)
-	if !ok || got != m {
-		t.Error("Machine lookup failed")
-	}
-	if _, ok := h.Machine(99); ok {
-		t.Error("found unknown machine")
+}
+
+// startAll boots every assigned machine in ID order.
+func startAll(t *testing.T, h *Host) {
+	t.Helper()
+	for _, m := range h.Machines() {
+		if err := h.StartMachine(m.ID()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -79,9 +82,7 @@ func TestStartAllAndOrdering(t *testing.T) {
 	for _, id := range []int{5, 1, 3} {
 		addMachine(t, h, id, 1, 128, 0)
 	}
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	ms := h.Machines()
 	if len(ms) != 3 || ms[0].ID() != 1 || ms[1].ID() != 3 || ms[2].ID() != 5 {
 		t.Errorf("machines = %v", ms)
@@ -133,9 +134,7 @@ func TestApplyActivitySuspendsAndResumes(t *testing.T) {
 	h := newHost(t, sim)
 	m1 := addMachine(t, h, 1, 1, 128, 0)
 	m2 := addMachine(t, h, 2, 1, 128, 0)
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +195,7 @@ func TestUsageTraceShape(t *testing.T) {
 	if err := sim.RunUntil(hostStart.Add(6 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	boot := h.Sample()
 	if boot.Machines != 30 {
 		t.Errorf("booting machines = %d", boot.Machines)
@@ -271,9 +268,7 @@ func TestSuspendedMachinesKeepMemoryNotCPU(t *testing.T) {
 	sim := vnet.NewSim(hostStart)
 	h := newHost(t, sim)
 	addMachine(t, h, 1, 2, 1024, 0)
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(6 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +304,7 @@ func TestCPUSaturation(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		addMachine(t, h, i, 2, 64, 0)
 	}
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(6 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -341,30 +334,12 @@ func TestSetLoadValidation(t *testing.T) {
 	}
 }
 
-func TestAllocationAccounting(t *testing.T) {
-	sim := vnet.NewSim(hostStart)
-	h := newHost(t, sim)
-	addMachine(t, h, 1, 4, 4096, 0)
-	addMachine(t, h, 2, 2, 512, 0)
-	if h.AllocatedVCPUs() != 6 {
-		t.Errorf("vcpus = %d", h.AllocatedVCPUs())
-	}
-	if h.AllocatedMemMiB() != 4608 {
-		t.Errorf("mem = %d", h.AllocatedMemMiB())
-	}
-	if h.Capacity().Cores != 32 {
-		t.Errorf("capacity = %+v", h.Capacity())
-	}
-}
-
 func TestApplyActivityAggregatesErrors(t *testing.T) {
 	sim := vnet.NewSim(hostStart)
 	h := newHost(t, sim)
 	m1 := addMachine(t, h, 1, 1, 128, 0)
 	m2 := addMachine(t, h, 2, 1, 128, 0)
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +368,7 @@ func TestApplyActivityAggregatesErrors(t *testing.T) {
 	if m1.State() != machine.Active || m2.State() != machine.Active || m3.State() != machine.Created {
 		t.Errorf("states = %v, %v, %v", m1.State(), m2.State(), m3.State())
 	}
-	// 2 clean starts from StartAll, then 2 given-up suspends of 2 attempts.
+	// 2 clean starts from startAll, then 2 given-up suspends of 2 attempts.
 	st := h.LifecycleOps().Stats()
 	if st.Ops != 4 || st.GaveUp != 2 || st.Attempts != 6 {
 		t.Errorf("retry stats = %+v", st)
@@ -407,9 +382,7 @@ func TestApplyActivityRetriesTransientFaults(t *testing.T) {
 	for id := 1; id <= 6; id++ {
 		ms = append(ms, addMachine(t, h, id, 1, 128, 0))
 	}
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +398,7 @@ func TestApplyActivityRetriesTransientFaults(t *testing.T) {
 			t.Errorf("machine %d state = %v", m.ID(), m.State())
 		}
 	}
-	// 6 clean starts from StartAll plus 6 suspends under injected faults.
+	// 6 clean starts from startAll plus 6 suspends under injected faults.
 	st := h.LifecycleOps().Stats()
 	if st.Ops != 12 || st.Retried == 0 || st.Recovered != st.Retried || st.GaveUp != 0 {
 		t.Errorf("retry stats = %+v", st)
@@ -456,9 +429,7 @@ func TestApplyActivityFatalErrorsNotRetried(t *testing.T) {
 	sim := vnet.NewSim(hostStart)
 	h := newHost(t, sim)
 	m := addMachine(t, h, 1, 1, 128, 0)
-	if err := h.StartAll(); err != nil {
-		t.Fatal(err)
-	}
+	startAll(t, h)
 	if err := sim.RunUntil(hostStart.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}

@@ -387,7 +387,7 @@ func TestLogWindowAndRingStats(t *testing.T) {
 		t.Helper()
 		for i, r := range recs {
 			g := first + uint64(i)
-			if want := h.diff(g).Record(); r.Generation != g || !reflect.DeepEqual(r.Diff, want) {
+			if want := h.diff(g).AppendRecord(constellation.DiffRecord{}); r.Generation != g || !reflect.DeepEqual(r.Diff, want) {
 				t.Errorf("%s: record %d = %+v, want generation %d %+v", stage, i, r, g, want)
 			}
 		}

@@ -215,7 +215,7 @@ func TestTCPAgentReceivesTheShardView(t *testing.T) {
 		Activated:    []int32{2, 3},
 		Deactivated:  []int32{4},
 	}
-	rec := diff.Record()
+	rec := diff.AppendRecord(constellation.DiffRecord{})
 	view := rec
 	view.Added, view.Removed, view.DelayChanged = rec.Added[:1], rec.Removed[1:], rec.DelayChanged[:1]
 	view.Activated, view.Deactivated = []int32{3}, nil

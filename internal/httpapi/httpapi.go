@@ -38,7 +38,6 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -341,6 +340,3 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		return s.src.PathDoc(source, target)
 	})
 }
-
-// ErrNotFound is a sentinel for API 404s in client helpers.
-var ErrNotFound = errors.New("httpapi: not found")

@@ -79,9 +79,6 @@ func NewCoordinatorSource(c *coordinator.Coordinator) *CoordinatorSource {
 	return &CoordinatorSource{c: c, frames: difflog.New[*Frame](c.RingStats().Capacity)}
 }
 
-// Coordinator returns the wrapped coordinator.
-func (cs *CoordinatorSource) Coordinator() *coordinator.Coordinator { return cs.c }
-
 func (cs *CoordinatorSource) Generation() uint64          { return cs.c.Generation() }
 func (cs *CoordinatorSource) TopologyVersion() uint64     { return cs.c.TopologyVersion() }
 func (cs *CoordinatorSource) UpdateChan() <-chan struct{} { return cs.c.UpdateChan() }

@@ -150,12 +150,6 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// InputSize returns the expected feature count per timestep.
-func (n *Network) InputSize() int { return n.inputSize }
-
-// OutputSize returns the prediction width.
-func (n *Network) OutputSize() int { return n.outputSize }
-
 // Infer runs the forward pass over a sequence of timesteps (each a feature
 // vector of InputSize) and returns the output head applied to the final
 // hidden state.

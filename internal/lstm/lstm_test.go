@@ -42,8 +42,8 @@ func TestInferShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.InputSize() != 4 || n.OutputSize() != 2 {
-		t.Errorf("sizes = %d, %d", n.InputSize(), n.OutputSize())
+	if n.inputSize != 4 || n.outputSize != 2 {
+		t.Errorf("sizes = %d, %d", n.inputSize, n.outputSize)
 	}
 	out1, err := n.Infer(seq(10, 4))
 	if err != nil {

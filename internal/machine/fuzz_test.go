@@ -20,7 +20,6 @@ func TestRandomOperationSequences(t *testing.T) {
 		func(m *Machine, at time.Time) error { return m.Suspend(at) },
 		func(m *Machine, at time.Time) error { return m.Resume(at) },
 		func(m *Machine, at time.Time) error { return m.Crash(at, "fuzz") },
-		func(m *Machine, at time.Time) error { return m.Stop(at) },
 		func(m *Machine, at time.Time) error { return m.SetThrottle(0.5) },
 	}
 	err := quick.Check(func(seed int64, steps uint8) bool {
@@ -46,7 +45,7 @@ func TestRandomOperationSequences(t *testing.T) {
 				starts++
 			}
 			switch after {
-			case Created, Booting, Active, Suspended, Failed, Stopped:
+			case Created, Booting, Active, Suspended, Failed:
 			default:
 				t.Logf("invalid state %v", after)
 				return false

@@ -9,7 +9,6 @@
 //
 //	Created ─Start→ Booting ─CompleteBoot→ Active ⇄ Suspended
 //	   (any running state) ─Crash→ Failed ─Start→ Booting
-//	   (any state) ─Stop→ Stopped ─Start→ Booting
 //
 // Like Firecracker microVMs, a suspended machine keeps its memory
 // reservation on the host: "each keeps a virtio memory device that blocks
@@ -38,8 +37,6 @@ const (
 	Suspended
 	// Failed: crashed (e.g. radiation-induced); restartable.
 	Failed
-	// Stopped: shut down deliberately.
-	Stopped
 )
 
 // String implements fmt.Stringer.
@@ -55,8 +52,6 @@ func (s State) String() string {
 		return "suspended"
 	case Failed:
 		return "failed"
-	case Stopped:
-		return "stopped"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -117,9 +112,6 @@ func New(id int, name string, res Resources, bootDelay time.Duration) (*Machine,
 // ID returns the machine's node ID.
 func (m *Machine) ID() int { return m.id }
 
-// Name returns the machine's name.
-func (m *Machine) Name() string { return m.name }
-
 // Resources returns the machine's allocation.
 func (m *Machine) Resources() Resources { return m.res }
 
@@ -160,12 +152,12 @@ func (m *Machine) record(at time.Time, to State, reason string) {
 	m.running.Store(to == Active)
 }
 
-// Start begins booting a Created, Stopped or Failed machine.
+// Start begins booting a Created or Failed machine.
 func (m *Machine) Start(now time.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch m.state {
-	case Created, Stopped, Failed:
+	case Created, Failed:
 		m.record(now, Booting, "start")
 		m.bootCount++
 		return nil
@@ -224,17 +216,6 @@ func (m *Machine) Crash(now time.Time, reason string) error {
 	}
 }
 
-// Stop shuts the machine down deliberately from any state except Stopped.
-func (m *Machine) Stop(now time.Time) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == Stopped {
-		return transitionError(m, "stop")
-	}
-	m.record(now, Stopped, "stop")
-	return nil
-}
-
 // Throttle returns the fraction of the allocated CPU currently available.
 func (m *Machine) Throttle() float64 {
 	m.mu.Lock()
@@ -262,7 +243,7 @@ func (m *Machine) Running() bool { return m.running.Load() }
 
 // HoldsMemory reports whether the machine's memory is reserved on its
 // host. Booted machines keep their reservation through suspension; only
-// never-booted, stopped, and failed machines release it.
+// never-booted and failed machines release it.
 func (m *Machine) HoldsMemory() bool {
 	switch m.State() {
 	case Booting, Active, Suspended:

@@ -65,10 +65,10 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if m.State() != Active {
 		t.Errorf("state = %v", m.State())
 	}
-	if err := m.Stop(now.Add(3 * time.Second)); err != nil {
+	if err := m.Crash(now.Add(3*time.Second), "seu"); err != nil {
 		t.Fatal(err)
 	}
-	if m.State() != Stopped || m.HoldsMemory() {
+	if m.State() != Failed || m.HoldsMemory() {
 		t.Errorf("state = %v", m.State())
 	}
 	if m.BootCount() != 1 {
@@ -102,18 +102,18 @@ func TestIllegalTransitions(t *testing.T) {
 	if err := m.Resume(now); err == nil {
 		t.Error("resumed active machine")
 	}
-	if err := m.Stop(now); err != nil {
+	if err := m.Crash(now, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Stop(now); err == nil {
-		t.Error("double stop")
+	if err := m.Crash(now, "x"); err == nil {
+		t.Error("double crash")
 	}
 	if err := m.Suspend(now); err == nil {
-		t.Error("suspended stopped machine")
+		t.Error("suspended failed machine")
 	}
 	// Error text names the machine and state.
 	err := m.Suspend(now)
-	if err == nil || !strings.Contains(err.Error(), "0.0") || !strings.Contains(err.Error(), "stopped") {
+	if err == nil || !strings.Contains(err.Error(), "0.0") || !strings.Contains(err.Error(), "failed") {
 		t.Errorf("error = %v", err)
 	}
 }
@@ -191,7 +191,7 @@ func TestThrottle(t *testing.T) {
 func TestStateString(t *testing.T) {
 	wants := map[State]string{
 		Created: "created", Booting: "booting", Active: "active",
-		Suspended: "suspended", Failed: "failed", Stopped: "stopped",
+		Suspended: "suspended", Failed: "failed",
 		State(99): "state(99)",
 	}
 	for s, w := range wants {

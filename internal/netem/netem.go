@@ -213,12 +213,3 @@ func (s *Shaper) sampleJitter() time.Duration {
 	}
 	return off
 }
-
-// Busy reports how long after now the link stays busy serializing queued
-// packets (zero when idle).
-func (s *Shaper) Busy(now time.Time) time.Duration {
-	if !s.nextFree.After(now) {
-		return 0
-	}
-	return s.nextFree.Sub(now)
-}

@@ -97,14 +97,6 @@ func TestQueueingBehindEarlierPackets(t *testing.T) {
 	if got := d2.Arrivals()[0].Sub(t0); got != 17*time.Millisecond {
 		t.Errorf("second arrival after %v, want 17ms", got)
 	}
-	// The link reports itself busy until serialization finishes.
-	if busy := s.Busy(t0); busy != 16*time.Millisecond {
-		t.Errorf("busy = %v, want 16ms", busy)
-	}
-	// After the queue drains the link goes idle.
-	if busy := s.Busy(t0.Add(time.Second)); busy != 0 {
-		t.Errorf("busy after drain = %v", busy)
-	}
 }
 
 // TestDeliveriesDoNotAlias: a Delivery owns its arrival times. Later

@@ -214,16 +214,8 @@ func julianToYearDoy(jd float64) (year int, doy float64) {
 // Config returns the shell's configuration.
 func (s *Shell) Config() ShellConfig { return s.cfg }
 
-// EpochJulian returns the epoch the shell was instantiated at.
-func (s *Shell) EpochJulian() float64 { return s.epochJD }
-
 // Size returns the number of satellites in the shell.
 func (s *Shell) Size() int { return s.cfg.Size() }
-
-// FlatIndex converts a (plane, index) pair to the flat satellite index.
-func (s *Shell) FlatIndex(plane, index int) int {
-	return plane*s.cfg.SatsPerPlane + index
-}
 
 // PlaneIndex converts a flat satellite index to its (plane, index) pair.
 func (s *Shell) PlaneIndex(flat int) (plane, index int) {
@@ -256,17 +248,6 @@ func (s *Shell) PositionECI(flat int, tSeconds float64) (geom.Vec3, error) {
 		return geom.Vec3{}, err
 	}
 	return st.Position, nil
-}
-
-// PositionECEF returns the Earth-fixed position of one satellite at an
-// offset of t seconds after the shell epoch.
-func (s *Shell) PositionECEF(flat int, tSeconds float64) (geom.Vec3, error) {
-	eci, err := s.PositionECI(flat, tSeconds)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	jd := s.epochJD + tSeconds/86400
-	return geom.ECIToECEF(eci, geom.GMST(jd)), nil
 }
 
 // PositionsECEF computes the Earth-fixed positions of every satellite in
@@ -307,12 +288,6 @@ func (s *Shell) PositionsECEFRange(tSeconds float64, dst []geom.Vec3, lo, hi int
 		dst[i] = geom.ECIToECEF(eci, gmst)
 	}
 	return nil
-}
-
-// OrbitalPeriodSeconds returns the shell's orbital period.
-func (s *Shell) OrbitalPeriodSeconds() float64 {
-	r := geom.EarthRadiusKm + s.cfg.AltitudeKm
-	return 2 * math.Pi * math.Sqrt(r*r*r/geom.EarthMuKm3S2)
 }
 
 // StarlinkPhase1 returns the five shells of the planned phase I Starlink

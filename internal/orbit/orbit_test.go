@@ -51,6 +51,11 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// flatIndex converts a (plane, index) pair to the flat satellite index.
+func flatIndex(s *Shell, plane, index int) int {
+	return plane*s.Config().SatsPerPlane + index
+}
+
 func TestFlatIndexRoundTrip(t *testing.T) {
 	s, err := NewShell(smallShell(ModelKepler), testEpoch)
 	if err != nil {
@@ -59,7 +64,7 @@ func TestFlatIndexRoundTrip(t *testing.T) {
 	err = quick.Check(func(n uint16) bool {
 		flat := int(n) % s.Size()
 		p, k := s.PlaneIndex(flat)
-		return s.FlatIndex(p, k) == flat && p < 6 && k < 8
+		return flatIndex(s, p, k) == flat && p < 6 && k < 8
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -98,8 +103,8 @@ func TestSatellitesEvenlySpaced(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 8; k++ {
-			a := pos[s.FlatIndex(2, k)]
-			b := pos[s.FlatIndex(2, (k+1)%8)]
+			a := pos[flatIndex(s, 2, k)]
+			b := pos[flatIndex(s, 2, (k+1)%8)]
 			d := a.Distance(b)
 			tol := 1e-6
 			if model == ModelSGP4 {
@@ -144,11 +149,12 @@ func TestOrbitalPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 550 km: ~95.6 minutes.
-	if p := s.OrbitalPeriodSeconds(); p < 5700 || p > 5780 {
+	r := geom.EarthRadiusKm + s.Config().AltitudeKm
+	p := 2 * math.Pi * math.Sqrt(r*r*r/geom.EarthMuKm3S2)
+	if p < 5700 || p > 5780 {
 		t.Errorf("period = %v s", p)
 	}
 	// Satellite returns to its ECI start after exactly one period.
-	p := s.OrbitalPeriodSeconds()
 	a, err := s.PositionECI(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +180,12 @@ func TestIridiumSeamGeometry(t *testing.T) {
 	// With a 180° arc, plane 0 and plane 5 are 150° apart in RAAN; the
 	// satellites in them move in nearly opposite directions where their
 	// orbits cross. Verify the RAAN spacing by checking plane normals.
-	pos0a, _ := s.PositionECI(s.FlatIndex(0, 0), 0)
-	pos0b, _ := s.PositionECI(s.FlatIndex(0, 3), 0)
-	n0 := pos0a.Cross(pos0b).Unit()
-	pos5a, _ := s.PositionECI(s.FlatIndex(5, 0), 0)
-	pos5b, _ := s.PositionECI(s.FlatIndex(5, 3), 0)
-	n5 := pos5a.Cross(pos5b).Unit()
+	pos0a, _ := s.PositionECI(flatIndex(s, 0, 0), 0)
+	pos0b, _ := s.PositionECI(flatIndex(s, 0, 3), 0)
+	n0 := cross(pos0a, pos0b).Unit()
+	pos5a, _ := s.PositionECI(flatIndex(s, 5, 0), 0)
+	pos5b, _ := s.PositionECI(flatIndex(s, 5, 3), 0)
+	n5 := cross(pos5a, pos5b).Unit()
 	angle := geom.Deg(math.Acos(math.Abs(n0.Dot(n5))))
 	if math.Abs(angle-30) > 1 { // 180 - 150 = 30° between plane normals
 		t.Errorf("angle between plane 0 and plane 5 normals = %v°, want ≈30°", angle)
@@ -235,14 +241,14 @@ func TestGroundTrackMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.PositionECEF(0, 0)
-	if err != nil {
-		t.Fatal(err)
+	at := func(tSeconds float64) geom.Vec3 {
+		pos, err := s.PositionsECEF(tSeconds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pos[0]
 	}
-	b, err := s.PositionECEF(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := at(0), at(10)
 	// In 10 s a LEO satellite moves about 76 km along-track.
 	if d := a.Distance(b); d < 40 || d > 120 {
 		t.Errorf("moved %v km in 10 s", d)
@@ -371,4 +377,9 @@ func TestPositionsECEFRangeMatchesFull(t *testing.T) {
 	if err := s.PositionsECEFRange(0, dst[:2], 0, s.Size()); err == nil {
 		t.Error("accepted short destination")
 	}
+}
+
+// cross returns the cross product a × b.
+func cross(a, b geom.Vec3) geom.Vec3 {
+	return geom.Vec3{X: a.Y*b.Z - a.Z*b.Y, Y: a.Z*b.X - a.X*b.Z, Z: a.X*b.Y - a.Y*b.X}
 }

@@ -97,7 +97,7 @@ func BenchmarkReadFanout(b *testing.B) {
 		replicas[i] = startReplica(b, up.URL, Options{})
 		// Long keepalive: 100k per-subscriber tickers at the default
 		// cadence would measure timer churn, not fan-out.
-		replicas[i].Server().SetStreamTiming(time.Minute, 0)
+		replicas[i].srv.SetStreamTiming(time.Minute, 0)
 	}
 	startGen := c.Generation()
 	for _, r := range replicas {

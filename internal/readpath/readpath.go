@@ -145,10 +145,6 @@ func New(opts Options) (*Replica, error) {
 	return r, nil
 }
 
-// Server returns the replica's API server (for stream timing and caching
-// knobs); ServeHTTP serves through it.
-func (r *Replica) Server() *httpapi.Server { return r.srv }
-
 // ServeHTTP implements http.Handler with the replica's route table.
 func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.srv.ServeHTTP(w, req)

@@ -30,12 +30,9 @@ func New(seed int64) *Stream {
 	return &Stream{state: uint64(seed)}
 }
 
-// State returns the complete generator state. Persisting this one word and
-// restoring it with SetState resumes the sequence exactly.
+// State returns the complete generator state: a stream holding this one
+// word resumes the sequence exactly.
 func (s *Stream) State() uint64 { return s.state }
-
-// SetState overwrites the generator state, e.g. from a checkpoint.
-func (s *Stream) SetState(v uint64) { s.state = v }
 
 // gamma is SplitMix64's counter increment (the odd integer closest to
 // 2^64/φ); mix is its avalanche permutation.
@@ -83,11 +80,4 @@ func (s *Stream) Intn(n int) int {
 	// The modulo bias over a 64-bit draw is < n/2^64 — unobservable for
 	// the simulation-sized n used here.
 	return int(s.Uint64() % uint64(n))
-}
-
-// Fork derives an independent child stream from the parent's sequence: the
-// child is seeded with one draw, so siblings forked in order are unrelated
-// and the parent advances deterministically.
-func (s *Stream) Fork() *Stream {
-	return &Stream{state: s.Uint64()}
 }

@@ -48,7 +48,7 @@ retry_jitter = 0.25
 // mid-run tick and the last tick before the horizon.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	doc := workloadTOML + supervisedTOML + testbedTOML
-	want, err := runnerFor(t, doc).Run()
+	want, err := runnerFor(t, doc).RunWith(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ frame_delay_rate = 0.0
 // supervised runs still produce byte-identical reports.
 func TestInjectedFaultsRecoveredAndReported(t *testing.T) {
 	doc := workloadTOML + supervisedTOML + testbedTOML
-	rep, err := runnerFor(t, doc).Run()
+	rep, err := runnerFor(t, doc).RunWith(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestInjectedFaultsRecoveredAndReported(t *testing.T) {
 		t.Errorf("rpc flow starved under supervision: %+v", rep.Flows[0])
 	}
 	// Determinism gate: injected faults and retries are fully seeded.
-	again, err := runnerFor(t, doc).Run()
+	again, err := runnerFor(t, doc).RunWith(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func rpcRun(t *testing.T, doc string, timeout time.Duration) (*Runner, *Report) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
+	rep, err := r.RunWith(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestMessageTagLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.flows[0].nextID = maxRPCID - 1
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "does not fit") {
+	if _, err := r.RunWith(RunOptions{}); err == nil || !strings.Contains(err.Error(), "does not fit") {
 		t.Fatalf("run past the last rpc id: %v", err)
 	}
 	if f := r.flows[0]; f.nextID != maxRPCID+1 || f.pending.n != 1 {

@@ -393,14 +393,10 @@ type RunOptions struct {
 	TickHook func(tick int) error
 }
 
-// Run executes the scenario: it boots the testbed, schedules every flow
-// and timeline event, advances virtual time to the horizon and returns the
-// run report. Run must only be called once per Runner.
-func (r *Runner) Run() (*Report, error) { return r.RunWith(RunOptions{}) }
-
-// RunWith executes the scenario under the given options (checkpointing,
-// resume verification, per-tick hooks). Like Run it must only be called
-// once per Runner.
+// RunWith executes the scenario: it boots the testbed, schedules every
+// flow and timeline event, advances virtual time to the horizon and
+// returns the run report, under the given options (checkpointing, resume
+// verification, per-tick hooks). It must only be called once per Runner.
 //
 // Resume works by deterministic re-execution: simulation state includes
 // scheduled events (in-flight deliveries, armed fault events, flow

@@ -25,7 +25,7 @@ func run(t *testing.T, doc string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
+	rep, err := r.RunWith(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRunSurfacesPropagationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
+	rep, err := r.RunWith(RunOptions{})
 	if rep != nil || !errors.Is(err, sgp4.ErrDecayed) {
 		t.Fatalf("Run = %v, %v; want no report and sgp4.ErrDecayed", rep, err)
 	}

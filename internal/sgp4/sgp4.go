@@ -77,7 +77,6 @@ type Satellite struct {
 	// Elements straight from the TLE (converted to radians / radians
 	// per minute).
 	noradID int
-	epochJD float64
 	bstar   float64
 	ecco    float64
 	argpo   float64
@@ -110,7 +109,6 @@ type State struct {
 func New(t tle.TLE) (*Satellite, error) {
 	s := &Satellite{
 		noradID: t.NoradID,
-		epochJD: t.EpochJulian(),
 		bstar:   t.BStar,
 		ecco:    t.Eccentricity,
 		argpo:   geom.Rad(t.ArgPerigeeDeg),
@@ -235,12 +233,6 @@ func (s *Satellite) init() {
 			15.0*cc1sq*(2.0*s.d2+cc1sq))
 	}
 }
-
-// EpochJulian returns the element set epoch as a Julian date.
-func (s *Satellite) EpochJulian() float64 { return s.epochJD }
-
-// NoradID returns the catalog number of the element set.
-func (s *Satellite) NoradID() int { return s.noradID }
 
 // PropagateMinutes computes the TEME state at tsince minutes after the
 // element set epoch. Negative times propagate backwards.
@@ -396,21 +388,4 @@ func (s *Satellite) PropagateMinutes(tsince float64) (State, error) {
 		return st, fmt.Errorf("%w: norad %d at t=%v min", ErrDecayed, s.noradID, t)
 	}
 	return st, nil
-}
-
-// PropagateJulian computes the TEME state at an absolute time given as a
-// Julian date.
-func (s *Satellite) PropagateJulian(jd float64) (State, error) {
-	return s.PropagateMinutes((jd - s.epochJD) * 1440.0)
-}
-
-// PositionECEF propagates to the given Julian date and rotates the position
-// into the Earth-fixed frame using the IAU-82 GMST, which is how the rest
-// of the testbed consumes satellite positions.
-func (s *Satellite) PositionECEF(jd float64) (geom.Vec3, error) {
-	st, err := s.PropagateJulian(jd)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return geom.ECIToECEF(st.Position, geom.GMST(jd)), nil
 }

@@ -23,6 +23,27 @@ func mustSat(t *testing.T, name, l1, l2 string) *Satellite {
 	return s
 }
 
+// epochJD is the Julian date of a TLE's epoch.
+func epochJD(t testing.TB, l1, l2 string) float64 {
+	t.Helper()
+	parsed, err := tle.Parse("", l1, l2)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	return geom.JulianDate(parsed.EpochYear, 1, 1, 0, 0, 0) + parsed.EpochDay - 1
+}
+
+// positionECEF propagates to minutes after the epoch and rotates the
+// position into the Earth-fixed frame with the IAU-82 GMST, as
+// orbit.Shell does for every satellite.
+func positionECEF(s *Satellite, epoch, minutes float64) (geom.Vec3, error) {
+	st, err := s.PropagateMinutes(minutes)
+	if err != nil {
+		return geom.Vec3{}, err
+	}
+	return geom.ECIToECEF(st.Position, geom.GMST(epoch+minutes/1440)), nil
+}
+
 // The python-sgp4 documentation reference case: ISS element set with a
 // published TEME state at JD 2458827.362605.
 const (
@@ -32,7 +53,7 @@ const (
 
 func TestISSReferenceState(t *testing.T) {
 	s := mustSat(t, "ISS", issL1, issL2)
-	st, err := s.PropagateJulian(2458827.0 + 0.362605)
+	st, err := s.PropagateMinutes((2458827.0 + 0.362605 - epochJD(t, issL1, issL2)) * 1440.0)
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
@@ -72,7 +93,7 @@ func TestISSPhysicalSanity(t *testing.T) {
 func TestOrbitPeriodicity(t *testing.T) {
 	s := mustSat(t, "ISS", issL1, issL2)
 	parsed, _ := tle.Parse("ISS", issL1, issL2)
-	period := parsed.PeriodSeconds() / 60 // minutes
+	period := 1440 / parsed.MeanMotion // minutes
 
 	st0, err := s.PropagateMinutes(0)
 	if err != nil {
@@ -146,13 +167,13 @@ func TestAngularMomentumStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0 := st0.Position.Cross(st0.Velocity).Norm()
+	h0 := cross(st0.Position, st0.Velocity).Norm()
 	for _, m := range []float64{10, 45, 90, 360, 1440} {
 		st, err := s.PropagateMinutes(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := st.Position.Cross(st.Velocity).Norm()
+		h := cross(st.Position, st.Velocity).Norm()
 		if math.Abs(h-h0)/h0 > 0.01 {
 			t.Errorf("angular momentum at t=%v drifted %.3f%%", m, 100*math.Abs(h-h0)/h0)
 		}
@@ -194,10 +215,10 @@ func TestPositionECEFGroundTrack(t *testing.T) {
 	}
 	l1, l2 := tle.Synthesize(e)
 	s := mustSat(t, "polar", l1, l2)
-	jd0 := s.EpochJulian()
+	jd0 := epochJD(t, l1, l2)
 	maxLat := 0.0
 	for m := 0.0; m < 110; m++ {
-		p, err := s.PositionECEF(jd0 + m/1440)
+		p, err := positionECEF(s, jd0, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,13 +244,13 @@ func TestECEFAccountsForEarthRotation(t *testing.T) {
 	}
 	l1, l2 := tle.Synthesize(e)
 	s := mustSat(t, "gen", l1, l2)
-	jd0 := s.EpochJulian()
-	p0, err := s.PositionECEF(jd0)
+	jd0 := epochJD(t, l1, l2)
+	p0, err := positionECEF(s, jd0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	period := 1440 / tle.MeanMotionFromAltitude(550) // minutes
-	p1, err := s.PositionECEF(jd0 + period/1440)
+	p1, err := positionECEF(s, jd0, period)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +314,15 @@ func BenchmarkPropagate(b *testing.B) {
 func BenchmarkPositionECEF(b *testing.B) {
 	parsed, _ := tle.Parse("ISS", issL1, issL2)
 	s, _ := New(parsed)
-	jd := s.EpochJulian()
+	jd := epochJD(b, issL1, issL2)
 	for i := 0; i < b.N; i++ {
-		if _, err := s.PositionECEF(jd + float64(i%1440)/1440); err != nil {
+		if _, err := positionECEF(s, jd, float64(i%1440)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// cross returns the cross product a × b.
+func cross(a, b geom.Vec3) geom.Vec3 {
+	return geom.Vec3{X: a.Y*b.Z - a.Z*b.Y, Y: a.Z*b.X - a.X*b.Z, Z: a.X*b.Y - a.Y*b.X}
 }

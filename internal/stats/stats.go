@@ -170,33 +170,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram bins samples into n equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of the sample with n bins. It returns an
-// error for invalid parameters.
-func NewHistogram(xs []float64, n int, min, max float64) (Histogram, error) {
-	if n <= 0 {
-		return Histogram{}, fmt.Errorf("stats: bins must be positive, have %d", n)
-	}
-	if min >= max {
-		return Histogram{}, fmt.Errorf("stats: invalid range [%v, %v]", min, max)
-	}
-	h := Histogram{Min: min, Max: max, Counts: make([]int, n)}
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i == n {
-			i = n - 1 // x == max falls into the last bin
-		}
-		h.Counts[i]++
-	}
-	return h, nil
-}

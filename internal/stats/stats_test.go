@@ -151,24 +151,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 0.1, 0.5, 0.9, 1.0, 2.0, -1}, 2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bins [0, 0.5) and [0.5, 1]: {0, 0.1} and {0.5, 0.9, 1.0}; 2.0 and
-	// -1 are out of range.
-	if h.Counts[0] != 2 || h.Counts[1] != 3 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if _, err := NewHistogram(nil, 0, 0, 1); err == nil {
-		t.Error("accepted zero bins")
-	}
-	if _, err := NewHistogram(nil, 2, 1, 1); err == nil {
-		t.Error("accepted empty range")
-	}
-}
-
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Summarize(xs)

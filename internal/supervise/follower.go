@@ -66,8 +66,5 @@ func (f *Follower) Observe(lag int) Level {
 	return f.level()
 }
 
-// Level returns the current rung without recording an observation.
-func (f *Follower) Level() Level { return f.level() }
-
 // Stats returns the ladder counters accumulated so far.
 func (f *Follower) Stats() FollowerStats { return f.stats }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestFollowerEscalatesToLagTarget(t *testing.T) {
 	f := NewFollower()
-	if got := f.Level(); got != LevelFull {
+	if got := f.level(); got != LevelFull {
 		t.Fatalf("new follower at %v, want LevelFull", got)
 	}
 	if got := f.Observe(CoalesceLag - 1); got != LevelFull {
@@ -40,8 +40,8 @@ func TestFollowerJumpCountsEveryRung(t *testing.T) {
 func TestFollowerRecoversOneRungAtATime(t *testing.T) {
 	f := NewFollower()
 	f.Observe(ActivityOnlyLag)
-	if f.Level() != LevelActivityOnly {
-		t.Fatalf("level = %v, want LevelActivityOnly", f.Level())
+	if f.level() != LevelActivityOnly {
+		t.Fatalf("level = %v, want LevelActivityOnly", f.level())
 	}
 	// Fewer than recoverAfter healthy observations are not enough.
 	for i := 1; i < recoverAfter; i++ {

@@ -202,12 +202,6 @@ func New(interval time.Duration) *Watchdog {
 	}
 }
 
-// Budget returns the per-tick time budget (interval × budgetFraction).
-func (w *Watchdog) Budget() time.Duration { return w.budget }
-
-// Level returns the current degradation level.
-func (w *Watchdog) Level() Level { return w.level() }
-
 // Stats returns the decision counters so far.
 func (w *Watchdog) Stats() Stats { return w.stats }
 

@@ -98,21 +98,21 @@ func TestRecoveryAfterHealthyStreak(t *testing.T) {
 	w.Escalate(LevelCoalesce)
 	w.Observe(StageSnapshot, time.Millisecond)
 	w.EndTick()
-	if w.Level() != LevelCoalesce {
-		t.Fatalf("level = %v", w.Level())
+	if w.level() != LevelCoalesce {
+		t.Fatalf("level = %v", w.level())
 	}
 	// Three healthy ticks step down one rung; three more reach Full.
 	for i := 0; i < 3; i++ {
 		tick(w, time.Millisecond, time.Millisecond, 0, 0)
 	}
-	if w.Level() != LevelDeferRepair {
-		t.Fatalf("after 3 healthy ticks level = %v, want defer-repair", w.Level())
+	if w.level() != LevelDeferRepair {
+		t.Fatalf("after 3 healthy ticks level = %v, want defer-repair", w.level())
 	}
 	for i := 0; i < 3; i++ {
 		tick(w, time.Millisecond, time.Millisecond, time.Millisecond, 0)
 	}
-	if w.Level() != LevelFull {
-		t.Fatalf("after 6 healthy ticks level = %v, want full", w.Level())
+	if w.level() != LevelFull {
+		t.Fatalf("after 6 healthy ticks level = %v, want full", w.level())
 	}
 	if w.Stats().Recoveries != 2 {
 		t.Fatalf("stats = %+v", w.Stats())
@@ -123,9 +123,9 @@ func TestRecoveryBlockedWhileProjectionOverBudget(t *testing.T) {
 	w := New(10 * time.Millisecond)
 	// Seed huge estimates until the projection has climbed to the top rung,
 	// where BeginTick cannot escalate any further.
-	for i := 0; w.Level() < LevelActivityOnly; i++ {
+	for i := 0; w.level() < LevelActivityOnly; i++ {
 		if i == 10 {
-			t.Fatalf("ladder stuck at %v", w.Level())
+			t.Fatalf("ladder stuck at %v", w.level())
 		}
 		tick(w, 50*time.Millisecond, 50*time.Millisecond, 0, 0)
 	}
@@ -135,8 +135,8 @@ func TestRecoveryBlockedWhileProjectionOverBudget(t *testing.T) {
 	for i := 0; i < recoverAfter; i++ {
 		tick(w, time.Millisecond, 0, 0, 0)
 	}
-	if w.Level() != LevelActivityOnly || w.Stats().Recoveries != 0 {
-		t.Fatalf("ladder recovered to %v while projection over budget (stats %+v)", w.Level(), w.Stats())
+	if w.level() != LevelActivityOnly || w.Stats().Recoveries != 0 {
+		t.Fatalf("ladder recovered to %v while projection over budget (stats %+v)", w.level(), w.Stats())
 	}
 }
 

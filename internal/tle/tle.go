@@ -1,12 +1,13 @@
 // Package tle parses and synthesizes NORAD two-line element sets (TLEs).
 //
-// Celestial obtains SGP4 input parameters either from downloaded TLEs for
-// satellites already in orbit or by computing them from simple shell
-// parameters such as inclination and altitude (§3.1 of the paper). This
-// package supports both paths: Parse decodes the fixed-column TLE format
-// with checksum verification, and Synthesize produces a valid TLE from
-// orbital elements so the same TLE → SGP4 code path is exercised for
-// generated constellations.
+// The paper's Celestial obtains SGP4 input parameters either from
+// downloaded TLEs for satellites already in orbit or by computing them from
+// simple shell parameters such as inclination and altitude (§3.1). This
+// testbed takes the second path only: orbit.NewShell computes each
+// satellite's elements from its shell, Synthesize encodes them as a valid
+// TLE, and Parse decodes that TLE back (fixed columns, checksums verified)
+// into the SGP4 input, so a generated constellation runs the same
+// TLE → SGP4 code path a downloaded one would. No path reads TLE files.
 package tle
 
 import (
@@ -42,24 +43,6 @@ type TLE struct {
 	MeanAnomalyDeg float64
 	MeanMotion     float64 // revolutions per day
 	RevNumber      int
-}
-
-// EpochJulian returns the TLE epoch as a Julian date.
-func (t TLE) EpochJulian() float64 {
-	jd0 := geom.JulianDate(t.EpochYear, 1, 1, 0, 0, 0)
-	return jd0 + t.EpochDay - 1
-}
-
-// PeriodSeconds returns the orbital period implied by the mean motion.
-func (t TLE) PeriodSeconds() float64 {
-	return 86400 / t.MeanMotion
-}
-
-// SemiMajorAxisKm returns the semi-major axis implied by the mean motion
-// via Kepler's third law (point-mass approximation).
-func (t TLE) SemiMajorAxisKm() float64 {
-	n := t.MeanMotion * 2 * math.Pi / 86400 // rad/s
-	return math.Cbrt(geom.EarthMuKm3S2 / (n * n))
 }
 
 // Checksum computes the TLE checksum for a line: the sum of all digits plus
@@ -193,36 +176,6 @@ func Parse(name, line1, line2 string) (TLE, error) {
 		return t, parseErr(2, "rev number: %v", err)
 	}
 	return t, nil
-}
-
-// ParseLines decodes a sequence of TLEs from raw text. Satellite name lines
-// (anything that does not start with "1 " or "2 ") are attached to the TLE
-// that follows them.
-func ParseLines(text string) ([]TLE, error) {
-	var out []TLE
-	var name string
-	lines := strings.Split(text, "\n")
-	for i := 0; i < len(lines); i++ {
-		l := strings.TrimRight(lines[i], "\r ")
-		switch {
-		case l == "":
-			continue
-		case strings.HasPrefix(l, "1 "):
-			if i+1 >= len(lines) {
-				return out, parseErr(0, "line 1 without line 2 at end of input")
-			}
-			t, err := Parse(name, l, lines[i+1])
-			if err != nil {
-				return out, err
-			}
-			out = append(out, t)
-			name = ""
-			i++
-		default:
-			name = l
-		}
-	}
-	return out, nil
 }
 
 func atoi(s string) (int, error) {

@@ -100,29 +100,6 @@ func TestParseRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestEpochJulian(t *testing.T) {
-	tle, err := Parse(issName, issLine1, issLine2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2008 day 264.51782528 => 2008-09-20 12:25:40 UTC => JD ≈ 2454730.01782528.
-	if got := tle.EpochJulian(); math.Abs(got-2454730.01782528) > 1e-6 {
-		t.Errorf("epoch JD = %v", got)
-	}
-}
-
-func TestSemiMajorAxis(t *testing.T) {
-	tle, _ := Parse(issName, issLine1, issLine2)
-	a := tle.SemiMajorAxisKm()
-	// ISS orbits at roughly 350 km altitude in 2008: a ≈ 6725 km.
-	if a < 6650 || a < 0 || a > 6800 {
-		t.Errorf("semi-major axis = %v km", a)
-	}
-	if p := tle.PeriodSeconds(); p < 5400 || p > 5600 {
-		t.Errorf("period = %v s", p)
-	}
-}
-
 func TestParseExp(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -252,30 +229,6 @@ func TestMeanMotionFromAltitude(t *testing.T) {
 	}
 }
 
-func TestParseLines(t *testing.T) {
-	text := issName + "\n" + issLine1 + "\n" + issLine2 + "\n\n" +
-		issLine1 + "\n" + issLine2 + "\n"
-	tles, err := ParseLines(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tles) != 2 {
-		t.Fatalf("got %d TLEs, want 2", len(tles))
-	}
-	if tles[0].Name != issName {
-		t.Errorf("first name = %q", tles[0].Name)
-	}
-	if tles[1].Name != "" {
-		t.Errorf("second name = %q", tles[1].Name)
-	}
-}
-
-func TestParseLinesTruncated(t *testing.T) {
-	if _, err := ParseLines(issLine1); err == nil {
-		t.Error("accepted dangling line 1")
-	}
-}
-
 func TestParseErrorMessage(t *testing.T) {
 	_, err := Parse("x", issLine1[:68]+"9", issLine2)
 	if err == nil || !strings.Contains(err.Error(), "line 1") {
@@ -378,41 +331,35 @@ func TestFormatExpRounding(t *testing.T) {
 	}
 }
 
-// FuzzParseLines feeds ParseLines arbitrary text. It must not panic, and
-// every TLE it accepts has finite fields and an eccentricity in [0, 1);
-// every line pair Parse accepts carries one NORAD id on both lines.
-func FuzzParseLines(f *testing.F) {
-	f.Add(issName + "\n" + issLine1 + "\n" + issLine2 + "\n")
-	f.Add("vanguard\n" + withChecksum(vanguardLine1) + "\n" + withChecksum(vanguardLine2) + "\n\n" +
-		issLine1 + "\r\n" + issLine2)
-	f.Add(issLine1)
-	f.Fuzz(func(t *testing.T, text string) {
-		tles, _ := ParseLines(text)
-		for _, tle := range tles {
-			for _, v := range []float64{
-				tle.EpochDay, tle.MeanMotionDot, tle.MeanMotionDDot, tle.BStar,
-				tle.InclinationDeg, tle.RAANDeg, tle.Eccentricity,
-				tle.ArgPerigeeDeg, tle.MeanAnomalyDeg, tle.MeanMotion,
-			} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted a non-finite field: %+v", tle)
-				}
-			}
-			if tle.Eccentricity < 0 || tle.Eccentricity >= 1 {
-				t.Fatalf("accepted eccentricity %v", tle.Eccentricity)
+// FuzzParse feeds Parse arbitrary line pairs. It must not panic, and every
+// TLE it accepts has finite fields, an eccentricity in [0, 1) and one
+// NORAD id on both lines.
+func FuzzParse(f *testing.F) {
+	f.Add(issLine1, issLine2)
+	f.Add(withChecksum(vanguardLine1), withChecksum(vanguardLine2))
+	f.Add(issLine1, "")
+	f.Add(issLine1+"\r", issLine2)
+	f.Fuzz(func(t *testing.T, line1, line2 string) {
+		tle, err := Parse("", line1, line2)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{
+			tle.EpochDay, tle.MeanMotionDot, tle.MeanMotionDDot, tle.BStar,
+			tle.InclinationDeg, tle.RAANDeg, tle.Eccentricity,
+			tle.ArgPerigeeDeg, tle.MeanAnomalyDeg, tle.MeanMotion,
+		} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted a non-finite field: %+v", tle)
 			}
 		}
-		lines := strings.Split(text, "\n")
-		for i := 0; i+1 < len(lines); i++ {
-			tle, err := Parse("", lines[i], lines[i+1])
-			if err != nil {
-				continue
-			}
-			id1, err1 := strconv.Atoi(strings.TrimSpace(lines[i][2:7]))
-			id2, err2 := strconv.Atoi(strings.TrimSpace(lines[i+1][2:7]))
-			if err1 != nil || err2 != nil || id1 != id2 || id1 != tle.NoradID {
-				t.Fatalf("accepted ids %q and %q as %d", lines[i][2:7], lines[i+1][2:7], tle.NoradID)
-			}
+		if tle.Eccentricity < 0 || tle.Eccentricity >= 1 {
+			t.Fatalf("accepted eccentricity %v", tle.Eccentricity)
+		}
+		id1, err1 := strconv.Atoi(strings.TrimSpace(line1[2:7]))
+		id2, err2 := strconv.Atoi(strings.TrimSpace(line2[2:7]))
+		if err1 != nil || err2 != nil || id1 != id2 || id1 != tle.NoradID {
+			t.Fatalf("accepted ids %q and %q as %d", line1[2:7], line2[2:7], tle.NoradID)
 		}
 	})
 }

@@ -13,12 +13,6 @@ import (
 	"celestial/internal/orbit"
 )
 
-// GroundStation is a named ground location participating in the testbed.
-type GroundStation struct {
-	Name     string
-	Location geom.LatLon
-}
-
 // ISL is a planned inter-satellite link between two satellites of the same
 // shell, identified by flat indices.
 type ISL struct {
@@ -71,12 +65,6 @@ func GridLinks(cfg orbit.ShellConfig) []ISL {
 	return links
 }
 
-// HasSeam reports whether the shell's +GRID plan omits links between the
-// first and the last orbital plane.
-func HasSeam(cfg orbit.ShellConfig) bool {
-	return cfg.Planes > 2 && cfg.ArcDeg > 0 && cfg.ArcDeg < 360
-}
-
 // Feasible reports whether an ISL between two satellite positions is
 // usable: the straight laser path must clear the atmosphere occlusion
 // altitude (default geom.AtmosphereCutoffKm when cutoffKm is zero).
@@ -98,14 +86,6 @@ type Uplink struct {
 	ElevationDeg float64
 }
 
-// VisibleSats returns all satellites at least minElevDeg above the
-// station's horizon, sorted by ascending slant range (closest first). The
-// station position must be in the same Earth-fixed frame as the satellite
-// positions.
-func VisibleSats(station geom.Vec3, sats []geom.Vec3, minElevDeg float64) []Uplink {
-	return VisibleSatsInto(station, sats, minElevDeg, nil)
-}
-
 // byDistance sorts uplinks by ascending slant range, breaking exact
 // distance ties by satellite index. The named type avoids the per-call
 // closure and interface allocations of sort.Slice in the hot visibility
@@ -123,10 +103,13 @@ func (u byDistance) Less(i, j int) bool {
 	return u[i].Sat < u[j].Sat
 }
 
-// VisibleSatsInto is VisibleSats writing into buf (which is truncated and
-// grown as needed), so per-tick visibility scans can reuse one allocation
-// per ground station and shell. The returned slice aliases buf's backing
-// array when it had sufficient capacity.
+// VisibleSatsInto returns all satellites at least minElevDeg above the
+// station's horizon, sorted by ascending slant range (closest first). The
+// station position must be in the same Earth-fixed frame as the satellite
+// positions. The result is written into buf (truncated and grown as
+// needed), so per-tick visibility scans can reuse one allocation per
+// ground station and shell; it aliases buf's backing array when that had
+// sufficient capacity.
 func VisibleSatsInto(station geom.Vec3, sats []geom.Vec3, minElevDeg float64, buf []Uplink) []Uplink {
 	out := buf[:0]
 	for i, s := range sats {
@@ -141,24 +124,6 @@ func VisibleSatsInto(station geom.Vec3, sats []geom.Vec3, minElevDeg float64, bu
 	}
 	sort.Sort(byDistance(out))
 	return out
-}
-
-// ClosestSat returns the closest visible satellite, or ok=false when no
-// satellite is above the minimum elevation. Ground stations switch their
-// uplink to their closest satellite as a result of satellite mobility
-// (§2.3 of the paper).
-func ClosestSat(station geom.Vec3, sats []geom.Vec3, minElevDeg float64) (Uplink, bool) {
-	best := Uplink{Sat: -1, DistanceKm: math.Inf(1)}
-	for i, s := range sats {
-		el := geom.ElevationDeg(station, s)
-		if el < minElevDeg {
-			continue
-		}
-		if d := station.Distance(s); d < best.DistanceKm {
-			best = Uplink{Sat: i, DistanceKm: d, ElevationDeg: el}
-		}
-	}
-	return best, best.Sat >= 0
 }
 
 // LinkKind distinguishes the two physical link types of the constellation

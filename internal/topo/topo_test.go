@@ -61,9 +61,6 @@ func TestGridLinksDeltaCount(t *testing.T) {
 
 func TestGridLinksStarSeam(t *testing.T) {
 	cfg := star(6, 11)
-	if !HasSeam(cfg) {
-		t.Fatal("star constellation should have a seam")
-	}
 	links := GridLinks(cfg)
 	// 6 planes * 11 intra + 5 plane-pairs * 11 inter = 66 + 55 = 121.
 	if want := 6*11 + 5*11; len(links) != want {
@@ -120,18 +117,6 @@ func TestGridLinksDegenerate(t *testing.T) {
 	}
 }
 
-func TestHasSeam(t *testing.T) {
-	if HasSeam(delta(6, 8)) {
-		t.Error("delta constellation reported seam")
-	}
-	if !HasSeam(star(6, 11)) {
-		t.Error("star constellation missing seam")
-	}
-	if HasSeam(star(2, 11)) {
-		t.Error("2-plane constellation cannot have a seam")
-	}
-}
-
 func TestGridLinksAreShortRange(t *testing.T) {
 	// All planned +GRID links must be physically feasible.
 	cfg := delta(12, 12)
@@ -183,6 +168,12 @@ func TestMaxISLLength(t *testing.T) {
 	}
 }
 
+// VisibleSats is the brute-force visibility oracle the index tests compare
+// against: a full scan into a fresh buffer.
+func VisibleSats(station geom.Vec3, sats []geom.Vec3, minElevDeg float64) []Uplink {
+	return VisibleSatsInto(station, sats, minElevDeg, nil)
+}
+
 func TestVisibleSats(t *testing.T) {
 	station := geom.LatLon{LatDeg: 0, LonDeg: 0}.ECEF()
 	sats := []geom.Vec3{
@@ -213,43 +204,21 @@ func TestClosestSat(t *testing.T) {
 		geom.LatLon{LatDeg: 11, LonDeg: 20, AltKm: 550}.ECEF(),
 		geom.LatLon{LatDeg: 10, LonDeg: 21, AltKm: 1100}.ECEF(),
 	}
-	up, ok := ClosestSat(station, sats, 25)
-	if !ok {
+	// The closest satellite heads the list, whatever its altitude.
+	ups := VisibleSats(station, sats, 25)
+	if len(ups) == 0 {
 		t.Fatal("no satellite found")
 	}
-	if up.Sat != 0 {
-		t.Errorf("closest = %d, want 0", up.Sat)
+	if ups[0].Sat != 0 {
+		t.Errorf("closest = %d, want 0", ups[0].Sat)
 	}
 	// Raising the bar above every elevation yields no uplink.
-	if _, ok := ClosestSat(station, sats, 89.99); ok {
-		t.Error("found uplink despite impossible elevation requirement")
+	if ups := VisibleSats(station, sats, 89.99); len(ups) != 0 {
+		t.Errorf("found uplinks %v despite impossible elevation requirement", ups)
 	}
 	// Empty satellite list.
-	if _, ok := ClosestSat(station, nil, 25); ok {
-		t.Error("found uplink with no satellites")
-	}
-}
-
-func TestClosestMatchesVisibleHead(t *testing.T) {
-	station := geom.LatLon{LatDeg: 48, LonDeg: 11}.ECEF()
-	shell, err := orbit.NewShell(delta(12, 12), geom.JulianDate(2022, 4, 14, 12, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, err := shell.PositionsECEF(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ups := VisibleSats(station, pos, 25)
-	closest, ok := ClosestSat(station, pos, 25)
-	if len(ups) == 0 {
-		if ok {
-			t.Fatal("ClosestSat found a satellite VisibleSats missed")
-		}
-		return
-	}
-	if !ok || closest != ups[0] {
-		t.Errorf("ClosestSat = %+v, VisibleSats head = %+v", closest, ups[0])
+	if ups := VisibleSats(station, nil, 25); len(ups) != 0 {
+		t.Errorf("found uplinks %v with no satellites", ups)
 	}
 }
 

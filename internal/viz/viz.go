@@ -138,12 +138,6 @@ func (m *Map) AddValueDot(l geom.LatLon, value, min, max float64, radius float64
 	m.AddSatellite(l, ValueColor(value, min, max), radius)
 }
 
-// AddText places a free-standing annotation.
-func (m *Map) AddText(l geom.LatLon, text, color string, size int) {
-	x, y := m.project(l)
-	m.add(`<text x="%.1f" y="%.1f" font-size="%d" fill="%s">%s</text>`, x, y, size, color, escape(text))
-}
-
 // SVG renders the accumulated scene.
 func (m *Map) SVG() string {
 	var sb strings.Builder

@@ -49,12 +49,11 @@ func TestElementsAccumulate(t *testing.T) {
 	m.AddSatellite(geom.LatLon{}, "#fff", 2)
 	m.AddGroundStation(geom.LatLon{LatDeg: 5}, "red", "accra")
 	m.AddLink(geom.LatLon{}, geom.LatLon{LatDeg: 10, LonDeg: 10}, "blue", 1)
-	m.AddText(geom.LatLon{}, "hello", "#000", 12)
-	if m.Elements() != 5 { // gst = marker + label
+	if m.Elements() != 4 { // gst = marker + label
 		t.Errorf("elements = %d", m.Elements())
 	}
 	svg := m.SVG()
-	for _, want := range []string{"circle", "rect", "line", "accra", "hello"} {
+	for _, want := range []string{"circle", "rect", "line", "accra"} {
 		if !strings.Contains(svg, want) {
 			t.Errorf("svg missing %q", want)
 		}
@@ -138,7 +137,7 @@ func TestValueColor(t *testing.T) {
 
 func TestEscape(t *testing.T) {
 	m := NewMap(100, 50)
-	m.AddText(geom.LatLon{}, "<b>&x", "#000", 10)
+	m.AddGroundStation(geom.LatLon{}, "#000", "<b>&x")
 	svg := m.SVG()
 	if strings.Contains(svg, "<b>") || !strings.Contains(svg, "&lt;b&gt;&amp;x") {
 		t.Errorf("svg = %q", svg)

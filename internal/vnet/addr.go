@@ -48,29 +48,9 @@ func GSTIP(gst int) (net.IP, error) {
 	return net.IPv4(10, 0, byte(gst/256), byte(gst%256)), nil
 }
 
-// ParseIP inverts SatIP/GSTIP: it returns (shell, sat) for satellite IPs,
-// with shell == -1 and sat == ground-station index for ground stations.
-func ParseIP(ip net.IP) (shell, sat int, err error) {
-	v4 := ip.To4()
-	if v4 == nil || v4[0] != 10 {
-		return 0, 0, fmt.Errorf("vnet: %v is not a testbed address", ip)
-	}
-	idx := int(v4[2])*256 + int(v4[3])
-	if v4[1] == 0 {
-		return -1, idx, nil
-	}
-	return int(v4[1]) - 1, idx, nil
-}
-
 // SatName returns the DNS name of a satellite, e.g. "878.0.celestial".
 func SatName(shell, sat int) string {
 	return fmt.Sprintf("%d.%d.%s", sat, shell, DNSZone)
-}
-
-// GSTName returns the DNS name of a ground station, e.g.
-// "accra.gst.celestial".
-func GSTName(name string) string {
-	return fmt.Sprintf("%s.gst.%s", strings.ToLower(name), DNSZone)
 }
 
 // ParseSatRef parses the short "<sat>.<shell>" satellite reference (e.g.

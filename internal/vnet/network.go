@@ -136,14 +136,6 @@ func NewNetwork(sim *Sim, topo Topology, seed int64) *Network {
 	}
 }
 
-// SetTopology swaps the topology, e.g. on a coordinator update. Existing
-// queue state in the per-pair shapers is preserved, mirroring how tc qdisc
-// updates do not drop queued packets.
-func (n *Network) SetTopology(t Topology) {
-	n.topo = t
-	n.InvalidatePaths()
-}
-
 // InvalidatePaths marks every cached per-pair path stale: the next Send on
 // each pair re-reads the topology and updates its shaper. Call it when the
 // current Topology's answers changed behind the network's back — the

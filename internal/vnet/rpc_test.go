@@ -141,12 +141,10 @@ func TestRPCSendErrorSurfacesImmediately(t *testing.T) {
 	}
 	// A failed Call is reported by its return value alone: nothing is
 	// left outstanding and no timeout is armed, so done never runs.
-	if client.Pending() != 0 || s.Pending() != 0 {
-		t.Errorf("after failed calls: %d requests outstanding, %d events queued", client.Pending(), s.Pending())
+	if client.Pending() != 0 || s.pq.Len() != 0 {
+		t.Errorf("after failed calls: %d requests outstanding, %d events queued", client.Pending(), s.pq.Len())
 	}
-	if _, err := s.Drain(0); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	if called != 0 {
 		t.Errorf("done ran %d times for calls that returned an error", called)
 	}

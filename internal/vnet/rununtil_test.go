@@ -121,8 +121,8 @@ func runUntilDiff(prog []byte) (err error) {
 				i, len(got), len(want), logLine(got, i), logLine(want, i))
 		}
 	}
-	if re.Pending() != 0 {
-		return fmt.Errorf("%d events pending after the program", re.Pending())
+	if re.pq.Len() != 0 {
+		return fmt.Errorf("%d events pending after the program", re.pq.Len())
 	}
 	return nil
 }

@@ -179,9 +179,6 @@ func (s *Sim) Every(start time.Time, interval time.Duration, fn func() bool) err
 	return s.At(start, tick)
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.pq.Len() }
-
 // advance moves virtual time to t, whose key the caller has checked to be
 // at or after now.
 func (s *Sim) advance(t time.Time, key int64) { s.now, s.nowKey = t, key }
@@ -224,19 +221,4 @@ func (s *Sim) RunUntil(t time.Time) error {
 	}
 	s.advance(t, key)
 	return nil
-}
-
-// Drain executes events until the queue is empty and returns how many ran.
-// A limit guards against runaway recurring events; zero means no limit.
-func (s *Sim) Drain(limit int) (int, error) {
-	n := 0
-	for s.Step() {
-		n++
-		if limit > 0 && n >= limit {
-			if s.pq.Len() > 0 {
-				return n, fmt.Errorf("vnet: drain limit %d reached with %d events pending", limit, s.pq.Len())
-			}
-		}
-	}
-	return n, nil
 }

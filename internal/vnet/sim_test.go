@@ -204,8 +204,8 @@ func orderDiff(prog []byte) error {
 				i, len(got), len(want), logLine(got, i), logLine(want, i))
 		}
 	}
-	if re.Pending() != 0 {
-		return fmt.Errorf("%d events pending after the program", re.Pending())
+	if re.pq.Len() != 0 {
+		return fmt.Errorf("%d events pending after the program", re.pq.Len())
 	}
 	return nil
 }
@@ -272,8 +272,8 @@ func TestHandlerSendsDuringDelivery(t *testing.T) {
 	if err := net.Send(0, 1, 10, -1); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := sim.Drain(0); err != nil || n != burst+1 {
-		t.Fatalf("drained %d events, err %v", n, err)
+	if n := drain(sim); n != burst+1 {
+		t.Fatalf("drained %d events, want %d", n, burst+1)
 	}
 	if len(got) != burst {
 		t.Fatalf("delivered %d of %d", len(got), burst)
@@ -309,6 +309,15 @@ func slabReleased[T any](s *slab[T]) error {
 	return nil
 }
 
+// drain executes events until the queue is empty and returns how many ran.
+func drain(s *Sim) int {
+	n := 0
+	for s.Step() {
+		n++
+	}
+	return n
+}
+
 // TestDrainReleasesEverySlot: a fired event keeps neither its closure nor
 // its message payload alive.
 func TestDrainReleasesEverySlot(t *testing.T) {
@@ -326,11 +335,9 @@ func TestDrainReleasesEverySlot(t *testing.T) {
 	if len(sim.calls.slots) == 0 || len(sim.deliveries.slots) == 0 {
 		t.Fatal("nothing was scheduled through the slabs")
 	}
-	if _, err := sim.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Pending() != 0 {
-		t.Errorf("pending = %d", sim.Pending())
+	drain(sim)
+	if sim.pq.Len() != 0 {
+		t.Errorf("pending = %d", sim.pq.Len())
 	}
 	if err := slabReleased(&sim.calls); err != nil {
 		t.Errorf("calls: %v", err)
@@ -444,8 +451,8 @@ func TestTimeOutOfKeyRange(t *testing.T) {
 	if err := sim.At(simStart.AddDate(-400, 0, 0), func() {}); err == nil {
 		t.Error("At accepted a time 400 years before the start")
 	}
-	if sim.Pending() != 0 || !sim.Now().Equal(simStart) {
-		t.Errorf("refused times left pending=%d now=%v", sim.Pending(), sim.Now())
+	if sim.pq.Len() != 0 || !sim.Now().Equal(simStart) {
+		t.Errorf("refused times left pending=%d now=%v", sim.pq.Len(), sim.Now())
 	}
 	// Well inside the range, two centuries out still orders correctly.
 	var order []int
@@ -455,9 +462,7 @@ func TestTimeOutOfKeyRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sim.Drain(0); err != nil {
-		t.Fatal(err)
-	}
+	drain(sim)
 	if !reflect.DeepEqual(order, []int{1, 0}) {
 		t.Errorf("order = %v", order)
 	}
@@ -505,11 +510,9 @@ func TestNilHandlerUnregisters(t *testing.T) {
 	if err := net.Send(0, 1, 10, nil); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("send after unregistering: %v, want ErrNoHandler", err)
 	}
-	if _, err := sim.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 || sim.Pending() != 0 {
-		t.Errorf("delivered %d, pending %d", got, sim.Pending())
+	drain(sim)
+	if got != 1 || sim.pq.Len() != 0 {
+		t.Errorf("delivered %d, pending %d", got, sim.pq.Len())
 	}
 }
 
@@ -530,9 +533,7 @@ func TestAnyIntIsANodeID(t *testing.T) {
 		if err := net.Send(a, b, 10, nil); err != nil {
 			t.Fatalf("%d -> %d: %v", a, b, err)
 		}
-		if _, err := sim.Drain(0); err != nil {
-			t.Fatal(err)
-		}
+		drain(sim)
 		if len(got) != 1 || got[0].From != a || got[0].To != b {
 			t.Errorf("%d -> %d delivered %+v", a, b, got)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"celestial/internal/netem"
@@ -114,16 +113,6 @@ func TestSimEvery(t *testing.T) {
 	}
 }
 
-func TestSimDrainLimit(t *testing.T) {
-	s := NewSim(simStart)
-	if err := s.Every(simStart, time.Second, func() bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Drain(10); err == nil {
-		t.Error("drain of unbounded recurrence did not hit limit")
-	}
-}
-
 func TestAddressing(t *testing.T) {
 	ip, err := SatIP(0, 878)
 	if err != nil {
@@ -150,36 +139,9 @@ func TestAddressing(t *testing.T) {
 	}
 }
 
-func TestParseIPRoundTrip(t *testing.T) {
-	err := quick.Check(func(shellRaw, satRaw uint16) bool {
-		shell := int(shellRaw % 254)
-		sat := int(satRaw)
-		ip, err := SatIP(shell, sat)
-		if err != nil {
-			return false
-		}
-		s2, i2, err := ParseIP(ip)
-		return err == nil && s2 == shell && i2 == sat
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Error(err)
-	}
-	gip, _ := GSTIP(300)
-	shell, idx, err := ParseIP(gip)
-	if err != nil || shell != -1 || idx != 300 {
-		t.Errorf("ParseIP(gst) = %d, %d, %v", shell, idx, err)
-	}
-	if _, _, err := ParseIP(net.IPv4(192, 168, 0, 1)); err == nil {
-		t.Error("accepted non-testbed IP")
-	}
-}
-
 func TestNames(t *testing.T) {
 	if n := SatName(0, 878); n != "878.0.celestial" {
 		t.Errorf("sat name = %q", n)
-	}
-	if n := GSTName("Accra"); n != "accra.gst.celestial" {
-		t.Errorf("gst name = %q", n)
 	}
 	shell, sat, gst, err := ParseName("878.0.celestial")
 	if err != nil || shell != 0 || sat != 878 || gst != "" {
@@ -305,7 +267,8 @@ func TestNetworkTopologyUpdate(t *testing.T) {
 	// The coordinator pushes a new topology with a shorter path. The
 	// second message overtakes the first — expected packet reordering
 	// when the constellation path shortens.
-	n.SetTopology(twoNodeTopo(0.002, 0))
+	n.topo = twoNodeTopo(0.002, 0)
+	n.InvalidatePaths()
 	if err := n.Send(0, 1, 10, "after"); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +352,7 @@ func BenchmarkNetworkSendDeliver(b *testing.B) {
 
 // TestInvalidatePathsRefreshesCachedPairs pins the version-gated refresh
 // contract: a pair's cached path survives in-place topology mutation until
-// InvalidatePaths (or SetTopology) marks it stale.
+// InvalidatePaths marks it stale.
 func TestInvalidatePathsRefreshesCachedPairs(t *testing.T) {
 	s := NewSim(simStart)
 	topo := twoNodeTopo(0.010, 0)
