@@ -109,6 +109,10 @@ func main() {
 	agentsToken := flag.String("agents-token", "", "bearer token agents must present in their Hello frame (empty disables auth; plaintext loopback runs stay allowed)")
 	wall := flag.Bool("wall", false, "advance in wall-clock time instead of virtual time")
 	flag.Parse()
+	if err := checkFlags(*agentsBarrier, *checkpointEvery); err != nil {
+		fmt.Fprintf(os.Stderr, "celestial: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *scenarioPath != "" {
 		runScenario(scenarioOpts{
@@ -228,6 +232,21 @@ func main() {
 		report()
 	}
 	log.Printf("experiment complete at t=%.0fs", tb.ElapsedSeconds())
+}
+
+// checkFlags refuses flag values no run can honour. A barrier that is not
+// positive arms a timer that has already expired, so every tick — and the
+// final wait before the remote digests are verified — gives up before the
+// agents ack, and a distributed run fails verification. A checkpoint
+// period below one tick names no period at all.
+func checkFlags(agentsBarrier time.Duration, checkpointEvery int) error {
+	if agentsBarrier <= 0 {
+		return fmt.Errorf("-agents-barrier %v: want a positive duration", agentsBarrier)
+	}
+	if checkpointEvery < 1 {
+		return fmt.Errorf("-checkpoint-every %d: want at least 1 tick", checkpointEvery)
+	}
+	return nil
 }
 
 // scenarioOpts bundles the scenario-mode flags.

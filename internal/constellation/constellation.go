@@ -547,10 +547,13 @@ func quantizedLink(kind topo.LinkKind, a, b int, distKm, kbps float64) (topo.Lin
 	return l, int32(q)
 }
 
-// graphPatchSlack is the per-row slack pooled graph images are frozen
-// with, giving PatchFrozen room to add a couple of links per node between
-// compactions — GSL handovers add at most a handful of uplinks to any one
-// node per tick.
+// graphPatchSlack is the fixed part of the per-row slack pooled graph
+// images are frozen with (graph.FreezeSlack adds one slot per eight live
+// entries). It covers a satellite row, which gains at most a couple of
+// uplinks per tick. A ground-station row cannot live on it: on Starlink
+// Gen2 a station holds ~90 uplinks and its count moves by more than two in
+// most ticks, so the part in proportion to the degree is what keeps
+// PatchFrozen from compacting the whole image.
 const graphPatchSlack = 2
 
 // rebuildGraph materializes the snapshot's latency graph from its
@@ -751,10 +754,12 @@ type SnapshotPool struct {
 	// overlay, when set, vetoes node activity beyond the bounding box
 	// (see SetActivityOverlay).
 	overlay func(id int) bool
-	// deltaScratch and jobScratch are the edge-delta and repairPaths
-	// buffers, reused across ticks. Both halves of a snapshot use them,
-	// never at once: finish starts after prepare has been joined.
+	// deltaScratch, fold and jobScratch are the edge-delta, handover-fold
+	// and repairPaths buffers, reused across ticks. Both halves of a
+	// snapshot use them, never at once: finish starts after prepare has
+	// been joined.
 	deltaScratch []graph.EdgeDelta
+	fold         handoverFold
 	jobScratch   []repairJob
 	// stageTimer, when set, receives the wall-clock duration of each
 	// Snapshot stage (see SetStageTimer).
@@ -918,7 +923,7 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	// is identical (PatchFrozen's row order may differ, which the canonical
 	// Dijkstra tie-break makes unobservable).
 	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
-		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff)
+		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff, out.satN, &p.fold)
 		pr.deltas = p.deltaScratch
 	}
 	patched := false

@@ -34,9 +34,14 @@ type Diff struct {
 	// Added and Removed are links that appeared or disappeared. A
 	// station/shell whose realized uplink sequence changed is shipped
 	// wholesale (old links removed, new links added) rather than
-	// per-satellite matched: sequence changes are rare handover events,
-	// and the closest-first order itself fixes the graph's adjacency
-	// order, so an order change alone also invalidates derived state.
+	// per-satellite matched, because the closest-first order itself fixes
+	// the graph's adjacency order, so an order change alone also
+	// invalidates derived state. Such changes are not rare: on Starlink
+	// Gen2 (29,988 satellites, 100 stations, 1 s ticks) nearly every
+	// station/shell sequence reorders every tick, and a tick ships ~9,300
+	// GSLs on each side, which the graph patch folds down to ~1,700 edge
+	// deltas (appendEdgeDeltas). Both lists hold the ISL deltas first,
+	// then each station's GSL deltas as one block, stations ascending.
 	Added, Removed []LinkDelta
 	// DelayChanged are links present on both sides whose delay moved by
 	// at least one quantum.

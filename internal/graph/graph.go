@@ -148,10 +148,14 @@ func (g *Graph) AddEdgeUnchecked(a, b int, weight float64) {
 // single-threaded.
 func (g *Graph) Freeze() { g.FreezeSlack(0) }
 
-// FreezeSlack is Freeze with slack unused slots reserved after every row,
-// giving later PatchFrozen calls room to add edges in place before a
-// compaction is forced. Slack does not change any query result — scans
-// cover only the live range [rowStart[v], rowEnd[v]).
+// FreezeSlack is Freeze with unused slots reserved after every row, giving
+// later PatchFrozen calls room to add edges in place before a compaction is
+// forced. A row of degree k gets slack + k/8 slots (rowSlack): the fixed
+// part covers a low-degree row's occasional addition, and the part in
+// proportion to the degree covers a hub whose count moves with its size,
+// such as a ground station gaining and losing uplinks. Slack does not
+// change any query result — scans cover only the live range
+// [rowStart[v], rowEnd[v]).
 func (g *Graph) FreezeSlack(slack int) {
 	if g.frozen {
 		return
@@ -165,7 +169,10 @@ func (g *Graph) FreezeSlack(slack int) {
 	if slack < 0 {
 		slack = 0
 	}
-	dir := 2*g.m + slack*g.n
+	dir := 0
+	for _, row := range g.adj {
+		dir += len(row) + int(rowSlack(slack, int32(len(row))))
+	}
 	g.rowStart = resizeSlice(g.rowStart, g.n+1)
 	g.rowEnd = resizeSlice(g.rowEnd, g.n)
 	g.edgeTo = resizeSlice(g.edgeTo, dir)
@@ -181,11 +188,17 @@ func (g *Graph) FreezeSlack(slack int) {
 			off++
 		}
 		g.rowEnd[v] = off
-		off += int32(slack)
+		off += rowSlack(slack, off-g.rowStart[v])
 	}
 	g.rowStart[g.n] = off
 	g.patchSlack = slack
 	g.frozen = true
+}
+
+// rowSlack is the number of free slots FreezeSlack and compactFrozen leave
+// after a row with live entries: slack plus one eighth of the degree.
+func rowSlack(slack int, live int32) int32 {
+	return int32(slack) + live/8
 }
 
 // widenWeights folds one edge weight into wmin and wmax.
@@ -238,8 +251,8 @@ func (g *Graph) CopyFrozenFrom(src *Graph) error {
 	return nil
 }
 
-// defaultPatchSlack is the per-row slack a compaction re-spreads the image
-// with when the original freeze reserved none.
+// defaultPatchSlack is the fixed per-row slack a compaction re-spreads the
+// image with when the original freeze reserved none.
 const defaultPatchSlack = 4
 
 // PatchFrozen applies per-link edge deltas directly to the frozen CSR
@@ -251,6 +264,13 @@ const defaultPatchSlack = 4
 // negative side marks absence, and every (A, B, OldW) of a removal or
 // weight change must name exactly the live entry the image holds (the
 // per-link merged deltas of a constellation diff do).
+//
+// Slack follows FreezeSlack's rule, slack + k/8 slots for a row of degree
+// k at the last freeze or compaction, and a compaction rebuilds the whole
+// image. A list that puts its removals before its additions (as the
+// constellation's does) keeps each row at or below the larger of its old
+// and new degree, so a row overflows only when its degree outgrows that
+// slack.
 //
 // Patching mutates only the CSR arrays; the adjacency lists are stale
 // afterwards and only Reset leaves the patched mode (Freeze panics to keep
@@ -351,16 +371,17 @@ func (g *Graph) reweightDirected(a, b int, oldW, newW float64) error {
 	return fmt.Errorf("graph: patch reweight (%d, %d, %v): no such edge", a, b, oldW)
 }
 
-// compactFrozen re-spreads the CSR image so every row gets slack free
-// slots again, using the scratch arrays kept on the graph (the periodic
-// compaction of a long patch chain allocates nothing once warm). Live
-// entries keep their order, so compaction never changes a query result.
+// compactFrozen re-spreads the CSR image so every row gets free slots
+// again, rowSlack(slack, k) for a row of degree k, using the scratch arrays
+// kept on the graph (the periodic compaction of a long patch chain
+// allocates nothing once warm). Live entries keep their order, so
+// compaction never changes a query result.
 func (g *Graph) compactFrozen(slack int) {
 	dir := 0
 	for v := 0; v < g.n; v++ {
-		dir += int(g.rowEnd[v] - g.rowStart[v])
+		live := g.rowEnd[v] - g.rowStart[v]
+		dir += int(live + rowSlack(slack, live))
 	}
-	dir += slack * g.n
 	s := &g.csrScratch
 	s.rowStart = resizeSlice(s.rowStart, g.n+1)
 	s.rowEnd = resizeSlice(s.rowEnd, g.n)
@@ -374,7 +395,7 @@ func (g *Graph) compactFrozen(slack int) {
 		copy(s.weight[off:off+n], g.weight[g.rowStart[v]:g.rowEnd[v]])
 		off += n
 		s.rowEnd[v] = off
-		off += int32(slack)
+		off += rowSlack(slack, n)
 	}
 	s.rowStart[g.n] = off
 	g.rowStart, s.rowStart = s.rowStart, g.rowStart

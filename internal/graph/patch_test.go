@@ -179,6 +179,76 @@ func TestPatchFrozenDifferential(t *testing.T) {
 	}
 }
 
+// TestPatchFrozenHubStopsCompacting pins the slack rule on the shape that
+// used to compact every tick: one hub row of ~90 entries — a ground station
+// and its uplinks — whose degree moves by more than the fixed slack on
+// every patch. Each patch clones the previous image, as the snapshot pool
+// does, removes k of the hub's links and then adds k+Δ (or the reverse),
+// with Δ the row's proportional share of its slack. No compaction may run, so
+// neither image ever allocates csrScratch, and every query must equal a
+// graph rebuilt from the same edge set.
+func TestPatchFrozenHubStopsCompacting(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const n, hubDegree = 240, 90
+	const delta = hubDegree / 8
+	g := New(n)
+	edges := make(map[[2]int]float64)
+	link := func(a, b int, w float64) {
+		g.AddEdgeUnchecked(a, b, w)
+		edges[[2]int{a, b}] = w
+	}
+	for v := 2; v < n; v++ {
+		link(v-1, v, quantW(rng)) // a path keeps every leaf reachable
+	}
+	leaves := rng.Perm(n - 1)
+	for i := range leaves {
+		leaves[i]++
+	}
+	hub, spare := leaves[:hubDegree], leaves[hubDegree:]
+	for _, v := range hub {
+		link(0, v, quantW(rng))
+	}
+	g.FreezeSlack(2)
+
+	images := [2]*Graph{g, New(n)}
+	for round := 0; round < 40; round++ {
+		prev, next := images[round%2], images[(round+1)%2]
+		if err := next.CopyFrozenFrom(prev); err != nil {
+			t.Fatal(err)
+		}
+		k := 5 + rng.Intn(20)
+		drop, add := k, k+delta
+		if round%2 == 1 {
+			drop, add = k+delta, k
+		}
+		rng.Shuffle(len(hub), func(i, j int) { hub[i], hub[j] = hub[j], hub[i] })
+		rng.Shuffle(len(spare), func(i, j int) { spare[i], spare[j] = spare[j], spare[i] })
+		var deltas []EdgeDelta
+		for _, v := range hub[:drop] {
+			deltas = append(deltas, EdgeDelta{A: 0, B: v, OldW: edges[[2]int{0, v}], NewW: -1})
+			delete(edges, [2]int{0, v})
+		}
+		for _, v := range spare[:add] {
+			w := quantW(rng)
+			deltas = append(deltas, EdgeDelta{A: 0, B: v, OldW: -1, NewW: w})
+			edges[[2]int{0, v}] = w
+		}
+		if err := next.PatchFrozen(deltas); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		hub, spare = append(spare[:add:add], hub[drop:]...), append(hub[:drop:drop], spare[add:]...)
+		if len(hub) != int(next.rowEnd[0]-next.rowStart[0]) {
+			t.Fatalf("round %d: hub row holds %d entries, want %d", round, next.rowEnd[0]-next.rowStart[0], len(hub))
+		}
+		for i, im := range images {
+			if im.csrScratch.edgeTo != nil {
+				t.Fatalf("round %d: image %d compacted (hub degree %d)", round, i, len(hub))
+			}
+		}
+		assertSameSSSP(t, rebuildFromEdges(n, edges), next, "hub patch")
+	}
+}
+
 // TestPatchFrozenRepairSSSP checks the patched image under the incremental
 // repair path: results repaired across a patch match a fresh run on a
 // rebuilt graph exactly.
