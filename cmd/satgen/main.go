@@ -1,8 +1,9 @@
 // Command satgen generates constellation data: shell summaries and
 // synthesized two-line element sets (TLEs) for the preset constellations or
-// a TOML configuration. The testbed synthesizes these TLEs and parses them
-// back into its SGP4 propagator (it reads no TLE files); printed, they can
-// be fed to any external SGP4 tooling for cross-validation.
+// a TOML configuration. The testbed synthesizes the same TLEs, from the
+// same elements (orbit.ShellConfig.Elements), and parses them back into its
+// SGP4 propagator (it reads no TLE files); printed, they can be fed to any
+// external SGP4 tooling for cross-validation.
 //
 // Usage:
 //
@@ -14,12 +15,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"time"
 
 	"celestial"
-	"celestial/internal/geom"
 	"celestial/internal/orbit"
 	"celestial/internal/tle"
 )
@@ -31,7 +31,7 @@ func main() {
 	flag.Parse()
 
 	var shells []orbit.ShellConfig
-	epoch := celestial.DefaultEpoch
+	cfg := &celestial.Config{Epoch: celestial.DefaultEpoch}
 	switch {
 	case *preset == "starlink":
 		shells = celestial.StarlinkPhase1(celestial.ModelSGP4)
@@ -40,22 +40,21 @@ func main() {
 	case *preset == "iridium":
 		shells = []orbit.ShellConfig{celestial.Iridium(celestial.ModelSGP4)}
 	case *configPath != "":
-		cfg, err := celestial.ParseConfigFile(*configPath)
+		var err error
+		cfg, err = celestial.ParseConfigFile(*configPath)
 		if err != nil {
 			log.Fatalf("satgen: %v", err)
 		}
 		for _, s := range cfg.Shells {
 			shells = append(shells, s.ShellConfig)
 		}
-		epoch = cfg.Epoch
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	if *printTLE {
-		year, doy := yearDoy(epoch)
-		emitTLEs(shells, year, doy)
+		emitTLEs(os.Stdout, shells, cfg.EpochJulian())
 		return
 	}
 	fmt.Printf("%-14s %7s %7s %9s %12s %7s %9s\n",
@@ -70,38 +69,16 @@ func main() {
 	fmt.Printf("%-14s %7s %7s %9d\n", "total", "", "", total)
 }
 
-// yearDoy converts a time to the (year, fractional day-of-year) encoding
-// TLE epochs use.
-func yearDoy(e time.Time) (int, float64) {
-	e = e.UTC()
-	jd := geom.JulianDate(e.Year(), int(e.Month()), e.Day(), e.Hour(), e.Minute(), float64(e.Second()))
-	jan1 := geom.JulianDate(e.Year(), 1, 1, 0, 0, 0)
-	return e.Year(), jd - jan1 + 1
-}
-
-func emitTLEs(shells []orbit.ShellConfig, year int, doy float64) {
+// emitTLEs writes one three-line TLE per satellite, numbered across the
+// whole catalog, from the elements the emulator propagates.
+func emitTLEs(w io.Writer, shells []orbit.ShellConfig, epochJD float64) {
 	id := 1
 	for _, s := range shells {
-		mm := tle.MeanMotionFromAltitude(s.AltitudeKm)
-		arc := s.ArcDeg
-		if arc == 0 {
-			arc = 360
-		}
-		for p := 0; p < s.Planes; p++ {
-			raan := arc * float64(p) / float64(s.Planes)
-			for k := 0; k < s.SatsPerPlane; k++ {
-				ma := 360 * float64(k) / float64(s.SatsPerPlane)
-				name := fmt.Sprintf("%s-P%d-S%d", s.Name, p, k)
-				l1, l2 := tle.Synthesize(tle.Elements{
-					Name: name, NoradID: id,
-					EpochYear: year, EpochDay: doy,
-					InclinationDeg: s.InclinationDeg, RAANDeg: raan,
-					Eccentricity: s.Eccentricity, MeanAnomalyDeg: ma,
-					MeanMotion: mm,
-				})
-				fmt.Printf("%s\n%s\n%s\n", name, l1, l2)
-				id++
-			}
+		for _, el := range s.Elements(epochJD) {
+			el.NoradID = id
+			l1, l2 := tle.Synthesize(el)
+			fmt.Fprintf(w, "%s\n%s\n%s\n", el.Name, l1, l2)
+			id++
 		}
 	}
 }

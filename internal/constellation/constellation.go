@@ -172,13 +172,28 @@ func (c *Constellation) GSTNode(gst int) (int, error) {
 	return c.base[len(c.base)-1] + c.shells[len(c.shells)-1].Size() + gst, nil
 }
 
+// SatExists reports whether a shell and flat satellite index name a
+// satellite (dns.Directory).
+func (c *Constellation) SatExists(shell, flat int) bool {
+	_, err := c.SatNode(shell, flat)
+	return err == nil
+}
+
+// GSTIndex returns the index of a named ground station (dns.Directory).
+func (c *Constellation) GSTIndex(name string) (int, bool) {
+	for i, g := range c.gst {
+		if g.Name == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // GSTNodeByName returns the constellation-wide node ID of a named ground
 // station.
 func (c *Constellation) GSTNodeByName(name string) (int, error) {
-	for i, g := range c.gst {
-		if g.Name == name {
-			return c.GSTNode(i)
-		}
+	if i, ok := c.GSTIndex(name); ok {
+		return c.GSTNode(i)
 	}
 	return 0, fmt.Errorf("constellation: unknown ground station %q", name)
 }

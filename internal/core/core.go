@@ -36,34 +36,13 @@ func NewTestbed(cfg *config.Config) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	resolver := dns.NewResolver(directory{coord.Constellation()})
+	resolver := dns.NewResolver(coord.Constellation())
 	return &Testbed{
 		coord:    coord,
 		resolver: resolver,
 		dnsSrv:   dns.NewServer(resolver),
 		api:      httpapi.New(coord),
 	}, nil
-}
-
-// directory adapts the constellation to the DNS Directory interface.
-type directory struct {
-	cons *constellation.Constellation
-}
-
-// SatExists implements dns.Directory.
-func (d directory) SatExists(shell, sat int) bool {
-	_, err := d.cons.SatNode(shell, sat)
-	return err == nil
-}
-
-// GSTIndex implements dns.Directory.
-func (d directory) GSTIndex(name string) (int, bool) {
-	for i, g := range d.cons.GroundStations() {
-		if g.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // Coordinator exposes the underlying coordinator.

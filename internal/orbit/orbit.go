@@ -102,6 +102,42 @@ func (c ShellConfig) arc() float64 {
 	return c.ArcDeg
 }
 
+// phaseStep is the Walker in-plane offset between adjacent planes, in
+// radians of mean anomaly.
+func (c ShellConfig) phaseStep() float64 {
+	return 2 * math.Pi * float64(c.PhasingFactor) / float64(c.Size())
+}
+
+// Elements returns the orbital elements of every satellite in the shell at
+// an epoch (a Julian date), in flat index order: plane p's ascending node
+// sits at arc·p/Planes and slot k's mean anomaly at 360·k/SatsPerPlane plus
+// p phasing steps. NoradID counts from 1 within the shell. The SGP4 model
+// propagates exactly these elements, so a TLE synthesized from them
+// describes the satellite the testbed runs.
+func (c ShellConfig) Elements(epochJD float64) []tle.Elements {
+	mm := tle.MeanMotionFromAltitude(c.AltitudeKm)
+	year, doy := julianToYearDoy(epochJD)
+	phaseDeg := geom.Deg(c.phaseStep())
+	els := make([]tle.Elements, 0, c.Size())
+	for p := 0; p < c.Planes; p++ {
+		raanDeg := c.arc() * float64(p) / float64(c.Planes)
+		for k := 0; k < c.SatsPerPlane; k++ {
+			els = append(els, tle.Elements{
+				Name:           fmt.Sprintf("%s-P%d-S%d", c.Name, p, k),
+				NoradID:        p*c.SatsPerPlane + k + 1,
+				EpochYear:      year,
+				EpochDay:       doy,
+				InclinationDeg: c.InclinationDeg,
+				RAANDeg:        raanDeg,
+				Eccentricity:   c.Eccentricity,
+				MeanAnomalyDeg: 360*float64(k)/float64(c.SatsPerPlane) + phaseDeg*float64(p),
+				MeanMotion:     mm,
+			})
+		}
+	}
+	return els
+}
+
 // SatID identifies one satellite within a constellation: shell index,
 // plane within the shell and slot within the plane.
 type SatID struct {
@@ -139,14 +175,9 @@ func NewShell(cfg ShellConfig, epochJD float64) (*Shell, error) {
 	}
 	s := &Shell{cfg: cfg, epochJD: epochJD}
 
-	arc := geom.Rad(cfg.arc())
-	phaseStep := 0.0
-	if n := cfg.Planes * cfg.SatsPerPlane; n > 0 {
-		phaseStep = 2 * math.Pi * float64(cfg.PhasingFactor) / float64(n)
-	}
-
 	switch cfg.Model {
 	case ModelKepler:
+		arc, phase := geom.Rad(cfg.arc()), cfg.phaseStep()
 		s.radiusKm = geom.EarthRadiusKm + cfg.AltitudeKm
 		s.meanRate = math.Sqrt(geom.EarthMuKm3S2 / (s.radiusKm * s.radiusKm * s.radiusKm))
 		s.incRad = geom.Rad(cfg.InclinationDeg)
@@ -155,41 +186,24 @@ func NewShell(cfg ShellConfig, epochJD float64) (*Shell, error) {
 		for p := 0; p < cfg.Planes; p++ {
 			s.raan[p] = arc * float64(p) / float64(cfg.Planes)
 			for k := 0; k < cfg.SatsPerPlane; k++ {
-				m := 2*math.Pi*float64(k)/float64(cfg.SatsPerPlane) + phaseStep*float64(p)
+				m := 2*math.Pi*float64(k)/float64(cfg.SatsPerPlane) + phase*float64(p)
 				s.m0[p*cfg.SatsPerPlane+k] = m
 			}
 		}
 	case ModelSGP4:
-		mm := tle.MeanMotionFromAltitude(cfg.AltitudeKm)
-		year, doy := julianToYearDoy(epochJD)
-		s.sats = make([]*sgp4.Satellite, 0, cfg.Size())
-		for p := 0; p < cfg.Planes; p++ {
-			raanDeg := cfg.arc() * float64(p) / float64(cfg.Planes)
-			for k := 0; k < cfg.SatsPerPlane; k++ {
-				maDeg := 360*float64(k)/float64(cfg.SatsPerPlane) +
-					geom.Deg(phaseStep)*float64(p)
-				el := tle.Elements{
-					Name:           fmt.Sprintf("%s-P%d-S%d", cfg.Name, p, k),
-					NoradID:        p*cfg.SatsPerPlane + k + 1,
-					EpochYear:      year,
-					EpochDay:       doy,
-					InclinationDeg: cfg.InclinationDeg,
-					RAANDeg:        raanDeg,
-					Eccentricity:   cfg.Eccentricity,
-					MeanAnomalyDeg: maDeg,
-					MeanMotion:     mm,
-				}
-				l1, l2 := tle.Synthesize(el)
-				parsed, err := tle.Parse(el.Name, l1, l2)
-				if err != nil {
-					return nil, fmt.Errorf("orbit: synthesizing %s: %w", el.Name, err)
-				}
-				sat, err := sgp4.New(parsed)
-				if err != nil {
-					return nil, fmt.Errorf("orbit: initializing %s: %w", el.Name, err)
-				}
-				s.sats = append(s.sats, sat)
+		els := cfg.Elements(epochJD)
+		s.sats = make([]*sgp4.Satellite, 0, len(els))
+		for _, el := range els {
+			l1, l2 := tle.Synthesize(el)
+			parsed, err := tle.Parse(el.Name, l1, l2)
+			if err != nil {
+				return nil, fmt.Errorf("orbit: synthesizing %s: %w", el.Name, err)
 			}
+			sat, err := sgp4.New(parsed)
+			if err != nil {
+				return nil, fmt.Errorf("orbit: initializing %s: %w", el.Name, err)
+			}
+			s.sats = append(s.sats, sat)
 		}
 	default:
 		return nil, fmt.Errorf("orbit: unknown model %v", cfg.Model)

@@ -220,6 +220,17 @@ func ParseFile(path string) (*Scenario, error) {
 	return parse(string(data), filepath.Dir(path), true)
 }
 
+// FromConfig is the scenario of a bare testbed: no flows and no events,
+// named after the testbed and run for its duration, the same scenario a
+// file holding only `config = "testbed.toml"` describes.
+func FromConfig(cfg *config.Config) (*Scenario, error) {
+	sc := &Scenario{Config: cfg}
+	if err := sc.finalize(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
 func parse(text, baseDir string, allowRef bool) (*Scenario, error) {
 	doc, err := toml.Parse(text)
 	if err != nil {

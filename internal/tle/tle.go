@@ -3,8 +3,8 @@
 // The paper's Celestial obtains SGP4 input parameters either from
 // downloaded TLEs for satellites already in orbit or by computing them from
 // simple shell parameters such as inclination and altitude (§3.1). This
-// testbed takes the second path only: orbit.NewShell computes each
-// satellite's elements from its shell, Synthesize encodes them as a valid
+// testbed takes the second path only: orbit.ShellConfig.Elements computes
+// each satellite's elements from its shell, Synthesize encodes them as a valid
 // TLE, and Parse decodes that TLE back (fixed columns, checksums verified)
 // into the SGP4 input, so a generated constellation runs the same
 // TLE → SGP4 code path a downloaded one would. No path reads TLE files.
