@@ -55,6 +55,13 @@ func (d Deployment) String() string {
 
 // Experiment constants from §5.1.
 const (
+	// updateInterval is the coordinator resolution.
+	updateInterval = 5 * time.Second
+	// sensorInterval is the reading period.
+	sensorInterval = time.Second
+	// seed drives buoy/sink placement, the model weights and the sensor
+	// readings.
+	seed = 1
 	// NumBuoys is the number of Pacific data buoys.
 	NumBuoys = 100
 	// NumSinks is the number of ship/island result consumers.
@@ -98,26 +105,17 @@ type Params struct {
 	// Warmup is the stabilization phase before measurement (§5.1: 5
 	// minutes).
 	Warmup time.Duration
-	// UpdateInterval is the coordinator resolution (§5.1: 5 s).
-	UpdateInterval time.Duration
-	// SensorInterval is the reading period (§5.1: 1 s).
-	SensorInterval time.Duration
 	// Model selects the orbit propagator.
 	Model orbit.Model
-	// Seed drives buoy/sink placement and the jitter model.
-	Seed int64
 }
 
 // DefaultParams returns the §5.1 setup.
 func DefaultParams(d Deployment) Params {
 	return Params{
-		Deployment:     d,
-		Duration:       15 * time.Minute,
-		Warmup:         5 * time.Minute,
-		UpdateInterval: 5 * time.Second,
-		SensorInterval: time.Second,
-		Model:          orbit.ModelSGP4,
-		Seed:           1,
+		Deployment: d,
+		Duration:   15 * time.Minute,
+		Warmup:     5 * time.Minute,
+		Model:      orbit.ModelSGP4,
 	}
 }
 
@@ -129,9 +127,8 @@ type Location struct {
 
 // Result collects one run's outcome.
 type Result struct {
-	Params Params
-	Buoys  []Location
-	Sinks  []Location
+	Buoys []Location
+	Sinks []Location
 	// SinkLatenciesMs collects the end-to-end sensor-to-sink latencies
 	// per sink index (Fig. 11's per-location mean is derived from it).
 	SinkLatenciesMs [][]float64
@@ -180,14 +177,14 @@ func pacificLocations(rng *rand.Rand, prefix string, n int) []Location {
 // Scenario builds the §5.1 testbed configuration plus the generated buoy
 // and sink locations.
 func Scenario(p Params) (*config.Config, []Location, []Location, error) {
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	buoys := pacificLocations(rng, "buoy", NumBuoys)
 	sinks := pacificLocations(rng, "sink", NumSinks)
 
 	cfg := &config.Config{
 		Name:       "dart-pacific",
 		Duration:   p.Warmup + p.Duration,
-		Resolution: p.UpdateInterval,
+		Resolution: updateInterval,
 		Hosts:      4,
 	}
 	cfg.Shells = []config.Shell{{ShellConfig: orbit.Iridium(p.Model)}}
@@ -240,8 +237,8 @@ func Run(p Params) (*Result, error) {
 	if p.Deployment != DeploymentCentral && p.Deployment != DeploymentSatellite {
 		return nil, fmt.Errorf("dart: unknown deployment %v", p.Deployment)
 	}
-	if p.Duration <= 0 || p.SensorInterval <= 0 {
-		return nil, fmt.Errorf("dart: duration and sensor interval must be positive")
+	if p.Duration <= 0 {
+		return nil, fmt.Errorf("dart: duration must be positive")
 	}
 	cfg, buoys, sinks, err := Scenario(p)
 	if err != nil {
@@ -256,10 +253,10 @@ func Run(p Params) (*Result, error) {
 	}
 
 	res := &Result{
-		Params: p, Buoys: buoys, Sinks: sinks,
+		Buoys: buoys, Sinks: sinks,
 		SinkLatenciesMs: make([][]float64, len(sinks)),
 	}
-	rng := rand.New(rand.NewSource(p.Seed + 1))
+	rng := rand.New(rand.NewSource(seed + 1))
 	net := tb.Network()
 	cons := tb.Constellation()
 	start := tb.Sim().Now()
@@ -269,20 +266,17 @@ func Run(p Params) (*Result, error) {
 		InputSize:   featureCount,
 		HiddenSizes: []int{32, 16},
 		OutputSize:  1,
-		Seed:        p.Seed,
+		Seed:        seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	inferenceDelay := func(cores int) time.Duration {
-		// One inference request runs on one core; extra cores help
-		// concurrent requests, not single-request latency, so the
-		// per-request time matches across deployments ("processing
-		// latency is similar between both deployments").
-		_ = cores
-		secs := float64(model.FLOPs(seqLen)) / inferencePerCoreFLOPS
-		return time.Duration(secs * float64(time.Second))
-	}
+	// One inference request runs on one core; extra cores help concurrent
+	// requests, not single-request latency, so the per-request time
+	// matches across deployments ("processing latency is similar between
+	// both deployments").
+	inferenceSecs := float64(model.FLOPs(seqLen)) / inferencePerCoreFLOPS
+	inferenceDelay := time.Duration(inferenceSecs * float64(time.Second))
 
 	// Node IDs.
 	hawaiiID, err := tb.NodeByName(Hawaii.Name)
@@ -330,14 +324,13 @@ func Run(p Params) (*Result, error) {
 
 	// infer runs the model (for real) and returns after accounting its
 	// compute latency.
-	infer := func(samples [][]float64, cores int) time.Duration {
+	infer := func(samples [][]float64) time.Duration {
 		if _, err := model.Infer(samples); err != nil {
 			// The generated windows are always well-formed.
 			panic(fmt.Sprintf("dart: inference: %v", err))
 		}
-		d := inferenceDelay(cores)
-		res.InferenceMs = append(res.InferenceMs, d.Seconds()*1000)
-		return d
+		res.InferenceMs = append(res.InferenceMs, inferenceDelay.Seconds()*1000)
+		return inferenceDelay
 	}
 
 	// Sink handler: record end-to-end latency (sensor send to result
@@ -368,7 +361,7 @@ func Run(p Params) (*Result, error) {
 			if !ok {
 				return
 			}
-			d := infer(r.samples, Hawaii.Compute.VCPUs)
+			d := infer(r.samples)
 			if err := tb.Sim().After(d, func() {
 				distribute(hawaiiID, resultMsg{buoy: r.buoy, sentAt: r.sentAt})
 			}); err != nil {
@@ -387,7 +380,7 @@ func Run(p Params) (*Result, error) {
 				if !ok {
 					return
 				}
-				d := infer(r.samples, 1)
+				d := infer(r.samples)
 				if err := tb.Sim().After(d, func() {
 					distribute(self, resultMsg{buoy: r.buoy, sentAt: r.sentAt})
 				}); err != nil {
@@ -397,7 +390,7 @@ func Run(p Params) (*Result, error) {
 		}
 	}
 
-	// Buoys send readings every SensorInterval. In the central
+	// Buoys send readings every sensor interval. In the central
 	// deployment the destination is Hawaii; in the satellite deployment
 	// it is the buoy's current uplink satellite.
 	sense := func() bool {
@@ -437,7 +430,7 @@ func Run(p Params) (*Result, error) {
 		}
 		return tb.Sim().Now().Sub(start) < p.Warmup+p.Duration
 	}
-	if err := tb.Sim().Every(start.Add(p.SensorInterval), p.SensorInterval, sense); err != nil {
+	if err := tb.Sim().Every(start.Add(sensorInterval), sensorInterval, sense); err != nil {
 		return nil, err
 	}
 

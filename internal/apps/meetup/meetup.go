@@ -29,7 +29,6 @@ import (
 	"celestial/internal/machine"
 	"celestial/internal/netem"
 	"celestial/internal/orbit"
-	"celestial/internal/stats"
 	"celestial/internal/vnet"
 )
 
@@ -66,17 +65,23 @@ var (
 	boxNorth = bbox.Box{LatMinDeg: -10, LonMinDeg: -20, LatMaxDeg: 30, LonMaxDeg: 30}
 )
 
+// Experiment constants from §4.1.
+const (
+	// updateInterval is the coordinator resolution.
+	updateInterval = 2 * time.Second
+	// trackingInterval is how often the tracking service re-selects the
+	// bridge satellite.
+	trackingInterval = 5 * time.Second
+	// seed drives the processing-delay jitter model and fault injection.
+	seed = 1
+)
+
 // Params configure one experiment run.
 type Params struct {
 	// Deployment selects cloud or satellite bridge.
 	Deployment Deployment
 	// Duration of the measured run (§4.1: 10 minutes).
 	Duration time.Duration
-	// UpdateInterval is the coordinator resolution (§4.1: 2 s).
-	UpdateInterval time.Duration
-	// TrackingInterval is how often the tracking service re-selects
-	// the bridge satellite (§4.1: 5 s).
-	TrackingInterval time.Duration
 	// PacketInterval is the spacing of measured stream packets. The
 	// real stream sends a packet every few ms; for experiment speed the
 	// default probes every 100 ms, which samples the same latency
@@ -88,11 +93,6 @@ type Params struct {
 	// (0 = all five). The paper's observation that only the two lowest,
 	// densest shells are ever selected motivates the ablation.
 	Shells int
-	// Seed drives the processing-delay jitter model.
-	Seed int64
-	// ProcessingDelay models the client-side processing jitter; the
-	// zero value disables it (used for testing the pure network path).
-	ProcessingDelay clock.ProcessingDelayModel
 	// Impairments adds tc-netem-style link impairments (loss,
 	// duplication, corruption, reordering, jitter) on top of the
 	// topology-driven delays — the advanced features §3.1 and §6.5 of
@@ -106,15 +106,11 @@ type Params struct {
 // DefaultParams returns the §4.1 setup.
 func DefaultParams(d Deployment) Params {
 	return Params{
-		Deployment:       d,
-		Duration:         10 * time.Minute,
-		UpdateInterval:   2 * time.Second,
-		TrackingInterval: 5 * time.Second,
-		PacketInterval:   100 * time.Millisecond,
-		Model:            orbit.ModelSGP4,
-		Shells:           0,
-		Seed:             1,
-		ProcessingDelay:  clock.DefaultProcessingDelay(),
+		Deployment:     d,
+		Duration:       10 * time.Minute,
+		PacketInterval: 100 * time.Millisecond,
+		Model:          orbit.ModelSGP4,
+		Shells:         0,
 	}
 }
 
@@ -140,7 +136,6 @@ type Sample struct {
 
 // Result collects one run's measurements.
 type Result struct {
-	Params Params
 	// Measurements per ordered client pair.
 	Measurements map[PairKey][]Sample
 	// Expected is the tracking server's calculated network latency per
@@ -187,11 +182,6 @@ func (r *Result) Pairs() []PairKey {
 	return keys
 }
 
-// Summary returns the latency summary of a pair in milliseconds.
-func (r *Result) Summary(pair PairKey) stats.Summary {
-	return stats.Summarize(r.Latencies(pair))
-}
-
 // Scenario builds the §4.1 testbed configuration.
 func Scenario(p Params) (*config.Config, error) {
 	shells := orbit.StarlinkPhase1(p.Model)
@@ -201,7 +191,7 @@ func Scenario(p Params) (*config.Config, error) {
 	cfg := &config.Config{
 		Name:       "meetup-west-africa",
 		Duration:   p.Duration,
-		Resolution: p.UpdateInterval,
+		Resolution: updateInterval,
 		Hosts:      3,
 		// Bounding box over North/West Africa (Fig. 3), where the
 		// clients are located, to save resources.
@@ -234,8 +224,8 @@ func Run(p Params) (*Result, error) {
 	if p.Deployment != DeploymentSatellite && p.Deployment != DeploymentCloud {
 		return nil, fmt.Errorf("meetup: unknown deployment %v", p.Deployment)
 	}
-	if p.PacketInterval <= 0 || p.TrackingInterval <= 0 || p.Duration <= 0 {
-		return nil, fmt.Errorf("meetup: intervals and duration must be positive")
+	if p.PacketInterval <= 0 || p.Duration <= 0 {
+		return nil, fmt.Errorf("meetup: packet interval and duration must be positive")
 	}
 	cfg, err := Scenario(p)
 	if err != nil {
@@ -252,18 +242,18 @@ func Run(p Params) (*Result, error) {
 		return nil, err
 	}
 	if p.Faults != nil {
-		if err := tb.InjectFaults(*p.Faults, p.Seed); err != nil {
+		if err := tb.InjectFaults(*p.Faults, seed); err != nil {
 			return nil, err
 		}
 	}
 
 	res := &Result{
-		Params:       p,
 		Measurements: map[PairKey][]Sample{},
 		Expected:     map[PairKey][]Sample{},
 		BridgeShells: map[int]int{},
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rand.New(rand.NewSource(seed))
+	procDelay := clock.DefaultProcessingDelay()
 	start := tb.Sim().Now()
 	net := tb.Network()
 	cons := tb.Constellation()
@@ -332,7 +322,7 @@ func Run(p Params) (*Result, error) {
 			if !ok || pkt.origin == name {
 				return
 			}
-			lat := m.DeliveredAt.Sub(pkt.sentAt) + p.ProcessingDelay.Sample(rng)
+			lat := m.DeliveredAt.Sub(pkt.sentAt) + procDelay.Sample(rng)
 			res.Measurements[Pair(pkt.origin, name)] = append(
 				res.Measurements[Pair(pkt.origin, name)], Sample{
 					T:         pkt.sentAt.Sub(start).Seconds(),
@@ -341,10 +331,10 @@ func Run(p Params) (*Result, error) {
 		})
 	}
 
-	// Tracking service: every TrackingInterval, select the bridge and
+	// Tracking service: every tracking interval, select the bridge and
 	// record the expected per-pair latency from the constellation
 	// database (network distance + median processing delay).
-	medianProc := p.ProcessingDelay.Median.Seconds() * 1000
+	medianProc := procDelay.Median.Seconds() * 1000
 	track := func() bool {
 		st := tb.State()
 		if st == nil {
@@ -382,7 +372,7 @@ func Run(p Params) (*Result, error) {
 		}
 		return tb.Sim().Now().Sub(start) < p.Duration
 	}
-	if err := tb.Sim().Every(start, p.TrackingInterval, track); err != nil {
+	if err := tb.Sim().Every(start, trackingInterval, track); err != nil {
 		return nil, err
 	}
 

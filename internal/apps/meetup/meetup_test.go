@@ -75,7 +75,7 @@ func TestCloudDeployment(t *testing.T) {
 		t.Fatalf("pairs = %v", pairs)
 	}
 	for _, pair := range pairs {
-		s := res.Summary(pair)
+		s := stats.Summarize(res.Latencies(pair))
 		if s.Count < 50 {
 			t.Errorf("%s: only %d samples", pair, s.Count)
 		}
@@ -102,7 +102,7 @@ func TestSatelliteDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range res.Pairs() {
-		s := res.Summary(pair)
+		s := stats.Summarize(res.Latencies(pair))
 		if s.Count < 50 {
 			t.Errorf("%s: only %d samples", pair, s.Count)
 		}
@@ -128,8 +128,8 @@ func TestSatelliteBeatsCloud(t *testing.T) {
 	// The headline result: the satellite bridge gives a considerable
 	// QoS improvement for every client pair.
 	for _, pair := range sat.Pairs() {
-		sm := sat.Summary(pair).Median
-		cm := cloud.Summary(pair).Median
+		sm := stats.Summarize(sat.Latencies(pair)).Median
+		cm := stats.Summarize(cloud.Latencies(pair)).Median
 		if sm >= cm {
 			t.Errorf("%s: satellite median %.1f ms >= cloud %.1f ms", pair, sm, cm)
 		}

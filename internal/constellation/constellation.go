@@ -510,15 +510,14 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 		st.Links = make([]topo.Link, total)
 	}
 	off = 0
-	for si, edges := range c.edges {
-		kbps := c.cfg.Shells[si].Network.BandwidthKbps
+	for _, edges := range c.edges {
 		islQ := st.islQ[off : off+len(edges)]
 		dist := st.distKm[off : off+len(edges)]
 		par.ForWorkers(len(edges), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if slot := islQ[i]; slot >= 0 {
 					st.Links[slot], islQ[i] = quantizedLink(
-						topo.KindISL, edges[i].a, edges[i].b, dist[i], kbps)
+						topo.KindISL, edges[i].a, edges[i].b, dist[i])
 				}
 			}
 		})
@@ -527,13 +526,12 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
 		for gi := glo; gi < ghi; gi++ {
 			for si := range c.shells {
-				kbps := c.cfg.Shells[si].Network.GSTBandwidthKbps
 				at := int(st.gslOff[gi*len(c.shells)+si])
 				for _, up := range st.realizedUplinks(gi, si) {
 					sid := c.base[si] + up.Sat
 					st.gslSat[at] = int32(sid)
 					st.Links[islTotal+at], st.gslQ[at] = quantizedLink(
-						topo.KindGSL, gstBase+gi, sid, up.DistanceKm, kbps)
+						topo.KindGSL, gstBase+gi, sid, up.DistanceKm)
 					at++
 				}
 			}
@@ -555,8 +553,8 @@ func (st *State) realizedUplinks(gi, si int) []topo.Uplink {
 
 // quantizedLink builds a link whose latency is rounded to the netem delay
 // quantum, and returns that quantum count with it.
-func quantizedLink(kind topo.LinkKind, a, b int, distKm, kbps float64) (topo.Link, int32) {
-	l := topo.NewLink(kind, a, b, distKm, kbps)
+func quantizedLink(kind topo.LinkKind, a, b int, distKm float64) (topo.Link, int32) {
+	l := topo.NewLink(kind, a, b, distKm)
 	q := netem.LatencyQuanta(l.LatencyS)
 	l.LatencyS = float64(q) * netem.DelayQuantumSeconds
 	return l, int32(q)

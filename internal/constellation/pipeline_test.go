@@ -11,6 +11,7 @@ import (
 	"celestial/internal/geom"
 	"celestial/internal/graph"
 	"celestial/internal/orbit"
+	"celestial/internal/topo"
 )
 
 // SnapshotSequential is the single-threaded reference implementation of
@@ -119,15 +120,21 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 	}
 }
 
-// assertLinkBandwidths checks the derived bandwidth lookup against the link
-// list: every link answers with its own capacity from either end.
+// assertLinkBandwidths checks the derived bandwidth lookup against the
+// config: every link answers from either end with its satellite shell's
+// ISL or GSL capacity.
 func assertLinkBandwidths(t *testing.T, st *State) {
 	t.Helper()
 	for i, l := range st.Links {
+		net := st.c.cfg.Shells[st.c.nodes[min(l.A, l.B)].Shell].Network
+		want := net.BandwidthKbps
+		if l.Kind == topo.KindGSL {
+			want = net.GSTBandwidthKbps
+		}
 		for _, pair := range [2][2]int{{l.A, l.B}, {l.B, l.A}} {
-			if kbps, ok := st.LinkBandwidth(pair[0], pair[1]); !ok || kbps != l.BandwidthKbps {
-				t.Fatalf("link %d: LinkBandwidth(%d, %d) = %v, %v, want %v, true",
-					i, pair[0], pair[1], kbps, ok, l.BandwidthKbps)
+			if kbps, ok := st.LinkBandwidth(pair[0], pair[1]); !ok || kbps != want {
+				t.Fatalf("link %d (%v): LinkBandwidth(%d, %d) = %v, %v, config says %v",
+					i, l.Kind, pair[0], pair[1], kbps, ok, want)
 			}
 		}
 	}

@@ -49,15 +49,10 @@ type Options struct {
 	Full bool
 	// OutDir receives figure/series artifacts; empty disables writing.
 	OutDir string
-	// Model selects the orbit propagator; experiments default to SGP4
-	// in Full mode and Kepler otherwise.
-	Model *orbit.Model
 }
 
+// model is the orbit propagator: SGP4 in Full mode, Kepler otherwise.
 func (o Options) model() orbit.Model {
-	if o.Model != nil {
-		return *o.Model
-	}
 	if o.Full {
 		return orbit.ModelSGP4
 	}

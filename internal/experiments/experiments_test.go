@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,4 +126,46 @@ func TestAblationFaults(t *testing.T) {
 	}
 	rep, err := AblationFaults(opts(t))
 	checkReport(t, rep, err)
+}
+
+// TestArtifactsRepeat runs every artifact-writing experiment twice, into
+// two directories, and requires byte-identical files: identical
+// configurations must give identical runs, down to the last printed digit.
+func TestArtifactsRepeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the artifact-writing experiments twice in -short mode")
+	}
+	writers := []func(Options) (Report, error){Fig1, Fig3, Fig4, Fig5, Fig6, Fig7And8, Fig10, Fig11}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		for _, run := range writers {
+			if rep, err := run(Options{OutDir: dir}); err != nil {
+				t.Fatalf("%s: %v", rep.ID, err)
+			}
+		}
+	}
+	first, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadDir(dirs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != len(second) || len(first) == 0 {
+		t.Fatalf("artifacts: %d in the first run, %d in the second", len(first), len(second))
+	}
+	for _, e := range first {
+		a, err := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two identical runs", e.Name())
+		}
+	}
 }

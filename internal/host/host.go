@@ -299,16 +299,17 @@ func (h *Host) Sample() UsagePoint {
 		p.ManagerMem = managerMemFractionSteady
 	}
 
-	// Machine CPU and memory.
+	// Machine CPU and memory, summed in node-ID order: float addition is
+	// not associative, and the map's order changes from run to run.
 	totalCores := float64(h.cap.Cores)
 	totalMem := float64(h.cap.MemMiB)
-	for id, m := range h.machines {
+	for _, m := range h.sortedLocked() {
 		switch m.State() {
 		case machine.Booting:
 			p.MachineCPU += bootCPUCores / totalCores
 			p.Machines++
 		case machine.Active:
-			demand := h.loads[id] * float64(m.Resources().VCPUs) * m.Throttle()
+			demand := h.loads[m.ID()] * float64(m.Resources().VCPUs) * m.Throttle()
 			p.MachineCPU += demand / totalCores
 			p.Machines++
 		case machine.Suspended:

@@ -319,6 +319,47 @@ func TestCPUSaturation(t *testing.T) {
 	}
 }
 
+// TestSampleSumsInIDOrder pins the Fig. 7/8 trace to one summation
+// order: float addition is not associative, so summing machines in map
+// order changed the last printed digit of machine CPU between runs.
+func TestSampleSumsInIDOrder(t *testing.T) {
+	sim := vnet.NewSim(hostStart)
+	h := newHost(t, sim)
+	const n = 96
+	for i := 0; i < n; i++ {
+		addMachine(t, h, 1000-7*i, 1+i%5, 128+96*(i%7), 0)
+	}
+	startAll(t, h)
+	if err := sim.RunUntil(hostStart.Add(6 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range h.Machines() {
+		if err := h.SetLoad(m.ID(), float64(1+i%11)/53); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.ApplyActivity(func(id int) bool { return id%3 != 0 }); err != nil {
+		t.Fatal(err)
+	}
+
+	var cpu, mem float64
+	for _, m := range h.Machines() {
+		if m.State() == machine.Active {
+			cpu += h.loads[m.ID()] * float64(m.Resources().VCPUs) * m.Throttle() / float64(h.cap.Cores)
+		}
+		if m.HoldsMemory() {
+			mem += machineMemUsage * float64(m.Resources().MemMiB) / float64(h.cap.MemMiB)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		p := h.Sample()
+		if p.MachineCPU != cpu || p.MachineMem != mem {
+			t.Fatalf("sample %d: cpu %v mem %v, want the ID-order sums %v and %v",
+				i, p.MachineCPU, p.MachineMem, cpu, mem)
+		}
+	}
+}
+
 func TestSetLoadValidation(t *testing.T) {
 	sim := vnet.NewSim(hostStart)
 	h := newHost(t, sim)

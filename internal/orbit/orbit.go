@@ -138,19 +138,6 @@ func (c ShellConfig) Elements(epochJD float64) []tle.Elements {
 	return els
 }
 
-// SatID identifies one satellite within a constellation: shell index,
-// plane within the shell and slot within the plane.
-type SatID struct {
-	Shell int
-	Plane int
-	Index int
-}
-
-// String renders the identity as used in log output.
-func (id SatID) String() string {
-	return fmt.Sprintf("sat(shell=%d plane=%d idx=%d)", id.Shell, id.Plane, id.Index)
-}
-
 // Shell is an instantiated constellation shell bound to an epoch.
 type Shell struct {
 	cfg     ShellConfig

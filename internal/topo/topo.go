@@ -155,24 +155,13 @@ type Link struct {
 	// A and B are node indices in the constellation-wide numbering
 	// (assigned by the constellation package).
 	A, B int
-	// DistanceKm is the straight-line link length.
-	DistanceKm float64
 	// LatencyS is the one-way propagation delay at c.
 	LatencyS float64
-	// BandwidthKbps is the configured link capacity.
-	BandwidthKbps float64
 }
 
 // NewLink fills in the derived latency for a link of a given length.
-func NewLink(kind LinkKind, a, b int, distanceKm, bandwidthKbps float64) Link {
-	return Link{
-		Kind:          kind,
-		A:             a,
-		B:             b,
-		DistanceKm:    distanceKm,
-		LatencyS:      geom.PropagationDelay(distanceKm),
-		BandwidthKbps: bandwidthKbps,
-	}
+func NewLink(kind LinkKind, a, b int, distanceKm float64) Link {
+	return Link{Kind: kind, A: a, B: b, LatencyS: geom.PropagationDelay(distanceKm)}
 }
 
 // MaxISLLengthKm returns the maximum feasible ISL length between two

@@ -223,7 +223,7 @@ func TestClosestSat(t *testing.T) {
 }
 
 func TestNewLink(t *testing.T) {
-	l := NewLink(KindISL, 3, 7, 2997.92458, 10_000_000)
+	l := NewLink(KindISL, 3, 7, 2997.92458)
 	if l.LatencyS < 0.0099 || l.LatencyS > 0.0101 {
 		t.Errorf("latency = %v, want ≈10 ms", l.LatencyS)
 	}

@@ -39,7 +39,7 @@ import (
 // maxAllowlisted caps the allowlist at its size when the gate landed:
 // entries leave it as their identifiers gain product callers or go, and
 // a new one means raising the cap in this file.
-const maxAllowlisted = 15
+const maxAllowlisted = 16
 
 func TestEveryExportedIdentifierHasAProductCaller(t *testing.T) {
 	if testing.Short() {
@@ -59,9 +59,10 @@ func TestEveryExportedIdentifierHasAProductCaller(t *testing.T) {
 
 // TestReachabilityGateOnFixture runs the gate over a small module with one
 // exported function a product file calls, one only a test calls, one
-// method that satisfies a standard-library interface and one allowlisted
-// function that has a product caller. It must report exactly the
-// test-only function and the stale allowlist entry.
+// method that satisfies a standard-library interface, one type only its
+// own method receivers mention and one allowlisted function that has a
+// product caller. It must report exactly the test-only function, the
+// receiver-only type and the stale allowlist entry.
 func TestReachabilityGateOnFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the standard library from source")
@@ -73,6 +74,7 @@ func TestReachabilityGateOnFixture(t *testing.T) {
 	}
 	want := []string{
 		"internal/lib.OnlyTested: only tests reach this exported identifier; delete it, move it into a _test.go file, or allowlist it with the file that needs it",
+		"internal/lib.Self: only tests reach this exported identifier; delete it, move it into a _test.go file, or allowlist it with the file that needs it",
 		"internal/lib.Allowed: allowlisted but reached by product code (or gone); remove it from the allowlist",
 	}
 	if !slices.Equal(got, want) {
@@ -168,6 +170,9 @@ type moduleImporter struct {
 	pkgs  map[string]*listedPackage
 	done  map[string]*types.Package
 	infos map[string]*types.Info
+	// recvs holds the identifiers inside method receivers: a type's own
+	// methods naming it there do not reach it.
+	recvs map[*ast.Ident]bool
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -195,6 +200,18 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	p, err := conf.Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, err
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						m.recvs[id] = true
+					}
+					return true
+				})
+			}
+		}
 	}
 	m.done[path], m.infos[path] = p, info
 	return p, nil
@@ -224,6 +241,7 @@ func loadCensus(dir string) (*census, error) {
 			pkgs:  map[string]*listedPackage{},
 			done:  map[string]*types.Package{},
 			infos: map[string]*types.Info{},
+			recvs: map[*ast.Ident]bool{},
 		},
 		stdPkg: map[string]*listedPackage{},
 	}
@@ -264,8 +282,8 @@ func (s interfaceSet) add(t types.Type) {
 	}
 }
 
-// productUses returns every object product code refers to (generic
-// methods by their origin), every interface type it declares, names or
+// productUses returns every object product code refers to outside method
+// receivers (generic methods by their origin), every interface type it declares, names or
 // converts to, and the standard packages it imports.
 func (c *census) productUses() (map[types.Object]bool, interfaceSet, []string) {
 	used := map[types.Object]bool{}
@@ -281,7 +299,10 @@ func (c *census) productUses() (map[types.Object]bool, interfaceSet, []string) {
 			}
 		}
 		info := c.infos[path]
-		for _, obj := range info.Uses {
+		for id, obj := range info.Uses {
+			if c.recvs[id] {
+				continue
+			}
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
 			}

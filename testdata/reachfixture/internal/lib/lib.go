@@ -16,3 +16,10 @@ type T struct{}
 
 // String satisfies fmt.Stringer, which fmt calls; no product code names it.
 func (T) String() string { return "t" }
+
+// Self is mentioned only by its own method's receiver, which is not a
+// reference.
+type Self struct{}
+
+// String satisfies fmt.Stringer, like T's.
+func (s Self) String() string { return "self" }
