@@ -32,7 +32,9 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
 	"flag"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -44,21 +46,35 @@ import (
 	"celestial/internal/hostlink"
 )
 
-func main() {
-	coordinator := flag.String("coordinator", "", "coordinator agent-listener address (host:port)")
-	agent := flag.Int("agent", -1, "shard id this agent owns")
-	reconnect := flag.Duration("reconnect", 500*time.Millisecond, "wait between redial attempts")
-	crashAfter := flag.Uint64("crash-after-gens", 0, "exit hard (status 3, no Bye) once the replica has applied this generation — agent-loss testing; a restarted agent resyncs and rejoins")
-	apply := flag.Bool("apply", false, "request authoritative remote apply: answer the coordinator's Propose frames through the shared apply engine")
-	token := flag.String("token", "", "bearer token presented in the Hello frame (required when the coordinator runs with -agents-token)")
-	tlsCA := flag.String("tls-ca", "", "dial the coordinator over TLS, trusting the PEM roots in this file")
-	tlsInsecure := flag.Bool("tls-insecure", false, "dial the coordinator over TLS without verifying its certificate (tests only)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *coordinator == "" || *agent < 0 {
-		flag.Usage()
-		os.Exit(2)
+// run executes one command line and returns its exit status: 0 after a
+// clean Bye or an interrupt, 1 when the run fails and 2 for flags no run
+// can honour. -crash-after-gens exits on its own, with status 3. It takes
+// stdout like every command's run, but the agent writes only log lines,
+// all to stderr.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("celestial-agent", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	coordinator := fs.String("coordinator", "", "coordinator agent-listener address (host:port)")
+	agent := fs.Int("agent", -1, "shard id this agent owns")
+	reconnect := fs.Duration("reconnect", 500*time.Millisecond, "wait between redial attempts")
+	crashAfter := fs.Uint64("crash-after-gens", 0, "exit hard (status 3, no Bye) once the replica has applied this generation — agent-loss testing; a restarted agent resyncs and rejoins")
+	apply := fs.Bool("apply", false, "request authoritative remote apply: answer the coordinator's Propose frames through the shared apply engine")
+	token := fs.String("token", "", "bearer token presented in the Hello frame (required when the coordinator runs with -agents-token)")
+	tlsCA := fs.String("tls-ca", "", "dial the coordinator over TLS, trusting the PEM roots in this file")
+	tlsInsecure := fs.Bool("tls-insecure", false, "dial the coordinator over TLS without verifying its certificate (tests only)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if *coordinator == "" || *agent < 0 {
+		fs.Usage()
+		return 2
+	}
+	lg := log.New(stderr, "", log.LstdFlags)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -69,7 +85,7 @@ func main() {
 		Replica:       hostlink.NewReplica(),
 		ReconnectWait: *reconnect,
 		Token:         *token,
-		Logf:          log.Printf,
+		Logf:          lg.Printf,
 	}
 	if *apply {
 		// The engine construction is the same one the coordinator's
@@ -88,11 +104,13 @@ func main() {
 	case *tlsCA != "":
 		pem, err := os.ReadFile(*tlsCA)
 		if err != nil {
-			log.Fatalf("celestial-agent %d: -tls-ca: %v", *agent, err)
+			lg.Printf("celestial-agent %d: -tls-ca: %v", *agent, err)
+			return 1
 		}
 		roots := x509.NewCertPool()
 		if !roots.AppendCertsFromPEM(pem) {
-			log.Fatalf("celestial-agent %d: -tls-ca: no certificates in %s", *agent, *tlsCA)
+			lg.Printf("celestial-agent %d: -tls-ca: no certificates in %s", *agent, *tlsCA)
+			return 1
 		}
 		host, _, err := net.SplitHostPort(*coordinator)
 		if err != nil {
@@ -109,7 +127,7 @@ func main() {
 		go func() {
 			for {
 				if gen, _ := a.Replica.Cursor(); gen >= *crashAfter {
-					log.Printf("celestial-agent %d: crashing at generation %d as requested", *agent, gen)
+					lg.Printf("celestial-agent %d: crashing at generation %d as requested", *agent, gen)
 					os.Exit(3)
 				}
 				time.Sleep(5 * time.Millisecond)
@@ -118,15 +136,17 @@ func main() {
 	}
 	if err := a.Run(ctx); err != nil {
 		if ctx.Err() != nil {
-			log.Printf("celestial-agent %d: interrupted", *agent)
-			return
+			lg.Printf("celestial-agent %d: interrupted", *agent)
+			return 0
 		}
-		log.Fatalf("celestial-agent %d: %v", *agent, err)
+		lg.Printf("celestial-agent %d: %v", *agent, err)
+		return 1
 	}
 	active, inactive, links, frames, snapshots := a.Replica.Counts()
 	gen, digest := a.Replica.Cursor()
 	st := a.Stats()
-	log.Printf("celestial-agent %d: run complete at generation %d (digest %016x): %d active, %d inactive, %d links via %d frames + %d snapshots; %d applies (%d errors), %d commits (%d mismatches), %d reassigns",
+	lg.Printf("celestial-agent %d: run complete at generation %d (digest %016x): %d active, %d inactive, %d links via %d frames + %d snapshots; %d applies (%d errors), %d commits (%d mismatches), %d reassigns",
 		*agent, gen, digest, active, inactive, links, frames, snapshots,
 		st.Applies, st.ApplyErrors, st.Commits, st.CommitMismatches, st.Reassigns)
+	return 0
 }

@@ -16,7 +16,6 @@ package dart
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"celestial/internal/config"
@@ -25,6 +24,7 @@ import (
 	"celestial/internal/geom"
 	"celestial/internal/lstm"
 	"celestial/internal/orbit"
+	"celestial/internal/rng"
 	"celestial/internal/stats"
 	"celestial/internal/vnet"
 )
@@ -59,8 +59,8 @@ const (
 	updateInterval = 5 * time.Second
 	// sensorInterval is the reading period.
 	sensorInterval = time.Second
-	// seed drives buoy/sink placement, the model weights and the sensor
-	// readings.
+	// seed drives buoy/sink placement (sub-stream 0), the sensor readings
+	// (1) and the model weights (2).
 	seed = 1
 	// NumBuoys is the number of Pacific data buoys.
 	NumBuoys = 100
@@ -161,11 +161,11 @@ func (r *Result) Summary() stats.Summary {
 // pacificLocations draws deterministic buoy and sink locations in the
 // Pacific basin (latitudes −35°…45°, longitudes 145°E…125°W across the
 // antimeridian), the region of Fig. 10.
-func pacificLocations(rng *rand.Rand, prefix string, n int) []Location {
+func pacificLocations(rnd *rng.Stream, prefix string, n int) []Location {
 	out := make([]Location, n)
 	for i := range out {
-		lat := -35 + rng.Float64()*80
-		lon := 145 + rng.Float64()*90 // 145..235 => wraps to -125
+		lat := -35 + rnd.Float64()*80
+		lon := 145 + rnd.Float64()*90 // 145..235 => wraps to -125
 		out[i] = Location{
 			Name:   fmt.Sprintf("%s-%d", prefix, i),
 			LatLon: geom.LatLon{LatDeg: lat, LonDeg: geom.NormalizeLonDeg(lon)},
@@ -177,9 +177,9 @@ func pacificLocations(rng *rand.Rand, prefix string, n int) []Location {
 // Scenario builds the §5.1 testbed configuration plus the generated buoy
 // and sink locations.
 func Scenario(p Params) (*config.Config, []Location, []Location, error) {
-	rng := rand.New(rand.NewSource(seed))
-	buoys := pacificLocations(rng, "buoy", NumBuoys)
-	sinks := pacificLocations(rng, "sink", NumSinks)
+	rnd := rng.New(rng.Derive(seed, 0))
+	buoys := pacificLocations(rnd, "buoy", NumBuoys)
+	sinks := pacificLocations(rnd, "sink", NumSinks)
 
 	cfg := &config.Config{
 		Name:       "dart-pacific",
@@ -256,7 +256,7 @@ func Run(p Params) (*Result, error) {
 		Buoys: buoys, Sinks: sinks,
 		SinkLatenciesMs: make([][]float64, len(sinks)),
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
+	rnd := rng.New(rng.Derive(seed, 1))
 	net := tb.Network()
 	cons := tb.Constellation()
 	start := tb.Sim().Now()
@@ -266,7 +266,7 @@ func Run(p Params) (*Result, error) {
 		InputSize:   featureCount,
 		HiddenSizes: []int{32, 16},
 		OutputSize:  1,
-		Seed:        seed,
+		Seed:        rng.Derive(seed, 2),
 	})
 	if err != nil {
 		return nil, err
@@ -402,7 +402,7 @@ func Run(p Params) (*Result, error) {
 			for i := range window {
 				window[i] = make([]float64, featureCount)
 				for j := range window[i] {
-					window[i][j] = rng.NormFloat64()
+					window[i][j] = rnd.NormFloat64()
 				}
 			}
 			r := reading{buoy: bi, sentAt: tb.Sim().Now(), samples: window}

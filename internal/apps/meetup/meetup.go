@@ -16,7 +16,6 @@ package meetup
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"celestial/internal/bbox"
@@ -29,6 +28,7 @@ import (
 	"celestial/internal/machine"
 	"celestial/internal/netem"
 	"celestial/internal/orbit"
+	"celestial/internal/rng"
 	"celestial/internal/vnet"
 )
 
@@ -72,7 +72,8 @@ const (
 	// trackingInterval is how often the tracking service re-selects the
 	// bridge satellite.
 	trackingInterval = 5 * time.Second
-	// seed drives the processing-delay jitter model and fault injection.
+	// seed drives fault injection (sub-stream 0) and the processing-delay
+	// jitter model (sub-stream 1).
 	seed = 1
 )
 
@@ -242,7 +243,7 @@ func Run(p Params) (*Result, error) {
 		return nil, err
 	}
 	if p.Faults != nil {
-		if err := tb.InjectFaults(*p.Faults, seed); err != nil {
+		if err := tb.InjectFaults(*p.Faults, rng.Derive(seed, 0)); err != nil {
 			return nil, err
 		}
 	}
@@ -252,7 +253,7 @@ func Run(p Params) (*Result, error) {
 		Expected:     map[PairKey][]Sample{},
 		BridgeShells: map[int]int{},
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(rng.Derive(seed, 1))
 	procDelay := clock.DefaultProcessingDelay()
 	start := tb.Sim().Now()
 	net := tb.Network()
@@ -322,7 +323,7 @@ func Run(p Params) (*Result, error) {
 			if !ok || pkt.origin == name {
 				return
 			}
-			lat := m.DeliveredAt.Sub(pkt.sentAt) + procDelay.Sample(rng)
+			lat := m.DeliveredAt.Sub(pkt.sentAt) + procDelay.Sample(rnd)
 			res.Measurements[Pair(pkt.origin, name)] = append(
 				res.Measurements[Pair(pkt.origin, name)], Sample{
 					T:         pkt.sentAt.Sub(start).Seconds(),

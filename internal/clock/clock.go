@@ -14,8 +14,9 @@ package clock
 
 import (
 	"math"
-	"math/rand"
 	"time"
+
+	"celestial/internal/rng"
 )
 
 // ProcessingDelayModel generates client processing delays with a log-normal
@@ -36,12 +37,12 @@ func DefaultProcessingDelay() ProcessingDelayModel {
 }
 
 // Sample draws one processing delay using the given random source.
-func (m ProcessingDelayModel) Sample(rng *rand.Rand) time.Duration {
+func (m ProcessingDelayModel) Sample(rnd *rng.Stream) time.Duration {
 	if m.Median <= 0 {
 		return 0
 	}
 	mu := math.Log(m.Median.Seconds())
-	d := math.Exp(mu + m.Sigma*rng.NormFloat64())
+	d := math.Exp(mu + m.Sigma*rnd.NormFloat64())
 	return time.Duration(d * float64(time.Second))
 }
 

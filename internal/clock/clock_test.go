@@ -2,18 +2,19 @@ package clock
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
+
+	"celestial/internal/rng"
 )
 
 func TestProcessingDelayModelCalibration(t *testing.T) {
 	m := DefaultProcessingDelay()
-	rng := rand.New(rand.NewSource(42))
+	rnd := rng.New(42)
 	n := 200000
 	samples := make([]float64, n)
 	for i := range samples {
-		samples[i] = m.Sample(rng).Seconds() * 1000 // ms
+		samples[i] = m.Sample(rnd).Seconds() * 1000 // ms
 	}
 	sort.Float64s(samples)
 	median := samples[n/2]
@@ -51,15 +52,15 @@ func TestProcessingDelayAnalytic(t *testing.T) {
 		t.Error("log-normal mean should exceed median")
 	}
 	var zero ProcessingDelayModel
-	if zero.Sample(rand.New(rand.NewSource(1))) != 0 || zero.Mean() != 0 || zero.StdDev() != 0 {
+	if zero.Sample(rng.New(1)) != 0 || zero.Mean() != 0 || zero.StdDev() != 0 {
 		t.Error("zero model should produce zero delays")
 	}
 }
 
 func TestProcessingDelayDeterministicWithSeed(t *testing.T) {
 	m := DefaultProcessingDelay()
-	a := m.Sample(rand.New(rand.NewSource(7)))
-	b := m.Sample(rand.New(rand.NewSource(7)))
+	a := m.Sample(rng.New(7))
+	b := m.Sample(rng.New(7))
 	if a != b {
 		t.Error("same seed produced different samples")
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"celestial/internal/apps/dart"
@@ -16,6 +15,7 @@ import (
 	"celestial/internal/geom"
 	"celestial/internal/netem"
 	"celestial/internal/orbit"
+	"celestial/internal/rng"
 	"celestial/internal/stats"
 	"celestial/internal/topo"
 	"celestial/internal/viz"
@@ -313,10 +313,10 @@ func NetemQuantization(o Options) (Report, error) {
 func ProcessingDelayModelReport(o Options) (Report, error) {
 	rep := Report{ID: "T-base", Title: "§4.1: client processing delay baseline (1.37 ms median, 3.86 ms σ)"}
 	m := clock.DefaultProcessingDelay()
-	rng := rand.New(rand.NewSource(7))
+	rnd := rng.New(7)
 	samples := make([]float64, 100000)
 	for i := range samples {
-		samples[i] = m.Sample(rng).Seconds() * 1000
+		samples[i] = m.Sample(rnd).Seconds() * 1000
 	}
 	s := stats.Summarize(samples)
 	rep.Lines = append(rep.Lines,

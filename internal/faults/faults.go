@@ -13,8 +13,9 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
+
+	"celestial/internal/rng"
 )
 
 // SEUModel describes radiation-induced single event upsets for one
@@ -87,8 +88,8 @@ type Event struct {
 }
 
 // Sample draws the fault events for one machine over a horizon using a
-// Poisson process. Results are deterministic for a given rng state.
-func (m SEUModel) Sample(rng *rand.Rand, horizon time.Duration) ([]Event, error) {
+// Poisson process. Results are deterministic for a given stream state.
+func (m SEUModel) Sample(rnd *rng.Stream, horizon time.Duration) ([]Event, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,14 +102,14 @@ func (m SEUModel) Sample(rng *rand.Rand, horizon time.Duration) ([]Event, error)
 	var events []Event
 	t := time.Duration(0)
 	for {
-		// Exponential inter-arrival with mean 1/rate hours.
-		gap := time.Duration(rng.ExpFloat64() / m.RatePerHour * float64(time.Hour))
-		t += gap
-		if t >= horizon {
+		// Exponential gap with mean 1/rate hours, checked before converting.
+		gap := rnd.ExpFloat64() / m.RatePerHour * float64(time.Hour)
+		if gap >= float64(horizon-t) {
 			return events, nil
 		}
+		t += time.Duration(gap)
 		ev := Event{At: t}
-		if rng.Float64() < m.ShutdownProb {
+		if rnd.Float64() < m.ShutdownProb {
 			ev.Kind = KindShutdown
 			ev.Until = t + m.RebootAfter
 		} else {
@@ -145,7 +146,7 @@ type Scheduler interface {
 // Injector samples and applies fault events to machines.
 type Injector struct {
 	model SEUModel
-	rng   *rand.Rand
+	rnd   *rng.Stream
 }
 
 // NewInjector creates a deterministic injector.
@@ -153,14 +154,14 @@ func NewInjector(model SEUModel, seed int64) (*Injector, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{model: model, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Injector{model: model, rnd: rng.New(seed)}, nil
 }
 
 // Schedule samples the fault timeline for one machine over the horizon and
 // registers the corresponding crash/reboot and degrade/restore callbacks
 // with the scheduler. It returns the sampled events.
 func (in *Injector) Schedule(sched Scheduler, target Target, horizon time.Duration) ([]Event, error) {
-	events, err := in.model.Sample(in.rng, horizon)
+	events, err := in.model.Sample(in.rnd, horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,11 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
 	"celestial/internal/machine"
+	"celestial/internal/rng"
 	"celestial/internal/vnet"
 )
 
@@ -41,12 +41,12 @@ func TestValidate(t *testing.T) {
 
 func TestSamplePoissonRate(t *testing.T) {
 	m := validModel()
-	rng := rand.New(rand.NewSource(1))
+	rnd := rng.New(1)
 	total := 0
 	trials := 200
 	horizon := 5 * time.Hour
 	for i := 0; i < trials; i++ {
-		evs, err := m.Sample(rng, horizon)
+		evs, err := m.Sample(rnd, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +69,8 @@ func TestSamplePoissonRate(t *testing.T) {
 
 func TestSampleMixesKinds(t *testing.T) {
 	m := validModel()
-	rng := rand.New(rand.NewSource(2))
-	evs, err := m.Sample(rng, 100*time.Hour)
+	rnd := rng.New(2)
+	evs, err := m.Sample(rnd, 100*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +97,22 @@ func TestSampleMixesKinds(t *testing.T) {
 
 func TestSampleZeroRate(t *testing.T) {
 	m := SEUModel{}
-	evs, err := m.Sample(rand.New(rand.NewSource(3)), time.Hour)
+	evs, err := m.Sample(rng.New(3), time.Hour)
 	if err != nil || evs != nil {
 		t.Errorf("zero-rate sample = %v, %v", evs, err)
 	}
-	if _, err := validModel().Sample(rand.New(rand.NewSource(4)), 0); err == nil {
+	if _, err := validModel().Sample(rng.New(4), 0); err == nil {
 		t.Error("accepted zero horizon")
 	}
 }
 
 func TestSampleDeterministic(t *testing.T) {
 	m := validModel()
-	a, err := m.Sample(rand.New(rand.NewSource(7)), 10*time.Hour)
+	a, err := m.Sample(rng.New(7), 10*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Sample(rand.New(rand.NewSource(7)), 10*time.Hour)
+	b, err := m.Sample(rng.New(7), 10*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSampleZeroRateLongHorizon(t *testing.T) {
 	// and return immediately, not loop sampling infinite gaps.
 	m := SEUModel{RatePerHour: 0, ShutdownProb: 1, RebootAfter: time.Minute}
 	for _, horizon := range []time.Duration{time.Hour, 24 * 365 * time.Hour, 100 * 24 * 365 * time.Hour} {
-		evs, err := m.Sample(rand.New(rand.NewSource(9)), horizon)
+		evs, err := m.Sample(rng.New(9), horizon)
 		if err != nil {
 			t.Fatalf("horizon %v: %v", horizon, err)
 		}
@@ -213,7 +213,7 @@ func TestSampleHorizonShorterThanOneExpectedEvent(t *testing.T) {
 	horizon := time.Second
 	total := 0
 	for seed := int64(0); seed < 2000; seed++ {
-		evs, err := m.Sample(rand.New(rand.NewSource(seed)), horizon)
+		evs, err := m.Sample(rng.New(seed), horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +241,30 @@ func TestValidateRejectsNegativeRates(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("rate %v accepted", rate)
 		}
-		if _, err := m.Sample(rand.New(rand.NewSource(1)), time.Hour); err == nil {
+		if _, err := m.Sample(rng.New(1), time.Hour); err == nil {
 			t.Errorf("rate %v sampled", rate)
+		}
+	}
+}
+
+func TestSampleTinyRatesStayInsideHorizon(t *testing.T) {
+	// A tiny rate draws gaps far past MaxInt64 nanoseconds; they must end
+	// the process, not wrap to negative offsets.
+	horizon := time.Hour
+	for _, rate := range []float64{1e-12, 1e-9, 1e-6, 1e-3, 1, 1e3} {
+		m := validModel()
+		m.RatePerHour = rate
+		evs, err := m.Sample(rng.New(1), horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			if ev.At < 0 || ev.At >= horizon {
+				t.Fatalf("rate %g: event at %v outside [0, %v)", rate, ev.At, horizon)
+			}
+		}
+		if rate <= 1e-6 && len(evs) != 0 {
+			t.Errorf("rate %g per hour over %v: %d events, want 0", rate, horizon, len(evs))
 		}
 	}
 }

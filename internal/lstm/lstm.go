@@ -22,7 +22,8 @@ package lstm
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"celestial/internal/rng"
 )
 
 // Layer is one LSTM layer's weights.
@@ -37,8 +38,8 @@ type Layer struct {
 	b  [4][]float64
 }
 
-// newLayer initializes a layer with small random weights from rng.
-func newLayer(inputSize, hiddenSize int, rng *rand.Rand) *Layer {
+// newLayer initializes a layer with small random weights from rnd.
+func newLayer(inputSize, hiddenSize int, rnd *rng.Stream) *Layer {
 	l := &Layer{inputSize: inputSize, hiddenSize: hiddenSize}
 	scale := 1.0 / math.Sqrt(float64(inputSize+hiddenSize))
 	for g := 0; g < 4; g++ {
@@ -46,10 +47,10 @@ func newLayer(inputSize, hiddenSize int, rng *rand.Rand) *Layer {
 		l.wh[g] = make([]float64, hiddenSize*hiddenSize)
 		l.b[g] = make([]float64, hiddenSize)
 		for i := range l.wx[g] {
-			l.wx[g][i] = (2*rng.Float64() - 1) * scale
+			l.wx[g][i] = (2*rnd.Float64() - 1) * scale
 		}
 		for i := range l.wh[g] {
-			l.wh[g][i] = (2*rng.Float64() - 1) * scale
+			l.wh[g][i] = (2*rnd.Float64() - 1) * scale
 		}
 	}
 	// Forget-gate bias of 1 is the standard initialization that keeps
@@ -131,21 +132,21 @@ func New(cfg Config) (*Network, error) {
 	if len(cfg.HiddenSizes) == 0 {
 		return nil, fmt.Errorf("lstm: at least one hidden layer is required")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rnd := rng.New(cfg.Seed)
 	n := &Network{inputSize: cfg.InputSize, outputSize: cfg.OutputSize}
 	in := cfg.InputSize
 	for i, h := range cfg.HiddenSizes {
 		if h <= 0 {
 			return nil, fmt.Errorf("lstm: hidden layer %d size must be positive, have %d", i, h)
 		}
-		n.layers = append(n.layers, newLayer(in, h, rng))
+		n.layers = append(n.layers, newLayer(in, h, rnd))
 		in = h
 	}
 	n.wo = make([]float64, cfg.OutputSize*in)
 	n.bo = make([]float64, cfg.OutputSize)
 	scale := 1.0 / math.Sqrt(float64(in))
 	for i := range n.wo {
-		n.wo[i] = (2*rng.Float64() - 1) * scale
+		n.wo[i] = (2*rnd.Float64() - 1) * scale
 	}
 	return n, nil
 }

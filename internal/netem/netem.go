@@ -17,8 +17,9 @@ package netem
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"celestial/internal/rng"
 )
 
 // DelayQuantum is the granularity at which propagation delays are emulated.
@@ -123,7 +124,7 @@ func (d Delivery) Lost() bool { return d.n == 0 }
 // the virtual network serializes access per link.
 type Shaper struct {
 	params Params
-	rng    *rand.Rand
+	rnd    rng.Stream
 	// nextFree is when the serializer becomes available again
 	// (store-and-forward queue state).
 	nextFree time.Time
@@ -136,7 +137,7 @@ func NewShaper(p Params, seed int64) (*Shaper, error) {
 		return nil, err
 	}
 	p.Delay = QuantizeDelay(p.Delay)
-	return &Shaper{params: p, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Shaper{params: p, rnd: *rng.New(seed)}, nil
 }
 
 // Params returns the shaper's current parameters.
@@ -181,20 +182,20 @@ func (s *Shaper) Transmit(now time.Time, sizeBytes int) Delivery {
 	// Loss is sampled after queueing: a dropped packet still consumed
 	// link capacity up to the drop point in real netem; this keeps the
 	// model simple and conservative.
-	if s.params.LossProb > 0 && s.rng.Float64() < s.params.LossProb {
+	if s.params.LossProb > 0 && s.rnd.Float64() < s.params.LossProb {
 		return Delivery{}
 	}
 
 	arrival := done.Add(s.params.Delay + s.sampleJitter())
-	if s.params.ReorderProb > 0 && s.rng.Float64() < s.params.ReorderProb {
+	if s.params.ReorderProb > 0 && s.rnd.Float64() < s.params.ReorderProb {
 		arrival = arrival.Add(s.params.ReorderExtraDelay)
 	}
 
 	d := Delivery{at: [2]time.Time{arrival}, n: 1}
-	if s.params.CorruptProb > 0 && s.rng.Float64() < s.params.CorruptProb {
+	if s.params.CorruptProb > 0 && s.rnd.Float64() < s.params.CorruptProb {
 		d.Corrupted = true
 	}
-	if s.params.DupProb > 0 && s.rng.Float64() < s.params.DupProb {
+	if s.params.DupProb > 0 && s.rnd.Float64() < s.params.DupProb {
 		d.at[1], d.n = arrival.Add(DelayQuantum), 2
 	}
 	return d
@@ -207,7 +208,7 @@ func (s *Shaper) sampleJitter() time.Duration {
 	if j <= 0 {
 		return 0
 	}
-	off := time.Duration((2*s.rng.Float64() - 1) * float64(j))
+	off := time.Duration((2*s.rnd.Float64() - 1) * float64(j))
 	if s.params.Delay+off < 0 {
 		return -s.params.Delay
 	}

@@ -1,10 +1,11 @@
 // Package rng provides a small deterministic random stream whose complete
-// state is a single exportable word. The scenario engine uses it for every
-// random process it must checkpoint: unlike math/rand.Rand — whose internal
-// state cannot be read back — a Stream can be persisted in a crash-safe
-// checkpoint file and later compared against the state a deterministic
-// replay reconstructs, which is how resumed runs prove they continue the
-// exact random sequences of the killed run.
+// state is a single exportable word. Every random draw of a run comes from
+// one: flows, netem loss and jitter, radiation faults, processing delay,
+// retry, frame faults, apply jitter and the case studies. Unlike
+// math/rand.Rand, whose state cannot be read back, a Stream can be
+// persisted in a crash-safe checkpoint and compared against the state a
+// deterministic replay reconstructs: that is how a resumed run proves it
+// continues the exact random sequences of the killed one.
 //
 // The generator is SplitMix64 (Steele, Lea, Flood: "Fast Splittable
 // Pseudorandom Number Generators", OOPSLA 2014): a 64-bit counter passed
@@ -70,6 +71,14 @@ func (s *Stream) Float64() float64 {
 // 1-Float64() lies in (0, 1], so the logarithm is always finite.
 func (s *Stream) ExpFloat64() float64 {
 	return -math.Log(1 - s.Float64())
+}
+
+// NormFloat64 returns a standard normal draw by the Box–Muller transform:
+// exactly two Float64 draws per call and no rejection loop. 1-Float64()
+// lies in (0, 1], so the logarithm is always finite.
+func (s *Stream) NormFloat64() float64 {
+	r := math.Sqrt(-2 * math.Log(1-s.Float64()))
+	return r * math.Cos(2*math.Pi*s.Float64())
 }
 
 // Intn returns a uniform draw in [0, n). It panics if n <= 0.

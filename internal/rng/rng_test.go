@@ -79,3 +79,36 @@ func TestIntnBounds(t *testing.T) {
 		t.Errorf("Intn(7) hit only %d values", len(seen))
 	}
 }
+
+func TestNormFloat64Moments(t *testing.T) {
+	s := New(4)
+	const n = 100000
+	var sum, sq float64
+	for i := 0; i < n; i++ {
+		v := s.NormFloat64()
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("NormFloat64 = %v", v)
+		}
+		sum += v
+		sq += v * v
+	}
+	mean := sum / n
+	sd := math.Sqrt(sq/n - mean*mean)
+	if math.Abs(mean) > 0.02 || math.Abs(sd-1) > 0.02 {
+		t.Errorf("NormFloat64 mean %v, σ %v; want 0, 1 within 0.02", mean, sd)
+	}
+}
+
+func TestNormFloat64DeterministicTwoStepsPerCall(t *testing.T) {
+	a, b := New(5), New(5)
+	var step uint64 = gamma
+	for i := 0; i < 1000; i++ {
+		before := a.State()
+		if x, y := a.NormFloat64(), b.NormFloat64(); x != y {
+			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, x, y)
+		}
+		if got := a.State() - before; got != 2*step {
+			t.Fatalf("draw %d advanced the state by %#x, want two steps", i, got)
+		}
+	}
+}

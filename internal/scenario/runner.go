@@ -30,11 +30,10 @@ type Runner struct {
 	err error
 }
 
-// flowState is the live state of one workload flow. Its random stream is an
-// rng.Stream rather than math/rand precisely because the run must be
-// checkpointable: the stream's complete state is one exportable word, so a
-// checkpoint can persist it and a resumed replay can prove it reconstructed
-// the identical random sequence.
+// flowState is the live state of one workload flow. Like every random
+// process of a run its stream is an rng.Stream, whose complete state is one
+// exportable word: a checkpoint persists it and a resumed replay proves it
+// reconstructed the identical random sequence.
 type flowState struct {
 	r        *Runner
 	idx      int
@@ -111,8 +110,10 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 
 	// Robustness middleware: seeded fault injection and retries on every
 	// host and on shaper programming. All seeds derive from the scenario
-	// seed in disjoint index ranges (flows use small indices, fault bursts
-	// 1<<20+i), so the random processes never alias.
+	// seed in disjoint index ranges, so the random processes never alias:
+	// flows from 0, fault bursts 1<<20+i, host retry 1<<21+id and faults
+	// 1<<22+id, shaper retry 1<<23 and faults 1<<24, the fan-out 1<<25,
+	// and vnet's directed pairs 1<<62|from<<31|to.
 	if sup := sc.Supervision; sup.Enabled() {
 		for _, h := range coord.Hosts() {
 			h.LifecycleOps().SetPolicy(sup.Retry, rng.Derive(sc.Seed, uint64(1<<21+h.ID())))

@@ -29,10 +29,6 @@ const (
 // FollowerStats counts a follower's ladder traffic. All counters are
 // deterministic functions of the observed lag sequence.
 type FollowerStats struct {
-	// Observations counts Observe calls; Degraded those that returned a
-	// level above LevelFull.
-	Observations int
-	Degraded     int
 	// Escalations counts upward rung moves, Recoveries downward ones
 	// (one per rung stepped).
 	Escalations int
@@ -48,7 +44,6 @@ func NewFollower() *Follower {
 // its next frame must be applied at: straight up to the rung the lag calls
 // for, one rung down per recoverAfter observations below the current one.
 func (f *Follower) Observe(lag int) Level {
-	f.stats.Observations++
 	target := LevelFull
 	switch {
 	case lag >= ActivityOnlyLag:
@@ -59,9 +54,6 @@ func (f *Follower) Observe(lag int) Level {
 	f.stats.Escalations += f.raise(target)
 	if f.settle(target < f.level()) {
 		f.stats.Recoveries++
-	}
-	if f.level() > LevelFull {
-		f.stats.Degraded++
 	}
 	return f.level()
 }

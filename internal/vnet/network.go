@@ -8,6 +8,7 @@ import (
 
 	"celestial/internal/netem"
 	"celestial/internal/retry"
+	"celestial/internal/rng"
 )
 
 // PathInfo describes the current network path between two nodes as the
@@ -312,9 +313,9 @@ func (n *Network) refresh(ps *pairState, from, to int) error {
 		params.BandwidthKbps = n.bwCapKbps
 	}
 	if ps.shaper == nil {
-		// Distinct deterministic seed per directed pair, stable across
-		// reachability changes so runs stay reproducible.
-		seed := n.seed ^ int64(from)<<32 ^ int64(to)
+		// Distinct deterministic stream per directed pair, stable across
+		// reachability changes; its label lies above the runner's ranges.
+		seed := rng.Derive(n.seed, 1<<62|uint64(from)<<31|uint64(to))
 		if err := n.shaperOps.Do(func() error {
 			s, err := netem.NewShaper(params, seed)
 			if err != nil {

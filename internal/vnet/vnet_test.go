@@ -333,6 +333,41 @@ func TestNetworkDeterminism(t *testing.T) {
 	}
 }
 
+// TestPairLossStreams: every directed pair draws its own loss stream, fixed
+// by the network seed and the pair alone.
+func TestPairLossStreams(t *testing.T) {
+	// losses returns, per direction, which of 64 tagged sends were lost.
+	losses := func() (fwd, back uint64) {
+		s := NewSim(simStart)
+		n := NewNetwork(s, twoNodeTopo(0.005, 0), 42)
+		if err := n.SetImpairments(netem.Params{LossProb: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		fwd, back = ^uint64(0), ^uint64(0)
+		n.Handle(1, func(m Message) { fwd &^= 1 << m.Tag })
+		n.Handle(0, func(m Message) { back &^= 1 << m.Tag })
+		for i := uint64(0); i < 64; i++ {
+			if err := n.SendTag(0, 1, 100, i); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.SendTag(1, 0, 100, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.RunUntil(simStart.Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return fwd, back
+	}
+	fwd, back := losses()
+	if fwd == back {
+		t.Errorf("0→1 and 1→0 lost the same sends %064b", fwd)
+	}
+	if fwd2, back2 := losses(); fwd2 != fwd || back2 != back {
+		t.Errorf("same seed, different losses: %x/%x vs %x/%x", fwd, back, fwd2, back2)
+	}
+}
+
 func BenchmarkNetworkSendDeliver(b *testing.B) {
 	s := NewSim(simStart)
 	n := NewNetwork(s, twoNodeTopo(0.001, 0), 1)

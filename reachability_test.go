@@ -158,6 +158,7 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Imports    []string
 	Standard   bool
 	Module     *struct{ Path string }
 }
@@ -170,6 +171,7 @@ type moduleImporter struct {
 	pkgs  map[string]*listedPackage
 	done  map[string]*types.Package
 	infos map[string]*types.Info
+	files map[string][]*ast.File
 	// recvs holds the identifiers inside method receivers: a type's own
 	// methods naming it there do not reach it.
 	recvs map[*ast.Ident]bool
@@ -213,7 +215,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 			}
 		}
 	}
-	m.done[path], m.infos[path] = p, info
+	m.done[path], m.infos[path], m.files[path] = p, info, files
 	return p, nil
 }
 
@@ -241,6 +243,7 @@ func loadCensus(dir string) (*census, error) {
 			pkgs:  map[string]*listedPackage{},
 			done:  map[string]*types.Package{},
 			infos: map[string]*types.Info{},
+			files: map[string][]*ast.File{},
 			recvs: map[*ast.Ident]bool{},
 		},
 		stdPkg: map[string]*listedPackage{},
@@ -267,10 +270,10 @@ func loadCensus(dir string) (*census, error) {
 	return c, nil
 }
 
-// isProduct reports whether a module package is product code: every
+// isProduct reports whether a package of module is product code: every
 // package but the benchmark's.
-func (c *census) isProduct(path string) bool {
-	return path != c.module+"/bench" && !strings.HasPrefix(path, c.module+"/bench/")
+func isProduct(module, path string) bool {
+	return path != module+"/bench" && !strings.HasPrefix(path, module+"/bench/")
 }
 
 // interfaceSet collects interface types with methods, once each.
@@ -290,7 +293,7 @@ func (c *census) productUses() (map[types.Object]bool, interfaceSet, []string) {
 	ifaces := interfaceSet{}
 	imported := map[string]bool{}
 	for _, path := range c.paths {
-		if !c.isProduct(path) {
+		if !isProduct(c.module, path) {
 			continue
 		}
 		for _, imp := range c.done[path].Imports() {

@@ -23,3 +23,22 @@ type Self struct{}
 
 // String satisfies fmt.Stringer, like T's.
 func (s Self) String() string { return "self" }
+
+// total sums floats in map order, so its last bits depend on the order:
+// the map-order gate flags it.
+func total(m map[string]float64) float64 {
+	s := 0.0
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+
+// count only counts, and is allowlisted.
+func count(m map[string]bool) int {
+	n := 0
+	for range m {
+		n++
+	}
+	return n
+}
