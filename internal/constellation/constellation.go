@@ -237,13 +237,44 @@ const pathShards = 16
 // which the pool orders after any carry-over: one prepare at a time, each
 // joined before the next takes a buffer): neither their result arrays nor
 // the entry itself may be harvested for reuse, since a reader may still
-// hold them through a lease on another state.
+// hold them through a lease on another state. lastRead is the seq of the
+// latest state the entry was read on (see idleSnapshots).
 type pathEntry struct {
-	mu     sync.Mutex
-	done   atomic.Bool
-	shared bool
-	sp     graph.ShortestPaths
-	err    error
+	mu       sync.Mutex
+	done     atomic.Bool
+	shared   bool
+	lastRead atomic.Uint64
+	sp       graph.ShortestPaths
+	err      error
+}
+
+// idleSnapshots is how many snapshots a cached source outlives its last
+// read: a state carries or repairs a completed entry of the previous state
+// only if the entry was read on one of the idleSnapshots states before it.
+// Repair re-settles ~10 % of the nodes per tick (8 % on Starlink P1, 11 %
+// on Gen2), so ten repairs of a source nobody reads cost about the full
+// Dijkstra its next read would pay after an eviction. Carrying an unread
+// tree longer than that cannot save more than it costs, and evicting it
+// sooner risks paying the full run for a reader that comes back every few
+// ticks. Every flow of a checked-in workload reads its sources every tick.
+const idleSnapshots = 10
+
+// markRead records a read of the entry on the state at position seq.
+// lastRead only grows, so a reader still holding an older state cannot
+// make a later read look stale.
+func (e *pathEntry) markRead(seq uint64) {
+	for {
+		old := e.lastRead.Load()
+		if old >= seq || e.lastRead.CompareAndSwap(old, seq) {
+			return
+		}
+	}
+}
+
+// carries reports whether the entry goes on to the state at position seq:
+// it is complete and was read within idleSnapshots states of it.
+func (e *pathEntry) carries(seq uint64) bool {
+	return e.done.Load() && e.err == nil && e.lastRead.Load()+idleSnapshots >= seq
 }
 
 // pathShard is one lock-striped slice of the path cache.
@@ -270,7 +301,7 @@ type State struct {
 	Links []topo.Link
 
 	c *Constellation
-	g *graph.Graph
+	g graph.Graph
 
 	// paths is the sharded single-source shortest-path cache.
 	paths [pathShards]pathShard
@@ -307,6 +338,10 @@ type State struct {
 	// fills and repairs do not allocate a closure each.
 	transitFn func(node int) bool
 	satN      int
+
+	// seq is the state's position in its pool's chain of snapshots, one
+	// more than the previous state's; path-cache entries age by it.
+	seq uint64
 
 	// spares holds Dijkstra result arrays — and the pathEntry structs
 	// wrapping them — harvested from the previous tick's path cache when
@@ -374,11 +409,11 @@ func (c *Constellation) snapshotFresh(t float64, workers int) (*State, error) {
 // pre-sized buffers, which keeps the result independent of the worker
 // count.
 //
-// The latency graph is left empty and unfrozen: the caller materializes it
-// afterwards — the pooled path by cloning and patching the previous tick's
-// frozen CSR image when the diff allows, everyone else by rebuilding from
-// the assembled link list (State.rebuildGraph) — so the steady-state tick
-// skips the per-edge adjacency build and O(N+M) re-freeze entirely.
+// The latency graph is not touched: the caller materializes it afterwards
+// — the pooled path by cloning and patching the previous tick's CSR image
+// when the diff allows, everyone else by building it from the assembled
+// link list (State.rebuildGraph) — so the steady-state tick skips the
+// O(N+M) build entirely.
 func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State, error) {
 	n := c.NodeCount()
 	st.reset(c, t, n)
@@ -560,30 +595,16 @@ func quantizedLink(kind topo.LinkKind, a, b int, distKm float64) (topo.Link, int
 	return l, int32(q)
 }
 
-// graphPatchSlack is the fixed part of the per-row slack pooled graph
-// images are frozen with (graph.FreezeSlack adds one slot per eight live
-// entries). It covers a satellite row, which gains at most a couple of
-// uplinks per tick. A ground-station row cannot live on it: on Starlink
-// Gen2 a station holds ~90 uplinks and its count moves by more than two in
-// most ticks, so the part in proportion to the degree is what keeps
-// PatchFrozen from compacting the whole image.
-const graphPatchSlack = 2
-
-// rebuildGraph materializes the snapshot's latency graph from its
-// assembled link list and freezes the CSR image before the state is
-// published: every shortest path on it — cache fill or repair — scans the
-// flat arrays, and concurrent queries must never trigger the lazy build.
-// Plan edges were validated when the constellation was built, so the
-// graph's unchecked insertion path applies. It serves unpooled snapshots
-// and the cold-start and fallback path of the pooled flow; steady-state
-// ticks clone-and-patch the previous image instead.
+// rebuildGraph builds the snapshot's latency graph from its assembled link
+// list before the state is published. Plan edges were validated when the
+// constellation was built, so Build takes them unchecked. It serves
+// unpooled snapshots and the cold-start and fallback path of the pooled
+// flow; steady-state ticks clone-and-patch the previous image instead.
 func (st *State) rebuildGraph() {
-	st.g.Reset(len(st.Positions))
-	for i := range st.Links {
+	st.g.Build(len(st.Positions), len(st.Links), func(i int) (int, int, float64) {
 		l := &st.Links[i]
-		st.g.AddEdgeUnchecked(l.A, l.B, l.LatencyS)
-	}
-	st.g.FreezeSlack(graphPatchSlack)
+		return l.A, l.B, l.LatencyS
+	})
 }
 
 // reset prepares st's buffers for recomputation with n nodes, keeping
@@ -641,11 +662,6 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 	}
 	st.visIdx = st.visIdx[:len(c.shells)]
 
-	if st.g == nil {
-		st.g = graph.New(n)
-	} else {
-		st.g.Reset(n)
-	}
 	// Ground stations are endpoints of the satellite network, not
 	// routers: only satellites forward traffic. The node numbering puts
 	// all satellites before all ground stations, so the Kind check
@@ -680,6 +696,7 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 				st.spares.prev = append(st.spares.prev, e.sp.Prev)
 				e.sp = graph.ShortestPaths{}
 				e.done.Store(false)
+				e.lastRead.Store(0)
 				st.spares.entries = append(st.spares.entries, e)
 			}
 		}
@@ -722,8 +739,8 @@ func resize[T any](s []T, n int) []T {
 
 // SnapshotPool recycles State buffers across update ticks so that the
 // steady-state constellation calculation allocates (almost) nothing:
-// positions, activity flags, link slices, graph adjacency, path caches and
-// uplink buffers are all reused. The coordinator
+// positions, activity flags, link slices, the graph's CSR image, path
+// caches and uplink buffers are all reused. The coordinator
 // double-buffers through the pool — a State handed out by Snapshot must be
 // Recycled by the caller once no reader can still hold it.
 //
@@ -923,25 +940,29 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	}
 	pr.out = out
 	pr.lap(0, &stageStart)
+	out.seq = 0
+	if prev != nil {
+		out.seq = prev.seq + 1
+	}
 	out.diffLinksFrom(prev)
 
 	// Materialize the latency graph. Steady state clones the previous
-	// tick's frozen CSR image — read-only on prev, so concurrent readers
-	// holding a lease on it are unaffected — and patches this tick's
-	// merged link deltas into it in place, skipping the per-edge rebuild
-	// and O(N+M) re-freeze. The deltas are computed once and shared with
-	// the path repair in both halves. Cold starts, Full diffs and any patch
-	// mismatch (impossible for diff-produced deltas) fall back to
-	// rebuilding from the assembled link list; either way the frozen image
-	// is identical (PatchFrozen's row order may differ, which the canonical
-	// Dijkstra tie-break makes unobservable).
+	// tick's CSR image — read-only on prev, so concurrent readers holding
+	// a lease on it are unaffected — and patches this tick's merged link
+	// deltas into it in place, skipping the O(N+M) build. The deltas are
+	// computed once and shared with the path repair in both halves. Cold
+	// starts, Full diffs and any patch mismatch (impossible for
+	// diff-produced deltas) fall back to building from the assembled link
+	// list; either way the image is query-identical (PatchFrozen's row
+	// order may differ, which the canonical Dijkstra tie-break makes
+	// unobservable).
 	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
 		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff, out.satN, &p.fold)
 		pr.deltas = p.deltaScratch
 	}
 	patched := false
 	if prev != nil && !out.diff.Full {
-		if err := out.g.CopyFrozenFrom(prev.g); err == nil {
+		if err := out.g.CopyFrozenFrom(&prev.g); err == nil {
 			if err := out.g.PatchFrozen(pr.deltas); err == nil {
 				patched = true
 				out.diff.GraphPatched = true
@@ -996,14 +1017,16 @@ func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
 }
 
 // carryPaths brings the completed path-cache entries of the previous state
-// that the new one does not hold yet over to it, adding to the diff's
-// path counters. On a bit-identical graph (the diff is empty, or only node
-// activity flipped — the bounding box does not affect path calculation,
-// §3.3) the trees are shared outright; otherwise they are repaired under
-// the tick's link deltas. Both halves of a snapshot call it: prepare
-// harvests what is complete when it looks, finish what was completed on
-// the previous state afterwards, so together they carry exactly the
-// entries a single pass at the boundary would.
+// that were read within idleSnapshots and that the new one does not hold
+// yet over to it, adding to the diff's path counters. On a bit-identical
+// graph (the diff is empty, or only node activity flipped — the bounding
+// box does not affect path calculation, §3.3) the trees are shared
+// outright; otherwise they are repaired under the tick's link deltas. Both
+// halves of a snapshot call it: prepare harvests what is complete and
+// recently read when it looks, finish what was completed or read on the
+// previous state afterwards (a read only makes an entry younger), so
+// together they carry exactly the entries a single pass at the boundary
+// would.
 func (p *SnapshotPool) carryPaths(pr *prepared) {
 	prev, out := pr.prev, pr.out
 	if prev == nil || out.diff.Full {
@@ -1090,6 +1113,7 @@ func (st *State) pathsFor(a int) (graph.ShortestPaths, error) {
 		shard.m[a] = e
 	}
 	shard.mu.Unlock()
+	e.markRead(st.seq)
 	if !e.done.Load() {
 		st.fillEntry(e, a)
 	}
@@ -1157,7 +1181,7 @@ func (st *State) Uplinks(gst, shell int) ([]topo.Uplink, error) {
 }
 
 // Graph exposes the snapshot's latency-weighted link graph.
-func (st *State) Graph() *graph.Graph { return st.g }
+func (st *State) Graph() *graph.Graph { return &st.g }
 
 // ActiveCount returns the number of active (non-suspended) nodes.
 func (st *State) ActiveCount() int {
@@ -1213,7 +1237,7 @@ func (st *State) BestMeetingPoint(clients []int) (int, float64, error) {
 
 // LinkBandwidth returns the bandwidth in kbps of the direct link between
 // two nodes, or ok=false when no such link exists in this snapshot. Only a
-// link's existence is per-snapshot state, and the frozen graph image holds
+// link's existence is per-snapshot state, and the graph's CSR image holds
 // it; its capacity is a configuration constant of the satellite's shell.
 func (st *State) LinkBandwidth(a, b int) (float64, bool) {
 	if a > b {

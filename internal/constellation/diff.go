@@ -21,8 +21,28 @@ type LinkDelta struct {
 //
 // A Diff is owned by its State and reuses its slices across recycled
 // snapshots; callers that retain diff information across ticks should copy
-// it (or keep Stats()).
+// it (AppendRecord, or keep Stats()).
 type Diff struct {
+	// DiffRecord is the diff's content, everything a retained record
+	// keeps.
+	DiffRecord
+	// GraphPatched reports that the snapshot's latency graph was
+	// materialized by cloning the base state's CSR image and patching
+	// this diff's merged edge deltas into it in place, instead of being
+	// built from the link list; PatchedEdges counts those deltas (zero
+	// when only node activity changed). Patched and built graphs are
+	// query-identical.
+	GraphPatched bool
+	PatchedEdges int
+}
+
+// DiffRecord is the content of a Diff. Inside a Diff its slices are owned
+// by the State and reused across recycled snapshots; a record made by
+// AppendRecord or Clone owns its slices and stays valid indefinitely. The
+// coordinator keeps a ring of recent records so the information service
+// can replay topology deltas to clients (GET /diff?since=) long after the
+// producing snapshots were recycled.
+type DiffRecord struct {
 	// T is the snapshot's offset; BaseT the compared-against snapshot's
 	// offset (NaN when Full).
 	T, BaseT float64
@@ -35,13 +55,13 @@ type Diff struct {
 	// station/shell whose realized uplink sequence changed is shipped
 	// wholesale (old links removed, new links added) rather than
 	// per-satellite matched, because the closest-first order itself fixes
-	// the graph's adjacency order, so an order change alone also
-	// invalidates derived state. Such changes are not rare: on Starlink
-	// Gen2 (29,988 satellites, 100 stations, 1 s ticks) nearly every
-	// station/shell sequence reorders every tick, and a tick ships ~9,300
-	// GSLs on each side, which the graph patch folds down to ~1,700 edge
-	// deltas (appendEdgeDeltas). Both lists hold the ISL deltas first,
-	// then each station's GSL deltas as one block, stations ascending.
+	// the graph's row order, so an order change alone also invalidates
+	// derived state. Such changes are not rare: on Starlink Gen2 (29,988
+	// satellites, 100 stations, 1 s ticks) nearly every station/shell
+	// sequence reorders every tick, and a tick ships ~9,300 GSLs on each
+	// side, which the graph patch folds down to ~1,700 edge deltas
+	// (appendEdgeDeltas). Both lists hold the ISL deltas first, then each
+	// station's GSL deltas as one block, stations ascending.
 	Added, Removed []LinkDelta
 	// DelayChanged are links present on both sides whose delay moved by
 	// at least one quantum.
@@ -59,14 +79,6 @@ type Diff struct {
 	// zero on link-unchanged diffs, which transplant.
 	RepairedPaths   int
 	RepairFallbacks int
-	// GraphPatched reports that the snapshot's latency graph was
-	// materialized by cloning the base state's frozen CSR image and
-	// patching this diff's merged edge deltas into it in place, instead of
-	// being rebuilt from the link list; PatchedEdges counts those deltas
-	// (zero when only node activity changed). Patched and rebuilt graphs
-	// are query-identical.
-	GraphPatched bool
-	PatchedEdges int
 	// Degraded is the supervision level the producing tick ran at (the
 	// numeric supervise.Level: 0 full, 1 repair deferred, 2 distribution
 	// coalesced, 3 activity-only). Zero on unsupervised runs. It rides on
@@ -80,8 +92,8 @@ type Diff struct {
 // changed activity. An empty diff means the snapshot's link graph is
 // bit-identical to the base state's, so consumers can keep every derived
 // structure — netem shaper parameters, shortest-path trees — untouched.
-func (d *Diff) Empty() bool {
-	return d.LinksUnchanged() && len(d.Activated) == 0 && len(d.Deactivated) == 0
+func (r *DiffRecord) Empty() bool {
+	return r.LinksUnchanged() && len(r.Activated) == 0 && len(r.Deactivated) == 0
 }
 
 // LinksUnchanged reports whether no link appeared, disappeared or changed
@@ -90,70 +102,34 @@ func (d *Diff) Empty() bool {
 // activity flipped (the bounding box does not affect path calculation,
 // §3.3 of the paper). The path cache is carried over wholesale on such
 // diffs and incrementally repaired otherwise.
-func (d *Diff) LinksUnchanged() bool {
-	return !d.Full && len(d.Added) == 0 && len(d.Removed) == 0 && len(d.DelayChanged) == 0
-}
-
-// DiffRecord is a retainable deep copy of a Diff: unlike the Diff itself —
-// which is owned by its State and whose slices are reused across recycled
-// snapshots — a record stays valid indefinitely. The coordinator keeps a
-// ring of recent records so the information service can replay topology
-// deltas to clients (GET /diff?since=) long after the producing snapshots
-// were recycled.
-type DiffRecord struct {
-	// T is the snapshot offset the diff describes; BaseT the base
-	// snapshot's offset (NaN when Full).
-	T, BaseT float64
-	// Full marks a diff with no usable base; consumers must treat every
-	// link and node as changed.
-	Full bool
-	// Added, Removed and DelayChanged are the link deltas, as in Diff.
-	Added, Removed, DelayChanged []LinkDelta
-	// Activated and Deactivated are nodes whose activity flipped.
-	Activated, Deactivated []int32
-	// CarriedPaths, RepairedPaths and RepairFallbacks are the path-cache
-	// reuse counters, as in Diff.
-	CarriedPaths    int
-	RepairedPaths   int
-	RepairFallbacks int
-	// Degraded is the producing tick's supervision level, as in Diff.
-	Degraded uint8
-}
-
-// Empty reports whether the record describes an empty diff (see Diff.Empty).
-func (r *DiffRecord) Empty() bool {
-	return !r.Full && len(r.Added) == 0 && len(r.Removed) == 0 &&
-		len(r.DelayChanged) == 0 && len(r.Activated) == 0 && len(r.Deactivated) == 0
+func (r *DiffRecord) LinksUnchanged() bool {
+	return !r.Full && len(r.Added) == 0 && len(r.Removed) == 0 && len(r.DelayChanged) == 0
 }
 
 // Clone returns a deep copy of the record sharing no memory with r —
 // the escape hatch for records whose slices are reused in place (like
 // the coordinator's retention ring slots, refilled via AppendRecord).
 func (r DiffRecord) Clone() DiffRecord {
-	r.Added = append([]LinkDelta(nil), r.Added...)
-	r.Removed = append([]LinkDelta(nil), r.Removed...)
-	r.DelayChanged = append([]LinkDelta(nil), r.DelayChanged...)
-	r.Activated = append([]int32(nil), r.Activated...)
-	r.Deactivated = append([]int32(nil), r.Deactivated...)
-	return r
+	return r.appendTo(DiffRecord{})
 }
 
-// AppendRecord deep-copies the diff into dst, reusing dst's backing arrays
-// when they are large enough — a ring of records refilled every tick
-// allocates only while a slot's high-water mark grows. The returned record
-// shares no memory with the Diff.
+// AppendRecord deep-copies the diff's content into dst, reusing dst's
+// backing arrays when they are large enough — a ring of records refilled
+// every tick allocates only while a slot's high-water mark grows. The
+// returned record shares no memory with the Diff.
 func (d *Diff) AppendRecord(dst DiffRecord) DiffRecord {
-	dst.T, dst.BaseT, dst.Full = d.T, d.BaseT, d.Full
-	dst.Added = append(dst.Added[:0], d.Added...)
-	dst.Removed = append(dst.Removed[:0], d.Removed...)
-	dst.DelayChanged = append(dst.DelayChanged[:0], d.DelayChanged...)
-	dst.Activated = append(dst.Activated[:0], d.Activated...)
-	dst.Deactivated = append(dst.Deactivated[:0], d.Deactivated...)
-	dst.CarriedPaths = d.CarriedPaths
-	dst.RepairedPaths = d.RepairedPaths
-	dst.RepairFallbacks = d.RepairFallbacks
-	dst.Degraded = d.Degraded
-	return dst
+	return d.DiffRecord.appendTo(dst)
+}
+
+// appendTo returns a copy of r whose slices are dst's backing arrays
+// refilled with r's elements.
+func (r DiffRecord) appendTo(dst DiffRecord) DiffRecord {
+	r.Added = append(dst.Added[:0], r.Added...)
+	r.Removed = append(dst.Removed[:0], r.Removed...)
+	r.DelayChanged = append(dst.DelayChanged[:0], r.DelayChanged...)
+	r.Activated = append(dst.Activated[:0], r.Activated...)
+	r.Deactivated = append(dst.Deactivated[:0], r.Deactivated...)
+	return r
 }
 
 // DiffStats is a plain-counts summary of a Diff, safe to retain after the
@@ -202,20 +178,11 @@ func (st *State) Diff() *Diff { return &st.diff }
 // that is decided at the tick boundary; diffActivityFrom is the other half.
 func (st *State) diffLinksFrom(prev *State) {
 	d := &st.diff
-	d.T = st.T
-	d.BaseT = math.NaN()
-	d.Full = false
-	d.Added = d.Added[:0]
-	d.Removed = d.Removed[:0]
-	d.DelayChanged = d.DelayChanged[:0]
-	d.Activated = d.Activated[:0]
-	d.Deactivated = d.Deactivated[:0]
-	d.CarriedPaths = 0
-	d.RepairedPaths = 0
-	d.RepairFallbacks = 0
-	d.GraphPatched = false
-	d.PatchedEdges = 0
-	d.Degraded = 0
+	*d = Diff{DiffRecord: DiffRecord{
+		T: st.T, BaseT: math.NaN(),
+		Added: d.Added[:0], Removed: d.Removed[:0], DelayChanged: d.DelayChanged[:0],
+		Activated: d.Activated[:0], Deactivated: d.Deactivated[:0],
+	}}
 	if prev == nil || prev.c != st.c || len(prev.islQ) != len(st.islQ) ||
 		len(prev.gslOff) != len(st.gslOff) || len(prev.Active) != len(st.Active) {
 		d.Full = true
@@ -310,10 +277,10 @@ func int32sEqual(a, b []int32) bool {
 // ever listed it (the donor included), so those arrays must never be
 // recycled for new computations — they are simply left to the garbage
 // collector once the last referencing state lets go. Only completed
-// entries are shared; an entry whose computation is in flight on prev
-// stays exclusive to it. Sources next already holds are skipped, so a
-// second pass (SnapshotPool.carryPaths) counts only what it adds. next is
-// not published yet; only prev's shards need their locks.
+// entries read within idleSnapshots are shared; an entry whose computation
+// is in flight on prev stays exclusive to it. Sources next already holds
+// are skipped, so a second pass (SnapshotPool.carryPaths) counts only what
+// it adds. next is not published yet; only prev's shards need their locks.
 func transplantPaths(prev, next *State) int {
 	shared := 0
 	for i := range prev.paths {
@@ -323,7 +290,7 @@ func transplantPaths(prev, next *State) int {
 			if _, held := dst.m[a]; held {
 				continue
 			}
-			if e.done.Load() && e.err == nil {
+			if e.carries(next.seq) {
 				e.shared = true
 				dst.m[a] = e
 				shared++

@@ -86,10 +86,9 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 	}
 	assertLinkBandwidths(t, want)
 	assertLinkBandwidths(t, got)
-	// The graph has one node per position. Rows are compared as sets via
-	// the frozen CSR image: a pooled state's graph may have been
-	// clone-and-patched (stale adjacency lists, rows reordered by
-	// swap-removal), which is observationally identical.
+	// The graph has one node per position. Rows are compared as sets: a
+	// pooled state's graph may have been clone-and-patched (rows reordered
+	// by swap-removal), which is observationally identical.
 	var wbuf, gbuf []graph.Edge
 	for v := range want.Positions {
 		wbuf = want.g.FrozenRow(v, wbuf[:0])

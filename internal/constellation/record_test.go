@@ -7,7 +7,7 @@ import (
 
 // diffFixture returns a Diff with every slice populated.
 func diffFixture() *Diff {
-	return &Diff{
+	return &Diff{DiffRecord: DiffRecord{
 		T: 4, BaseT: 2,
 		Added:        []LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}},
 		Removed:      []LinkDelta{{A: 3, B: 4, OldQ: 9, NewQ: -1}},
@@ -15,7 +15,7 @@ func diffFixture() *Diff {
 		Activated:    []int32{8},
 		Deactivated:  []int32{9, 10},
 		CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
-	}
+	}}
 }
 
 func TestDiffRecordDeepCopies(t *testing.T) {
@@ -60,9 +60,9 @@ func TestDiffRecordCloneSharesNoMemory(t *testing.T) {
 
 func TestDiffRecordEmptyMatchesDiff(t *testing.T) {
 	cases := []*Diff{
-		{T: 1, BaseT: 0},
-		{T: 1, BaseT: math.NaN(), Full: true},
-		{T: 1, Activated: []int32{3}},
+		{DiffRecord: DiffRecord{T: 1, BaseT: 0}},
+		{DiffRecord: DiffRecord{T: 1, BaseT: math.NaN(), Full: true}},
+		{DiffRecord: DiffRecord{T: 1, Activated: []int32{3}}},
 		diffFixture(),
 	}
 	for i, d := range cases {

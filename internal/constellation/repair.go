@@ -167,7 +167,8 @@ type repairJob struct {
 }
 
 // repairPaths rebuilds next's shortest-path cache from prev's completed
-// entries under the tick's merged graph-level edge deltas (as produced by
+// entries read within idleSnapshots, under the tick's merged graph-level
+// edge deltas (as produced by
 // appendEdgeDeltas — the pool computes them once and shares them with the
 // graph patch), so a small non-empty diff costs O(affected cone) per
 // cached source instead of a full Dijkstra recompute. Each entry is
@@ -186,10 +187,13 @@ func (p *SnapshotPool) repairPaths(prev, next *State, deltas []graph.EdgeDelta) 
 		src, held := &prev.paths[i], next.paths[i].m
 		src.mu.Lock()
 		for a, e := range src.m {
-			if _, ok := held[a]; ok {
+			if h, ok := held[a]; ok {
+				// Repaired by the first pass, which copied e's read stamp;
+				// reads of prev since then must reach the copy too.
+				h.markRead(e.lastRead.Load())
 				continue
 			}
-			if e.done.Load() && e.err == nil {
+			if e.carries(next.seq) {
 				jobs = append(jobs, repairJob{src: a, old: e})
 			}
 		}
@@ -219,6 +223,7 @@ func (p *SnapshotPool) repairPaths(prev, next *State, deltas []graph.EdgeDelta) 
 			}
 			e := next.takeEntry()
 			e.sp, e.err = sp, nil
+			e.lastRead.Store(job.old.lastRead.Load())
 			e.done.Store(true)
 			job.fresh = e
 			if fast {

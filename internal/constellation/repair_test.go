@@ -307,3 +307,88 @@ func TestRepairReusesHarvestedEntries(t *testing.T) {
 		t.Fatal("no repaired entry reused a harvested pathEntry struct")
 	}
 }
+
+// TestUnreadSourcesAreForgotten: a path source nobody reads leaves the
+// cache idleSnapshots ticks after its last read, instead of costing a
+// carry-over or a repair on every later tick. One source is read every
+// tick; six one-off sources are read once, on the first state. The ticks
+// mix 5 ms steps, whose unchanged links share trees, with multi-second
+// ones, which repair them.
+func TestUnreadSourcesAreForgotten(t *testing.T) {
+	c := mustNew(t, testConfig(t, orbit.ModelKepler))
+	tp := &tickingPool{pool: c.NewSnapshotPool()}
+	accra, _ := c.GSTNodeByName("accra")
+	jbg, _ := c.GSTNodeByName("johannesburg")
+	oneOff := []int{0, 50, 137, 300, 511, jbg}
+	read := func(st *State, src int) {
+		t.Helper()
+		if _, err := st.Latency(src, accra); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	offset := 100.0
+	st := tp.tick(t, offset)
+	read(st, accra)
+	for _, src := range oneOff {
+		read(st, src)
+	}
+	shared, repaired := 0, 0
+	for i := 1; i <= idleSnapshots+1; i++ {
+		if i%2 == 0 {
+			offset += 0.005
+		} else {
+			offset += 7.5
+		}
+		st = tp.tick(t, offset)
+		d := st.Diff()
+		shared += d.CarriedPaths
+		repaired += d.RepairedPaths + d.RepairFallbacks
+		want := 1 + len(oneOff)
+		if i > idleSnapshots {
+			want = 1
+		}
+		if got := d.CarriedPaths + d.RepairedPaths + d.RepairFallbacks; got != want {
+			t.Fatalf("tick %d: %d sources carried or repaired, want %d", i, got, want)
+		}
+		if e := entryFor(st, accra); e == nil || !e.done.Load() {
+			t.Fatalf("tick %d: the source read every tick was not carried", i)
+		}
+		read(st, accra)
+	}
+	if e := entryFor(st, jbg); e != nil {
+		t.Fatal("a one-off source is still cached after idleSnapshots unread ticks")
+	}
+	if shared == 0 || repaired == 0 {
+		t.Fatalf("schedule too tame: %d shared and %d repaired entries", shared, repaired)
+	}
+}
+
+// TestLateReadReachesRepairedEntry: a read of the previous state after a
+// Prefetch already repaired that source counts for the repaired entry's
+// age, as it would had the whole snapshot run at the tick boundary.
+func TestLateReadReachesRepairedEntry(t *testing.T) {
+	c := mustNew(t, testConfig(t, orbit.ModelKepler))
+	tp := &tickingPool{pool: c.NewSnapshotPool()}
+	accra, _ := c.GSTNodeByName("accra")
+	offset := 100.0
+	st := tp.tick(t, offset)
+	if _, err := st.Latency(accra, 0); err != nil {
+		t.Fatal(err)
+	}
+	offset += 7.5
+	st = tp.tick(t, offset) // repairs accra's tree; nobody reads it
+	offset += 7.5
+	tp.pool.Prefetch(offset)
+	<-tp.pool.pre.done
+	if _, err := st.Latency(accra, 0); err != nil {
+		t.Fatal(err)
+	}
+	next := tp.tick(t, offset)
+	if next.Diff().RepairedPaths+next.Diff().RepairFallbacks != 1 {
+		t.Fatalf("diff %+v: the schedule no longer repairs the source", next.Diff().Stats())
+	}
+	if got := entryFor(next, accra).lastRead.Load(); got != st.seq {
+		t.Fatalf("repaired entry last read at seq %d, want %d (the late read)", got, st.seq)
+	}
+}

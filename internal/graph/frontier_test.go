@@ -160,7 +160,6 @@ func checkFrontier(t *testing.T, seed int64, nodes, edgeCount, spread, shape uin
 		}
 	}
 	g := buildGraph(t, n, edges)
-	g.FreezeSlack(2)
 	var ws Workspace
 	srcs := []int{0, n / 2, n - 1}
 	old := make([]ShortestPaths, len(srcs))
@@ -187,7 +186,7 @@ func checkFrontier(t *testing.T, seed int64, nodes, edgeCount, spread, shape uin
 		next[i].w = e.w*3 + 1e-300
 		deltas = append(deltas, EdgeDelta{A: e.a, B: e.b, OldW: e.w, NewW: next[i].w})
 	}
-	g2 := New(n)
+	g2 := new(Graph)
 	if err := g2.CopyFrozenFrom(g); err != nil {
 		t.Fatal(err)
 	}

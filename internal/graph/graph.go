@@ -1,6 +1,6 @@
 // Package graph provides the shortest-path machinery of the Constellation
-// Calculation: a compact weighted undirected graph with a frozen
-// compressed-sparse-row core, Dijkstra's algorithm over a monotone radix
+// Calculation: a compact weighted undirected graph held as one
+// compressed-sparse-row image, Dijkstra's algorithm over a monotone radix
 // queue (internal/monoq, shared with the event engine of internal/vnet) and
 // incremental repair of single-source results under edge diffs
 // (RepairSSSP). The paper uses efficient implementations of these to
@@ -18,34 +18,27 @@ import (
 // Inf marks an unreachable node in distance results.
 var Inf = math.Inf(1)
 
-// Graph is a weighted undirected graph over nodes 0..N-1. Edges are
-// inserted into adjacency lists; shortest-path computations run over a
-// frozen compressed-sparse-row (CSR) image of those lists — flat edgeTo /
-// weight / rowStart arrays that the Dijkstra inner loop scans without
-// chasing per-node slice headers. The CSR is (re)built by Freeze, lazily on
-// the first shortest-path call after a mutation, or explicitly by callers
-// that run concurrent queries (a lazy build is not safe under concurrency).
+// Graph is a weighted undirected graph over nodes 0..N-1, held as one
+// compressed-sparse-row (CSR) image: flat edgeTo / weight / rowStart arrays
+// that the Dijkstra inner loop scans without chasing per-node slice
+// headers. Build lays the image out from an edge list; CopyFrozenFrom
+// clones another graph's image and PatchFrozen applies per-link edge
+// deltas to it in place (weight changes written through, additions into
+// the free slots each row keeps after its live entries, removals by
+// swapping with the row's last live entry). The latter pair is the
+// steady-state path of the constellation update loop, which thereby skips
+// the O(N+M) build once per tick. A patched image serves shortest-path
+// queries exactly like a built one — the canonical tie-break of runHeap
+// makes results independent of row order.
 //
-// A frozen image can also be maintained without touching the adjacency
-// lists at all: CopyFrozenFrom clones another graph's image and PatchFrozen
-// applies per-link edge deltas to it in place (weight changes written
-// through, additions into per-row slack slots reserved by FreezeSlack,
-// removals by swapping with the row's last live entry). This is the
-// steady-state path of the constellation update loop, which stops paying
-// the O(N+M) re-freeze once per tick. A patched graph serves shortest-path
-// queries exactly like a rebuilt one — the canonical tie-break of runHeap
-// makes results independent of row order — but its adjacency lists are
-// stale; Reset returns it to the mutable regime.
-//
-// The zero value is not usable; create graphs with New.
+// Queries only read the image, so any number may run concurrently between
+// two Build or PatchFrozen calls. The zero value is an empty graph.
 type Graph struct {
-	n   int
-	adj [][]Edge
-	m   int
+	n int
 
-	// Frozen CSR image of adj: the directed entries of node v live at
-	// indices [rowStart[v], rowEnd[v]) of edgeTo and weight, with
-	// [rowEnd[v], rowStart[v+1]) unused slack for in-place additions.
+	// The directed entries of node v live at indices
+	// [rowStart[v], rowEnd[v]) of edgeTo and weight, with
+	// [rowEnd[v], rowStart[v+1]) free slots for in-place additions.
 	// int32 halves the per-entry footprint of the hot scan (12 bytes vs
 	// the 16 of Edge); node and directed-edge counts must stay below
 	// 2^31, far beyond any constellation.
@@ -53,16 +46,6 @@ type Graph struct {
 	rowEnd   []int32
 	edgeTo   []int32
 	weight   []float64
-	frozen   bool
-
-	// patched marks a frozen image maintained by CopyFrozenFrom /
-	// PatchFrozen: the CSR arrays are authoritative and the adjacency
-	// lists stale. Only Reset leaves this mode.
-	patched bool
-
-	// patchSlack is the per-row slack the image was last spread with;
-	// compactions reuse it.
-	patchSlack int
 
 	// csrScratch holds the swap arrays of compactFrozen so periodic
 	// compactions allocate nothing once warm.
@@ -79,9 +62,9 @@ type Graph struct {
 	// such graphs.
 	zeroW bool
 
-	// wmin is at most the least positive weight of the frozen image (+Inf
-	// when it has none), the width the frontier's keys are cut from (see
-	// frontier), and wmax at least its greatest finite weight. Freeze
+	// wmin is at most the least positive weight of the image (+Inf when
+	// it has none), the width the frontier's keys are cut from (see
+	// frontier), and wmax at least its greatest finite weight. Build
 	// computes both exactly; PatchFrozen only ever widens them, since a
 	// removal leaving a stale wmin merely makes the keys finer, and a stale
 	// pair merely makes RepairSSSP's absorption test more cautious.
@@ -94,111 +77,80 @@ type Edge struct {
 	Weight float64
 }
 
-// New creates a graph with n nodes and no edges.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{n: n, adj: make([][]Edge, n)}
-}
-
-// Reset empties the graph and resizes it to n nodes, keeping the adjacency
-// lists' backing arrays so that rebuilding a graph of similar shape (as
-// every constellation tick does) allocates nothing in steady state.
-func (g *Graph) Reset(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n <= cap(g.adj) {
-		g.adj = g.adj[:n]
-	} else {
-		g.adj = append(g.adj[:cap(g.adj)], make([][]Edge, n-cap(g.adj))...)
-	}
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
+// Build replaces the graph with n nodes and the m undirected edges that
+// edge(i) returns for i in [0, m). Each row lists its entries in the order
+// of the edges that insert them — a counting sort, O(N+M) — so a tree on a
+// graph with zero-weight edges, which the canonical tie-break does not
+// order, is still a function of the edge list. Edges are not checked: the
+// caller validates them once (the constellation's plan edges are validated
+// when it is built, and a tick inserts tens of thousands of them). An
+// endpoint out of range panics. Build reuses the image's arrays, so
+// rebuilding a graph of similar shape allocates nothing.
+func (g *Graph) Build(n, m int, edge func(i int) (a, b int, w float64)) {
 	g.n = n
-	g.m = 0
-	g.frozen = false
-	g.patched = false
 	g.zeroW = false
-}
-
-// AddEdgeUnchecked inserts an undirected edge without checking its range,
-// self-loop or weight: its caller validates edges once at construction
-// time — the constellation's per-tick graph rebuild inserts tens of
-// thousands of precomputed plan edges and must not pay per-edge checks or
-// error allocation. Out-of-range nodes panic.
-func (g *Graph) AddEdgeUnchecked(a, b int, weight float64) {
-	g.adj[a] = append(g.adj[a], Edge{To: b, Weight: weight})
-	g.adj[b] = append(g.adj[b], Edge{To: a, Weight: weight})
-	g.m++
-	g.frozen = false
-	if weight == 0 {
-		g.zeroW = true
+	g.wmin, g.wmax = Inf, 0
+	g.rowStart = resizeSlice(g.rowStart, n+1)
+	g.rowEnd = resizeSlice(g.rowEnd, n)
+	clear(g.rowEnd)
+	for i := 0; i < m; i++ {
+		a, b, w := edge(i)
+		g.rowEnd[a]++
+		g.rowEnd[b]++
+		g.widenWeights(w)
+		if w == 0 {
+			g.zeroW = true
+		}
 	}
-}
-
-// Freeze (re)builds the graph's CSR image from the adjacency lists,
-// preserving each node's insertion order so that frozen and unfrozen
-// shortest-path runs are bit-identical. It is idempotent and O(N+M); Reset
-// and edge insertion invalidate it. Callers that issue concurrent
-// shortest-path queries (such as the constellation's sharded path cache)
-// must Freeze once beforehand — the lazy build inside a query is only safe
-// single-threaded.
-func (g *Graph) Freeze() { g.FreezeSlack(0) }
-
-// FreezeSlack is Freeze with unused slots reserved after every row, giving
-// later PatchFrozen calls room to add edges in place before a compaction is
-// forced. A row of degree k gets slack + k/8 slots (rowSlack): the fixed
-// part covers a low-degree row's occasional addition, and the part in
-// proportion to the degree covers a hub whose count moves with its size,
-// such as a ground station gaining and losing uplinks. Slack does not
-// change any query result — scans cover only the live range
-// [rowStart[v], rowEnd[v]).
-func (g *Graph) FreezeSlack(slack int) {
-	if g.frozen {
-		return
-	}
-	if g.patched {
-		// The adjacency lists went stale the moment the image was
-		// patched; rebuilding from them would silently revert the
-		// patches. Mutations after a patch must go through Reset.
-		panic("graph: Freeze after PatchFrozen without Reset")
-	}
-	if slack < 0 {
-		slack = 0
-	}
-	dir := 0
-	for _, row := range g.adj {
-		dir += len(row) + int(rowSlack(slack, int32(len(row))))
-	}
-	g.rowStart = resizeSlice(g.rowStart, g.n+1)
-	g.rowEnd = resizeSlice(g.rowEnd, g.n)
+	dir := layoutRows(g.rowStart, g.rowEnd)
 	g.edgeTo = resizeSlice(g.edgeTo, dir)
 	g.weight = resizeSlice(g.weight, dir)
-	off := int32(0)
-	g.wmin, g.wmax = Inf, 0
-	for v := range g.adj {
-		g.rowStart[v] = off
-		for _, e := range g.adj[v] {
-			g.edgeTo[off] = int32(e.To)
-			g.weight[off] = e.Weight
-			g.widenWeights(e.Weight)
-			off++
-		}
-		g.rowEnd[v] = off
-		off += rowSlack(slack, off-g.rowStart[v])
+	for i := 0; i < m; i++ {
+		a, b, w := edge(i)
+		g.appendDirected(a, b, w)
+		g.appendDirected(b, a, w)
 	}
-	g.rowStart[g.n] = off
-	g.patchSlack = slack
-	g.frozen = true
 }
 
-// rowSlack is the number of free slots FreezeSlack and compactFrozen leave
-// after a row with live entries: slack plus one eighth of the degree.
-func rowSlack(slack int, live int32) int32 {
-	return int32(slack) + live/8
+// appendDirected writes the entry a -> b into the free slot after row a's
+// live entries. The row must have one.
+func (g *Graph) appendDirected(a, b int, w float64) {
+	at := g.rowEnd[a]
+	g.edgeTo[at] = int32(b)
+	g.weight[at] = w
+	g.rowEnd[a] = at + 1
+}
+
+// minRowSlack is the fixed part of the free slots every row keeps after its
+// live entries (rowSlack). It covers a satellite row, which gains at most a
+// couple of uplinks per tick.
+const minRowSlack = 2
+
+// rowSlack is the number of free slots Build and compactFrozen leave after
+// a row of degree live: minRowSlack plus one eighth of the degree. A
+// ground-station row cannot live on the fixed part: on Starlink Gen2 a
+// station holds ~90 uplinks and its count moves by more than two in most
+// ticks, so the part in proportion to the degree is what keeps PatchFrozen
+// from compacting the whole image. Slack changes no query result — scans
+// cover only the live range [rowStart[v], rowEnd[v]).
+func rowSlack(live int32) int32 {
+	return minRowSlack + live/8
+}
+
+// layoutRows is the row layout Build and compactFrozen share. It takes each
+// row's live entry count in rowEnd and lays the rows out back to back, each
+// followed by its rowSlack free slots: rowStart receives the row offsets
+// (len(rowEnd)+1 of them) and rowEnd is reset to rowStart, an empty row
+// the caller fills. It returns the number of slots the image needs.
+func layoutRows(rowStart, rowEnd []int32) int {
+	off := int32(0)
+	for v, live := range rowEnd {
+		rowStart[v] = off
+		rowEnd[v] = off
+		off += live + rowSlack(live)
+	}
+	rowStart[len(rowEnd)] = off
+	return int(off)
 }
 
 // widenWeights folds one edge weight into wmin and wmax.
@@ -219,25 +171,22 @@ func (g *Graph) sumsMayAbsorb() bool {
 	return g.wmin*(1<<50) <= float64(g.n)*g.wmax
 }
 
-// CopyFrozenFrom clones src's frozen CSR image into g, reusing g's backing
-// arrays. It is the cheap half of the steady-state graph path: three flat
-// array copies replace the per-edge adjacency rebuild plus re-freeze, and
-// PatchFrozen then applies the tick's link deltas on top. src must be
-// frozen and is only read, so a published snapshot's graph can be cloned
-// while concurrent readers query it. g ends up frozen and patched (its
-// adjacency lists are stale until Reset); g and src must be distinct.
+// CopyFrozenFrom clones src's CSR image into g, reusing g's backing
+// arrays. It is the cheap half of the steady-state graph path: four flat
+// array copies replace a Build from the link list, and PatchFrozen then
+// applies the tick's link deltas on top. src is only read, so a published
+// snapshot's graph can be cloned while concurrent readers query it; g and
+// src must be distinct.
 func (g *Graph) CopyFrozenFrom(src *Graph) error {
-	if src == nil || !src.frozen {
-		return fmt.Errorf("graph: CopyFrozenFrom needs a frozen source")
+	if src == nil {
+		return fmt.Errorf("graph: CopyFrozenFrom a nil graph")
 	}
 	if src == g {
 		return fmt.Errorf("graph: CopyFrozenFrom from itself")
 	}
 	g.n = src.n
-	g.m = src.m
 	g.zeroW = src.zeroW
 	g.wmin, g.wmax = src.wmin, src.wmax
-	g.patchSlack = src.patchSlack
 	g.rowStart = resizeSlice(g.rowStart, len(src.rowStart))
 	copy(g.rowStart, src.rowStart)
 	g.rowEnd = resizeSlice(g.rowEnd, len(src.rowEnd))
@@ -246,46 +195,33 @@ func (g *Graph) CopyFrozenFrom(src *Graph) error {
 	copy(g.edgeTo, src.edgeTo)
 	g.weight = resizeSlice(g.weight, len(src.weight))
 	copy(g.weight, src.weight)
-	g.frozen = true
-	g.patched = true
 	return nil
 }
 
-// defaultPatchSlack is the fixed per-row slack a compaction re-spreads the
-// image with when the original freeze reserved none.
-const defaultPatchSlack = 4
-
-// PatchFrozen applies per-link edge deltas directly to the frozen CSR
-// image: weight changes are written in place on both directed entries,
-// removals swap the entry with its row's last live one (shrinking the live
-// range and returning the slot to slack), and additions fill a slack slot —
-// forcing a compaction that re-spreads every row with fresh slack when the
-// row is full. Deltas follow the EdgeDelta convention of RepairSSSP: a
-// negative side marks absence, and every (A, B, OldW) of a removal or
-// weight change must name exactly the live entry the image holds (the
-// per-link merged deltas of a constellation diff do).
+// PatchFrozen applies per-link edge deltas to the CSR image in place:
+// weight changes are written on both directed entries, removals swap the
+// entry with its row's last live one (shrinking the live range and
+// returning the slot to the row's free slots), and additions fill a free
+// slot — forcing a compaction that re-spreads every row with fresh slack
+// when the row is full. Deltas follow the EdgeDelta convention of
+// RepairSSSP: a negative side marks absence, and every (A, B, OldW) of a
+// removal or weight change must name exactly the live entry the image
+// holds (the per-link merged deltas of a constellation diff do).
 //
-// Slack follows FreezeSlack's rule, slack + k/8 slots for a row of degree
-// k at the last freeze or compaction, and a compaction rebuilds the whole
-// image. A list that puts its removals before its additions (as the
-// constellation's does) keeps each row at or below the larger of its old
-// and new degree, so a row overflows only when its degree outgrows that
-// slack.
+// A row keeps rowSlack free slots from the last Build or compaction, and a
+// compaction rebuilds the whole image. A list that puts its removals
+// before its additions (as the constellation's does) keeps each row at or
+// below the larger of its old and new degree, so a row overflows only when
+// its degree outgrows that slack.
 //
-// Patching mutates only the CSR arrays; the adjacency lists are stale
-// afterwards and only Reset leaves the patched mode (Freeze panics to keep
-// a stale rebuild from silently reverting patches). Because the canonical
-// tie-break of runHeap makes shortest paths independent of row order, a
-// patched image yields bit-identical Dijkstra and RepairSSSP results to a
-// graph rebuilt and frozen from scratch with the same edge set.
+// Because the canonical tie-break of runHeap makes shortest paths
+// independent of row order, a patched image yields bit-identical Dijkstra
+// and RepairSSSP results to a Build of the same edge set.
 //
 // On an unmatched delta the image is left partially patched and an error is
-// returned; the caller must rebuild from scratch (the constellation pool
-// falls back to the full assembly path).
+// returned; the caller must Build from scratch (the constellation pool
+// falls back to building from the link list).
 func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
-	if !g.frozen {
-		return fmt.Errorf("graph: PatchFrozen on an unfrozen graph")
-	}
 	for _, d := range deltas {
 		if err := d.check(g.n); err != nil {
 			return err
@@ -293,17 +229,15 @@ func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
 		if d.OldW < 0 && d.NewW < 0 {
 			continue // absent on both sides: nothing to do
 		}
-		g.patched = true
 		g.widenWeights(d.NewW)
 		switch {
 		case d.OldW < 0:
-			// Addition into the slack slots of both rows.
+			// Addition into the free slots of both rows.
 			if d.NewW == 0 {
 				g.zeroW = true
 			}
 			g.addDirected(d.A, d.B, d.NewW)
 			g.addDirected(d.B, d.A, d.NewW)
-			g.m++
 		case d.NewW < 0:
 			// Removal: swap with the last live entry of each row.
 			if err := g.removeDirected(d.A, d.B, d.OldW); err != nil {
@@ -312,7 +246,6 @@ func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
 			if err := g.removeDirected(d.B, d.A, d.OldW); err != nil {
 				return err
 			}
-			g.m--
 		default:
 			if d.NewW == 0 {
 				g.zeroW = true
@@ -328,20 +261,13 @@ func (g *Graph) PatchFrozen(deltas []EdgeDelta) error {
 	return nil
 }
 
-// addDirected appends a directed CSR entry into row a's slack, compacting
-// the whole image first when the row is full.
+// addDirected appends a directed CSR entry into row a's free slots,
+// compacting the whole image first when the row is full.
 func (g *Graph) addDirected(a, b int, w float64) {
 	if g.rowEnd[a] == g.rowStart[a+1] {
-		slack := g.patchSlack
-		if slack <= 0 {
-			slack = defaultPatchSlack
-		}
-		g.compactFrozen(slack)
+		g.compactFrozen()
 	}
-	at := g.rowEnd[a]
-	g.edgeTo[at] = int32(b)
-	g.weight[at] = w
-	g.rowEnd[a] = at + 1
+	g.appendDirected(a, b, w)
 }
 
 // removeDirected deletes the directed entry (a -> b, weight w) by swapping
@@ -371,38 +297,30 @@ func (g *Graph) reweightDirected(a, b int, oldW, newW float64) error {
 	return fmt.Errorf("graph: patch reweight (%d, %d, %v): no such edge", a, b, oldW)
 }
 
-// compactFrozen re-spreads the CSR image so every row gets free slots
-// again, rowSlack(slack, k) for a row of degree k, using the scratch arrays
-// kept on the graph (the periodic compaction of a long patch chain
-// allocates nothing once warm). Live entries keep their order, so
-// compaction never changes a query result.
-func (g *Graph) compactFrozen(slack int) {
-	dir := 0
-	for v := 0; v < g.n; v++ {
-		live := g.rowEnd[v] - g.rowStart[v]
-		dir += int(live + rowSlack(slack, live))
-	}
+// compactFrozen re-spreads the CSR image so every row gets rowSlack free
+// slots again, using the scratch arrays kept on the graph (the periodic
+// compaction of a long patch chain allocates nothing once warm). Live
+// entries keep their order, so compaction never changes a query result.
+func (g *Graph) compactFrozen() {
 	s := &g.csrScratch
 	s.rowStart = resizeSlice(s.rowStart, g.n+1)
 	s.rowEnd = resizeSlice(s.rowEnd, g.n)
+	for v := range s.rowEnd {
+		s.rowEnd[v] = g.rowEnd[v] - g.rowStart[v]
+	}
+	dir := layoutRows(s.rowStart, s.rowEnd)
 	s.edgeTo = resizeSlice(s.edgeTo, dir)
 	s.weight = resizeSlice(s.weight, dir)
-	off := int32(0)
-	for v := 0; v < g.n; v++ {
-		s.rowStart[v] = off
-		n := g.rowEnd[v] - g.rowStart[v]
-		copy(s.edgeTo[off:off+n], g.edgeTo[g.rowStart[v]:g.rowEnd[v]])
-		copy(s.weight[off:off+n], g.weight[g.rowStart[v]:g.rowEnd[v]])
-		off += n
-		s.rowEnd[v] = off
-		off += rowSlack(slack, n)
+	for v := range s.rowEnd {
+		at := s.rowEnd[v]
+		k := int32(copy(s.edgeTo[at:], g.edgeTo[g.rowStart[v]:g.rowEnd[v]]))
+		copy(s.weight[at:], g.weight[g.rowStart[v]:g.rowEnd[v]])
+		s.rowEnd[v] = at + k
 	}
-	s.rowStart[g.n] = off
 	g.rowStart, s.rowStart = s.rowStart, g.rowStart
 	g.rowEnd, s.rowEnd = s.rowEnd, g.rowEnd
 	g.edgeTo, s.edgeTo = s.edgeTo, g.edgeTo
 	g.weight, s.weight = s.weight, g.weight
-	g.patchSlack = slack
 }
 
 // resizeSlice returns s with length n, reusing its backing array when large
@@ -414,14 +332,13 @@ func resizeSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// FrozenRow appends node v's live entries from the frozen CSR image to buf
-// and returns it. Unlike the adjacency lists it reflects PatchFrozen
-// mutations, so differential tests can compare a patched image against a
-// rebuilt one; entry order within a row is unspecified (patching reorders
+// FrozenRow appends node v's live entries from the CSR image to buf and
+// returns it, so differential tests can compare a patched image against a
+// built one. Entry order within a row is unspecified (patching reorders
 // rows), so callers should compare rows as sets. It returns buf unchanged
-// when the graph is not frozen or v is out of range.
+// when v is out of range.
 func (g *Graph) FrozenRow(v int, buf []Edge) []Edge {
-	if !g.frozen || v < 0 || v >= g.n {
+	if v < 0 || v >= g.n {
 		return buf
 	}
 	for idx := g.rowStart[v]; idx < g.rowEnd[v]; idx++ {
@@ -430,11 +347,10 @@ func (g *Graph) FrozenRow(v int, buf []Edge) []Edge {
 	return buf
 }
 
-// FrozenHasEdge reports whether node a's live frozen row holds an entry to
-// b. Like FrozenRow it reads the CSR image, so it is correct on patched
-// graphs; it is false when the graph is not frozen or a node is out of range.
+// FrozenHasEdge reports whether node a's live row holds an entry to b; it
+// is false when a node is out of range.
 func (g *Graph) FrozenHasEdge(a, b int) bool {
-	if !g.frozen || a < 0 || a >= g.n || b < 0 || b >= g.n {
+	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		return false
 	}
 	for idx := g.rowStart[a]; idx < g.rowEnd[a]; idx++ {
@@ -555,14 +471,12 @@ func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist [
 }
 
 // dijkstra is the shared Dijkstra core: dist and prev are used as result
-// backing when large enough, h as queue scratch when non-nil. It scans the
-// frozen CSR image, building it first if a mutation invalidated it.
+// backing when large enough, h as queue scratch when non-nil.
 func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, prev []int, h *frontier) (ShortestPaths, error) {
 	sp := ShortestPaths{Source: src}
 	if src < 0 || src >= g.n {
 		return sp, fmt.Errorf("graph: source %d out of range [0, %d)", src, g.n)
 	}
-	g.Freeze()
 	if cap(dist) < g.n {
 		dist = make([]float64, g.n)
 	}
@@ -586,7 +500,7 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 	return sp, nil
 }
 
-// runHeap drains h, settling nodes over the frozen CSR arrays. It is the
+// runHeap drains h, settling nodes over the CSR arrays. It is the
 // shared engine of full Dijkstra runs (queue seeded with the source) and
 // RepairSSSP (queue seeded with the affected cone's boundary).
 //

@@ -10,36 +10,37 @@ import (
 
 // lineGraph builds 0-1-2-...-n-1 with unit weights.
 func lineGraph(t testing.TB, n int) *Graph {
-	g := New(n)
+	l := edgeList{n: n}
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1, 1); err != nil {
+		if err := l.AddEdge(i, i+1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return l.Graph()
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(-1, 0, 1); err == nil {
+	l := edgeList{n: 3}
+	if err := l.AddEdge(-1, 0, 1); err == nil {
 		t.Error("accepted negative node")
 	}
-	if err := g.AddEdge(0, 3, 1); err == nil {
+	if err := l.AddEdge(0, 3, 1); err == nil {
 		t.Error("accepted out-of-range node")
 	}
-	if err := g.AddEdge(1, 1, 1); err == nil {
+	if err := l.AddEdge(1, 1, 1); err == nil {
 		t.Error("accepted self loop")
 	}
-	if err := g.AddEdge(0, 1, -2); err == nil {
+	if err := l.AddEdge(0, 1, -2); err == nil {
 		t.Error("accepted negative weight")
 	}
-	if err := g.AddEdge(0, 1, math.NaN()); err == nil {
+	if err := l.AddEdge(0, 1, math.NaN()); err == nil {
 		t.Error("accepted NaN weight")
 	}
-	if err := g.AddEdge(0, 1, 5); err != nil {
+	if err := l.AddEdge(0, 1, 5); err != nil {
 		t.Errorf("rejected valid edge: %v", err)
 	}
-	if g.m != 1 || len(g.adj[0]) != 1 || len(g.adj[1]) != 1 {
+	g := l.Graph()
+	if len(l.edges) != 1 || len(g.FrozenRow(0, nil)) != 1 || len(g.FrozenRow(1, nil)) != 1 {
 		t.Error("edge bookkeeping wrong")
 	}
 }
@@ -65,15 +66,7 @@ func TestDijkstraLine(t *testing.T) {
 func TestDijkstraPrefersCheaperRoute(t *testing.T) {
 	//    0 --10-- 1
 	//    0 --1--- 2 --1-- 1
-	g := New(3)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.AddEdge(0, 1, 10))
-	must(g.AddEdge(0, 2, 1))
-	must(g.AddEdge(2, 1, 1))
+	g := buildGraph(t, 3, []testEdge{{0, 1, 10}, {0, 2, 1}, {2, 1, 1}})
 	sp, err := g.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +80,7 @@ func TestDijkstraPrefersCheaperRoute(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := New(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := buildGraph(t, 4, []testEdge{{0, 1, 1}})
 	sp, err := g.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +94,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestDijkstraInvalidSource(t *testing.T) {
-	g := New(2)
+	g := buildGraph(t, 2, nil)
 	if _, err := g.Dijkstra(5); err == nil {
 		t.Error("accepted out-of-range source")
 	}
@@ -114,16 +104,17 @@ func TestFloydWarshallMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(30)
-		g := New(n)
+		l := edgeList{n: n}
 		for i := 0; i < 3*n; i++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a == b {
 				continue
 			}
-			if err := g.AddEdge(a, b, float64(1+rng.Intn(100))); err != nil {
+			if err := l.AddEdge(a, b, float64(1+rng.Intn(100))); err != nil {
 				t.Fatal(err)
 			}
 		}
+		g := l.Graph()
 		ap := g.FloydWarshall()
 		for src := 0; src < n; src++ {
 			sp, err := g.Dijkstra(src)
@@ -144,7 +135,7 @@ func TestFloydWarshallMatchesDijkstra(t *testing.T) {
 func TestFloydWarshallPathValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 25
-	g := New(n)
+	l := edgeList{n: n}
 	weights := map[[2]int]float64{}
 	for i := 0; i < 4*n; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
@@ -152,7 +143,7 @@ func TestFloydWarshallPathValid(t *testing.T) {
 			continue
 		}
 		w := float64(1 + rng.Intn(50))
-		if err := g.AddEdge(a, b, w); err != nil {
+		if err := l.AddEdge(a, b, w); err != nil {
 			t.Fatal(err)
 		}
 		key := [2]int{min(a, b), max(a, b)}
@@ -160,7 +151,7 @@ func TestFloydWarshallPathValid(t *testing.T) {
 			weights[key] = w
 		}
 	}
-	ap := g.FloydWarshall()
+	ap := l.Graph().FloydWarshall()
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			path := ap.Path(a, b)
@@ -195,14 +186,14 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(15)
-		g := New(n)
+		l := edgeList{n: n}
 		for i := 0; i < 2*n; i++ {
 			a, b := r.Intn(n), r.Intn(n)
 			if a != b {
-				_ = g.AddEdge(a, b, float64(1+r.Intn(20)))
+				_ = l.AddEdge(a, b, float64(1+r.Intn(20)))
 			}
 		}
-		ap := g.FloydWarshall()
+		ap := l.Graph().FloydWarshall()
 		a, b, c := rng.Intn(n), rng.Intn(n), rng.Intn(n)
 		ab, bc, ac := ap.Dist(a, b), ap.Dist(b, c), ap.Dist(a, c)
 		if math.IsInf(ab, 1) || math.IsInf(bc, 1) {
@@ -218,14 +209,14 @@ func TestTriangleInequalityProperty(t *testing.T) {
 func TestSymmetryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 20
-	g := New(n)
+	l := edgeList{n: n}
 	for i := 0; i < 3*n; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a != b {
-			_ = g.AddEdge(a, b, rng.Float64()*10)
+			_ = l.AddEdge(a, b, rng.Float64()*10)
 		}
 	}
-	ap := g.FloydWarshall()
+	ap := l.Graph().FloydWarshall()
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if d1, d2 := ap.Dist(a, b), ap.Dist(b, a); d1 != d2 {
@@ -236,13 +227,7 @@ func TestSymmetryProperty(t *testing.T) {
 }
 
 func TestParallelEdgesUseCheapest(t *testing.T) {
-	g := New(2)
-	if err := g.AddEdge(0, 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
+	g := buildGraph(t, 2, []testEdge{{0, 1, 10}, {0, 1, 3}})
 	sp, err := g.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
@@ -258,21 +243,21 @@ func TestParallelEdgesUseCheapest(t *testing.T) {
 // torus builds the +GRID-like 2D torus with w*h nodes, the topology shape
 // of a constellation shell.
 func torus(t testing.TB, w, h int) *Graph {
-	g := New(w * h)
+	l := edgeList{n: w * h}
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
 			id := x*h + y
 			right := ((x+1)%w)*h + y
 			up := x*h + (y+1)%h
-			if err := g.AddEdge(id, right, 1); err != nil {
+			if err := l.AddEdge(id, right, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.AddEdge(id, up, 1); err != nil {
+			if err := l.AddEdge(id, up, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return g
+	return l.Graph()
 }
 
 func TestTorusDistances(t *testing.T) {
@@ -320,15 +305,7 @@ func max(a, b int) int {
 func TestDijkstraTransit(t *testing.T) {
 	// 0 --1-- 1 --1-- 2 and a direct 0 --5-- 2. If node 1 cannot act as
 	// transit, the direct edge must be used.
-	g := New(3)
-	for _, e := range []struct {
-		a, b int
-		w    float64
-	}{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}} {
-		if err := g.AddEdge(e.a, e.b, e.w); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 3, []testEdge{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}})
 	sp, err := g.DijkstraTransit(0, func(n int) bool { return n != 1 })
 	if err != nil {
 		t.Fatal(err)
@@ -352,16 +329,17 @@ func TestDijkstraTransit(t *testing.T) {
 
 func TestDijkstraTransitIntoMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := New(64)
+	l := edgeList{n: 64}
 	for i := 0; i < 200; i++ {
 		a, b := rng.Intn(64), rng.Intn(64)
 		if a == b {
 			continue
 		}
-		if err := g.AddEdge(a, b, rng.Float64()*10); err != nil {
+		if err := l.AddEdge(a, b, rng.Float64()*10); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := l.Graph()
 	var ws Workspace
 	dist := make([]float64, 64)
 	prev := make([]int, 64)
@@ -396,102 +374,51 @@ func TestDijkstraTransitIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
-func TestGraphReset(t *testing.T) {
-	g := lineGraph(t, 5)
-	if g.n != 5 || g.m != 4 {
-		t.Fatalf("line graph shape %d/%d", g.n, g.m)
+// TestBuildKeepsInsertionOrder: Build lists each row's entries in the
+// order of the edges that insert them. Trees depend on that order where
+// weights are zero — the canonical tie-break leaves zero-weight ties to the
+// scan order — so the same edge list must always give the same tree.
+func TestBuildKeepsInsertionOrder(t *testing.T) {
+	edges := []testEdge{{0, 1, 0}, {0, 2, 0}, {2, 3, 0}, {1, 3, 0}, {2, 1, 1}}
+	g := buildGraph(t, 4, edges)
+	want := [][]Edge{
+		{{1, 0}, {2, 0}},
+		{{0, 0}, {3, 0}, {2, 1}},
+		{{0, 0}, {3, 0}, {1, 1}},
+		{{2, 0}, {1, 0}},
 	}
-	g.Reset(3)
-	if g.n != 3 || g.m != 0 {
-		t.Fatalf("after Reset(3): %d nodes, %d edges", g.n, g.m)
-	}
-	for v := 0; v < 3; v++ {
-		if len(g.adj[v]) != 0 {
-			t.Fatalf("node %d kept neighbors after reset", v)
+	for v, row := range want {
+		if got := g.FrozenRow(v, nil); !reflect.DeepEqual(got, row) {
+			t.Errorf("row %d = %v, want %v", v, got, row)
 		}
 	}
-	// Growing past the original capacity works too.
-	g.Reset(8)
-	if g.n != 8 {
-		t.Fatalf("after Reset(8): %d nodes", g.n)
-	}
-	if err := g.AddEdge(6, 7, 1); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := g.Dijkstra(6)
+	// Every node sits at distance 0 from node 0, and node 3 has two
+	// zero-weight supporters, 1 and 2. Whichever settles first becomes
+	// its predecessor, and that follows row 0's order, so reversing the
+	// edge list changes the tree.
+	sp, err := g.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Dist[7] != 1 || !math.IsInf(sp.Dist[0], 1) {
-		t.Fatalf("rebuilt graph distances wrong: %v", sp.Dist)
+	rev := make([]testEdge, len(edges))
+	for i, e := range edges {
+		rev[len(edges)-1-i] = e
 	}
-	g.Reset(-1)
-	if g.n != 0 {
-		t.Fatalf("Reset(-1) -> %d nodes", g.n)
+	spRev, err := buildGraph(t, 4, rev).Dijkstra(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestAddEdgeUncheckedMatchesAddEdge(t *testing.T) {
-	a, b := New(5), New(5)
-	type e struct {
-		u, v int
-		w    float64
+	if !reflect.DeepEqual(sp.Dist, spRev.Dist) {
+		t.Fatalf("distances depend on edge order: %v vs %v", sp.Dist, spRev.Dist)
 	}
-	edges := []e{{0, 1, 1.5}, {1, 2, 0.25}, {2, 4, 3}, {0, 4, 0.1}}
-	for _, ed := range edges {
-		if err := a.AddEdge(ed.u, ed.v, ed.w); err != nil {
-			t.Fatal(err)
-		}
-		b.AddEdgeUnchecked(ed.u, ed.v, ed.w)
+	if reflect.DeepEqual(sp.Prev, spRev.Prev) {
+		t.Errorf("zero-weight tree %v does not depend on edge order: the case no longer tells orders apart", sp.Prev)
 	}
-	if a.m != b.m {
-		t.Fatalf("edge counts differ: %d vs %d", a.m, b.m)
+	again, err := buildGraph(t, 4, edges).Dijkstra(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := 0; v < 5; v++ {
-		an, bn := a.adj[v], b.adj[v]
-		if len(an) != len(bn) {
-			t.Fatalf("node %d degree: %d vs %d", v, len(an), len(bn))
-		}
-		for i := range an {
-			if an[i] != bn[i] {
-				t.Fatalf("node %d adjacency %d: %+v vs %+v", v, i, an[i], bn[i])
-			}
-		}
-	}
-	spA, err1 := a.Dijkstra(0)
-	spB, err2 := b.Dijkstra(0)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for v := range spA.Dist {
-		if spA.Dist[v] != spB.Dist[v] {
-			t.Fatalf("dist %d: %v vs %v", v, spA.Dist[v], spB.Dist[v])
-		}
-	}
-}
-
-func BenchmarkAddEdgeChecked(b *testing.B) {
-	g := New(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%10000 == 0 {
-			g.Reset(1000)
-		}
-		if err := g.AddEdge(i%999, (i+1)%999, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAddEdgeUnchecked(b *testing.B) {
-	g := New(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%10000 == 0 {
-			g.Reset(1000)
-		}
-		g.AddEdgeUnchecked(i%999, (i+1)%999, 1)
+	if !reflect.DeepEqual(sp.Prev, again.Prev) {
+		t.Errorf("the same edge list gave trees %v and %v", sp.Prev, again.Prev)
 	}
 }

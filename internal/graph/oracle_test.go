@@ -6,15 +6,28 @@ import (
 )
 
 // The graph tests' builder and their all-pairs reference: the product
-// inserts validated edges with AddEdgeUnchecked and answers single-source
-// queries with Dijkstra and RepairSSSP.
+// builds graphs from validated edge lists with Build and answers
+// single-source queries with Dijkstra and RepairSSSP.
 
-// AddEdge inserts an undirected edge between a and b. Negative weights and
+// testEdge is one undirected edge of a test topology.
+type testEdge struct {
+	a, b int
+	w    float64
+}
+
+// edgeList collects the edges of an n-node test graph, checked the way a
+// product caller checks its edges before they reach Build.
+type edgeList struct {
+	n     int
+	edges []testEdge
+}
+
+// AddEdge appends an undirected edge between a and b. Negative weights and
 // out-of-range nodes are rejected; parallel edges are allowed (shortest
 // path computations simply use the cheaper one).
-func (g *Graph) AddEdge(a, b int, weight float64) error {
-	if a < 0 || a >= g.n || b < 0 || b >= g.n {
-		return fmt.Errorf("graph: edge (%d, %d) out of range [0, %d)", a, b, g.n)
+func (l *edgeList) AddEdge(a, b int, weight float64) error {
+	if a < 0 || a >= l.n || b < 0 || b >= l.n {
+		return fmt.Errorf("graph: edge (%d, %d) out of range [0, %d)", a, b, l.n)
 	}
 	if a == b {
 		return fmt.Errorf("graph: self-loop on node %d", a)
@@ -22,8 +35,29 @@ func (g *Graph) AddEdge(a, b int, weight float64) error {
 	if weight < 0 || math.IsNaN(weight) {
 		return fmt.Errorf("graph: invalid weight %v on edge (%d, %d)", weight, a, b)
 	}
-	g.AddEdgeUnchecked(a, b, weight)
+	l.edges = append(l.edges, testEdge{a, b, weight})
 	return nil
+}
+
+// Graph builds the list.
+func (l *edgeList) Graph() *Graph { return build(l.n, l.edges) }
+
+// build materializes an edge list as is.
+func build(n int, edges []testEdge) *Graph {
+	g := new(Graph)
+	g.Build(n, len(edges), func(i int) (int, int, float64) {
+		return edges[i].a, edges[i].b, edges[i].w
+	})
+	return g
+}
+
+// liveEntries counts the directed entries of g's image, two per edge.
+func liveEntries(g *Graph) int {
+	k := 0
+	for v := 0; v < g.n; v++ {
+		k += int(g.rowEnd[v] - g.rowStart[v])
+	}
+	return k
 }
 
 // AllPairs is the result of a Floyd-Warshall run: a dense N×N distance
@@ -52,11 +86,12 @@ func (g *Graph) FloydWarshall() *AllPairs {
 		ap.dist[i*n+i] = 0
 		ap.next[i*n+i] = int32(i)
 	}
-	for u, edges := range g.adj {
-		for _, e := range edges {
-			if e.Weight < ap.dist[u*n+e.To] {
-				ap.dist[u*n+e.To] = e.Weight
-				ap.next[u*n+e.To] = int32(e.To)
+	for u := 0; u < n; u++ {
+		for idx := g.rowStart[u]; idx < g.rowEnd[u]; idx++ {
+			to, w := int(g.edgeTo[idx]), g.weight[idx]
+			if w < ap.dist[u*n+to] {
+				ap.dist[u*n+to] = w
+				ap.next[u*n+to] = int32(to)
 			}
 		}
 	}

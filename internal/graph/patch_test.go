@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -10,7 +13,7 @@ import (
 // from a small quantized set, so that regenerated graphs share weights and
 // weight-change deltas can name exact old values.
 func randomPatchGraph(rng *rand.Rand, n int, extra int) (*Graph, map[[2]int]float64) {
-	g := New(n)
+	var list []testEdge
 	edges := make(map[[2]int]float64)
 	add := func(a, b int, w float64) {
 		if a > b {
@@ -20,7 +23,7 @@ func randomPatchGraph(rng *rand.Rand, n int, extra int) (*Graph, map[[2]int]floa
 			return
 		}
 		edges[[2]int{a, b}] = w
-		g.AddEdgeUnchecked(a, b, w)
+		list = append(list, testEdge{a, b, w})
 	}
 	for v := 1; v < n; v++ {
 		add(rng.Intn(v), v, quantW(rng))
@@ -31,46 +34,46 @@ func randomPatchGraph(rng *rand.Rand, n int, extra int) (*Graph, map[[2]int]floa
 			add(a, b, quantW(rng))
 		}
 	}
-	return g, edges
+	return build(n, list), edges
 }
 
 func quantW(rng *rand.Rand) float64 { return float64(1+rng.Intn(40)) * 0.25 }
 
-// rebuildFromEdges constructs a fresh graph holding exactly the given edge
-// set — the from-scratch oracle a patched image must match.
+// rebuildFromEdges builds a fresh graph holding exactly the given edge set
+// — the from-scratch oracle a patched image must match.
 func rebuildFromEdges(n int, edges map[[2]int]float64) *Graph {
-	g := New(n)
 	// Deterministic insertion order (sorted) — results must not depend on
 	// it thanks to the canonical tie-break, but determinism keeps failures
 	// reproducible.
+	keys := sortedKeys(edges)
+	list := make([]testEdge, len(keys))
+	for i, k := range keys {
+		list[i] = testEdge{k[0], k[1], edges[k]}
+	}
+	return build(n, list)
+}
+
+// sortedKeys returns the edge set's endpoint pairs in ascending order, so
+// that walks over the set are reproducible.
+func sortedKeys(edges map[[2]int]float64) [][2]int {
 	keys := make([][2]int, 0, len(edges))
 	for k := range edges {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less2(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
 		}
-	}
-	for _, k := range keys {
-		g.AddEdgeUnchecked(k[0], k[1], edges[k])
-	}
-	g.Freeze()
-	return g
-}
-
-func less2(a, b [2]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
+		return keys[i][1] < keys[j][1]
+	})
+	return keys
 }
 
 // assertSameSSSP asserts bit-identical Dijkstra results from every source.
 func assertSameSSSP(t *testing.T, want, got *Graph, ctx string) {
 	t.Helper()
-	if want.n != got.n || want.m != got.m {
-		t.Fatalf("%s: shape mismatch: %d/%d nodes, %d/%d edges", ctx, want.n, got.n, want.m, got.m)
+	if want.n != got.n || liveEntries(want) != liveEntries(got) {
+		t.Fatalf("%s: shape mismatch: %d/%d nodes, %d/%d entries", ctx, want.n, got.n, liveEntries(want), liveEntries(got))
 	}
 	for src := 0; src < want.n; src++ {
 		a, err := want.Dijkstra(src)
@@ -121,13 +124,16 @@ func mutatePatch(rng *rand.Rand, n int, edges map[[2]int]float64) (EdgeDelta, bo
 			return EdgeDelta{A: a, B: b, OldW: -1, NewW: w}, true
 		}
 	case 1: // remove
-		for k, w := range edges {
+		if keys := sortedKeys(edges); len(keys) > 0 {
+			k := keys[rng.Intn(len(keys))]
+			w := edges[k]
 			delete(edges, k)
 			return EdgeDelta{A: k[0], B: k[1], OldW: w, NewW: -1}, true
 		}
 	default: // reweight
-		for k, w := range edges {
-			nw := quantW(rng)
+		if keys := sortedKeys(edges); len(keys) > 0 {
+			k := keys[rng.Intn(len(keys))]
+			w, nw := edges[k], quantW(rng)
 			if nw == w {
 				nw += 0.25
 			}
@@ -138,18 +144,16 @@ func mutatePatch(rng *rand.Rand, n int, edges map[[2]int]float64) (EdgeDelta, bo
 	return EdgeDelta{}, false
 }
 
-// TestPatchFrozenDifferential is the core tentpole invariant: a frozen
-// image maintained purely by CopyFrozenFrom + PatchFrozen over many random
-// delta batches yields Dijkstra results bit-identical to a graph rebuilt
-// and frozen from scratch with the same edge set, and its live rows hold
-// exactly the same edge multiset.
+// TestPatchFrozenDifferential is the patch path's core invariant: an image
+// maintained purely by CopyFrozenFrom + PatchFrozen over many random delta
+// batches yields Dijkstra results bit-identical to a Build of the same
+// edge set, and its live rows hold exactly the same edge multiset.
 func TestPatchFrozenDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 60
 	base, edges := randomPatchGraph(rng, n, 90)
-	base.FreezeSlack(2)
 
-	patched := New(n)
+	patched := new(Graph)
 	if err := patched.CopyFrozenFrom(base); err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +195,10 @@ func TestPatchFrozenHubStopsCompacting(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	const n, hubDegree = 240, 90
 	const delta = hubDegree / 8
-	g := New(n)
+	var list []testEdge
 	edges := make(map[[2]int]float64)
 	link := func(a, b int, w float64) {
-		g.AddEdgeUnchecked(a, b, w)
+		list = append(list, testEdge{a, b, w})
 		edges[[2]int{a, b}] = w
 	}
 	for v := 2; v < n; v++ {
@@ -208,9 +212,8 @@ func TestPatchFrozenHubStopsCompacting(t *testing.T) {
 	for _, v := range hub {
 		link(0, v, quantW(rng))
 	}
-	g.FreezeSlack(2)
 
-	images := [2]*Graph{g, New(n)}
+	images := [2]*Graph{build(n, list), new(Graph)}
 	for round := 0; round < 40; round++ {
 		prev, next := images[round%2], images[(round+1)%2]
 		if err := next.CopyFrozenFrom(prev); err != nil {
@@ -256,8 +259,7 @@ func TestPatchFrozenRepairSSSP(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 80
 	base, edges := randomPatchGraph(rng, n, 140)
-	base.FreezeSlack(2)
-	patched := New(n)
+	patched := new(Graph)
 	if err := patched.CopyFrozenFrom(base); err != nil {
 		t.Fatal(err)
 	}
@@ -298,15 +300,12 @@ func TestPatchFrozenRepairSSSP(t *testing.T) {
 // the compaction path runs, and checks results stay exact.
 func TestPatchFrozenSlackOverflow(t *testing.T) {
 	const n = 12
-	g := New(n)
 	edges := make(map[[2]int]float64)
 	for v := 1; v < n; v++ {
-		g.AddEdgeUnchecked(v-1, v, 1)
 		edges[[2]int{v - 1, v}] = 1
 	}
-	g.Freeze() // zero slack: the very first addition must compact
-	patched := New(n)
-	if err := patched.CopyFrozenFrom(g); err != nil {
+	patched := new(Graph)
+	if err := patched.CopyFrozenFrom(rebuildFromEdges(n, edges)); err != nil {
 		t.Fatal(err)
 	}
 	var deltas []EdgeDelta
@@ -320,18 +319,19 @@ func TestPatchFrozenSlackOverflow(t *testing.T) {
 	if err := patched.PatchFrozen(deltas); err != nil {
 		t.Fatal(err)
 	}
+	if patched.csrScratch.edgeTo == nil {
+		t.Fatal("node 0 gained 10 entries past a slack of 2 without a compaction")
+	}
 	assertSameSSSP(t, rebuildFromEdges(n, edges), patched, "slack overflow")
 }
 
 // TestPatchFrozenErrors covers the unmatched-delta and misuse error paths.
 func TestPatchFrozenErrors(t *testing.T) {
-	g := New(4)
-	g.AddEdgeUnchecked(0, 1, 1)
-	g.AddEdgeUnchecked(1, 2, 1)
-	if err := g.PatchFrozen(nil); err == nil {
-		t.Fatal("PatchFrozen on unfrozen graph succeeded")
+	var empty Graph
+	if err := empty.PatchFrozen([]EdgeDelta{{A: 0, B: 1, OldW: -1, NewW: 1}}); err == nil {
+		t.Fatal("the zero graph accepted an edge")
 	}
-	g.Freeze()
+	g := build(4, []testEdge{{0, 1, 1}, {1, 2, 1}})
 	if err := g.PatchFrozen([]EdgeDelta{{A: 0, B: 4, OldW: -1, NewW: 1}}); err == nil {
 		t.Fatal("out-of-range delta accepted")
 	}
@@ -341,20 +341,21 @@ func TestPatchFrozenErrors(t *testing.T) {
 	if err := g.PatchFrozen([]EdgeDelta{{A: 0, B: 1, OldW: 7, NewW: 3}}); err == nil {
 		t.Fatal("reweight with wrong old weight accepted")
 	}
-	var empty Graph
-	if err := empty.CopyFrozenFrom(g); err == nil {
-		// empty has n=0 via zero value; CopyFrozenFrom should still work
-		// only on frozen sources — g is frozen here, so this must succeed.
-		t.Log("copy from frozen source succeeded as expected")
-	} else {
-		t.Fatalf("CopyFrozenFrom frozen source failed: %v", err)
+	if err := empty.CopyFrozenFrom(g); err != nil {
+		t.Fatalf("CopyFrozenFrom into the zero graph: %v", err)
 	}
 	if err := g.CopyFrozenFrom(g); err == nil {
 		t.Fatal("CopyFrozenFrom self accepted")
 	}
-	var unfrozen Graph
-	if err := g.CopyFrozenFrom(&unfrozen); err == nil {
-		t.Fatal("CopyFrozenFrom unfrozen source accepted")
+	if err := g.CopyFrozenFrom(nil); err == nil {
+		t.Fatal("CopyFrozenFrom nil accepted")
+	}
+	// The zero graph is an empty one: copying it empties g.
+	if err := g.CopyFrozenFrom(new(Graph)); err != nil || g.n != 0 {
+		t.Fatalf("CopyFrozenFrom the zero graph: %d nodes, err %v", g.n, err)
+	}
+	if _, err := g.Dijkstra(0); err == nil {
+		t.Fatal("a query on the empty graph succeeded")
 	}
 }
 
@@ -362,12 +363,8 @@ func TestPatchFrozenErrors(t *testing.T) {
 // flags the graph so RepairSSSP refuses its fast path (falling back to an
 // exact full recompute).
 func TestPatchFrozenZeroWeight(t *testing.T) {
-	g := New(5)
-	for v := 1; v < 5; v++ {
-		g.AddEdgeUnchecked(v-1, v, 1)
-	}
-	g.FreezeSlack(2)
-	p := New(5)
+	g := build(5, []testEdge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}})
+	p := new(Graph)
 	if err := p.CopyFrozenFrom(g); err != nil {
 		t.Fatal(err)
 	}
@@ -391,56 +388,150 @@ func TestPatchFrozenZeroWeight(t *testing.T) {
 	}
 }
 
-// TestPatchFrozenResetLeavesPatchedMode documents the lifecycle: Freeze
-// after a patch panics, Reset returns the graph to the mutable regime.
-func TestPatchFrozenResetLeavesPatchedMode(t *testing.T) {
-	g := New(3)
-	g.AddEdgeUnchecked(0, 1, 1)
-	g.FreezeSlack(1)
-	p := New(3)
-	if err := p.CopyFrozenFrom(g); err != nil {
+// sameImage fails unless got holds the image a fresh Build made: the same
+// node count, row layout, live entries in the same order, and weight
+// bookkeeping. Free slots are not compared; no scan reads them.
+func sameImage(t *testing.T, ctx string, want, got *Graph) {
+	t.Helper()
+	if got.n != want.n || got.zeroW != want.zeroW ||
+		math.Float64bits(got.wmin) != math.Float64bits(want.wmin) ||
+		math.Float64bits(got.wmax) != math.Float64bits(want.wmax) {
+		t.Fatalf("%s: n/zeroW/wmin/wmax %d/%v/%v/%v, fresh %d/%v/%v/%v", ctx,
+			got.n, got.zeroW, got.wmin, got.wmax, want.n, want.zeroW, want.wmin, want.wmax)
+	}
+	if !reflect.DeepEqual(got.rowStart, want.rowStart) || !reflect.DeepEqual(got.rowEnd, want.rowEnd) {
+		t.Fatalf("%s: row layout differs from a fresh Build", ctx)
+	}
+	for v := 0; v < want.n; v++ {
+		if w, g := want.FrozenRow(v, nil), got.FrozenRow(v, nil); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: row %d = %v, fresh %v", ctx, v, g, w)
+		}
+	}
+}
+
+// TestBuildAfterPatchIsFresh: Build on a graph whose image was cloned,
+// patched past its slack (so it compacted), given a zero weight and a new
+// least weight yields exactly the image a Build on a new graph does,
+// whether the node count grows, shrinks or stays.
+func TestBuildAfterPatchIsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var path []testEdge
+	for v := 1; v < 30; v++ {
+		path = append(path, testEdge{v - 1, v, quantW(rng)})
+	}
+	p := new(Graph)
+	if err := p.CopyFrozenFrom(build(30, path)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PatchFrozen([]EdgeDelta{{A: 1, B: 2, OldW: -1, NewW: 2}}); err != nil {
+	deltas := []EdgeDelta{{A: 0, B: 1, OldW: path[0].w, NewW: 0}, {A: 0, B: 2, OldW: -1, NewW: 1e-3}}
+	for b := 3; b < 20; b++ {
+		deltas = append(deltas, EdgeDelta{A: 0, B: b, OldW: -1, NewW: 1})
+	}
+	if err := p.PatchFrozen(deltas); err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Freeze after patch did not panic")
+	if p.csrScratch.edgeTo == nil || !p.zeroW || p.wmin != 1e-3 {
+		t.Fatal("the patch did not compact, zero-weight and lower wmin the image")
+	}
+	for _, n := range []int{30, 50, 12} {
+		var list []testEdge
+		for v := 1; v < n; v++ {
+			list = append(list, testEdge{rng.Intn(v), v, quantW(rng)})
+		}
+		p.Build(n, len(list), func(i int) (int, int, float64) { return list[i].a, list[i].b, list[i].w })
+		fresh := build(n, list)
+		sameImage(t, fmt.Sprintf("rebuilt with %d nodes", n), fresh, p)
+		assertSameSSSP(t, fresh, p, "rebuilt")
+	}
+}
+
+// FuzzPatchMatchesBuild drives a chain of patched images the way the
+// snapshot pool does — each round clones the previous image and patches a
+// random delta batch into the clone — and holds every image to a Build of
+// the same edge set. A batch mixes removals and reweights with additions
+// that pile onto one node past its free slots, forcing a compaction. After
+// each batch Dijkstra on the patched image, and RepairSSSP of the previous
+// round's trees, must give Dist and Prev bit-identical to Dijkstra on the
+// built graph.
+func FuzzPatchMatchesBuild(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(6), uint8(0), false)
+	f.Add(int64(2), uint8(40), uint8(8), uint8(20), false)
+	f.Add(int64(3), uint8(12), uint8(8), uint8(11), true)
+	f.Add(int64(4), uint8(60), uint8(4), uint8(30), true)
+	f.Fuzz(checkPatchMatchesBuild)
+}
+
+// checkPatchMatchesBuild is the body of FuzzPatchMatchesBuild.
+func checkPatchMatchesBuild(t *testing.T, seed int64, nodes, rounds, burst uint8, transitOdd bool) {
+	n := 4 + int(nodes)%60
+	rng := rand.New(rand.NewSource(seed))
+	base, edges := randomPatchGraph(rng, n, n)
+	var transit func(int) bool
+	if transitOdd {
+		transit = func(v int) bool { return v%2 == 0 }
+	}
+	srcs := []int{0, n / 2, n - 1}
+	trees := make([]ShortestPaths, len(srcs))
+	for i, src := range srcs {
+		sp, err := base.DijkstraTransit(src, transit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = sp
+	}
+	var ws Workspace
+	images := [2]*Graph{base, new(Graph)}
+	for r := 0; r < 1+int(rounds)%12; r++ {
+		prev, next := images[r%2], images[(r+1)%2]
+		if err := next.CopyFrozenFrom(prev); err != nil {
+			t.Fatal(err)
+		}
+		// The burst and the random mutations come in either order; each
+		// delta names the edge set as the ones before it left it.
+		var deltas []EdgeDelta
+		mutate := func() {
+			for k := rng.Intn(6); k >= 0; k-- {
+				if d, ok := mutatePatch(rng, n, edges); ok {
+					deltas = append(deltas, d)
+				}
 			}
-		}()
-		p.frozen = false // simulate a mutation attempt
-		p.Freeze()
-	}()
-	p.Reset(3)
-	p.AddEdgeUnchecked(0, 2, 5)
-	p.Freeze()
-	sp, err := p.Dijkstra(0)
-	if err != nil {
-		t.Fatal(err)
+		}
+		burstFirst := rng.Intn(2) == 0
+		if !burstFirst {
+			mutate()
+		}
+		hub := rng.Intn(n)
+		for k := 0; k < int(burst)%24; k++ {
+			b := rng.Intn(n)
+			key := [2]int{min(hub, b), max(hub, b)}
+			if _, ok := edges[key]; ok || b == hub {
+				continue
+			}
+			w := quantW(rng)
+			edges[key] = w
+			deltas = append(deltas, EdgeDelta{A: hub, B: b, OldW: -1, NewW: w})
+		}
+		if burstFirst {
+			mutate()
+		}
+		if err := next.PatchFrozen(deltas); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		built := rebuildFromEdges(n, edges)
+		for i, src := range srcs {
+			want, err := built.DijkstraTransit(src, transit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := next.DijkstraTransitInto(src, transit, nil, nil, &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsReference(t, fmt.Sprintf("round %d src %d: patched", r, src), fresh, want, false)
+			if _, err := next.RepairSSSP(&trees[i], deltas, transit, &ws); err != nil {
+				t.Fatal(err)
+			}
+			sameAsReference(t, fmt.Sprintf("round %d src %d: repaired", r, src), trees[i], want, false)
+		}
 	}
-	if sp.Dist[2] != 5 || !math.IsInf(sp.Dist[1], 1) {
-		t.Fatalf("reset graph wrong: %v", sp.Dist)
-	}
-}
-
-// TestFreezeSlackEquivalence locks in that slack never changes a result.
-func TestFreezeSlackEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, slack := range []int{0, 1, 3, 8} {
-		gRef, edges := randomPatchGraph(rng, 40, 60)
-		gRef.Freeze()
-		gSlack := rebuildFromEdgesSlack(40, edges, slack)
-		assertSameSSSP(t, gRef, gSlack, "freeze slack")
-	}
-}
-
-func rebuildFromEdgesSlack(n int, edges map[[2]int]float64, slack int) *Graph {
-	g := New(n)
-	for k, w := range edges {
-		g.AddEdgeUnchecked(k[0], k[1], w)
-	}
-	g.FreezeSlack(slack)
-	return g
 }

@@ -81,7 +81,6 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		*sp = nsp
 		return false, nil
 	}
-	g.Freeze()
 	if g.zeroW || g.sumsMayAbsorb() || len(sp.Dist) != g.n || len(sp.Prev) != g.n {
 		return full()
 	}

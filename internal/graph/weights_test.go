@@ -22,7 +22,6 @@ func TestDeltasRejectNaN(t *testing.T) {
 		{A: 1, B: 2, OldW: nan, NewW: -1},
 	} {
 		g := buildGraph(t, 3, []testEdge{{0, 1, 1}, {1, 2, 1}})
-		g.Freeze()
 		sp, err := g.Dijkstra(0)
 		if err != nil {
 			t.Fatal(err)
@@ -34,8 +33,8 @@ func TestDeltasRejectNaN(t *testing.T) {
 			t.Errorf("PatchFrozen(%+v): err = %v", d, err)
 		}
 		// The refused delta left the image alone.
-		if after, _ := g.Dijkstra(0); after.Dist[2] != 2 || g.m != 2 {
-			t.Errorf("PatchFrozen(%+v) changed the graph: dist %v, %d edges", d, after.Dist, g.m)
+		if after, _ := g.Dijkstra(0); after.Dist[2] != 2 || liveEntries(g) != 4 {
+			t.Errorf("PatchFrozen(%+v) changed the graph: dist %v, %d entries", d, after.Dist, liveEntries(g))
 		}
 	}
 }
@@ -45,20 +44,13 @@ func TestDeltasRejectNaN(t *testing.T) {
 // turns a distance into -0.0, whose bits would not fit the queue.
 func TestNegativeZeroWeight(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	g := New(4)
-	if err := g.AddEdge(0, 1, negZero); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := buildGraph(t, 4, []testEdge{{0, 1, negZero}, {1, 2, 1}})
 	if !g.zeroW {
-		t.Error("AddEdge(-0.0) did not mark the graph as holding a zero weight")
+		t.Error("Build with -0.0 did not mark the graph as holding a zero weight")
 	}
-	g.FreezeSlack(2)
 
-	patched := New(4)
-	if err := patched.CopyFrozenFrom(buildFrozen(t, 4, []testEdge{{0, 1, 2}, {1, 2, 1}})); err != nil {
+	patched := new(Graph)
+	if err := patched.CopyFrozenFrom(buildGraph(t, 4, []testEdge{{0, 1, 2}, {1, 2, 1}})); err != nil {
 		t.Fatal(err)
 	}
 	deltas := []EdgeDelta{{A: 0, B: 1, OldW: 2, NewW: negZero}, {A: 2, B: 3, OldW: -1, NewW: negZero}}
@@ -94,7 +86,7 @@ func TestNegativeZeroWeight(t *testing.T) {
 func TestInfiniteWeight(t *testing.T) {
 	before := []testEdge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}
 	after := []testEdge{{0, 1, 1}, {1, 2, Inf}, {2, 3, 1}, {0, 4, Inf}}
-	g1, g2 := buildFrozen(t, 5, before), buildFrozen(t, 5, after)
+	g1, g2 := buildGraph(t, 5, before), buildGraph(t, 5, after)
 	want, err := g2.Dijkstra(0)
 	if err != nil {
 		t.Fatal(err)
@@ -144,17 +136,10 @@ func TestRepairSSSPDeltaSequence(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			g1, g2 := buildFrozen(t, 4, base), buildFrozen(t, 4, tc.after)
+			g1, g2 := buildGraph(t, 4, base), buildGraph(t, 4, tc.after)
 			for src := 0; src < 4; src++ {
 				assertRepairedExact(t, g1, g2, tc.deltas, src, nil, nil)
 			}
 		})
 	}
-}
-
-func buildFrozen(t *testing.T, n int, edges []testEdge) *Graph {
-	t.Helper()
-	g := buildGraph(t, n, edges)
-	g.FreezeSlack(2)
-	return g
 }

@@ -158,7 +158,7 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 // one link delta moves, so every shard sees traffic over time. Generation
 // 1 is Full, like a real run's first diff.
 func (h *harness) diff(g uint64) *constellation.Diff {
-	d := &constellation.Diff{T: float64(g) * h.res.Seconds()}
+	d := &constellation.Diff{DiffRecord: constellation.DiffRecord{T: float64(g) * h.res.Seconds()}}
 	if g == 1 {
 		d.Full = true
 		return d

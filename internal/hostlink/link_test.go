@@ -198,7 +198,7 @@ func TestTCPAgentReceivesTheShardView(t *testing.T) {
 	}
 
 	// The agent attaches from a snapshot of generation 1, then follows.
-	push(&constellation.Diff{T: 2, BaseT: math.NaN(), Full: true})
+	push(&constellation.Diff{DiffRecord: constellation.DiffRecord{T: 2, BaseT: math.NaN(), Full: true}})
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if gen, _ := rep.Cursor(); gen == 1 {
 			break
@@ -207,14 +207,14 @@ func TestTCPAgentReceivesTheShardView(t *testing.T) {
 			t.Fatal("the agent never attached")
 		}
 	}
-	diff := &constellation.Diff{
+	diff := &constellation.Diff{DiffRecord: constellation.DiffRecord{
 		T: 4, BaseT: 2, Degraded: 1, CarriedPaths: 3, RepairedPaths: 2, RepairFallbacks: 1,
 		Added:        []constellation.LinkDelta{{A: 1, B: 2, OldQ: -1, NewQ: 7}, {A: 0, B: 2, OldQ: -1, NewQ: 6}},
 		Removed:      []constellation.LinkDelta{{A: 2, B: 4, OldQ: 8, NewQ: -1}, {A: 4, B: 3, OldQ: 9, NewQ: -1}},
 		DelayChanged: []constellation.LinkDelta{{A: 5, B: 4, OldQ: 4, NewQ: 5}, {A: 6, B: 8, OldQ: 2, NewQ: 3}},
 		Activated:    []int32{2, 3},
 		Deactivated:  []int32{4},
-	}
+	}}
 	rec := diff.AppendRecord(constellation.DiffRecord{})
 	view := rec
 	view.Added, view.Removed, view.DelayChanged = rec.Added[:1], rec.Removed[1:], rec.DelayChanged[:1]

@@ -46,7 +46,7 @@ const (
 	// StageSnapshot covers orbital propagation and state assembly.
 	StageSnapshot Stage = iota
 	// StageDiff covers diff computation and graph materialization
-	// (frozen-CSR patch or rebuild).
+	// (CSR patch or build).
 	StageDiff
 	// StagePathRepair covers shortest-path cache transplant/repair.
 	StagePathRepair
