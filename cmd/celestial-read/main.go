@@ -26,14 +26,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
-	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -41,34 +43,57 @@ import (
 	"celestial/internal/readpath"
 )
 
-func main() {
-	upstream := flag.String("upstream", "", "base URL of the upstream information server (e.g. http://127.0.0.1:8080)")
-	listen := flag.String("listen", ":8090", "TCP address the first replica serves on; replica i serves on port+i, or on its own ephemeral port when the port is 0")
-	replicas := flag.Int("replicas", 1, "number of in-process replicas (consecutive ports from -listen)")
-	upstreamAuth := flag.String("upstream-auth", "", "bearer token presented on upstream requests")
-	httpAuth := flag.String("http-auth", "", "bearer token required on this replica's requests (empty disables auth)")
-	httpRate := flag.String("http-rate", "", "per-client rate limit, \"<rps>\" or \"<rps>:<burst>\" (empty disables)")
-	httpLog := flag.Bool("http-log", false, "log one line per request")
-	retention := flag.Int("retention", 0, "generations of diff frames retained for this replica's own /diff subscribers (0: hostlink.DefaultRetention, 64)")
-	reconnect := flag.Duration("reconnect", time.Second, "wait between upstream reconnect attempts")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *upstream == "" {
-		flag.Usage()
-		os.Exit(2)
+// run executes one command line and returns its exit status: 0 after an
+// interrupt, 1 when a listener cannot be opened and 2 for flags no run can
+// honour (readpath.New refuses only a malformed -upstream URL). It takes
+// stdout like every command's run, but the replicas write only log lines,
+// all to stderr. On return every replica's listener is closed and its
+// goroutines have exited.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("celestial-read", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	upstream := fs.String("upstream", "", "base URL of the upstream information server (e.g. http://127.0.0.1:8080)")
+	listen := fs.String("listen", ":8090", "TCP address the first replica serves on; replica i serves on port+i, or on its own ephemeral port when the port is 0")
+	replicas := fs.Int("replicas", 1, "number of in-process replicas (consecutive ports from -listen)")
+	upstreamAuth := fs.String("upstream-auth", "", "bearer token presented on upstream requests")
+	httpAuth := fs.String("http-auth", "", "bearer token required on this replica's requests (empty disables auth)")
+	httpRate := fs.String("http-rate", "", "per-client rate limit, \"<rps>\" or \"<rps>:<burst>\" (empty disables)")
+	httpLog := fs.Bool("http-log", false, "log one line per request")
+	retention := fs.Int("retention", 0, "generations of diff frames retained for this replica's own /diff subscribers (0: hostlink.DefaultRetention, 64)")
+	reconnect := fs.Duration("reconnect", time.Second, "wait between upstream reconnect attempts")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if *upstream == "" {
+		fs.Usage()
+		return 2
+	}
+	lg := log.New(stderr, "", log.LstdFlags)
 	if *replicas < 1 {
-		log.Fatalf("celestial-read: -replicas %d: want at least 1", *replicas)
+		lg.Printf("celestial-read: -replicas %d: want at least 1", *replicas)
+		return 2
 	}
 	host, portStr, err := net.SplitHostPort(*listen)
 	if err != nil {
-		log.Fatalf("celestial-read: -listen %q: %v", *listen, err)
+		lg.Printf("celestial-read: -listen %q: %v", *listen, err)
+		return 2
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		log.Fatalf("celestial-read: -listen %q: non-numeric port", *listen)
+		lg.Printf("celestial-read: -listen %q: non-numeric port", *listen)
+		return 2
 	}
 
+	// Deferred in this order so that on return the listeners close
+	// first, then the follow loops are cancelled, then both are waited
+	// for.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -78,36 +103,43 @@ func main() {
 			UpstreamAuth:  *upstreamAuth,
 			Retention:     *retention,
 			ReconnectWait: *reconnect,
-			Logf:          log.Printf,
+			Logf:          lg.Printf,
 		})
 		if err != nil {
-			log.Fatalf("celestial-read: %v", err)
+			lg.Printf("celestial-read: %v", err)
+			return 2
+		}
+		h, err := middleware.Deploy(r, *httpAuth, *httpRate, *httpLog, lg.Printf)
+		if err != nil {
+			lg.Printf("celestial-read: -http-rate: %v", err)
+			return 2
 		}
 		addr := replicaAddr(host, port, i)
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			log.Fatalf("celestial-read: listener %s: %v", addr, err)
+			lg.Printf("celestial-read: listener %s: %v", addr, err)
+			return 1
 		}
 		defer ln.Close()
-		h, err := middleware.Deploy(r, *httpAuth, *httpRate, *httpLog, log.Printf)
-		if err != nil {
-			log.Fatalf("celestial-read: -http-rate: %v", err)
-		}
+		wg.Add(2)
 		go func() {
-			if err := http.Serve(ln, h); err != nil && ctx.Err() == nil {
-				log.Printf("celestial-read: http server %s: %v", addr, err)
+			defer wg.Done()
+			if err := http.Serve(ln, h); err != nil && !errors.Is(err, net.ErrClosed) {
+				lg.Printf("celestial-read: http server %s: %v", addr, err)
 			}
 		}()
 		go func(i int) {
+			defer wg.Done()
 			if err := r.Run(ctx); err != nil && ctx.Err() == nil {
-				log.Printf("celestial-read: replica %d follow loop: %v", i, err)
+				lg.Printf("celestial-read: replica %d follow loop: %v", i, err)
 			}
 		}(i)
-		log.Printf("replica %d: serving http://%s/v1/info, following %s", i, ln.Addr(), *upstream)
+		lg.Printf("replica %d: serving http://%s/v1/info, following %s", i, ln.Addr(), *upstream)
 	}
 
 	<-ctx.Done()
-	fmt.Fprintln(os.Stderr, "celestial-read: shutting down")
+	lg.Printf("celestial-read: shutting down")
+	return 0
 }
 
 // replicaAddr is the listen address of replica i when the first listens on

@@ -13,10 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"celestial"
@@ -24,11 +24,31 @@ import (
 	"celestial/internal/tle"
 )
 
-func main() {
-	preset := flag.String("preset", "", `preset constellation: "starlink", "starlink-gen2" or "iridium"`)
-	configPath := flag.String("config", "", "TOML configuration to read shells from")
-	printTLE := flag.Bool("tle", false, "print synthesized TLEs instead of a summary")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns its exit status: 0 once the
+// summary or the TLEs are written, 1 when the -config file cannot be read
+// and 2 for flags no run can honour.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("satgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	preset := fs.String("preset", "", `preset constellation: "starlink", "starlink-gen2" or "iridium"`)
+	configPath := fs.String("config", "", "TOML configuration to read shells from")
+	printTLE := fs.Bool("tle", false, "print synthesized TLEs instead of a summary")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "satgen: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if *preset != "" && *configPath != "" {
+		fmt.Fprintln(stderr, "satgen: -preset and -config are exclusive")
+		return 2
+	}
 
 	var shells []orbit.ShellConfig
 	cfg := &celestial.Config{Epoch: celestial.DefaultEpoch}
@@ -39,34 +59,39 @@ func main() {
 		shells = celestial.StarlinkGen2(celestial.ModelSGP4)
 	case *preset == "iridium":
 		shells = []orbit.ShellConfig{celestial.Iridium(celestial.ModelSGP4)}
+	case *preset != "":
+		fmt.Fprintf(stderr, "satgen: unknown -preset %q\n", *preset)
+		return 2
 	case *configPath != "":
 		var err error
 		cfg, err = celestial.ParseConfigFile(*configPath)
 		if err != nil {
-			log.Fatalf("satgen: %v", err)
+			fmt.Fprintf(stderr, "satgen: %v\n", err)
+			return 1
 		}
 		for _, s := range cfg.Shells {
 			shells = append(shells, s.ShellConfig)
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	if *printTLE {
-		emitTLEs(os.Stdout, shells, cfg.EpochJulian())
-		return
+		emitTLEs(stdout, shells, cfg.EpochJulian())
+		return 0
 	}
-	fmt.Printf("%-14s %7s %7s %9s %12s %7s %9s\n",
+	fmt.Fprintf(stdout, "%-14s %7s %7s %9s %12s %7s %9s\n",
 		"shell", "planes", "sats", "total", "altitude", "incl", "period")
 	total := 0
 	for _, s := range shells {
-		fmt.Printf("%-14s %7d %7d %9d %9.0f km %6.1f° %5.1f min\n",
+		fmt.Fprintf(stdout, "%-14s %7d %7d %9d %9.0f km %6.1f° %5.1f min\n",
 			s.Name, s.Planes, s.SatsPerPlane, s.Size(), s.AltitudeKm,
 			s.InclinationDeg, 1440/tle.MeanMotionFromAltitude(s.AltitudeKm))
 		total += s.Size()
 	}
-	fmt.Printf("%-14s %7s %7s %9d\n", "total", "", "", total)
+	fmt.Fprintf(stdout, "%-14s %7s %7s %9d\n", "total", "", "", total)
+	return 0
 }
 
 // emitTLEs writes one three-line TLE per satellite, numbered across the

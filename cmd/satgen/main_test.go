@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"celestial"
@@ -59,5 +61,43 @@ func TestTLEsMatchTheEmulator(t *testing.T) {
 	}
 	if sc.Scan() {
 		t.Fatalf("satgen printed more than the %d satellites of the preset: %q", n, sc.Text())
+	}
+}
+
+// TestRunExitCodes runs command lines in process: flag errors exit 2, an
+// unreadable -config exits 1, and a preset prints its summary or its TLEs
+// and exits 0.
+func TestRunExitCodes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.toml")
+	for _, tt := range []struct {
+		args   []string
+		code   int
+		stderr string // stderr must contain it
+		stdout string // stdout must contain it
+		lines  int    // stdout line count, when positive
+	}{
+		{args: nil, code: 2, stderr: "-preset"},
+		{args: []string{"-no-such-flag"}, code: 2, stderr: "no-such-flag"},
+		{args: []string{"-preset", "galileo"}, code: 2, stderr: `unknown -preset "galileo"`},
+		{args: []string{"-preset", "iridium", "-config", missing}, code: 2, stderr: "exclusive"},
+		{args: []string{"-preset", "iridium", "extra"}, code: 2, stderr: `unexpected argument "extra"`},
+		{args: []string{"-config", missing}, code: 1, stderr: "missing.toml"},
+		{args: []string{"-h"}, code: 0, stderr: "-tle"},
+		{args: []string{"-preset", "iridium"}, code: 0, stdout: "total", lines: 3},
+		{args: []string{"-preset", "iridium", "-tle"}, code: 0, stdout: "iridium-P0-S0", lines: 3 * 66},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tt.args, &stdout, &stderr); code != tt.code {
+			t.Errorf("run(%q) = %d, want %d (stderr %q)", tt.args, code, tt.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tt.stderr) {
+			t.Errorf("run(%q) stderr %q does not mention %s", tt.args, stderr.String(), tt.stderr)
+		}
+		if !strings.Contains(stdout.String(), tt.stdout) {
+			t.Errorf("run(%q) stdout does not mention %s", tt.args, tt.stdout)
+		}
+		if n := strings.Count(stdout.String(), "\n"); tt.lines > 0 && n != tt.lines {
+			t.Errorf("run(%q) printed %d lines, want %d", tt.args, n, tt.lines)
+		}
 	}
 }

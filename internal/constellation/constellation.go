@@ -783,7 +783,7 @@ type SnapshotPool struct {
 	noRepair bool
 	// overlay, when set, vetoes node activity beyond the bounding box
 	// (see SetActivityOverlay).
-	overlay func(id int) bool
+	overlay func(active []bool)
 	// deltaScratch, fold and jobScratch are the edge-delta, handover-fold
 	// and repairPaths buffers, reused across ticks. Both halves of a
 	// snapshot use them, never at once: finish starts after prepare has
@@ -994,11 +994,7 @@ func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
 	out := pr.out
 	stageStart := time.Now()
 	if p.overlay != nil {
-		for i := range out.Active {
-			if out.Active[i] && !p.overlay(i) {
-				out.Active[i] = false
-			}
-		}
+		p.overlay(out.Active)
 	}
 	pr.lap(0, &stageStart)
 	out.diffActivityFrom(pr.prev)
@@ -1040,21 +1036,22 @@ func (p *SnapshotPool) carryPaths(pr *prepared) {
 }
 
 // SetActivityOverlay installs a veto on node activity: when a pooled
-// snapshot is finished, Active[i] is cleared for every node the overlay
-// reports inactive, before the activity flips against the previous
-// snapshot are computed. The coordinator uses this to fold machine health
-// into the state — a satellite whose server crashed (radiation SEU
-// shutdown) shows up as a Deactivated flip in the next tick's diff, and as
-// an Activated flip once it reboots, exactly like a bounding-box exit and
-// re-entry. Like the bounding box, the overlay does not affect path
-// calculation (§3.3 of the paper): links through an inactive node keep
-// routing.
+// snapshot is finished, the overlay is handed the bounding box's Active
+// slice and clears the entries of nodes it reports inactive (it must only
+// clear), before the activity flips against the previous snapshot are
+// computed. The coordinator uses this to fold machine health into the
+// state — a satellite whose server crashed (radiation SEU shutdown) shows
+// up as a Deactivated flip in the next tick's diff, and as an Activated
+// flip once it reboots, exactly like a bounding-box exit and re-entry.
+// Like the bounding box, the overlay does not affect path calculation
+// (§3.3 of the paper): links through an inactive node keep routing.
 //
-// The overlay is consulted once per node per Snapshot, inside the Snapshot
-// call and on its goroutine — never from a Prefetch, so what it reads may
-// change freely between ticks. It must not be changed while a Snapshot
+// The overlay is called once per Snapshot, inside the Snapshot call and on
+// its goroutine — never from a Prefetch, so what it reads may change freely
+// between ticks; it costs what it visits, so the coordinator's walks only
+// the nodes whose machine failed. It must not be changed while a Snapshot
 // call is running.
-func (p *SnapshotPool) SetActivityOverlay(fn func(id int) bool) { p.overlay = fn }
+func (p *SnapshotPool) SetActivityOverlay(fn func(active []bool)) { p.overlay = fn }
 
 // SetPathRepair disables (on=false) or re-enables the incremental repair
 // of carried shortest-path entries on non-empty diffs, forcing every

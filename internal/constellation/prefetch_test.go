@@ -90,7 +90,13 @@ func prefetchDifferential(t *testing.T, seed int64) {
 	target, _ := c.GSTNodeByName("johannesburg")
 
 	down := make([]atomic.Bool, n)
-	overlay := func(id int) bool { return !down[id].Load() }
+	overlay := func(active []bool) {
+		for id := range active {
+			if down[id].Load() {
+				active[id] = false
+			}
+		}
+	}
 	// tickingPool.prev is the published state, recycled once its successor
 	// exists.
 	pre, ref := &tickingPool{pool: c.NewSnapshotPool()}, &tickingPool{pool: c.NewSnapshotPool()}

@@ -36,6 +36,9 @@ type Coordinator struct {
 	// Machine/HostOf accessors index them instead of scanning hosts.
 	byNode []*machine.Machine
 	hostOf []*host.Host
+	// failed holds the nodes the activity overlay clears (see
+	// failedNodes).
+	failed failedNodes
 
 	// pool recycles snapshot buffers; the coordinator double-buffers
 	// through it (see update) so steady-state ticks allocate ~nothing.
@@ -115,21 +118,16 @@ func New(cfg *config.Config, o Options) (*Coordinator, error) {
 		retired: map[*constellation.State]bool{},
 	}
 	c.net = vnet.NewNetwork(sim, stateTopology{c}, 1)
-	// Fold machine health into snapshot activity: a crashed (or stopped)
-	// machine's node reads as inactive, so radiation fault shutdowns and
-	// scripted node outages surface as activity flips in each tick's diff
-	// — the same channel bounding-box churn uses. The overlay runs once
-	// per node per tick, so it indexes the dense byNode slice (filled
-	// below) rather than scanning hosts.
+	// Fold machine health into snapshot activity: a crashed machine's
+	// node reads as inactive, so radiation fault shutdowns and scripted
+	// node outages surface as activity flips in each tick's diff — the
+	// same channel bounding-box churn uses. The overlay runs at every
+	// tick boundary, so it visits only the nodes whose machine failed
+	// (every machine feeds c.failed below), not every node.
 	c.byNode = make([]*machine.Machine, cons.NodeCount())
 	c.hostOf = make([]*host.Host, cons.NodeCount())
-	c.pool.SetActivityOverlay(func(id int) bool {
-		m := c.byNode[id]
-		if m == nil {
-			return true
-		}
-		return m.State() != machine.Failed
-	})
+	c.failed.in = make([]bool, cons.NodeCount())
+	c.pool.SetActivityOverlay(func(active []bool) { c.failed.clear(active, c.nodeFailed) })
 
 	// Hosts: the paper uses identical cloud instances (N2-highcpu-32).
 	for i := 0; i < cfg.Hosts; i++ {
@@ -166,6 +164,7 @@ func New(cfg *config.Config, o Options) (*Coordinator, error) {
 		if err := target.AddMachine(m); err != nil {
 			return nil, err
 		}
+		m.NotifyFailed(c.failed.add)
 		c.byNode[node.ID] = m
 		c.hostOf[node.ID] = target
 	}
@@ -187,6 +186,48 @@ func New(cfg *config.Config, o Options) (*Coordinator, error) {
 	}
 	return c, nil
 }
+
+// failedNodes is the set of nodes whose machine entered Failed and that
+// the activity overlay has not yet found out of it: the overlay walks this
+// set instead of every machine. Machines add to it on their one transition
+// into Failed (machine.NotifyFailed), from whichever goroutine crashed
+// them; an entry leaves lazily, when clear finds its machine restarted.
+type failedNodes struct {
+	mu  sync.Mutex
+	ids []int
+	in  []bool // in[id] reports whether ids holds id
+}
+
+func (f *failedNodes) add(id int) {
+	f.mu.Lock()
+	if !f.in[id] {
+		f.in[id] = true
+		f.ids = append(f.ids, id)
+	}
+	f.mu.Unlock()
+}
+
+// clear sets active[id] to false for every member that failed(id) still
+// reports, and drops the others. It holds f.mu across failed, which may
+// take a machine's lock; add is called without one (lock order f.mu, then
+// a machine's).
+func (f *failedNodes) clear(active []bool, failed func(id int) bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	kept := f.ids[:0]
+	for _, id := range f.ids {
+		if failed(id) {
+			active[id] = false
+			kept = append(kept, id)
+		} else {
+			f.in[id] = false
+		}
+	}
+	f.ids = kept
+}
+
+// nodeFailed reports whether the node's machine is Failed.
+func (c *Coordinator) nodeFailed(id int) bool { return c.byNode[id].State() == machine.Failed }
 
 // RingStats returns the counters of the fan-out tier's generation log,
 // the retention window behind /diff replay and agent resyncs (see
@@ -306,8 +347,9 @@ func (c *Coordinator) TopologyVersion() uint64 {
 
 // UpdateChan returns a channel that is closed when the next update
 // completes. Grab the channel, re-check Generation, then block: the
-// update closes it in the critical section that advances the generation,
-// so the close cannot be missed between the two reads. The channel is the
+// update replaces the channel in the critical section that advances the
+// generation (and closes it once the generation is distributed), so the
+// update cannot be missed between the two reads. The channel is the
 // fan-out tier's (hostlink.Fanout.UpdateChan).
 func (c *Coordinator) UpdateChan() <-chan struct{} { return c.fo.UpdateChan() }
 
@@ -409,9 +451,10 @@ func (c *Coordinator) update() error {
 	// replay and agent resyncs, and fold it into the per-shard digest
 	// chains. The slot reuses its backing arrays, so steady-state ticks do
 	// not allocate for history retention. In this critical section the
-	// log's head and Generation move together, and the long-poll/SSE
-	// readers Advance wakes cannot look before the lock is released.
-	// Remote writers hear of the generation only from distribute, below.
+	// log's head, Generation and the UpdateChan channel move together.
+	// The long-poll/SSE readers and the remote writers hear of the
+	// generation only from distribute, below, once the boundary's serial
+	// work is done.
 	c.fo.Advance(c.gen, d)
 	if old != nil && c.leases[old] > 0 {
 		// A concurrent reader still holds the state; its last

@@ -48,16 +48,20 @@ func (l *Log[T]) Len() int          { return l.n }
 func (l *Log[T]) Cap() int          { return len(l.slots) }
 func (l *Log[T]) Evictions() uint64 { return l.evictions }
 
-// Wait returns a channel that the next Append or Reset closes. A waiter
-// takes the channel, checks Head again, then blocks: the owner mutates
-// the log under its lock, so a mutation cannot fall between the two reads
-// unseen. The channel also identifies the log's content — it is the same
-// channel exactly as long as nothing was appended or reset.
+// Wait returns a channel that the next Append or Reset closes (or, after
+// AppendDeferred, its caller). A waiter takes the channel, checks Head
+// again, then blocks: the owner mutates the log under its lock, so a
+// mutation cannot fall between the two reads unseen. The channel also
+// identifies the log's content — it is the same channel exactly as long as
+// nothing was appended or reset.
 func (l *Log[T]) Wait() <-chan struct{} { return l.wake }
 
-func (l *Log[T]) changed() {
-	close(l.wake)
+// renew replaces the Wait channel and returns the one it supersedes, still
+// open.
+func (l *Log[T]) renew() chan struct{} {
+	old := l.wake
 	l.wake = make(chan struct{})
+	return old
 }
 
 // Append makes gen the head and returns its slot, still holding whatever
@@ -66,6 +70,18 @@ func (l *Log[T]) changed() {
 // Head+1 the window restarts at gen, as after Reset(gen-1): a subscriber
 // then resyncs instead of replaying across a hole.
 func (l *Log[T]) Append(gen uint64) *T {
+	slot, woken := l.AppendDeferred(gen)
+	close(woken)
+	return slot
+}
+
+// AppendDeferred is Append for an owner that wakes the waiters itself: the
+// Wait channel is replaced as Append replaces it, and the superseded one
+// is returned open, for the caller to close exactly once — after it has
+// released its lock and finished the rest of its work on the generation,
+// so the waiters it wakes neither queue on that lock nor compete with
+// that work.
+func (l *Log[T]) AppendDeferred(gen uint64) (slot *T, woken chan struct{}) {
 	if gen != l.head+1 {
 		l.restart(gen - 1)
 	}
@@ -75,8 +91,7 @@ func (l *Log[T]) Append(gen uint64) *T {
 		l.n++
 	}
 	l.head = gen
-	l.changed()
-	return &l.slots[gen%uint64(len(l.slots))]
+	return &l.slots[gen%uint64(len(l.slots))], l.renew()
 }
 
 // Reset empties the window and moves the head to a resync point: the
@@ -87,7 +102,7 @@ func (l *Log[T]) Append(gen uint64) *T {
 // the same number from before the Reset.
 func (l *Log[T]) Reset(head uint64) {
 	l.restart(head)
-	l.changed()
+	close(l.renew())
 }
 
 func (l *Log[T]) restart(head uint64) {

@@ -227,7 +227,8 @@ func (m *model) since(cursor uint64) ([]uint64, bool) {
 // TestLogModel drives a Log and the naive model through the same seeded
 // random Append/Reset/Since/At steps and demands they agree on the
 // window, the eviction count and every answer — and that Wait's channel
-// closes on exactly the steps that mutate the log.
+// closes on exactly the steps that mutate the log (after AppendDeferred,
+// once its caller closes it).
 func TestLogModel(t *testing.T) {
 	const steps = 20000
 	for _, capacity := range []int{1, 3, 8} {
@@ -249,7 +250,24 @@ func TestLogModel(t *testing.T) {
 				switch op := rnd.Intn(100); {
 				case op < 55: // the common case: the next generation
 					gen, val := m.head()+1, rnd.Uint64()
-					*l.Append(gen) = val
+					if op < 30 {
+						*l.Append(gen) = val
+					} else {
+						// The owner's deferred wake: the channel Wait
+						// handed out comes back still open, and closing
+						// it is what wakes the waiters.
+						slot, woken := l.AppendDeferred(gen)
+						*slot = val
+						select {
+						case <-ch:
+							t.Fatalf("step %d: AppendDeferred closed the Wait channel itself", step)
+						default:
+						}
+						if (<-chan struct{})(woken) != ch {
+							t.Fatalf("step %d: AppendDeferred returned a channel Wait never handed out", step)
+						}
+						close(woken)
+					}
 					m.append(gen, val)
 					mutated = true
 				case op < 60: // a generation that does not continue the log

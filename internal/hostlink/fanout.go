@@ -8,7 +8,6 @@ import (
 
 	"celestial/internal/constellation"
 	"celestial/internal/difflog"
-	"celestial/internal/par"
 	"celestial/internal/retry"
 	"celestial/internal/rng"
 	"celestial/internal/supervise"
@@ -54,8 +53,9 @@ type Applier interface {
 // unless noted.
 type Config struct {
 	// Shards is the fan-out width; ShardOf maps a constellation node ID
-	// to its owning shard, and must be a pure lookup: it is called from
-	// several goroutines at once, with the tier's lock held.
+	// to its owning shard, in [0, Shards), and must be a pure lookup: it
+	// is called with the tier's lock held, once per link endpoint and
+	// activity flip of every generation.
 	// Machines[i] is shard i's machine count (status/report only).
 	Shards   int
 	ShardOf  func(node int) int
@@ -291,6 +291,10 @@ type Fanout struct {
 	// VerifyRemotes. A writer hears of a generation only once its loopback
 	// results are recorded, so no proposal finds its result missing.
 	published uint64
+	// woken is the UpdateChan channel the last Advance superseded: open
+	// until publish closes it, so the tier's readers wake once the
+	// generation is out, not in the middle of the tick boundary.
+	woken chan struct{}
 
 	remotes   map[int]*remote
 	ackNotify chan struct{}
@@ -410,27 +414,77 @@ func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 // backing arrays the slot reuses from the generation it evicts, and one
 // mark per shard — the offer the virtual plane delivers and replays, the
 // digest remote writers verify acks against. The producer must call it for
-// every generation, in order, on the simulation goroutine; it closes the
-// UpdateChan channel. Each shard scans the whole record for its share and
-// owns its view and chain, so the shards are built side by side.
+// every generation, in order, on the simulation goroutine, and then
+// Distribute, whose publish closes the UpdateChan channel Advance replaced.
+// One pass over the record buckets it into every shard's view
+// (bucketViews), and each shard's chain is folded from its own view: O(Δ)
+// in all, so it runs inline — fanning it out to workers would wake idle
+// threads in the middle of the tick boundary for microseconds of work.
 func (fo *Fanout) Advance(gen uint64, d *constellation.Diff) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	g := fo.log.Append(gen)
+	g, woken := fo.log.AppendDeferred(gen)
+	if fo.woken != nil {
+		close(fo.woken) // the previous generation was never published
+	}
+	fo.woken = woken
 	g.Generation = gen
 	g.Diff = d.AppendRecord(g.Diff)
-	par.For(len(fo.shards), func(lo, hi int) {
-		for _, s := range fo.shards[lo:hi] {
-			fo.buildFrameInto(&s.scratch, s.id, &g.Record)
-			s.chain = FoldDiff(s.chain, &s.scratch)
-			s.next = offer{gen: gen, content: s.scratch.Flags, full: d.Full}
-		}
-	})
+	fo.bucketViews(&g.Record)
+	for _, s := range fo.shards {
+		s.scratch.setFlags(&g.Record)
+		s.chain = FoldDiff(s.chain, &s.scratch)
+		s.next = offer{gen: gen, content: s.scratch.Flags, full: d.Full}
+	}
 	if g.marks == nil {
 		g.marks = make([]shardMark, len(fo.shards))
 	}
 	for _, s := range fo.shards {
 		g.marks[s.id] = shardMark{offer: s.next, chain: s.chain}
+	}
+}
+
+// bucketViews fills every shard's scratch with its view of rec — the lists
+// buildFrameInto would filter for it, in the same order — in one pass over
+// rec: ShardOf is asked once per endpoint, a link whose endpoints live on
+// two shards goes into both buckets, and an activity flip into its owner's.
+// The flags are left to setFlags.
+func (fo *Fanout) bucketViews(rec *Record) {
+	for _, s := range fo.shards {
+		s.scratch.resetView(rec)
+	}
+	of := fo.cfg.ShardOf
+	for k, deltas := range [...][]constellation.LinkDelta{rec.Diff.Added, rec.Diff.Removed, rec.Diff.DelayChanged} {
+		for _, l := range deltas {
+			a, b := of(l.A), of(l.B)
+			v := linkList(&fo.shards[a].scratch.DiffRecord, k)
+			*v = append(*v, l)
+			if b != a {
+				v = linkList(&fo.shards[b].scratch.DiffRecord, k)
+				*v = append(*v, l)
+			}
+		}
+	}
+	for _, id := range rec.Diff.Activated {
+		v := &fo.shards[of(int(id))].scratch
+		v.Activated = append(v.Activated, id)
+	}
+	for _, id := range rec.Diff.Deactivated {
+		v := &fo.shards[of(int(id))].scratch
+		v.Deactivated = append(v.Deactivated, id)
+	}
+}
+
+// linkList returns the k-th of a record's link lists: Added, Removed,
+// DelayChanged.
+func linkList(r *constellation.DiffRecord, k int) *[]constellation.LinkDelta {
+	switch k {
+	case 0:
+		return &r.Added
+	case 1:
+		return &r.Removed
+	default:
+		return &r.DelayChanged
 	}
 }
 
@@ -444,7 +498,8 @@ func (fo *Fanout) markAt(shard int, gen uint64) (shardMark, bool) {
 	return g.marks[shard], true
 }
 
-// UpdateChan returns a channel that the next Advance closes. Grab the
+// UpdateChan returns a channel that is closed once the next generation is
+// published: Advance replaces it, and Distribute closes it. Grab the
 // channel, re-check the producer's generation, then block: Advance runs
 // in the producer's critical section that advances the generation, so an
 // update cannot fall between the two reads unseen. The channel is the same
@@ -502,25 +557,43 @@ func (fo *Fanout) RingStats() RingStats {
 // buildFrameInto fills dst with the shard's view of rec, reusing dst's
 // slices: the scalar fields verbatim, the five lists filtered. Link deltas
 // are scoped by their endpoints (either side's host programs a shaper);
-// activity flips by ownership. FlagChanged is global — a link changing
-// anywhere can move any path's latency — while FlagActivity is per-shard.
+// activity flips by ownership. It is the one-shard filter remote writers
+// replay the log with; Advance builds the same views for every shard at
+// once (bucketViews).
 func (fo *Fanout) buildFrameInto(dst *DiffFrame, shard int, rec *Record) {
-	view, of := &dst.DiffRecord, fo.cfg.ShardOf
+	of := fo.cfg.ShardOf
+	dst.resetView(rec)
+	view := &dst.DiffRecord
+	view.Added = appendViewLinks(view.Added, rec.Diff.Added, of, shard)
+	view.Removed = appendViewLinks(view.Removed, rec.Diff.Removed, of, shard)
+	view.DelayChanged = appendViewLinks(view.DelayChanged, rec.Diff.DelayChanged, of, shard)
+	view.Activated = appendViewIDs(view.Activated, rec.Diff.Activated, of, shard)
+	view.Deactivated = appendViewIDs(view.Deactivated, rec.Diff.Deactivated, of, shard)
+	dst.setFlags(rec)
+}
+
+// resetView makes f an empty view of rec: rec's generation and scalar
+// fields, and f's own five lists truncated for reuse.
+func (f *DiffFrame) resetView(rec *Record) {
+	view := &f.DiffRecord
 	added, removed, changed := view.Added[:0], view.Removed[:0], view.DelayChanged[:0]
 	activated, deactivated := view.Activated[:0], view.Deactivated[:0]
 	*view = rec.Diff
-	view.Added = appendViewLinks(added, rec.Diff.Added, of, shard)
-	view.Removed = appendViewLinks(removed, rec.Diff.Removed, of, shard)
-	view.DelayChanged = appendViewLinks(changed, rec.Diff.DelayChanged, of, shard)
-	view.Activated = appendViewIDs(activated, rec.Diff.Activated, of, shard)
-	view.Deactivated = appendViewIDs(deactivated, rec.Diff.Deactivated, of, shard)
-	dst.Generation = rec.Generation
-	dst.Flags = 0
+	view.Added, view.Removed, view.DelayChanged = added, removed, changed
+	view.Activated, view.Deactivated = activated, deactivated
+	f.Generation = rec.Generation
+}
+
+// setFlags sets the content flags of f, a filled view of rec.
+// FlagChanged is global — a link changing anywhere can move any path's
+// latency — while FlagActivity is per-shard.
+func (f *DiffFrame) setFlags(rec *Record) {
+	f.Flags = 0
 	if !rec.Diff.Empty() {
-		dst.Flags |= FlagChanged
+		f.Flags |= FlagChanged
 	}
-	if len(view.Activated) > 0 || len(view.Deactivated) > 0 {
-		dst.Flags |= FlagActivity
+	if len(f.Activated) > 0 || len(f.Deactivated) > 0 {
+		f.Flags |= FlagActivity
 	}
 }
 
@@ -574,8 +647,9 @@ func (fo *Fanout) Distribute(level supervise.Level) error {
 
 // publish copies the shard counters under fo.mu for concurrent status
 // readers, makes the generation Advance last marked the published head,
-// and wakes the remote writers and the barrier. The slice is reused; after
-// warmup this is copy-only.
+// and wakes the remote writers, the barrier and the UpdateChan waiters —
+// after releasing fo.mu, which the woken readers take first. The slice is
+// reused; after warmup this is copy-only.
 func (fo *Fanout) publish() {
 	fo.mu.Lock()
 	if fo.statsSnap == nil {
@@ -585,7 +659,12 @@ func (fo *Fanout) publish() {
 		fo.statsSnap[i] = s.counters(fo.fallback[i])
 	}
 	fo.published = fo.log.Head()
+	woken := fo.woken
+	fo.woken = nil
 	fo.mu.Unlock()
+	if woken != nil {
+		close(woken)
+	}
 	fo.wakeAcks()
 }
 

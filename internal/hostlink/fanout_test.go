@@ -230,6 +230,52 @@ func TestFanoutHealthyDeliveryInOrder(t *testing.T) {
 	}
 }
 
+// TestUpdateChanClosesAtPublish pins when the tier's readers wake: Advance
+// replaces the UpdateChan channel together with the log's head, so a
+// waiter that re-checks the generation misses nothing, but the superseded
+// channel stays open until Distribute publishes the generation. A
+// generation that is never distributed wakes its waiters at the next
+// Advance.
+func TestUpdateChanClosesAtPublish(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	h := newHarness(t, 2, 8, nil)
+	h.run(1)
+	ch := h.fo.UpdateChan()
+	h.advance()
+	if h.fo.UpdateChan() == ch {
+		t.Fatal("Advance kept the UpdateChan channel")
+	}
+	if closed(ch) {
+		t.Fatal("UpdateChan closed before the generation was distributed")
+	}
+	if err := h.fo.Distribute(supervise.LevelFull); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("Distribute did not close the UpdateChan channel")
+	}
+	ch = h.fo.UpdateChan()
+	h.advance()
+	next := h.fo.UpdateChan()
+	h.advance()
+	if !closed(ch) || closed(next) {
+		t.Fatalf("after two Advances: first channel closed %v, second %v; want true, false", closed(ch), closed(next))
+	}
+	if err := h.fo.Distribute(supervise.LevelFull); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(next) {
+		t.Fatal("Distribute did not close the UpdateChan channel")
+	}
+}
+
 func TestFanoutDropHealsFromRing(t *testing.T) {
 	h := newHarness(t, 2, 64, func(c *Config) {
 		c.DropRate = 0.4

@@ -469,6 +469,9 @@ func decodeFrame(t FrameType, payload []byte) (any, error) {
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
+	// fnvPrime4 is fnvPrime⁴ mod 2⁶⁴: four FNV-1a steps over zero bytes,
+	// since xoring in a zero byte changes nothing.
+	fnvPrime4 = 0x9ffaac085635bc91
 )
 
 func fold64(h, v uint64) uint64 {
@@ -478,6 +481,18 @@ func fold64(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
+}
+
+// fold32 is fold64(h, uint64(v)) in five multiplies instead of eight: the
+// four high bytes of a widened 32-bit value are zero, so their steps
+// collapse into one multiply by fnvPrime4 (multiplication mod 2⁶⁴
+// associates). The chain's bits are those of fold64.
+func fold32(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v&0xff)) * fnvPrime
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime
+	h = (h ^ uint64(v>>24)) * fnvPrime
+	return h * fnvPrime4
 }
 
 // ChainSeed is the digest chain's starting value (before any generation
@@ -505,15 +520,15 @@ func FoldDiff(chain uint64, f *DiffFrame) uint64 {
 	for i, links := range [][]constellation.LinkDelta{f.Added, f.Removed, f.DelayChanged} {
 		h = fold64(h, 0xA1+uint64(i))
 		for _, l := range links {
-			h = fold64(h, uint64(uint32(l.A)))
-			h = fold64(h, uint64(uint32(l.B)))
-			h = fold64(h, uint64(uint32(l.NewQ)))
+			h = fold32(h, uint32(l.A))
+			h = fold32(h, uint32(l.B))
+			h = fold32(h, uint32(l.NewQ))
 		}
 	}
 	for i, ids := range [][]int32{f.Activated, f.Deactivated} {
 		h = fold64(h, 0xA4+uint64(i))
 		for _, id := range ids {
-			h = fold64(h, uint64(uint32(id)))
+			h = fold32(h, uint32(id))
 		}
 	}
 	return fold64(h, 0xAF)

@@ -173,7 +173,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	poll:
 		for {
 			// Grab the notification channel, then re-check: the
-			// coordinator closes the channel under the same lock that
+			// coordinator replaces the channel under the same lock that
 			// advances the generation, so an update between the two
 			// reads cannot be missed.
 			ch := s.src.UpdateChan()

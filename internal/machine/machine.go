@@ -90,6 +90,10 @@ type Machine struct {
 	// running mirrors state == Active. It is written under mu, with state,
 	// and read without it: the virtual network asks twice per message.
 	running atomic.Bool
+
+	// onFail, when set, hears of every transition into Failed (see
+	// NotifyFailed).
+	onFail func(id int)
 }
 
 // New creates a machine in the Created state.
@@ -206,14 +210,30 @@ func (m *Machine) Resume(now time.Time) error {
 // radiation-induced single event upset.
 func (m *Machine) Crash(now time.Time, reason string) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	switch m.state {
 	case Booting, Active, Suspended:
 		m.record(now, Failed, reason)
+		notify := m.onFail
+		m.mu.Unlock()
+		if notify != nil {
+			notify(m.id)
+		}
 		return nil
 	default:
-		return transitionError(m, "crash")
+		err := transitionError(m, "crash")
+		m.mu.Unlock()
+		return err
 	}
+}
+
+// NotifyFailed has fn called with the machine's ID after every transition
+// into Failed, once the machine's lock is released (fn may read the
+// machine). Crash is the only way into that state, so a set fed by fn
+// misses no crash, whoever caused it.
+func (m *Machine) NotifyFailed(fn func(id int)) {
+	m.mu.Lock()
+	m.onFail = fn
+	m.mu.Unlock()
 }
 
 // Throttle returns the fraction of the allocated CPU currently available.
