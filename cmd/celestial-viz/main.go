@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -25,20 +27,44 @@ import (
 	"celestial/internal/viz"
 )
 
-func main() {
-	preset := flag.String("preset", "", `preset constellation: "starlink" or "iridium"`)
-	configPath := flag.String("config", "", "TOML configuration to render")
-	t := flag.Float64("t", 0, "snapshot time in seconds after the epoch (finite, within ±9.2e9, the virtual clock's range)")
-	links := flag.Bool("links", false, "draw inter-satellite links")
-	out := flag.String("o", "", "output SVG path (default stdout)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run renders one command line's snapshot and returns its exit status: 0
+// when the SVG is written, 1 when the configuration cannot be loaded or
+// rendered and 2 for flags no render can honour.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("celestial-viz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	preset := fs.String("preset", "", `preset constellation: "starlink" or "iridium"`)
+	configPath := fs.String("config", "", "TOML configuration to render")
+	t := fs.Float64("t", 0, "snapshot time in seconds after the epoch (finite, within ±9.2e9, the virtual clock's range)")
+	links := fs.Bool("links", false, "draw inter-satellite links")
+	out := fs.String("o", "", "output SVG path (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "celestial-viz: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if err := checkTime(*t); err != nil {
-		fmt.Fprintf(os.Stderr, "celestial-viz: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "celestial-viz: %v\n", err)
+		return 2
+	}
+	lg := log.New(stderr, "", log.LstdFlags)
+	fail := func(err error) int {
+		lg.Printf("celestial-viz: %v", err)
+		return 1
 	}
 
 	var cfg *celestial.Config
 	switch {
+	case *preset != "" && *configPath != "":
+		fmt.Fprintln(stderr, "celestial-viz: -preset and -config are exclusive")
+		return 2
 	case *preset == "starlink":
 		cfg = &celestial.Config{}
 		for _, s := range celestial.StarlinkPhase1(celestial.ModelSGP4) {
@@ -48,27 +74,30 @@ func main() {
 		cfg = &celestial.Config{
 			Shells: []celestial.Shell{{ShellConfig: celestial.Iridium(celestial.ModelSGP4)}},
 		}
+	case *preset != "":
+		fmt.Fprintf(stderr, "celestial-viz: unknown -preset %q (want \"starlink\" or \"iridium\")\n", *preset)
+		return 2
 	case *configPath != "":
 		var err error
-		cfg, err = celestial.ParseConfigFile(*configPath)
-		if err != nil {
-			log.Fatalf("celestial-viz: %v", err)
+		if cfg, err = celestial.ParseConfigFile(*configPath); err != nil {
+			return fail(err)
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "celestial-viz: one of -preset or -config is required")
+		fs.Usage()
+		return 2
 	}
 	if err := celestial.Finalize(cfg); err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 
 	cons, err := constellation.New(cfg)
 	if err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 	st, err := cons.Snapshot(*t)
 	if err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 
 	m := viz.NewMap(1440, 720)
@@ -104,13 +133,16 @@ func main() {
 
 	svg := m.SVG()
 	if *out == "" {
-		fmt.Print(svg)
-		return
+		if _, err := io.WriteString(stdout, svg); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
-	log.Printf("wrote %s (%d elements, t=%.0fs)", *out, m.Elements(), *t)
+	lg.Printf("wrote %s (%d elements, t=%.0fs)", *out, m.Elements(), *t)
+	return 0
 }
 
 // checkTime refuses a snapshot time the virtual clock cannot hold: it

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -88,26 +90,43 @@ func selectEntries(all []entry, only string) ([]entry, error) {
 	return picked, nil
 }
 
-func main() {
-	full := flag.Bool("full", false, "run the paper's full experiment durations with SGP4")
-	out := flag.String("out", "results", "directory for figure/series artifacts (empty disables)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns its exit status: 0 when every
+// selected experiment reproduced its claim, 1 when one diverged or failed
+// and 2 for flags no run can honour.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	full := fs.Bool("full", false, "run the paper's full experiment durations with SGP4")
+	out := fs.String("out", "results", "directory for figure/series artifacts (empty disables)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
+	ablations := fs.Bool("ablations", false, "also run the design-choice ablations")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	opts := experiments.Options{Full: *full, OutDir: *out}
 	selected, err := selectEntries(suite(*ablations), *only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
 	}
 
+	lg := log.New(stderr, "", log.LstdFlags)
 	failures := 0
 	for _, e := range selected {
 		begin := time.Now()
 		rep, err := e.run(opts)
 		if err != nil {
-			log.Printf("experiment %s failed: %v", e.id, err)
+			lg.Printf("experiment %s failed: %v", e.id, err)
 			failures++
 			continue
 		}
@@ -116,18 +135,19 @@ func main() {
 			status = "DIVERGED"
 			failures++
 		}
-		fmt.Printf("== %s — %s [%s, %v]\n", rep.ID, rep.Title, status, time.Since(begin).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "== %s — %s [%s, %v]\n", rep.ID, rep.Title, status, time.Since(begin).Round(time.Millisecond))
 		for _, line := range rep.Lines {
-			fmt.Printf("   %s\n", line)
+			fmt.Fprintf(stdout, "   %s\n", line)
 		}
 		for _, a := range rep.Artifacts {
-			fmt.Printf("   artifact: %s\n", a)
+			fmt.Fprintf(stdout, "   artifact: %s\n", a)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failures > 0 {
-		fmt.Printf("%d experiment(s) diverged or failed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d experiment(s) diverged or failed\n", failures)
+		return 1
 	}
-	fmt.Println("all experiments reproduced the paper's claims")
+	fmt.Fprintln(stdout, "all experiments reproduced the paper's claims")
+	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,38 @@ func TestSelectEntriesRejectsUnknownIDs(t *testing.T) {
 	_, err := selectEntries(suite(false), "ZZ, NOPE")
 	if err == nil || !strings.Contains(err.Error(), `"NOPE", "ZZ"`) {
 		t.Errorf("unknown IDs are not all named, in order: %v", err)
+	}
+}
+
+// TestRunExitCodes runs command lines in process: flag errors exit 2 before
+// any experiment runs, and a reproduced experiment prints its report line
+// and exits 0.
+func TestRunExitCodes(t *testing.T) {
+	for _, tt := range []struct {
+		args   []string
+		code   int
+		stderr string // stderr must contain it
+		stdout string // stdout must contain it
+	}{
+		{args: []string{"-no-such-flag"}, code: 2, stderr: "no-such-flag"},
+		{args: []string{"-only", "NOPE"}, code: 2, stderr: `unknown experiment ID "NOPE"`},
+		{args: []string{"-only", "A-model"}, code: 2, stderr: "valid: F1"},
+		{args: []string{"-only", "F1", "extra"}, code: 2, stderr: `unexpected argument "extra"`},
+		{args: []string{"-h"}, code: 0, stderr: "-ablations"},
+		{args: []string{"-only", "T-acc", "-out", ""}, code: 0, stdout: "all experiments reproduced"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tt.args, &stdout, &stderr); code != tt.code {
+			t.Errorf("run(%q) = %d, want %d (stderr %q)", tt.args, code, tt.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tt.stderr) {
+			t.Errorf("run(%q) stderr %q does not mention %s", tt.args, stderr.String(), tt.stderr)
+		}
+		if !strings.Contains(stdout.String(), tt.stdout) {
+			t.Errorf("run(%q) stdout %q does not mention %s", tt.args, stdout.String(), tt.stdout)
+		}
+		if tt.code == 2 && stdout.Len() > 0 {
+			t.Errorf("run(%q) ran experiments before refusing its flags: %q", tt.args, stdout.String())
+		}
 	}
 }

@@ -224,45 +224,98 @@ func (c *Constellation) GroundStations() []config.GroundStation { return c.gst }
 // concurrent queries while staying cheap to clear on buffer reuse.
 const pathShards = 16
 
-// pathEntry is one cached single-source Dijkstra result with singleflight
-// semantics: the first caller computes under the entry's mutex; concurrent
-// callers for the same source block on it instead of on a global lock.
-// done flips after the computation completes (double-checked by lock-free
-// readers), letting the pool's path carry-over and repair share or reuse
-// finished entries between states without waiting on in-flight ones.
-// Unlike a sync.Once, the mutex+flag pair is resettable, so recycled
-// snapshots harvest whole entries — not just their result arrays — into
-// the spares pool. shared marks entries listed by more than one state (set
-// under the source shard's lock during carry-over, read during reset,
-// which the pool orders after any carry-over: one prepare at a time, each
-// joined before the next takes a buffer): neither their result arrays nor
-// the entry itself may be harvested for reuse, since a reader may still
-// hold them through a lease on another state. lastRead is the seq of the
-// latest state the entry was read on (see idleSnapshots).
-type pathEntry struct {
+// cacheEntry is what every path-cache entry has: singleflight semantics —
+// the first caller computes under the entry's mutex; concurrent callers for
+// the same entry block on it instead of on a global lock — and the
+// bookkeeping that carries it across states. done flips after the
+// computation completes (double-checked by lock-free readers), letting the
+// pool's path carry-over share or recompute finished entries between states
+// without waiting on in-flight ones. Unlike a sync.Once, the mutex+flag pair
+// is resettable, so recycled snapshots harvest whole entries — not just
+// their results — into the spares pool. shared marks entries listed by more
+// than one state (set under the source shard's lock during carry-over, read
+// during reset, which the pool orders after any carry-over: one prepare at
+// a time, each joined before the next takes a buffer): neither the entry
+// nor its results may be harvested for reuse, since a reader may still hold
+// them through a lease on another state. lastRead is the seq of the latest
+// state the entry was read on (see idleSnapshots).
+type cacheEntry struct {
 	mu       sync.Mutex
 	done     atomic.Bool
 	shared   bool
 	lastRead atomic.Uint64
-	sp       graph.ShortestPaths
 	err      error
 }
 
+// pathEntry is one cached single-source Dijkstra result, a tree. whole
+// marks a tree planted by a whole-tree read (State.pathsFor) rather than for
+// a source's pair reads; only those count a repair that fell back
+// (DiffRecord.RepairFallbacks).
+type pathEntry struct {
+	cacheEntry
+	whole bool
+	sp    graph.ShortestPaths
+}
+
+// pairEntry is one cached pair read: the shortest distance and path from a
+// source to dst (graph.ShortestPair). path is the entry's own; it leaves the
+// cache only as a copy.
+type pairEntry struct {
+	cacheEntry
+	dst  int
+	dist float64
+	path []int
+}
+
+// pathSource is one source's slot in a state's path cache, guarded by its
+// shard's lock. A source read as a whole tree, or whose pair searches on one
+// state settled more nodes than a repair would re-settle (treePays), holds
+// a tree, and every pair read of it reads the tree. Any other source holds
+// one pairEntry per target read. settled counts the nodes this state's pair
+// searches from the source settled. The record itself belongs to one state;
+// its entries may be shared with others.
+type pathSource struct {
+	tree    *pathEntry
+	pairs   []*pairEntry
+	settled int
+}
+
+// setTree makes e the source's tree. The pairs it held answer nothing
+// from now on and are dropped, as if the tree had been there first: a tree
+// that reaches the next state in a Snapshot's second pass, after its pairs
+// did in the first, leaves the state it would have at the boundary.
+func (s *pathSource) setTree(e *pathEntry) {
+	s.tree = e
+	clear(s.pairs)
+	s.pairs, s.settled = s.pairs[:0], 0
+}
+
+// pair returns the source's entry for dst, nil when it holds none.
+func (s *pathSource) pair(dst int) *pairEntry {
+	for _, pe := range s.pairs {
+		if pe.dst == dst {
+			return pe
+		}
+	}
+	return nil
+}
+
 // idleSnapshots is how many snapshots a cached source outlives its last
-// read: a state carries or repairs a completed entry of the previous state
-// only if the entry was read on one of the idleSnapshots states before it.
-// Repair re-settles ~10 % of the nodes per tick (8 % on Starlink P1, 11 %
-// on Gen2), so ten repairs of a source nobody reads cost about the full
-// Dijkstra its next read would pay after an eviction. Carrying an unread
-// tree longer than that cannot save more than it costs, and evicting it
-// sooner risks paying the full run for a reader that comes back every few
-// ticks. Every flow of a checked-in workload reads its sources every tick.
+// read: a state carries, repairs or re-searches a completed entry of the
+// previous state only if the entry was read on one of the idleSnapshots
+// states before it. Repair re-settles ~10 % of the nodes per tick (8 % on
+// Starlink P1, 11 % on Gen2), so ten repairs of a tree nobody reads cost
+// about the full Dijkstra its next read would pay after an eviction, and a
+// pair re-search costs less than its first search. Carrying an unread entry
+// longer than that cannot save more than it costs, and evicting it sooner
+// risks paying the full run for a reader that comes back every few ticks.
+// Every flow of a checked-in workload reads its pairs every tick.
 const idleSnapshots = 10
 
 // markRead records a read of the entry on the state at position seq.
 // lastRead only grows, so a reader still holding an older state cannot
 // make a later read look stale.
-func (e *pathEntry) markRead(seq uint64) {
+func (e *cacheEntry) markRead(seq uint64) {
 	for {
 		old := e.lastRead.Load()
 		if old >= seq || e.lastRead.CompareAndSwap(old, seq) {
@@ -273,14 +326,32 @@ func (e *pathEntry) markRead(seq uint64) {
 
 // carries reports whether the entry goes on to the state at position seq:
 // it is complete and was read within idleSnapshots states of it.
-func (e *pathEntry) carries(seq uint64) bool {
+func (e *cacheEntry) carries(seq uint64) bool {
 	return e.done.Load() && e.err == nil && e.lastRead.Load()+idleSnapshots >= seq
 }
 
-// pathShard is one lock-striped slice of the path cache.
+// pathShard is one lock-striped slice of the path cache, keyed by source.
 type pathShard struct {
 	mu sync.Mutex
-	m  map[int]*pathEntry
+	m  map[int]*pathSource
+}
+
+// source returns the shard's record for a, adding an empty one. The caller
+// holds the shard's lock or owns the unpublished state.
+func (st *State) source(sh *pathShard, a int) *pathSource {
+	s := sh.m[a]
+	if s == nil {
+		s = st.takeSource()
+		sh.m[a] = s
+	}
+	return s
+}
+
+// treePays reports whether pair searches that settled this many nodes on
+// one state cost more than keeping a tree: a repair re-settles up to
+// graph.RepairFallbackFraction of the nodes before it gives up.
+func (st *State) treePays(settled int) bool {
+	return float64(settled) > graph.RepairFallbackFraction*float64(len(st.Positions))
 }
 
 // State is one topology snapshot: node positions, available links and
@@ -303,8 +374,15 @@ type State struct {
 	c *Constellation
 	g graph.Graph
 
-	// paths is the sharded single-source shortest-path cache.
+	// paths is the sharded shortest-path cache: per source a tree or the
+	// pairs read from it.
 	paths [pathShards]pathShard
+
+	// pairScale is the scale of the pair searches' heuristic
+	// (graph.Heuristic over Positions): the least ratio of a link's realized
+	// delay to its length, found during link assembly, through
+	// graph.HeuristicScale.
+	pairScale float64
 
 	// uplinks[gi] are the per-ground-station candidate uplinks,
 	// one slice per shell.
@@ -344,14 +422,17 @@ type State struct {
 	seq uint64
 
 	// spares holds Dijkstra result arrays — and the pathEntry structs
-	// wrapping them — harvested from the previous tick's path cache when
-	// the snapshot is recycled, so steady-state path queries and repairs
-	// reuse instead of reallocate them.
+	// wrapping them — pair entries with their path arrays, and source
+	// records, harvested from the previous tick's path cache when the
+	// snapshot is recycled, so steady-state path queries, repairs and
+	// re-searches reuse instead of reallocate them.
 	spares struct {
 		mu      sync.Mutex
 		dist    [][]float64
 		prev    [][]int
 		entries []*pathEntry
+		pairs   []*pairEntry
+		sources []*pathSource
 	}
 
 	// Snapshot-generation arenas: the activity flags, link list and the
@@ -373,11 +454,12 @@ type State struct {
 // result arrays come from the snapshot's spares, the queue from here.
 var dijkstraWorkspaces = sync.Pool{New: func() any { return new(graph.Workspace) }}
 
-// maxSpareResults bounds the per-State freelist of recycled Dijkstra
-// result arrays and entries: enough to cover the steady-state query mix —
-// with path repair every queried source recurs every tick, so the working
-// set tracks the station count (~100 at the benchmark scale) — without
-// pinning the high-water mark of a one-off many-source burst.
+// maxSpareResults bounds each per-State freelist of recycled path-cache
+// results — Dijkstra arrays and entries, pair entries, source records:
+// enough to cover the steady-state query mix — every read source and pair
+// recurs every tick, so the working set tracks the station count (~100 at
+// the benchmark scale) — without pinning the high-water mark of a one-off
+// many-source burst.
 const maxSpareResults = 128
 
 // Snapshot computes the constellation state t seconds after the epoch,
@@ -512,7 +594,9 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	// adjacent ticks' graphs bit-identical whenever no link moved by a full
 	// quantum — the foundation of the diff engine and the path-cache
 	// carry-over. The delay quantum and the realized uplink sequences are
-	// recorded as this tick's link fingerprint for diffLinksFrom.
+	// recorded as this tick's link fingerprint for diffLinksFrom, and each
+	// chunk folds its least ratio of realized delay to length into the
+	// pair searches' heuristic scale.
 	//
 	// islQ first holds each feasible ISL's slot, then its delay quantum.
 	st.islQ = resize(st.islQ, planTotal)
@@ -544,21 +628,27 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 		// the next one's carve adapts.
 		st.Links = make([]topo.Link, total)
 	}
+	var least leastRatio
+	least.v = math.Inf(1)
 	off = 0
 	for _, edges := range c.edges {
 		islQ := st.islQ[off : off+len(edges)]
 		dist := st.distKm[off : off+len(edges)]
 		par.ForWorkers(len(edges), workers, func(lo, hi int) {
+			r := math.Inf(1)
 			for i := lo; i < hi; i++ {
 				if slot := islQ[i]; slot >= 0 {
 					st.Links[slot], islQ[i] = quantizedLink(
 						topo.KindISL, edges[i].a, edges[i].b, dist[i])
+					r = lessRatio(r, st.Links[slot].LatencyS, dist[i])
 				}
 			}
+			least.fold(r)
 		})
 		off += len(edges)
 	}
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
+		r := math.Inf(1)
 		for gi := glo; gi < ghi; gi++ {
 			for si := range c.shells {
 				at := int(st.gslOff[gi*len(c.shells)+si])
@@ -567,12 +657,39 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 					st.gslSat[at] = int32(sid)
 					st.Links[islTotal+at], st.gslQ[at] = quantizedLink(
 						topo.KindGSL, gstBase+gi, sid, up.DistanceKm)
+					r = lessRatio(r, st.Links[islTotal+at].LatencyS, up.DistanceKm)
 					at++
 				}
 			}
 		}
+		least.fold(r)
 	})
+	st.pairScale = graph.HeuristicScale(least.v)
 	return st, nil
+}
+
+// leastRatio is the least ratio of a link's realized delay to its length
+// over the link assembly's parallel chunks. A minimum does not depend on the
+// order the chunks fold in, so the result is the same for any worker count.
+type leastRatio struct {
+	mu sync.Mutex
+	v  float64
+}
+
+// fold lowers the minimum to r if r is smaller.
+func (l *leastRatio) fold(r float64) {
+	l.mu.Lock()
+	l.v = lessRatio(l.v, r, 1)
+	l.mu.Unlock()
+}
+
+// lessRatio returns the smaller of r and delay/lengthKm. A zero-length link
+// (0/0) bounds nothing and leaves r.
+func lessRatio(r, delay, lengthKm float64) float64 {
+	if x := delay / lengthKm; x < r {
+		return x
+	}
+	return r
 }
 
 // realizedUplinks returns the candidate uplinks of station gi to shell si
@@ -675,33 +792,44 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 	}
 	for i := range st.paths {
 		if st.paths[i].m == nil {
-			st.paths[i].m = map[int]*pathEntry{}
+			st.paths[i].m = map[int]*pathSource{}
 			continue
 		}
-		// Harvest the old tick's Dijkstra result arrays — and the
-		// entries wrapping them — for reuse before dropping them. The
-		// freelist is capped so one burst of many-source queries does
-		// not pin its high-water mark of ~2*8*N bytes per source
-		// forever. Entries shared by the path carry-over are skipped:
-		// another state (or a reader holding a lease on one) may still
-		// reference them, so they go to the garbage collector instead
-		// of being reused.
+		// Harvest the old tick's path cache for reuse before dropping it.
 		st.spares.mu.Lock()
-		for _, e := range st.paths[i].m {
-			if len(st.spares.dist) >= maxSpareResults {
-				break
-			}
-			if e.err == nil && e.sp.Dist != nil && !e.shared {
-				st.spares.dist = append(st.spares.dist, e.sp.Dist)
-				st.spares.prev = append(st.spares.prev, e.sp.Prev)
-				e.sp = graph.ShortestPaths{}
-				e.done.Store(false)
-				e.lastRead.Store(0)
-				st.spares.entries = append(st.spares.entries, e)
-			}
+		for _, src := range st.paths[i].m {
+			st.harvestLocked(src)
 		}
 		st.spares.mu.Unlock()
 		clear(st.paths[i].m)
+	}
+}
+
+// harvestLocked moves a source record of the old tick's path cache, and
+// the entries it holds, to the spares; the caller holds the spares lock.
+// Each freelist is capped, so one burst of many-source or many-pair reads
+// does not pin its high-water mark (~2*8*N bytes per tree) forever. Entries
+// shared by the path carry-over are skipped: another state (or a reader
+// holding a lease on one) may still reference them, so they go to the
+// garbage collector instead of being reused.
+func (st *State) harvestLocked(src *pathSource) {
+	sp := &st.spares
+	if e := src.tree; e != nil && e.err == nil && e.sp.Dist != nil && !e.shared && len(sp.dist) < maxSpareResults {
+		sp.dist = append(sp.dist, e.sp.Dist)
+		sp.prev = append(sp.prev, e.sp.Prev)
+		*e = pathEntry{}
+		sp.entries = append(sp.entries, e)
+	}
+	for _, pe := range src.pairs {
+		if !pe.shared && len(sp.pairs) < maxSpareResults {
+			*pe = pairEntry{path: pe.path[:0]}
+			sp.pairs = append(sp.pairs, pe)
+		}
+	}
+	if len(sp.sources) < maxSpareResults {
+		clear(src.pairs)
+		*src = pathSource{pairs: src.pairs[:0]}
+		sp.sources = append(sp.sources, src)
 	}
 }
 
@@ -709,12 +837,35 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 func (st *State) takeEntry() *pathEntry {
 	st.spares.mu.Lock()
 	defer st.spares.mu.Unlock()
-	if k := len(st.spares.entries); k > 0 {
-		e := st.spares.entries[k-1]
-		st.spares.entries = st.spares.entries[:k-1]
-		return e
+	return takeSpare(&st.spares.entries)
+}
+
+// takePair returns a reset pairEntry for target dst from the spares pool,
+// or a fresh one.
+func (st *State) takePair(dst int) *pairEntry {
+	st.spares.mu.Lock()
+	pe := takeSpare(&st.spares.pairs)
+	st.spares.mu.Unlock()
+	pe.dst = dst
+	return pe
+}
+
+// takeSource returns an empty pathSource from the spares pool, or a fresh
+// one.
+func (st *State) takeSource() *pathSource {
+	st.spares.mu.Lock()
+	defer st.spares.mu.Unlock()
+	return takeSpare(&st.spares.sources)
+}
+
+// takeSpare pops the last element of a freelist, or allocates a zero one.
+func takeSpare[T any](list *[]*T) *T {
+	if k := len(*list); k > 0 {
+		v := (*list)[k-1]
+		*list = (*list)[:k-1]
+		return v
 	}
-	return &pathEntry{}
+	return new(T)
 }
 
 // takeArrays returns a pair of recycled Dijkstra result arrays from the
@@ -785,12 +936,12 @@ type SnapshotPool struct {
 	// (see SetActivityOverlay).
 	overlay func(active []bool)
 	// deltaScratch, fold and jobScratch are the edge-delta, handover-fold
-	// and repairPaths buffers, reused across ticks. Both halves of a
+	// and carryPaths buffers, reused across ticks. Both halves of a
 	// snapshot use them, never at once: finish starts after prepare has
 	// been joined.
 	deltaScratch []graph.EdgeDelta
 	fold         handoverFold
-	jobScratch   []repairJob
+	jobScratch   []carryJob
 	// stageTimer, when set, receives the wall-clock duration of each
 	// Snapshot stage (see SetStageTimer).
 	stageTimer func(stage string, d time.Duration)
@@ -1012,29 +1163,6 @@ func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
 	return out, nil
 }
 
-// carryPaths brings the completed path-cache entries of the previous state
-// that were read within idleSnapshots and that the new one does not hold
-// yet over to it, adding to the diff's path counters. On a bit-identical
-// graph (the diff is empty, or only node activity flipped — the bounding
-// box does not affect path calculation, §3.3) the trees are shared
-// outright; otherwise they are repaired under the tick's link deltas. Both
-// halves of a snapshot call it: prepare harvests what is complete and
-// recently read when it looks, finish what was completed or read on the
-// previous state afterwards (a read only makes an entry younger), so
-// together they carry exactly the entries a single pass at the boundary
-// would.
-func (p *SnapshotPool) carryPaths(pr *prepared) {
-	prev, out := pr.prev, pr.out
-	if prev == nil || out.diff.Full {
-		return
-	}
-	if out.diff.LinksUnchanged() {
-		out.diff.CarriedPaths += transplantPaths(prev, out)
-	} else if !pr.noRepair {
-		p.repairPaths(prev, out, pr.deltas)
-	}
-}
-
 // SetActivityOverlay installs a veto on node activity: when a pooled
 // snapshot is finished, the overlay is handed the bounding box's Active
 // slice and clears the entries of nodes it reports inactive (it must only
@@ -1054,9 +1182,10 @@ func (p *SnapshotPool) carryPaths(pr *prepared) {
 func (p *SnapshotPool) SetActivityOverlay(fn func(active []bool)) { p.overlay = fn }
 
 // SetPathRepair disables (on=false) or re-enables the incremental repair
-// of carried shortest-path entries on non-empty diffs, forcing every
-// structural tick back to on-demand full Dijkstra recomputes. Repaired
-// results are bit-identical to recomputed ones (locked in by the repair
+// of carried trees and the re-search of carried pairs on non-empty diffs,
+// forcing every structural tick back to on-demand searches and full
+// Dijkstra runs at the first read. Repaired and re-searched results are
+// bit-identical to recomputed ones (locked in by the repair and pair
 // differential tests); the knob exists for the coordinator's
 // deferred-repair degradation level. The setting is read when a prepare
 // starts — by Prefetch, or by a Snapshot that has no prefetch to join — and
@@ -1091,30 +1220,48 @@ func (p *SnapshotPool) Recycle(st *State) {
 	p.mu.Unlock()
 }
 
-// pathsFor returns (computing and caching on first use) the single-source
-// shortest paths from node a. The cache is sharded by source and each
-// entry is computed at most once (singleflight): concurrent callers for
-// the same source wait on that entry only, and callers for different
-// sources proceed independently.
-func (st *State) pathsFor(a int) (graph.ShortestPaths, error) {
+// checkNode rejects a node ID outside the constellation.
+func (st *State) checkNode(a int) error {
 	if a < 0 || a >= len(st.c.nodes) {
-		return graph.ShortestPaths{}, fmt.Errorf("constellation: node %d out of range [0, %d)", a, len(st.c.nodes))
+		return fmt.Errorf("constellation: node %d out of range [0, %d)", a, len(st.c.nodes))
 	}
-	// Node IDs are non-negative (checked above), so a plain remainder is a
-	// valid shard index — no sign fixup needed.
-	shard := &st.paths[a%pathShards]
-	shard.mu.Lock()
-	e, ok := shard.m[a]
-	if !ok {
+	return nil
+}
+
+// pathsFor returns (computing and caching on first use) the single-source
+// shortest paths from node a: a whole-tree read, which plants a tree for
+// the source if the state holds none (see pathSource).
+func (st *State) pathsFor(a int) (graph.ShortestPaths, error) {
+	if err := st.checkNode(a); err != nil {
+		return graph.ShortestPaths{}, err
+	}
+	e := st.tree(a, true)
+	return e.sp, e.err
+}
+
+// tree returns source a's tree, planting it when the state holds none; whole
+// marks a plant by a whole-tree read. The cache is sharded by source and
+// each entry is computed at most once (singleflight): concurrent callers
+// for the same source wait on that entry only, and callers for different
+// sources proceed independently.
+func (st *State) tree(a int, whole bool) *pathEntry {
+	// Node IDs are non-negative (checked by the callers), so a plain
+	// remainder is a valid shard index — no sign fixup needed.
+	sh := &st.paths[a%pathShards]
+	sh.mu.Lock()
+	src := st.source(sh, a)
+	e := src.tree
+	if e == nil {
 		e = st.takeEntry()
-		shard.m[a] = e
+		e.whole = whole
+		src.tree = e
 	}
-	shard.mu.Unlock()
+	sh.mu.Unlock()
 	e.markRead(st.seq)
 	if !e.done.Load() {
 		st.fillEntry(e, a)
 	}
-	return e.sp, e.err
+	return e
 }
 
 // fillEntry computes the single-source result of an unfilled cache entry
@@ -1138,14 +1285,102 @@ func (st *State) fillEntry(e *pathEntry, a int) {
 	dijkstraWorkspaces.Put(ws)
 }
 
-// Latency returns the one-way end-to-end network latency in seconds
-// between two nodes, or +Inf when they are not connected.
-func (st *State) Latency(a, b int) (float64, error) {
-	sp, err := st.pathsFor(a)
-	if err != nil {
-		return 0, err
+// route answers a pair read, the shortest distance from a to b and, with
+// withPath, the path (owned by the cache: callers must not modify it). A
+// source that holds a tree answers from it. Any other source answers from
+// its pair entry for b, an exact goal-directed search (graph.ShortestPair)
+// run on the pair's first read on this state and carried to later states
+// like a tree; if this state's searches from a settle more nodes than a
+// repair would re-settle (treePays), the read that crosses the line plants
+// a tree for a, and a's later reads and states read the tree. A graph the
+// pair search refuses (graph.Graph.PairSearchable) is read through trees
+// only.
+func (st *State) route(a, b int, withPath bool) (float64, []int, error) {
+	if err := st.checkNode(a); err != nil {
+		return 0, nil, err
 	}
-	return sp.Dist[b], nil
+	if err := st.checkNode(b); err != nil {
+		return 0, nil, err
+	}
+	if st.g.PairSearchable() {
+		sh := &st.paths[a%pathShards]
+		sh.mu.Lock()
+		src := st.source(sh, a)
+		if src.tree == nil {
+			pe := src.pair(b)
+			if pe == nil {
+				pe = st.takePair(b)
+				src.pairs = append(src.pairs, pe)
+			}
+			sh.mu.Unlock()
+			pe.markRead(st.seq)
+			if !pe.done.Load() {
+				st.fillPair(sh, src, pe, a)
+			}
+			if math.IsInf(pe.dist, 1) {
+				return pe.dist, nil, pe.err
+			}
+			return pe.dist, pe.path, pe.err
+		}
+		sh.mu.Unlock()
+	}
+	e := st.tree(a, false)
+	if e.err != nil {
+		return 0, nil, e.err
+	}
+	if withPath {
+		return e.sp.Dist[b], e.sp.PathTo(b), nil
+	}
+	return e.sp.Dist[b], nil, nil
+}
+
+// fillPair searches an unfilled pair entry of source a under its
+// singleflight mutex, latching done even on a panic (see fillEntry), and
+// adds the nodes the search settled to the source's count, planting the
+// source's tree when the count crosses treePays.
+func (st *State) fillPair(sh *pathShard, src *pathSource, pe *pairEntry, a int) {
+	settled := func() int {
+		pe.mu.Lock()
+		defer pe.mu.Unlock()
+		if pe.done.Load() {
+			return 0
+		}
+		defer pe.done.Store(true)
+		ws := dijkstraWorkspaces.Get().(*graph.Workspace)
+		defer dijkstraWorkspaces.Put(ws)
+		return st.searchPair(pe, a, ws)
+	}()
+	if settled == 0 {
+		return
+	}
+	sh.mu.Lock()
+	src.settled += settled
+	plant := src.tree == nil && st.treePays(src.settled)
+	sh.mu.Unlock()
+	if plant {
+		st.tree(a, false)
+	}
+}
+
+// searchPair fills pe with the shortest path from a to pe.dst, reusing the
+// entry's path array, and returns the number of nodes the search settled.
+func (st *State) searchPair(pe *pairEntry, a int, ws *graph.Workspace) int {
+	h := graph.Heuristic{Pos: st.Positions, Scale: st.pairScale}
+	p, err := st.g.ShortestPair(a, pe.dst, st.transitFn, h, ws, pe.path[:0])
+	pe.dist, pe.err = p.Dist, err
+	if p.Path != nil {
+		pe.path = p.Path
+	}
+	return p.Settled
+}
+
+// Latency returns the one-way end-to-end network latency in seconds
+// between two nodes, or +Inf when they are not connected. It is a pair read
+// (see route): the state searches the pair alone unless the source holds a
+// tree, and carries the answer to the next states while it is read.
+func (st *State) Latency(a, b int) (float64, error) {
+	d, _, err := st.route(a, b, false)
+	return d, err
 }
 
 // RTT returns the round-trip latency in seconds between two nodes.
@@ -1155,13 +1390,14 @@ func (st *State) RTT(a, b int) (float64, error) {
 }
 
 // Path returns the node sequence of a shortest path between two nodes,
-// inclusive of the endpoints, or nil when unreachable.
+// inclusive of the endpoints, or nil when unreachable. Like Latency it is a
+// pair read; the slice is the caller's.
 func (st *State) Path(a, b int) ([]int, error) {
-	sp, err := st.pathsFor(a)
-	if err != nil {
+	_, path, err := st.route(a, b, true)
+	if err != nil || path == nil {
 		return nil, err
 	}
-	return sp.PathTo(b), nil
+	return append([]int(nil), path...), nil
 }
 
 // Uplinks returns the candidate uplinks (sorted closest-first) of a ground
@@ -1256,7 +1492,7 @@ func (st *State) LinkBandwidth(a, b int) (float64, bool) {
 // shortest path between two nodes, or ok=false when they are not
 // connected. A zero bandwidth means unlimited.
 func (st *State) PathBandwidth(a, b int) (float64, bool) {
-	path, err := st.Path(a, b)
+	_, path, err := st.route(a, b, true)
 	if err != nil || path == nil {
 		return 0, false
 	}

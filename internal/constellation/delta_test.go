@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -151,16 +152,18 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 	abuja, _ := c.GSTNodeByName("abuja")
 
 	donor := tp.tick(t, 300)
-	if _, err := donor.Latency(accra, abuja); err != nil {
+	plantTree(t, donor, accra)
+	if _, err := donor.Latency(abuja, accra); err != nil {
 		t.Fatal(err)
 	}
-	// The reader's view: the donor's cache entry and a copy of its
-	// distance array as computed.
-	e := donor.paths[accra%pathShards].m[accra]
-	if e == nil || !e.done.Load() {
-		t.Fatal("no completed entry for accra on the donor")
+	// The reader's view: the donor's cache entries — accra's tree, the
+	// pair from abuja — and a copy of their results as computed.
+	e, pe := entryFor(donor, accra), pairFor(donor, abuja, accra)
+	if e == nil || !e.done.Load() || pe == nil || !pe.done.Load() {
+		t.Fatal("no completed tree for accra or pair from abuja on the donor")
 	}
 	wantDist := append([]float64(nil), e.sp.Dist...)
+	wantPath := append([]int(nil), pe.path...)
 
 	// Find an empty tick that carries the entry forward.
 	var carried *State
@@ -168,14 +171,16 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 		st := tp.tick(t, 300+float64(i)*0.01)
 		if st.Diff().Empty() && st.Diff().CarriedPaths > 0 {
 			carried = st
-		} else if _, err := st.Latency(accra, abuja); err != nil {
+		} else if _, err := st.Latency(abuja, accra); err != nil {
 			t.Fatal(err)
 		} else {
 			// Structural tick: refresh the reader's view of the new
-			// donor's entry.
+			// donor's entries.
+			plantTree(t, st, accra)
 			donor = st
-			e = donor.paths[accra%pathShards].m[accra]
+			e, pe = entryFor(donor, accra), pairFor(donor, abuja, accra)
 			wantDist = append(wantDist[:0], e.sp.Dist...)
+			wantPath = append(wantPath[:0], pe.path...)
 		}
 	}
 	if carried == nil {
@@ -188,7 +193,11 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 	tp.tick(t, 9000)         // structural; recycles the carried state
 	next := tp.tick(t, 9600) // reuses the carried state's buffers
 	for src := 0; src < 40; src++ {
+		plantTree(t, next, src)
 		if _, err := next.Latency(src, abuja); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := next.Latency(abuja, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,6 +205,9 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 		if d != wantDist[i] {
 			t.Fatalf("held entry mutated at %d: %v != %v (arrays were recycled)", i, d, wantDist[i])
 		}
+	}
+	if !slices.Equal(pe.path, wantPath) {
+		t.Fatalf("held pair path mutated: %v != %v (its array was recycled)", pe.path, wantPath)
 	}
 }
 

@@ -69,14 +69,17 @@ type DiffRecord struct {
 	// Activated and Deactivated are nodes whose bounding-box activity
 	// flipped.
 	Activated, Deactivated []int32
-	// CarriedPaths counts shortest-path cache entries transplanted from
-	// the base state because the link graph was unchanged.
-	CarriedPaths int
-	// RepairedPaths counts shortest-path cache entries incrementally
-	// repaired from the base state's trees under this diff's link deltas
-	// (graph.RepairSSSP); RepairFallbacks counts entries whose affected
-	// cone was too large and that were fully recomputed instead. Both are
-	// zero on link-unchanged diffs, which transplant.
+	// CarriedPaths counts the path-cache sources shared with the base
+	// state because the link graph was unchanged; RepairedPaths counts
+	// those brought forward under this diff's link deltas, by tree repair
+	// (graph.RepairSSSP), pair re-search (graph.ShortestPair) or a tree
+	// planted for a source whose pairs cost more. Both count sources, not
+	// entries, whatever serves them. RepairFallbacks counts the sources
+	// read as whole trees whose affected cone was too large and that were
+	// fully recomputed instead; a source counts in one of the three. All
+	// are zero on a Full diff, and RepairedPaths and RepairFallbacks on
+	// link-unchanged diffs, which transplant.
+	CarriedPaths    int
 	RepairedPaths   int
 	RepairFallbacks int
 	// Degraded is the supervision level the producing tick ran at (the
@@ -266,37 +269,4 @@ func int32sEqual(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// transplantPaths shares the completed shortest-path cache entries of prev
-// with next, so that a tick with unchanged links — whose graph is
-// bit-identical to the previous one — serves path queries without
-// recomputing any Dijkstra tree. Shared entries are marked and thereby
-// exempted from the spare-array harvest in reset: a reader may still be
-// holding the entry's result arrays through a lease on *any* state that
-// ever listed it (the donor included), so those arrays must never be
-// recycled for new computations — they are simply left to the garbage
-// collector once the last referencing state lets go. Only completed
-// entries read within idleSnapshots are shared; an entry whose computation
-// is in flight on prev stays exclusive to it. Sources next already holds
-// are skipped, so a second pass (SnapshotPool.carryPaths) counts only what
-// it adds. next is not published yet; only prev's shards need their locks.
-func transplantPaths(prev, next *State) int {
-	shared := 0
-	for i := range prev.paths {
-		src, dst := &prev.paths[i], &next.paths[i]
-		src.mu.Lock()
-		for a, e := range src.m {
-			if _, held := dst.m[a]; held {
-				continue
-			}
-			if e.carries(next.seq) {
-				e.shared = true
-				dst.m[a] = e
-				shared++
-			}
-		}
-		src.mu.Unlock()
-	}
-	return shared
 }

@@ -3,11 +3,13 @@ package constellation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"celestial/internal/config"
 	"celestial/internal/geom"
+	"celestial/internal/graph"
 	"celestial/internal/orbit"
 )
 
@@ -84,5 +86,47 @@ func TestGen2SteadyTick(t *testing.T) {
 	}
 	if !tp.prev.Diff().GraphPatched {
 		t.Error("the last tick rebuilt its graph instead of patching it")
+	}
+}
+
+// TestGen2PairSettlesFewNodes pins what a pair read costs at Gen2 scale:
+// between the stations of the gen2-steady benchmark's two rpc flows
+// (gst010↔gst060, gst030↔gst080), both ways, the goal-directed search
+// settles fewer than 5 % of the satellites (the transit nodes), where a
+// repaired tree re-settles ~11 % of all nodes every tick and a full run all
+// of them. The bound stands in for a per-layer settled-per-query metric.
+// Every answer is checked against a full Dijkstra run.
+func TestGen2PairSettlesFewNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 29,988-satellite constellation")
+	}
+	c := mustNew(t, gen2Config(t))
+	st, err := c.Snapshot(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sats := c.NodeCount() - len(c.gst)
+	h := graph.Heuristic{Pos: st.Positions, Scale: st.pairScale}
+	var ws graph.Workspace
+	worst := 0
+	for _, p := range [][2]int{{10, 60}, {60, 10}, {30, 80}, {80, 30}} {
+		src, dst := sats+p[0], sats+p[1]
+		got, err := st.g.ShortestPair(src, dst, st.transitFn, h, &ws, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := st.g.DijkstraTransit(src, st.transitFn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Dist) != math.Float64bits(want.Dist[dst]) || !slices.Equal(got.Path, want.PathTo(dst)) {
+			t.Fatalf("stations %v: pair %v %v, Dijkstra %v %v", p, got.Dist, got.Path, want.Dist[dst], want.PathTo(dst))
+		}
+		worst = max(worst, got.Settled)
+		t.Logf("stations %v: %.0f ms, %d hops, %d nodes settled (%.2f %% of the satellites)",
+			p, got.Dist*1000, len(got.Path)-1, got.Settled, 100*float64(got.Settled)/float64(sats))
+	}
+	if limit := sats / 20; worst >= limit {
+		t.Fatalf("a pair search settled %d nodes, bound %d (5 %% of %d satellites)", worst, limit, sats)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,21 +19,26 @@ import (
 )
 
 // cachedSources returns the sources whose trees st's path cache holds
-// complete, sorted.
-func cachedSources(st *State) []int {
-	var out []int
+// complete, sorted, and the pairs it holds complete, as "src>dst", sorted.
+func cachedSources(st *State) (trees []int, pairs []string) {
 	for i := range st.paths {
 		sh := &st.paths[i]
 		sh.mu.Lock()
-		for a, e := range sh.m {
-			if e.done.Load() && e.err == nil {
-				out = append(out, a)
+		for a, src := range sh.m {
+			if e := src.tree; e != nil && e.done.Load() && e.err == nil {
+				trees = append(trees, a)
+			}
+			for _, pe := range src.pairs {
+				if pe.done.Load() && pe.err == nil {
+					pairs = append(pairs, fmt.Sprintf("%d>%d", a, pe.dst))
+				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(trees)
+	sort.Strings(pairs)
+	return trees, pairs
 }
 
 // assertHintIdentical holds the prefetched side's state against the
@@ -49,12 +56,21 @@ func assertHintIdentical(t *testing.T, tick int, want, got *State) {
 	if w, g := fmt.Sprintf("%+v", want.Diff().Stats()), fmt.Sprintf("%+v", got.Diff().Stats()); w != g {
 		t.Fatalf("tick %d: diff stats differ:\n sync     %s\n prefetch %s", tick, w, g)
 	}
-	ws, gs := cachedSources(want), cachedSources(got)
-	if fmt.Sprint(ws) != fmt.Sprint(gs) {
-		t.Fatalf("tick %d: path caches hold different sources:\n sync     %v\n prefetch %v", tick, ws, gs)
+	ws, wp := cachedSources(want)
+	gs, gp := cachedSources(got)
+	if fmt.Sprint(ws) != fmt.Sprint(gs) || fmt.Sprint(wp) != fmt.Sprint(gp) {
+		t.Fatalf("tick %d: path caches hold different trees or pairs:\n sync     %v %v\n prefetch %v %v", tick, ws, wp, gs, gp)
 	}
 	for _, src := range ws {
 		assertSPIdentical(t, fmt.Sprintf("tick %d cached source %d", tick, src), entryFor(want, src).sp, entryFor(got, src).sp)
+	}
+	for _, key := range wp {
+		var src, dst int
+		fmt.Sscanf(key, "%d>%d", &src, &dst)
+		w, g := pairFor(want, src, dst), pairFor(got, src, dst)
+		if math.Float64bits(w.dist) != math.Float64bits(g.dist) || !slices.Equal(w.path, g.path) {
+			t.Fatalf("tick %d: cached pair %s: sync %v %v, prefetch %v %v", tick, key, w.dist, w.path, g.dist, g.path)
+		}
 	}
 	for _, src := range []int{0, len(want.Positions) - 1} {
 		w, err1 := want.Graph().Dijkstra(src)
@@ -103,9 +119,16 @@ func prefetchDifferential(t *testing.T, seed int64) {
 	pre.pool.SetActivityOverlay(overlay)
 	ref.pool.SetActivityOverlay(overlay)
 
+	// Even sources are read as whole trees, odd ones as a pair.
 	plant := func(st *State, srcs []int) {
 		for _, src := range srcs {
-			if _, err := st.Latency(src, target); err != nil {
+			var err error
+			if src%2 == 0 {
+				_, err = st.pathsFor(src)
+			} else {
+				_, err = st.Latency(src, target)
+			}
+			if err != nil {
 				t.Errorf("planting source %d: %v", src, err)
 			}
 		}
@@ -291,9 +314,7 @@ func TestFailedPrepareLeavesPoolReusable(t *testing.T) {
 	tp.pool.Prefetch(101)
 	base := tp.tick(t, 101)
 	src, _ := c.GSTNodeByName("accra")
-	if _, err := base.Latency(src, 0); err != nil {
-		t.Fatal(err)
-	}
+	plantTree(t, base, src)
 
 	for _, prefetch := range []bool{true, false} {
 		// No prepare is in flight here: the last one was joined above.

@@ -9,13 +9,37 @@ import (
 	"celestial/internal/orbit"
 )
 
-// entryFor digs a state's cached path entry out of its shard, nil when the
-// source was never cached.
+// entryFor digs a state's cached tree for a source out of its shard, nil
+// when the state holds none.
 func entryFor(st *State, src int) *pathEntry {
 	sh := &st.paths[src%pathShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.m[src]
+	if s := sh.m[src]; s != nil {
+		return s.tree
+	}
+	return nil
+}
+
+// pairFor digs a state's cached pair entry for (src, dst) out of its shard,
+// nil when the state holds none.
+func pairFor(st *State, src, dst int) *pairEntry {
+	sh := &st.paths[src%pathShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if s := sh.m[src]; s != nil {
+		return s.pair(dst)
+	}
+	return nil
+}
+
+// plantTree reads src's whole tree on st, the way BestMeetingPoint does,
+// so that st's cache holds a tree for it.
+func plantTree(t *testing.T, st *State, src int) {
+	t.Helper()
+	if _, err := st.pathsFor(src); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // assertSPIdentical compares two single-source results bit for bit —
@@ -247,8 +271,8 @@ func TestRepairDisabledRecomputesLazily(t *testing.T) {
 		}
 		if i > 0 && !d.LinksUnchanged() {
 			structural = true
-			if e := entryFor(st, accra); e != nil {
-				t.Fatalf("tick %d: entry pre-populated with repair disabled", i)
+			if e, pe := entryFor(st, accra), pairFor(st, accra, jbg); e != nil || pe != nil {
+				t.Fatalf("tick %d: tree or pair pre-populated with repair disabled", i)
 			}
 		}
 		ref, err := fresh.Snapshot(float64(i) * 5)
@@ -278,9 +302,7 @@ func TestRepairReusesHarvestedEntries(t *testing.T) {
 	stA := tp.tick(t, 0) // buffer X
 	harvestable := map[*pathEntry]bool{}
 	for _, src := range sources {
-		if _, err := stA.Latency(src, 10); err != nil {
-			t.Fatal(err)
-		}
+		plantTree(t, stA, src)
 		harvestable[entryFor(stA, src)] = true
 	}
 	tp.tick(t, 7.5) // buffer Y; X still the pool's diff base
@@ -310,28 +332,35 @@ func TestRepairReusesHarvestedEntries(t *testing.T) {
 
 // TestUnreadSourcesAreForgotten: a path source nobody reads leaves the
 // cache idleSnapshots ticks after its last read, instead of costing a
-// carry-over or a repair on every later tick. One source is read every
-// tick; six one-off sources are read once, on the first state. The ticks
-// mix 5 ms steps, whose unchanged links share trees, with multi-second
-// ones, which repair them.
+// carry-over, a repair or a re-search on every later tick. One source is
+// read every tick; six one-off sources are read once, on the first state,
+// three as whole trees and three by a pair read. The ticks mix 5 ms steps,
+// whose unchanged links share trees and pairs, with multi-second ones,
+// which repair and re-search them.
 func TestUnreadSourcesAreForgotten(t *testing.T) {
 	c := mustNew(t, testConfig(t, orbit.ModelKepler))
 	tp := &tickingPool{pool: c.NewSnapshotPool()}
 	accra, _ := c.GSTNodeByName("accra")
 	jbg, _ := c.GSTNodeByName("johannesburg")
 	oneOff := []int{0, 50, 137, 300, 511, jbg}
-	read := func(st *State, src int) {
+	read := func(st *State, src int, whole bool) {
 		t.Helper()
-		if _, err := st.Latency(src, accra); err != nil {
+		var err error
+		if whole {
+			_, err = st.pathsFor(src)
+		} else {
+			_, err = st.Latency(src, accra)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	offset := 100.0
 	st := tp.tick(t, offset)
-	read(st, accra)
-	for _, src := range oneOff {
-		read(st, src)
+	read(st, accra, true)
+	for i, src := range oneOff {
+		read(st, src, i%2 == 0)
 	}
 	shared, repaired := 0, 0
 	for i := 1; i <= idleSnapshots+1; i++ {
@@ -354,10 +383,16 @@ func TestUnreadSourcesAreForgotten(t *testing.T) {
 		if e := entryFor(st, accra); e == nil || !e.done.Load() {
 			t.Fatalf("tick %d: the source read every tick was not carried", i)
 		}
-		read(st, accra)
+		if i <= idleSnapshots && entryFor(st, jbg) == nil && pairFor(st, jbg, accra) == nil {
+			t.Fatalf("tick %d: a one-off source read by a pair left the cache early", i)
+		}
+		read(st, accra, true)
 	}
-	if e := entryFor(st, jbg); e != nil {
-		t.Fatal("a one-off source is still cached after idleSnapshots unread ticks")
+	if e := entryFor(st, 0); e != nil {
+		t.Fatal("a one-off tree is still cached after idleSnapshots unread ticks")
+	}
+	if e, pe := entryFor(st, jbg), pairFor(st, jbg, accra); e != nil || pe != nil {
+		t.Fatal("a one-off source read by a pair is still cached after idleSnapshots unread ticks")
 	}
 	if shared == 0 || repaired == 0 {
 		t.Fatalf("schedule too tame: %d shared and %d repaired entries", shared, repaired)
@@ -373,15 +408,13 @@ func TestLateReadReachesRepairedEntry(t *testing.T) {
 	accra, _ := c.GSTNodeByName("accra")
 	offset := 100.0
 	st := tp.tick(t, offset)
-	if _, err := st.Latency(accra, 0); err != nil {
-		t.Fatal(err)
-	}
+	plantTree(t, st, accra)
 	offset += 7.5
 	st = tp.tick(t, offset) // repairs accra's tree; nobody reads it
 	offset += 7.5
 	tp.pool.Prefetch(offset)
 	<-tp.pool.pre.done
-	if _, err := st.Latency(accra, 0); err != nil {
+	if _, err := st.Latency(accra, 0); err != nil { // a pair read reads the tree
 		t.Fatal(err)
 	}
 	next := tp.tick(t, offset)

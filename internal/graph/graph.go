@@ -412,8 +412,8 @@ func frontierKey(d, scale float64) uint64 {
 }
 
 // Workspace holds a Dijkstra run's queue scratch — plus the stamp array and
-// cone queue of RepairSSSP — so that repeated runs on graphs of similar
-// size reallocate nothing; pair it with DijkstraTransitInto and recycled
+// cone queue of RepairSSSP, and ShortestPair's per-node state and queue —
+// so that repeated runs on graphs of similar size reallocate nothing; pair it with DijkstraTransitInto and recycled
 // dist/prev arrays to make a run allocation-free. A Workspace is not safe
 // for concurrent use; give each goroutine its own. The zero value is ready
 // to use.
@@ -424,6 +424,7 @@ type Workspace struct {
 	stamp []int32
 	epoch int32
 	queue []int32
+	pair  pairScratch
 }
 
 // prepareRepair sizes the stamp array for n nodes and returns a fresh epoch

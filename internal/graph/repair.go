@@ -30,7 +30,9 @@ func (d EdgeDelta) check(n int) error {
 // cone (nodes whose shortest-path tree support was invalidated) exceeds
 // this fraction of all nodes, re-settling it costs about as much as a full
 // run plus the repair bookkeeping, so RepairSSSP abandons the repair and
-// recomputes from scratch.
+// recomputes from scratch. It is also the most a kept tree costs per
+// update, so a caller choosing between ShortestPair searches and a tree
+// keeps a tree once the searches settle more nodes than this fraction.
 const RepairFallbackFraction = 0.2
 
 // RepairSSSP repairs sp — a single-source result computed on a graph that

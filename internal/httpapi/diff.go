@@ -63,9 +63,9 @@ type DiffDoc struct {
 	// Activated and Deactivated are node IDs whose activity flipped.
 	Activated   []int32 `json:"activated,omitempty"`
 	Deactivated []int32 `json:"deactivated,omitempty"`
-	// CarriedPaths, RepairedPaths and RepairFallbacks report how the
-	// tick reused the shortest-path cache (carry-over, incremental
-	// repair, full recompute).
+	// CarriedPaths, RepairedPaths and RepairFallbacks report how many
+	// path-cache sources the tick brought forward (carry-over, repair or
+	// re-search, full recompute of a whole-tree read).
 	CarriedPaths    int `json:"carried_paths,omitempty"`
 	RepairedPaths   int `json:"repaired_paths,omitempty"`
 	RepairFallbacks int `json:"repair_fallbacks,omitempty"`

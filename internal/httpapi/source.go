@@ -226,10 +226,11 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	if st == nil {
 		return errDoc(503, "no constellation state yet")
 	}
-	// Latency, path and bandwidth all come off the state's repaired
-	// shortest-path cache: the tick pipeline transplants or incrementally
-	// repairs cached trees across updates, so steady-state queries never
-	// pay a full Dijkstra recompute here.
+	// Latency, path and bandwidth are three reads of one pair: the first
+	// searches it (or reads the source's tree, when the state keeps one),
+	// the other two hit the state's path cache, and the tick pipeline
+	// carries the pair to later states while it is read, so steady-state
+	// queries never pay a full Dijkstra run here.
 	lat, err := st.Latency(src, dst)
 	if err != nil {
 		return errDoc(500, "%v", err)
