@@ -230,19 +230,11 @@ const pathShards = 16
 // bookkeeping that carries it across states. done flips after the
 // computation completes (double-checked by lock-free readers), letting the
 // pool's path carry-over share or recompute finished entries between states
-// without waiting on in-flight ones. Unlike a sync.Once, the mutex+flag pair
-// is resettable, so recycled snapshots harvest whole entries — not just
-// their results — into the spares pool. shared marks entries listed by more
-// than one state (set under the source shard's lock during carry-over, read
-// during reset, which the pool orders after any carry-over: one prepare at
-// a time, each joined before the next takes a buffer): neither the entry
-// nor its results may be harvested for reuse, since a reader may still hold
-// them through a lease on another state. lastRead is the seq of the latest
+// without waiting on in-flight ones. lastRead is the seq of the latest
 // state the entry was read on (see idleSnapshots).
 type cacheEntry struct {
 	mu       sync.Mutex
 	done     atomic.Bool
-	shared   bool
 	lastRead atomic.Uint64
 	err      error
 }
@@ -250,12 +242,23 @@ type cacheEntry struct {
 // pathEntry is one cached single-source Dijkstra result, a tree. whole
 // marks a tree planted by a whole-tree read (State.pathsFor) rather than for
 // a source's pair reads; only those count a repair that fell back
-// (DiffRecord.RepairFallbacks).
+// (DiffRecord.RepairFallbacks). shared marks a tree listed by more than one
+// state (set under the source shard's lock during carry-over, read during
+// reset, which the pool orders after any carry-over: one prepare at a time,
+// each joined before the next takes a buffer): its arrays never go back to
+// spareTrees, since a reader may still hold them through a lease on another
+// state.
 type pathEntry struct {
 	cacheEntry
-	whole bool
-	sp    graph.ShortestPaths
+	whole  bool
+	shared bool
+	sp     graph.ShortestPaths
 }
+
+// spareTrees recycles tree arrays across states, process wide: a state's
+// reset puts back every finished tree only it held, emptied but for its
+// sp.Dist and sp.Prev, and path-cache fills and repairs compute into them.
+var spareTrees = sync.Pool{New: func() any { return new(pathEntry) }}
 
 // pairEntry is one cached pair read: the shortest distance and path from a
 // source to dst (graph.ShortestPair). path is the entry's own; it leaves the
@@ -285,9 +288,7 @@ type pathSource struct {
 // that reaches the next state in a Snapshot's second pass, after its pairs
 // did in the first, leaves the state it would have at the boundary.
 func (s *pathSource) setTree(e *pathEntry) {
-	s.tree = e
-	clear(s.pairs)
-	s.pairs, s.settled = s.pairs[:0], 0
+	s.tree, s.pairs, s.settled = e, nil, 0
 }
 
 // pair returns the source's entry for dst, nil when it holds none.
@@ -338,10 +339,10 @@ type pathShard struct {
 
 // source returns the shard's record for a, adding an empty one. The caller
 // holds the shard's lock or owns the unpublished state.
-func (st *State) source(sh *pathShard, a int) *pathSource {
+func (sh *pathShard) source(a int) *pathSource {
 	s := sh.m[a]
 	if s == nil {
-		s = st.takeSource()
+		s = new(pathSource)
 		sh.m[a] = s
 	}
 	return s
@@ -421,20 +422,6 @@ type State struct {
 	// more than the previous state's; path-cache entries age by it.
 	seq uint64
 
-	// spares holds Dijkstra result arrays — and the pathEntry structs
-	// wrapping them — pair entries with their path arrays, and source
-	// records, harvested from the previous tick's path cache when the
-	// snapshot is recycled, so steady-state path queries, repairs and
-	// re-searches reuse instead of reallocate them.
-	spares struct {
-		mu      sync.Mutex
-		dist    [][]float64
-		prev    [][]int
-		entries []*pathEntry
-		pairs   []*pairEntry
-		sources []*pathSource
-	}
-
 	// Snapshot-generation arenas: the activity flags, link list and the
 	// many small per-(station, shell) uplink slices are carved from
 	// grow-only chunks, rewound as a unit when the state's buffers are
@@ -451,16 +438,8 @@ type State struct {
 }
 
 // dijkstraWorkspaces pools queue scratch across path-cache fills; the
-// result arrays come from the snapshot's spares, the queue from here.
+// result arrays come from spareTrees, the queue from here.
 var dijkstraWorkspaces = sync.Pool{New: func() any { return new(graph.Workspace) }}
-
-// maxSpareResults bounds each per-State freelist of recycled path-cache
-// results — Dijkstra arrays and entries, pair entries, source records:
-// enough to cover the steady-state query mix — every read source and pair
-// recurs every tick, so the working set tracks the station count (~100 at
-// the benchmark scale) — without pinning the high-water mark of a one-off
-// many-source burst.
-const maxSpareResults = 128
 
 // Snapshot computes the constellation state t seconds after the epoch,
 // fanning the orbit propagation, ISL feasibility tests and ground-station
@@ -795,89 +774,15 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 			st.paths[i].m = map[int]*pathSource{}
 			continue
 		}
-		// Harvest the old tick's path cache for reuse before dropping it.
-		st.spares.mu.Lock()
+		// Recycle the old tick's trees before dropping the cache.
 		for _, src := range st.paths[i].m {
-			st.harvestLocked(src)
+			if e := src.tree; e != nil && e.done.Load() && e.err == nil && !e.shared {
+				*e = pathEntry{sp: graph.ShortestPaths{Dist: e.sp.Dist, Prev: e.sp.Prev}}
+				spareTrees.Put(e)
+			}
 		}
-		st.spares.mu.Unlock()
 		clear(st.paths[i].m)
 	}
-}
-
-// harvestLocked moves a source record of the old tick's path cache, and
-// the entries it holds, to the spares; the caller holds the spares lock.
-// Each freelist is capped, so one burst of many-source or many-pair reads
-// does not pin its high-water mark (~2*8*N bytes per tree) forever. Entries
-// shared by the path carry-over are skipped: another state (or a reader
-// holding a lease on one) may still reference them, so they go to the
-// garbage collector instead of being reused.
-func (st *State) harvestLocked(src *pathSource) {
-	sp := &st.spares
-	if e := src.tree; e != nil && e.err == nil && e.sp.Dist != nil && !e.shared && len(sp.dist) < maxSpareResults {
-		sp.dist = append(sp.dist, e.sp.Dist)
-		sp.prev = append(sp.prev, e.sp.Prev)
-		*e = pathEntry{}
-		sp.entries = append(sp.entries, e)
-	}
-	for _, pe := range src.pairs {
-		if !pe.shared && len(sp.pairs) < maxSpareResults {
-			*pe = pairEntry{path: pe.path[:0]}
-			sp.pairs = append(sp.pairs, pe)
-		}
-	}
-	if len(sp.sources) < maxSpareResults {
-		clear(src.pairs)
-		*src = pathSource{pairs: src.pairs[:0]}
-		sp.sources = append(sp.sources, src)
-	}
-}
-
-// takeEntry returns a reset pathEntry from the spares pool, or a fresh one.
-func (st *State) takeEntry() *pathEntry {
-	st.spares.mu.Lock()
-	defer st.spares.mu.Unlock()
-	return takeSpare(&st.spares.entries)
-}
-
-// takePair returns a reset pairEntry for target dst from the spares pool,
-// or a fresh one.
-func (st *State) takePair(dst int) *pairEntry {
-	st.spares.mu.Lock()
-	pe := takeSpare(&st.spares.pairs)
-	st.spares.mu.Unlock()
-	pe.dst = dst
-	return pe
-}
-
-// takeSource returns an empty pathSource from the spares pool, or a fresh
-// one.
-func (st *State) takeSource() *pathSource {
-	st.spares.mu.Lock()
-	defer st.spares.mu.Unlock()
-	return takeSpare(&st.spares.sources)
-}
-
-// takeSpare pops the last element of a freelist, or allocates a zero one.
-func takeSpare[T any](list *[]*T) *T {
-	if k := len(*list); k > 0 {
-		v := (*list)[k-1]
-		*list = (*list)[:k-1]
-		return v
-	}
-	return new(T)
-}
-
-// takeArrays returns a pair of recycled Dijkstra result arrays from the
-// spares pool; nil slices (letting the computation allocate) when empty.
-func (st *State) takeArrays() (dist []float64, prev []int) {
-	st.spares.mu.Lock()
-	defer st.spares.mu.Unlock()
-	if k := len(st.spares.dist); k > 0 {
-		dist, st.spares.dist = st.spares.dist[k-1], st.spares.dist[:k-1]
-		prev, st.spares.prev = st.spares.prev[k-1], st.spares.prev[:k-1]
-	}
-	return dist, prev
 }
 
 // resize returns s with length n, reusing its backing array when possible.
@@ -890,8 +795,9 @@ func resize[T any](s []T, n int) []T {
 
 // SnapshotPool recycles State buffers across update ticks so that the
 // steady-state constellation calculation allocates (almost) nothing:
-// positions, activity flags, link slices, the graph's CSR image, path
-// caches and uplink buffers are all reused. The coordinator
+// positions, activity flags, link slices, the graph's CSR image, the path
+// cache's shard maps and uplink buffers are all reused, and the arrays of
+// the trees a state held alone go back to spareTrees. The coordinator
 // double-buffers through the pool — a State handed out by Snapshot must be
 // Recycled by the caller once no reader can still hold it.
 //
@@ -1249,10 +1155,10 @@ func (st *State) tree(a int, whole bool) *pathEntry {
 	// remainder is a valid shard index — no sign fixup needed.
 	sh := &st.paths[a%pathShards]
 	sh.mu.Lock()
-	src := st.source(sh, a)
+	src := sh.source(a)
 	e := src.tree
 	if e == nil {
-		e = st.takeEntry()
+		e = spareTrees.Get().(*pathEntry)
 		e.whole = whole
 		src.tree = e
 	}
@@ -1265,10 +1171,12 @@ func (st *State) tree(a int, whole bool) *pathEntry {
 }
 
 // fillEntry computes the single-source result of an unfilled cache entry
-// under its singleflight mutex. Like a sync.Once, the entry latches done
-// even if the computation panics (deferred, before the mutex releases), so
-// a recovered panic — e.g. inside an HTTP handler — cannot leave later
-// callers blocked on the entry forever.
+// under its singleflight mutex, into the entry's own arrays (recycled when
+// the entry came from spareTrees) with pooled queue scratch. Like a
+// sync.Once, the entry latches done even if the computation panics
+// (deferred, before the mutex releases), so a recovered panic — e.g.
+// inside an HTTP handler — cannot leave later callers blocked on the entry
+// forever.
 func (st *State) fillEntry(e *pathEntry, a int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1276,12 +1184,8 @@ func (st *State) fillEntry(e *pathEntry, a int) {
 		return
 	}
 	defer e.done.Store(true)
-	// Recycle result arrays harvested from the previous tick and borrow
-	// pooled queue scratch; the computed result is owned by this entry for
-	// the snapshot's lifetime.
-	dist, prev := st.takeArrays()
 	ws := dijkstraWorkspaces.Get().(*graph.Workspace)
-	e.sp, e.err = st.g.DijkstraTransitInto(a, st.transitFn, dist, prev, ws)
+	e.sp, e.err = st.g.DijkstraTransitInto(a, st.transitFn, e.sp.Dist, e.sp.Prev, ws)
 	dijkstraWorkspaces.Put(ws)
 }
 
@@ -1305,11 +1209,11 @@ func (st *State) route(a, b int, withPath bool) (float64, []int, error) {
 	if st.g.PairSearchable() {
 		sh := &st.paths[a%pathShards]
 		sh.mu.Lock()
-		src := st.source(sh, a)
+		src := sh.source(a)
 		if src.tree == nil {
 			pe := src.pair(b)
 			if pe == nil {
-				pe = st.takePair(b)
+				pe = &pairEntry{dst: b}
 				src.pairs = append(src.pairs, pe)
 			}
 			sh.mu.Unlock()

@@ -142,9 +142,9 @@ func TestDiffCarryOverServesCachedPaths(t *testing.T) {
 // path carry-over: a reader that obtained a shortest-path entry through
 // the donor state must keep seeing stable results even after the
 // recipient state is recycled, its buffers reused, and many new Dijkstra
-// runs executed. Carried entries are shared between states and exempted
-// from the spare-array harvest, so their arrays must never be reused as
-// scratch for later computations.
+// runs executed. Carried trees are shared between states and kept out of
+// spareTrees, and pairs are never recycled, so their arrays must never be
+// reused as scratch for later computations.
 func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 	c := mustNew(t, testConfig(t, orbit.ModelKepler))
 	tp := &tickingPool{pool: c.NewSnapshotPool()}

@@ -278,7 +278,7 @@ func TestTreeInFlightLeavesTheSourceToItsPairs(t *testing.T) {
 	}
 	sh := &st.paths[accra%pathShards]
 	sh.mu.Lock()
-	planted := st.takeEntry()
+	planted := new(pathEntry)
 	sh.m[accra].tree = planted // planted, not filled: a fill in progress
 	sh.mu.Unlock()
 
@@ -300,7 +300,7 @@ func TestTreeInFlightLeavesTheSourceToItsPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.mu.Lock()
-	sh.m[abuja].tree = st.takeEntry()
+	sh.m[abuja].tree = new(pathEntry)
 	sh.mu.Unlock()
 	next = tp.tick(t, 104)
 	if got := next.Diff().RepairedPaths; got != 2 {

@@ -194,12 +194,12 @@ type carryJob struct {
 // previous state afterwards (a read only makes an entry younger), and
 // copies the read stamps of entries prev gained since onto the entries the
 // first pass made from them — so together they carry exactly the entries a
-// single pass at the boundary would. Each entry is recomputed on a copy
-// drawn from next's spares pool: prev may still be published and leased by
-// concurrent readers, so its entries (and any entries they in turn carried)
-// are never mutated in place. The recomputations fan out across GOMAXPROCS
-// workers; results are deterministic per entry, so parallelism never
-// changes one.
+// single pass at the boundary would. Each entry is recomputed into a new
+// one, a tree into arrays taken from spareTrees: prev may still be
+// published and leased by concurrent readers, so its entries (and any
+// entries they in turn carried) are never mutated in place. The
+// recomputations fan out across GOMAXPROCS workers; results are
+// deterministic per entry, so parallelism never changes one.
 //
 // The counters count sources, whatever serves them: CarriedPaths a source
 // shared, RepairedPaths one recomputed, except that a whole-tree read's
@@ -280,7 +280,7 @@ func (next *State) carrySource(to *pathShard, a int, src *pathSource, share bool
 	isNew := dst == nil
 	into := func() *pathSource {
 		if dst == nil {
-			dst = next.source(to, a)
+			dst = to.source(a)
 		}
 		return dst
 	}
@@ -322,7 +322,6 @@ func (next *State) carrySource(to *pathShard, a int, src *pathSource, share bool
 		case plant:
 			planted, stamp = true, max(stamp, pe.lastRead.Load())
 		case share:
-			pe.shared = true
 			into().pairs = append(into().pairs, pe)
 		default:
 			jobs = append(jobs, carryJob{src: a, into: into(), pair: pe, stamp: pe.lastRead.Load()})
@@ -339,7 +338,7 @@ func (next *State) carrySource(to *pathShard, a int, src *pathSource, share bool
 // is left out, and a read computes it.
 func (next *State) runCarryJob(job *carryJob, deltas []graph.EdgeDelta, ws *graph.Workspace) {
 	if old := job.pair; old != nil {
-		pe := next.takePair(old.dst)
+		pe := &pairEntry{dst: old.dst}
 		job.settled = next.searchPair(pe, job.src, ws)
 		if pe.err != nil {
 			return
@@ -349,25 +348,23 @@ func (next *State) runCarryJob(job *carryJob, deltas []graph.EdgeDelta, ws *grap
 		job.freshPair = pe
 		return
 	}
-	dist, prevArr := next.takeArrays()
-	var sp graph.ShortestPaths
+	e := spareTrees.Get().(*pathEntry)
 	var err error
 	if old := job.tree; old != nil {
 		n := len(old.sp.Dist)
-		dist, prevArr = resize(dist, n), resize(prevArr, n)
-		copy(dist, old.sp.Dist)
-		copy(prevArr, old.sp.Prev)
-		sp = graph.ShortestPaths{Source: job.src, Dist: dist, Prev: prevArr}
-		job.fast, err = next.g.RepairSSSP(&sp, deltas, next.transitFn, ws)
+		e.sp.Source = job.src
+		e.sp.Dist, e.sp.Prev = resize(e.sp.Dist, n), resize(e.sp.Prev, n)
+		copy(e.sp.Dist, old.sp.Dist)
+		copy(e.sp.Prev, old.sp.Prev)
+		job.fast, err = next.g.RepairSSSP(&e.sp, deltas, next.transitFn, ws)
 		job.stamp = old.lastRead.Load()
 	} else {
-		sp, err = next.g.DijkstraTransitInto(job.src, next.transitFn, dist, prevArr, ws)
+		e.sp, err = next.g.DijkstraTransitInto(job.src, next.transitFn, e.sp.Dist, e.sp.Prev, ws)
 	}
 	if err != nil {
 		return
 	}
-	e := next.takeEntry()
-	e.sp, e.whole = sp, job.tree != nil && job.tree.whole
+	e.whole = job.tree != nil && job.tree.whole
 	e.lastRead.Store(job.stamp)
 	e.done.Store(true)
 	job.freshTree = e

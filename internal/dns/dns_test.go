@@ -252,3 +252,33 @@ func FuzzHandleQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseResponse feeds the client's response parser arbitrary packets,
+// seeded with the server's own answers. It must not panic, and every
+// address it returns is a 4-byte IPv4 address.
+func FuzzParseResponse(f *testing.F) {
+	srv := NewServer(NewResolver(fakeDir{}))
+	for i, name := range []string{"878.0.celestial", "accra.gst.celestial", "12345.0.celestial"} {
+		q, err := BuildQuery(uint16(i), name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(srv.HandleQuery(q))
+	}
+	aaaa, _ := BuildQuery(9, "878.0.celestial")
+	aaaa[len(aaaa)-3] = 28
+	f.Add(srv.HandleQuery(aaaa))
+	f.Add(make([]byte, headerLen))
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, resp []byte) {
+		_, ips, err := ParseResponse(resp)
+		if err != nil && ips != nil {
+			t.Fatalf("error %v with addresses %v", err, ips)
+		}
+		for _, ip := range ips {
+			if len(ip) != 4 {
+				t.Fatalf("%d-byte address %v", len(ip), ip)
+			}
+		}
+	})
+}

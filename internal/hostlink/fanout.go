@@ -296,7 +296,9 @@ type Fanout struct {
 	// generation is out, not in the middle of the tick boundary.
 	woken chan struct{}
 
-	remotes   map[int]*remote
+	// remotes[agent] is the agent's attached connection, nil while none is
+	// (serveConn admits agent IDs in [0, Shards) only).
+	remotes   []*remote
 	ackNotify chan struct{}
 	closed    bool
 	// remoteOwner[shard] is the agent serving the shard's remote stream
@@ -366,7 +368,7 @@ func New(cfg Config) (*Fanout, error) {
 		cfg:         cfg,
 		shards:      make([]*shard, cfg.Shards),
 		log:         difflog.New[generation](cfg.Retention),
-		remotes:     make(map[int]*remote),
+		remotes:     make([]*remote, cfg.Shards),
 		ackNotify:   make(chan struct{}),
 		remoteOwner: make([]int, cfg.Shards),
 		remoteEpoch: make([]uint64, cfg.Shards),

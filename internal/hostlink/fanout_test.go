@@ -505,6 +505,17 @@ func TestFanoutDeadAgentRebalances(t *testing.T) {
 	if !reflect.DeepEqual(h.apps[1].gens, []uint64{1, 2, 3, 4, 5, 6}) {
 		t.Errorf("shard 1 applied %v, want all six generations", h.apps[1].gens)
 	}
+	// No agent is attached to adopt the dead shard's remote stream, so it
+	// goes unserved, and the barrier and the verification pass over it.
+	if owner := h.fo.remoteOwner[1]; owner != -1 {
+		t.Errorf("dead shard's remote owner = %d with no agent attached, want -1", owner)
+	}
+	if !h.fo.WaitRemotes(0) {
+		t.Error("an unserved shard held the barrier")
+	}
+	if err := h.fo.VerifyRemotes(); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestFanoutCoalesceCarriesDebt(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -201,7 +202,7 @@ func (fo *Fanout) detach(r *remote) {
 	fo.mu.Lock()
 	r.detachLocked()
 	if fo.remotes[r.agent] == r {
-		delete(fo.remotes, r.agent)
+		fo.remotes[r.agent] = nil
 		if !fo.closed {
 			for s := 0; s < fo.cfg.Shards; s++ {
 				if fo.remoteOwner[s] == r.agent {
@@ -217,15 +218,13 @@ func (fo *Fanout) detach(r *remote) {
 // reassignRemoteLocked moves a shard's remote stream after its owner
 // detached or died: the lowest attached agent adopts it; with no
 // survivor it reverts to its own agent (resuming if that agent returns)
-// unless the shard is virtually dead, in which case it goes unserved.
+// unless the shard is virtually dead, in which case it goes unserved (-1).
 func (fo *Fanout) reassignRemoteLocked(shard int) {
 	best := -1
 	for a, r := range fo.remotes {
-		if r.gone || (fo.deadShard[shard] && a == shard) {
-			continue
-		}
-		if best == -1 || a < best {
+		if r != nil && !r.gone && (!fo.deadShard[shard] || a != shard) {
 			best = a
+			break
 		}
 	}
 	if best == -1 && !fo.deadShard[shard] {
@@ -633,7 +632,24 @@ func (fo *Fanout) wakeAcks() {
 func (fo *Fanout) ConnectedAgents() int {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	return len(fo.remotes)
+	n := 0
+	for _, r := range fo.remotes {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// servingLocked returns the attached remote serving shard s's stream, nil
+// when the shard goes unserved (owner -1) or its owner is not attached.
+func (fo *Fanout) servingLocked(s int) *remote {
+	if owner := fo.remoteOwner[s]; owner >= 0 {
+		if r := fo.remotes[owner]; r != nil && !r.gone {
+			return r
+		}
+	}
+	return nil
 }
 
 // remoteLagLocked reports whether any served stream is behind the
@@ -645,8 +661,8 @@ func (fo *Fanout) ConnectedAgents() int {
 // detach and the survivor's adoption.
 func (fo *Fanout) remoteLagLocked() bool {
 	for s := 0; s < fo.cfg.Shards; s++ {
-		r, ok := fo.remotes[fo.remoteOwner[s]]
-		if !ok || r.gone {
+		r := fo.servingLocked(s)
+		if r == nil {
 			continue
 		}
 		st := r.streams[s]
@@ -691,11 +707,11 @@ func (fo *Fanout) VerifyRemotes() error {
 	head := fo.published
 	var errs []error
 	for s := 0; s < fo.cfg.Shards; s++ {
-		owner := fo.remoteOwner[s]
-		r, ok := fo.remotes[owner]
-		if !ok || r.gone {
+		r := fo.servingLocked(s)
+		if r == nil {
 			continue
 		}
+		owner := r.agent
 		st := r.streams[s]
 		if st == nil {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d has no stream on agent %d", s, owner))
@@ -720,12 +736,12 @@ func (fo *Fanout) VerifyRemotes() error {
 func (fo *Fanout) Close() {
 	fo.mu.Lock()
 	fo.closed = true
-	remotes := make([]*remote, 0, len(fo.remotes))
-	for _, r := range fo.remotes {
-		remotes = append(remotes, r)
-	}
+	remotes := slices.Clone(fo.remotes)
 	fo.mu.Unlock()
 	for _, r := range remotes {
+		if r == nil {
+			continue
+		}
 		_, _ = fo.write(r, nil, &Bye{Reason: "run complete"})
 		fo.detach(r)
 	}
@@ -750,7 +766,7 @@ func (fo *Fanout) AgentsStatus() []AgentStatus {
 	out := make([]AgentStatus, len(stats))
 	for i, st := range stats {
 		out[i] = AgentStatus{ShardStats: st}
-		if r, ok := fo.remotes[i]; ok && !r.gone {
+		if r := fo.remotes[i]; r != nil && !r.gone {
 			rs := &RemoteStatus{
 				Connected:      true,
 				Addr:           r.addr,
