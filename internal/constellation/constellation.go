@@ -16,8 +16,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"celestial/internal/bbox"
 	"celestial/internal/config"
@@ -26,6 +24,7 @@ import (
 	"celestial/internal/netem"
 	"celestial/internal/orbit"
 	"celestial/internal/par"
+	"celestial/internal/paths"
 	"celestial/internal/topo"
 	"celestial/internal/vnet"
 )
@@ -91,6 +90,12 @@ type Constellation struct {
 	visCell []float64
 	// inBox is cfg.BoundingBox prepared for the per-satellite activity test.
 	inBox bbox.Tester
+	// transit is the forwarding predicate of every shortest-path
+	// computation: ground stations are endpoints of the satellite network,
+	// not routers. The numbering puts all satellites before all ground
+	// stations, so it is a compare against the satellite count — it runs
+	// once per queue pop on the Dijkstra hot path — and it is built once.
+	transit func(node int) bool
 }
 
 // New builds a Constellation from a validated configuration.
@@ -132,6 +137,8 @@ func New(cfg *config.Config) (*Constellation, error) {
 		})
 		id++
 	}
+	sats := len(c.nodes) - len(c.gst)
+	c.transit = func(node int) bool { return node < sats }
 	return c, nil
 }
 
@@ -219,142 +226,6 @@ func (c *Constellation) Shells() []*orbit.Shell { return c.shells }
 // GroundStations returns the configured ground stations.
 func (c *Constellation) GroundStations() []config.GroundStation { return c.gst }
 
-// pathShards is the shard count of a State's shortest-path cache. Sixteen
-// shards keep lock contention negligible for the host HTTP servers'
-// concurrent queries while staying cheap to clear on buffer reuse.
-const pathShards = 16
-
-// cacheEntry is what every path-cache entry has: singleflight semantics —
-// the first caller computes under the entry's mutex; concurrent callers for
-// the same entry block on it instead of on a global lock — and the
-// bookkeeping that carries it across states. done flips after the
-// computation completes (double-checked by lock-free readers), letting the
-// pool's path carry-over share or recompute finished entries between states
-// without waiting on in-flight ones. lastRead is the seq of the latest
-// state the entry was read on (see idleSnapshots).
-type cacheEntry struct {
-	mu       sync.Mutex
-	done     atomic.Bool
-	lastRead atomic.Uint64
-	err      error
-}
-
-// pathEntry is one cached single-source Dijkstra result, a tree. whole
-// marks a tree planted by a whole-tree read (State.pathsFor) rather than for
-// a source's pair reads; only those count a repair that fell back
-// (DiffRecord.RepairFallbacks). shared marks a tree listed by more than one
-// state (set under the source shard's lock during carry-over, read during
-// reset, which the pool orders after any carry-over: one prepare at a time,
-// each joined before the next takes a buffer): its arrays never go back to
-// spareTrees, since a reader may still hold them through a lease on another
-// state.
-type pathEntry struct {
-	cacheEntry
-	whole  bool
-	shared bool
-	sp     graph.ShortestPaths
-}
-
-// spareTrees recycles tree arrays across states, process wide: a state's
-// reset puts back every finished tree only it held, emptied but for its
-// sp.Dist and sp.Prev, and path-cache fills and repairs compute into them.
-var spareTrees = sync.Pool{New: func() any { return new(pathEntry) }}
-
-// pairEntry is one cached pair read: the shortest distance and path from a
-// source to dst (graph.ShortestPair). path is the entry's own; it leaves the
-// cache only as a copy.
-type pairEntry struct {
-	cacheEntry
-	dst  int
-	dist float64
-	path []int
-}
-
-// pathSource is one source's slot in a state's path cache, guarded by its
-// shard's lock. A source read as a whole tree, or whose pair searches on one
-// state settled more nodes than a repair would re-settle (treePays), holds
-// a tree, and every pair read of it reads the tree. Any other source holds
-// one pairEntry per target read. settled counts the nodes this state's pair
-// searches from the source settled. The record itself belongs to one state;
-// its entries may be shared with others.
-type pathSource struct {
-	tree    *pathEntry
-	pairs   []*pairEntry
-	settled int
-}
-
-// setTree makes e the source's tree. The pairs it held answer nothing
-// from now on and are dropped, as if the tree had been there first: a tree
-// that reaches the next state in a Snapshot's second pass, after its pairs
-// did in the first, leaves the state it would have at the boundary.
-func (s *pathSource) setTree(e *pathEntry) {
-	s.tree, s.pairs, s.settled = e, nil, 0
-}
-
-// pair returns the source's entry for dst, nil when it holds none.
-func (s *pathSource) pair(dst int) *pairEntry {
-	for _, pe := range s.pairs {
-		if pe.dst == dst {
-			return pe
-		}
-	}
-	return nil
-}
-
-// idleSnapshots is how many snapshots a cached source outlives its last
-// read: a state carries, repairs or re-searches a completed entry of the
-// previous state only if the entry was read on one of the idleSnapshots
-// states before it. Repair re-settles ~10 % of the nodes per tick (8 % on
-// Starlink P1, 11 % on Gen2), so ten repairs of a tree nobody reads cost
-// about the full Dijkstra its next read would pay after an eviction, and a
-// pair re-search costs less than its first search. Carrying an unread entry
-// longer than that cannot save more than it costs, and evicting it sooner
-// risks paying the full run for a reader that comes back every few ticks.
-// Every flow of a checked-in workload reads its pairs every tick.
-const idleSnapshots = 10
-
-// markRead records a read of the entry on the state at position seq.
-// lastRead only grows, so a reader still holding an older state cannot
-// make a later read look stale.
-func (e *cacheEntry) markRead(seq uint64) {
-	for {
-		old := e.lastRead.Load()
-		if old >= seq || e.lastRead.CompareAndSwap(old, seq) {
-			return
-		}
-	}
-}
-
-// carries reports whether the entry goes on to the state at position seq:
-// it is complete and was read within idleSnapshots states of it.
-func (e *cacheEntry) carries(seq uint64) bool {
-	return e.done.Load() && e.err == nil && e.lastRead.Load()+idleSnapshots >= seq
-}
-
-// pathShard is one lock-striped slice of the path cache, keyed by source.
-type pathShard struct {
-	mu sync.Mutex
-	m  map[int]*pathSource
-}
-
-// source returns the shard's record for a, adding an empty one. The caller
-// holds the shard's lock or owns the unpublished state.
-func (sh *pathShard) source(a int) *pathSource {
-	s := sh.m[a]
-	if s == nil {
-		s = new(pathSource)
-		sh.m[a] = s
-	}
-	return s
-}
-
-// treePays reports whether pair searches that settled this many nodes on
-// one state cost more than keeping a tree: a repair re-settles up to
-// graph.RepairFallbackFraction of the nodes before it gives up.
-func (st *State) treePays(settled int) bool {
-	return float64(settled) > graph.RepairFallbackFraction*float64(len(st.Positions))
-}
-
 // State is one topology snapshot: node positions, available links and
 // lazily computed shortest paths. A State is immutable once computed and
 // safe for concurrent use; States obtained from a SnapshotPool are
@@ -375,15 +246,11 @@ type State struct {
 	c *Constellation
 	g graph.Graph
 
-	// paths is the sharded shortest-path cache: per source a tree or the
-	// pairs read from it.
-	paths [pathShards]pathShard
-
-	// pairScale is the scale of the pair searches' heuristic
-	// (graph.Heuristic over Positions): the least ratio of a link's realized
-	// delay to its length, found during link assembly, through
-	// graph.HeuristicScale.
-	pairScale float64
+	// paths is the shortest-path cache of the scenario's reads; outside
+	// holds the reads from outside the scenario (OutsidePath), so that
+	// they never add to what the scenario's cache holds or carries, nor to
+	// the diff's path counters.
+	paths, outside paths.Cache
 
 	// uplinks[gi] are the per-ground-station candidate uplinks,
 	// one slice per shell.
@@ -411,17 +278,6 @@ type State struct {
 	// diff is how this snapshot differs from the previous pooled one.
 	diff Diff
 
-	// transitFn is the shared forwarding predicate of every shortest-path
-	// computation on this state (ground stations are endpoints, not
-	// routers), built once for the satellite count satN so path-cache
-	// fills and repairs do not allocate a closure each.
-	transitFn func(node int) bool
-	satN      int
-
-	// seq is the state's position in its pool's chain of snapshots, one
-	// more than the previous state's; path-cache entries age by it.
-	seq uint64
-
 	// Snapshot-generation arenas: the activity flags, link list and the
 	// many small per-(station, shell) uplink slices are carved from
 	// grow-only chunks, rewound as a unit when the state's buffers are
@@ -436,10 +292,6 @@ type State struct {
 	linkCap   int
 	upCap     []int32
 }
-
-// dijkstraWorkspaces pools queue scratch across path-cache fills; the
-// result arrays come from spareTrees, the queue from here.
-var dijkstraWorkspaces = sync.Pool{New: func() any { return new(graph.Workspace) }}
 
 // Snapshot computes the constellation state t seconds after the epoch,
 // fanning the orbit propagation, ISL feasibility tests and ground-station
@@ -643,7 +495,11 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 		}
 		least.fold(r)
 	})
-	st.pairScale = graph.HeuristicScale(least.v)
+	// The path caches start empty on the state's graph, which the caller
+	// materializes before the first read or carry.
+	h := graph.Heuristic{Pos: st.Positions, Scale: graph.HeuristicScale(least.v)}
+	st.paths.Reset(&st.g, c.transit, h)
+	st.outside.Reset(&st.g, c.transit, h)
 	return st, nil
 }
 
@@ -758,31 +614,6 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 	}
 	st.visIdx = st.visIdx[:len(c.shells)]
 
-	// Ground stations are endpoints of the satellite network, not
-	// routers: only satellites forward traffic. The node numbering puts
-	// all satellites before all ground stations, so the Kind check
-	// reduces to a compare against the closed-over satellite count —
-	// this predicate runs once per queue pop on the Dijkstra hot path.
-	// The count is constant per constellation, so the closure is built
-	// once and survives buffer reuse.
-	if satN := n - len(c.gst); st.transitFn == nil || satN != st.satN {
-		st.satN = satN
-		st.transitFn = func(node int) bool { return node < satN }
-	}
-	for i := range st.paths {
-		if st.paths[i].m == nil {
-			st.paths[i].m = map[int]*pathSource{}
-			continue
-		}
-		// Recycle the old tick's trees before dropping the cache.
-		for _, src := range st.paths[i].m {
-			if e := src.tree; e != nil && e.done.Load() && e.err == nil && !e.shared {
-				*e = pathEntry{sp: graph.ShortestPaths{Dist: e.sp.Dist, Prev: e.sp.Prev}}
-				spareTrees.Put(e)
-			}
-		}
-		clear(st.paths[i].m)
-	}
 }
 
 // resize returns s with length n, reusing its backing array when possible.
@@ -793,339 +624,6 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// SnapshotPool recycles State buffers across update ticks so that the
-// steady-state constellation calculation allocates (almost) nothing:
-// positions, activity flags, link slices, the graph's CSR image, the path
-// cache's shard maps and uplink buffers are all reused, and the arrays of
-// the trees a state held alone go back to spareTrees. The coordinator
-// double-buffers through the pool — a State handed out by Snapshot must be
-// Recycled by the caller once no reader can still hold it.
-//
-// The pool is also the diff engine's anchor: each Snapshot compares its
-// link fingerprint against the previous pooled snapshot (which the
-// double-buffer discipline keeps alive and readable) and records the
-// result in State.Diff. When the diff is empty — no link appeared,
-// disappeared or changed its delay quantum, no activity flipped — the
-// previous snapshot's computed shortest-path entries are transplanted into
-// the new one instead of being recomputed. Concurrent Snapshot calls are
-// serialized; Recycle may be called concurrently at any time.
-//
-// A snapshot is computed in two halves, cut where its inputs change kind.
-// prepare is a function of the offset t and the previous pooled state
-// only — propagation, visibility, link assembly, the link diff, the graph
-// patch and the repair of the previous state's path cache — so it may run
-// as soon as the previous state is published (Prefetch), beside whatever
-// the caller does until t falls due. finish needs the boundary itself: the
-// activity overlay and the path sources planted on the previous state keep
-// changing until then. Snapshot is always prepare followed by finish.
-type SnapshotPool struct {
-	c *Constellation
-	// snapMu serializes Snapshot and Prefetch: the previous state's
-	// fingerprint and path shards are read during a compute, so no other
-	// compute may be overwriting a buffer meanwhile. A prepare launched by
-	// Prefetch runs without it; pre stands in for the lock until the next
-	// Snapshot has joined that goroutine.
-	snapMu sync.Mutex
-	mu     sync.Mutex
-	// free are recycled states ready for reuse.
-	free []*State
-	// last is the newest computed state, the diff base for the next
-	// tick. It is cleared when recycled (a recycled buffer may be
-	// overwritten at any time and cannot serve as a base).
-	last *State
-	// pre is the prepare launched by Prefetch and not yet joined (guarded
-	// by snapMu); at most one is in flight.
-	pre *prefetch
-	// noRepair disables the incremental path repair (see SetPathRepair).
-	noRepair bool
-	// overlay, when set, vetoes node activity beyond the bounding box
-	// (see SetActivityOverlay).
-	overlay func(active []bool)
-	// deltaScratch, fold and jobScratch are the edge-delta, handover-fold
-	// and carryPaths buffers, reused across ticks. Both halves of a
-	// snapshot use them, never at once: finish starts after prepare has
-	// been joined.
-	deltaScratch []graph.EdgeDelta
-	fold         handoverFold
-	jobScratch   []carryJob
-	// stageTimer, when set, receives the wall-clock duration of each
-	// Snapshot stage (see SetStageTimer).
-	stageTimer func(stage string, d time.Duration)
-}
-
-// prepared is what the first half of a snapshot hands to the second.
-type prepared struct {
-	t float64
-	// out is the computed state, nil when err is set (its buffer is then
-	// already back in the pool); prev is the diff base it was computed
-	// against, the pool's last state when the buffer was taken.
-	out, prev *State
-	err       error
-	// deltas are the tick's merged graph-level link deltas (backed by the
-	// pool's deltaScratch); nil on a Full or link-unchanged diff.
-	deltas []graph.EdgeDelta
-	// noRepair is SetPathRepair's setting when the prepare started; the
-	// catch-up in finish follows it too.
-	noRepair bool
-	// stage accumulates the wall time of the "snapshot", "diff" and
-	// "repair" stages over both halves.
-	stage [3]time.Duration
-}
-
-// lap adds the time since *start to stage i and restarts the clock.
-func (pr *prepared) lap(i int, start *time.Time) {
-	now := time.Now()
-	pr.stage[i] += now.Sub(*start)
-	*start = now
-}
-
-// prefetch is a prepare running on its own goroutine; done is closed once
-// the embedded result is complete.
-type prefetch struct {
-	prepared
-	done chan struct{}
-}
-
-// stageNames are SetStageTimer's keys, in prepared.stage order.
-var stageNames = [3]string{"snapshot", "diff", "repair"}
-
-// NewSnapshotPool creates an empty pool for the constellation.
-func (c *Constellation) NewSnapshotPool() *SnapshotPool {
-	return &SnapshotPool{c: c}
-}
-
-// Snapshot computes the state at offset t like Constellation.Snapshot, but
-// into a recycled buffer when one is available, and diffs the result
-// against the pool's previous snapshot (see SnapshotPool). Single-buffered
-// use — recycling each state before taking the next — still works but
-// yields Full diffs, since the only possible base is the very buffer being
-// overwritten; keep two states in flight to get deltas and path carry-over.
-//
-// Snapshot is the only way to obtain a state. If a Prefetch for the same t
-// is in flight, Snapshot waits for it and finishes its result on the
-// calling goroutine; a prefetch for any other t, or one whose diff base has
-// been recycled since, is waited for and discarded, and the state is
-// computed inline. Either way the returned state is the same, bit for bit.
-func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
-	pr, ok := p.join(t)
-	if !ok {
-		pr = p.prepare(t, p.noRepair)
-	}
-	return p.finish(&pr)
-}
-
-// Prefetch starts computing the state at offset t on a goroutine of the
-// pool's own, against the state the last Snapshot returned, and returns at
-// once. The next Snapshot(t) joins it and only finishes — applies the
-// activity overlay, catches up on path sources planted meanwhile, delivers
-// the stage timings — so a caller that knows its next tick can have the
-// heavy half computed while the current state is still in effect.
-//
-// Prefetch is a hint: the state Snapshot returns — links, graph, diff, path
-// cache and its counters — does not depend on whether it was called. At
-// most one prepare is in flight; a Prefetch while one is outstanding is
-// ignored. An error the prepare runs into is returned by the Snapshot that
-// joins it.
-func (p *SnapshotPool) Prefetch(t float64) {
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
-	if p.pre != nil {
-		return
-	}
-	pf := &prefetch{done: make(chan struct{})}
-	p.pre = pf
-	noRepair := p.noRepair
-	go func() {
-		defer close(pf.done)
-		pf.prepared = p.prepare(t, noRepair)
-	}()
-}
-
-// join waits for the prepare in flight, if any, and returns its result when
-// it is the one a synchronous Snapshot(t) would compute now: same offset,
-// and the diff base is still the pool's last state (a Recycle of the base
-// since would make the synchronous diff Full). Anything else goes back to
-// the pool.
-func (p *SnapshotPool) join(t float64) (prepared, bool) {
-	pf := p.pre
-	if pf == nil {
-		return prepared{}, false
-	}
-	p.pre = nil
-	<-pf.done
-	p.mu.Lock()
-	current := p.last == pf.prev
-	p.mu.Unlock()
-	if pf.t == t && current {
-		return pf.prepared, true
-	}
-	p.Recycle(pf.out)
-	return prepared{}, false
-}
-
-// prepare is the half of a snapshot that depends only on t and on the
-// pool's previous state, both fixed the moment that state was published:
-// it takes a buffer, computes positions and links into it, diffs the links
-// against the previous state, materializes the graph and carries over the
-// previous state's path cache as far as it is complete. It runs on the
-// Snapshot goroutine or on Prefetch's, the same code on both; the repair
-// setting is passed in because Prefetch captures it at launch.
-func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
-	p.mu.Lock()
-	var st *State
-	if k := len(p.free); k > 0 {
-		st, p.free = p.free[k-1], p.free[:k-1]
-	} else {
-		st = new(State)
-	}
-	prev := p.last
-	if prev == st {
-		prev, p.last = nil, nil
-	}
-	p.mu.Unlock()
-	pr := prepared{t: t, prev: prev, noRepair: noRepair}
-	stageStart := time.Now()
-	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0))
-	if err != nil {
-		// The buffers remain reusable even when the computation
-		// failed halfway through.
-		p.Recycle(st)
-		pr.err = err
-		return pr
-	}
-	pr.out = out
-	pr.lap(0, &stageStart)
-	out.seq = 0
-	if prev != nil {
-		out.seq = prev.seq + 1
-	}
-	out.diffLinksFrom(prev)
-
-	// Materialize the latency graph. Steady state clones the previous
-	// tick's CSR image — read-only on prev, so concurrent readers holding
-	// a lease on it are unaffected — and patches this tick's merged link
-	// deltas into it in place, skipping the O(N+M) build. The deltas are
-	// computed once and shared with the path repair in both halves. Cold
-	// starts, Full diffs and any patch mismatch (impossible for
-	// diff-produced deltas) fall back to building from the assembled link
-	// list; either way the image is query-identical (PatchFrozen's row
-	// order may differ, which the canonical Dijkstra tie-break makes
-	// unobservable).
-	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
-		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff, out.satN, &p.fold)
-		pr.deltas = p.deltaScratch
-	}
-	patched := false
-	if prev != nil && !out.diff.Full {
-		if err := out.g.CopyFrozenFrom(&prev.g); err == nil {
-			if err := out.g.PatchFrozen(pr.deltas); err == nil {
-				patched = true
-				out.diff.GraphPatched = true
-				out.diff.PatchedEdges = len(pr.deltas)
-			}
-		}
-	}
-	if !patched {
-		out.rebuildGraph()
-	}
-	pr.lap(1, &stageStart)
-
-	p.carryPaths(&pr)
-	pr.lap(2, &stageStart)
-	return pr
-}
-
-// finish is the half of a snapshot that needs the tick boundary: machine
-// health and the path sources planted on the previous state keep changing
-// while that state is in effect, so the activity overlay, the activity
-// flips and a second carry-over pass over the previous state's path cache
-// — which finds only the entries completed since prepare looked — happen
-// here, on the Snapshot goroutine, before the state becomes the pool's
-// last. The stage timings of both halves are delivered here as well.
-func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
-	if pr.err != nil {
-		return nil, pr.err
-	}
-	out := pr.out
-	stageStart := time.Now()
-	if p.overlay != nil {
-		p.overlay(out.Active)
-	}
-	pr.lap(0, &stageStart)
-	out.diffActivityFrom(pr.prev)
-	pr.lap(1, &stageStart)
-	p.carryPaths(pr)
-	pr.lap(2, &stageStart)
-	if p.stageTimer != nil {
-		for i, d := range pr.stage {
-			p.stageTimer(stageNames[i], d)
-		}
-	}
-	p.mu.Lock()
-	p.last = out
-	p.mu.Unlock()
-	return out, nil
-}
-
-// SetActivityOverlay installs a veto on node activity: when a pooled
-// snapshot is finished, the overlay is handed the bounding box's Active
-// slice and clears the entries of nodes it reports inactive (it must only
-// clear), before the activity flips against the previous snapshot are
-// computed. The coordinator uses this to fold machine health into the
-// state — a satellite whose server crashed (radiation SEU shutdown) shows
-// up as a Deactivated flip in the next tick's diff, and as an Activated
-// flip once it reboots, exactly like a bounding-box exit and re-entry.
-// Like the bounding box, the overlay does not affect path calculation
-// (§3.3 of the paper): links through an inactive node keep routing.
-//
-// The overlay is called once per Snapshot, inside the Snapshot call and on
-// its goroutine — never from a Prefetch, so what it reads may change freely
-// between ticks; it costs what it visits, so the coordinator's walks only
-// the nodes whose machine failed. It must not be changed while a Snapshot
-// call is running.
-func (p *SnapshotPool) SetActivityOverlay(fn func(active []bool)) { p.overlay = fn }
-
-// SetPathRepair disables (on=false) or re-enables the incremental repair
-// of carried trees and the re-search of carried pairs on non-empty diffs,
-// forcing every structural tick back to on-demand searches and full
-// Dijkstra runs at the first read. Repaired and re-searched results are
-// bit-identical to recomputed ones (locked in by the repair and pair
-// differential tests); the knob exists for the coordinator's
-// deferred-repair degradation level. The setting is read when a prepare
-// starts — by Prefetch, or by a Snapshot that has no prefetch to join — and
-// holds for that whole snapshot. It must not be toggled while a Snapshot or Prefetch
-// call is running.
-func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
-
-// SetStageTimer installs a callback that receives the wall-clock duration
-// of each pooled-snapshot stage, keyed "snapshot" (propagation, state
-// assembly and the activity overlay), "diff" (fingerprint comparison and
-// graph materialization) and "repair" (path-cache transplant or
-// incremental repair). The coordinator's tick watchdog uses these
-// measurements to budget the update pipeline against the tick interval. A
-// stage's duration is the work done for it, wherever it ran: the part a
-// Prefetch computed ahead is measured there and added to the part Snapshot
-// does at the boundary. The three callbacks are made once per Snapshot,
-// from inside the Snapshot call and on its goroutine; nil (the default)
-// disables them. It must not be changed while a Snapshot call is running.
-func (p *SnapshotPool) SetStageTimer(fn func(stage string, d time.Duration)) { p.stageTimer = fn }
-
-// Recycle returns a State's buffers to the pool. The State must not be
-// used afterwards; its next Snapshot will overwrite every buffer in place.
-func (p *SnapshotPool) Recycle(st *State) {
-	if st == nil {
-		return
-	}
-	p.mu.Lock()
-	if st == p.last {
-		p.last = nil
-	}
-	p.free = append(p.free, st)
-	p.mu.Unlock()
-}
-
 // checkNode rejects a node ID outside the constellation.
 func (st *State) checkNode(a int) error {
 	if a < 0 || a >= len(st.c.nodes) {
@@ -1134,156 +632,25 @@ func (st *State) checkNode(a int) error {
 	return nil
 }
 
-// pathsFor returns (computing and caching on first use) the single-source
-// shortest paths from node a: a whole-tree read, which plants a tree for
-// the source if the state holds none (see pathSource).
-func (st *State) pathsFor(a int) (graph.ShortestPaths, error) {
-	if err := st.checkNode(a); err != nil {
-		return graph.ShortestPaths{}, err
-	}
-	e := st.tree(a, true)
-	return e.sp, e.err
-}
-
-// tree returns source a's tree, planting it when the state holds none; whole
-// marks a plant by a whole-tree read. The cache is sharded by source and
-// each entry is computed at most once (singleflight): concurrent callers
-// for the same source wait on that entry only, and callers for different
-// sources proceed independently.
-func (st *State) tree(a int, whole bool) *pathEntry {
-	// Node IDs are non-negative (checked by the callers), so a plain
-	// remainder is a valid shard index — no sign fixup needed.
-	sh := &st.paths[a%pathShards]
-	sh.mu.Lock()
-	src := sh.source(a)
-	e := src.tree
-	if e == nil {
-		e = spareTrees.Get().(*pathEntry)
-		e.whole = whole
-		src.tree = e
-	}
-	sh.mu.Unlock()
-	e.markRead(st.seq)
-	if !e.done.Load() {
-		st.fillEntry(e, a)
-	}
-	return e
-}
-
-// fillEntry computes the single-source result of an unfilled cache entry
-// under its singleflight mutex, into the entry's own arrays (recycled when
-// the entry came from spareTrees) with pooled queue scratch. Like a
-// sync.Once, the entry latches done even if the computation panics
-// (deferred, before the mutex releases), so a recovered panic — e.g.
-// inside an HTTP handler — cannot leave later callers blocked on the entry
-// forever.
-func (st *State) fillEntry(e *pathEntry, a int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done.Load() {
-		return
-	}
-	defer e.done.Store(true)
-	ws := dijkstraWorkspaces.Get().(*graph.Workspace)
-	e.sp, e.err = st.g.DijkstraTransitInto(a, st.transitFn, e.sp.Dist, e.sp.Prev, ws)
-	dijkstraWorkspaces.Put(ws)
-}
-
-// route answers a pair read, the shortest distance from a to b and, with
-// withPath, the path (owned by the cache: callers must not modify it). A
-// source that holds a tree answers from it. Any other source answers from
-// its pair entry for b, an exact goal-directed search (graph.ShortestPair)
-// run on the pair's first read on this state and carried to later states
-// like a tree; if this state's searches from a settle more nodes than a
-// repair would re-settle (treePays), the read that crosses the line plants
-// a tree for a, and a's later reads and states read the tree. A graph the
-// pair search refuses (graph.Graph.PairSearchable) is read through trees
-// only.
-func (st *State) route(a, b int, withPath bool) (float64, []int, error) {
+// route answers a pair read from one of the state's path caches
+// (paths.Cache.Route): the shortest distance from a to b and, with
+// withPath, the path, owned by the cache.
+func (st *State) route(cache *paths.Cache, a, b int, withPath bool) (float64, []int, error) {
 	if err := st.checkNode(a); err != nil {
 		return 0, nil, err
 	}
 	if err := st.checkNode(b); err != nil {
 		return 0, nil, err
 	}
-	if st.g.PairSearchable() {
-		sh := &st.paths[a%pathShards]
-		sh.mu.Lock()
-		src := sh.source(a)
-		if src.tree == nil {
-			pe := src.pair(b)
-			if pe == nil {
-				pe = &pairEntry{dst: b}
-				src.pairs = append(src.pairs, pe)
-			}
-			sh.mu.Unlock()
-			pe.markRead(st.seq)
-			if !pe.done.Load() {
-				st.fillPair(sh, src, pe, a)
-			}
-			if math.IsInf(pe.dist, 1) {
-				return pe.dist, nil, pe.err
-			}
-			return pe.dist, pe.path, pe.err
-		}
-		sh.mu.Unlock()
-	}
-	e := st.tree(a, false)
-	if e.err != nil {
-		return 0, nil, e.err
-	}
-	if withPath {
-		return e.sp.Dist[b], e.sp.PathTo(b), nil
-	}
-	return e.sp.Dist[b], nil, nil
-}
-
-// fillPair searches an unfilled pair entry of source a under its
-// singleflight mutex, latching done even on a panic (see fillEntry), and
-// adds the nodes the search settled to the source's count, planting the
-// source's tree when the count crosses treePays.
-func (st *State) fillPair(sh *pathShard, src *pathSource, pe *pairEntry, a int) {
-	settled := func() int {
-		pe.mu.Lock()
-		defer pe.mu.Unlock()
-		if pe.done.Load() {
-			return 0
-		}
-		defer pe.done.Store(true)
-		ws := dijkstraWorkspaces.Get().(*graph.Workspace)
-		defer dijkstraWorkspaces.Put(ws)
-		return st.searchPair(pe, a, ws)
-	}()
-	if settled == 0 {
-		return
-	}
-	sh.mu.Lock()
-	src.settled += settled
-	plant := src.tree == nil && st.treePays(src.settled)
-	sh.mu.Unlock()
-	if plant {
-		st.tree(a, false)
-	}
-}
-
-// searchPair fills pe with the shortest path from a to pe.dst, reusing the
-// entry's path array, and returns the number of nodes the search settled.
-func (st *State) searchPair(pe *pairEntry, a int, ws *graph.Workspace) int {
-	h := graph.Heuristic{Pos: st.Positions, Scale: st.pairScale}
-	p, err := st.g.ShortestPair(a, pe.dst, st.transitFn, h, ws, pe.path[:0])
-	pe.dist, pe.err = p.Dist, err
-	if p.Path != nil {
-		pe.path = p.Path
-	}
-	return p.Settled
+	return cache.Route(a, b, withPath)
 }
 
 // Latency returns the one-way end-to-end network latency in seconds
 // between two nodes, or +Inf when they are not connected. It is a pair read
-// (see route): the state searches the pair alone unless the source holds a
-// tree, and carries the answer to the next states while it is read.
+// (paths.Cache.Route): the state searches the pair alone unless the source
+// holds a tree, and carries the answer to the next states while it is read.
 func (st *State) Latency(a, b int) (float64, error) {
-	d, _, err := st.route(a, b, false)
+	d, _, err := st.route(&st.paths, a, b, false)
 	return d, err
 }
 
@@ -1297,11 +664,25 @@ func (st *State) RTT(a, b int) (float64, error) {
 // inclusive of the endpoints, or nil when unreachable. Like Latency it is a
 // pair read; the slice is the caller's.
 func (st *State) Path(a, b int) ([]int, error) {
-	_, path, err := st.route(a, b, true)
+	_, path, err := st.route(&st.paths, a, b, true)
 	if err != nil || path == nil {
 		return nil, err
 	}
 	return append([]int(nil), path...), nil
+}
+
+// OutsidePath is the pair read of a reader outside the scenario, such as
+// an HTTP client: the latency between two nodes, +Inf when they are not
+// connected, and a copy of a shortest path, nil then. It reads a path cache
+// of its own, carried from state to state like the scenario's, so it never
+// adds to what the scenario's cache holds or carries, nor to the diff's
+// path counters: a run's report does not depend on who else asked.
+func (st *State) OutsidePath(a, b int) (float64, []int, error) {
+	d, path, err := st.route(&st.outside, a, b, true)
+	if err != nil || path == nil {
+		return d, nil, err
+	}
+	return d, append([]int(nil), path...), nil
 }
 
 // Uplinks returns the candidate uplinks (sorted closest-first) of a ground
@@ -1343,7 +724,10 @@ func (st *State) BestMeetingPoint(clients []int) (int, float64, error) {
 	}
 	sps := make([]graph.ShortestPaths, len(clients))
 	for i, cl := range clients {
-		sp, err := st.pathsFor(cl)
+		if err := st.checkNode(cl); err != nil {
+			return 0, 0, err
+		}
+		sp, err := st.paths.Tree(cl) // a whole-tree read
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1396,7 +780,7 @@ func (st *State) LinkBandwidth(a, b int) (float64, bool) {
 // shortest path between two nodes, or ok=false when they are not
 // connected. A zero bandwidth means unlimited.
 func (st *State) PathBandwidth(a, b int) (float64, bool) {
-	_, path, err := st.route(a, b, true)
+	_, path, err := st.route(&st.paths, a, b, true)
 	if err != nil || path == nil {
 		return 0, false
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"celestial/internal/graph"
 	"celestial/internal/orbit"
 	"celestial/internal/topo"
 )
@@ -157,13 +158,20 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The reader's view: the donor's cache entries — accra's tree, the
-	// pair from abuja — and a copy of their results as computed.
-	e, pe := entryFor(donor, accra), pairFor(donor, abuja, accra)
-	if e == nil || !e.done.Load() || pe == nil || !pe.done.Load() {
-		t.Fatal("no completed tree for accra or pair from abuja on the donor")
+	// pair from abuja — as the cache hands them out, and a copy of their
+	// results as computed.
+	held := func(st *State) (graph.ShortestPaths, []int) {
+		t.Helper()
+		sp, err1 := st.paths.Tree(accra)
+		_, path, err2 := st.paths.Route(abuja, accra, true)
+		if err1 != nil || err2 != nil || path == nil {
+			t.Fatalf("no tree for accra or path from abuja: %v, %v", err1, err2)
+		}
+		return sp, path
 	}
-	wantDist := append([]float64(nil), e.sp.Dist...)
-	wantPath := append([]int(nil), pe.path...)
+	sp, path := held(donor)
+	wantDist := append([]float64(nil), sp.Dist...)
+	wantPath := append([]int(nil), path...)
 
 	// Find an empty tick that carries the entry forward.
 	var carried *State
@@ -171,16 +179,12 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 		st := tp.tick(t, 300+float64(i)*0.01)
 		if st.Diff().Empty() && st.Diff().CarriedPaths > 0 {
 			carried = st
-		} else if _, err := st.Latency(abuja, accra); err != nil {
-			t.Fatal(err)
 		} else {
 			// Structural tick: refresh the reader's view of the new
 			// donor's entries.
-			plantTree(t, st, accra)
-			donor = st
-			e, pe = entryFor(donor, accra), pairFor(donor, abuja, accra)
-			wantDist = append(wantDist[:0], e.sp.Dist...)
-			wantPath = append(wantPath[:0], pe.path...)
+			sp, path = held(st)
+			wantDist = append(wantDist[:0], sp.Dist...)
+			wantPath = append(wantPath[:0], path...)
 		}
 	}
 	if carried == nil {
@@ -201,13 +205,13 @@ func TestCarriedEntriesExemptFromSpareHarvest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, d := range e.sp.Dist {
+	for i, d := range sp.Dist {
 		if d != wantDist[i] {
 			t.Fatalf("held entry mutated at %d: %v != %v (arrays were recycled)", i, d, wantDist[i])
 		}
 	}
-	if !slices.Equal(pe.path, wantPath) {
-		t.Fatalf("held pair path mutated: %v != %v (its array was recycled)", pe.path, wantPath)
+	if !slices.Equal(path, wantPath) {
+		t.Fatalf("held pair path mutated: %v != %v (its array was recycled)", path, wantPath)
 	}
 }
 

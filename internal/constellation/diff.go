@@ -69,16 +69,10 @@ type DiffRecord struct {
 	// Activated and Deactivated are nodes whose bounding-box activity
 	// flipped.
 	Activated, Deactivated []int32
-	// CarriedPaths counts the path-cache sources shared with the base
-	// state because the link graph was unchanged; RepairedPaths counts
-	// those brought forward under this diff's link deltas, by tree repair
-	// (graph.RepairSSSP), pair re-search (graph.ShortestPair) or a tree
-	// planted for a source whose pairs cost more. Both count sources, not
-	// entries, whatever serves them. RepairFallbacks counts the sources
-	// read as whole trees whose affected cone was too large and that were
-	// fully recomputed instead; a source counts in one of the three. All
-	// are zero on a Full diff, and RepairedPaths and RepairFallbacks on
-	// link-unchanged diffs, which transplant.
+	// CarriedPaths, RepairedPaths and RepairFallbacks are the
+	// paths.Counts of the scenario's path cache carried from the base
+	// state. All are zero on a Full diff, and RepairedPaths and
+	// RepairFallbacks on link-unchanged diffs, which share.
 	CarriedPaths    int
 	RepairedPaths   int
 	RepairFallbacks int

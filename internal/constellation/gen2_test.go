@@ -106,16 +106,16 @@ func TestGen2PairSettlesFewNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sats := c.NodeCount() - len(c.gst)
-	h := graph.Heuristic{Pos: st.Positions, Scale: st.pairScale}
+	h := pairHeuristic(st)
 	var ws graph.Workspace
 	worst := 0
 	for _, p := range [][2]int{{10, 60}, {60, 10}, {30, 80}, {80, 30}} {
 		src, dst := sats+p[0], sats+p[1]
-		got, err := st.g.ShortestPair(src, dst, st.transitFn, h, &ws, nil)
+		got, err := st.g.ShortestPair(src, dst, c.transit, h, &ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := st.g.DijkstraTransit(src, st.transitFn)
+		want, err := st.g.DijkstraTransit(src, c.transit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,4 +129,15 @@ func TestGen2PairSettlesFewNodes(t *testing.T) {
 	if limit := sats / 20; worst >= limit {
 		t.Fatalf("a pair search settled %d nodes, bound %d (5 %% of %d satellites)", worst, limit, sats)
 	}
+}
+
+// pairHeuristic is a heuristic for the pair searches on st: the least ratio
+// of a link's delay to the distance between its ends, through
+// graph.HeuristicScale, as link assembly finds it for the path cache.
+func pairHeuristic(st *State) graph.Heuristic {
+	r := math.Inf(1)
+	for _, l := range st.Links {
+		r = lessRatio(r, l.LatencyS, st.Positions[l.A].Distance(st.Positions[l.B]))
+	}
+	return graph.Heuristic{Pos: st.Positions, Scale: graph.HeuristicScale(r)}
 }

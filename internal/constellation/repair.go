@@ -5,7 +5,6 @@ import (
 
 	"celestial/internal/graph"
 	"celestial/internal/netem"
-	"celestial/internal/par"
 )
 
 // quantaWeight converts a LinkDelta delay-quantum count into the graph
@@ -154,218 +153,4 @@ func (f *handoverFold) appendBlock(dst []graph.EdgeDelta, gid int, rem, add []Li
 		}
 	}
 	return dst
-}
-
-// carryJob is one piece of the previous state's path cache on its way into
-// the next state's source record into: a tree repaired under the tick's
-// deltas (tree set), a pair re-searched (pair set), or a tree planted by a
-// full run (neither set) for a source whose pair searches settled more
-// nodes than a repair would. Workers fill the fresh side and the settled
-// count; the results are published serially afterwards. count marks a tree
-// job for a source next did not hold yet, whose outcome the diff counts.
-type carryJob struct {
-	src       int
-	into      *pathSource
-	tree      *pathEntry
-	pair      *pairEntry
-	stamp     uint64
-	freshTree *pathEntry
-	freshPair *pairEntry
-	settled   int
-	fast      bool
-	count     bool
-}
-
-// carryPaths brings the completed path-cache entries of the previous state
-// that were read within idleSnapshots, and that the new state does not
-// hold yet, over to it, adding to the diff's path counters. On a
-// bit-identical graph (the diff is empty, or only node activity flipped —
-// the bounding box does not affect path calculation, §3.3) trees and pairs
-// are shared outright; otherwise trees are repaired under the tick's merged
-// graph-level edge deltas (as produced by appendEdgeDeltas — the pool
-// computes them once and shares them with the graph patch), so a small
-// non-empty diff costs O(affected cone) per tree, and pairs are searched
-// again. A source whose pair searches on the previous state settled more
-// nodes than a repair would (treePays) gets a tree instead, one full run.
-// With repair disabled (SetPathRepair) nothing is recomputed ahead.
-//
-// Both halves of a snapshot call it: prepare brings what is complete and
-// recently read when it looks, finish what was completed or read on the
-// previous state afterwards (a read only makes an entry younger), and
-// copies the read stamps of entries prev gained since onto the entries the
-// first pass made from them — so together they carry exactly the entries a
-// single pass at the boundary would. Each entry is recomputed into a new
-// one, a tree into arrays taken from spareTrees: prev may still be
-// published and leased by concurrent readers, so its entries (and any
-// entries they in turn carried) are never mutated in place. The
-// recomputations fan out across GOMAXPROCS workers; results are
-// deterministic per entry, so parallelism never changes one.
-//
-// The counters count sources, whatever serves them: CarriedPaths a source
-// shared, RepairedPaths one recomputed, except that a whole-tree read's
-// tree (pathEntry.whole) whose repair fell back to a full run counts in
-// RepairFallbacks. A source counts in the pass that first brings it, so
-// they do not depend on how many targets a source's readers ask for, or on
-// whether a tree or pairs serve it.
-func (p *SnapshotPool) carryPaths(pr *prepared) {
-	prev, next := pr.prev, pr.out
-	if prev == nil || next.diff.Full {
-		return
-	}
-	share := next.diff.LinksUnchanged()
-	if !share && pr.noRepair {
-		return
-	}
-	jobs, brought := p.jobScratch[:0], 0
-	for i := range prev.paths {
-		from, to := &prev.paths[i], &next.paths[i]
-		from.mu.Lock()
-		for a, src := range from.m {
-			var fresh bool
-			jobs, fresh = next.carrySource(to, a, src, share, jobs)
-			if fresh {
-				brought++
-			}
-		}
-		from.mu.Unlock()
-	}
-	p.jobScratch = jobs
-	if share {
-		next.diff.CarriedPaths += brought
-		return
-	}
-	if len(jobs) > 0 { // a steady finish has none
-		par.For(len(jobs), func(lo, hi int) {
-			ws := dijkstraWorkspaces.Get().(*graph.Workspace)
-			for j := lo; j < hi; j++ {
-				next.runCarryJob(&jobs[j], pr.deltas, ws)
-			}
-			dijkstraWorkspaces.Put(ws)
-		})
-	}
-	for j := range jobs {
-		job := &jobs[j]
-		switch {
-		case job.freshPair != nil:
-			job.into.pairs = append(job.into.pairs, job.freshPair)
-			job.into.settled += job.settled
-		case job.freshTree != nil:
-			job.into.setTree(job.freshTree)
-			if !job.count {
-				break
-			}
-			if job.tree != nil && job.tree.whole && !job.fast {
-				next.diff.RepairFallbacks++
-			} else {
-				brought++
-			}
-		}
-		*job = carryJob{} // release entry references held by the scratch
-	}
-	next.diff.RepairedPaths += brought
-}
-
-// carrySource brings source a's record src of the previous state into
-// shard to of next (not published yet, so to needs no lock), sharing its
-// entries when share is set and queueing jobs otherwise. It reports whether
-// the source is new to next and already counted: a source whose only job
-// is a tree repair is counted when the repair is done (carryJob.count).
-//
-// A tree serves the source once it is complete. One still being computed —
-// planted by a read of prev that races this pass — leaves the source to
-// its pairs, so whether the plant finished before the boundary cannot
-// decide whether the source goes on, nor how it counts.
-func (next *State) carrySource(to *pathShard, a int, src *pathSource, share bool, jobs []carryJob) ([]carryJob, bool) {
-	dst := to.m[a]
-	isNew := dst == nil
-	into := func() *pathSource {
-		if dst == nil {
-			dst = to.source(a)
-		}
-		return dst
-	}
-	if e := src.tree; e != nil && e.done.Load() {
-		switch {
-		case dst != nil && dst.tree != nil:
-			// Brought by the first pass, which copied e's read stamp;
-			// reads of prev since then must reach the copy too.
-			dst.tree.markRead(e.lastRead.Load())
-		case !e.carries(next.seq):
-		case share:
-			e.shared = true
-			into().setTree(e)
-			return jobs, isNew
-		default:
-			jobs = append(jobs, carryJob{src: a, into: into(), tree: e, count: isNew})
-		}
-		return jobs, false
-	}
-	if dst != nil && dst.tree != nil {
-		for _, pe := range src.pairs {
-			dst.tree.markRead(pe.lastRead.Load())
-		}
-		return jobs, false
-	}
-	plant := !share && next.treePays(src.settled)
-	planted, stamp := false, uint64(0)
-	for _, pe := range src.pairs {
-		if dst != nil {
-			if held := dst.pair(pe.dst); held != nil {
-				held.markRead(pe.lastRead.Load())
-				continue
-			}
-		}
-		if !pe.carries(next.seq) {
-			continue
-		}
-		switch {
-		case plant:
-			planted, stamp = true, max(stamp, pe.lastRead.Load())
-		case share:
-			into().pairs = append(into().pairs, pe)
-		default:
-			jobs = append(jobs, carryJob{src: a, into: into(), pair: pe, stamp: pe.lastRead.Load()})
-		}
-	}
-	if planted {
-		jobs = append(jobs, carryJob{src: a, into: into(), stamp: stamp})
-	}
-	return jobs, isNew && dst != nil
-}
-
-// runCarryJob computes one carryJob into next, on a worker of carryPaths.
-// An entry that cannot be recomputed (which diff-produced deltas rule out)
-// is left out, and a read computes it.
-func (next *State) runCarryJob(job *carryJob, deltas []graph.EdgeDelta, ws *graph.Workspace) {
-	if old := job.pair; old != nil {
-		pe := &pairEntry{dst: old.dst}
-		job.settled = next.searchPair(pe, job.src, ws)
-		if pe.err != nil {
-			return
-		}
-		pe.lastRead.Store(job.stamp)
-		pe.done.Store(true)
-		job.freshPair = pe
-		return
-	}
-	e := spareTrees.Get().(*pathEntry)
-	var err error
-	if old := job.tree; old != nil {
-		n := len(old.sp.Dist)
-		e.sp.Source = job.src
-		e.sp.Dist, e.sp.Prev = resize(e.sp.Dist, n), resize(e.sp.Prev, n)
-		copy(e.sp.Dist, old.sp.Dist)
-		copy(e.sp.Prev, old.sp.Prev)
-		job.fast, err = next.g.RepairSSSP(&e.sp, deltas, next.transitFn, ws)
-		job.stamp = old.lastRead.Load()
-	} else {
-		e.sp, err = next.g.DijkstraTransitInto(job.src, next.transitFn, e.sp.Dist, e.sp.Prev, ws)
-	}
-	if err != nil {
-		return
-	}
-	e.whole = job.tree != nil && job.tree.whole
-	e.lastRead.Store(job.stamp)
-	e.done.Store(true)
-	job.freshTree = e
 }

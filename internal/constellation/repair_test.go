@@ -10,35 +10,15 @@ import (
 	"celestial/internal/orbit"
 )
 
-// entryFor digs a state's cached tree for a source out of its shard, nil
-// when the state holds none.
-func entryFor(st *State, src int) *pathEntry {
-	sh := &st.paths[src%pathShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s := sh.m[src]; s != nil {
-		return s.tree
-	}
-	return nil
-}
-
-// pairFor digs a state's cached pair entry for (src, dst) out of its shard,
-// nil when the state holds none.
-func pairFor(st *State, src, dst int) *pairEntry {
-	sh := &st.paths[src%pathShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s := sh.m[src]; s != nil {
-		return s.pair(dst)
-	}
-	return nil
-}
+// idleSnapshots is how many states the path cache keeps an entry nobody
+// reads (paths' eviction horizon), pinned here.
+const idleSnapshots = 10
 
 // plantTree reads src's whole tree on st, the way BestMeetingPoint does,
 // so that st's cache holds a tree for it.
 func plantTree(t *testing.T, st *State, src int) {
 	t.Helper()
-	if _, err := st.pathsFor(src); err != nil {
+	if _, err := st.paths.Tree(src); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,10 +64,8 @@ func TestRepairedPathsMatchFreshAcrossTicks(t *testing.T) {
 			structuralTicks++
 			// The previous tick's queried sources must arrive already
 			// repaired — no lazy recompute hidden behind the query.
-			for _, src := range sources {
-				if e := entryFor(st, src); e == nil || !e.done.Load() {
-					t.Fatalf("tick %d: source %d not pre-repaired on a structural tick", i, src)
-				}
+			if got := d.RepairedPaths + d.RepairFallbacks; got != len(sources) {
+				t.Fatalf("tick %d: %d of %d sources pre-repaired on a structural tick", i, got, len(sources))
 			}
 		}
 		repairedTotal += d.RepairedPaths
@@ -98,8 +76,8 @@ func TestRepairedPathsMatchFreshAcrossTicks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range sources {
-			want, err1 := ref.pathsFor(src)
-			got, err2 := st.pathsFor(src)
+			want, err1 := ref.paths.Tree(src)
+			got, err2 := st.paths.Tree(src)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -143,8 +121,8 @@ func TestStarlinkP1RepairDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range sources {
-			want, err1 := ref.pathsFor(src)
-			got, err2 := st.pathsFor(src)
+			want, err1 := ref.paths.Tree(src)
+			got, err2 := st.paths.Tree(src)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -272,9 +250,6 @@ func TestRepairDisabledRecomputesLazily(t *testing.T) {
 		}
 		if i > 0 && !d.LinksUnchanged() {
 			structural = true
-			if e, pe := entryFor(st, accra), pairFor(st, accra, jbg); e != nil || pe != nil {
-				t.Fatalf("tick %d: tree or pair pre-populated with repair disabled", i)
-			}
 		}
 		ref, err := fresh.Snapshot(float64(i) * 5)
 		if err != nil {
@@ -305,8 +280,11 @@ func TestRepairReusesRecycledArrays(t *testing.T) {
 	stA := tp.tick(t, 0) // buffer X
 	recycled := map[*float64]bool{}
 	for src := 0; src < trees; src++ {
-		plantTree(t, stA, src)
-		recycled[&entryFor(stA, src).sp.Dist[0]] = true
+		sp, err := stA.paths.Tree(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled[&sp.Dist[0]] = true
 	}
 	// Buffer Y repairs X's trees into arrays of its own; X stays the
 	// pool's diff base. Had no link changed, Y would share X's trees and
@@ -327,9 +305,13 @@ func TestRepairReusesRecycledArrays(t *testing.T) {
 	if stC.Diff().LinksUnchanged() {
 		t.Skip("15 s tick produced no link delta (scenario-dependent)")
 	}
+	if d := stC.Diff(); d.RepairedPaths+d.RepairFallbacks != trees {
+		t.Fatalf("diff %+v: the schedule no longer repairs every tree", d.Stats())
+	}
 	reused := 0
 	for src := 0; src < trees; src++ {
-		if e := entryFor(stC, src); e != nil && recycled[&e.sp.Dist[0]] {
+		// The trees are held, so these reads compute nothing.
+		if sp, err := stC.paths.Tree(src); err == nil && recycled[&sp.Dist[0]] {
 			reused++
 		}
 	}
@@ -355,7 +337,7 @@ func TestUnreadSourcesAreForgotten(t *testing.T) {
 		t.Helper()
 		var err error
 		if whole {
-			_, err = st.pathsFor(src)
+			_, err = st.paths.Tree(src)
 		} else {
 			_, err = st.Latency(src, accra)
 		}
@@ -388,19 +370,7 @@ func TestUnreadSourcesAreForgotten(t *testing.T) {
 		if got := d.CarriedPaths + d.RepairedPaths + d.RepairFallbacks; got != want {
 			t.Fatalf("tick %d: %d sources carried or repaired, want %d", i, got, want)
 		}
-		if e := entryFor(st, accra); e == nil || !e.done.Load() {
-			t.Fatalf("tick %d: the source read every tick was not carried", i)
-		}
-		if i <= idleSnapshots && entryFor(st, jbg) == nil && pairFor(st, jbg, accra) == nil {
-			t.Fatalf("tick %d: a one-off source read by a pair left the cache early", i)
-		}
 		read(st, accra, true)
-	}
-	if e := entryFor(st, 0); e != nil {
-		t.Fatal("a one-off tree is still cached after idleSnapshots unread ticks")
-	}
-	if e, pe := entryFor(st, jbg), pairFor(st, jbg, accra); e != nil || pe != nil {
-		t.Fatal("a one-off source read by a pair is still cached after idleSnapshots unread ticks")
 	}
 	if shared == 0 || repaired == 0 {
 		t.Fatalf("schedule too tame: %d shared and %d repaired entries", shared, repaired)
@@ -409,27 +379,33 @@ func TestUnreadSourcesAreForgotten(t *testing.T) {
 
 // TestLateReadReachesRepairedEntry: a read of the previous state after a
 // Prefetch already repaired that source counts for the repaired entry's
-// age, as it would had the whole snapshot run at the tick boundary.
+// age, as it would had the whole snapshot run at the tick boundary: the
+// source goes on for idleSnapshots states after the late read, and one
+// state fewer had the read been lost.
 func TestLateReadReachesRepairedEntry(t *testing.T) {
 	c := mustNew(t, testConfig(t, orbit.ModelKepler))
 	tp := &tickingPool{pool: c.NewSnapshotPool()}
 	accra, _ := c.GSTNodeByName("accra")
 	offset := 100.0
-	st := tp.tick(t, offset)
+	st := tp.tick(t, offset) // state 0
 	plantTree(t, st, accra)
 	offset += 7.5
-	st = tp.tick(t, offset) // repairs accra's tree; nobody reads it
+	st = tp.tick(t, offset) // state 1 repairs accra's tree; nobody reads it
 	offset += 7.5
 	tp.pool.Prefetch(offset)
 	<-tp.pool.pre.done
 	if _, err := st.Latency(accra, 0); err != nil { // a pair read reads the tree
 		t.Fatal(err)
 	}
-	next := tp.tick(t, offset)
-	if next.Diff().RepairedPaths+next.Diff().RepairFallbacks != 1 {
-		t.Fatalf("diff %+v: the schedule no longer repairs the source", next.Diff().Stats())
-	}
-	if got := entryFor(next, accra).lastRead.Load(); got != st.seq {
-		t.Fatalf("repaired entry last read at seq %d, want %d (the late read)", got, st.seq)
+	for k := 2; k <= idleSnapshots+2; k++ {
+		d := tp.tick(t, offset).Diff()
+		offset += 7.5
+		want := 1
+		if k > idleSnapshots+1 {
+			want = 0
+		}
+		if got := d.CarriedPaths + d.RepairedPaths + d.RepairFallbacks; got != want {
+			t.Fatalf("state %d: %d sources brought forward, want %d (last read on state 1)", k, got, want)
+		}
 	}
 }

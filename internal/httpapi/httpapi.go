@@ -16,8 +16,9 @@
 // actually changed at netem granularity. (Concurrent first-requesters
 // after an invalidation may race to fill the same document; fills are
 // idempotent and microsecond-scale, so the caches deliberately skip
-// singleflight — the expensive computation, Dijkstra, is already
-// singleflighted inside the state's path cache.) That coarser key is a deliberate trade:
+// singleflight — the expensive computation, the path search, is already
+// singleflighted inside the state's path cache for outside readers.) That
+// coarser key is a deliberate trade:
 // under empty diffs satellites still move (sub-quantum), so cached
 // position-derived fields can lag the newest snapshot by less than one
 // delay quantum's worth of motion — while everything the emulated network

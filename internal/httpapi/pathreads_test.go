@@ -8,11 +8,12 @@ import (
 	"celestial/internal/scenario"
 )
 
-// TestPathReadsLeaveTheReportAlone: /v1/path reads from the sources of a
-// scenario's flows to targets no flow reads change nothing in the run's
-// report. They add pairs to the path cache, and enough of them give a
-// source a tree of its own, but the report counts carried and repaired
-// sources, not what serves them, and every answer is exact either way.
+// TestPathReadsLeaveTheReportAlone: /v1/path reads change nothing in the
+// run's report, whether from the sources of a scenario's flows to targets
+// no flow reads or from a source no flow reads (sydney). They go to the
+// path cache each state keeps for readers outside the scenario, so the
+// scenario's cache, whose carried and repaired sources the report counts,
+// never sees them.
 func TestPathReadsLeaveTheReportAlone(t *testing.T) {
 	run := func(extra [][2]string) []byte {
 		t.Helper()
@@ -49,8 +50,9 @@ func TestPathReadsLeaveTheReportAlone(t *testing.T) {
 	read := run([][2]string{
 		{"berlin", "sydney"}, {"berlin", "saopaulo"}, {"berlin", "100.0"},
 		{"saopaulo", "singapore"}, {"singapore", "berlin"}, {"newyork", "3.4"},
+		{"sydney", "berlin"},
 	})
 	if !bytes.Equal(plain, read) {
-		t.Fatalf("extra path reads from flow sources changed the report:\n--- plain\n%s\n--- with reads\n%s", plain, read)
+		t.Fatalf("extra path reads changed the report:\n--- plain\n%s\n--- with reads\n%s", plain, read)
 	}
 }

@@ -212,6 +212,10 @@ func (cs *CoordinatorSource) GSTDoc(name string) ([]byte, int) {
 	return marshalDoc(resp), 200
 }
 
+// PathDoc builds the /path document between two node references: the
+// latency, the bottleneck bandwidth and the segments of one shortest path,
+// read once (constellation.State.OutsidePath) from the path cache the
+// state keeps for readers outside the scenario.
 func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	src, err := cs.c.Constellation().NodeByRef(source)
 	if err != nil {
@@ -226,33 +230,30 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	if st == nil {
 		return errDoc(503, "no constellation state yet")
 	}
-	// Latency, path and bandwidth are three reads of one pair: the first
-	// searches it (or reads the source's tree, when the state keeps one),
-	// the other two hit the state's path cache, and the tick pipeline
-	// carries the pair to later states while it is read, so steady-state
-	// queries never pay a full Dijkstra run here.
-	lat, err := st.Latency(src, dst)
+	// The first read of a pair on a state searches it (or reads the
+	// source's tree, when the cache keeps one), and the tick pipeline
+	// carries it to later states while it is read, so steady-state queries
+	// never pay a full Dijkstra run here. The scenario's own path cache —
+	// and with it the run's report — never sees the query.
+	lat, path, err := st.OutsidePath(src, dst)
 	if err != nil {
 		return errDoc(500, "%v", err)
 	}
 	if math.IsInf(lat, 1) {
 		return errDoc(404, "no path between %s and %s", source, target)
 	}
-	path, err := st.Path(src, dst)
-	if err != nil {
-		return errDoc(500, "%v", err)
-	}
-	bw, _ := st.PathBandwidth(src, dst)
 	cons := cs.c.Constellation()
-	resp := PathResponse{
-		Source: source, Target: target,
-		LatencyMs: lat * 1000, BandwidthKbps: bw,
-	}
+	resp := PathResponse{Source: source, Target: target, LatencyMs: lat * 1000}
+	bottleneck := math.Inf(1)
 	for i := 0; i+1 < len(path); i++ {
 		a, errA := cons.Node(path[i])
 		b, errB := cons.Node(path[i+1])
-		if errA != nil || errB != nil {
+		kbps, ok := st.LinkBandwidth(path[i], path[i+1])
+		if errA != nil || errB != nil || !ok {
 			return errDoc(500, "resolving path nodes")
+		}
+		if kbps > 0 {
+			bottleneck = min(bottleneck, kbps)
 		}
 		// Per-segment latency as the emulation realizes it: link delays
 		// are quantized to the netem granularity, so quantized segments
@@ -262,6 +263,10 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 			From: a.Name, To: b.Name, DistanceKm: d,
 			LatencyMs: netem.QuantizeLatency(geom.PropagationDelay(d)) * 1000,
 		})
+	}
+	// The bottleneck bandwidth; zero means every link is unlimited.
+	if !math.IsInf(bottleneck, 1) {
+		resp.BandwidthKbps = bottleneck
 	}
 	return marshalDoc(resp), 200
 }

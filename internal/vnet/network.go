@@ -75,15 +75,17 @@ type node struct {
 	out     map[int]*pairState
 }
 
-// pairState is the cached per-directed-pair link state: the destination
-// (so a Send reaches its handler without a lookup), the shaper (nil while
-// the pair has never been reachable) and the topology version its
-// parameters were refreshed at. ok caches reachability for that version.
+// pairState is the cached per-directed-pair link state: the pair's ends,
+// the destination node (so a Send reaches its handler without a lookup),
+// the shaper (nil while the pair has never been reachable) and the topology
+// version its parameters were refreshed at. ok caches reachability for
+// that version.
 type pairState struct {
-	dst     *node
-	shaper  *netem.Shaper
-	version uint64
-	ok      bool
+	from, to int
+	dst      *node
+	shaper   *netem.Shaper
+	version  uint64
+	ok       bool
 }
 
 // Network delivers messages between emulated machines with the delays and
@@ -101,8 +103,10 @@ type pairState struct {
 type Network struct {
 	sim  *Sim
 	topo Topology
-	// nodes by ID; per directed pair link state hangs off its source.
+	// nodes by ID; per directed pair link state hangs off its source, and
+	// pairs holds the same states in the order they were created.
 	nodes map[int]*node
+	pairs []*pairState
 	// impair is added on top of topology delay/bandwidth (loss etc.).
 	impair netem.Params
 	// bwCapKbps, when positive, clamps every path's bandwidth below the
@@ -150,13 +154,12 @@ func (n *Network) InvalidatePaths() { n.version++ }
 // epoch: pairs outside pred keep their state, including any staleness
 // from earlier scoped invalidations. The fan-out tier uses it to refresh
 // one host shard's shapers without forcing every other shard's pairs to
-// re-read the topology.
+// re-read the topology. pred sees the pairs in the order they were
+// created.
 func (n *Network) InvalidatePairsIf(pred func(from, to int) bool) {
-	for from, src := range n.nodes {
-		for to, ps := range src.out {
-			if pred(from, to) {
-				ps.version = 0
-			}
+	for _, ps := range n.pairs {
+		if pred(ps.from, ps.to) {
+			ps.version = 0
 		}
 	}
 }
@@ -283,8 +286,9 @@ func (n *Network) pair(from, to int) (*pairState, error) {
 		if src.out == nil {
 			src.out = map[int]*pairState{}
 		}
-		ps = &pairState{dst: dst}
+		ps = &pairState{from: from, to: to, dst: dst}
 		src.out[to] = ps
+		n.pairs = append(n.pairs, ps)
 	} else if ps.dst.handler == nil {
 		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, to)
 	}
