@@ -316,7 +316,6 @@ func Run(p Params) (*Result, error) {
 	// Clients measure the end-to-end latency of received packets,
 	// adding the modeled processing delay of the measurement pipeline.
 	for _, name := range clients {
-		name := name
 		id := clientIDs[name]
 		net.Handle(id, func(m vnet.Message) {
 			pkt, ok := m.Payload.(streamPacket)

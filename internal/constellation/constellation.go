@@ -228,8 +228,9 @@ func (c *Constellation) GroundStations() []config.GroundStation { return c.gst }
 
 // State is one topology snapshot: node positions, available links and
 // lazily computed shortest paths. A State is immutable once computed and
-// safe for concurrent use; States obtained from a SnapshotPool are
-// recycled, see there.
+// safe for concurrent use. A State obtained from a SnapshotPool lives while
+// someone holds it (Snapshot, Hold) or it is the pool's last snapshot; its
+// buffers are reused after that, see SnapshotPool.
 type State struct {
 	// T is the offset since the constellation epoch in seconds.
 	T float64
@@ -245,6 +246,10 @@ type State struct {
 
 	c *Constellation
 	g graph.Graph
+
+	// holds counts the holders of a pooled state, guarded by the pool's
+	// mu (see SnapshotPool).
+	holds int
 
 	// paths is the shortest-path cache of the scenario's reads; outside
 	// holds the reads from outside the scenario (OutsidePath), so that

@@ -281,20 +281,39 @@ func TestDiffActivityChanges(t *testing.T) {
 	}
 }
 
-// TestDiffSingleBufferedPoolIsFull documents the single-buffer fallback:
-// recycling each state before the next snapshot leaves no diff base.
-func TestDiffSingleBufferedPoolIsFull(t *testing.T) {
+// TestSingleBufferedPoolMatchesDoubleBuffered: the pool keeps its diff base
+// alive by itself, so a caller that recycles each state before taking the
+// next gets the same states, diffs and path carry-over, bit for bit, as one
+// that keeps two states in flight.
+func TestSingleBufferedPoolMatchesDoubleBuffered(t *testing.T) {
 	c := mustNew(t, testConfig(t, orbit.ModelKepler))
-	pool := c.NewSnapshotPool()
-	for i := 0; i < 3; i++ {
-		st, err := pool.Snapshot(float64(i))
+	single, double := c.NewSnapshotPool(), &tickingPool{pool: c.NewSnapshotPool()}
+	accra, _ := c.GSTNodeByName("accra")
+	jbg, _ := c.GSTNodeByName("johannesburg")
+	offset, carried := 100.0, 0
+	for i := 0; i < 8; i++ {
+		offset += []float64{3, 0.005}[i%2] // structural and link-unchanged ticks
+		got, err := single.Snapshot(offset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Diff().Full {
-			t.Fatalf("tick %d: single-buffered pool produced a non-Full diff", i)
+		want := double.tick(t, offset)
+		assertHintIdentical(t, i, want, got)
+		d := got.Diff()
+		if d.Full != (i == 0) {
+			t.Fatalf("tick %d: Full = %v", i, d.Full)
 		}
-		pool.Recycle(st)
+		carried += d.CarriedPaths + d.RepairedPaths
+		// The same pair read on both sides, for the next tick to carry.
+		for _, st := range []*State{want, got} {
+			if _, err := st.Latency(accra, jbg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		single.Recycle(got)
+	}
+	if carried == 0 {
+		t.Fatal("no path carried over: the schedule gates nothing")
 	}
 }
 

@@ -13,18 +13,23 @@ import (
 // positions, activity flags, link slices, the graph's CSR image, the path
 // caches' maps and uplink buffers are all reused, and the arrays of the
 // trees a state held alone go back to a process-wide pool
-// (paths.Cache.Reset). The coordinator double-buffers through the pool — a
-// State handed out by Snapshot must be Recycled by the caller once no
-// reader can still hold it.
+// (paths.Cache.Reset).
+//
+// The pool is the one owner of a state's lifetime. It counts the holds on
+// each state: Snapshot hands a state out with one hold, the caller's; Hold
+// adds one for another reader and Recycle drops one. A buffer is reused
+// only once nobody holds it and it is no longer the pool's last snapshot,
+// the diff base of the next one, which the pool keeps alive and readable
+// by itself. A caller may therefore recycle each state as soon as it has
+// moved on to the next.
 //
 // The pool is also the diff engine's anchor: each Snapshot compares its
-// link fingerprint against the previous pooled snapshot (which the
-// double-buffer discipline keeps alive and readable) and records the
-// result in State.Diff. The previous snapshot's path caches are carried
-// into the new one's (paths.Cache.Carry): shared when no link appeared,
-// disappeared or changed its delay quantum, repaired under the link deltas
-// otherwise. Concurrent Snapshot calls are
-// serialized; Recycle may be called concurrently at any time.
+// link fingerprint against the previous snapshot and records the result
+// in State.Diff. The previous snapshot's path caches are carried into the
+// new one's (paths.Cache.Carry): shared when no link appeared, disappeared
+// or changed its delay quantum, repaired under the link deltas otherwise.
+// Concurrent Snapshot calls are serialized; Hold and Recycle may be called
+// concurrently at any time.
 //
 // A snapshot is computed in two halves, cut where its inputs change kind.
 // prepare is a function of the offset t and the previous pooled state
@@ -42,12 +47,12 @@ type SnapshotPool struct {
 	// Prefetch runs without it; pre stands in for the lock until the next
 	// Snapshot has joined that goroutine.
 	snapMu sync.Mutex
-	mu     sync.Mutex
-	// free are recycled states ready for reuse.
+	// mu guards free, last and every state's holds.
+	mu sync.Mutex
+	// free are the states nobody holds, ready for reuse.
 	free []*State
 	// last is the newest computed state, the diff base for the next
-	// tick. It is cleared when recycled (a recycled buffer may be
-	// overwritten at any time and cannot serve as a base).
+	// tick. It stays out of free, held or not, until finish replaces it.
 	last *State
 	// pre is the prepare launched by Prefetch and not yet joined (guarded
 	// by snapMu); at most one is in flight.
@@ -70,9 +75,9 @@ type SnapshotPool struct {
 // prepared is what the first half of a snapshot hands to the second.
 type prepared struct {
 	t float64
-	// out is the computed state, nil when err is set (its buffer is then
-	// already back in the pool); prev is the diff base it was computed
-	// against, the pool's last state when the buffer was taken.
+	// out is the computed state, holding the caller's hold; nil when err
+	// is set (its buffer is then already back in the pool). prev is the
+	// diff base it was computed against, the pool's last state.
 	out, prev *State
 	err       error
 	// deltas are the tick's merged graph-level link deltas (backed by the
@@ -110,16 +115,14 @@ func (c *Constellation) NewSnapshotPool() *SnapshotPool {
 
 // Snapshot computes the state at offset t like Constellation.Snapshot, but
 // into a recycled buffer when one is available, and diffs the result
-// against the pool's previous snapshot (see SnapshotPool). Single-buffered
-// use — recycling each state before taking the next — still works but
-// yields Full diffs, since the only possible base is the very buffer being
-// overwritten; keep two states in flight to get deltas and path carry-over.
+// against the pool's previous snapshot (see SnapshotPool). The state comes
+// with one hold, the caller's: Recycle it once done.
 //
 // Snapshot is the only way to obtain a state. If a Prefetch for the same t
 // is in flight, Snapshot waits for it and finishes its result on the
-// calling goroutine; a prefetch for any other t, or one whose diff base has
-// been recycled since, is waited for and discarded, and the state is
-// computed inline. Either way the returned state is the same, bit for bit.
+// calling goroutine; a prefetch for any other t is waited for and
+// discarded, and the state is computed inline. Either way the returned
+// state is the same, bit for bit.
 func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
@@ -158,10 +161,8 @@ func (p *SnapshotPool) Prefetch(t float64) {
 }
 
 // join waits for the prepare in flight, if any, and returns its result when
-// it is the one a synchronous Snapshot(t) would compute now: same offset,
-// and the diff base is still the pool's last state (a Recycle of the base
-// since would make the synchronous diff Full). Anything else goes back to
-// the pool.
+// it is for offset t: its diff base is the pool's last state, which only
+// finish replaces. A prepare for another offset goes back to the pool.
 func (p *SnapshotPool) join(t float64) (prepared, bool) {
 	pf := p.pre
 	if pf == nil {
@@ -169,10 +170,7 @@ func (p *SnapshotPool) join(t float64) (prepared, bool) {
 	}
 	p.pre = nil
 	<-pf.done
-	p.mu.Lock()
-	current := p.last == pf.prev
-	p.mu.Unlock()
-	if pf.t == t && current {
+	if pf.t == t {
 		return pf.prepared, true
 	}
 	p.Recycle(pf.out)
@@ -194,10 +192,8 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	} else {
 		st = new(State)
 	}
+	st.holds = 1
 	prev := p.last
-	if prev == st {
-		prev, p.last = nil, nil
-	}
 	p.mu.Unlock()
 	pr := prepared{t: t, prev: prev, noRepair: noRepair}
 	stageStart := time.Now()
@@ -253,7 +249,8 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 // flips and a second carry-over pass over the previous state's path cache
 // — which finds only the entries completed since prepare looked — happen
 // here, on the Snapshot goroutine, before the state becomes the pool's
-// last. The stage timings of both halves are delivered here as well.
+// last; the old last goes back to free if nobody holds it. The stage
+// timings of both halves are delivered here as well.
 func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
 	if pr.err != nil {
 		return nil, pr.err
@@ -274,6 +271,9 @@ func (p *SnapshotPool) finish(pr *prepared) (*State, error) {
 		}
 	}
 	p.mu.Lock()
+	if old := p.last; old != nil && old.holds == 0 {
+		p.free = append(p.free, old)
+	}
 	p.last = out
 	p.mu.Unlock()
 	return out, nil
@@ -339,16 +339,30 @@ func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
 // disables them. It must not be changed while a Snapshot call is running.
 func (p *SnapshotPool) SetStageTimer(fn func(stage string, d time.Duration)) { p.stageTimer = fn }
 
-// Recycle returns a State's buffers to the pool. The State must not be
-// used afterwards; its next Snapshot will overwrite every buffer in place.
+// Hold adds a hold on a state someone holds already (a coordinator lease
+// adds one to the state the coordinator holds): its buffers are not reused
+// until a Recycle drops this hold too.
+func (p *SnapshotPool) Hold(st *State) {
+	p.mu.Lock()
+	st.holds++
+	p.mu.Unlock()
+}
+
+// Recycle drops one hold on a state. The caller must not use the state
+// afterwards: once nobody holds it and it is no longer the pool's last
+// snapshot, the next Snapshot may overwrite every buffer in place.
+// Recycle(nil) does nothing; dropping a hold nobody has panics.
 func (p *SnapshotPool) Recycle(st *State) {
 	if st == nil {
 		return
 	}
 	p.mu.Lock()
-	if st == p.last {
-		p.last = nil
+	defer p.mu.Unlock()
+	if st.holds <= 0 {
+		panic("constellation: Recycle of a state nobody holds")
 	}
-	p.free = append(p.free, st)
-	p.mu.Unlock()
+	st.holds--
+	if st.holds == 0 && st != p.last {
+		p.free = append(p.free, st)
+	}
 }

@@ -51,7 +51,8 @@ func assertHintIdentical(t *testing.T, tick int, want, got *State) {
 // nodes between Prefetch and Snapshot. Ticks mix 5 ms steps (links
 // unchanged, trees shared) with multi-second ones (trees repaired), some
 // prefetch a different offset than Snapshot then asks for, some none, and
-// some recycle the diff base in between.
+// some recycle the diff base in between, which the pool keeps as its base
+// regardless.
 func TestPrefetchIsAHint(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { prefetchDifferential(t, seed) })
@@ -150,12 +151,14 @@ func prefetchDifferential(t *testing.T, seed int64) {
 		for _, id := range flips {
 			down[id].Store(!down[id].Load())
 		}
-		if mode == 2 { // the diff base goes back to the pool under the hint
+		if mode == 2 { // the caller drops its hold on the diff base under the hint
 			pre.pool.Recycle(pre.prev)
 			pre.prev = nil
-			discarded++
 		}
 		pre.tick(t, offset)
+		if mode >= 2 && pf.out != pre.prev {
+			t.Fatalf("tick %d: mode %d did not join its prefetch", tick, mode)
+		}
 
 		// The synchronous side: same sources, same overlay, no Prefetch.
 		plant(ref.prev, srcs)
@@ -167,8 +170,8 @@ func prefetchDifferential(t *testing.T, seed int64) {
 
 		assertHintIdentical(t, tick, ref.prev, pre.prev)
 		d := ref.prev.Diff()
-		if d.Full != (mode == 2) {
-			t.Fatalf("tick %d: Full = %v with mode %d", tick, d.Full, mode)
+		if d.Full {
+			t.Fatalf("tick %d: Full diff with mode %d", tick, mode)
 		}
 		if d.CarriedPaths > 0 {
 			sharedTicks++

@@ -40,24 +40,19 @@ type Coordinator struct {
 	// failedNodes).
 	failed failedNodes
 
-	// pool recycles snapshot buffers; the coordinator double-buffers
-	// through it (see update) so steady-state ticks allocate ~nothing.
+	// pool recycles snapshot buffers and owns their lifetime: the
+	// coordinator holds current, and each lease holds its state (see
+	// update and LeaseState), so steady-state ticks allocate ~nothing.
 	pool *constellation.SnapshotPool
 
 	mu       sync.RWMutex
 	current  *constellation.State
-	prev     *constellation.State
 	gen      uint64
 	lastDiff constellation.DiffStats
 	// topoVer is the generation of the most recent update whose diff was
 	// non-empty — the version of the emulated topology as clients can
 	// observe it. Empty-diff ticks advance the generation but not this.
 	topoVer uint64
-	// leases counts concurrent readers per state (see LeaseState);
-	// retired marks states waiting for their last lease before being
-	// recycled.
-	leases  map[*constellation.State]int
-	retired map[*constellation.State]bool
 
 	// runErr is the first error an update in Start's loop ran into; the
 	// loop stops there and Run reports it. Like wd it is only touched on
@@ -113,9 +108,7 @@ func New(cfg *config.Config, o Options) (*Coordinator, error) {
 	sim := vnet.NewSim(cfg.Epoch)
 	c := &Coordinator{
 		cfg: cfg, cons: cons, sim: sim,
-		pool:    cons.NewSnapshotPool(),
-		leases:  map[*constellation.State]int{},
-		retired: map[*constellation.State]bool{},
+		pool: cons.NewSnapshotPool(),
 	}
 	c.net = vnet.NewNetwork(sim, stateTopology{c}, 1)
 	// Fold machine health into snapshot activity: a crashed machine's
@@ -270,9 +263,10 @@ func (c *Coordinator) HostOf(node int) (*host.Host, error) {
 
 // State returns the most recent constellation state. It is nil before
 // Start. The returned State is valid within the current simulation
-// callback (updates run on the simulation goroutine, and recycling is
-// double-buffered); callers on other goroutines, or callers that retain
-// the state across simulation events, must use LeaseState instead.
+// callback: updates run on the simulation goroutine, and the state an
+// update replaces goes back to the pool at once. Callers on other
+// goroutines, or callers that retain the state across simulation events,
+// must use LeaseState instead.
 func (c *Coordinator) State() *constellation.State {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -280,48 +274,24 @@ func (c *Coordinator) State() *constellation.State {
 }
 
 // LeaseState returns the most recent constellation state (nil before
-// Start) pinned against buffer recycling, plus a release function that
-// must be called — exactly once, always safe to call — when the caller is
-// done with the state. This is the accessor for concurrent readers such
-// as the HTTP info server: simulated time advances arbitrarily fast in
-// wall-clock terms, so without a lease a handler's state could be
-// recycled and overwritten mid-read.
-func (c *Coordinator) LeaseState() (*constellation.State, func()) {
-	st, _, release := c.LeaseStateGen()
-	return st, release
-}
-
-// LeaseStateGen is LeaseState plus the generation that produced the
-// leased snapshot, read under the same lock so the pair is consistent —
-// for readers that embed the generation in derived documents (the
-// information service's /info) and must not mix one generation's content
-// with another's label when an update races the lease.
-func (c *Coordinator) LeaseStateGen() (*constellation.State, uint64, func()) {
-	c.mu.Lock()
+// Start) held against buffer recycling, the generation that produced it,
+// and a release function that must be called — exactly once, always safe
+// to call — when the caller is done with the state. This is the accessor
+// for concurrent readers such as the HTTP info server: simulated time
+// advances arbitrarily fast in wall-clock terms, so without a lease a
+// handler's state could be recycled and overwritten mid-read. State and
+// generation are read under the same lock, so readers that embed the
+// generation in derived documents (the information service's /info) never
+// mix one generation's content with another's label.
+func (c *Coordinator) LeaseState() (*constellation.State, uint64, func()) {
+	c.mu.RLock()
 	st, gen := c.current, c.gen
 	if st != nil {
-		c.leases[st]++
+		c.pool.Hold(st)
 	}
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	var once sync.Once
-	return st, gen, func() {
-		once.Do(func() {
-			if st == nil {
-				return
-			}
-			c.mu.Lock()
-			c.leases[st]--
-			recycle := c.leases[st] == 0 && c.retired[st]
-			if c.leases[st] == 0 {
-				delete(c.leases, st)
-				delete(c.retired, st)
-			}
-			c.mu.Unlock()
-			if recycle {
-				c.pool.Recycle(st)
-			}
-		})
-	}
+	return st, gen, func() { once.Do(func() { c.pool.Recycle(st) }) }
 }
 
 // Generation returns the monotonic snapshot generation: 0 before the first
@@ -387,9 +357,9 @@ func (c *Coordinator) Watchdog() *supervise.Watchdog { return c.wd }
 // update runs one constellation calculation cycle and distributes the
 // difference to the hosts, like the paper's coordinator ships link deltas
 // instead of reprogramming the whole network every epoch. Snapshots are
-// computed into pooled buffers: the state from two updates ago is recycled
-// — unless a concurrent reader holds a lease on it — so steady-state ticks
-// allocate ~nothing. The pool diffs each snapshot against the previous
+// computed into pooled buffers: the state this update replaces goes back
+// to the pool, which reuses it once no lease holds it, so steady-state
+// ticks allocate ~nothing. The pool diffs each snapshot against the previous
 // one; an empty diff (sub-quantum satellite motion) leaves the virtual
 // network's shaper parameters and the hosts' machine activity untouched,
 // and the snapshot arrives with the previous tick's shortest-path cache
@@ -439,8 +409,7 @@ func (c *Coordinator) update() error {
 	d := st.Diff()
 	d.Degraded = uint8(level)
 	c.mu.Lock()
-	old := c.prev
-	c.prev = c.current
+	old := c.current
 	c.current = st
 	c.gen++
 	c.lastDiff = d.Stats()
@@ -456,12 +425,6 @@ func (c *Coordinator) update() error {
 	// generation only from distribute, below, once the boundary's serial
 	// work is done.
 	c.fo.Advance(c.gen, d)
-	if old != nil && c.leases[old] > 0 {
-		// A concurrent reader still holds the state; its last
-		// release will recycle it.
-		c.retired[old] = true
-		old = nil
-	}
 	c.mu.Unlock()
 	c.pool.Recycle(old)
 

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -396,7 +397,7 @@ func BenchmarkUpdateCycle(b *testing.B) {
 
 func TestLeaseStatePinsAgainstRecycling(t *testing.T) {
 	c := started(t)
-	st, release := c.LeaseState()
+	st, _, release := c.LeaseState()
 	if st == nil {
 		t.Fatal("no state after Start")
 	}
@@ -407,8 +408,8 @@ func TestLeaseStatePinsAgainstRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run many update ticks: without the lease the state from two
-	// updates ago would be recycled and overwritten in place.
+	// Run many update ticks: without the lease the state would go back
+	// to the pool at the next update and be overwritten in place.
 	if err := c.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestLeaseStatePinsAgainstRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh lease observes the advanced simulation.
-	st2, release2 := c.LeaseState()
+	st2, _, release2 := c.LeaseState()
 	defer release2()
 	if st2.T <= leasedT {
 		t.Fatalf("state did not advance: T=%v", st2.T)
@@ -450,7 +451,7 @@ func TestLeaseStateConcurrentWithUpdates(t *testing.T) {
 					return
 				default:
 				}
-				st, release := c.LeaseState()
+				st, _, release := c.LeaseState()
 				if st == nil {
 					release()
 					continue
@@ -482,6 +483,59 @@ func TestLeaseStateConcurrentWithUpdates(t *testing.T) {
 	}
 	if runErr != nil {
 		t.Fatal(runErr)
+	}
+}
+
+// TestLeaseStateKeepsItsBufferOutOfTheRotation pins who owns a state's
+// lifetime: the snapshot pool. Without a lease the coordinator holds one
+// state, so State alternates between it and the buffer the prefetch fills.
+// A lease keeps its state intact and out of the rotation, which takes one
+// more buffer meanwhile; once released, the pool reuses the leased buffer
+// the next time the rotation needs a third one.
+func TestLeaseStateKeepsItsBufferOutOfTheRotation(t *testing.T) {
+	c := started(t)
+	seen := map[*constellation.State]bool{}
+	tick := func() *constellation.State {
+		t.Helper()
+		if err := c.Run(c.Config().Resolution); err != nil {
+			t.Fatal(err)
+		}
+		st := c.State()
+		seen[st] = true
+		return st
+	}
+	for i := 0; i < 20; i++ {
+		tick()
+	}
+	if len(seen) != 2 {
+		t.Fatalf("%d distinct states over 20 unleased ticks, want 2 (the current one and the prefetched one)", len(seen))
+	}
+
+	leased, _, release := c.LeaseState()
+	wantT, wantPos := leased.T, append([]geom.Vec3(nil), leased.Positions...)
+	for i := 0; i < 5; i++ {
+		if tick() == leased {
+			t.Fatalf("tick %d: the leased state came back while held", i)
+		}
+	}
+	if leased.T != wantT || !slices.Equal(leased.Positions, wantPos) {
+		t.Fatalf("leased state overwritten while held: T %v -> %v", wantT, leased.T)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d distinct states with one lease held, want 3", len(seen))
+	}
+
+	release()
+	// A second lease makes the rotation need a third buffer again: the
+	// released one, not a new allocation.
+	_, _, release2 := c.LeaseState()
+	defer release2()
+	back := false
+	for i := 0; i < 3; i++ {
+		back = tick() == leased || back
+	}
+	if !back || len(seen) != 3 {
+		t.Fatalf("after release: leased buffer reused %v, %d distinct states (want true, 3)", back, len(seen))
 	}
 }
 

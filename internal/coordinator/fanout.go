@@ -96,7 +96,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 // log has moved past its cursor. A loopback shard never asks for it: its
 // backend sweeps against the coordinator's own state.
 func (c *Coordinator) shardSnapshot(shard int) (*hostlink.Snapshot, error) {
-	st, gen, release := c.LeaseStateGen()
+	st, gen, release := c.LeaseState()
 	defer release()
 	if st == nil {
 		return nil, errors.New("coordinator: no state before the first update")

@@ -192,12 +192,12 @@ func TestDiffsFromConcurrentWithUpdates(t *testing.T) {
 	<-done
 }
 
-func TestLeaseStateGenPairsStateWithGeneration(t *testing.T) {
+func TestLeaseStatePairsStateWithGeneration(t *testing.T) {
 	c, err := New(testConfig(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, gen, release := c.LeaseStateGen()
+	st, gen, release := c.LeaseState()
 	release()
 	if st != nil || gen != 0 {
 		t.Fatalf("pre-start lease = (%v, %d)", st, gen)
@@ -208,7 +208,7 @@ func TestLeaseStateGenPairsStateWithGeneration(t *testing.T) {
 	if err := c.Run(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st, gen, release = c.LeaseStateGen()
+	st, gen, release = c.LeaseState()
 	defer release()
 	if st == nil || gen != c.Generation() {
 		t.Fatalf("lease = (%v, %d), coordinator at %d", st != nil, gen, c.Generation())

@@ -73,18 +73,23 @@ func (t *Testbed) Machine(node int) (*machine.Machine, error) {
 	return t.coord.Machine(node)
 }
 
-// State returns the latest constellation state (nil before Start). State
-// buffers are recycled across update ticks: the returned value is valid
-// within the current simulation callback or between Run calls, but must
-// not be retained across further Run progress or read from another
-// goroutine — use LeaseState for that.
+// State returns the latest constellation state (nil before Start). The
+// snapshot pool reuses a state's buffers as soon as an update replaces it
+// and no lease holds it: the returned value is valid within the current
+// simulation callback or between Run calls, but must not be retained
+// across further Run progress or read from another goroutine — use
+// LeaseState for that.
 func (t *Testbed) State() *constellation.State { return t.coord.State() }
 
 // LeaseState returns the latest constellation state (nil before Start)
-// pinned against buffer recycling, plus a release function to call —
-// exactly once, always safe — when done. Use this to read the state from
-// another goroutine or to hold it while the emulation advances.
-func (t *Testbed) LeaseState() (*constellation.State, func()) { return t.coord.LeaseState() }
+// with a hold on it in the snapshot pool, plus a release function that
+// drops the hold: call it once when done (further calls do nothing). Use
+// this to read the state from another goroutine or to keep it while the
+// emulation advances.
+func (t *Testbed) LeaseState() (*constellation.State, func()) {
+	st, _, release := t.coord.LeaseState()
+	return st, release
+}
 
 // Start boots all machines, performs the first constellation update, and
 // begins the periodic update loop.

@@ -167,7 +167,6 @@ func (in *Injector) Schedule(sched Scheduler, target Target, horizon time.Durati
 	}
 	start := sched.Now()
 	for _, ev := range events {
-		ev := ev
 		switch ev.Kind {
 		case KindShutdown:
 			if err := sched.At(start.Add(ev.At), func() {

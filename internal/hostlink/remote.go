@@ -330,20 +330,6 @@ func (fo *Fanout) write(r *remote, buf []byte, f any) ([]byte, error) {
 	return WriteFrame(r.conn, buf, f)
 }
 
-// rearm restarts a timer a wait loop reuses, whether it fired, was read or
-// is still running. go.mod says go 1.22, which keeps the pre-1.23 timer
-// channel on every toolchain: a fired timer nobody read still holds its
-// tick, and is drained here before Reset.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
 // syncStreams reconciles the connection's stream set with the current
 // remote-ownership table: adopted shards appear, reassigned-away shards
 // vanish. Returns the streams to serve, in shard order, the published
@@ -390,6 +376,8 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 	var err error
 	// One heartbeat timer for the whole loop, re-armed per idle wait: a
 	// time.After per wake would stay live until it fired, one per tick.
+	// Reset leaves no stale tick behind (Go 1.23 timer semantics, which
+	// go.mod's floor selects), whether the timer fired, was read or runs.
 	heartbeat := time.NewTimer(fo.cfg.Heartbeat)
 	defer heartbeat.Stop()
 	for {
@@ -415,7 +403,7 @@ func (fo *Fanout) writeLoop(r *remote, hello *Hello, buf []byte) {
 		// Caught up (or nothing published yet): wait for the next
 		// publication, ack or ownership change, heartbeating so the agent
 		// knows we are alive.
-		rearm(heartbeat, fo.cfg.Heartbeat)
+		heartbeat.Reset(fo.cfg.Heartbeat)
 		select {
 		case <-r.done:
 			return

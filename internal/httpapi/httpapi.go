@@ -285,7 +285,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // (errors are never cached). Concurrent misses of the same key build
 // redundantly rather than singleflighting — fills are cheap and
 // idempotent (see the package comment). Handlers read ver BEFORE the
-// source leases any state inside build: a tick between the version read
+// source takes a lease on a state inside build: a tick between the version read
 // and the build can then only make the cached document fresher than its
 // key, never staler.
 func (s *Server) serve(w http.ResponseWriter, c *respCache, ver uint64, key string, build func() ([]byte, int)) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
 	"celestial/internal/difflog"
 	"celestial/internal/geom"
@@ -88,7 +87,7 @@ func (cs *CoordinatorSource) InfoDoc() ([]byte, int) {
 	// the generation, so its label and content must come from the same
 	// snapshot even when an update races the lease (the document may then
 	// be fresher than its cache key — safe — but never self-inconsistent).
-	st, stGen, release := cs.c.LeaseStateGen()
+	st, stGen, release := cs.c.LeaseState()
 	defer release()
 	if st == nil {
 		return errDoc(503, "no constellation state yet")
@@ -131,11 +130,6 @@ func (cs *CoordinatorSource) ShellDoc(shell string) ([]byte, int) {
 	return marshalDoc(cs.buildShell(idx)), 200
 }
 
-// state leases the current snapshot; nil means no update ran yet (503).
-func (cs *CoordinatorSource) state() (*constellation.State, func()) {
-	return cs.c.LeaseState()
-}
-
 func (cs *CoordinatorSource) SatDoc(shellParam, satParam string) ([]byte, int) {
 	// The same strict index parsing as /path node references: the two
 	// endpoint families must agree on what a valid reference is (and lax
@@ -150,7 +144,7 @@ func (cs *CoordinatorSource) SatDoc(shellParam, satParam string) ([]byte, int) {
 	if err != nil {
 		return errDoc(404, "%v", err)
 	}
-	st, release := cs.state()
+	st, _, release := cs.c.LeaseState()
 	defer release()
 	if st == nil {
 		return errDoc(503, "no constellation state yet")
@@ -175,7 +169,7 @@ func (cs *CoordinatorSource) GSTDoc(name string) ([]byte, int) {
 	if err != nil {
 		return errDoc(404, "%v", err)
 	}
-	st, release := cs.state()
+	st, _, release := cs.c.LeaseState()
 	defer release()
 	if st == nil {
 		return errDoc(503, "no constellation state yet")
@@ -225,7 +219,7 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	if err != nil {
 		return errDoc(404, "%v", err)
 	}
-	st, release := cs.state()
+	st, _, release := cs.c.LeaseState()
 	defer release()
 	if st == nil {
 		return errDoc(503, "no constellation state yet")

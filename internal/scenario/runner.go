@@ -427,7 +427,6 @@ func (r *Runner) RunWith(opts RunOptions) (*Report, error) {
 		}
 	}
 	for i := range r.sc.Events {
-		i := i
 		if err := r.sim.At(r.epoch.Add(r.sc.Events[i].At), func() { r.runEvent(i) }); err != nil {
 			return nil, fmt.Errorf("scenario: scheduling event %d: %w", i, err)
 		}
