@@ -13,11 +13,11 @@ import (
 	"celestial/internal/orbit"
 )
 
-// gen2TickAllocs bounds the allocations of one steady Gen2 tick at
-// GOMAXPROCS 1: 10 % above the 972 the pipeline counted when the bound was
-// set. A tick that allocates per satellite, per link or per station blows
-// through it at once.
-const gen2TickAllocs = 1069
+// gen2TickAllocs bounds the allocations of one steady Gen2 tick: 10 %
+// above the 74 the pipeline counts at GOMAXPROCS 1 to 8. A tick that
+// allocates per satellite, per link or per station blows through it at
+// once.
+const gen2TickAllocs = 81
 
 // gen2Config is the full Starlink Gen2 constellation (29,988 satellites in
 // nine shells) with 100 ground stations on a golden-angle spiral, the scale

@@ -53,7 +53,7 @@ func TestSnapshotInvariants(t *testing.T) {
 				if c.nodes[gst].Kind != KindGroundStation {
 					gst, sat = sat, gst
 				}
-				el := geom.ElevationDeg(st.Positions[gst], st.Positions[sat])
+				el := elevationDeg(st.Positions[gst], st.Positions[sat])
 				if el < cfg.Shells[0].Network.MinElevationDeg-1e-9 {
 					t.Logf("t=%v: GSL below minimum elevation (%v)", ts, el)
 					return false
@@ -165,4 +165,11 @@ func TestPathsUseOnlyRealizedLinks(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// elevationDeg is the geocentric elevation of target seen from observer:
+// the angle between the line of sight and the observer's radial direction.
+func elevationDeg(observer, target geom.Vec3) float64 {
+	sinEl := target.Sub(observer).Unit().Dot(observer.Unit())
+	return geom.Deg(math.Asin(math.Max(-1, math.Min(1, sinEl))))
 }

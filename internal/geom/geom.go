@@ -189,14 +189,25 @@ func GMST(julianDate float64) float64 {
 	return rad
 }
 
-// ECIToECEF rotates an ECI (TEME) position into the Earth-fixed frame at
-// the given Greenwich mean sidereal time.
-func ECIToECEF(p Vec3, gmstRad float64) Vec3 {
-	cosT := math.Cos(gmstRad)
-	sinT := math.Sin(gmstRad)
+// EarthRotation is the rotation from the ECI (TEME) frame into the
+// Earth-fixed frame at one Greenwich mean sidereal time. It holds the
+// GMST's cosine and sine, so every position rotated at one instant shares
+// one pair of trig calls.
+type EarthRotation struct {
+	cosT, sinT float64
+}
+
+// EarthRotationAt returns the rotation at a Greenwich mean sidereal time
+// in radians.
+func EarthRotationAt(gmstRad float64) EarthRotation {
+	return EarthRotation{cosT: math.Cos(gmstRad), sinT: math.Sin(gmstRad)}
+}
+
+// ECIToECEF rotates an ECI (TEME) position into the Earth-fixed frame.
+func (r EarthRotation) ECIToECEF(p Vec3) Vec3 {
 	return Vec3{
-		X: cosT*p.X + sinT*p.Y,
-		Y: -sinT*p.X + cosT*p.Y,
+		X: r.cosT*p.X + r.sinT*p.Y,
+		Y: -r.sinT*p.X + r.cosT*p.Y,
 		Z: p.Z,
 	}
 }
@@ -222,23 +233,6 @@ func LineOfSight(a, b Vec3, occlusionAltKm float64) bool {
 	}
 	closest := a.Add(ab.Scale(t))
 	return closest.Norm() > r
-}
-
-// ElevationDeg returns the elevation angle in degrees of a target position
-// as seen from an observer position, both in the same Earth-fixed frame.
-// The observer's local zenith is approximated by its geocentric radial
-// direction, which is accurate to well under a degree for ground stations
-// (the ellipsoidal deflection of the vertical is below 0.2°).
-func ElevationDeg(observer, target Vec3) float64 {
-	los := target.Sub(observer)
-	zenith := observer.Unit()
-	sinEl := los.Unit().Dot(zenith)
-	if sinEl > 1 {
-		sinEl = 1
-	} else if sinEl < -1 {
-		sinEl = -1
-	}
-	return Deg(math.Asin(sinEl))
 }
 
 // PropagationDelay returns the one-way signal propagation delay for a

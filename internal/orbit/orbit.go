@@ -13,6 +13,13 @@
 // idealized circular-orbit propagator with the same shell geometry; it is
 // faster and drift-free, which is useful for long virtual-time experiments
 // and for differential testing against SGP4.
+//
+// The Kepler model computes each trig term where it is constant: the
+// cosine and sine of a plane's RAAN and of the shell's inclination once in
+// NewShell, of GMST once per PositionsECEFRange call. A satellite then
+// costs one math.Sincos of its argument of latitude, which returns the
+// bits math.Sin and math.Cos do, so positions are bit-equal to evaluating
+// all eight terms per satellite (FuzzKeplerMatchesPerSatellite).
 package orbit
 
 import (
@@ -146,13 +153,13 @@ type Shell struct {
 	// SGP4 path.
 	sats []*sgp4.Satellite
 
-	// Kepler path: per-plane RAAN and per-satellite initial mean
-	// anomaly, plus shared orbital constants.
-	raan     []float64 // radians, per plane
-	m0       []float64 // radians, per satellite (flat index)
-	meanRate float64   // radians per second
-	radiusKm float64
-	incRad   float64
+	// Kepler path: the cosine and sine of RAAN per plane and of the
+	// inclination, and the initial mean anomaly per satellite.
+	cosRAAN, sinRAAN []float64 // per plane
+	cosInc, sinInc   float64
+	m0               []float64 // radians, per satellite (flat index)
+	meanRate         float64   // radians per second
+	radiusKm         float64
 }
 
 // NewShell instantiates a shell at the given epoch (Julian date).
@@ -167,11 +174,14 @@ func NewShell(cfg ShellConfig, epochJD float64) (*Shell, error) {
 		arc, phase := geom.Rad(cfg.arc()), cfg.phaseStep()
 		s.radiusKm = geom.EarthRadiusKm + cfg.AltitudeKm
 		s.meanRate = math.Sqrt(geom.EarthMuKm3S2 / (s.radiusKm * s.radiusKm * s.radiusKm))
-		s.incRad = geom.Rad(cfg.InclinationDeg)
-		s.raan = make([]float64, cfg.Planes)
+		inc := geom.Rad(cfg.InclinationDeg)
+		s.cosInc, s.sinInc = math.Cos(inc), math.Sin(inc)
+		s.cosRAAN = make([]float64, cfg.Planes)
+		s.sinRAAN = make([]float64, cfg.Planes)
 		s.m0 = make([]float64, cfg.Size())
 		for p := 0; p < cfg.Planes; p++ {
-			s.raan[p] = arc * float64(p) / float64(cfg.Planes)
+			raan := arc * float64(p) / float64(cfg.Planes)
+			s.cosRAAN[p], s.sinRAAN[p] = math.Cos(raan), math.Sin(raan)
 			for k := 0; k < cfg.SatsPerPlane; k++ {
 				m := 2*math.Pi*float64(k)/float64(cfg.SatsPerPlane) + phase*float64(p)
 				s.m0[p*cfg.SatsPerPlane+k] = m
@@ -232,10 +242,9 @@ func (s *Shell) PositionECI(flat int, tSeconds float64) (geom.Vec3, error) {
 	if s.cfg.Model == ModelKepler {
 		plane, _ := s.PlaneIndex(flat)
 		u := s.m0[flat] + s.meanRate*tSeconds // argument of latitude
-		raan := s.raan[plane]
-		cosU, sinU := math.Cos(u), math.Sin(u)
-		cosR, sinR := math.Cos(raan), math.Sin(raan)
-		cosI, sinI := math.Cos(s.incRad), math.Sin(s.incRad)
+		sinU, cosU := math.Sincos(u)
+		cosR, sinR := s.cosRAAN[plane], s.sinRAAN[plane]
+		cosI, sinI := s.cosInc, s.sinInc
 		// Rotate the in-plane position (r·cosU, r·sinU, 0) by
 		// inclination about x, then by RAAN about z.
 		return geom.Vec3{
@@ -280,13 +289,13 @@ func (s *Shell) PositionsECEFRange(tSeconds float64, dst []geom.Vec3, lo, hi int
 	if len(dst) < hi {
 		return fmt.Errorf("orbit: %s: destination of %d for range ending %d", s.cfg.Name, len(dst), hi)
 	}
-	gmst := geom.GMST(s.epochJD + tSeconds/86400)
+	rot := geom.EarthRotationAt(geom.GMST(s.epochJD + tSeconds/86400))
 	for i := lo; i < hi; i++ {
 		eci, err := s.PositionECI(i, tSeconds)
 		if err != nil {
 			return fmt.Errorf("orbit: %s sat %d: %w", s.cfg.Name, i, err)
 		}
-		dst[i] = geom.ECIToECEF(eci, gmst)
+		dst[i] = rot.ECIToECEF(eci)
 	}
 	return nil
 }

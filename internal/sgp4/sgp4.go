@@ -18,7 +18,7 @@
 //
 // Positions and velocities are returned in the TEME (true equator, mean
 // equinox) inertial frame in kilometers and kilometers per second. Use
-// geom.ECIToECEF with the epoch's GMST to rotate into the Earth-fixed
+// geom.EarthRotationAt with the epoch's GMST to rotate into the Earth-fixed
 // frame.
 package sgp4
 

@@ -41,7 +41,7 @@ func positionECEF(s *Satellite, epoch, minutes float64) (geom.Vec3, error) {
 	if err != nil {
 		return geom.Vec3{}, err
 	}
-	return geom.ECIToECEF(st.Position, geom.GMST(epoch+minutes/1440)), nil
+	return geom.EarthRotationAt(geom.GMST(epoch + minutes/1440)).ECIToECEF(st.Position), nil
 }
 
 // The python-sgp4 documentation reference case: ISS element set with a

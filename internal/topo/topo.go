@@ -5,9 +5,10 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"celestial/internal/geom"
 	"celestial/internal/orbit"
@@ -86,21 +87,82 @@ type Uplink struct {
 	ElevationDeg float64
 }
 
-// byDistance sorts uplinks by ascending slant range, breaking exact
-// distance ties by satellite index. The named type avoids the per-call
-// closure and interface allocations of sort.Slice in the hot visibility
-// loop, and the tie-break makes the order a total one: any enumeration of
-// the same visible set (brute-force scan or spatial index) sorts to the
-// same sequence.
-type byDistance []Uplink
-
-func (u byDistance) Len() int      { return len(u) }
-func (u byDistance) Swap(i, j int) { u[i], u[j] = u[j], u[i] }
-func (u byDistance) Less(i, j int) bool {
-	if u[i].DistanceKm != u[j].DistanceKm {
-		return u[i].DistanceKm < u[j].DistanceKm
+// compareUplinks orders uplinks by ascending slant range, breaking exact
+// distance ties by satellite index. The tie-break makes the order a total
+// one: any enumeration of the same visible set (brute-force scan or
+// spatial index) sorts to the same sequence. Sorting with slices.SortFunc
+// allocates nothing, where sort.Sort boxes the slice on every call.
+func compareUplinks(a, b Uplink) int {
+	if c := cmp.Compare(a.DistanceKm, b.DistanceKm); c != 0 {
+		return c
 	}
-	return u[i].Sat < u[j].Sat
+	return cmp.Compare(a.Sat, b.Sat)
+}
+
+// maskMargin is how far below sin(mask) a candidate's sine of elevation
+// must fall to be rejected without asin. The decision it stands for,
+// deg(asin(sinEl)) ≥ mask, can only be moved by the rounding of sin, asin
+// and the degree conversion, a few ulps (≤ 1e-15 absolute, since asin's
+// slope is at least 1); the margin is a million times that.
+const maskMargin = 1e-9
+
+// uplinkTest is one station's elevation-mask test, shared by
+// VisibleSatsInto and VisIndex.VisibleInto so both decide every candidate
+// the same way. The elevation is geocentric: the station's zenith is its
+// radial direction, which is accurate to well under a degree for ground
+// stations (the ellipsoidal deflection of the vertical is below 0.2°).
+type uplinkTest struct {
+	station, zenith geom.Vec3
+	minElevDeg      float64
+	// rejectBelow is the sine of elevation below which no candidate can
+	// clear the mask: sin(mask) − maskMargin, or −Inf when every
+	// candidate must take asin. That is a mask above 90°, NaN, or at or
+	// below −90°, which accepts the sines the clamp maps to exactly −90°.
+	rejectBelow float64
+}
+
+// newUplinkTest prepares the mask test of one station: its zenith and the
+// sine threshold are computed once per query, not once per candidate.
+func newUplinkTest(station geom.Vec3, minElevDeg float64) uplinkTest {
+	u := uplinkTest{station: station, zenith: station.Unit(), minElevDeg: minElevDeg, rejectBelow: math.Inf(-1)}
+	if minElevDeg > -90 && minElevDeg <= 90 {
+		u.rejectBelow = math.Sin(geom.Rad(minElevDeg)) - maskMargin
+	}
+	return u
+}
+
+// elevationDeg converts a sine of elevation to degrees, clamping the
+// rounding of a unit-vector dot product into asin's domain.
+func elevationDeg(sinEl float64) float64 {
+	if sinEl > 1 {
+		sinEl = 1
+	} else if sinEl < -1 {
+		sinEl = -1
+	}
+	return geom.Deg(math.Asin(sinEl))
+}
+
+// accept decides a candidate by its sine of elevation and returns its
+// elevation in degrees when it clears the mask. A sine below rejectBelow
+// is decided without asin; every other one by elevationDeg(sinEl) ≥ mask,
+// the test itself, so the margin only skips work and never moves a
+// decision.
+func (u *uplinkTest) accept(sinEl float64) (el float64, ok bool) {
+	if sinEl < u.rejectBelow {
+		return 0, false
+	}
+	el = elevationDeg(sinEl)
+	return el, el >= u.minElevDeg
+}
+
+// appendIfVisible appends satellite i, at position s, to out when it
+// clears the mask.
+func (u *uplinkTest) appendIfVisible(out []Uplink, i int, s geom.Vec3) []Uplink {
+	el, ok := u.accept(s.Sub(u.station).Unit().Dot(u.zenith))
+	if !ok {
+		return out
+	}
+	return append(out, Uplink{Sat: i, DistanceKm: u.station.Distance(s), ElevationDeg: el})
 }
 
 // VisibleSatsInto returns all satellites at least minElevDeg above the
@@ -112,17 +174,11 @@ func (u byDistance) Less(i, j int) bool {
 // sufficient capacity.
 func VisibleSatsInto(station geom.Vec3, sats []geom.Vec3, minElevDeg float64, buf []Uplink) []Uplink {
 	out := buf[:0]
+	test := newUplinkTest(station, minElevDeg)
 	for i, s := range sats {
-		el := geom.ElevationDeg(station, s)
-		if el >= minElevDeg {
-			out = append(out, Uplink{
-				Sat:          i,
-				DistanceKm:   station.Distance(s),
-				ElevationDeg: el,
-			})
-		}
+		out = test.appendIfVisible(out, i, s)
 	}
-	sort.Sort(byDistance(out))
+	slices.SortFunc(out, compareUplinks)
 	return out
 }
 

@@ -246,3 +246,83 @@ func TestVisIndexUpdateRandomChurn(t *testing.T) {
 		assertIndexEquivalent(t, &inc, &ref, stations, "random churn")
 	}
 }
+
+// checkCellNear requires cellNear to return cellOfPos's cell for p under
+// every hint in and around that cell, and under one arbitrary hint.
+func checkCellNear(t *testing.T, ix *VisIndex, p geom.Vec3, anyHint int) {
+	t.Helper()
+	r := p.Norm()
+	want := ix.cellOfPos(p, r)
+	b, c := int(want)/ix.lonCells, int(want)%ix.lonCells
+	hints := []int{anyHint % (ix.latCells * ix.lonCells)}
+	for hb := b - 1; hb <= b+1; hb++ {
+		for dc := -1; dc <= 1; dc++ {
+			if hb >= 0 && hb < ix.latCells {
+				hints = append(hints, hb*ix.lonCells+(c+dc+ix.lonCells)%ix.lonCells)
+			}
+		}
+	}
+	for _, h := range hints {
+		if got := ix.cellNear(p, r, int32(h)); got != want {
+			t.Fatalf("cell %v°, p %+v, hint %d: cellNear %d, formula %d", ix.cellDeg, p, h, got, want)
+		}
+	}
+}
+
+// gridOf returns an index laid out on cellDeg cells.
+func gridOf(cellDeg float64) *VisIndex {
+	var ix VisIndex
+	ix.Build([]geom.Vec3{{X: geom.EarthRadiusKm + 550}}, cellDeg, 1)
+	return &ix
+}
+
+// checkCellNearAtEdge places a position on a band edge and a meridian edge
+// of ix's grid (or at a pole, or on ±180°), nudged by ulps.
+func checkCellNearAtEdge(t *testing.T, ix *VisIndex, band, meridian uint8, r float64, ulps int8, anyHint int) {
+	t.Helper()
+	lat := math.Min(float64(int(band)%(ix.latCells+1))*ix.cellDeg-90, 90)
+	lon := math.Min(float64(int(meridian)%(ix.lonCells+1))*ix.cellDeg-180, 180)
+	r = geom.EarthRadiusKm + fold(r, 150, 2450)
+	p := geom.Vec3{
+		X: r * math.Cos(geom.Rad(lat)) * math.Cos(geom.Rad(lon)),
+		Y: r * math.Cos(geom.Rad(lat)) * math.Sin(geom.Rad(lon)),
+		Z: r * math.Sin(geom.Rad(lat)),
+	}
+	checkCellNear(t, ix, nudge(p, int(ulps)%9), anyHint)
+}
+
+// TestCellNearMatchesFormulaRandom is the seeded twin of
+// FuzzCellNearMatchesFormula: positions on and a few ulps off every edge
+// of several grids, then random positions.
+func TestCellNearMatchesFormulaRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, cellDeg := range []float64{1, 4, 5.7, 8, 12.35, 30} {
+		ix := gridOf(cellDeg)
+		for band := 0; band <= ix.latCells; band += 1 + band%3 {
+			for meridian := 0; meridian <= ix.lonCells; meridian += 1 + rng.Intn(7) {
+				for ulps := -4; ulps <= 4; ulps++ {
+					checkCellNearAtEdge(t, ix, uint8(band), uint8(meridian), rng.Float64()*2450, int8(ulps), rng.Intn(1<<20))
+				}
+			}
+		}
+		for i := 0; i < 500; i++ {
+			p := geom.LatLon{LatDeg: rng.Float64()*180 - 90, LonDeg: rng.Float64()*360 - 180, AltKm: rng.Float64() * 2500}.ECEF()
+			checkCellNear(t, ix, p, rng.Intn(1<<20))
+		}
+	}
+}
+
+// FuzzCellNearMatchesFormula lets the fuzzer pick the grid, the edge and
+// the nudge: a kept hint must be the cell asin and atan2 give.
+func FuzzCellNearMatchesFormula(f *testing.F) {
+	f.Add(5.7, uint8(3), uint8(0), 550.0, int8(0), 7)
+	f.Add(12.35, uint8(15), uint8(30), 1325.0, int8(-1), 12)
+	f.Add(30.0, uint8(0), uint8(12), 340.0, int8(1), 99)
+	f.Add(1.0, uint8(180), uint8(255), 780.0, int8(8), 0)
+	f.Fuzz(func(t *testing.T, cellDeg float64, band, meridian uint8, r float64, ulps int8, anyHint int) {
+		if anyHint < 0 {
+			anyHint = -(anyHint + 1)
+		}
+		checkCellNearAtEdge(t, gridOf(fold(cellDeg, 1, 29)), band, meridian, r, ulps, anyHint)
+	})
+}
