@@ -369,7 +369,8 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	// Phase 2: ISL feasibility and length. The +GRID plan is static
 	// (precomputed in New as global-ID edge arrays); only the per-tick
 	// line-of-sight test and distance are computed here, in parallel
-	// over the flattened edge list.
+	// over the flattened edge list; the distance is the norm of the chord
+	// the test forms anyway (topo.Feasible).
 	planTotal := 0
 	for _, edges := range c.edges {
 		planTotal += len(edges)
@@ -384,9 +385,10 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 		par.ForWorkers(len(edges), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				pa, pb := st.Positions[edges[i].a], st.Positions[edges[i].b]
-				flat[i] = topo.Feasible(pa, pb, cutoff)
-				if flat[i] {
-					dist[i] = pa.Distance(pb)
+				d, ok := topo.Feasible(pa, pb, cutoff)
+				flat[i] = ok
+				if ok {
+					dist[i] = d
 				}
 			}
 		})

@@ -42,7 +42,7 @@ func TestSnapshotInvariants(t *testing.T) {
 					t.Logf("t=%v: ISL length %v exceeds max %v", ts, d, maxISL)
 					return false
 				}
-				if !topo.Feasible(st.Positions[l.A], st.Positions[l.B], cfg.Shells[0].Network.AtmosphereCutoffKm) {
+				if _, ok := topo.Feasible(st.Positions[l.A], st.Positions[l.B], cfg.Shells[0].Network.AtmosphereCutoffKm); !ok {
 					t.Logf("t=%v: infeasible ISL realized", ts)
 					return false
 				}

@@ -369,11 +369,14 @@ func (c *Coordinator) Watchdog() *supervise.Watchdog { return c.wd }
 // tick. The coordinator only decides when the pipeline runs; the repair
 // mechanism itself lives in constellation and graph.
 //
-// When is the last thing update decides: everything in a snapshot that is a
-// function of the tick time and the state just published starts right away
-// (SnapshotPool.Prefetch), beside the interval's events, so the next update
-// only joins it and does what needs the boundary — machine health, path
-// sources planted meanwhile — before recording and distributing.
+// When is the one thing update decides about the next snapshot: everything
+// in it that is a function of the tick time and the state just published
+// starts as soon as that state is published and the state it replaces is
+// back in the pool (SnapshotPool.Prefetch), so it runs beside the rest of
+// this boundary — the fan-out tier's Advance and distribute — and beside
+// the interval's events. The next update only joins it and does what needs
+// the boundary — machine health, path sources planted meanwhile — before
+// recording and distributing.
 func (c *Coordinator) update() error {
 	// Tick supervision: the watchdog projects this tick's cost from the
 	// per-stage estimates and picks the degradation level up front, so an
@@ -416,6 +419,15 @@ func (c *Coordinator) update() error {
 	if !d.Empty() {
 		c.topoVer = c.gen
 	}
+	// The replaced state goes back once no lease can reach it any more
+	// (leases are taken under c.mu), and before the next prepare starts,
+	// which then reuses its buffer instead of allocating a third state.
+	c.pool.Recycle(old)
+	// Generation k is in effect; k+1 depends only on its tick time and on k.
+	// Compute it ahead if the update loop will run that tick at all.
+	if next := c.offset(now.Add(c.cfg.Resolution)); next <= c.cfg.Duration.Seconds() {
+		c.pool.Prefetch(next)
+	}
 	// Retain this update in the fan-out tier's generation log, for /diff
 	// replay and agent resyncs, and fold it into the per-shard digest
 	// chains. The slot reuses its backing arrays, so steady-state ticks do
@@ -426,16 +438,10 @@ func (c *Coordinator) update() error {
 	// work is done.
 	c.fo.Advance(c.gen, d)
 	c.mu.Unlock()
-	c.pool.Recycle(old)
 
 	c.distribute(level)
 	if c.wd != nil {
 		c.wd.EndTick()
-	}
-	// Generation k is in effect; k+1 depends only on its tick time and on k.
-	// Compute it ahead if the update loop will run that tick at all.
-	if next := c.offset(now.Add(c.cfg.Resolution)); next <= c.cfg.Duration.Seconds() {
-		c.pool.Prefetch(next)
 	}
 	return nil
 }

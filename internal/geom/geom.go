@@ -216,14 +216,16 @@ func (r EarthRotation) ECIToECEF(p Vec3) Vec3 {
 // clears a sphere of radius EarthRadiusKm + occlusionAltKm centered at the
 // origin. It is used for ISL feasibility: a laser link whose lowest point
 // dips into the atmosphere (default cutoff 80 km) is considered refracted
-// and unavailable.
-func LineOfSight(a, b Vec3, occlusionAltKm float64) bool {
+// and unavailable. It also returns the segment's length, which the test
+// forms on the way: b−a is the exact negation of a−b, so the length is
+// a.Distance(b) bit for bit.
+func LineOfSight(a, b Vec3, occlusionAltKm float64) (lengthKm float64, clear bool) {
 	r := EarthRadiusKm + occlusionAltKm
 	// Closest approach of segment ab to the origin.
 	ab := b.Sub(a)
 	abLen2 := ab.Dot(ab)
 	if abLen2 == 0 {
-		return a.Norm() > r
+		return 0, a.Norm() > r
 	}
 	t := -a.Dot(ab) / abLen2
 	if t < 0 {
@@ -232,7 +234,7 @@ func LineOfSight(a, b Vec3, occlusionAltKm float64) bool {
 		t = 1
 	}
 	closest := a.Add(ab.Scale(t))
-	return closest.Norm() > r
+	return math.Sqrt(abLen2), closest.Norm() > r
 }
 
 // PropagationDelay returns the one-way signal propagation delay for a

@@ -198,7 +198,7 @@ func TestLineOfSight(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := LineOfSight(tt.a, tt.b, tt.occ); got != tt.want {
+			if _, got := LineOfSight(tt.a, tt.b, tt.occ); got != tt.want {
 				t.Errorf("LineOfSight = %v, want %v", got, tt.want)
 			}
 		})
@@ -209,7 +209,25 @@ func TestLineOfSightSymmetric(t *testing.T) {
 	err := quick.Check(func(ax, ay, az, bx, by, bz float64) bool {
 		a := Vec3{math.Mod(ax, 9000), math.Mod(ay, 9000), math.Mod(az, 9000)}
 		b := Vec3{math.Mod(bx, 9000), math.Mod(by, 9000), math.Mod(bz, 9000)}
-		return LineOfSight(a, b, 80) == LineOfSight(b, a, 80)
+		_, ab := LineOfSight(a, b, 80)
+		_, ba := LineOfSight(b, a, 80)
+		return ab == ba
+	}, &quick.Config{MaxCount: 300})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLineOfSightLengthIsDistance: the length LineOfSight returns is
+// a.Distance(b) bit for bit, in both directions, clear or not.
+func TestLineOfSightLengthIsDistance(t *testing.T) {
+	err := quick.Check(func(ax, ay, az, bx, by, bz float64) bool {
+		a := Vec3{math.Mod(ax, 9000), math.Mod(ay, 9000), math.Mod(az, 9000)}
+		b := Vec3{math.Mod(bx, 9000), math.Mod(by, 9000), math.Mod(bz, 9000)}
+		ab, _ := LineOfSight(a, b, 80)
+		ba, _ := LineOfSight(b, a, 80)
+		d := math.Float64bits(a.Distance(b))
+		return math.Float64bits(ab) == d && math.Float64bits(ba) == d
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Error(err)
@@ -266,6 +284,6 @@ func BenchmarkLineOfSight(b *testing.B) {
 	a := Vec3{EarthRadiusKm + 550, 0, 0}
 	c := Vec3{0, EarthRadiusKm + 550, 0}
 	for i := 0; i < b.N; i++ {
-		_ = LineOfSight(a, c, 80)
+		_, _ = LineOfSight(a, c, 80)
 	}
 }

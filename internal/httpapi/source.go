@@ -197,7 +197,7 @@ func (cs *CoordinatorSource) GSTDoc(name string) ([]byte, int) {
 		up := ups[0]
 		resp.Uplinks = append(resp.Uplinks, UplinkInfo{
 			Shell: si, Sat: up.Sat, DistanceKm: up.DistanceKm,
-			ElevationDeg: up.ElevationDeg,
+			ElevationDeg: up.ElevationDeg(),
 			// Quantized like every realized link delay, so this agrees
 			// with the first /path segment over the same uplink.
 			LatencyMs: netem.QuantizeLatency(geom.PropagationDelay(up.DistanceKm)) * 1000,

@@ -41,8 +41,8 @@ func TestElevation(t *testing.T) {
 		t.Errorf("elevationDeg(-1) = %v, want exactly -90", el)
 	}
 	for _, mask := range []float64{-90, -100, 90.5, math.NaN()} {
-		if u := newUplinkTest(ground, mask); !math.IsInf(u.rejectBelow, -1) {
-			t.Errorf("mask %v rejects below %v, want no early rejection", mask, u.rejectBelow)
+		if u := newUplinkTest(ground, mask); !math.IsInf(u.rejectBelow, -1) || !math.IsInf(u.acceptFrom, 1) {
+			t.Errorf("mask %v decides below %v and from %v without asin, want neither", mask, u.rejectBelow, u.acceptFrom)
 		}
 	}
 }
@@ -51,14 +51,17 @@ func TestElevation(t *testing.T) {
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkAcceptMatchesAsin requires uplinkTest.accept to decide sinEl as the
-// asin test does, and to return that test's elevation bit for bit.
+// asin test does, and an uplink holding sinEl to report that test's
+// elevation bit for bit.
 func checkAcceptMatchesAsin(t *testing.T, u *uplinkTest, sinEl float64) {
 	t.Helper()
 	want := elevationDeg(sinEl)
-	el, ok := u.accept(sinEl)
-	if ok != (want >= u.minElevDeg) || ok && !sameFloat(el, want) {
-		t.Fatalf("mask %v (rejects below %v), sinEl %v: accept = (%v, %v), asin test = (%v, %v)",
-			u.minElevDeg, u.rejectBelow, sinEl, el, ok, want, want >= u.minElevDeg)
+	if ok := u.accept(sinEl); ok != (want >= u.minElevDeg) {
+		t.Fatalf("mask %v (asin between %v and %v), sinEl %v: accept = %v, asin test = (%v, %v)",
+			u.minElevDeg, u.rejectBelow, u.acceptFrom, sinEl, ok, want, want >= u.minElevDeg)
+	}
+	if el := (Uplink{SinEl: sinEl}).ElevationDeg(); !sameFloat(el, want) {
+		t.Fatalf("sinEl %v: Uplink.ElevationDeg = %v, asin test %v", sinEl, el, want)
 	}
 }
 
@@ -113,10 +116,10 @@ func fold(x, lo, span float64) float64 {
 // checkMaskMatchesAsin runs one case: a station, a mask in [0, 90), and
 // satellites at LEO radii, one of them placed on the mask and nudged by a
 // few ulps. The sines within 8 ulps of sin(mask) and of the early-reject
-// threshold must be decided as asin decides them; the brute scan must
-// return exactly the satellites, and elevations, the per-candidate asin
-// test accepts; and the index must return exactly the brute scan's list
-// (a subsequence of it when its walk wraps across ±180°).
+// and early-accept thresholds must be decided as asin decides them; the
+// brute scan must return exactly the satellites, and elevations, the
+// per-candidate asin test accepts; and the index must return exactly the
+// brute scan's list (a subsequence of it when its walk wraps across ±180°).
 func checkMaskMatchesAsin(t *testing.T, lat, lon, alt, mask, az, el, r float64, ulps int8) {
 	t.Helper()
 	mask = fold(mask, 0, 90)
@@ -124,7 +127,7 @@ func checkMaskMatchesAsin(t *testing.T, lat, lon, alt, mask, az, el, r float64, 
 	u := newUplinkTest(station, mask)
 
 	sinMask := math.Sin(geom.Rad(mask))
-	for _, edge := range []float64{sinMask, u.rejectBelow} {
+	for _, edge := range []float64{sinMask, u.rejectBelow, u.acceptFrom} {
 		x := edge
 		for i := 0; i < 8; i++ {
 			x = math.Nextafter(x, math.Inf(-1))
@@ -144,10 +147,14 @@ func checkMaskMatchesAsin(t *testing.T, lat, lon, alt, mask, az, el, r float64, 
 		satAtElevation(station, mask/2, azDeg+240, radius),
 		satAtElevation(station, (mask+90)/2, azDeg+60, radius),
 	}
-	var want []Uplink
+	type visible struct {
+		sat             int
+		distKm, elevDeg float64
+	}
+	var want []visible
 	for i, s := range sats {
 		if e := elevationOracle(station, s); e >= mask {
-			want = append(want, Uplink{Sat: i, DistanceKm: station.Distance(s), ElevationDeg: e})
+			want = append(want, visible{sat: i, distKm: station.Distance(s), elevDeg: e})
 		}
 	}
 	got := VisibleSatsInto(station, sats, mask, nil)
@@ -155,13 +162,13 @@ func checkMaskMatchesAsin(t *testing.T, lat, lon, alt, mask, az, el, r float64, 
 		t.Fatalf("mask %v: brute scan %+v, asin test %+v", mask, got, want)
 	}
 	for _, g := range got {
-		var w *Uplink
+		var w *visible
 		for i := range want {
-			if want[i].Sat == g.Sat {
+			if want[i].sat == g.Sat {
 				w = &want[i]
 			}
 		}
-		if w == nil || !sameFloat(g.ElevationDeg, w.ElevationDeg) || !sameFloat(g.DistanceKm, w.DistanceKm) {
+		if w == nil || !sameFloat(g.ElevationDeg(), w.elevDeg) || !sameFloat(g.DistanceKm, w.distKm) {
 			t.Fatalf("mask %v: brute scan %+v, asin test %+v", mask, got, want)
 		}
 	}
@@ -202,8 +209,9 @@ func TestElevationMaskMatchesAsinRandom(t *testing.T) {
 }
 
 // FuzzElevationMaskMatchesAsin lets the fuzzer pick the station, the mask
-// and the satellites: the early rejection on sines must never decide a
-// candidate differently from asin, nor change an accepted elevation's bits.
+// and the satellites: the early rejection and acceptance on sines must
+// never decide a candidate differently from asin, nor the kept sine give
+// an accepted elevation other bits.
 func FuzzElevationMaskMatchesAsin(f *testing.F) {
 	f.Add(52.5, 13.4, 0.03, 25.0, 0.0, 45.0, 550.0, int8(0))
 	f.Add(-33.9, 151.2, 0.0, 10.0, 90.0, 9.999999, 340.0, int8(1))

@@ -68,8 +68,10 @@ func GridLinks(cfg orbit.ShellConfig) []ISL {
 
 // Feasible reports whether an ISL between two satellite positions is
 // usable: the straight laser path must clear the atmosphere occlusion
-// altitude (default geom.AtmosphereCutoffKm when cutoffKm is zero).
-func Feasible(a, b geom.Vec3, cutoffKm float64) bool {
+// altitude (default geom.AtmosphereCutoffKm when cutoffKm is zero). It also
+// returns the link's length, a.Distance(b) bit for bit, from the chord the
+// line-of-sight test forms anyway.
+func Feasible(a, b geom.Vec3, cutoffKm float64) (distanceKm float64, ok bool) {
 	if cutoffKm == 0 {
 		cutoffKm = geom.AtmosphereCutoffKm
 	}
@@ -82,10 +84,16 @@ type Uplink struct {
 	Sat int
 	// DistanceKm is the slant range between station and satellite.
 	DistanceKm float64
-	// ElevationDeg is the satellite's elevation above the station's
-	// horizon.
-	ElevationDeg float64
+	// SinEl is the sine of the satellite's elevation above the station's
+	// horizon, as the mask test computed it (see ElevationDeg).
+	SinEl float64
 }
+
+// ElevationDeg returns the satellite's elevation above the station's
+// horizon. The scan keeps only the sine, which decides the mask for
+// nearly every candidate; the angle is taken here, for the few uplinks
+// that are read as angles (/v1/gst serves one per shell).
+func (u Uplink) ElevationDeg() float64 { return elevationDeg(u.SinEl) }
 
 // compareUplinks orders uplinks by ascending slant range, breaking exact
 // distance ties by satellite index. The tie-break makes the order a total
@@ -99,8 +107,42 @@ func compareUplinks(a, b Uplink) int {
 	return cmp.Compare(a.Sat, b.Sat)
 }
 
-// maskMargin is how far below sin(mask) a candidate's sine of elevation
-// must fall to be rejected without asin. The decision it stands for,
+// shortRun is the longest uplink run sortUplinks orders by insertion: on
+// runs in random order, the insertion sort stops beating slices.SortFunc
+// between 256 and 288 uplinks (2-vCPU guest, go1.24.0).
+const shortRun = 256
+
+// sortUplinks sorts ups into compareUplinks order. At a 25° mask a station
+// sees at most a few dozen satellites of one shell (49 in the benchmark
+// workloads), and on such runs an insertion sort with its comparison
+// inlined takes a fifth to a half of the time of the generic sort calling
+// compareUplinks. Runs longer than shortRun, from a shell higher or denser
+// than any checked-in one (Gen2's shells at a 0.01° mask give at most 232),
+// take slices.SortFunc, so a long run never costs the insertion sort's
+// quadratic time. The order is total, so both give the same sequence. A
+// slant range is never NaN (a NaN sine fails the mask), so < and == agree
+// with cmp.Compare on it.
+func sortUplinks(ups []Uplink) {
+	if len(ups) > shortRun {
+		slices.SortFunc(ups, compareUplinks)
+		return
+	}
+	for i := 1; i < len(ups); i++ {
+		x := ups[i]
+		j := i
+		for ; j > 0; j-- {
+			y := &ups[j-1]
+			if y.DistanceKm < x.DistanceKm || y.DistanceKm == x.DistanceKm && y.Sat < x.Sat {
+				break
+			}
+			ups[j] = *y
+		}
+		ups[j] = x
+	}
+}
+
+// maskMargin is how far from sin(mask) a candidate's sine of elevation
+// must lie to be decided without asin. The decision it stands for,
 // deg(asin(sinEl)) ≥ mask, can only be moved by the rounding of sin, asin
 // and the degree conversion, a few ulps (≤ 1e-15 absolute, since asin's
 // slope is at least 1); the margin is a million times that.
@@ -115,18 +157,22 @@ type uplinkTest struct {
 	station, zenith geom.Vec3
 	minElevDeg      float64
 	// rejectBelow is the sine of elevation below which no candidate can
-	// clear the mask: sin(mask) − maskMargin, or −Inf when every
-	// candidate must take asin. That is a mask above 90°, NaN, or at or
-	// below −90°, which accepts the sines the clamp maps to exactly −90°.
-	rejectBelow float64
+	// clear the mask, sin(mask) − maskMargin, and acceptFrom the one from
+	// which every candidate clears it, sin(mask) + maskMargin. Only the
+	// sines between them take asin. For a mask above 90°, NaN, or at or
+	// below −90° — where the clamp maps a sine to exactly −90°, which the
+	// mask accepts — they are −Inf and +Inf: every candidate takes asin.
+	rejectBelow, acceptFrom float64
 }
 
 // newUplinkTest prepares the mask test of one station: its zenith and the
-// sine threshold are computed once per query, not once per candidate.
+// sine thresholds are computed once per query, not once per candidate.
 func newUplinkTest(station geom.Vec3, minElevDeg float64) uplinkTest {
-	u := uplinkTest{station: station, zenith: station.Unit(), minElevDeg: minElevDeg, rejectBelow: math.Inf(-1)}
+	u := uplinkTest{station: station, zenith: station.Unit(), minElevDeg: minElevDeg,
+		rejectBelow: math.Inf(-1), acceptFrom: math.Inf(1)}
 	if minElevDeg > -90 && minElevDeg <= 90 {
-		u.rejectBelow = math.Sin(geom.Rad(minElevDeg)) - maskMargin
+		sinMask := math.Sin(geom.Rad(minElevDeg))
+		u.rejectBelow, u.acceptFrom = sinMask-maskMargin, sinMask+maskMargin
 	}
 	return u
 }
@@ -142,27 +188,35 @@ func elevationDeg(sinEl float64) float64 {
 	return geom.Deg(math.Asin(sinEl))
 }
 
-// accept decides a candidate by its sine of elevation and returns its
-// elevation in degrees when it clears the mask. A sine below rejectBelow
-// is decided without asin; every other one by elevationDeg(sinEl) ≥ mask,
-// the test itself, so the margin only skips work and never moves a
-// decision.
-func (u *uplinkTest) accept(sinEl float64) (el float64, ok bool) {
+// accept decides a candidate by its sine of elevation. A sine below
+// rejectBelow or from acceptFrom on is decided without asin; every other
+// one by elevationDeg(sinEl) ≥ mask, the test itself, so the margin only
+// skips work and never moves a decision.
+func (u *uplinkTest) accept(sinEl float64) bool {
 	if sinEl < u.rejectBelow {
-		return 0, false
+		return false
 	}
-	el = elevationDeg(sinEl)
-	return el, el >= u.minElevDeg
+	if sinEl >= u.acceptFrom {
+		return true
+	}
+	return elevationDeg(sinEl) >= u.minElevDeg
 }
 
 // appendIfVisible appends satellite i, at position s, to out when it
-// clears the mask.
+// clears the mask. The slant range is the norm Unit takes of the line of
+// sight: s − station is the exact negation of station − s, so it is
+// station.Distance(s) bit for bit.
 func (u *uplinkTest) appendIfVisible(out []Uplink, i int, s geom.Vec3) []Uplink {
-	el, ok := u.accept(s.Sub(u.station).Unit().Dot(u.zenith))
-	if !ok {
+	los := s.Sub(u.station)
+	dist := los.Norm()
+	if dist != 0 {
+		los = los.Scale(1 / dist)
+	}
+	sinEl := los.Dot(u.zenith)
+	if !u.accept(sinEl) {
 		return out
 	}
-	return append(out, Uplink{Sat: i, DistanceKm: u.station.Distance(s), ElevationDeg: el})
+	return append(out, Uplink{Sat: i, DistanceKm: dist, SinEl: sinEl})
 }
 
 // VisibleSatsInto returns all satellites at least minElevDeg above the
@@ -178,7 +232,7 @@ func VisibleSatsInto(station geom.Vec3, sats []geom.Vec3, minElevDeg float64, bu
 	for i, s := range sats {
 		out = test.appendIfVisible(out, i, s)
 	}
-	slices.SortFunc(out, compareUplinks)
+	sortUplinks(out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"celestial/internal/geom"
@@ -134,7 +136,7 @@ func TestGridLinksAreShortRange(t *testing.T) {
 		if d > maxLen {
 			t.Errorf("link %v length %v exceeds max %v", l, d, maxLen)
 		}
-		if !Feasible(pos[l.A], pos[l.B], 0) {
+		if _, ok := Feasible(pos[l.A], pos[l.B], 0); !ok {
 			t.Errorf("link %v infeasible at distance %v", l, d)
 		}
 	}
@@ -144,11 +146,11 @@ func TestFeasible(t *testing.T) {
 	r := geom.EarthRadiusKm
 	a := geom.Vec3{X: r + 550}
 	b := geom.Vec3{X: -(r + 550)}
-	if Feasible(a, b, 0) {
+	if _, ok := Feasible(a, b, 0); ok {
 		t.Error("antipodal link reported feasible")
 	}
 	c := geom.Vec3{X: r + 550, Y: 500}
-	if !Feasible(a, c, 0) {
+	if _, ok := Feasible(a, c, 0); !ok {
 		t.Error("short link reported infeasible")
 	}
 }
@@ -193,8 +195,8 @@ func TestVisibleSats(t *testing.T) {
 	if math.Abs(ups[0].DistanceKm-550) > 1 {
 		t.Errorf("overhead distance = %v", ups[0].DistanceKm)
 	}
-	if math.Abs(ups[0].ElevationDeg-90) > 0.5 {
-		t.Errorf("overhead elevation = %v", ups[0].ElevationDeg)
+	if math.Abs(ups[0].ElevationDeg()-90) > 0.5 {
+		t.Errorf("overhead elevation = %v", ups[0].ElevationDeg())
 	}
 }
 
@@ -288,5 +290,34 @@ func TestVisibleSatsIntoReusesBuffer(t *testing.T) {
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Error("buffer was reallocated despite sufficient capacity")
+	}
+}
+
+// TestSortUplinksMatchesSortFunc: sortUplinks, insertion sort on short runs
+// and the generic sort on long ones, orders random runs of 0–64 uplinks,
+// and every tenth one within 32 of shortRun, with many exact distance ties
+// exactly as slices.SortFunc(compareUplinks) does.
+func TestSortUplinksMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	ties := []float64{0, 550, 550.0000000000001, 612.25, 1e4}
+	for iter := 0; iter < 5000; iter++ {
+		n := rng.Intn(65)
+		if iter%10 == 0 {
+			n = shortRun - 32 + rng.Intn(65)
+		}
+		run := make([]Uplink, n)
+		for i, sat := range rng.Perm(n) {
+			d := 500 + 1500*rng.Float64()
+			if rng.Intn(2) == 0 {
+				d = ties[rng.Intn(len(ties))]
+			}
+			run[i] = Uplink{Sat: sat, DistanceKm: d, SinEl: rng.Float64()}
+		}
+		want := slices.Clone(run)
+		slices.SortFunc(want, compareUplinks)
+		sortUplinks(run)
+		if !slices.Equal(run, want) {
+			t.Fatalf("run of %d: sortUplinks\n%v\nslices.SortFunc\n%v", n, run, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"math"
-	"slices"
 
 	"celestial/internal/geom"
 	"celestial/internal/par"
@@ -28,12 +27,13 @@ import (
 // antimeridian defect window documents.
 //
 // The test decides a candidate on the sine of its elevation. Only one
-// whose sine reaches sin(mask) − maskMargin takes asin: the accepted
-// uplinks, whose angle /v1 serves, and the thin band just below the mask.
-// The margin is a million times the rounding of sin, asin and the degree
-// conversion, so every sine below it is below the mask under asin too,
-// and every other one is decided by asin itself: the decision cannot move
-// (FuzzElevationMaskMatchesAsin).
+// whose sine lies within maskMargin of sin(mask) takes asin: the thin band
+// around the mask. The margin is a million times the rounding of sin,
+// asin and the degree conversion, so every sine below the band is below
+// the mask under asin too, every sine above it clears the mask under asin
+// too, and every one inside is decided by asin itself: the decision
+// cannot move (FuzzElevationMaskMatchesAsin). An accepted uplink keeps its
+// sine; the angle is taken only when read (Uplink.ElevationDeg).
 //
 // A VisIndex is built for one snapshot's positions and queried read-only;
 // Build rebuilds the buckets from scratch each call, while Update — the
@@ -354,7 +354,7 @@ func (ix *VisIndex) VisibleInto(station geom.Vec3, minElevDeg float64, buf []Upl
 			}
 		}
 	}
-	slices.SortFunc(out, compareUplinks)
+	sortUplinks(out)
 	return out
 }
 
