@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m.AddBox(cfg.BoundingBox, "#2e8b57")
 	}
 	if *links {
-		for _, l := range st.Links {
+		for l := range st.Links() {
 			color := "#bbb"
 			width := 0.4
 			if l.Kind == topo.KindGSL {

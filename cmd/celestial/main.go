@@ -341,5 +341,5 @@ func logProgress(lg *log.Logger, coord *coordinator.Coordinator) {
 	st := coord.State()
 	delivered, dropped := coord.Network().Stats()
 	lg.Printf("t=%6.0fs  active=%5d/%d  links=%6d  delivered=%d dropped=%d",
-		coord.ElapsedSeconds(), st.ActiveCount(), len(st.Active), len(st.Links), delivered, dropped)
+		coord.ElapsedSeconds(), st.ActiveCount(), len(st.Active), st.LinkCount(), delivered, dropped)
 }

@@ -13,6 +13,7 @@ package constellation
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
 	"sync"
@@ -241,8 +242,6 @@ type State struct {
 	// track is inside the bounding box. The bounding box does not
 	// affect path calculation (§3.3 of the paper).
 	Active []bool
-	// Links are all usable links in this snapshot.
-	Links []topo.Link
 
 	c *Constellation
 	g graph.Graph
@@ -261,40 +260,31 @@ type State struct {
 	// one slice per shell.
 	uplinks [][][]topo.Uplink
 
-	// Per-tick scratch, reused across recycled snapshots: feasibility
-	// flag and distance per planned ISL (flat over all shells, indexed
-	// by plan order).
-	feasible []bool
-	distKm   []float64
-
-	// visIdx is the per-shell spatial visibility index rebuilt each tick.
-	visIdx []topo.VisIndex
-
-	// Link fingerprint for diffing against the previous tick, recorded
-	// during assembly. islQ holds the delay quantum per planned ISL (-1
-	// when infeasible); gslSat/gslQ hold the realized uplinks' satellite
-	// node IDs and delay quanta in closest-first order, with gslOff
-	// delimiting the (station, shell) runs at index gi*shells+si.
-	islQ   []int32
-	gslSat []int32
-	gslQ   []int32
-	gslOff []int32
+	// The link fingerprint, recorded during assembly: the state's one
+	// record of its links, which the diff compares against the previous
+	// tick's and Links derives the link list from. islQ holds the delay
+	// quantum per planned ISL, -1 when infeasible, and islLinks counts the
+	// feasible ones; gslSat/gslQ hold the realized uplinks' satellite node
+	// IDs and delay quanta in closest-first order, with gslOff delimiting
+	// the (station, shell) runs at index gi*shells+si.
+	islQ     []int32
+	islLinks int
+	gslSat   []int32
+	gslQ     []int32
+	gslOff   []int32
 
 	// diff is how this snapshot differs from the previous pooled one.
 	diff Diff
 
-	// Snapshot-generation arenas: the activity flags, link list and the
-	// many small per-(station, shell) uplink slices are carved from
-	// grow-only chunks, rewound as a unit when the state's buffers are
-	// recomputed. Carving happens sequentially in reset, sized by the
-	// buffer's previous-generation length (tracked in linkCap/upCap); the
-	// visibility phase then appends within carved capacity and link
-	// assembly reslices the link carve to its exact length, both falling
-	// back to the heap on the rare overflow.
-	linkArena arena[topo.Link]
+	// Snapshot-generation arenas: the activity flags and the many small
+	// per-(station, shell) uplink slices are carved from chunks rewound as
+	// a unit when the state's buffers are recomputed. Carving happens
+	// sequentially in reset, each uplink slice sized by the most its
+	// (station, shell) held in any generation (upCap); the visibility phase
+	// then appends within carved capacity, falling back to the heap on the
+	// rare overflow.
 	boolArena arena[bool]
 	upArena   arena[topo.Uplink]
-	linkCap   int
 	upCap     []int32
 }
 
@@ -309,9 +299,10 @@ func (c *Constellation) Snapshot(t float64) (*State, error) {
 }
 
 // snapshotFresh computes a snapshot into a new State with the given worker
-// count and materializes its graph; it has no base to diff against.
+// count, on a visibility index of its own, and materializes its graph; it
+// has no base to diff against.
 func (c *Constellation) snapshotFresh(t float64, workers int) (*State, error) {
-	st, err := c.snapshotInto(new(State), t, workers)
+	st, err := c.snapshotInto(new(State), t, workers, make([]topo.VisIndex, len(c.shells)))
 	if err != nil {
 		return nil, err
 	}
@@ -321,18 +312,19 @@ func (c *Constellation) snapshotFresh(t float64, workers int) (*State, error) {
 }
 
 // snapshotInto (re)computes the state for offset t into st, reusing any
-// buffers st already holds, with the given worker count. The pipeline has
-// four parallel phases — per-satellite propagation, per-ISL feasibility,
-// per-station visibility, link assembly — each writing to disjoint
-// pre-sized buffers, which keeps the result independent of the worker
-// count.
+// buffers st already holds, with the given worker count and vis, one
+// visibility index per shell, which it updates to this tick's positions.
+// The pipeline has four parallel phases — per-satellite propagation, ISL
+// assembly, per-station visibility, GSL assembly — each writing to
+// disjoint pre-sized buffers, which keeps the result independent of the
+// worker count and of what vis indexed before.
 //
 // The latency graph is not touched: the caller materializes it afterwards
 // — the pooled path by cloning and patching the previous tick's CSR image
-// when the diff allows, everyone else by building it from the assembled
-// link list (State.rebuildGraph) — so the steady-state tick skips the
-// O(N+M) build entirely.
-func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State, error) {
+// when the diff allows, everyone else by building it from the links
+// (State.rebuildGraph) — so the steady-state tick skips the O(N+M) build
+// entirely.
+func (c *Constellation) snapshotInto(st *State, t float64, workers int, vis []topo.VisIndex) (*State, error) {
 	n := c.NodeCount()
 	st.reset(c, t, n)
 
@@ -366,31 +358,42 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 		st.Active[gstBase+gi] = true
 	}
 
-	// Phase 2: ISL feasibility and length. The +GRID plan is static
-	// (precomputed in New as global-ID edge arrays); only the per-tick
-	// line-of-sight test and distance are computed here, in parallel
-	// over the flattened edge list; the distance is the norm of the chord
-	// the test forms anyway (topo.Feasible).
+	// Phase 2: ISLs, one pass per shell over its static +GRID plan
+	// (precomputed in New as global-ID edge arrays). Each edge runs the
+	// line-of-sight test, whose chord is the link length (topo.Feasible),
+	// and records the link's delay quantum in islQ, or -1 when the link is
+	// infeasible. Realized latencies are quantized to the netem emulation
+	// granularity: the emulated network cannot distinguish sub-quantum
+	// differences, and quantizing here makes adjacent ticks' graphs
+	// bit-identical whenever no link moved by a full quantum — the
+	// foundation of the diff engine and the path-cache carry-over. Each
+	// chunk folds its least ratio of realized delay to length into the pair
+	// searches' heuristic scale, and its ISL count into the total.
 	planTotal := 0
 	for _, edges := range c.edges {
 		planTotal += len(edges)
 	}
-	st.feasible = resize(st.feasible, planTotal)
-	st.distKm = resize(st.distKm, planTotal)
+	st.islQ = resize(st.islQ, planTotal)
+	var fold assemblyFold
+	fold.least = math.Inf(1)
 	off := 0
 	for si, edges := range c.edges {
 		cutoff := c.cfg.Shells[si].Network.AtmosphereCutoffKm
-		flat := st.feasible[off : off+len(edges)]
-		dist := st.distKm[off : off+len(edges)]
+		islQ := st.islQ[off : off+len(edges)]
 		par.ForWorkers(len(edges), workers, func(lo, hi int) {
+			r, isls := math.Inf(1), 0
 			for i := lo; i < hi; i++ {
-				pa, pb := st.Positions[edges[i].a], st.Positions[edges[i].b]
-				d, ok := topo.Feasible(pa, pb, cutoff)
-				flat[i] = ok
-				if ok {
-					dist[i] = d
+				d, ok := topo.Feasible(st.Positions[edges[i].a], st.Positions[edges[i].b], cutoff)
+				if !ok {
+					islQ[i] = -1
+					continue
 				}
+				q := delayQuanta(d)
+				islQ[i] = q
+				r = lessRatio(r, quantumSeconds(q), d)
+				isls++
 			}
+			fold.fold(r, isls)
 		})
 		off += len(edges)
 	}
@@ -401,52 +404,31 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	// stations, replaces the brute-force O(G×S) elevation scan; each
 	// station only tests satellites whose cell can clear its elevation
 	// mask. The index is updated incrementally — only satellites that
-	// crossed a grid-cell boundary since this buffer's previous generation
+	// crossed a grid-cell boundary since the index's previous positions
 	// re-bucket; Update falls back to a full build on a cold or mismatched
 	// index. Query results are identical to the exhaustive scan either way
 	// (see topo.VisIndex), so the index never changes the computed state.
 	if len(c.gst) > 0 {
 		for si, sh := range c.shells {
 			shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
-			st.visIdx[si].Update(shellPos, c.visCell[si], workers)
+			vis[si].Update(shellPos, c.visCell[si], workers)
 		}
 	}
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
 		for gi := glo; gi < ghi; gi++ {
 			for si := range c.shells {
 				minElev := c.cfg.Shells[si].Network.MinElevationDeg
-				st.uplinks[gi][si] = st.visIdx[si].VisibleInto(
+				st.uplinks[gi][si] = vis[si].VisibleInto(
 					c.gstPos[gi], minElev, st.uplinks[gi][si])
 			}
 		}
 	})
 
-	// Link assembly. The feasibility flags fix every ISL's slot in Links
-	// (plan order, shell by shell) and the uplink counts fix every GSL's
-	// (station-major, then shell, closest first) before a single link is
-	// built, so the links are written in parallel, each into its own slot:
-	// the list is the one a sequential append in that order produces,
-	// whatever the worker count. Realized link latencies are quantized to
-	// the netem emulation granularity: the emulated network cannot
-	// distinguish sub-quantum differences, and quantizing here makes
-	// adjacent ticks' graphs bit-identical whenever no link moved by a full
-	// quantum — the foundation of the diff engine and the path-cache
-	// carry-over. The delay quantum and the realized uplink sequences are
-	// recorded as this tick's link fingerprint for diffLinksFrom, and each
-	// chunk folds its least ratio of realized delay to length into the
-	// pair searches' heuristic scale.
-	//
-	// islQ first holds each feasible ISL's slot, then its delay quantum.
-	st.islQ = resize(st.islQ, planTotal)
-	islTotal := 0
-	for i, ok := range st.feasible {
-		if ok {
-			st.islQ[i] = int32(islTotal)
-			islTotal++
-		} else {
-			st.islQ[i] = -1
-		}
-	}
+	// GSL assembly. The uplink counts fix every (station, shell) run's
+	// offset in the fingerprint (station-major, then shell, closest first)
+	// before a single uplink is recorded, so the stations are written in
+	// parallel, each into its own runs: the fingerprint is the one a
+	// sequential pass produces, whatever the worker count.
 	st.gslOff = resize(st.gslOff, len(c.gst)*len(c.shells)+1)
 	st.gslOff[0] = 0
 	run := 0
@@ -459,70 +441,46 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State,
 	gslTotal := int(st.gslOff[run])
 	st.gslSat = resize(st.gslSat, gslTotal)
 	st.gslQ = resize(st.gslQ, gslTotal)
-	if total := islTotal + gslTotal; total <= cap(st.Links) {
-		st.Links = st.Links[:total]
-	} else {
-		// Outgrew the arena carve: this generation lives on the heap and
-		// the next one's carve adapts.
-		st.Links = make([]topo.Link, total)
-	}
-	var least leastRatio
-	least.v = math.Inf(1)
-	off = 0
-	for _, edges := range c.edges {
-		islQ := st.islQ[off : off+len(edges)]
-		dist := st.distKm[off : off+len(edges)]
-		par.ForWorkers(len(edges), workers, func(lo, hi int) {
-			r := math.Inf(1)
-			for i := lo; i < hi; i++ {
-				if slot := islQ[i]; slot >= 0 {
-					st.Links[slot], islQ[i] = quantizedLink(
-						topo.KindISL, edges[i].a, edges[i].b, dist[i])
-					r = lessRatio(r, st.Links[slot].LatencyS, dist[i])
-				}
-			}
-			least.fold(r)
-		})
-		off += len(edges)
-	}
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
 		r := math.Inf(1)
 		for gi := glo; gi < ghi; gi++ {
 			for si := range c.shells {
 				at := int(st.gslOff[gi*len(c.shells)+si])
 				for _, up := range st.realizedUplinks(gi, si) {
-					sid := c.base[si] + up.Sat
-					st.gslSat[at] = int32(sid)
-					st.Links[islTotal+at], st.gslQ[at] = quantizedLink(
-						topo.KindGSL, gstBase+gi, sid, up.DistanceKm)
-					r = lessRatio(r, st.Links[islTotal+at].LatencyS, up.DistanceKm)
+					q := delayQuanta(up.DistanceKm)
+					st.gslSat[at], st.gslQ[at] = int32(c.base[si]+up.Sat), q
+					r = lessRatio(r, quantumSeconds(q), up.DistanceKm)
 					at++
 				}
 			}
 		}
-		least.fold(r)
+		fold.fold(r, 0)
 	})
+	st.islLinks = fold.isls
 	// The path caches start empty on the state's graph, which the caller
 	// materializes before the first read or carry.
-	h := graph.Heuristic{Pos: st.Positions, Scale: graph.HeuristicScale(least.v)}
+	h := graph.Heuristic{Pos: st.Positions, Scale: graph.HeuristicScale(fold.least)}
 	st.paths.Reset(&st.g, c.transit, h)
 	st.outside.Reset(&st.g, c.transit, h)
 	return st, nil
 }
 
-// leastRatio is the least ratio of a link's realized delay to its length
-// over the link assembly's parallel chunks. A minimum does not depend on the
-// order the chunks fold in, so the result is the same for any worker count.
-type leastRatio struct {
-	mu sync.Mutex
-	v  float64
+// assemblyFold gathers what link assembly's parallel chunks find: the
+// least ratio of a link's realized delay to its length, and the number of
+// realized ISLs. Neither a minimum nor a sum depends on the order the
+// chunks fold in, so both are the same for any worker count.
+type assemblyFold struct {
+	mu    sync.Mutex
+	least float64
+	isls  int
 }
 
-// fold lowers the minimum to r if r is smaller.
-func (l *leastRatio) fold(r float64) {
-	l.mu.Lock()
-	l.v = lessRatio(l.v, r, 1)
-	l.mu.Unlock()
+// fold lowers the minimum to r if r is smaller and adds isls to the count.
+func (f *assemblyFold) fold(r float64, isls int) {
+	f.mu.Lock()
+	f.least = lessRatio(f.least, r, 1)
+	f.isls += isls
+	f.mu.Unlock()
 }
 
 // lessRatio returns the smaller of r and delay/lengthKm. A zero-length link
@@ -545,52 +503,85 @@ func (st *State) realizedUplinks(gi, si int) []topo.Uplink {
 	return ups
 }
 
-// quantizedLink builds a link whose latency is rounded to the netem delay
-// quantum, and returns that quantum count with it.
-func quantizedLink(kind topo.LinkKind, a, b int, distKm float64) (topo.Link, int32) {
-	l := topo.NewLink(kind, a, b, distKm)
-	q := netem.LatencyQuanta(l.LatencyS)
-	l.LatencyS = float64(q) * netem.DelayQuantumSeconds
-	return l, int32(q)
+// delayQuanta returns the delay of a link of the given length in netem
+// delay quanta: its propagation delay at c, rounded to the emulation
+// granularity.
+func delayQuanta(distKm float64) int32 {
+	return int32(netem.LatencyQuanta(geom.PropagationDelay(distKm)))
 }
 
-// rebuildGraph builds the snapshot's latency graph from its assembled link
-// list before the state is published. Plan edges were validated when the
-// constellation was built, so Build takes them unchecked. It serves
-// unpooled snapshots and the cold-start and fallback path of the pooled
-// flow; steady-state ticks clone-and-patch the previous image instead.
+// quantumSeconds returns q delay quanta in seconds, a realized link's
+// latency.
+func quantumSeconds(q int32) float64 { return float64(q) * netem.DelayQuantumSeconds }
+
+// Links yields every link of the state with its delay in netem delay
+// quanta (LatencyS is quanta × netem.DelayQuantumSeconds): the ISLs in plan
+// order, shell by shell, then each station's uplinks, stations ascending,
+// shell by shell, closest first. It is a view of the link fingerprint the
+// diff compares; a state stores nothing per link beyond it.
+func (st *State) Links() iter.Seq2[topo.Link, int32] {
+	return func(yield func(topo.Link, int32) bool) {
+		off := 0
+		for _, edges := range st.c.edges {
+			for i, e := range edges {
+				q := st.islQ[off+i]
+				if q >= 0 && !yield(topo.Link{Kind: topo.KindISL, A: e.a, B: e.b, LatencyS: quantumSeconds(q)}, q) {
+					return
+				}
+			}
+			off += len(edges)
+		}
+		shells := len(st.c.shells)
+		gstBase := len(st.Positions) - len(st.c.gst)
+		for gi := range st.c.gst {
+			for k := st.gslOff[gi*shells]; k < st.gslOff[(gi+1)*shells]; k++ {
+				q := st.gslQ[k]
+				if !yield(topo.Link{Kind: topo.KindGSL, A: gstBase + gi, B: int(st.gslSat[k]), LatencyS: quantumSeconds(q)}, q) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// LinkCount returns the number of links Links yields.
+func (st *State) LinkCount() int { return st.islLinks + len(st.gslSat) }
+
+// rebuildGraph builds the snapshot's latency graph from its links before
+// the state is published, through a list that lives for the call. Plan
+// edges were validated when the constellation was built, so Build takes
+// them unchecked. It serves unpooled snapshots and the cold-start and
+// fallback path of the pooled flow; steady-state ticks clone-and-patch the
+// previous image instead.
 func (st *State) rebuildGraph() {
-	st.g.Build(len(st.Positions), len(st.Links), func(i int) (int, int, float64) {
-		l := &st.Links[i]
+	links := make([]topo.Link, 0, st.LinkCount())
+	for l := range st.Links() {
+		links = append(links, l)
+	}
+	st.g.Build(len(st.Positions), len(links), func(i int) (int, int, float64) {
+		l := &links[i]
 		return l.A, l.B, l.LatencyS
 	})
 }
 
 // reset prepares st's buffers for recomputation with n nodes, keeping
 // backing arrays so recycled snapshots allocate nothing in steady state.
-// The activity flags, link list and per-(station, shell) uplink slices are
-// carved from the state's generation arenas — rewound here, sized by each
-// buffer's previous-generation length — so they occupy a handful of
-// contiguous chunks instead of hundreds of individually grown slices.
-// Carving is sequential (the arenas are not locked); the parallel phases
-// only append within carved capacity.
+// The activity flags and per-(station, shell) uplink slices are carved from
+// the state's generation arenas, rewound here, so they occupy a chunk or two
+// instead of hundreds of individually grown slices. Carving is sequential
+// (the arenas are not locked); the parallel phases only append within
+// carved capacity.
 func (st *State) reset(c *Constellation, t float64, n int) {
 	st.T = t
 	st.c = c
 	st.Positions = resize(st.Positions, n)
 
-	// Record the previous generation's lengths before rewinding, then
-	// carve this generation's buffers with a little headroom; a buffer
-	// that outgrows its carve falls back to a heap append and the next
-	// generation adapts.
-	if prev := len(st.Links); prev > st.linkCap {
-		st.linkCap = prev
-	}
+	// Record the previous generation's uplink counts before rewinding,
+	// then carve this generation's buffers with a little headroom; a
+	// buffer that outgrows its carve falls back to a heap append and the
+	// next generation adapts.
 	st.upCap = resize(st.upCap, len(c.gst)*len(c.shells))
-	if cap(st.uplinks) < len(c.gst) {
-		st.uplinks = make([][][]topo.Uplink, len(c.gst))
-	}
-	st.uplinks = st.uplinks[:len(c.gst)]
+	st.uplinks = resize(st.uplinks, len(c.gst))
 	for gi := range st.uplinks {
 		if st.uplinks[gi] == nil {
 			st.uplinks[gi] = make([][]topo.Uplink, len(c.shells))
@@ -602,25 +593,16 @@ func (st *State) reset(c *Constellation, t float64, n int) {
 			}
 		}
 	}
-	st.linkArena.rewind()
 	st.boolArena.rewind()
 	st.upArena.rewind()
 	st.Active = st.boolArena.carve(n, n)
-	for i := range st.Active {
-		st.Active[i] = false
-	}
-	st.Links = st.linkArena.carve(0, st.linkCap+st.linkCap/16+64)
+	clear(st.Active)
 	for gi := range st.uplinks {
 		for si := range st.uplinks[gi] {
 			k := gi*len(c.shells) + si
 			st.uplinks[gi][si] = st.upArena.carve(0, int(st.upCap[k])+4)
 		}
 	}
-	if cap(st.visIdx) < len(c.shells) {
-		st.visIdx = make([]topo.VisIndex, len(c.shells))
-	}
-	st.visIdx = st.visIdx[:len(c.shells)]
-
 }
 
 // resize returns s with length n, reusing its backing array when possible.

@@ -117,8 +117,8 @@ func TestSnapshotBasics(t *testing.T) {
 	}
 	// The +GRID over a torus has 2 links per satellite; plus uplinks.
 	minISL := 2 * 24 * 22 * 9 / 10 // allow a few infeasible links
-	if len(st.Links) < minISL {
-		t.Errorf("links = %d, want at least %d", len(st.Links), minISL)
+	if st.LinkCount() < minISL {
+		t.Errorf("links = %d, want at least %d", st.LinkCount(), minISL)
 	}
 	// Satellite altitude is reflected in positions.
 	alt := st.Positions[0].Norm() - geom.EarthRadiusKm
@@ -247,8 +247,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 			t.Fatalf("position %d differs between identical snapshots", i)
 		}
 	}
-	if len(a.Links) != len(b.Links) {
-		t.Fatalf("link count differs: %d vs %d", len(a.Links), len(b.Links))
+	if a.LinkCount() != b.LinkCount() {
+		t.Fatalf("link count differs: %d vs %d", a.LinkCount(), b.LinkCount())
 	}
 }
 
@@ -382,7 +382,7 @@ func TestIridiumConstellationSeamVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No ISL between plane 0 (sats 0-10) and plane 5 (sats 55-65).
-	for _, l := range st.Links {
+	for l := range st.Links() {
 		if l.Kind != 1 { // KindISL
 			continue
 		}
@@ -468,7 +468,7 @@ func TestGSTConnectionTypeOne(t *testing.T) {
 	}
 	countGSL := func(st *State) int {
 		n := 0
-		for _, l := range st.Links {
+		for l := range st.Links() {
 			if l.Kind == topo.KindGSL {
 				n++
 			}

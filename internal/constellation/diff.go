@@ -1,6 +1,9 @@
 package constellation
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // LinkDelta is one changed link in a Diff, in constellation-wide node IDs.
 // OldQ and NewQ are the link's one-way delay in netem.DelayQuantum units on
@@ -62,6 +65,10 @@ type DiffRecord struct {
 	// side, which the graph patch folds down to ~1,700 edge deltas
 	// (appendEdgeDeltas). Both lists hold the ISL deltas first, then each
 	// station's GSL deltas as one block, stations ascending.
+	//
+	// A follower applies a record in one order: Removed, then Added, then
+	// DelayChanged. A satellite that stays visible while its sequence
+	// reorders is in both Removed and Added, and it exists afterwards.
 	Added, Removed []LinkDelta
 	// DelayChanged are links present on both sides whose delay moved by
 	// at least one quantum.
@@ -214,7 +221,7 @@ func (st *State) diffLinksFrom(prev *State) {
 			k := gi*shells + si
 			po, p1 := prev.gslOff[k], prev.gslOff[k+1]
 			no, n1 := st.gslOff[k], st.gslOff[k+1]
-			if int32sEqual(prev.gslSat[po:p1], st.gslSat[no:n1]) {
+			if slices.Equal(prev.gslSat[po:p1], st.gslSat[no:n1]) {
 				for j := int32(0); j < p1-po; j++ {
 					if oq, nq := prev.gslQ[po+j], st.gslQ[no+j]; oq != nq {
 						d.DelayChanged = append(d.DelayChanged,
@@ -250,17 +257,4 @@ func (st *State) diffActivityFrom(prev *State) {
 			}
 		}
 	}
-}
-
-// int32sEqual reports elementwise equality.
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -76,12 +76,13 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 			t.Fatalf("active %d: %v vs %v", i, want.Active[i], got.Active[i])
 		}
 	}
-	if len(want.Links) != len(got.Links) {
-		t.Fatalf("link count: %d vs %d", len(want.Links), len(got.Links))
+	if want.LinkCount() != got.LinkCount() {
+		t.Fatalf("link count: %d vs %d", want.LinkCount(), got.LinkCount())
 	}
-	for i := range want.Links {
-		if want.Links[i] != got.Links[i] {
-			t.Fatalf("link %d: %+v vs %+v", i, want.Links[i], got.Links[i])
+	wl, gl := linkList(want), linkList(got)
+	for i := range wl {
+		if wl[i] != gl[i] {
+			t.Fatalf("link %d: %+v vs %+v", i, wl[i], gl[i])
 		}
 	}
 	assertLinkBandwidths(t, want)
@@ -119,12 +120,21 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 	}
 }
 
+// linkList collects the links st.Links yields.
+func linkList(st *State) []topo.Link {
+	var links []topo.Link
+	for l := range st.Links() {
+		links = append(links, l)
+	}
+	return links
+}
+
 // assertLinkBandwidths checks the derived bandwidth lookup against the
 // config: every link answers from either end with its satellite shell's
 // ISL or GSL capacity.
 func assertLinkBandwidths(t *testing.T, st *State) {
 	t.Helper()
-	for i, l := range st.Links {
+	for i, l := range linkList(st) {
 		net := st.c.cfg.Shells[st.c.nodes[min(l.A, l.B)].Shell].Network
 		want := net.BandwidthKbps
 		if l.Kind == topo.KindGSL {

@@ -1,19 +1,24 @@
 package constellation
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"celestial/internal/graph"
+	"celestial/internal/topo"
 )
 
 // SnapshotPool recycles State buffers across update ticks so that the
 // steady-state constellation calculation allocates (almost) nothing:
-// positions, activity flags, link slices, the graph's CSR image, the path
-// caches' maps and uplink buffers are all reused, and the arrays of the
-// trees a state held alone go back to a process-wide pool
-// (paths.Cache.Reset).
+// positions, activity flags, link fingerprints, the graph's CSR image, the
+// path caches' maps and uplink buffers are all reused, and the arrays of
+// the trees a state held alone go back to a process-wide pool
+// (paths.Cache.Reset). The visibility index is the pool's, one per shell:
+// only a prepare reads it, and prepares run one at a time, so each tick
+// re-buckets the satellites that moved since the tick before.
 //
 // The pool is the one owner of a state's lifetime. It counts the holds on
 // each state: Snapshot hands a state out with one hold, the caller's; Hold
@@ -67,6 +72,8 @@ type SnapshotPool struct {
 	// once: finish starts after prepare has been joined.
 	deltaScratch []graph.EdgeDelta
 	fold         handoverFold
+	// vis is the visibility index of each shell, updated by every prepare.
+	vis []topo.VisIndex
 	// stageTimer, when set, receives the wall-clock duration of each
 	// Snapshot stage (see SetStageTimer).
 	stageTimer func(stage string, d time.Duration)
@@ -99,10 +106,12 @@ func (pr *prepared) lap(i int, start *time.Time) {
 }
 
 // prefetch is a prepare running on its own goroutine; done is closed once
-// the embedded result is complete.
+// the embedded result is complete, or once the prepare panicked: panicked
+// then holds the value it panicked with and that goroutine's stack.
 type prefetch struct {
 	prepared
-	done chan struct{}
+	done     chan struct{}
+	panicked string
 }
 
 // stageNames are SetStageTimer's keys, in prepared.stage order.
@@ -110,7 +119,7 @@ var stageNames = [3]string{"snapshot", "diff", "repair"}
 
 // NewSnapshotPool creates an empty pool for the constellation.
 func (c *Constellation) NewSnapshotPool() *SnapshotPool {
-	return &SnapshotPool{c: c}
+	return &SnapshotPool{c: c, vis: make([]topo.VisIndex, len(c.shells))}
 }
 
 // Snapshot computes the state at offset t like Constellation.Snapshot, but
@@ -144,7 +153,8 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 // cache and its counters — does not depend on whether it was called. At
 // most one prepare is in flight; a Prefetch while one is outstanding is
 // ignored. An error the prepare runs into is returned by the Snapshot that
-// joins it.
+// joins it, and a panic is raised again there, with the prepare's stack in
+// its message.
 func (p *SnapshotPool) Prefetch(t float64) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
@@ -156,6 +166,11 @@ func (p *SnapshotPool) Prefetch(t float64) {
 	noRepair := p.noRepair
 	go func() {
 		defer close(pf.done)
+		defer func() {
+			if v := recover(); v != nil {
+				pf.panicked = fmt.Sprintf("%v\n\nprepare goroutine stack:\n%s", v, debug.Stack())
+			}
+		}()
 		pf.prepared = p.prepare(t, noRepair)
 	}()
 }
@@ -170,6 +185,9 @@ func (p *SnapshotPool) join(t float64) (prepared, bool) {
 	}
 	p.pre = nil
 	<-pf.done
+	if pf.panicked != "" {
+		panic("constellation: prefetched prepare panicked: " + pf.panicked)
+	}
 	if pf.t == t {
 		return pf.prepared, true
 	}
@@ -197,7 +215,7 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	p.mu.Unlock()
 	pr := prepared{t: t, prev: prev, noRepair: noRepair}
 	stageStart := time.Now()
-	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0))
+	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0), p.vis)
 	if err != nil {
 		// The buffers remain reusable even when the computation
 		// failed halfway through.
@@ -215,10 +233,9 @@ func (p *SnapshotPool) prepare(t float64, noRepair bool) prepared {
 	// deltas into it in place, skipping the O(N+M) build. The deltas are
 	// computed once and shared with the path repair in both halves. Cold
 	// starts, Full diffs and any patch mismatch (impossible for
-	// diff-produced deltas) fall back to building from the assembled link
-	// list; either way the image is query-identical (PatchFrozen's row
-	// order may differ, which the canonical Dijkstra tie-break makes
-	// unobservable).
+	// diff-produced deltas) fall back to building from the links; either
+	// way the image is query-identical (PatchFrozen's row order may
+	// differ, which the canonical Dijkstra tie-break makes unobservable).
 	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
 		p.deltaScratch = appendEdgeDeltas(p.deltaScratch[:0], &out.diff, p.c.NodeCount()-len(p.c.gst), &p.fold)
 		pr.deltas = p.deltaScratch

@@ -30,7 +30,7 @@ func TestSnapshotInvariants(t *testing.T) {
 			t.Logf("snapshot(%v): %v", ts, err)
 			return false
 		}
-		for _, l := range st.Links {
+		for l := range st.Links() {
 			d := st.Positions[l.A].Distance(st.Positions[l.B])
 			if l.LatencyS != netem.QuantizeLatency(geom.PropagationDelay(d)) {
 				t.Logf("t=%v: latency != quantized distance/c", ts)
@@ -136,7 +136,7 @@ func TestPathsUseOnlyRealizedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	linkSet := map[[2]int]bool{}
-	for _, l := range st.Links {
+	for l := range st.Links() {
 		a, b := l.A, l.B
 		if a > b {
 			a, b = b, a

@@ -101,10 +101,10 @@ func TestLeaseStateAcrossTheBoundary(t *testing.T) {
 				default:
 				}
 				st, _, release := c.LeaseState()
-				T, links := st.T, len(st.Links)
+				T, links := st.T, st.LinkCount()
 				pos = append(pos[:0], st.Positions...)
 				runtime.Gosched()
-				if st.T != T || len(st.Links) != links || !slices.Equal(st.Positions, pos) {
+				if st.T != T || st.LinkCount() != links || !slices.Equal(st.Positions, pos) {
 					errs <- "a leased state changed while held"
 					release()
 					return

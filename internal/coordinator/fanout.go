@@ -7,7 +7,6 @@ import (
 	"celestial/internal/applyengine"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
-	"celestial/internal/netem"
 )
 
 // FanoutOptions configures the host fan-out tier (Options.Fanout). The
@@ -109,14 +108,10 @@ func (c *Coordinator) shardSnapshot(shard int) (*hostlink.Snapshot, error) {
 			snap.Inactive = append(snap.Inactive, int32(node))
 		}
 	}
-	for _, l := range st.Links {
-		if c.shardOf[l.A] != shard && c.shardOf[l.B] != shard {
-			continue
+	for l, q := range st.Links() {
+		if c.shardOf[l.A] == shard || c.shardOf[l.B] == shard {
+			snap.Links = append(snap.Links, hostlink.LinkState{A: int32(l.A), B: int32(l.B), DelayQ: q})
 		}
-		snap.Links = append(snap.Links, hostlink.LinkState{
-			A: int32(l.A), B: int32(l.B),
-			DelayQ: int32(netem.LatencyQuanta(l.LatencyS)),
-		})
 	}
 	return snap, nil
 }

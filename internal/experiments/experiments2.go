@@ -169,7 +169,7 @@ func CalcTime(o Options) (Report, error) {
 	elapsed := time.Since(begin)
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("%d satellites, %d links: snapshot + shortest paths in %v (paper: < 1 s)",
-			cfg.TotalSatellites(), len(st.Links), elapsed))
+			cfg.TotalSatellites(), st.LinkCount(), elapsed))
 	rep.Pass = elapsed < time.Second
 	return rep, nil
 }
@@ -195,7 +195,7 @@ func Fig10(o Options) (Report, error) {
 	// Seam check: no ISL between plane 0 and plane 5.
 	crossSeam := 0
 	isls := 0
-	for _, l := range st.Links {
+	for l := range st.Links() {
 		if l.Kind != topo.KindISL {
 			continue
 		}
@@ -213,7 +213,7 @@ func Fig10(o Options) (Report, error) {
 
 	m := viz.NewMap(1440, 720)
 	m.AddGraticule(30)
-	for _, l := range st.Links {
+	for l := range st.Links() {
 		if l.Kind == topo.KindISL {
 			m.AddLink(geom.ToGeodetic(st.Positions[l.A]), geom.ToGeodetic(st.Positions[l.B]), "#e88", 0.6)
 		}

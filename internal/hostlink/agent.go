@@ -76,8 +76,9 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 	return nil
 }
 
-// ApplyDiff folds one in-order diff frame into the replica. Frames that
-// do not extend the cursor by exactly one generation — including Full
+// ApplyDiff folds one in-order diff frame into the replica, in the order a
+// DiffRecord is applied: Removed, then Added, then DelayChanged. Frames
+// that do not extend the cursor by exactly one generation — including Full
 // frames, which carry no deltas — return ErrGap.
 func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	r.mu.Lock()
@@ -85,14 +86,14 @@ func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	if gen := r.history.Head(); f.Full || f.Generation != gen+1 {
 		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, gen)
 	}
+	for _, l := range f.Removed {
+		delete(r.links, linkKey(int32(l.A), int32(l.B)))
+	}
 	for _, l := range f.Added {
 		r.links[linkKey(int32(l.A), int32(l.B))] = l.NewQ
 	}
 	for _, l := range f.DelayChanged {
 		r.links[linkKey(int32(l.A), int32(l.B))] = l.NewQ
-	}
-	for _, l := range f.Removed {
-		delete(r.links, linkKey(int32(l.A), int32(l.B)))
 	}
 	for _, id := range f.Activated {
 		r.active[id] = true

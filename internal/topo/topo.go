@@ -269,11 +269,6 @@ type Link struct {
 	LatencyS float64
 }
 
-// NewLink fills in the derived latency for a link of a given length.
-func NewLink(kind LinkKind, a, b int, distanceKm float64) Link {
-	return Link{Kind: kind, A: a, B: b, LatencyS: geom.PropagationDelay(distanceKm)}
-}
-
 // MaxISLLengthKm returns the maximum feasible ISL length between two
 // satellites at the given altitude, i.e. the chord that grazes the
 // atmosphere cutoff. Links in a +GRID plan are always much shorter, but

@@ -224,6 +224,11 @@ func TestClosestSat(t *testing.T) {
 	}
 }
 
+// NewLink fills in the derived latency for a link of a given length.
+func NewLink(kind LinkKind, a, b int, distanceKm float64) Link {
+	return Link{Kind: kind, A: a, B: b, LatencyS: geom.PropagationDelay(distanceKm)}
+}
+
 func TestNewLink(t *testing.T) {
 	l := NewLink(KindISL, 3, 7, 2997.92458)
 	if l.LatencyS < 0.0099 || l.LatencyS > 0.0101 {
